@@ -102,6 +102,33 @@ class SweepSpec:
         )
 
 
+def _num(value, field: str) -> float:
+    """A finite float from a config value; anything else is a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(field, f"must be finite, got {value!r}")
+    return x
+
+
+def _int(value, field: str) -> int:
+    x = _num(value, field)
+    if x != int(x):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    return int(x)
+
+
+def _rates(values, field: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(field, "must be a list of rates")
+    rates = tuple(_num(g, field) for g in values)
+    if any(g < 0.0 for g in rates):
+        raise ConfigError(field, "rates must be nonnegative")
+    return rates
+
+
 def _grid(cfg: dict, field: str) -> tuple[float, ...]:
     g = cfg.get(field)
     if g is None:
@@ -111,12 +138,9 @@ def _grid(cfg: dict, field: str) -> tuple[float, ...]:
     scale = g.get("scale", "log")
     if scale not in ("log", "linear"):
         raise ConfigError(f"{field}.scale", "must be 'log' or 'linear'")
-    try:
-        lo = float(g["min"])
-        hi = float(g["max"])
-        count = int(g["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(field, f"needs numeric min/max and integer count ({exc})") from exc
+    lo = _num(g.get("min"), f"{field}.min")
+    hi = _num(g.get("max"), f"{field}.max")
+    count = _int(g.get("count"), f"{field}.count")
     if count < 2:
         raise ConfigError(f"{field}.count", "grid count must be >= 2")
     if not 0.0 < lo < hi:
@@ -148,14 +172,18 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     if not out or not isinstance(out, str):
         raise ConfigError("out", "an output path is required (config 'out' or --out)")
 
-    alpha = float(cfg.get("alpha", math.pi / 4))
-    beta = float(cfg.get("beta", 0.0))
-    gamma0 = float(cfg.get("gamma0", math.pi))
+    alpha = _num(cfg.get("alpha", math.pi / 4), "alpha")
+    beta = _num(cfg.get("beta", 0.0), "beta")
+    gamma0 = _num(cfg.get("gamma0", math.pi), "gamma0")
+    try:
+        ControlParams(OMEGA0, alpha, beta, gamma0, 1.0)
+    except ValueError as exc:
+        raise ConfigError("alpha/beta/gamma0", str(exc)) from exc
 
     flavors = cfg.get("flavors", ["adiabatic", "satd"])
     if isinstance(flavors, str):
         flavors = [flavors]
-    if not flavors or any(f not in ("adiabatic", "satd") for f in flavors):
+    if not isinstance(flavors, list) or not flavors or any(f not in ("adiabatic", "satd") for f in flavors):
         raise ConfigError("flavors", "entries must be 'adiabatic' or 'satd'")
 
     noise_cfg = cfg.get("noise", {})
@@ -164,18 +192,17 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     gamma_phi = noise_cfg.get("gamma_phi", [0.0, 0.0, 0.0, 0.0])
     if not isinstance(gamma_phi, list) or len(gamma_phi) != 4:
         raise ConfigError("noise.gamma_phi", "must be a list of four rates [g0, g1, ga, ge]")
-    gamma_phi = tuple(float(g) for g in gamma_phi)
-    if any(g < 0.0 for g in gamma_phi):
-        raise ConfigError("noise.gamma_phi", "rates must be nonnegative")
-    k = float(noise_cfg.get("k", 0.0))
+    gamma_phi = _rates(gamma_phi, "noise.gamma_phi")
+    k = _num(noise_cfg.get("k", 0.0), "noise.k")
     if not 0.0 <= k < 1.0:
         raise ConfigError("noise.k", "must lie in [0, 1)")
 
     integ = cfg.get("integrator", {})
     if not isinstance(integ, dict):
         raise ConfigError("integrator", "must be an object")
-    rel_tol = float(overrides.get("tol") or integ.get("rel_tol", 1e-10))
-    abs_tol = float(integ.get("abs_tol", rel_tol * 1e-2))
+    tol = overrides.get("tol")
+    rel_tol = _num(integ.get("rel_tol", 1e-10) if tol is None else tol, "integrator.rel_tol")
+    abs_tol = _num(integ.get("abs_tol", rel_tol * 1e-2), "integrator.abs_tol")
     if rel_tol <= 0.0 or abs_tol <= 0.0:
         raise ConfigError("integrator", "tolerances must be positive")
 
@@ -183,9 +210,9 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     if cfg_kind in ("gate-error", "noise-map", "oracle-compare"):
         tg_grid = _grid(cfg, "tg_grid")
 
-    samples = int(cfg.get("samples", 101))
-    pulse_tg = float(cfg.get("tg_cycles", 4.0))
-    pulse_amp = float(cfg.get("amp_scale", 1.0))
+    samples = _int(cfg.get("samples", 101), "samples")
+    pulse_tg = _num(cfg.get("tg_cycles", 4.0), "tg_cycles")
+    pulse_amp = _num(cfg.get("amp_scale", 1.0), "amp_scale")
     if cfg_kind == "pulses":
         if samples < 2:
             raise ConfigError("samples", "must be >= 2")
@@ -197,27 +224,32 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     cont = cfg.get("contour", {})
     if not isinstance(cont, dict):
         raise ConfigError("contour", "must be an object")
-    c_gs = tuple(float(g) for g in cont.get("gamma_gs", []))
-    c_e = tuple(float(g) for g in cont.get("gamma_e", []))
-    c_lo = float(cont.get("tg_min", 2.0))
-    c_hi = float(cont.get("tg_max", 30.0))
-    c_coarse = int(cont.get("coarse_count", 60))
-    c_rtol = float(cont.get("golden_rel_tol", 1e-3))
+    c_gs = _rates(cont.get("gamma_gs", []), "contour.gamma_gs")
+    c_e = _rates(cont.get("gamma_e", []), "contour.gamma_e")
+    c_lo = _num(cont.get("tg_min", 2.0), "contour.tg_min")
+    c_hi = _num(cont.get("tg_max", 30.0), "contour.tg_max")
+    c_coarse = _int(cont.get("coarse_count", 60), "contour.coarse_count")
+    c_rtol = _num(cont.get("golden_rel_tol", 1e-3), "contour.golden_rel_tol")
     if cfg_kind == "contour":
         if not c_gs or not c_e:
             raise ConfigError("contour", "gamma_gs and gamma_e rate grids are required")
-        if any(g < 0.0 for g in c_gs + c_e):
-            raise ConfigError("contour", "rates must be nonnegative")
         if not 0.0 < c_lo < c_hi:
             raise ConfigError("contour", "requires 0 < tg_min < tg_max")
         if c_coarse < 2:
             raise ConfigError("contour.coarse_count", "must be >= 2")
+        if c_rtol <= 0.0:
+            raise ConfigError("contour.golden_rel_tol", "must be positive")
 
-    nodes = int(cfg.get("uncertainty_nodes", 21))
+    nodes = _int(cfg.get("uncertainty_nodes", 21), "uncertainty_nodes")
     if nodes < 1:
         raise ConfigError("uncertainty_nodes", "must be >= 1")
 
-    jobs = overrides.get("jobs") or cfg.get("jobs") or _default_jobs()
+    jobs = overrides.get("jobs")
+    if jobs is None:
+        jobs = cfg.get("jobs")
+    jobs = _default_jobs() if jobs is None else _int(jobs, "jobs")
+    if jobs < 1:
+        raise ConfigError("jobs", "must be >= 1")
 
     return SweepSpec(
         kind=cfg_kind,
@@ -241,7 +273,7 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         contour_tg_max=c_hi,
         contour_coarse=c_coarse,
         contour_rel_tol=c_rtol,
-        jobs=int(jobs),
+        jobs=jobs,
     )
 
 
@@ -406,18 +438,20 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> tuple[float, fl
     return mid, f(mid)
 
 
-def _contour_point(task: tuple[SweepSpec, float, float, str]) -> tuple:
-    spec, g_gs, g_e, flavor = task
+def _contour_point(task: tuple[SweepSpec, float, float, str, float]) -> tuple:
+    spec, g_gs, g_e, flavor, satd_tg_min = task
     return _tag_failure(
         f"(gamma_gs={g_gs}, gamma_e={g_e}, flavor={flavor})",
-        lambda: _contour_row(spec, g_gs, g_e, flavor),
+        lambda: _contour_row(spec, g_gs, g_e, flavor, satd_tg_min),
     )
 
 
-def _contour_row(spec: SweepSpec, g_gs: float, g_e: float, flavor: str) -> tuple:
+def _contour_row(spec: SweepSpec, g_gs: float, g_e: float, flavor: str, satd_tg_min: float) -> tuple:
+    """Best (tg, eps) for one rate pair; SATD gate times start at
+    satd_tg_min, the amplitude threshold."""
     lo, hi = spec.contour_tg_min, spec.contour_tg_max
     if flavor == "satd":
-        lo = max(lo, amplitude_threshold_time(spec.params(1.0, "satd")))
+        lo = max(lo, satd_tg_min)
     if lo >= hi:
         return (g_gs, g_e, flavor, math.nan, math.nan, 0)
     eps = _contour_objective(spec, flavor, g_gs, g_e)
@@ -433,8 +467,9 @@ def _contour_row(spec: SweepSpec, g_gs: float, g_e: float, flavor: str) -> tuple
 
 
 def run_contour_search(spec: SweepSpec) -> list[tuple]:
+    satd_tg_min = amplitude_threshold_time(spec.params(1.0, "satd")) if "satd" in spec.flavors else math.nan
     tasks = [
-        (spec, g_gs, g_e, flavor)
+        (spec, g_gs, g_e, flavor, satd_tg_min)
         for g_gs in spec.contour_gamma_gs
         for g_e in spec.contour_gamma_e
         for flavor in spec.flavors

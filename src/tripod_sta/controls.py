@@ -48,12 +48,10 @@ class ControlParams:
     amp_scale: float = 1.0
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
-            raise ValueError("omega0 must be positive")
-        if self.t_gate <= 0.0:
-            raise ValueError("t_gate must be positive")
-        if self.amp_scale <= 0.0:
-            raise ValueError("amp_scale must be positive")
+        for name in ("omega0", "t_gate", "amp_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.alpha <= 0.5 * math.pi:
             raise ValueError("alpha must lie in [0, pi/2]")
         if not 0.0 <= self.beta < 2.0 * math.pi:
@@ -331,18 +329,17 @@ def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float],
 def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) -> float:
     """Time-averaged operator 2-norm of the control Hamiltonian.
 
-    Composite Simpson over n_samples points; the norm at each sample is the
-    largest |eigenvalue| of the Hermitian H(t).
+    Composite Simpson over n_samples points.  The tripod Hamiltonian has the
+    spectrum {0, 0, +-|Omega|/2} with |Omega|^2 = |O_0e|^2 + |O_1e|^2 + |O_ae|^2,
+    so the norm at each sample is 0.5*amp_scale*omega0*sqrt(fs^2 + fc^2) in
+    terms of the profile factors.
     """
     if n_samples < 3 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and >= 3")
-    from .tripod import hamiltonian
-
     tg = params.t_gate
     ts = np.linspace(0.0, tg, n_samples)
-    vals = np.empty(n_samples)
-    for i, t in enumerate(ts):
-        vals[i] = float(np.max(np.abs(np.linalg.eigvalsh(hamiltonian(env, t)))))
+    fs, fc = env.profile_grid(ts)
+    vals = 0.5 * env.params.amp_scale * env.params.omega0 * np.sqrt(fs * fs + fc * fc)
     h = tg / (n_samples - 1)
     weights = np.ones(n_samples)
     weights[1:-1:2] = 4.0

@@ -7,6 +7,7 @@ there also keeps the envelope-derivative kink off the interior of a step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,8 +31,8 @@ class NoiseModel:
     k: float = 0.0
 
     def __post_init__(self):
-        if len(self.gamma_phi) != 4 or any(g < 0.0 for g in self.gamma_phi):
-            raise ValueError("gamma_phi must be four nonnegative rates")
+        if len(self.gamma_phi) != 4 or not all(math.isfinite(g) and g >= 0.0 for g in self.gamma_phi):
+            raise ValueError("gamma_phi must be four finite nonnegative rates")
         if not 0.0 <= self.k < 1.0:
             raise ValueError("k must lie in [0, 1)")
 
@@ -102,19 +103,22 @@ def _check_density(rho: np.ndarray) -> None:
         raise ValueError("rho0 must be positive semidefinite")
 
 
-def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel):
+def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel, amp_scales: np.ndarray | None):
+    # Member i sees amp_scales[i] * H(t): one Hamiltonian per stage, with the
+    # scale folded into the commutator prefactor (a scalar when all are 1).
+    coeff = -1.0j if amp_scales is None else -1.0j * amp_scales[:, None, None]
     damping = noise.dephasing_matrix()
     if noise.is_noiseless:
 
         def rhs(t, rho):
             h = hamiltonian(env, t)
-            return -1.0j * (h @ rho - rho @ h)
+            return coeff * (h @ rho - rho @ h)
 
     else:
 
         def rhs(t, rho):
             h = hamiltonian(env, t)
-            return -1.0j * (h @ rho - rho @ h) - damping * rho
+            return coeff * (h @ rho - rho @ h) - damping * rho
 
     return rhs
 
@@ -126,15 +130,9 @@ def propagate_lindblad(
     rho0: np.ndarray,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> PropagationResult:
-    """Evolve a density matrix under H(t) with per-level pure dephasing.
-
-    The state is re-Hermitized after every accepted step; a final trace
-    defect beyond 1e-6 raises NumericalError.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    _check_density(rho0)
-    res = _two_segment_solve(_lindblad_rhs(env, noise), rho0, params.t_gate, cfg, step_hook=hermitize)
-    return _density_result(res)
+    """Evolve one density matrix under H(t) with per-level pure dephasing
+    (a batch of one; see propagate_lindblad_batch)."""
+    return propagate_lindblad_batch(params, env, noise, np.asarray(rho0)[None], cfg)[0]
 
 
 def _density_result(res: OdeResult) -> PropagationResult:
@@ -159,18 +157,27 @@ def propagate_lindblad_batch(
     noise: NoiseModel,
     rho0s: np.ndarray,
     cfg: IntegratorConfig = IntegratorConfig(),
+    amp_scales: np.ndarray | None = None,
 ) -> list[PropagationResult]:
     """Evolve a stack of density matrices (n, 4, 4) through one shared
-    adaptive solve; the generator is identical for every member, so this is
-    equivalent to n independent propagations with a common mesh."""
+    adaptive solve with per-level pure dephasing.
+
+    Member i evolves under amp_scales[i] * H(t), with env built at unit
+    amp_scale (default: every scale 1).  The stepper controls the error
+    elementwise, so the common mesh is at least as fine as each member
+    needs.  States are re-Hermitized after every accepted step; a final
+    trace defect beyond 1e-6 in any member raises NumericalError.
+    """
     rho0s = np.asarray(rho0s, dtype=complex)
     for rho in rho0s:
         _check_density(rho)
-    res = _two_segment_solve(_lindblad_rhs(env, noise), rho0s, params.t_gate, cfg, step_hook=hermitize)
-    out = []
-    for rho in res.y:
-        out.append(_density_result(OdeResult(rho, res.steps_accepted, res.steps_rejected)))
-    return out
+    if amp_scales is not None:
+        amp_scales = np.asarray(amp_scales, dtype=float)
+        if amp_scales.shape != (len(rho0s),):
+            raise ValueError("amp_scales must hold one scale per density matrix")
+    rhs = _lindblad_rhs(env, noise, amp_scales)
+    res = _two_segment_solve(rhs, rho0s, params.t_gate, cfg, step_hook=hermitize)
+    return [_density_result(OdeResult(rho, res.steps_accepted, res.steps_rejected)) for rho in res.y]
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -39,9 +39,9 @@ class IntegratorConfig:
     method: str = "rk45"
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("rel_tol and abs_tol must be positive")
-        if self.max_step <= 0.0:
+        if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.rel_tol, self.abs_tol)):
+            raise ValueError("rel_tol and abs_tol must be positive and finite")
+        if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown integration method {self.method!r}")

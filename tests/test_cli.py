@@ -70,6 +70,28 @@ class TestConfigHandling:
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload), "gate-error", {})
         assert spec.jobs == 3
 
+    def _assert_config_error(self, capsys, tmp_path, kind, payload, field, extra=()):
+        cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
+        rc = cli.main(kind.split() + ["--config", cfg, *extra])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_nan_dephasing_rate_is_config_error(self, capsys, tmp_path):
+        payload = dict(TestNoiseMapSweep.CFG, noise={"gamma_phi": [0.0, 0.0, 0.0, math.nan], "k": 0.2})
+        self._assert_config_error(capsys, tmp_path, "sweep noise-map", payload, "noise.gamma_phi")
+
+    def test_non_numeric_alpha_is_config_error(self, capsys, tmp_path):
+        payload = dict(GATE_ERROR_CFG, alpha="abc")
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "alpha")
+
+    def test_zero_tol_override_is_config_error(self, capsys, tmp_path):
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", GATE_ERROR_CFG, "integrator", ["--tol", "0"])
+
+    def test_negative_jobs_is_config_error(self, capsys, tmp_path):
+        payload = dict(GATE_ERROR_CFG, jobs=-3)
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
+
 
 class TestGateErrorSweep:
     def test_rows_and_header(self, tmp_path):

@@ -78,6 +78,11 @@ class TestControlParams:
             ControlParams(1.0, 0.1, 0.0, 7.0, 1.0)  # gamma0 out of range
         with pytest.raises(ValueError):
             ControlParams(1.0, 0.1, 0.0, 0.1, 1.0, amp_scale=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ControlParams(bad, 0.1, 0.0, 0.1, 1.0)
+            with pytest.raises(ValueError):
+                ControlParams(1.0, 0.1, 0.0, 0.1, bad)
 
     def test_flavor_factory_dispatch(self):
         assert make_envelopes(params(2.0, Flavor.ADIABATIC)).params.flavor is Flavor.ADIABATIC
@@ -282,6 +287,22 @@ class TestEnergyCost:
         t2 = cost_threshold_time(p, 2.0)
         t3 = cost_threshold_time(p, 3.0)
         assert t3 < t2  # higher cost budget admits faster gates
+
+    def test_closed_form_matches_spectrum(self):
+        # Simpson sum of max |eigvalsh(H(t))|, the definition the closed form replaces.
+        from tripod_sta.tripod import hamiltonian
+
+        n = 201
+        weights = np.ones(n)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        for flavor in (Flavor.ADIABATIC, Flavor.SATD):
+            for tg in (0.7, 2.0, 6.0):
+                p = params(tg, flavor, alpha=0.5, beta=1.0, amp_scale=1.1)
+                env = make_envelopes(p)
+                norms = [np.max(np.abs(np.linalg.eigvalsh(hamiltonian(env, t)))) for t in np.linspace(0.0, tg, n)]
+                reference = float(np.dot(weights, norms)) / (3.0 * (n - 1))
+                assert energy_cost(env, p, n) == pytest.approx(reference, rel=1e-14)
 
     def test_sampling_validation(self):
         p = params(1.0)

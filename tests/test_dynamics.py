@@ -47,6 +47,10 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel((0.0, 0.0, 0.0, -1.0))
         with pytest.raises(ValueError):
+            NoiseModel((0.0, 0.0, 0.0, math.nan))
+        with pytest.raises(ValueError):
+            NoiseModel(k=math.nan)
+        with pytest.raises(ValueError):
             NoiseModel(k=1.0)
 
     def test_dephasing_matrix(self):
@@ -149,6 +153,41 @@ class TestPropagateLindblad:
         for rho0, res in zip((rho_a, rho_b), batch):
             single = propagate_lindblad(p, env, noise, rho0, CFG)
             assert np.max(np.abs(res.final_operator - single.final_operator)) < 1e-9
+
+
+    def test_single_equals_batch_of_one(self):
+        p = params(2.0, Flavor.SATD)
+        env = make_envelopes(p)
+        noise = NoiseModel((0.0, 0.01, 0.0, 0.02))
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[:2, :2] = 0.5
+        single = propagate_lindblad(p, env, noise, rho0, CFG)
+        (batched,) = propagate_lindblad_batch(p, env, noise, rho0[None], CFG)
+        assert np.array_equal(single.final_operator, batched.final_operator)
+        assert (single.steps_accepted, single.steps_rejected) == (batched.steps_accepted, batched.steps_rejected)
+        assert (single.trace_defect, single.min_eigenvalue) == (batched.trace_defect, batched.min_eigenvalue)
+
+    def test_amp_scaled_members_match_scaled_envelopes(self):
+        p = params(2.0, Flavor.SATD)
+        env = make_envelopes(p)
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.05))
+        rho_a = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        rho_b = np.zeros((4, 4), dtype=complex)
+        rho_b[:2, :2] = 0.5
+        scales = np.array([0.8, 1.0, 1.2])
+        rho0s = np.stack([rho_a, rho_b, rho_a])
+        batch = propagate_lindblad_batch(p, env, noise, rho0s, CFG, amp_scales=scales)
+        for rho0, r, res in zip(rho0s, scales, batch):
+            p_r = p.with_amp_scale(r)
+            single = propagate_lindblad(p_r, make_envelopes(p_r), noise, rho0, CFG)
+            assert np.max(np.abs(res.final_operator - single.final_operator)) < 1e-8
+            # Each member carries the diagnostics of its own final state.
+            rho = res.final_operator
+            assert res.trace_defect == abs(float(np.trace(rho).real) - 1.0)
+            assert res.min_eigenvalue == float(np.min(np.linalg.eigvalsh(rho)))
+            assert res.trace_defect < 1e-8 and res.min_eigenvalue > -1e-8
+        with pytest.raises(ValueError, match="amp_scales"):
+            propagate_lindblad_batch(p, env, noise, rho0s, CFG, amp_scales=scales[:2])
 
 
 class TestProtocolInvariants:

@@ -115,6 +115,21 @@ class TestUncertaintyAverage:
         assert nominal < 1e-6
         assert averaged > 1e-3
 
+    def test_batched_nodes_match_explicit_quadrature(self):
+        # One shared-mesh solve over all nodes against a loop of map_fidelity
+        # calls, each on envelopes rebuilt at the node's amplitude.
+        noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
+        nodes, weights = np.polynomial.legendre.leggauss(11)
+        for flavor in (Flavor.ADIABATIC, Flavor.SATD):
+            for tg in (2.0, 5.0):
+                p = params(tg, flavor)
+                loop = 0.0
+                for x, w in zip(nodes, weights):
+                    p_r = p.with_amp_scale(1.0 + noise.k * x)
+                    loop += w * map_fidelity(p_r, make_envelopes(p_r), noise, FAST)
+                batched = map_fidelity_uncertainty_avg(p, noise, 11, FAST)
+                assert abs(batched - 0.5 * loop) < 10.0 * FAST.rel_tol
+
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
             map_fidelity_uncertainty_avg(params(2.0), NoiseModel(k=0.1), 0, FAST)

@@ -131,6 +131,10 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
+        IntegratorConfig(rel_tol=math.nan)
+    with pytest.raises(ValueError):
+        IntegratorConfig(abs_tol=math.inf)
+    with pytest.raises(ValueError):
         IntegratorConfig(max_step=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(method="euler")
