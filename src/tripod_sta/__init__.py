@@ -6,11 +6,9 @@ from .controls import (
     EnvelopeSet,
     Flavor,
     PulseShape,
-    adiabatic_envelopes,
     make_envelopes,
     make_pulse_shape,
     satd_dressing_angle,
-    satd_envelopes,
 )
 from .dynamics import (
     NoiseModel,
@@ -41,7 +39,6 @@ __all__ = [
     "OperatorKind",
     "PropagationResult",
     "PulseShape",
-    "adiabatic_envelopes",
     "avg_gate_fidelity",
     "closed_form_fidelities",
     "expm_hermitian_generator",
@@ -57,7 +54,6 @@ __all__ = [
     "propagate_lindblad",
     "propagate_unitary",
     "satd_dressing_angle",
-    "satd_envelopes",
     "satd_gate",
     "__version__",
 ]

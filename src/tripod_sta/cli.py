@@ -13,8 +13,10 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,16 +45,6 @@ from .tripod import ideal_gate, satd_gate
 
 OMEGA0 = 2.0 * math.pi
 
-KINDS = ("gate-error", "noise-map", "contour", "pulses", "oracle-compare")
-
-HEADERS = {
-    "gate-error": "tg_cycles,flavor,eps_full,eps_qubit,eps_full_pred,eps_qubit_pred,eps_oracleA",
-    "noise-map": "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
-    "contour": "gamma_gs,gamma_e,flavor,tg_star_cycles,eps_star,feasible",
-    "pulses": "t_cycles,re_omega_0e,im_omega_0e,re_omega_1e,im_omega_1e,re_omega_ae,im_omega_ae",
-    "oracle-compare": "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
-}
-
 
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
@@ -62,7 +54,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parsed, validated sweep configuration."""
+    """Parsed, validated sweep configuration.
+
+    `fields` holds the config fields only this spec's kind reads, as parsed
+    by that kind's `Kind.parse`.
+    """
 
     kind: str
     out: str
@@ -70,22 +66,13 @@ class SweepSpec:
     beta: float
     gamma0: float
     flavors: tuple[str, ...]
-    tg_grid: tuple[float, ...]
     gamma_phi: tuple[float, float, float, float]
     k: float
     uncertainty_nodes: int
     rel_tol: float
     abs_tol: float
-    samples: int
-    pulse_tg: float
-    pulse_amp_scale: float
-    contour_gamma_gs: tuple[float, ...]
-    contour_gamma_e: tuple[float, ...]
-    contour_tg_min: float
-    contour_tg_max: float
-    contour_coarse: int
-    contour_rel_tol: float
     jobs: int
+    fields: object
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -100,6 +87,10 @@ class SweepSpec:
             self.gamma_phi if gamma_phi is None else tuple(gamma_phi),
             self.k if k is None else k,
         )
+
+
+PulseFields = namedtuple("PulseFields", "samples tg_cycles amp_scale")
+ContourFields = namedtuple("ContourFields", "gamma_gs gamma_e tg_min tg_max coarse_count golden_rel_tol")
 
 
 def _num(value, field: str) -> float:
@@ -129,7 +120,8 @@ def _rates(values, field: str) -> tuple[float, ...]:
     return rates
 
 
-def _grid(cfg: dict, field: str) -> tuple[float, ...]:
+def _tg_grid(cfg: dict) -> tuple[float, ...]:
+    field = "tg_grid"
     g = cfg.get(field)
     if g is None:
         raise ConfigError(field, "missing grid specification")
@@ -149,8 +141,47 @@ def _grid(cfg: dict, field: str) -> tuple[float, ...]:
     return tuple(float(x) for x in pts)
 
 
+def _pulse_fields(cfg: dict) -> PulseFields:
+    samples = _int(cfg.get("samples", 101), "samples")
+    tg = _num(cfg.get("tg_cycles", 4.0), "tg_cycles")
+    amp = _num(cfg.get("amp_scale", 1.0), "amp_scale")
+    if samples < 2:
+        raise ConfigError("samples", "must be >= 2")
+    if tg <= 0.0:
+        raise ConfigError("tg_cycles", "must be positive")
+    if amp <= 0.0:
+        raise ConfigError("amp_scale", "must be positive")
+    return PulseFields(samples, tg, amp)
+
+
+def _contour_fields(cfg: dict) -> ContourFields:
+    cont = cfg.get("contour", {})
+    if not isinstance(cont, dict):
+        raise ConfigError("contour", "must be an object")
+    c = ContourFields(
+        _rates(cont.get("gamma_gs", []), "contour.gamma_gs"),
+        _rates(cont.get("gamma_e", []), "contour.gamma_e"),
+        _num(cont.get("tg_min", 2.0), "contour.tg_min"),
+        _num(cont.get("tg_max", 30.0), "contour.tg_max"),
+        _int(cont.get("coarse_count", 60), "contour.coarse_count"),
+        _num(cont.get("golden_rel_tol", 1e-3), "contour.golden_rel_tol"),
+    )
+    if not c.gamma_gs or not c.gamma_e:
+        raise ConfigError("contour", "gamma_gs and gamma_e rate grids are required")
+    if not 0.0 < c.tg_min < c.tg_max:
+        raise ConfigError("contour", "requires 0 < tg_min < tg_max")
+    if c.coarse_count < 2:
+        raise ConfigError("contour.coarse_count", "must be >= 2")
+    if c.golden_rel_tol <= 0.0:
+        raise ConfigError("contour.golden_rel_tol", "must be positive")
+    return c
+
+
 def load_spec(path: str, kind: str | None = None, overrides: dict | None = None) -> SweepSpec:
-    """Read and validate a JSON config; CLI flag overrides win over the file."""
+    """Read and validate a JSON config; CLI flag overrides win over the file.
+
+    Only the shared fields and the fields the kind itself reads are checked.
+    """
     overrides = overrides or {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -163,8 +194,8 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         raise ConfigError("config", "top level must be a JSON object")
 
     cfg_kind = cfg.get("kind", kind)
-    if cfg_kind not in KINDS:
-        raise ConfigError("kind", f"must be one of {KINDS}, got {cfg_kind!r}")
+    if cfg_kind not in tuple(KINDS):
+        raise ConfigError("kind", f"must be one of {tuple(KINDS)}, got {cfg_kind!r}")
     if kind is not None and cfg_kind != kind:
         raise ConfigError("kind", f"config says {cfg_kind!r} but the subcommand expects {kind!r}")
 
@@ -206,50 +237,20 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     if rel_tol <= 0.0 or abs_tol <= 0.0:
         raise ConfigError("integrator", "tolerances must be positive")
 
-    tg_grid: tuple[float, ...] = ()
-    if cfg_kind in ("gate-error", "noise-map", "oracle-compare"):
-        tg_grid = _grid(cfg, "tg_grid")
-
-    samples = _int(cfg.get("samples", 101), "samples")
-    pulse_tg = _num(cfg.get("tg_cycles", 4.0), "tg_cycles")
-    pulse_amp = _num(cfg.get("amp_scale", 1.0), "amp_scale")
-    if cfg_kind == "pulses":
-        if samples < 2:
-            raise ConfigError("samples", "must be >= 2")
-        if pulse_tg <= 0.0:
-            raise ConfigError("tg_cycles", "must be positive")
-        if pulse_amp <= 0.0:
-            raise ConfigError("amp_scale", "must be positive")
-
-    cont = cfg.get("contour", {})
-    if not isinstance(cont, dict):
-        raise ConfigError("contour", "must be an object")
-    c_gs = _rates(cont.get("gamma_gs", []), "contour.gamma_gs")
-    c_e = _rates(cont.get("gamma_e", []), "contour.gamma_e")
-    c_lo = _num(cont.get("tg_min", 2.0), "contour.tg_min")
-    c_hi = _num(cont.get("tg_max", 30.0), "contour.tg_max")
-    c_coarse = _int(cont.get("coarse_count", 60), "contour.coarse_count")
-    c_rtol = _num(cont.get("golden_rel_tol", 1e-3), "contour.golden_rel_tol")
-    if cfg_kind == "contour":
-        if not c_gs or not c_e:
-            raise ConfigError("contour", "gamma_gs and gamma_e rate grids are required")
-        if not 0.0 < c_lo < c_hi:
-            raise ConfigError("contour", "requires 0 < tg_min < tg_max")
-        if c_coarse < 2:
-            raise ConfigError("contour.coarse_count", "must be >= 2")
-        if c_rtol <= 0.0:
-            raise ConfigError("contour.golden_rel_tol", "must be positive")
+    fields = KINDS[cfg_kind].parse(cfg)
 
     nodes = _int(cfg.get("uncertainty_nodes", 21), "uncertainty_nodes")
     if nodes < 1:
         raise ConfigError("uncertainty_nodes", "must be >= 1")
 
-    jobs = overrides.get("jobs")
+    jobs_field, jobs = "jobs", overrides.get("jobs")
     if jobs is None:
         jobs = cfg.get("jobs")
-    jobs = _default_jobs() if jobs is None else _int(jobs, "jobs")
+    if jobs is None:
+        jobs_field, jobs = "TRIPOD_STA_JOBS", os.environ.get("TRIPOD_STA_JOBS") or 1
+    jobs = _int(jobs, jobs_field)
     if jobs < 1:
-        raise ConfigError("jobs", "must be >= 1")
+        raise ConfigError(jobs_field, "must be >= 1")
 
     return SweepSpec(
         kind=cfg_kind,
@@ -258,33 +259,14 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         beta=beta,
         gamma0=gamma0,
         flavors=tuple(flavors),
-        tg_grid=tg_grid,
         gamma_phi=gamma_phi,
         k=k,
         uncertainty_nodes=nodes,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        samples=samples,
-        pulse_tg=pulse_tg,
-        pulse_amp_scale=pulse_amp,
-        contour_gamma_gs=c_gs,
-        contour_gamma_e=c_e,
-        contour_tg_min=c_lo,
-        contour_tg_max=c_hi,
-        contour_coarse=c_coarse,
-        contour_rel_tol=c_rtol,
         jobs=jobs,
+        fields=fields,
     )
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("TRIPOD_STA_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _fmt(x) -> str:
@@ -293,14 +275,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
-
-
-def _write_csv(path: str, kind: str, rows: list[tuple], comments: list[str]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(HEADERS[kind])
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _base_comments(spec: SweepSpec) -> list[str]:
@@ -318,23 +292,24 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _tag_failure(desc: str, fn):
-    """Run fn, tagging numerical failures with the offending parameter tuple."""
+def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
+    """Rows of one task; numerical failures name the task's parameters."""
+    spec, point = task
     try:
-        return fn()
+        return KINDS[spec.kind].rows(spec, **point)
     except (NumericalError, OdeStepUnderflow) as exc:
-        raise NumericalError(f"at {desc}: {exc}") from exc
+        desc = ", ".join(f"{name}={value}" for name, value in point.items())
+        raise NumericalError(f"at ({desc}): {exc}") from exc
 
 
 # --- gate-time error sweep -------------------------------------------------
 
-def _gate_error_point(task: tuple[SweepSpec, float, str]) -> tuple:
-    spec, tg, flavor = task
-    return _tag_failure(f"(tg_cycles={tg}, flavor={flavor})", lambda: _gate_error_row(spec, tg, flavor))
+def _grid_tasks(spec: SweepSpec) -> list[dict]:
+    return [{"tg_cycles": tg, "flavor": flavor} for tg in spec.fields for flavor in spec.flavors]
 
 
-def _gate_error_row(spec: SweepSpec, tg: float, flavor: str) -> tuple:
-    p = spec.params(tg, flavor)
+def _gate_error_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tuple]:
+    p = spec.params(tg_cycles, flavor)
     shape = make_pulse_shape(p.t_gate)
     env = make_envelopes(p, shape)
     cfg = spec.integrator()
@@ -353,33 +328,14 @@ def _gate_error_row(spec: SweepSpec, tg: float, flavor: str) -> tuple:
         eps_full_pred = 1.0 - avg_gate_fidelity(target.conj().T @ predicted, 4)
         eps_qubit_pred = 0.0
         eps_oracle = eps_full_pred
-    floor = spec.rel_tol
-    return (
-        tg,
-        flavor,
-        clamp_error(eps_full, floor),
-        clamp_error(eps_qubit, floor),
-        clamp_error(eps_full_pred, floor),
-        clamp_error(eps_qubit_pred, floor),
-        clamp_error(eps_oracle, floor),
-    )
-
-
-def run_gate_time_error_sweep(spec: SweepSpec) -> list[tuple]:
-    tasks = [(spec, tg, flavor) for tg in spec.tg_grid for flavor in spec.flavors]
-    rows = _run_tasks(_gate_error_point, tasks, spec.jobs)
-    return sorted(rows, key=lambda r: (r[0], r[1]))
+    eps = (eps_full, eps_qubit, eps_full_pred, eps_qubit_pred, eps_oracle)
+    return [(tg_cycles, flavor, *(clamp_error(e, spec.rel_tol) for e in eps))]
 
 
 # --- noise-map sweep -------------------------------------------------------
 
-def _noise_map_point(task: tuple[SweepSpec, float, str]) -> list[tuple]:
-    spec, tg, flavor = task
-    return _tag_failure(f"(tg_cycles={tg}, flavor={flavor})", lambda: _noise_map_rows(spec, tg, flavor))
-
-
-def _noise_map_rows(spec: SweepSpec, tg: float, flavor: str) -> list[tuple]:
-    p = spec.params(tg, flavor)
+def _noise_map_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tuple]:
+    p = spec.params(tg_cycles, flavor)
     shape = make_pulse_shape(p.t_gate)
     env = make_envelopes(p, shape)
     cfg = spec.integrator()
@@ -387,38 +343,23 @@ def _noise_map_rows(spec: SweepSpec, tg: float, flavor: str) -> list[tuple]:
     max_amp = env.max_amplitude / OMEGA0
     cost = env.cost / (0.5 * OMEGA0)
     eps_nominal = clamp_error(1.0 - map_fidelity(p, env, spec.noise(k=0.0), cfg), floor)
-    rows = [(tg, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost)]
+    rows = [(tg_cycles, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost)]
     if spec.k > 0.0:
         f_avg = map_fidelity_uncertainty_avg(p, spec.noise(), spec.uncertainty_nodes, cfg, shape)
-        rows.append((tg, flavor, spec.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
+        rows.append((tg_cycles, flavor, spec.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
     return rows
 
 
-def run_noise_map_sweep(spec: SweepSpec) -> tuple[list[tuple], list[str]]:
-    tasks = [(spec, tg, flavor) for tg in spec.tg_grid for flavor in spec.flavors]
-    nested = _run_tasks(_noise_map_point, tasks, spec.jobs)
-    rows = sorted((r for group in nested for r in group), key=lambda r: (r[0], r[1], r[2]))
+def _noise_map_comments(spec: SweepSpec) -> list[str]:
     marker = spec.params(1.0, "satd")
-    comments = _base_comments(spec) + [
+    return [
         f"satd_max_amp_threshold_cycles={_fmt(amplitude_threshold_time(marker))}",
         f"satd_cost_2x_threshold_cycles={_fmt(cost_threshold_time(marker, 2.0))}",
         f"satd_cost_3x_threshold_cycles={_fmt(cost_threshold_time(marker, 3.0))}",
     ]
-    return rows, comments
 
 
 # --- contour search --------------------------------------------------------
-
-def _contour_objective(spec: SweepSpec, flavor: str, g_gs: float, g_e: float):
-    noise = NoiseModel((g_gs, g_gs, g_gs, g_e), spec.k)
-    cfg = spec.integrator()
-
-    def eps(tg: float) -> float:
-        p = spec.params(tg, flavor)
-        return 1.0 - map_fidelity_uncertainty_avg(p, noise, spec.uncertainty_nodes, cfg)
-
-    return eps
-
 
 def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
     gr = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -438,65 +379,59 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> tuple[float, fl
     return mid, f(mid)
 
 
-def _contour_point(task: tuple[SweepSpec, float, float, str, float]) -> tuple:
-    spec, g_gs, g_e, flavor, satd_tg_min = task
-    return _tag_failure(
-        f"(gamma_gs={g_gs}, gamma_e={g_e}, flavor={flavor})",
-        lambda: _contour_row(spec, g_gs, g_e, flavor, satd_tg_min),
-    )
+def _contour_tasks(spec: SweepSpec) -> list[dict]:
+    # The SATD amplitude threshold bounds every SATD window; find it once.
+    satd_tg_min = amplitude_threshold_time(spec.params(1.0, "satd")) if "satd" in spec.flavors else math.nan
+    c = spec.fields
+    return [
+        {"gamma_gs": g_gs, "gamma_e": g_e, "flavor": flavor, "satd_tg_min": satd_tg_min}
+        for g_gs in c.gamma_gs
+        for g_e in c.gamma_e
+        for flavor in spec.flavors
+    ]
 
 
-def _contour_row(spec: SweepSpec, g_gs: float, g_e: float, flavor: str, satd_tg_min: float) -> tuple:
+def _contour_rows(
+    spec: SweepSpec, gamma_gs: float, gamma_e: float, flavor: str, satd_tg_min: float
+) -> list[tuple]:
     """Best (tg, eps) for one rate pair; SATD gate times start at
     satd_tg_min, the amplitude threshold."""
-    lo, hi = spec.contour_tg_min, spec.contour_tg_max
+    c = spec.fields
+    lo, hi = c.tg_min, c.tg_max
     if flavor == "satd":
         lo = max(lo, satd_tg_min)
     if lo >= hi:
-        return (g_gs, g_e, flavor, math.nan, math.nan, 0)
-    eps = _contour_objective(spec, flavor, g_gs, g_e)
-    grid = np.geomspace(lo, hi, spec.contour_coarse)
+        return [(gamma_gs, gamma_e, flavor, math.nan, math.nan, 0)]
+    noise = NoiseModel((gamma_gs, gamma_gs, gamma_gs, gamma_e), spec.k)
+    cfg = spec.integrator()
+
+    def eps(tg: float) -> float:
+        return 1.0 - map_fidelity_uncertainty_avg(spec.params(tg, flavor), noise, spec.uncertainty_nodes, cfg)
+
+    grid = np.geomspace(lo, hi, c.coarse_count)
     vals = [eps(float(t)) for t in grid]
     i = int(np.argmin(vals))
     a = float(grid[max(0, i - 1)])
     b = float(grid[min(len(grid) - 1, i + 1)])
-    tg_star, eps_star = _golden_minimize(eps, a, b, spec.contour_rel_tol)
+    tg_star, eps_star = _golden_minimize(eps, a, b, c.golden_rel_tol)
     if vals[i] < eps_star:
         tg_star, eps_star = float(grid[i]), vals[i]
-    return (g_gs, g_e, flavor, tg_star, eps_star, 1)
-
-
-def run_contour_search(spec: SweepSpec) -> list[tuple]:
-    satd_tg_min = amplitude_threshold_time(spec.params(1.0, "satd")) if "satd" in spec.flavors else math.nan
-    tasks = [
-        (spec, g_gs, g_e, flavor, satd_tg_min)
-        for g_gs in spec.contour_gamma_gs
-        for g_e in spec.contour_gamma_e
-        for flavor in spec.flavors
-    ]
-    rows = _run_tasks(_contour_point, tasks, spec.jobs)
-    return sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+    return [(gamma_gs, gamma_e, flavor, tg_star, eps_star, 1)]
 
 
 # --- pulse export and oracle comparison ------------------------------------
 
-def export_pulses(spec: SweepSpec) -> list[tuple]:
-    flavor = spec.flavors[0]
-    p = spec.params(spec.pulse_tg, flavor, spec.pulse_amp_scale)
+def _pulse_rows(spec: SweepSpec) -> list[tuple]:
+    f = spec.fields
+    p = spec.params(f.tg_cycles, spec.flavors[0], f.amp_scale)
     env = make_envelopes(p, make_pulse_shape(p.t_gate))
-    return envelope_rows(env, spec.samples)
+    return envelope_rows(env, f.samples)
 
 
-def _oracle_compare_point(task: tuple[SweepSpec, float]) -> tuple:
-    spec, tg = task
-    return _tag_failure(f"(tg_cycles={tg})", lambda: _oracle_compare_row(spec, tg))
-
-
-def _oracle_compare_row(spec: SweepSpec, tg: float) -> tuple:
+def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
     cfg = spec.integrator()
-    floor = spec.rel_tol
 
-    p_ad = spec.params(tg, "adiabatic")
+    p_ad = spec.params(tg_cycles, "adiabatic")
     shape = make_pulse_shape(p_ad.t_gate)
     env_ad = make_envelopes(p_ad, shape)
     u = propagate_unitary(p_ad, env_ad, cfg).final_operator
@@ -504,100 +439,126 @@ def _oracle_compare_row(spec: SweepSpec, tg: float) -> tuple:
     eps_num_full = 1.0 - avg_gate_fidelity(target.conj().T @ u, 4)
     eps_oracle_a = 1.0 - avg_gate_fidelity(target.conj().T @ magnus_full_gate(p_ad), 4)
 
-    p_sa = spec.params(tg, "satd")
+    p_sa = spec.params(tg_cycles, "satd")
     noise = spec.noise(k=0.0)
     env_sa = make_envelopes(p_sa, shape)
     eps_map_num = 1.0 - map_fidelity(p_sa, env_sa, noise, cfg)
     eps_eq48 = 1.0 - analytic_satd_dephasing_fidelity(p_sa, shape, noise)
     eps_oracle_b = 1.0 - oracle_b_map_fidelity(p_sa, shape, noise, cfg)
-    return (
-        tg,
-        clamp_error(eps_num_full, floor),
-        clamp_error(eps_oracle_a, floor),
-        clamp_error(eps_map_num, floor),
-        clamp_error(eps_eq48, floor),
-        clamp_error(eps_oracle_b, floor),
-    )
+    eps = (eps_num_full, eps_oracle_a, eps_map_num, eps_eq48, eps_oracle_b)
+    return [(tg_cycles, *(clamp_error(e, spec.rel_tol) for e in eps))]
 
 
-def run_oracle_compare(spec: SweepSpec) -> list[tuple]:
-    tasks = [(spec, tg) for tg in spec.tg_grid]
-    rows = _run_tasks(_oracle_compare_point, tasks, spec.jobs)
-    return sorted(rows, key=lambda r: r[0])
+# --- kind registry ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything the CLI does differently for one output kind.
+
+    parse reads the config fields only this kind uses (SweepSpec.fields);
+    tasks lists each task's keyword arguments for rows, which returns that
+    task's CSV rows; rows are sorted on their first sort_cols columns, and
+    comments gives the `#` lines that follow the shared ones.
+    """
+
+    command: tuple[str, ...]  # subcommand path: one or two words
+    help: str
+    header: str
+    parse: Callable[[dict], object]
+    tasks: Callable[[SweepSpec], list[dict]]
+    rows: Callable[..., list[tuple]]
+    sort_cols: int
+    comments: Callable[[SweepSpec], list[str]] = lambda spec: []
+
+
+KINDS = {
+    "gate-error": Kind(
+        ("sweep", "gate-error"), "unitary gate-error sweep",
+        "tg_cycles,flavor,eps_full,eps_qubit,eps_full_pred,eps_qubit_pred,eps_oracleA",
+        parse=_tg_grid, tasks=_grid_tasks, rows=_gate_error_rows, sort_cols=2,
+    ),
+    "noise-map": Kind(
+        ("sweep", "noise-map"), "dissipative map-fidelity sweep",
+        "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
+        parse=_tg_grid, tasks=_grid_tasks, rows=_noise_map_rows, sort_cols=3, comments=_noise_map_comments,
+    ),
+    "contour": Kind(
+        ("contour",), "best-error search over rate pairs",
+        "gamma_gs,gamma_e,flavor,tg_star_cycles,eps_star,feasible",
+        parse=_contour_fields, tasks=_contour_tasks, rows=_contour_rows, sort_cols=3,
+        comments=lambda spec: [f"tg_window_cycles=[{_fmt(spec.fields.tg_min)},{_fmt(spec.fields.tg_max)}]"],
+    ),
+    "pulses": Kind(
+        ("pulses", "export"), "sample envelopes to CSV",
+        "t_cycles,re_omega_0e,im_omega_0e,re_omega_1e,im_omega_1e,re_omega_ae,im_omega_ae",
+        parse=_pulse_fields, tasks=lambda spec: [{}], rows=_pulse_rows, sort_cols=1,
+        comments=lambda spec: [
+            f"flavor={spec.flavors[0]} tg_cycles={_fmt(spec.fields.tg_cycles)} "
+            f"amp_scale={_fmt(spec.fields.amp_scale)}"
+        ],
+    ),
+    "oracle-compare": Kind(
+        ("oracle", "compare"), "tabulate oracles vs numerics",
+        "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
+        parse=_tg_grid, tasks=lambda spec: [{"tg_cycles": tg} for tg in spec.fields],
+        rows=_oracle_compare_rows, sort_cols=1,
+    ),
+}
+
+HEADERS = {name: kind.header for name, kind in KINDS.items()}
+
+
+def run(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
+    """Comment lines and sorted rows of one sweep."""
+    kind = KINDS[spec.kind]
+    groups = _run_tasks(_run_task, [(spec, point) for point in kind.tasks(spec)], spec.jobs)
+    rows = sorted((row for group in groups for row in group), key=lambda r: r[: kind.sort_cols])
+    return _base_comments(spec) + kind.comments(spec), rows
 
 
 # --- entry point -----------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tripod-sta", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    root = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, kind in KINDS.items():
+        sub = root
+        if len(kind.command) > 1:
+            group = kind.command[0]
+            if group not in groups:
+                words = ", ".join(k.command[-1] for k in KINDS.values() if k.command[0] == group)
+                group_parser = root.add_parser(group, help=words)
+                groups[group] = group_parser.add_subparsers(dest=f"{group}_kind", required=True)
+            sub = groups[group]
+        p = sub.add_parser(kind.command[-1], help=kind.help)
+        p.set_defaults(kind=name)
         p.add_argument("--config", required=True, help="JSON sweep configuration")
         p.add_argument("--out", help="output CSV path (overrides config)")
         p.add_argument("--jobs", type=int, help="worker processes (default $TRIPOD_STA_JOBS or 1)")
         p.add_argument("--tol", type=float, help="integrator rel_tol override")
-
-    sweep = sub.add_parser("sweep", help="gate-time sweeps")
-    sweep_sub = sweep.add_subparsers(dest="sweep_kind", required=True)
-    add_common(sweep_sub.add_parser("gate-error", help="unitary gate-error sweep"))
-    add_common(sweep_sub.add_parser("noise-map", help="dissipative map-fidelity sweep"))
-
-    add_common(sub.add_parser("contour", help="best-error search over rate pairs"))
-
-    pulses = sub.add_parser("pulses", help="control envelope export")
-    pulses_sub = pulses.add_subparsers(dest="pulse_kind", required=True)
-    add_common(pulses_sub.add_parser("export", help="sample envelopes to CSV"))
-
-    oracle = sub.add_parser("oracle", help="oracle cross-checks")
-    oracle_sub = oracle.add_subparsers(dest="oracle_kind", required=True)
-    add_common(oracle_sub.add_parser("compare", help="tabulate oracles vs numerics"))
     return parser
-
-
-def _kind_of(args: argparse.Namespace) -> str:
-    if args.command == "sweep":
-        return args.sweep_kind
-    if args.command == "pulses":
-        return "pulses"
-    if args.command == "oracle":
-        return "oracle-compare"
-    return "contour"
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    kind = _kind_of(args)
     overrides = {"out": args.out, "jobs": args.jobs, "tol": args.tol}
     try:
-        spec = load_spec(args.config, kind, overrides)
+        spec = load_spec(args.config, args.kind, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        comments = _base_comments(spec)
-        if kind == "gate-error":
-            rows = run_gate_time_error_sweep(spec)
-        elif kind == "noise-map":
-            rows, comments = run_noise_map_sweep(spec)
-        elif kind == "contour":
-            rows = run_contour_search(spec)
-            comments += [
-                f"tg_window_cycles=[{_fmt(spec.contour_tg_min)},{_fmt(spec.contour_tg_max)}]",
-            ]
-        elif kind == "pulses":
-            rows = export_pulses(spec)
-            comments += [
-                f"flavor={spec.flavors[0]} tg_cycles={_fmt(spec.pulse_tg)} amp_scale={_fmt(spec.pulse_amp_scale)}",
-            ]
-        else:
-            rows = run_oracle_compare(spec)
+        comments, rows = run(spec)
     except (NumericalError, OdeStepUnderflow) as exc:
-        print(f"numerical failure (kind={kind}): {exc}", file=sys.stderr)
+        print(f"numerical failure (kind={spec.kind}): {exc}", file=sys.stderr)
         return 3
 
-    _write_csv(spec.out, kind, rows, comments)
+    lines = [f"# {c}" for c in comments] + [HEADERS[spec.kind]]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

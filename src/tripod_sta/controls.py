@@ -22,7 +22,6 @@ SQRT2 = math.sqrt(2.0)
 class Flavor(Enum):
     ADIABATIC = "adiabatic"
     SATD = "satd"
-    GENERIC_DRESSED = "generic"
 
 
 class GenericDressingSingular(RuntimeError):
@@ -102,11 +101,6 @@ class PulseShape:
             sign = -1.0
         return min(max(u, 0.0), 1.0), sign
 
-    def p(self, t: float) -> float:
-        """Ramp value P on the first half (mirrored argument on the second)."""
-        u, _ = self._u(t)
-        return _ramp(u)
-
     def theta(self, t: float) -> float:
         u, sign = self._u(t)
         v = _ramp(u)
@@ -146,12 +140,15 @@ class EnvelopeSet:
 
     evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae).  The relative phase of
     the a-e leg jumps by gamma0 at t_gate/2; that leg's amplitude vanishes
-    there, so the two half-segments join continuously.
+    there, so the two half-segments join continuously.  For SATD that also
+    needs the dressing to vanish there: theta_dot(t_gate/2) = 0.
     """
 
     def __init__(self, params: ControlParams, shape: PulseShape):
         if abs(params.t_gate - shape.t_gate) > 1e-12 * params.t_gate:
             raise ValueError("params.t_gate and shape.t_gate disagree")
+        if params.flavor is Flavor.SATD and abs(shape.theta_dot(0.5 * shape.t_gate)) > 1e-10 / shape.t_gate:
+            raise ValueError("SATD phase-preservation constraint violated: theta_dot(t_gate/2) != 0")
         self.params = params
         self.shape = shape
         p = params
@@ -211,30 +208,9 @@ class EnvelopeSet:
         return energy_cost(self, self.params)
 
 
-def adiabatic_envelopes(params: ControlParams, shape: PulseShape) -> EnvelopeSet:
-    if params.flavor is not Flavor.ADIABATIC:
-        raise ValueError("adiabatic_envelopes requires flavor ADIABATIC")
-    return EnvelopeSet(params, shape)
-
-
-def satd_envelopes(params: ControlParams, shape: PulseShape) -> EnvelopeSet:
-    if params.flavor is not Flavor.SATD:
-        raise ValueError("satd_envelopes requires flavor SATD")
-    # The phase jump at t_gate/2 is only legal if the dressing vanishes there.
-    if abs(shape.theta_dot(0.5 * shape.t_gate)) > 1e-10 / shape.t_gate:
-        raise ValueError("SATD phase-preservation constraint violated: theta_dot(t_gate/2) != 0")
-    return EnvelopeSet(params, shape)
-
-
 def make_envelopes(params: ControlParams, shape: PulseShape | None = None) -> EnvelopeSet:
-    """Flavor-dispatching envelope factory."""
-    if shape is None:
-        shape = make_pulse_shape(params.t_gate)
-    if params.flavor is Flavor.ADIABATIC:
-        return adiabatic_envelopes(params, shape)
-    if params.flavor is Flavor.SATD:
-        return satd_envelopes(params, shape)
-    raise ValueError(f"no envelope factory for flavor {params.flavor}")
+    """Envelope set of params' flavor (default shape: the quintic ramp)."""
+    return EnvelopeSet(params, make_pulse_shape(params.t_gate) if shape is None else shape)
 
 
 @dataclass(frozen=True)
@@ -376,9 +352,7 @@ def amplitude_threshold_time(params: ControlParams) -> float:
     base = replace(params, flavor=Flavor.SATD, amp_scale=1.0)
 
     def excess(tg: float) -> float:
-        p = replace(base, t_gate=tg)
-        env = satd_envelopes(p, make_pulse_shape(tg))
-        return env.max_amplitude - params.omega0
+        return make_envelopes(replace(base, t_gate=tg)).max_amplitude - params.omega0
 
     lo = 0.05 * 2.0 * math.pi / params.omega0
     hi = 4.0 * 2.0 * math.pi / params.omega0
@@ -394,8 +368,7 @@ def cost_threshold_time(params: ControlParams, multiple: float) -> float:
 
     def excess(tg: float) -> float:
         p = replace(base, t_gate=tg)
-        env = satd_envelopes(p, make_pulse_shape(tg))
-        return energy_cost(env, p, 501) - target
+        return energy_cost(make_envelopes(p), p, 501) - target
 
     lo = 0.02 * 2.0 * math.pi / params.omega0
     hi = 2.0 * 2.0 * math.pi / params.omega0

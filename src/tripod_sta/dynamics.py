@@ -201,13 +201,3 @@ def dissipator_superoperator(l_op: np.ndarray) -> np.ndarray:
     eye = np.eye(l_op.shape[0], dtype=complex)
     ldl = l_op.conj().T @ l_op
     return np.kron(l_op.conj(), l_op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
-
-
-def vectorize_superoperator(h: np.ndarray, l_op: np.ndarray) -> np.ndarray:
-    """Full Lindblad generator for one collapse operator, as a dim^2 matrix
-    acting on column-stacked density matrices."""
-    h = np.asarray(h, dtype=complex)
-    l_op = np.asarray(l_op, dtype=complex)
-    if h.shape != l_op.shape:
-        raise ValueError("H and L must share a dimension")
-    return hamiltonian_superoperator(h) + dissipator_superoperator(l_op)

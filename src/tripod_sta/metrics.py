@@ -4,7 +4,6 @@ closed-form fidelity predictions, and noisy-map fidelities."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,32 +14,6 @@ from .tripod import ideal_gate
 
 # Fourth-order Magnus coefficient of the qubit-projected fidelity formula.
 QUBIT_FIDELITY_COEFF = 14_745_600
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Bundle of the fidelity figures for one parameter point."""
-
-    f_full: float | None = None
-    f_qubit: float | None = None
-    f_map: float | None = None
-    f_map_avg: float | None = None
-
-    @property
-    def eps_full(self) -> float | None:
-        return None if self.f_full is None else 1.0 - self.f_full
-
-    @property
-    def eps_qubit(self) -> float | None:
-        return None if self.f_qubit is None else 1.0 - self.f_qubit
-
-    @property
-    def eps_map(self) -> float | None:
-        return None if self.f_map is None else 1.0 - self.f_map
-
-    @property
-    def eps_map_avg(self) -> float | None:
-        return None if self.f_map_avg is None else 1.0 - self.f_map_avg
 
 
 def avg_gate_fidelity(o: np.ndarray, d: int) -> float:
@@ -97,6 +70,14 @@ def _axial_qubit_states() -> np.ndarray:
 AXIAL_QUBIT_STATES = _axial_qubit_states()
 
 
+def _axial_average(target: np.ndarray, finals) -> np.ndarray:
+    """Mean overlap Tr[target rho target^dag final] over each group of six
+    final states, the images of AXIAL_QUBIT_STATES in order."""
+    rotated = np.einsum("ij,njk,lk->nil", target, AXIAL_QUBIT_STATES[:, :2, :2], target.conj())
+    overlaps = [float(np.trace(rotated[i % 6] @ final[:2, :2]).real) for i, final in enumerate(finals)]
+    return np.array([sum(overlaps[i : i + 6]) / 6.0 for i in range(0, len(overlaps), 6)])
+
+
 def _axial_fidelities(
     params: ControlParams,
     env,
@@ -110,10 +91,8 @@ def _axial_fidelities(
     rho0s = np.tile(AXIAL_QUBIT_STATES, (n_scales, 1, 1))
     member_scales = None if amp_scales is None else np.repeat(amp_scales, 6)
     target = ideal_gate(params.with_amp_scale(1.0)).qubit_block()
-    rotated = np.einsum("ij,njk,lk->nil", target, AXIAL_QUBIT_STATES[:, :2, :2], target.conj())
     results = propagate_lindblad_batch(params, env, noise, rho0s, cfg, member_scales)
-    overlaps = [float(np.trace(rotated[i % 6] @ res.final_operator[:2, :2]).real) for i, res in enumerate(results)]
-    return np.array([sum(overlaps[6 * i : 6 * i + 6]) / 6.0 for i in range(n_scales)])
+    return _axial_average(target, [res.final_operator for res in results])
 
 
 def map_fidelity(

@@ -20,9 +20,9 @@ from .controls import (
     Flavor,
     PulseShape,
     generic_dressing,
+    make_envelopes,
     make_pulse_shape,
     satd_dressing_angle,
-    satd_envelopes,
 )
 from .dynamics import (
     NoiseModel,
@@ -31,6 +31,7 @@ from .dynamics import (
     unvec,
     vec,
 )
+from .metrics import AXIAL_QUBIT_STATES, _axial_average
 from .qmath import IntegratorConfig, expm_hermitian_generator, gauss_legendre, ode_solve
 from .tripod import J_X, J_Y, J_Z, FrameBasis, dressed_frame_hamiltonian, ideal_gate
 
@@ -140,7 +141,7 @@ def dissipative_magnus_superop(
     if any(g != 0.0 for g in noise.gamma_phi[:3]):
         raise ValueError("the dissipative oracle covers excited-state dephasing only")
     gamma_e = noise.gamma_phi[3]
-    env = satd_envelopes(params, shape)
+    env = make_envelopes(params, shape)
     nu = satd_dressing_angle(params, shape)
     tg = params.t_gate
     eye16 = np.eye(16, dtype=complex)
@@ -177,18 +178,6 @@ def dissipative_magnus_superop(
     return out_of_frame @ total_dr @ into_frame
 
 
-def dissipative_magnus_map(
-    params: ControlParams,
-    shape: PulseShape,
-    noise: NoiseModel,
-    rho0: np.ndarray,
-    cfg: IntegratorConfig = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11),
-) -> np.ndarray:
-    """Apply the first-order dissipative solution to one initial state."""
-    superop = dissipative_magnus_superop(params, shape, noise, cfg)
-    return unvec(superop @ vec(np.asarray(rho0, dtype=complex)))
-
-
 def oracle_b_map_fidelity(
     params: ControlParams,
     shape: PulseShape,
@@ -196,16 +185,9 @@ def oracle_b_map_fidelity(
     cfg: IntegratorConfig = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11),
 ) -> float:
     """Six-axial-state average fidelity of the dissipative Magnus map."""
-    from .metrics import AXIAL_QUBIT_STATES
-
     superop = dissipative_magnus_superop(params, shape, noise, cfg)
     target = ideal_gate(params.with_amp_scale(1.0)).qubit_block()
-    total = 0.0
-    for rho in AXIAL_QUBIT_STATES:
-        final = unvec(superop @ vec(rho))
-        rotated = target @ rho[:2, :2] @ target.conj().T
-        total += float(np.trace(rotated @ final[:2, :2]).real)
-    return total / 6.0
+    return float(_axial_average(target, [unvec(superop @ vec(rho)) for rho in AXIAL_QUBIT_STATES])[0])
 
 
 def generic_dressing_phase(

@@ -56,15 +56,6 @@ class OdeResult:
     steps_rejected: int
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2, batched over leading axes."""
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))

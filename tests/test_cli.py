@@ -92,6 +92,11 @@ class TestConfigHandling:
         payload = dict(GATE_ERROR_CFG, jobs=-3)
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_jobs_env_is_config_error(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("TRIPOD_STA_JOBS", value)
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", GATE_ERROR_CFG, "TRIPOD_STA_JOBS")
+
 
 class TestGateErrorSweep:
     def test_rows_and_header(self, tmp_path):

@@ -9,7 +9,6 @@ from tripod_sta.controls import (
     DressingAngle,
     Flavor,
     GenericDressingSingular,
-    adiabatic_envelopes,
     amplitude_threshold_time,
     cost_threshold_time,
     default_antisymmetric_gamma_rate,
@@ -19,7 +18,6 @@ from tripod_sta.controls import (
     make_envelopes,
     make_pulse_shape,
     satd_dressing_angle,
-    satd_envelopes,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -28,8 +26,8 @@ SQRT2 = math.sqrt(2.0)
 class TestPulseShape:
     def test_ramp_midpoint(self):
         shape = make_pulse_shape(4.0)
-        # 6/32 - 15/16 + 10/8 at the quarter point
-        assert shape.p(1.0) == pytest.approx(0.5, abs=1e-15)
+        # P(1/2) = 6/32 - 15/16 + 10/8 = 1/2 at the quarter point
+        assert shape.theta(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_boundary_values(self):
         tg = 3.7
@@ -87,14 +85,12 @@ class TestControlParams:
     def test_flavor_factory_dispatch(self):
         assert make_envelopes(params(2.0, Flavor.ADIABATIC)).params.flavor is Flavor.ADIABATIC
         assert make_envelopes(params(2.0, Flavor.SATD)).params.flavor is Flavor.SATD
-        with pytest.raises(ValueError):
-            adiabatic_envelopes(params(2.0, Flavor.SATD), make_pulse_shape(2.0))
 
 
 class TestAdiabaticEnvelopes:
     def test_endpoints(self):
         p = params(3.0)
-        env = adiabatic_envelopes(p, make_pulse_shape(3.0))
+        env = make_envelopes(p, make_pulse_shape(3.0))
         o0, o1, oa = env.evaluate(0.0)
         assert abs(o0) < 1e-14 and abs(o1) < 1e-14
         assert oa == pytest.approx(OMEGA0, abs=1e-12)
@@ -141,8 +137,8 @@ class TestSatdEnvelopes:
         tg = 60.0
         p = params(tg, Flavor.SATD)
         shape = make_pulse_shape(tg)
-        env = satd_envelopes(p, shape)
-        env_ad = adiabatic_envelopes(params(tg), shape)
+        env = make_envelopes(p, shape)
+        env_ad = make_envelopes(params(tg), shape)
         ts = np.linspace(0.0, tg, 101)
         bound = 4.0 * 2.0 * math.pi * (10.0 / math.sqrt(3.0)) / tg**2 / OMEGA0**2
         for t in ts:
@@ -150,7 +146,7 @@ class TestSatdEnvelopes:
                 assert abs(a - b) <= OMEGA0 * bound * (1.0 + 1e-9)
 
     def test_midpoint_a_leg_vanishes(self):
-        env = satd_envelopes(params(1.0, Flavor.SATD), make_pulse_shape(1.0))
+        env = make_envelopes(params(1.0, Flavor.SATD), make_pulse_shape(1.0))
         assert abs(env.evaluate(0.5)[2]) < 1e-12
 
     def test_phase_preservation_guard(self):
@@ -159,13 +155,13 @@ class TestSatdEnvelopes:
                 return 1.0
 
         with pytest.raises(ValueError, match="SATD phase-preservation"):
-            satd_envelopes(params(1.0, Flavor.SATD), Broken(1.0))
+            make_envelopes(params(1.0, Flavor.SATD), Broken(1.0))
 
     def test_corrections_designed_at_nominal(self):
         # Mis-calibration must scale the whole set, not re-derive corrections.
         shape = make_pulse_shape(2.0)
-        env1 = satd_envelopes(params(2.0, Flavor.SATD), shape)
-        env2 = satd_envelopes(params(2.0, Flavor.SATD, amp_scale=0.8), shape)
+        env1 = make_envelopes(params(2.0, Flavor.SATD), shape)
+        env2 = make_envelopes(params(2.0, Flavor.SATD, amp_scale=0.8), shape)
         for t in (0.4, 0.9, 1.6):
             for a, b in zip(env1.evaluate(t), env2.evaluate(t)):
                 assert b == pytest.approx(0.8 * a, abs=1e-13)
@@ -174,8 +170,8 @@ class TestSatdEnvelopes:
         p = params(1.0, Flavor.SATD)
         t_star = amplitude_threshold_time(p)
         assert 1.5 < t_star < 2.5
-        below = satd_envelopes(params(0.97 * t_star, Flavor.SATD), make_pulse_shape(0.97 * t_star))
-        above = satd_envelopes(params(1.03 * t_star, Flavor.SATD), make_pulse_shape(1.03 * t_star))
+        below = make_envelopes(params(0.97 * t_star, Flavor.SATD), make_pulse_shape(0.97 * t_star))
+        above = make_envelopes(params(1.03 * t_star, Flavor.SATD), make_pulse_shape(1.03 * t_star))
         # Above threshold the peak sits at t = 0 where the correction vanishes,
         # so the maximum equals omega0 exactly; below it the interior exceeds it.
         assert below.max_amplitude > OMEGA0 * (1.0 + 1e-6)

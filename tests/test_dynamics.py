@@ -9,13 +9,13 @@ from tripod_sta.dynamics import (
     NoiseModel,
     NumericalError,
     OperatorKind,
+    dissipator_superoperator,
     hamiltonian_superoperator,
     propagate_lindblad,
     propagate_lindblad_batch,
     propagate_unitary,
     unvec,
     vec,
-    vectorize_superoperator,
 )
 from tripod_sta.metrics import avg_gate_fidelity, qubit_overlap_operator
 from tripod_sta.qmath import IntegratorConfig
@@ -213,14 +213,14 @@ class TestProtocolInvariants:
 
 class TestSuperoperator:
     def test_zero_inputs(self):
-        out = vectorize_superoperator(np.zeros((4, 4)), np.zeros((4, 4)))
+        out = hamiltonian_superoperator(np.zeros((4, 4))) + dissipator_superoperator(np.zeros((4, 4)))
         assert np.all(out == 0.0)
 
     def test_action_matches_direct_form(self, rng):
         h = random_hermitian(rng, 4, 1.5)
         l_op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = random_hermitian(rng, 4, 1.0)
-        ell = vectorize_superoperator(h, l_op)
+        ell = hamiltonian_superoperator(h) + dissipator_superoperator(l_op)
         direct = -1j * (h @ rho - rho @ h)
         direct += l_op @ rho @ l_op.conj().T
         direct -= 0.5 * (l_op.conj().T @ l_op @ rho + rho @ l_op.conj().T @ l_op)
@@ -237,7 +237,7 @@ class TestSuperoperator:
         gamma = 0.21
         l_op = np.zeros((4, 4), dtype=complex)
         l_op[3, 3] = math.sqrt(gamma)
-        ell = vectorize_superoperator(h, l_op)
+        ell = hamiltonian_superoperator(h) + dissipator_superoperator(l_op)
         rho0 = np.diag([0.2, 0.3, 0.4, 0.1]).astype(complex)
         noise = NoiseModel((0.0, 0.0, 0.0, gamma))
         res = propagate_lindblad(p, env, noise, rho0, CFG)

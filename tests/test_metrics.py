@@ -8,7 +8,6 @@ from tripod_sta.controls import Flavor, make_envelopes, make_pulse_shape
 from tripod_sta.dynamics import NoiseModel
 from tripod_sta.metrics import (
     AXIAL_QUBIT_STATES,
-    FidelityReport,
     analytic_satd_dephasing_fidelity,
     avg_gate_fidelity,
     clamp_error,
@@ -176,11 +175,3 @@ def test_clamp_error():
     assert clamp_error(5e-12, 1e-10) == 0.0
     assert clamp_error(-3e-12, 1e-10) == 0.0
     assert clamp_error(2e-3, 1e-10) == 2e-3
-
-
-def test_fidelity_report_errors():
-    report = FidelityReport(f_full=0.99, f_qubit=None, f_map=1.0, f_map_avg=0.95)
-    assert report.eps_full == pytest.approx(0.01)
-    assert report.eps_qubit is None
-    assert report.eps_map == pytest.approx(0.0)
-    assert report.eps_map_avg == pytest.approx(0.05)

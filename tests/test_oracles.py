@@ -11,7 +11,7 @@ from tripod_sta.controls import (
     make_envelopes,
     make_pulse_shape,
 )
-from tripod_sta.dynamics import NoiseModel, propagate_unitary
+from tripod_sta.dynamics import NoiseModel, propagate_unitary, unvec, vec
 from tripod_sta.metrics import analytic_satd_dephasing_fidelity
 from tripod_sta.oracles import (
     A1,
@@ -20,7 +20,6 @@ from tripod_sta.oracles import (
     B2,
     C1,
     C2,
-    dissipative_magnus_map,
     dissipative_magnus_superop,
     generic_dressing_phase,
     magnus_coefficients,
@@ -151,7 +150,7 @@ class TestDissipativeOracle:
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 0.25
         rho0[1, 1] = 0.75
-        out = dissipative_magnus_map(p, shape, NoiseModel(), rho0, ORACLE_CFG)
+        out = unvec(dissipative_magnus_superop(p, shape, NoiseModel(), ORACLE_CFG) @ vec(rho0))
         u = propagate_unitary(p, make_envelopes(p, shape), CFG).final_operator
         assert np.max(np.abs(out - u @ rho0 @ u.conj().T)) < 1e-8
 
@@ -161,7 +160,7 @@ class TestDissipativeOracle:
         noise = NoiseModel((0.0, 0.0, 0.0, 1e-2))
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[:2, :2] = 0.5
-        out = dissipative_magnus_map(p, shape, noise, rho0, ORACLE_CFG)
+        out = unvec(dissipative_magnus_superop(p, shape, noise, ORACLE_CFG) @ vec(rho0))
         assert abs(np.trace(out).real - 1.0) < 1e-4
 
     def test_matches_first_order_analytics(self):

@@ -9,30 +9,9 @@ from tripod_sta.qmath import (
     OdeStepUnderflow,
     expm_hermitian_generator,
     gauss_legendre,
-    matmul,
     ode_solve,
     unitarity_defect,
 )
-
-
-def test_matmul_identity(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(matmul(np.eye(4), m), m)
-
-
-def test_matmul_pauli_block():
-    isx = 1j * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.allclose(matmul(isx, isx), -np.eye(2))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matmul(np.eye(3), np.eye(4))
-
-
-def test_matmul_unitary_roundtrip(rng):
-    u = random_unitary(rng, 4)
-    assert np.max(np.abs(matmul(u, u.conj().T) - np.eye(4))) < 1e-12
 
 
 def test_expm_zero_generator():

@@ -11,7 +11,6 @@ from tripod_sta.controls import (
     make_envelopes,
     make_pulse_shape,
     satd_dressing_angle,
-    satd_envelopes,
 )
 from tripod_sta.tripod import (
     J_X,
@@ -291,7 +290,7 @@ class TestDressedFrame:
         tg = 1.5
         p = params(tg, Flavor.SATD)
         shape = make_pulse_shape(tg)
-        env = satd_envelopes(p, shape)
+        env = make_envelopes(p, shape)
         nu = satd_dressing_angle(p, shape)
         for t in np.linspace(0.02, tg - 0.02, 23):
             hdr = dressed_frame_hamiltonian(p, shape, env, nu, float(t))
