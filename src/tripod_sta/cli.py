@@ -95,6 +95,8 @@ ContourFields = namedtuple("ContourFields", "gamma_gs gamma_e tg_min tg_max coar
 
 def _num(value, field: str) -> float:
     """A finite float from a config value; anything else is a ConfigError."""
+    if isinstance(value, bool):  # float() would take JSON true/false as 1.0/0.0
+        raise ConfigError(field, f"must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError):

@@ -62,21 +62,9 @@ class ControlParams:
         return replace(self, amp_scale=r)
 
 
-def _ramp(u: float) -> float:
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-def _ramp_d1(u: float) -> float:
-    return 30.0 * u * u * (1.0 - u) * (1.0 - u)
-
-
-def _ramp_d2(u: float) -> float:
-    return 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-
-
 @dataclass(frozen=True)
 class PulseShape:
-    """Mixing angle theta(t) for a double-STIRAP run of duration t_gate.
+    """Mixing angle theta of time for a double-STIRAP run of duration t_gate.
 
     theta ramps 0 -> pi/2 over the first half using the quintic ramp
     P(u) = 6u^5 - 15u^4 + 10u^3 and mirrors back over the second half, so
@@ -87,48 +75,22 @@ class PulseShape:
     t_gate: float
 
     def __post_init__(self):
-        if self.t_gate <= 0.0:
-            raise ValueError("t_gate must be positive")
+        if not (math.isfinite(self.t_gate) and self.t_gate > 0.0):
+            raise ValueError("t_gate must be positive and finite")
 
-    def _u(self, t: float) -> tuple[float, float]:
-        """Ramp coordinate in [0, 1] and the mirror sign for derivatives."""
-        half = 0.5 * self.t_gate
-        if t <= half:
-            u = t / half
-            sign = 1.0
-        else:
-            u = (t - half) / half
-            sign = -1.0
-        return min(max(u, 0.0), 1.0), sign
-
-    def theta(self, t: float) -> float:
-        u, sign = self._u(t)
-        v = _ramp(u)
-        return 0.5 * math.pi * (v if sign > 0 else 1.0 - v)
-
-    def theta_dot(self, t: float) -> float:
-        u, sign = self._u(t)
-        return sign * math.pi * _ramp_d1(u) / self.t_gate
-
-    def theta_ddot(self, t: float) -> float:
-        u, sign = self._u(t)
-        return sign * 2.0 * math.pi * _ramp_d2(u) / (self.t_gate * self.t_gate)
-
-    def grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (theta, theta_dot, theta_ddot) over an array of times."""
-        ts = np.asarray(ts, dtype=float)
-        half = 0.5 * self.t_gate
-        second = ts > half
-        u = np.where(second, ts - half, ts) / half
-        u = np.clip(u, 0.0, 1.0)
-        v = u**3 * (10.0 + u * (-15.0 + 6.0 * u))
-        d1 = 30.0 * u**2 * (1.0 - u) ** 2
+    def __call__(self, t: float | np.ndarray) -> tuple:
+        """(theta, theta_dot, theta_ddot) at a float or an array of times in
+        [0, t_gate].  Plain arithmetic only, so both inputs take the same lines."""
+        tg = self.t_gate
+        half = 0.5 * tg
+        second = t > half
+        u = (t - half * second) / half
+        sign = 1.0 - 2.0 * second
+        v = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+        d1 = 30.0 * u * u * (1.0 - u) * (1.0 - u)
         d2 = 60.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-        sign = np.where(second, -1.0, 1.0)
-        theta = 0.5 * math.pi * np.where(second, 1.0 - v, v)
-        theta_dot = sign * math.pi * d1 / self.t_gate
-        theta_ddot = sign * 2.0 * math.pi * d2 / self.t_gate**2
-        return theta, theta_dot, theta_ddot
+        theta = 0.5 * math.pi * (second + sign * v)
+        return theta, sign * math.pi * d1 / tg, sign * 2.0 * math.pi * d2 / (tg * tg)
 
 
 def make_pulse_shape(t_gate: float) -> PulseShape:
@@ -141,14 +103,14 @@ class EnvelopeSet:
     evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae).  The relative phase of
     the a-e leg jumps by gamma0 at t_gate/2; that leg's amplitude vanishes
     there, so the two half-segments join continuously.  For SATD that also
-    needs the dressing to vanish there: theta_dot(t_gate/2) = 0.
+    needs the dressing to vanish there: theta_dot = 0 at t_gate/2.
     """
 
     def __init__(self, params: ControlParams, shape: PulseShape):
         if abs(params.t_gate - shape.t_gate) > 1e-12 * params.t_gate:
             raise ValueError("params.t_gate and shape.t_gate disagree")
-        if params.flavor is Flavor.SATD and abs(shape.theta_dot(0.5 * shape.t_gate)) > 1e-10 / shape.t_gate:
-            raise ValueError("SATD phase-preservation constraint violated: theta_dot(t_gate/2) != 0")
+        if params.flavor is Flavor.SATD and abs(shape(0.5 * shape.t_gate)[1]) > 1e-10 / shape.t_gate:
+            raise ValueError("SATD phase-preservation constraint violated: theta_dot != 0 at t_gate/2")
         self.params = params
         self.shape = shape
         p = params
@@ -159,22 +121,23 @@ class EnvelopeSet:
     def segment_boundary(self) -> float:
         return 0.5 * self.params.t_gate
 
-    def _profile(self, t: float) -> tuple[float, float]:
-        """Dimensionless (sin-leg, cos-leg) factors of the two Raman legs."""
+    def profile(self, t: float | np.ndarray) -> tuple:
+        """Dimensionless (sin-leg, cos-leg) factors of the two Raman legs at a
+        float or an array of times."""
         p = self.params
-        th = self.shape.theta(t)
-        s, c = math.sin(th), math.cos(th)
+        th, td, tdd = self.shape(t)
+        # math.sin on floats: np.sin on a float costs a microsecond per call.
+        sin, cos = (np.sin, np.cos) if isinstance(t, np.ndarray) else (math.sin, math.cos)
+        s, c = sin(th), cos(th)
         if p.flavor is Flavor.ADIABATIC:
             return s, c
         # Counter-diabatic reshaping, designed at the nominal omega0.
-        td = self.shape.theta_dot(t)
-        tdd = self.shape.theta_ddot(t)
         corr = 4.0 * tdd / (p.omega0 * p.omega0 + 4.0 * td * td)
         return s + c * corr, c - s * corr
 
     def evaluate(self, t: float) -> tuple[complex, complex, complex]:
         p = self.params
-        fs, fc = self._profile(t)
+        fs, fc = self.profile(t)
         scale = p.amp_scale * p.omega0
         w0, w1 = self._qubit_weights
         oa = scale * fc
@@ -182,23 +145,13 @@ class EnvelopeSet:
             oa *= self._phase_jump
         return scale * w0 * fs, scale * w1 * fs, oa
 
-    def profile_grid(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized dimensionless profile factors, for scans and export."""
-        p = self.params
-        theta, td, tdd = self.shape.grid(ts)
-        s, c = np.sin(theta), np.cos(theta)
-        if p.flavor is Flavor.ADIABATIC:
-            return s, c
-        corr = 4.0 * tdd / (p.omega0**2 + 4.0 * td**2)
-        return s + c * corr, c - s * corr
-
     @cached_property
     def max_amplitude(self) -> float:
         """Largest single-envelope magnitude over the run (dense scan)."""
         p = self.params
         # Magnitudes are mirror-symmetric about t_gate/2; scan one half.
         ts = np.linspace(0.0, 0.5 * p.t_gate, 4001)
-        fs, fc = self.profile_grid(ts)
+        fs, fc = self.profile(ts)
         qmax = max(math.cos(p.alpha), math.sin(p.alpha))
         peak = max(float(np.max(np.abs(fs))) * qmax, float(np.max(np.abs(fc))))
         return p.amp_scale * p.omega0 * peak
@@ -226,11 +179,11 @@ def satd_dressing_angle(params: ControlParams, shape: PulseShape) -> DressingAng
     w = params.omega0
 
     def nu(t: float) -> float:
-        return math.atan2(2.0 * shape.theta_dot(t), w)
+        return math.atan2(2.0 * shape(t)[1], w)
 
     def nu_dot(t: float) -> float:
-        td = shape.theta_dot(t)
-        return 2.0 * w * shape.theta_ddot(t) / (w * w + 4.0 * td * td)
+        _, td, tdd = shape(t)
+        return 2.0 * w * tdd / (w * w + 4.0 * td * td)
 
     return DressingAngle(nu, nu_dot)
 
@@ -250,7 +203,7 @@ def generic_dressing(
     """
     tg = params.t_gate
     ts = np.linspace(0.0, tg, n_grid)
-    theta, theta_dot, _ = shape.grid(ts)
+    theta, _, _ = shape(ts)
     gd = np.array([gamma_dot(t) for t in ts])
     mu_rate = np.sin(2.0 * theta) * gd / SQRT2
     dt = ts[1] - ts[0]
@@ -262,11 +215,10 @@ def generic_dressing(
         return float(np.interp(t, ts, mu_table))
 
     def mu_dot(t: float) -> float:
-        return math.sin(2.0 * shape.theta(t)) * gamma_dot(t) / SQRT2
+        return math.sin(2.0 * shape(t)[0]) * gamma_dot(t) / SQRT2
 
     def w_fields(t: float) -> tuple[float, float, float]:
-        th = shape.theta(t)
-        td = shape.theta_dot(t)
+        th, td, _ = shape(t)
         gdt = gamma_dot(t)
         m = mu(t)
         s2t = math.sin(2.0 * th)
@@ -314,7 +266,7 @@ def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) 
         raise ValueError("n_samples must be odd and >= 3")
     tg = params.t_gate
     ts = np.linspace(0.0, tg, n_samples)
-    fs, fc = env.profile_grid(ts)
+    fs, fc = env.profile(ts)
     vals = 0.5 * env.params.amp_scale * env.params.omega0 * np.sqrt(fs * fs + fc * fc)
     h = tg / (n_samples - 1)
     weights = np.ones(n_samples)
@@ -323,8 +275,12 @@ def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) 
     return float(np.dot(weights, vals)) * h / 3.0 / tg
 
 
-def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float, iters: int = 80) -> float:
-    """Root of a decreasing f with f(lo) > 0 > f(hi), expanding hi if needed."""
+def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a decreasing f with f(lo) > 0 > f(hi), expanding hi if needed.
+
+    Bisects until lo and hi are adjacent floats, where the midpoint no longer
+    moves the bracket.
+    """
     flo = f(lo)
     fhi = f(hi)
     grow = 0
@@ -335,13 +291,14 @@ def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float, iters:
         grow += 1
     if flo <= 0.0 or fhi > 0.0:
         raise ValueError("bisection bracket not found")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def amplitude_threshold_time(params: ControlParams) -> float:

@@ -154,11 +154,11 @@ def analytic_satd_dephasing_fidelity(
     w2 = params.omega0 * params.omega0
 
     def frac(t: float) -> float:
-        td2 = shape.theta_dot(t) ** 2
+        td2 = shape(t)[1] ** 2
         return td2 / (w2 + 4.0 * td2)
 
     def frac_sq(t: float) -> float:
-        td2 = shape.theta_dot(t) ** 2
+        td2 = shape(t)[1] ** 2
         return td2 / (w2 + 4.0 * td2) ** 2
 
     half = 0.5 * params.t_gate

@@ -115,7 +115,7 @@ def magnus_full_gate(params: ControlParams) -> np.ndarray:
 def _collapse_vector(params: ControlParams, shape: PulseShape, t: float) -> np.ndarray:
     """Dressed-frame amplitudes of the excited state, frame ordering."""
     w = params.omega0
-    td = shape.theta_dot(t)
+    td = shape(t)[1]
     root = math.sqrt(1.0 + 4.0 * td * td / (w * w))
     c = np.zeros(4, dtype=complex)
     c[1] = 2.0j * td / (w * root)
@@ -207,12 +207,12 @@ def generic_dressing_phase(
 
     def integrand(t: float) -> float:
         m = mu.angle(t)
-        th = shape.theta(t)
+        th, td, _ = shape(t)
         sec2 = 1.0 / math.cos(m) ** 2
         bracket = gamma_dot(t) * (
             3.0 + math.cos(2.0 * m) - math.cos(2.0 * th) * (1.0 + 3.0 * math.cos(2.0 * m))
         )
-        bracket += 4.0 * SQRT2 * math.sin(2.0 * m) * shape.theta_dot(t)
+        bracket += 4.0 * SQRT2 * math.sin(2.0 * m) * td
         return 0.125 * sec2 * bracket
 
     return gauss_legendre(integrand, 0.0, params.t_gate, n_nodes)

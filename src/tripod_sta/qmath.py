@@ -27,26 +27,14 @@ class OdeStepUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for :func:`ode_solve`.
-
-    method is either "rk45" (adaptive embedded Dormand-Prince 5(4)) or "rk4"
-    (fixed-step classical Runge-Kutta, step set by max_step).
-    """
+    """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    method: str = "rk45"
 
     def __post_init__(self):
         if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.rel_tol, self.abs_tol)):
             raise ValueError("rel_tol and abs_tol must be positive and finite")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be positive")
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown integration method {self.method!r}")
-        if self.method == "rk4" and not math.isfinite(self.max_step):
-            raise ValueError("rk4 needs a finite max_step to set its grid")
 
 
 @dataclass
@@ -108,7 +96,8 @@ def ode_solve(
     cfg: IntegratorConfig = IntegratorConfig(),
     step_hook: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OdeResult:
-    """Integrate dy/dt = rhs(t, y) from t0 to t1 for a complex array y.
+    """Integrate dy/dt = rhs(t, y) from t0 to t1 for a complex array y with
+    the adaptive Dormand-Prince 5(4) stepper.
 
     step_hook, if given, post-processes the state after every accepted step
     (used to re-Hermitize density matrices).  Local error is controlled
@@ -119,42 +108,19 @@ def ode_solve(
     y = np.array(y0, dtype=complex)
     if t1 == t0:
         return OdeResult(y, 0, 0)
-    if cfg.method == "rk4":
-        return _rk4_fixed(rhs, y, t0, t1, cfg, step_hook)
-    return _dopri5(rhs, y, t0, t1, cfg, step_hook)
-
-
-def _rk4_fixed(rhs, y, t0, t1, cfg, step_hook):
-    span = t1 - t0
-    n = max(1, int(math.ceil(span / cfg.max_step)))
-    h = span / n
-    t = t0
-    for _ in range(n):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if step_hook is not None:
-            y = step_hook(y)
-    return OdeResult(y, n, 0)
-
-
-def _dopri5(rhs, y, t0, t1, cfg, step_hook):
     span = t1 - t0
     t = t0
     k1 = rhs(t, y)
     # Crude but safe first step guess; the controller fixes it quickly.
     scale = max_abs(k1)
     h = 0.01 * (max_abs(y) + cfg.abs_tol) / scale if scale > 0.0 else span
-    h = min(h, span, cfg.max_step)
+    h = min(h, span)
     h = max(h, span * 1e-10)
 
     accepted = rejected = 0
     ks = [k1, None, None, None, None, None, None]
     while t < t1:
-        h = min(h, t1 - t, cfg.max_step)
+        h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
         for i in range(1, 6):

@@ -93,7 +93,7 @@ class FrameBasis:
 
     def dark2(self, t: float, segment: int | None = None) -> np.ndarray:
         seg = self.segment(t) if segment is None else segment
-        th = self.shape.theta(t)
+        th = self.shape(t)[0]
         ph = self._gamma_phase(seg)
         v = math.cos(th) * qubit_coupled_state(self.params.alpha, self.params.beta)
         v[2] -= ph * math.sin(th)
@@ -101,7 +101,7 @@ class FrameBasis:
 
     def bright(self, t: float, sign: int, segment: int | None = None) -> np.ndarray:
         seg = self.segment(t) if segment is None else segment
-        th = self.shape.theta(t)
+        th = self.shape(t)[0]
         ph = self._gamma_phase(seg)
         v = sign * math.sin(th) * qubit_coupled_state(self.params.alpha, self.params.beta)
         v[2] += sign * ph * math.cos(th)
@@ -120,8 +120,7 @@ class FrameBasis:
     def s_ad_dot(self, t: float, segment: int | None = None) -> np.ndarray:
         """Analytic time derivative of s_ad within a half-segment."""
         seg = self.segment(t) if segment is None else segment
-        th = self.shape.theta(t)
-        td = self.shape.theta_dot(t)
+        th, td, _ = self.shape(t)
         ph = self._gamma_phase(seg)
         one_t = qubit_coupled_state(self.params.alpha, self.params.beta)
         ds = np.zeros((4, 4), dtype=complex)
@@ -145,7 +144,7 @@ def adiabatic_frame_generators(
     h0 = np.zeros((4, 4), dtype=complex)
     h0[2, 2] = -0.5 * w
     h0[3, 3] = 0.5 * w
-    td = shape.theta_dot(t)
+    td = shape(t)[1]
     verr = np.zeros((4, 4), dtype=complex)
     verr[1, 2] = 1.0j * td / SQRT2
     verr[1, 3] = -1.0j * td / SQRT2
@@ -272,7 +271,7 @@ def satd_bright_half_angle(params: ControlParams, shape: PulseShape, n_nodes: in
     w = params.omega0 * params.amp_scale
 
     def integrand(t: float) -> float:
-        td = shape.theta_dot(t)
+        td = shape(t)[1]
         return math.sqrt(w * w + 4.0 * td * td)
 
     return gauss_legendre(integrand, 0.0, 0.5 * params.t_gate, n_nodes)
@@ -290,8 +289,7 @@ def dressed_frame_fields(
     """Effective field B, the five non-spin couplings Xi, and the geometric
     phase rate sin^2(theta)*cos^2(nu), all at the nominal omega0."""
     w = params.omega0
-    th = shape.theta(t)
-    td = shape.theta_dot(t)
+    th, td, _ = shape(t)
     n = nu.angle(t)
     sn, cn = math.sin(n), math.cos(n)
     st, ct = math.sin(th), math.cos(th)

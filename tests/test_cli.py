@@ -85,6 +85,18 @@ class TestConfigHandling:
         payload = dict(GATE_ERROR_CFG, alpha="abc")
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "alpha")
 
+    def test_boolean_alpha_is_config_error(self, capsys, tmp_path):
+        payload = dict(GATE_ERROR_CFG, alpha=True)
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "alpha")
+
+    def test_boolean_uncertainty_nodes_is_config_error(self, capsys, tmp_path):
+        payload = dict(TestNoiseMapSweep.CFG, uncertainty_nodes=True)
+        self._assert_config_error(capsys, tmp_path, "sweep noise-map", payload, "uncertainty_nodes")
+
+    def test_boolean_jobs_is_config_error(self, capsys, tmp_path):
+        payload = dict(GATE_ERROR_CFG, jobs=True)
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
+
     def test_zero_tol_override_is_config_error(self, capsys, tmp_path):
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", GATE_ERROR_CFG, "integrator", ["--tol", "0"])
 

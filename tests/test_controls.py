@@ -9,6 +9,7 @@ from tripod_sta.controls import (
     DressingAngle,
     Flavor,
     GenericDressingSingular,
+    _bisect_decreasing,
     amplitude_threshold_time,
     cost_threshold_time,
     default_antisymmetric_gamma_rate,
@@ -27,43 +28,53 @@ class TestPulseShape:
     def test_ramp_midpoint(self):
         shape = make_pulse_shape(4.0)
         # P(1/2) = 6/32 - 15/16 + 10/8 = 1/2 at the quarter point
-        assert shape.theta(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
+        assert shape(1.0)[0] == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_boundary_values(self):
         tg = 3.7
         shape = make_pulse_shape(tg)
-        assert shape.theta(0.0) == 0.0
-        assert shape.theta(0.5 * tg) == pytest.approx(0.5 * math.pi, abs=1e-14)
-        assert shape.theta(tg) == pytest.approx(0.0, abs=1e-14)
+        assert shape(0.0)[0] == 0.0
+        assert shape(0.5 * tg)[0] == pytest.approx(0.5 * math.pi, abs=1e-14)
+        assert shape(tg)[0] == pytest.approx(0.0, abs=1e-14)
         for t in (0.0, 0.5 * tg, tg):
-            assert shape.theta_dot(t) == pytest.approx(0.0, abs=1e-13)
-            assert shape.theta_ddot(t) == pytest.approx(0.0, abs=1e-13)
+            _, td, tdd = shape(t)
+            assert td == pytest.approx(0.0, abs=1e-13)
+            assert tdd == pytest.approx(0.0, abs=1e-13)
 
     def test_mirror_symmetry(self):
         tg = 5.0
         shape = make_pulse_shape(tg)
         for t in np.linspace(0.0, tg, 41):
-            assert shape.theta(tg - t) == pytest.approx(shape.theta(t), abs=1e-13)
-            assert shape.theta_dot(tg - t) == pytest.approx(-shape.theta_dot(t), abs=1e-13)
+            th, td, _ = shape(float(t))
+            th_m, td_m, _ = shape(tg - float(t))
+            assert th_m == pytest.approx(th, abs=1e-13)
+            assert td_m == pytest.approx(-td, abs=1e-13)
 
     def test_peak_rate(self):
         # max theta_dot = (pi/2)*(15/8)*(2/tg), attained at tg/4.
         tg = 2.5
         shape = make_pulse_shape(tg)
         ts = np.linspace(0.0, tg, 20001)
-        rates = np.array([shape.theta_dot(float(t)) for t in ts])
+        rates = np.array([shape(float(t))[1] for t in ts])
         peak = 0.5 * math.pi * (15.0 / 8.0) * 2.0 / tg
         assert np.max(rates) == pytest.approx(peak, rel=1e-8)
         assert ts[int(np.argmax(rates))] == pytest.approx(0.25 * tg, abs=2e-4 * tg)
 
     def test_grid_matches_scalar(self):
-        shape = make_pulse_shape(1.8)
-        ts = np.linspace(0.0, 1.8, 17)
-        theta, td, tdd = shape.grid(ts)
+        # One code path: an array call equals the float calls element by element.
+        tg = 1.8
+        shape = make_pulse_shape(tg)
+        ts = np.linspace(0.0, tg, 17)
+        grid = shape(ts)
         for i, t in enumerate(ts):
-            assert theta[i] == pytest.approx(shape.theta(float(t)), abs=1e-14)
-            assert td[i] == pytest.approx(shape.theta_dot(float(t)), abs=1e-14)
-            assert tdd[i] == pytest.approx(shape.theta_ddot(float(t)), abs=1e-14)
+            assert tuple(a[i] for a in grid) == shape(float(t))
+        for flavor in Flavor:
+            env = make_envelopes(params(tg, flavor), shape)
+            fs, fc = env.profile(ts)
+            for i, t in enumerate(ts):
+                s, c = env.profile(float(t))
+                assert fs[i] == pytest.approx(s, abs=1e-14)
+                assert fc[i] == pytest.approx(c, abs=1e-14)
 
 
 class TestControlParams:
@@ -81,6 +92,8 @@ class TestControlParams:
                 ControlParams(bad, 0.1, 0.0, 0.1, 1.0)
             with pytest.raises(ValueError):
                 ControlParams(1.0, 0.1, 0.0, 0.1, bad)
+            with pytest.raises(ValueError):
+                make_pulse_shape(bad)
 
     def test_flavor_factory_dispatch(self):
         assert make_envelopes(params(2.0, Flavor.ADIABATIC)).params.flavor is Flavor.ADIABATIC
@@ -151,8 +164,9 @@ class TestSatdEnvelopes:
 
     def test_phase_preservation_guard(self):
         class Broken(type(make_pulse_shape(1.0))):
-            def theta_dot(self, t):
-                return 1.0
+            def __call__(self, t):
+                theta, _, theta_ddot = super().__call__(t)
+                return theta, 1.0, theta_ddot
 
         with pytest.raises(ValueError, match="SATD phase-preservation"):
             make_envelopes(params(1.0, Flavor.SATD), Broken(1.0))
@@ -177,6 +191,17 @@ class TestSatdEnvelopes:
         assert below.max_amplitude > OMEGA0 * (1.0 + 1e-6)
         assert above.max_amplitude == pytest.approx(OMEGA0, rel=1e-12)
 
+    def test_bisection_stops_at_adjacent_floats(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.3 - x
+
+        root = _bisect_decreasing(f, 0.1, 4.0)
+        assert abs(root - 1.3) <= math.ulp(1.3)
+        assert len(calls) <= 60
+
 
 class TestDressingAngles:
     def test_satd_angle_zeros_and_sign(self):
@@ -186,7 +211,7 @@ class TestDressingAngles:
         for t in (0.0, 0.5 * tg, tg):
             assert nu.angle(t) == pytest.approx(0.0, abs=1e-12)
         for t in np.linspace(0.05, tg - 0.05, 19):
-            td = shape.theta_dot(float(t))
+            td = shape(float(t))[1]
             if abs(td) > 1e-12:
                 assert math.copysign(1.0, nu.angle(float(t))) == math.copysign(1.0, td)
 
@@ -220,7 +245,7 @@ class TestGenericDressing:
         # W_x vanishes, W_y -> 2*theta_dot, W_z hits the cot(2*mu) pole.
         wx, wy, wz = w(0.7)
         assert wx == 0.0
-        assert wy == pytest.approx(2.0 * shape.theta_dot(0.7), rel=1e-12)
+        assert wy == pytest.approx(2.0 * shape(0.7)[1], rel=1e-12)
         assert math.isinf(wz)
         wx, wy, wz = w(0.5 * tg)  # theta_dot = 0 here, so W_z is finite
         assert wz == pytest.approx(-OMEGA0, rel=1e-12)
@@ -245,7 +270,7 @@ class TestGenericDressing:
         rate = default_antisymmetric_gamma_rate(p)
         mu, _ = generic_dressing(p, shape, rate)
         for t in (0.3, 1.1, 1.8):
-            expected = math.sin(2.0 * shape.theta(t)) * rate(t) / SQRT2
+            expected = math.sin(2.0 * shape(t)[0]) * rate(t) / SQRT2
             assert mu.rate(t) == pytest.approx(expected, abs=1e-14)
 
     def test_singular_dressing_raises(self):

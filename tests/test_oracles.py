@@ -200,5 +200,5 @@ class TestGenericDressingPhase:
         rate = lambda t: math.exp(-((t - 0.5 * tg) ** 2) / 0.1)
         zero_mu = DressingAngle(lambda t: 0.0, lambda t: 0.0)
         got = generic_dressing_phase(p, shape, rate, mu=zero_mu)
-        expected = gauss_legendre(lambda t: math.sin(shape.theta(t)) ** 2 * rate(t), 0.0, tg, 201)
+        expected = gauss_legendre(lambda t: math.sin(shape(t)[0]) ** 2 * rate(t), 0.0, tg, 201)
         assert got == pytest.approx(expected, abs=1e-10)
