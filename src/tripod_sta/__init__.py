@@ -12,7 +12,6 @@ from .controls import (
 )
 from .dynamics import (
     NoiseModel,
-    OperatorKind,
     PropagationResult,
     propagate_lindblad,
     propagate_unitary,
@@ -24,7 +23,7 @@ from .metrics import (
     map_fidelity_uncertainty_avg,
 )
 from .qmath import IntegratorConfig, expm_hermitian_generator, gauss_legendre, ode_solve
-from .tripod import GateDecomposition, hamiltonian, ideal_gate, magnus_gate, satd_gate
+from .tripod import hamiltonian, ideal_gate, satd_gate
 
 __version__ = "0.1.0"
 
@@ -33,10 +32,8 @@ __all__ = [
     "DressingAngle",
     "EnvelopeSet",
     "Flavor",
-    "GateDecomposition",
     "IntegratorConfig",
     "NoiseModel",
-    "OperatorKind",
     "PropagationResult",
     "PulseShape",
     "avg_gate_fidelity",
@@ -45,7 +42,6 @@ __all__ = [
     "gauss_legendre",
     "hamiltonian",
     "ideal_gate",
-    "magnus_gate",
     "make_envelopes",
     "make_pulse_shape",
     "map_fidelity",

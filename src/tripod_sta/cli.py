@@ -45,6 +45,11 @@ from .tripod import ideal_gate, satd_gate
 
 OMEGA0 = 2.0 * math.pi
 
+# Shortest gate time a config may ask for, in cycles.  Far below any
+# physical use, and far above the times where the pulse shape's 1/t_g^2 and
+# the closed-form predictions' 1/(omega0*t_g)^6 leave the float range.
+MIN_TG_CYCLES = 1e-6
+
 
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
@@ -66,27 +71,14 @@ class SweepSpec:
     beta: float
     gamma0: float
     flavors: tuple[str, ...]
-    gamma_phi: tuple[float, float, float, float]
-    k: float
+    noise: NoiseModel
     uncertainty_nodes: int
-    rel_tol: float
-    abs_tol: float
+    integrator: IntegratorConfig
     jobs: int
     fields: object
 
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-
     def params(self, tg_cycles: float, flavor: str, amp_scale: float = 1.0) -> ControlParams:
-        return ControlParams(
-            OMEGA0, self.alpha, self.beta, self.gamma0, tg_cycles, Flavor(flavor), amp_scale
-        )
-
-    def noise(self, gamma_phi=None, k=None) -> NoiseModel:
-        return NoiseModel(
-            self.gamma_phi if gamma_phi is None else tuple(gamma_phi),
-            self.k if k is None else k,
-        )
+        return ControlParams(OMEGA0, self.alpha, self.beta, self.gamma0, tg_cycles, Flavor(flavor), amp_scale)
 
 
 PulseFields = namedtuple("PulseFields", "samples tg_cycles amp_scale")
@@ -122,61 +114,75 @@ def _rates(values, field: str) -> tuple[float, ...]:
     return rates
 
 
+def _flavors(value, field: str) -> tuple[str, ...]:
+    flavors = [value] if isinstance(value, str) else value
+    if not isinstance(flavors, list) or not flavors or any(f not in ("adiabatic", "satd") for f in flavors):
+        raise ConfigError(field, "entries must be 'adiabatic' or 'satd'")
+    if len(set(flavors)) < len(flavors):
+        raise ConfigError(field, f"entries must not repeat, got {flavors!r}")
+    return tuple(flavors)
+
+
+def _field(cfg: dict, path: str, default=None, conv=_num, ok=None, need: str = ""):
+    """The config value at a dotted path, converted and range-checked.
+
+    Every step of the path must be a JSON object; a missing field takes
+    default.  conv(value, path) converts or raises ConfigError, and a
+    converted value x with ok(x) false fails as "must be <need>".
+    """
+    node, keys = cfg, path.split(".")
+    for depth, key in enumerate(keys[:-1], 1):
+        node = node.get(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(keys[:depth]), "must be an object")
+    x = conv(node.get(keys[-1], default), path)
+    if ok is not None and not ok(x):
+        raise ConfigError(path, f"must be {need}")
+    return x
+
+
+def _library(field: str, make, *args):
+    """make(*args), with a library type's ValueError as a ConfigError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
+# ok and need of a gate-time field.
+_GATE_TIME = (lambda x: x >= MIN_TG_CYCLES, f">= {MIN_TG_CYCLES:g} cycles")
+
+
 def _tg_grid(cfg: dict) -> tuple[float, ...]:
-    field = "tg_grid"
-    g = cfg.get(field)
-    if g is None:
-        raise ConfigError(field, "missing grid specification")
-    if not isinstance(g, dict):
-        raise ConfigError(field, "must be an object with scale/min/max/count")
-    scale = g.get("scale", "log")
-    if scale not in ("log", "linear"):
-        raise ConfigError(f"{field}.scale", "must be 'log' or 'linear'")
-    lo = _num(g.get("min"), f"{field}.min")
-    hi = _num(g.get("max"), f"{field}.max")
-    count = _int(g.get("count"), f"{field}.count")
-    if count < 2:
-        raise ConfigError(f"{field}.count", "grid count must be >= 2")
-    if not 0.0 < lo < hi:
-        raise ConfigError(field, "requires 0 < min < max")
+    scale = _field(
+        cfg, "tg_grid.scale", "log", lambda v, _: v, lambda v: v in ("log", "linear"), "'log' or 'linear'"
+    )
+    lo = _field(cfg, "tg_grid.min", None, _num, *_GATE_TIME)
+    hi = _field(cfg, "tg_grid.max", None, _num, lambda x: x > lo, "> tg_grid.min")
+    count = _field(cfg, "tg_grid.count", None, _int, lambda n: n >= 2, ">= 2")
     pts = np.geomspace(lo, hi, count) if scale == "log" else np.linspace(lo, hi, count)
     return tuple(float(x) for x in pts)
 
 
 def _pulse_fields(cfg: dict) -> PulseFields:
-    samples = _int(cfg.get("samples", 101), "samples")
-    tg = _num(cfg.get("tg_cycles", 4.0), "tg_cycles")
-    amp = _num(cfg.get("amp_scale", 1.0), "amp_scale")
-    if samples < 2:
-        raise ConfigError("samples", "must be >= 2")
-    if tg <= 0.0:
-        raise ConfigError("tg_cycles", "must be positive")
-    if amp <= 0.0:
-        raise ConfigError("amp_scale", "must be positive")
-    return PulseFields(samples, tg, amp)
+    return PulseFields(
+        _field(cfg, "samples", 101, _int, lambda n: n >= 2, ">= 2"),
+        _field(cfg, "tg_cycles", 4.0, _num, *_GATE_TIME),
+        _field(cfg, "amp_scale", 1.0, _num, lambda x: x > 0.0, "positive"),
+    )
 
 
 def _contour_fields(cfg: dict) -> ContourFields:
-    cont = cfg.get("contour", {})
-    if not isinstance(cont, dict):
-        raise ConfigError("contour", "must be an object")
-    c = ContourFields(
-        _rates(cont.get("gamma_gs", []), "contour.gamma_gs"),
-        _rates(cont.get("gamma_e", []), "contour.gamma_e"),
-        _num(cont.get("tg_min", 2.0), "contour.tg_min"),
-        _num(cont.get("tg_max", 30.0), "contour.tg_max"),
-        _int(cont.get("coarse_count", 60), "contour.coarse_count"),
-        _num(cont.get("golden_rel_tol", 1e-3), "contour.golden_rel_tol"),
+    rates = _rates, bool, "a nonempty list of rates"
+    tg_min = _field(cfg, "contour.tg_min", 2.0, _num, *_GATE_TIME)
+    return ContourFields(
+        _field(cfg, "contour.gamma_gs", [], *rates),
+        _field(cfg, "contour.gamma_e", [], *rates),
+        tg_min,
+        _field(cfg, "contour.tg_max", 30.0, _num, lambda x: x > tg_min, "> contour.tg_min"),
+        _field(cfg, "contour.coarse_count", 60, _int, lambda n: n >= 2, ">= 2"),
+        _field(cfg, "contour.golden_rel_tol", 1e-3, _num, lambda x: x > 0.0, "positive"),
     )
-    if not c.gamma_gs or not c.gamma_e:
-        raise ConfigError("contour", "gamma_gs and gamma_e rate grids are required")
-    if not 0.0 < c.tg_min < c.tg_max:
-        raise ConfigError("contour", "requires 0 < tg_min < tg_max")
-    if c.coarse_count < 2:
-        raise ConfigError("contour.coarse_count", "must be >= 2")
-    if c.golden_rel_tol <= 0.0:
-        raise ConfigError("contour.golden_rel_tol", "must be positive")
-    return c
 
 
 def load_spec(path: str, kind: str | None = None, overrides: dict | None = None) -> SweepSpec:
@@ -205,70 +211,35 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     if not out or not isinstance(out, str):
         raise ConfigError("out", "an output path is required (config 'out' or --out)")
 
-    alpha = _num(cfg.get("alpha", math.pi / 4), "alpha")
-    beta = _num(cfg.get("beta", 0.0), "beta")
-    gamma0 = _num(cfg.get("gamma0", math.pi), "gamma0")
-    try:
-        ControlParams(OMEGA0, alpha, beta, gamma0, 1.0)
-    except ValueError as exc:
-        raise ConfigError("alpha/beta/gamma0", str(exc)) from exc
+    alpha = _field(cfg, "alpha", math.pi / 4)
+    beta = _field(cfg, "beta", 0.0)
+    gamma0 = _field(cfg, "gamma0", math.pi)
+    _library("alpha/beta/gamma0", ControlParams, OMEGA0, alpha, beta, gamma0, 1.0)
+    flavors = _field(cfg, "flavors", ["adiabatic", "satd"], _flavors)
 
-    flavors = cfg.get("flavors", ["adiabatic", "satd"])
-    if isinstance(flavors, str):
-        flavors = [flavors]
-    if not isinstance(flavors, list) or not flavors or any(f not in ("adiabatic", "satd") for f in flavors):
-        raise ConfigError("flavors", "entries must be 'adiabatic' or 'satd'")
+    gamma_phi = _field(
+        cfg, "noise.gamma_phi", [0.0] * 4, _rates, lambda g: len(g) == 4, "a list of four rates [g0, g1, ga, ge]"
+    )
+    # gamma_phi is fully checked above, so NoiseModel can only reject k.
+    noise = _library("noise.k", NoiseModel, gamma_phi, _field(cfg, "noise.k", 0.0))
 
-    noise_cfg = cfg.get("noise", {})
-    if not isinstance(noise_cfg, dict):
-        raise ConfigError("noise", "must be an object")
-    gamma_phi = noise_cfg.get("gamma_phi", [0.0, 0.0, 0.0, 0.0])
-    if not isinstance(gamma_phi, list) or len(gamma_phi) != 4:
-        raise ConfigError("noise.gamma_phi", "must be a list of four rates [g0, g1, ga, ge]")
-    gamma_phi = _rates(gamma_phi, "noise.gamma_phi")
-    k = _num(noise_cfg.get("k", 0.0), "noise.k")
-    if not 0.0 <= k < 1.0:
-        raise ConfigError("noise.k", "must lie in [0, 1)")
-
-    integ = cfg.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise ConfigError("integrator", "must be an object")
     tol = overrides.get("tol")
-    rel_tol = _num(integ.get("rel_tol", 1e-10) if tol is None else tol, "integrator.rel_tol")
-    abs_tol = _num(integ.get("abs_tol", rel_tol * 1e-2), "integrator.abs_tol")
-    if rel_tol <= 0.0 or abs_tol <= 0.0:
-        raise ConfigError("integrator", "tolerances must be positive")
+    rel_tol = _field(cfg, "integrator.rel_tol", 1e-10) if tol is None else _num(tol, "integrator.rel_tol")
+    _library("integrator.rel_tol", IntegratorConfig, rel_tol)
+    abs_tol = _field(cfg, "integrator.abs_tol", rel_tol * 1e-2)
+    integrator = _library("integrator.abs_tol", IntegratorConfig, rel_tol, abs_tol)
 
     fields = KINDS[cfg_kind].parse(cfg)
-
-    nodes = _int(cfg.get("uncertainty_nodes", 21), "uncertainty_nodes")
-    if nodes < 1:
-        raise ConfigError("uncertainty_nodes", "must be >= 1")
+    nodes = _field(cfg, "uncertainty_nodes", 21, _int, lambda n: n >= 1, ">= 1")
 
     jobs_field, jobs = "jobs", overrides.get("jobs")
     if jobs is None:
         jobs = cfg.get("jobs")
     if jobs is None:
         jobs_field, jobs = "TRIPOD_STA_JOBS", os.environ.get("TRIPOD_STA_JOBS") or 1
-    jobs = _int(jobs, jobs_field)
-    if jobs < 1:
-        raise ConfigError(jobs_field, "must be >= 1")
+    jobs = _field({jobs_field: jobs}, jobs_field, None, _int, lambda n: n >= 1, ">= 1")
 
-    return SweepSpec(
-        kind=cfg_kind,
-        out=out,
-        alpha=alpha,
-        beta=beta,
-        gamma0=gamma0,
-        flavors=tuple(flavors),
-        gamma_phi=gamma_phi,
-        k=k,
-        uncertainty_nodes=nodes,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        jobs=jobs,
-        fields=fields,
-    )
+    return SweepSpec(cfg_kind, out, alpha, beta, gamma0, flavors, noise, nodes, integrator, jobs, fields)
 
 
 def _fmt(x) -> str:
@@ -282,8 +253,9 @@ def _fmt(x) -> str:
 def _base_comments(spec: SweepSpec) -> list[str]:
     return [
         f"alpha={_fmt(spec.alpha)} beta={_fmt(spec.beta)} gamma0={_fmt(spec.gamma0)}",
-        f"gamma_phi={','.join(_fmt(g) for g in spec.gamma_phi)} k={_fmt(spec.k)}",
-        f"rel_tol={_fmt(spec.rel_tol)} abs_tol={_fmt(spec.abs_tol)} uncertainty_nodes={spec.uncertainty_nodes}",
+        f"gamma_phi={','.join(_fmt(g) for g in spec.noise.gamma_phi)} k={_fmt(spec.noise.k)}",
+        f"rel_tol={_fmt(spec.integrator.rel_tol)} abs_tol={_fmt(spec.integrator.abs_tol)} "
+        f"uncertainty_nodes={spec.uncertainty_nodes}",
     ]
 
 
@@ -314,9 +286,8 @@ def _gate_error_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tup
     p = spec.params(tg_cycles, flavor)
     shape = make_pulse_shape(p.t_gate)
     env = make_envelopes(p, shape)
-    cfg = spec.integrator()
-    u = propagate_unitary(p, env, cfg).final_operator
-    target = ideal_gate(p).full_matrix()
+    u = propagate_unitary(p, env, spec.integrator).final_operator
+    target = ideal_gate(p)
     eps_full = 1.0 - avg_gate_fidelity(target.conj().T @ u, 4)
     eps_qubit = 1.0 - avg_gate_fidelity(qubit_overlap_operator(target, u), 2)
     if flavor == "adiabatic":
@@ -326,12 +297,12 @@ def _gate_error_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tup
         eps_oracle = 1.0 - avg_gate_fidelity(target.conj().T @ magnus_full_gate(p), 4)
     else:
         # The accelerated protocol's closed-form prediction is its exact gate.
-        predicted = satd_gate(p, shape).full_matrix()
+        predicted = satd_gate(p, shape)
         eps_full_pred = 1.0 - avg_gate_fidelity(target.conj().T @ predicted, 4)
         eps_qubit_pred = 0.0
         eps_oracle = eps_full_pred
     eps = (eps_full, eps_qubit, eps_full_pred, eps_qubit_pred, eps_oracle)
-    return [(tg_cycles, flavor, *(clamp_error(e, spec.rel_tol) for e in eps))]
+    return [(tg_cycles, flavor, *(clamp_error(e, spec.integrator.rel_tol) for e in eps))]
 
 
 # --- noise-map sweep -------------------------------------------------------
@@ -340,15 +311,15 @@ def _noise_map_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tupl
     p = spec.params(tg_cycles, flavor)
     shape = make_pulse_shape(p.t_gate)
     env = make_envelopes(p, shape)
-    cfg = spec.integrator()
-    floor = spec.rel_tol
+    cfg = spec.integrator
+    floor = cfg.rel_tol
     max_amp = env.max_amplitude / OMEGA0
     cost = env.cost / (0.5 * OMEGA0)
-    eps_nominal = clamp_error(1.0 - map_fidelity(p, env, spec.noise(k=0.0), cfg), floor)
+    eps_nominal = clamp_error(1.0 - map_fidelity(p, env, NoiseModel(spec.noise.gamma_phi), cfg), floor)
     rows = [(tg_cycles, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost)]
-    if spec.k > 0.0:
-        f_avg = map_fidelity_uncertainty_avg(p, spec.noise(), spec.uncertainty_nodes, cfg, shape)
-        rows.append((tg_cycles, flavor, spec.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
+    if spec.noise.k > 0.0:
+        f_avg = map_fidelity_uncertainty_avg(p, spec.noise, spec.uncertainty_nodes, cfg, shape)
+        rows.append((tg_cycles, flavor, spec.noise.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
     return rows
 
 
@@ -404,8 +375,8 @@ def _contour_rows(
         lo = max(lo, satd_tg_min)
     if lo >= hi:
         return [(gamma_gs, gamma_e, flavor, math.nan, math.nan, 0)]
-    noise = NoiseModel((gamma_gs, gamma_gs, gamma_gs, gamma_e), spec.k)
-    cfg = spec.integrator()
+    noise = NoiseModel((gamma_gs, gamma_gs, gamma_gs, gamma_e), spec.noise.k)
+    cfg = spec.integrator
 
     def eps(tg: float) -> float:
         return 1.0 - map_fidelity_uncertainty_avg(spec.params(tg, flavor), noise, spec.uncertainty_nodes, cfg)
@@ -431,24 +402,23 @@ def _pulse_rows(spec: SweepSpec) -> list[tuple]:
 
 
 def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
-    cfg = spec.integrator()
-
+    cfg = spec.integrator
     p_ad = spec.params(tg_cycles, "adiabatic")
     shape = make_pulse_shape(p_ad.t_gate)
     env_ad = make_envelopes(p_ad, shape)
     u = propagate_unitary(p_ad, env_ad, cfg).final_operator
-    target = ideal_gate(p_ad).full_matrix()
+    target = ideal_gate(p_ad)
     eps_num_full = 1.0 - avg_gate_fidelity(target.conj().T @ u, 4)
     eps_oracle_a = 1.0 - avg_gate_fidelity(target.conj().T @ magnus_full_gate(p_ad), 4)
 
     p_sa = spec.params(tg_cycles, "satd")
-    noise = spec.noise(k=0.0)
+    noise = NoiseModel(spec.noise.gamma_phi)
     env_sa = make_envelopes(p_sa, shape)
     eps_map_num = 1.0 - map_fidelity(p_sa, env_sa, noise, cfg)
     eps_eq48 = 1.0 - analytic_satd_dephasing_fidelity(p_sa, shape, noise)
     eps_oracle_b = 1.0 - oracle_b_map_fidelity(p_sa, shape, noise, cfg)
     eps = (eps_num_full, eps_oracle_a, eps_map_num, eps_eq48, eps_oracle_b)
-    return [(tg_cycles, *(clamp_error(e, spec.rel_tol) for e in eps))]
+    return [(tg_cycles, *(clamp_error(e, cfg.rel_tol) for e in eps))]
 
 
 # --- kind registry ---------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -49,15 +48,9 @@ class NoiseModel:
         return w
 
 
-class OperatorKind(Enum):
-    UNITARY = "unitary"
-    DENSITY = "density"
-
-
 @dataclass
 class PropagationResult:
     final_operator: np.ndarray
-    kind: OperatorKind
     steps_accepted: int
     steps_rejected: int
     unitarity_defect: float | None = None
@@ -87,7 +80,6 @@ def propagate_unitary(
     res = _two_segment_solve(rhs, np.eye(4, dtype=complex), params.t_gate, cfg)
     return PropagationResult(
         res.y,
-        OperatorKind.UNITARY,
         res.steps_accepted,
         res.steps_rejected,
         unitarity_defect=unitarity_defect(res.y),
@@ -143,7 +135,6 @@ def _density_result(res: OdeResult) -> PropagationResult:
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))
     return PropagationResult(
         rho,
-        OperatorKind.DENSITY,
         res.steps_accepted,
         res.steps_rejected,
         trace_defect=trace_defect,

@@ -90,7 +90,7 @@ def _axial_fidelities(
     n_scales = 1 if amp_scales is None else len(amp_scales)
     rho0s = np.tile(AXIAL_QUBIT_STATES, (n_scales, 1, 1))
     member_scales = None if amp_scales is None else np.repeat(amp_scales, 6)
-    target = ideal_gate(params.with_amp_scale(1.0)).qubit_block()
+    target = ideal_gate(params.with_amp_scale(1.0))[:2, :2]
     results = propagate_lindblad_batch(params, env, noise, rho0s, cfg, member_scales)
     return _axial_average(target, [res.final_operator for res in results])
 

@@ -186,7 +186,7 @@ def oracle_b_map_fidelity(
 ) -> float:
     """Six-axial-state average fidelity of the dissipative Magnus map."""
     superop = dissipative_magnus_superop(params, shape, noise, cfg)
-    target = ideal_gate(params.with_amp_scale(1.0)).qubit_block()
+    target = ideal_gate(params.with_amp_scale(1.0))[:2, :2]
     return float(_axial_average(target, [unvec(superop @ vec(rho)) for rho in AXIAL_QUBIT_STATES])[0])
 
 

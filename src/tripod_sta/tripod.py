@@ -169,18 +169,6 @@ class GateDecomposition:
     aux_angle: float
     aux_phase: float
 
-    def qubit_block(self) -> np.ndarray:
-        return _rotation_block(self.qubit_phase, self.qubit_angle, self.qubit_axis)
-
-    def aux_block(self) -> np.ndarray:
-        return _rotation_block(self.aux_phase, self.aux_angle, self.aux_axis)
-
-    def full_matrix(self) -> np.ndarray:
-        u = np.zeros((4, 4), dtype=complex)
-        u[:2, :2] = self.qubit_block()
-        u[2:, 2:] = self.aux_block()
-        return u
-
 
 def _rotation_block(phase: float, angle: float, axis) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
@@ -220,44 +208,31 @@ def decompose_block_unitary(u: np.ndarray, leak_tol: float = 1e-9) -> GateDecomp
     return GateDecomposition(q_axis, q_angle, q_phase, a_axis, a_angle, a_phase)
 
 
-def _geometric_gate(params: ControlParams, aux_half_angle: float) -> GateDecomposition:
-    """Qubit rotation by gamma0 about the (alpha, beta) axis, auxiliary
-    rotation parametrized by the accumulated bright-state half angle."""
+def _geometric_gate(params: ControlParams, aux_half_angle: float) -> np.ndarray:
+    """The 4x4 block gate: qubit rotation by gamma0 about the (alpha, beta)
+    axis, auxiliary rotation parametrized by the accumulated bright-state
+    half angle."""
     g = params.gamma0
     a2 = 2.0 * params.alpha
     n = (math.sin(a2) * math.cos(params.beta), math.sin(a2) * math.sin(params.beta), math.cos(a2))
-    qubit = _rotation_block(-0.5 * g, g, n)
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2] = _rotation_block(-0.5 * g, g, n)
 
     cg, sg = math.cos(0.5 * g), math.sin(0.5 * g)
     cx, sx = math.cos(aux_half_angle), math.sin(aux_half_angle)
     aux = cg * cx * np.eye(2, dtype=complex)
     aux += 1.0j * (-cg * sx * SIGMA[0] + sg * sx * SIGMA[1] + sg * cx * SIGMA[2])
-    aux = complex(math.cos(0.5 * g), math.sin(0.5 * g)) * aux
-
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = qubit
-    u[2:, 2:] = aux
-    return decompose_block_unitary(u, leak_tol=1e-12)
+    u[2:, 2:] = complex(math.cos(0.5 * g), math.sin(0.5 * g)) * aux
+    return u
 
 
-def ideal_gate(params: ControlParams) -> GateDecomposition:
+def ideal_gate(params: ControlParams) -> np.ndarray:
     """Target gate in the adiabatic limit: auxiliary half angle omega0*t_g/2."""
     w = params.omega0 * params.amp_scale
     return _geometric_gate(params, 0.5 * w * params.t_gate)
 
 
-def magnus_gate(params: ControlParams) -> GateDecomposition:
-    """Leading-order non-adiabatic prediction for the quintic-ramp protocol.
-
-    Identical qubit block; the auxiliary half angle picks up the correction
-    10*pi^2/(7*omega0*t_g).
-    """
-    w = params.omega0 * params.amp_scale
-    x = w * params.t_gate
-    return _geometric_gate(params, 0.5 * x + 10.0 * math.pi**2 / (7.0 * x))
-
-
-def satd_gate(params: ControlParams, shape: PulseShape, n_nodes: int = 64) -> GateDecomposition:
+def satd_gate(params: ControlParams, shape: PulseShape, n_nodes: int = 64) -> np.ndarray:
     """Closed-form gate for the shortcut-corrected protocol (calibrated amp).
 
     The auxiliary half angle is Phi = int_0^{t_g/2} sqrt(omega0^2 +

@@ -31,6 +31,41 @@ GATE_ERROR_CFG = {
 }
 
 
+# Cheap valid configs, keyed by command.
+MINIMAL_CFGS = {
+    "sweep gate-error": GATE_ERROR_CFG,
+    "sweep noise-map": {
+        "kind": "noise-map",
+        "flavors": ["adiabatic", "satd"],
+        "tg_grid": {"scale": "linear", "min": 2.0, "max": 3.0, "count": 2},
+        "noise": {"gamma_phi": [0.0, 0.0, 0.0, 0.01], "k": 0.2},
+        "uncertainty_nodes": 3,
+        "integrator": {"rel_tol": 1e-7, "abs_tol": 1e-9},
+    },
+    "contour": {
+        "kind": "contour",
+        "uncertainty_nodes": 1,
+        "integrator": {"rel_tol": 1e-7, "abs_tol": 1e-9},
+        "contour": {"gamma_gs": [0.0], "gamma_e": [0.01], "tg_min": 2.0, "tg_max": 3.0, "coarse_count": 3},
+    },
+    "pulses export": {"kind": "pulses", "flavors": "adiabatic", "tg_cycles": 2.0, "samples": 7},
+    "oracle compare": {
+        "kind": "oracle-compare",
+        "tg_grid": {"scale": "linear", "min": 4.0, "max": 5.0, "count": 2},
+        "noise": {"gamma_phi": [0.0, 0.0, 0.0, 0.01]},
+        "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10},
+    },
+}
+
+
+def _with_field(payload, path, value):
+    """A copy of payload with the dotted path set to value."""
+    head, _, rest = path.partition(".")
+    if not rest:
+        return dict(payload, **{head: value})
+    return dict(payload, **{head: _with_field(payload.get(head, {}), rest, value)})
+
+
 class TestConfigHandling:
     def test_missing_file_is_config_error(self, capsys, tmp_path):
         rc = cli.main(["sweep", "gate-error", "--config", str(tmp_path / "nope.json")])
@@ -109,6 +144,71 @@ class TestConfigHandling:
         monkeypatch.setenv("TRIPOD_STA_JOBS", value)
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", GATE_ERROR_CFG, "TRIPOD_STA_JOBS")
 
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("sweep gate-error", ("tg_grid.min", "tg_grid.max")),
+            ("sweep noise-map", ("tg_grid.min", "tg_grid.max")),
+            ("oracle compare", ("tg_grid.min", "tg_grid.max")),
+            ("contour", ("contour.tg_min", "contour.tg_max")),
+            ("pulses export", ("tg_cycles",)),
+        ],
+    )
+    def test_every_kind_runs_at_the_shortest_gate_time(self, tmp_path, kind, fields):
+        payload = MINIMAL_CFGS[kind]
+        for scale, field in enumerate(fields, 1):
+            payload = _with_field(payload, field, scale * cli.MIN_TG_CYCLES)
+        cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
+        assert cli.main(kind.split() + ["--config", cfg]) == 0
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (kind, field, value)
+            for kind in ("sweep gate-error", "sweep noise-map", "oracle compare")
+            for field, value in (
+                ("tg_grid.scale", "cubic"),
+                ("tg_grid.min", -1.0),
+                ("tg_grid.max", 1.0),
+                ("tg_grid.count", 1),
+            )
+        ]
+        + [
+            ("pulses export", "samples", 1),
+            ("pulses export", "tg_cycles", 0.0),
+            ("pulses export", "amp_scale", 0.0),
+            ("contour", "contour.gamma_gs", []),
+            ("contour", "contour.gamma_e", [-1.0]),
+            ("contour", "contour.tg_min", -1.0),
+            ("contour", "contour.tg_max", 0.5),
+            ("contour", "contour.coarse_count", 1),
+            ("contour", "contour.golden_rel_tol", 0.0),
+        ]
+        + [
+            (kind, field, value)
+            for kind in sorted(MINIMAL_CFGS)
+            for field, value in (
+                ("noise.gamma_phi", [0.0, 0.0, 0.0]),
+                ("noise.k", 1.0),
+                ("integrator.rel_tol", -1e-8),
+                ("integrator.abs_tol", 0.0),
+                ("uncertainty_nodes", 0),
+            )
+        ]
+        + [
+            ("sweep gate-error", "flavors", ["satd", "satd"]),
+            # Positive gate times below cli.MIN_TG_CYCLES, where the pulse shape and closed forms overflow.
+            ("sweep gate-error", "tg_grid.min", 1e-100),
+            ("oracle compare", "tg_grid.min", 1e-100),
+            ("pulses export", "tg_cycles", 1e-200),
+            ("contour", "contour.tg_min", 1e-200),
+        ],
+    )
+    def test_bad_field_is_config_error(self, capsys, tmp_path, kind, field, value):
+        """One bad value per field, for every kind that reads the field."""
+        payload = _with_field(MINIMAL_CFGS[kind], field, value)
+        self._assert_config_error(capsys, tmp_path, kind, payload, f"'{field}'")
+
 
 class TestGateErrorSweep:
     def test_rows_and_header(self, tmp_path):
@@ -151,14 +251,7 @@ class TestGateErrorSweep:
 
 
 class TestNoiseMapSweep:
-    CFG = {
-        "kind": "noise-map",
-        "flavors": ["adiabatic", "satd"],
-        "tg_grid": {"scale": "linear", "min": 2.0, "max": 3.0, "count": 2},
-        "noise": {"gamma_phi": [0.0, 0.0, 0.0, 0.01], "k": 0.2},
-        "uncertainty_nodes": 3,
-        "integrator": {"rel_tol": 1e-7, "abs_tol": 1e-9},
-    }
+    CFG = MINIMAL_CFGS["sweep noise-map"]
 
     def test_rows_thresholds_and_zero_noise_reduction(self, tmp_path):
         out = tmp_path / "nm.csv"

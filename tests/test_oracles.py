@@ -96,7 +96,7 @@ class TestMagnusOracle:
         devs = []
         for cyc in (30.0, 300.0):
             p = params(cyc)
-            devs.append(np.max(np.abs(magnus_full_gate(p) - ideal_gate(p).full_matrix())))
+            devs.append(np.max(np.abs(magnus_full_gate(p) - ideal_gate(p))))
         assert devs[1] < 0.15 * devs[0]
         assert devs[1] < 1e-2
 

@@ -1,6 +1,8 @@
 import argparse
 import ast
 import importlib
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 import tripod_sta
 from tripod_sta import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_public_name_resolves():
@@ -61,3 +64,25 @@ def test_benchmark_entry_points_exist():
         for part in dotted.split("."):
             assert hasattr(obj, part), f"{module}.{dotted}"
             obj = getattr(obj, part)
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_quick_start_runs():
+    (block,) = _readme_blocks("python")
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["target"].shape == (4, 4)
+
+
+def test_readme_configs_load(tmp_path, monkeypatch):
+    monkeypatch.delenv("TRIPOD_STA_JOBS", raising=False)
+    blocks = _readme_blocks("json")
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(block, encoding="utf-8")
+        kind = json.loads(block)["kind"]
+        assert cli.load_spec(str(path), kind).kind == kind

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from tripod_sta.tripod import (
     dressed_frame_fields,
     dressed_frame_hamiltonian,
     hamiltonian,
+    _rotation_block,
     ideal_gate,
-    magnus_gate,
     qubit_dark_state,
     satd_bright_half_angle,
     satd_gate,
@@ -161,7 +160,10 @@ class TestGateDecomposition:
             u[:2, :2] = random_unitary(rng, 2)
             u[2:, 2:] = random_unitary(rng, 2)
             dec = decompose_block_unitary(u)
-            assert np.max(np.abs(dec.full_matrix() - u)) < 1e-12
+            rebuilt = np.zeros((4, 4), dtype=complex)
+            rebuilt[:2, :2] = _rotation_block(dec.qubit_phase, dec.qubit_angle, dec.qubit_axis)
+            rebuilt[2:, 2:] = _rotation_block(dec.aux_phase, dec.aux_angle, dec.aux_axis)
+            assert np.max(np.abs(rebuilt - u)) < 1e-12
             assert np.linalg.norm(dec.qubit_axis) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rotation_convention(self):
@@ -178,14 +180,15 @@ class TestGateDecomposition:
 
 class TestTargetGates:
     def test_identity_qubit_block_at_zero_phase(self):
-        dec = ideal_gate(params(2.0, gamma0=1e-300))
-        assert np.max(np.abs(dec.qubit_block() - np.eye(2))) < 1e-12
+        u = ideal_gate(params(2.0, gamma0=1e-300))
+        assert np.max(np.abs(u[:2, :2] - np.eye(2))) < 1e-12
 
     def test_x_type_gate(self):
         # alpha = pi/4, beta = 0, gamma0 = pi gives a pi rotation about x.
-        dec = ideal_gate(params(2.0, gamma0=math.pi, alpha=math.pi / 4, beta=0.0))
+        u = ideal_gate(params(2.0, gamma0=math.pi, alpha=math.pi / 4, beta=0.0))
         sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        assert np.max(np.abs(dec.qubit_block() + sx)) < 1e-12  # -sigma_x overall
+        assert np.max(np.abs(u[:2, :2] + sx)) < 1e-12  # -sigma_x overall
+        dec = decompose_block_unitary(u)
         assert dec.qubit_angle == pytest.approx(math.pi, abs=1e-12)
         assert np.allclose(dec.qubit_axis, (1.0, 0.0, 0.0), atol=1e-12)
 
@@ -194,25 +197,8 @@ class TestTargetGates:
         g0 = 1.1
         for k2 in (0, 1):
             tg = 2.0 * (1 + 2 * k2)  # omega0*tg = 4pi(1+2k)
-            dec = ideal_gate(params(tg, gamma0=g0))
+            dec = decompose_block_unitary(ideal_gate(params(tg, gamma0=g0)))
             assert dec.aux_angle == pytest.approx(g0, abs=1e-10)
-
-    def test_magnus_gate_correction_arithmetic(self):
-        # At omega0*tg = 10*pi the auxiliary half angle shifts by pi/7.
-        p = params(5.0)
-        shifted_tg = 5.0 + 2.0 * (math.pi / 7.0) / OMEGA0
-        expected = ideal_gate(replace(p, t_gate=shifted_tg)).aux_block()
-        got = magnus_gate(p).aux_block()
-        assert np.max(np.abs(got - expected)) < 1e-12
-
-    def test_magnus_reduces_to_ideal_when_slow(self):
-        p = params(2000.0)
-        assert np.max(np.abs(magnus_gate(p).full_matrix() - ideal_gate(p).full_matrix())) < 2e-3
-
-    def test_magnus_qubit_block_is_geometric(self):
-        for tg in (0.7, 3.0, 21.0):
-            p = params(tg, gamma0=2.2, alpha=0.3, beta=1.0)
-            assert np.max(np.abs(magnus_gate(p).qubit_block() - ideal_gate(p).qubit_block())) < 1e-12
 
     def test_satd_bright_half_angle(self):
         # Quadrature against a dense trapezoid oracle.
@@ -231,7 +217,7 @@ class TestTargetGates:
         g0 = 2.4
         for tg in np.geomspace(4.0 / OMEGA0, 400.0 / OMEGA0, 7):
             p = params(float(tg), Flavor.SATD, gamma0=g0)
-            dec = satd_gate(p, make_pulse_shape(float(tg)))
+            dec = decompose_block_unitary(satd_gate(p, make_pulse_shape(float(tg))))
             assert dec.qubit_angle == pytest.approx(g0, abs=1e-12)
 
     def test_satd_gate_slow_limit(self):
@@ -241,7 +227,7 @@ class TestTargetGates:
         for tg in (50.0, 500.0):
             p = params(tg, Flavor.SATD)
             shape = make_pulse_shape(tg)
-            devs.append(np.max(np.abs(satd_gate(p, shape).full_matrix() - ideal_gate(p).full_matrix())))
+            devs.append(np.max(np.abs(satd_gate(p, shape) - ideal_gate(p))))
         assert devs[1] < devs[0] / 5.0
         assert devs[1] < 1e-2
 
