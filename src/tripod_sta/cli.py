@@ -40,7 +40,7 @@ from .metrics import (
     qubit_overlap_operator,
 )
 from .oracles import magnus_full_gate, oracle_b_map_fidelity
-from .qmath import IntegratorConfig, OdeStepUnderflow
+from .qmath import ABS_TOL_FLOOR, IntegratorConfig, OdeStepUnderflow
 from .tripod import ideal_gate, satd_gate
 
 OMEGA0 = 2.0 * math.pi
@@ -226,7 +226,7 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     tol = overrides.get("tol")
     rel_tol = _field(cfg, "integrator.rel_tol", 1e-10) if tol is None else _num(tol, "integrator.rel_tol")
     _library("integrator.rel_tol", IntegratorConfig, rel_tol)
-    abs_tol = _field(cfg, "integrator.abs_tol", rel_tol * 1e-2)
+    abs_tol = _field(cfg, "integrator.abs_tol", max(rel_tol * 1e-2, ABS_TOL_FLOOR))
     integrator = _library("integrator.abs_tol", IntegratorConfig, rel_tol, abs_tol)
 
     fields = KINDS[cfg_kind].parse(cfg)
@@ -339,7 +339,11 @@ def _golden_minimize(f, lo: float, hi: float, rel_tol: float) -> tuple[float, fl
     a, b = lo, hi
     c1, c2 = b - gr * (b - a), a + gr * (b - a)
     f1, f2 = f(c1), f(c2)
-    while (b - a) > rel_tol * b:
+    # Also stop once the bracket no longer shrinks (adjacent floats), which a
+    # rel_tol below the float spacing of the window would never reach.
+    width = math.inf
+    while rel_tol * b < b - a < width:
+        width = b - a
         if f1 < f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - gr * (b - a)

@@ -189,20 +189,16 @@ def satd_dressing_angle(params: ControlParams, shape: PulseShape) -> DressingAng
 
 
 def generic_dressing(
-    params: ControlParams,
-    shape: PulseShape,
-    gamma_dot: Callable[[float], float],
-    n_grid: int = 16001,
-) -> tuple[DressingAngle, Callable[[float], tuple[float, float, float]]]:
-    """Single-bright-state dressing angle mu and its control fields.
+    params: ControlParams, shape: PulseShape, gamma_dot: Callable[[float], float]
+) -> DressingAngle:
+    """Single-bright-state dressing angle mu for the phase rate gamma_dot.
 
-    mu solves mu_dot = sin(2*theta)*gamma_dot/sqrt(2) with mu(0) = 0; the
-    caller checks mu(t_gate) for the boundary condition.  The W evaluator
-    returns (W_x, W_y, W_z); W_z contains a cot(2*mu) term and evaluates to
-    +/-inf where mu vanishes while theta still moves.
+    mu solves mu_dot = sin(2*theta)*gamma_dot/sqrt(2) with mu(0) = 0, by the
+    trapezoid rule on 16001 uniform points; the caller checks mu(t_gate) for
+    the boundary condition.
     """
     tg = params.t_gate
-    ts = np.linspace(0.0, tg, n_grid)
+    ts = np.linspace(0.0, tg, 16001)
     theta, _, _ = shape(ts)
     gd = np.array([gamma_dot(t) for t in ts])
     mu_rate = np.sin(2.0 * theta) * gd / SQRT2
@@ -217,26 +213,7 @@ def generic_dressing(
     def mu_dot(t: float) -> float:
         return math.sin(2.0 * shape(t)[0]) * gamma_dot(t) / SQRT2
 
-    def w_fields(t: float) -> tuple[float, float, float]:
-        th, td, _ = shape(t)
-        gdt = gamma_dot(t)
-        m = mu(t)
-        s2t = math.sin(2.0 * th)
-        c2t = math.cos(2.0 * th)
-        cm = math.cos(m)
-        if abs(cm) < 1e-12:
-            raise GenericDressingSingular("generic dressing singular: |mu| reached pi/2")
-        wx = s2t * gdt
-        wy = SQRT2 * (math.cos(th) ** 2 * math.tan(m) * gdt + SQRT2 * td)
-        s2m = math.sin(2.0 * m)
-        if s2m == 0.0:
-            cot_term = 0.0 if td == 0.0 else math.copysign(math.inf, td)
-        else:
-            cot_term = 4.0 * SQRT2 * td * math.cos(2.0 * m) / s2m
-        wz = -params.omega0 + cot_term + 0.5 * gdt * (1.0 + 5.0 * c2t - 2.0 * math.cos(th) ** 2 / (cm * cm))
-        return wx, wy, wz
-
-    return DressingAngle(mu, mu_dot), w_fields
+    return DressingAngle(mu, mu_dot)
 
 
 def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float], float]:

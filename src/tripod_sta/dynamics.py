@@ -35,10 +35,6 @@ class NoiseModel:
         if not 0.0 <= self.k < 1.0:
             raise ValueError("k must lie in [0, 1)")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return all(g == 0.0 for g in self.gamma_phi)
-
     def dephasing_matrix(self) -> np.ndarray:
         """Elementwise damping W_ij = (G_i + G_j)/2 for i != j, zero on the
         diagonal; the projector dissipator is exactly -W * rho."""
@@ -100,17 +96,10 @@ def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel, amp_scales: np.ndarray | 
     # scale folded into the commutator prefactor (a scalar when all are 1).
     coeff = -1.0j if amp_scales is None else -1.0j * amp_scales[:, None, None]
     damping = noise.dephasing_matrix()
-    if noise.is_noiseless:
 
-        def rhs(t, rho):
-            h = hamiltonian(env, t)
-            return coeff * (h @ rho - rho @ h)
-
-    else:
-
-        def rhs(t, rho):
-            h = hamiltonian(env, t)
-            return coeff * (h @ rho - rho @ h) - damping * rho
+    def rhs(t, rho):
+        h = hamiltonian(env, t)
+        return coeff * (h @ rho - rho @ h) - damping * rho
 
     return rhs
 

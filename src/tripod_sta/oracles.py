@@ -20,7 +20,6 @@ from .controls import (
     Flavor,
     PulseShape,
     generic_dressing,
-    make_envelopes,
     make_pulse_shape,
     satd_dressing_angle,
 )
@@ -53,17 +52,6 @@ class MagnusCoefficients:
     delta: float
     omega_x: float
     omega_y: float
-
-    @property
-    def xi(self) -> float:
-        return math.sqrt(self.delta**2 + self.omega_x**2 + self.omega_y**2)
-
-    @property
-    def axis(self) -> tuple[float, float, float]:
-        xi = self.xi
-        if xi == 0.0:
-            return (0.0, 0.0, 1.0)
-        return (self.omega_x / xi, self.omega_y / xi, self.delta / xi)
 
 
 def magnus_coefficients(omega0: float, t_gate: float) -> MagnusCoefficients:
@@ -141,15 +129,14 @@ def dissipative_magnus_superop(
     if any(g != 0.0 for g in noise.gamma_phi[:3]):
         raise ValueError("the dissipative oracle covers excited-state dephasing only")
     gamma_e = noise.gamma_phi[3]
-    env = make_envelopes(params, shape)
     nu = satd_dressing_angle(params, shape)
     tg = params.t_gate
     eye16 = np.eye(16, dtype=complex)
 
-    def segment_map(t0: float, t1: float, segment: int) -> np.ndarray:
+    def segment_map(t0: float, t1: float) -> np.ndarray:
         def rhs(t, y):
             prop = y[:, :16]
-            h_dr = dressed_frame_hamiltonian(params, shape, env, nu, t, segment)
+            h_dr = dressed_frame_hamiltonian(params, shape, nu, t)
             ell0 = hamiltonian_superoperator(h_dr)
             c = _collapse_vector(params, shape, t)
             l_op = math.sqrt(gamma_e) * np.outer(c, c.conj())
@@ -164,8 +151,8 @@ def dissipative_magnus_superop(
         integral = res.y[:, 16:]
         return prop @ (eye16 + integral)
 
-    map1 = segment_map(0.0, 0.5 * tg, 1)
-    map2 = segment_map(0.5 * tg, tg, 2)
+    map1 = segment_map(0.0, 0.5 * tg)
+    map2 = segment_map(0.5 * tg, tg)
 
     fb = FrameBasis(params, shape)
     junction = fb.s_ad(0.5 * tg, segment=2).conj().T @ fb.s_ad(0.5 * tg, segment=1)
@@ -203,7 +190,7 @@ def generic_dressing_phase(
     an explicit DressingAngle lets callers probe limiting cases.
     """
     if mu is None:
-        mu, _ = generic_dressing(params, shape, gamma_dot)
+        mu = generic_dressing(params, shape, gamma_dot)
 
     def integrand(t: float) -> float:
         m = mu.angle(t)

@@ -25,9 +25,16 @@ class OdeStepUnderflow(RuntimeError):
         self.t = t
 
 
+# Smallest accepted abs_tol.  Near-zero state elements carry roundoff of
+# about 1e-16 relative to the unit-scale ones, so a tighter abs_tol cannot be
+# met: the stepper shrinks its steps toward underflow instead of converging.
+ABS_TOL_FLOOR = 1e-16
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`."""
+    """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`;
+    abs_tol must be at least ABS_TOL_FLOOR."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -35,6 +42,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.rel_tol, self.abs_tol)):
             raise ValueError("rel_tol and abs_tol must be positive and finite")
+        if self.abs_tol < ABS_TOL_FLOOR:
+            raise ValueError(f"abs_tol must be >= {ABS_TOL_FLOOR:g}")
 
 
 @dataclass

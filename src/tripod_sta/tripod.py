@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import ControlParams, DressingAngle, EnvelopeSet, PulseShape
+from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape
 from .qmath import gauss_legendre, max_abs
 
 SQRT2 = math.sqrt(2.0)
@@ -117,40 +117,30 @@ class FrameBasis:
         s[:, 3] = self.bright(t, +1, segment)
         return s
 
-    def s_ad_dot(self, t: float, segment: int | None = None) -> np.ndarray:
-        """Analytic time derivative of s_ad within a half-segment."""
-        seg = self.segment(t) if segment is None else segment
-        th, td, _ = self.shape(t)
-        ph = self._gamma_phase(seg)
-        one_t = qubit_coupled_state(self.params.alpha, self.params.beta)
-        ds = np.zeros((4, 4), dtype=complex)
-        ds[:, 1] = -td * math.sin(th) * one_t
-        ds[2, 1] -= ph * td * math.cos(th)
-        for col, sign in ((2, -1.0), (3, 1.0)):
-            ds[:, col] = sign * td * math.cos(th) * one_t / SQRT2
-            ds[2, col] -= sign * ph * td * math.sin(th) / SQRT2
-        return ds
 
+def frame_field(params: ControlParams, shape: PulseShape, t: float) -> tuple[float, float, float]:
+    """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
+    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_X + c_y J_Y + c_z J_Z.
 
-def adiabatic_frame_generators(
-    params: ControlParams, shape: PulseShape, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal part H0 and non-adiabatic error part V_err in the frame basis.
-
-    The step phase contributes no gamma_dot terms inside a half-segment; the
-    accumulated jump is carried by the segmented frame change itself.
+    c = (r*omega0*kappa/2, theta_dot, -r*omega0/2) with r = amp_scale and
+    kappa = 4*theta_ddot/(omega0^2 + 4*theta_dot^2), the SATD envelope
+    correction designed at the nominal omega0 (kappa = 0 for the adiabatic
+    flavor).  |0t> decouples, and the step phase of the a-e leg enters no
+    term inside a half-segment: the segmented frame change carries its jump.
     """
-    w = params.omega0 * params.amp_scale
-    h0 = np.zeros((4, 4), dtype=complex)
-    h0[2, 2] = -0.5 * w
-    h0[3, 3] = 0.5 * w
-    td = shape(t)[1]
-    verr = np.zeros((4, 4), dtype=complex)
-    verr[1, 2] = 1.0j * td / SQRT2
-    verr[1, 3] = -1.0j * td / SQRT2
-    verr[2, 1] = np.conj(verr[1, 2])
-    verr[3, 1] = np.conj(verr[1, 3])
-    return h0, verr
+    w = params.omega0
+    half_gap = 0.5 * params.amp_scale * w
+    _, td, tdd = shape(t)
+    kappa = 4.0 * tdd / (w * w + 4.0 * td * td) if params.flavor is Flavor.SATD else 0.0
+    return half_gap * kappa, td, -half_gap
+
+
+def _dressed(c: tuple, nu: DressingAngle, t: float) -> tuple:
+    """Spin components of the field c seen in the frame dressed by
+    exp(-i*nu*J_X): a rotation about x by nu, less the nu_dot*J_X it costs."""
+    n = nu.angle(t)
+    sn, cn = math.sin(n), math.cos(n)
+    return c[0] - nu.rate(t), c[1] * cn + c[2] * sn, c[2] * cn - c[1] * sn
 
 
 @dataclass(frozen=True)
@@ -252,29 +242,18 @@ def satd_bright_half_angle(params: ControlParams, shape: PulseShape, n_nodes: in
     return gauss_legendre(integrand, 0.0, 0.5 * params.t_gate, n_nodes)
 
 
-def s_nu(nu: float) -> np.ndarray:
-    """exp(-i*nu*J_x) on the frame-basis triplet, via the spin-1 identity
-    Jx^3 = Jx."""
-    return np.eye(4, dtype=complex) + (math.cos(nu) - 1.0) * (J_X @ J_X) - 1.0j * math.sin(nu) * J_X
-
-
 def dressed_frame_fields(
     params: ControlParams, shape: PulseShape, nu: DressingAngle, t: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Effective field B, the five non-spin couplings Xi, and the geometric
-    phase rate sin^2(theta)*cos^2(nu), all at the nominal omega0."""
-    w = params.omega0
+    phase rate sin^2(theta)*cos^2(nu), all at the nominal omega0.
+
+    B is the nu-dressed frame_field of the adiabatic flavor at amp_scale 1."""
     th, td, _ = shape(t)
+    b = np.array(_dressed((0.0, td, -0.5 * params.omega0), nu, t))
     n = nu.angle(t)
     sn, cn = math.sin(n), math.cos(n)
     st, ct = math.sin(th), math.cos(th)
-    b = np.array(
-        [
-            -nu.rate(t),
-            -0.5 * w * sn + td * cn,
-            -0.5 * w * cn - td * sn,
-        ]
-    )
     s2t = math.sin(2.0 * th)
     xi = np.array(
         [
@@ -289,21 +268,9 @@ def dressed_frame_fields(
 
 
 def dressed_frame_hamiltonian(
-    params: ControlParams,
-    shape: PulseShape,
-    env: EnvelopeSet,
-    nu: DressingAngle,
-    t: float,
-    segment: int | None = None,
+    params: ControlParams, shape: PulseShape, nu: DressingAngle, t: float
 ) -> np.ndarray:
-    """Hamiltonian of env in the nu-dressed adiabatic frame (frame ordering).
-
-    Computes S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu -
-    nu_dot*J_x with the analytic frame derivatives.
-    """
-    fb = FrameBasis(params, shape)
-    s = fb.s_ad(t, segment)
-    sdot = fb.s_ad_dot(t, segment)
-    h_ad = s.conj().T @ hamiltonian(env, t) @ s - 1.0j * (s.conj().T @ sdot)
-    sn = s_nu(nu.angle(t))
-    return sn.conj().T @ h_ad @ sn - nu.rate(t) * J_X
+    """S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu - nu_dot*J_X with
+    S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field."""
+    cx, cy, cz = _dressed(frame_field(params, shape, t), nu, t)
+    return cx * J_X + cy * J_Y + cz * J_Z

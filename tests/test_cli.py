@@ -8,7 +8,7 @@ from tripod_sta import cli
 from tripod_sta.controls import Flavor, make_envelopes
 from tripod_sta.dynamics import NoiseModel
 from tripod_sta.metrics import map_fidelity
-from tripod_sta.qmath import IntegratorConfig
+from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig
 
 
 def write_config(path, payload):
@@ -161,6 +161,17 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
         assert cli.main(kind.split() + ["--config", cfg]) == 0
 
+    def test_default_abs_tol_stops_at_the_floor(self, tmp_path):
+        payload = dict(GATE_ERROR_CFG, out=str(tmp_path / "o.csv"), integrator={})
+        spec = cli.load_spec(write_config(tmp_path / "c.json", payload), "gate-error", {"tol": 1e-15})
+        assert (spec.integrator.rel_tol, spec.integrator.abs_tol) == (1e-15, ABS_TOL_FLOOR)
+
+    @pytest.mark.parametrize("kind", sorted(MINIMAL_CFGS))
+    def test_every_kind_runs_at_the_abs_tol_floor(self, tmp_path, kind):
+        payload = _with_field(MINIMAL_CFGS[kind], "integrator.abs_tol", ABS_TOL_FLOOR)
+        cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
+        assert cli.main(kind.split() + ["--config", cfg]) == 0
+
     @pytest.mark.parametrize(
         "kind, field, value",
         [
@@ -202,7 +213,9 @@ class TestConfigHandling:
             ("oracle compare", "tg_grid.min", 1e-100),
             ("pulses export", "tg_cycles", 1e-200),
             ("contour", "contour.tg_min", 1e-200),
-        ],
+        ]
+        # An abs_tol below the floor cannot be met; it used to exit 3 or nearly hang.
+        + [(kind, "integrator.abs_tol", 0.9 * ABS_TOL_FLOOR) for kind in sorted(MINIMAL_CFGS)],
     )
     def test_bad_field_is_config_error(self, capsys, tmp_path, kind, field, value):
         """One bad value per field, for every kind that reads the field."""
@@ -335,6 +348,26 @@ class TestContour:
         _, rows = read_table(out)
         assert rows[0][5] == "1"
         assert float(rows[0][4]) <= 1e-6
+
+    def test_golden_rel_tol_below_float_spacing_terminates(self, tmp_path):
+        payload = _with_field(MINIMAL_CFGS["contour"], "contour.golden_rel_tol", 1e-100)
+        cfg = write_config(tmp_path / "c.json", dict(payload, flavors=["adiabatic"], out=str(tmp_path / "o.csv")))
+        assert cli.main(["contour", "--config", cfg]) == 0
+
+
+def test_golden_minimize_stops_at_adjacent_floats():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x - 1.3) ** 2
+
+    for rel_tol, max_calls in ((1e-3, 17), (1e-15, 75), (1e-100, 80)):
+        calls.clear()
+        x, fx = cli._golden_minimize(f, 1.0, 2.0, rel_tol)
+        assert len(calls) <= max_calls
+        assert fx == f(x)
+    assert abs(x - 1.3) < 1e-15
 
 
 class TestPulsesExport:

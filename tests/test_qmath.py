@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_hermitian, random_unitary, series_expm
 from tripod_sta.qmath import (
+    ABS_TOL_FLOOR,
     IntegratorConfig,
     OdeStepUnderflow,
     expm_hermitian_generator,
@@ -105,6 +106,9 @@ def test_integrator_config_validation():
         IntegratorConfig(rel_tol=math.nan)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=math.inf)
+    with pytest.raises(ValueError, match="abs_tol must be >= 1e-16"):
+        IntegratorConfig(abs_tol=0.5 * ABS_TOL_FLOOR)
+    assert IntegratorConfig(abs_tol=ABS_TOL_FLOOR).abs_tol == ABS_TOL_FLOOR
 
 
 def test_gauss_legendre_constant():

@@ -41,6 +41,39 @@ def test_help_exits_zero(name, capsys):
     assert "--config" in capsys.readouterr().out
 
 
+def _package_imports() -> dict[str, set[str]]:
+    """Intra-package import graph of tripod_sta, function-local imports included."""
+    package = ROOT / "src" / "tripod_sta"
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        deps = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tripod_sta")):
+                module = (node.module or "").removeprefix("tripod_sta").lstrip(".")
+                deps.update([module.partition(".")[0]] if module else [alias.name for alias in node.names])
+        graph[name] = deps & modules
+    return graph
+
+
+def test_package_import_graph_is_acyclic():
+    graph = _package_imports()
+    assert graph["oracles"] >= {"controls", "tripod"}  # the reader sees real imports
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, f"import cycle: {' -> '.join(path[path.index(name):] + [name])}"
+        if name not in done:
+            path.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
 def _perfbench_entry_points():
     """(module, name) pairs the benchmark reaches into, read from its source."""
     probes = ast.parse((PERFBENCH / "probes.py").read_text())

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import OMEGA0, params, random_unitary
+from tripod_sta.qmath import expm_hermitian_generator
 from tripod_sta.controls import (
     DressingAngle,
     Flavor,
@@ -16,17 +18,16 @@ from tripod_sta.tripod import (
     J_Y,
     J_Z,
     FrameBasis,
-    adiabatic_frame_generators,
     decompose_block_unitary,
     dressed_frame_fields,
     dressed_frame_hamiltonian,
+    frame_field,
     hamiltonian,
     _rotation_block,
     ideal_gate,
     qubit_dark_state,
     satd_bright_half_angle,
     satd_gate,
-    s_nu,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -91,52 +92,51 @@ class TestFrameBasis:
         expected = np.diag([1.0, np.exp(-1j * g0), 1.0, 1.0])
         assert np.max(np.abs(jump - expected)) < 1e-12
 
-    def test_s_ad_dot_matches_finite_difference(self):
-        fb = FrameBasis(params(2.0, gamma0=0.7), make_pulse_shape(2.0))
-        h = 1e-5
-        for t in (0.3, 0.8, 1.6):
-            seg = fb.segment(t)
-            fd = (
-                -fb.s_ad(t + 2 * h, seg) + 8 * fb.s_ad(t + h, seg)
-                - 8 * fb.s_ad(t - h, seg) + fb.s_ad(t - 2 * h, seg)
-            ) / (12 * h)
-            assert np.max(np.abs(fb.s_ad_dot(t, seg) - fd)) < 1e-9
+
+def _spin1(c):
+    return c[0] * J_X + c[1] * J_Y + c[2] * J_Z
 
 
 class TestAdiabaticFrameGenerators:
+    """frame_field: S_ad^dag H S_ad - i S_ad^dag dS_ad/dt in spin-1 components."""
+
     def test_error_term_structure(self):
+        # Adiabatic flavor: H0 = -(omega/2) J_Z plus V_err = theta_dot J_Y.
         p = params(2.0)
         shape = make_pulse_shape(2.0)
         t = 0.37
-        h0, verr = adiabatic_frame_generators(p, shape, t)
-        td = shape(t)[1]
-        assert abs(verr[1, 2]) == pytest.approx(abs(td) / SQRT2, rel=1e-12)
-        assert abs(verr[1, 3]) == pytest.approx(abs(td) / SQRT2, rel=1e-12)
-        assert np.allclose(np.diag(h0), [0.0, 0.0, -0.5 * OMEGA0, 0.5 * OMEGA0])
+        c = frame_field(p, shape, t)
+        assert c == (0.0, shape(t)[1], -0.5 * OMEGA0)
+        verr = _spin1((0.0, c[1], 0.0))
+        assert abs(verr[1, 2]) == pytest.approx(abs(c[1]) / SQRT2, rel=1e-12)
+        assert abs(verr[1, 3]) == pytest.approx(abs(c[1]) / SQRT2, rel=1e-12)
+        assert np.allclose(np.diag(_spin1(c)), [0.0, 0.0, -0.5 * OMEGA0, 0.5 * OMEGA0])
 
     def test_vanishes_where_theta_is_stationary(self):
-        p = params(2.0)
-        shape = make_pulse_shape(2.0)
-        _, verr = adiabatic_frame_generators(p, shape, 1.0)
-        assert np.max(np.abs(verr)) < 1e-12
+        for flavor in (Flavor.ADIABATIC, Flavor.SATD):
+            cx, cy, _ = frame_field(params(2.0, flavor), make_pulse_shape(2.0), 1.0)
+            assert abs(cx) < 1e-12 and abs(cy) < 1e-12
 
     def test_matches_finite_difference_frame_change(self):
-        # S^dag H S - i S^dag dS/dt == H0 + V_err, with dS/dt from a stencil.
-        p = params(2.0, gamma0=1.9, alpha=0.6, beta=0.8)
+        # S^dag H S - i S^dag dS/dt == frame_field . J for both flavors and a
+        # mis-scaled amplitude, with dS/dt from a fourth-order stencil inside
+        # each half-segment.
         shape = make_pulse_shape(2.0)
-        env = make_envelopes(p)
-        fb = FrameBasis(p, shape)
         h = 2e-4
-        for t in (0.31, 0.77, 1.43, 1.88):
-            seg = fb.segment(t)
-            s = fb.s_ad(t, seg)
-            fd = (
-                -fb.s_ad(t + 2 * h, seg) + 8 * fb.s_ad(t + h, seg)
-                - 8 * fb.s_ad(t - h, seg) + fb.s_ad(t - 2 * h, seg)
-            ) / (12 * h)
-            frame = s.conj().T @ hamiltonian(env, t) @ s - 1j * (s.conj().T @ fd)
-            h0, verr = adiabatic_frame_generators(p, shape, t)
-            assert np.max(np.abs(frame - (h0 + verr))) < 1e-10
+        for flavor, amp_scale in itertools.product((Flavor.ADIABATIC, Flavor.SATD), (1.0, 1.13)):
+            p = params(2.0, flavor, gamma0=1.9, alpha=0.6, beta=0.8, amp_scale=amp_scale)
+            env = make_envelopes(p)
+            fb = FrameBasis(p, shape)
+            for t in (0.07, 0.31, 0.77, 0.99, 1.01, 1.43, 1.88, 1.99):
+                seg = fb.segment(t)
+                s = fb.s_ad(t, seg)
+                fd = (
+                    -fb.s_ad(t + 2 * h, seg) + 8 * fb.s_ad(t + h, seg)
+                    - 8 * fb.s_ad(t - h, seg) + fb.s_ad(t - 2 * h, seg)
+                ) / (12 * h)
+                frame = s.conj().T @ hamiltonian(env, t) @ s - 1j * (s.conj().T @ fd)
+                assert np.max(np.abs(frame - _spin1(frame_field(p, shape, t)))) < 1e-9
+                assert np.max(np.abs(frame[0, :])) < 1e-9 and np.max(np.abs(frame[:, 0])) < 1e-9
 
 
 class TestSpinOperators:
@@ -145,12 +145,6 @@ class TestSpinOperators:
         assert np.max(np.abs((J_Y @ J_Z - J_Z @ J_Y) - 1j * J_X)) < 1e-14
         for j in (J_X, J_Y, J_Z):
             assert np.max(np.abs(j @ j @ j - j)) < 1e-14  # spin-1 identity
-
-    def test_s_nu_closed_form(self):
-        from tripod_sta.qmath import expm_hermitian_generator
-
-        for nu in (-1.1, 0.0, 0.4, 2.0):
-            assert np.max(np.abs(s_nu(nu) - expm_hermitian_generator(J_X, nu))) < 1e-12
 
 
 class TestGateDecomposition:
@@ -276,21 +270,32 @@ class TestDressedFrame:
         tg = 1.5
         p = params(tg, Flavor.SATD)
         shape = make_pulse_shape(tg)
-        env = make_envelopes(p, shape)
         nu = satd_dressing_angle(p, shape)
         for t in np.linspace(0.02, tg - 0.02, 23):
-            hdr = dressed_frame_hamiltonian(p, shape, env, nu, float(t))
+            hdr = dressed_frame_hamiltonian(p, shape, nu, float(t))
             assert abs(hdr[1, 1]) < 1e-12 * OMEGA0
             assert abs(hdr[1, 2]) < 1e-10 * OMEGA0
             assert abs(hdr[1, 3]) < 1e-10 * OMEGA0
 
     def test_frame_consistency_without_dressing(self):
-        # nu == 0 must reproduce the adiabatic-frame generators.
+        # nu == 0 must reproduce the adiabatic-frame field exactly.
         p = params(2.0)
         shape = make_pulse_shape(2.0)
-        env = make_envelopes(p)
         zero = DressingAngle(lambda t: 0.0, lambda t: 0.0)
         for t in (0.4, 1.2, 1.9):
-            hdr = dressed_frame_hamiltonian(p, shape, env, zero, t)
-            h0, verr = adiabatic_frame_generators(p, shape, t)
-            assert np.max(np.abs(hdr - (h0 + verr))) < 1e-12
+            hdr = dressed_frame_hamiltonian(p, shape, zero, t)
+            assert np.max(np.abs(hdr - _spin1(frame_field(p, shape, t)))) < 1e-12
+
+    def test_dressing_matches_rotated_frame(self):
+        # The closed-form dressing equals S_nu^dag H_ad S_nu - nu_dot J_X with
+        # S_nu = exp(-i nu J_X), for both flavors and a mis-scaled amplitude.
+        tg = 1.3
+        for flavor in (Flavor.ADIABATIC, Flavor.SATD):
+            p = params(tg, flavor, amp_scale=1.13)
+            shape = make_pulse_shape(tg)
+            nu = satd_dressing_angle(p, shape)
+            for t in np.linspace(0.05, tg - 0.05, 9):
+                s_nu = expm_hermitian_generator(J_X, nu.angle(t))
+                h_ad = _spin1(frame_field(p, shape, t))
+                expected = s_nu.conj().T @ h_ad @ s_nu - nu.rate(t) * J_X
+                assert np.max(np.abs(dressed_frame_hamiltonian(p, shape, nu, t) - expected)) < 1e-12
