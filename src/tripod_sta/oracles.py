@@ -31,8 +31,8 @@ from .dynamics import (
     vec,
 )
 from .metrics import AXIAL_QUBIT_STATES, _axial_average
-from .qmath import IntegratorConfig, expm_hermitian_generator, gauss_legendre, ode_solve
-from .tripod import J_X, J_Y, J_Z, FrameBasis, dressed_frame_hamiltonian, ideal_gate
+from .qmath import IntegratorConfig, gauss_legendre, ode_solve, su2_exponential
+from .tripod import FrameBasis, dressed_frame_hamiltonian, ideal_gate, spin1_image
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,8 +64,9 @@ def magnus_coefficients(omega0: float, t_gate: float) -> MagnusCoefficients:
 
 
 def spin1_exponential(delta: float, omega_x: float, omega_y: float) -> np.ndarray:
-    """exp[-i(delta*Jz + omega_x*Jx + omega_y*Jy)] on the frame triplet."""
-    return expm_hermitian_generator(delta * J_Z + omega_x * J_X + omega_y * J_Y)
+    """exp[-i(delta*Jz + omega_x*Jx + omega_y*Jy)] on the frame triplet, the
+    spin-1 image of the closed-form SU(2) exponential."""
+    return spin1_image(su2_exponential((omega_x, omega_y, delta)))
 
 
 def magnus_halfpulse_unitary(params: ControlParams, segment: str) -> np.ndarray:
@@ -84,7 +85,7 @@ def magnus_halfpulse_unitary(params: ControlParams, segment: str) -> np.ndarray:
     coeffs = magnus_coefficients(w, tg)
     sign = 1.0 if segment == "first" else -1.0
     u_int = spin1_exponential(coeffs.delta, sign * coeffs.omega_x, sign * coeffs.omega_y)
-    u_zero = expm_hermitian_generator(J_Z, -0.25 * w * tg)
+    u_zero = spin1_exponential(-0.25 * w * tg, 0.0, 0.0)
     fb = FrameBasis(params, make_pulse_shape(tg))
     if segment == "first":
         s_end = fb.s_ad(0.5 * tg, segment=1)

@@ -42,6 +42,29 @@ J_Z[2, 2] = 1.0
 J_Z[3, 3] = -1.0
 
 
+def spin1_image(u: np.ndarray) -> np.ndarray:
+    """1 (+) D1(u): the spin-1 image of a 2x2 matrix (or a stack (..., 2, 2))
+    on the (d2, b-, b+) triplet, with 1 on |0t>.
+
+    D1 is the symmetric square of u: b- = |m=+1>, d2 = |m=0>, b+ = |m=-1>.
+    It is quadratic in the entries and multiplicative, and it maps
+    exp(-i g.sigma/2) to exp(-i g.(J_X, J_Y, J_Z))."""
+    u = np.asarray(u)
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    out = np.zeros(u.shape[:-2] + (4, 4), dtype=complex)
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = a * d + b * c
+    out[..., 1, 2] = SQRT2 * a * c
+    out[..., 1, 3] = SQRT2 * b * d
+    out[..., 2, 1] = SQRT2 * a * b
+    out[..., 2, 2] = a * a
+    out[..., 2, 3] = b * b
+    out[..., 3, 1] = SQRT2 * c * d
+    out[..., 3, 2] = c * c
+    out[..., 3, 3] = d * d
+    return out
+
+
 def qubit_dark_state(alpha: float, beta: float) -> np.ndarray:
     """|0t> = sin(a)|0> - e^{i b} cos(a)|1>, decoupled for any controls."""
     v = np.zeros(4, dtype=complex)

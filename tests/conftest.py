@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from tripod_sta.controls import ControlParams, Flavor
+from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor
+from tripod_sta.qmath import IntegratorConfig, ode_solve
+from tripod_sta.tripod import hamiltonian
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
 OMEGA0 = 2.0 * math.pi
@@ -15,6 +17,18 @@ OMEGA0 = 2.0 * math.pi
 
 def params(cycles, flavor=Flavor.ADIABATIC, gamma0=math.pi, alpha=math.pi / 4, beta=0.0, amp_scale=1.0):
     return ControlParams(OMEGA0, alpha, beta, gamma0, cycles, flavor, amp_scale)
+
+
+def dopri5_unitary(env: EnvelopeSet, cfg: IntegratorConfig) -> np.ndarray:
+    """Reference propagator: the lab-frame 4x4 i dU/dt = H(t) U integrated
+    with the adaptive Dormand-Prince stepper, one solve per half-segment."""
+
+    def rhs(t, u):
+        return -1.0j * (hamiltonian(env, t) @ u)
+
+    half = env.segment_boundary
+    first = ode_solve(rhs, np.eye(4, dtype=complex), 0.0, half, cfg)
+    return ode_solve(rhs, first.y, half, env.params.t_gate, cfg).y
 
 
 def series_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import OMEGA0, params
@@ -160,6 +161,11 @@ class TestConfigHandling:
             payload = _with_field(payload, field, scale * cli.MIN_TG_CYCLES)
         cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
         assert cli.main(kind.split() + ["--config", cfg]) == 0
+
+    def test_gate_error_runs_at_a_tolerance_below_roundoff(self, tmp_path):
+        # The Magnus step doubling stops at its roundoff plateau.
+        cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(tmp_path / "o.csv")))
+        assert cli.main(["sweep", "gate-error", "--config", cfg, "--tol", "1e-15"]) == 0
 
     def test_default_abs_tol_stops_at_the_floor(self, tmp_path):
         payload = dict(GATE_ERROR_CFG, out=str(tmp_path / "o.csv"), integrator={})
@@ -425,4 +431,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "tg_cycles=2" in err  # offending parameter tuple is reported
+    assert not out.exists()
+
+
+def test_unitarity_breach_exits_3(tmp_path, capsys, monkeypatch):
+    from tripod_sta import dynamics
+
+    monkeypatch.setattr(dynamics, "spin1_image", lambda u: 1.001 * np.eye(4, dtype=complex))
+    out = tmp_path / "ge.csv"
+    cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(out)))
+    assert cli.main(["sweep", "gate-error", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "unitarity defect" in err
+    assert "tg_cycles=2.0, flavor=adiabatic" in err
     assert not out.exists()

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, params, random_hermitian, series_expm
-from tripod_sta.controls import Flavor, make_envelopes
+from conftest import OMEGA0, dopri5_unitary, params, random_hermitian, series_expm
+from tripod_sta import dynamics
+from tripod_sta.controls import Flavor, PulseShape, make_envelopes
 from tripod_sta.dynamics import (
+    MAGNUS_MIN_STEPS,
+    ROUNDOFF_ESTIMATE,
     NoiseModel,
     NumericalError,
     dissipator_superoperator,
@@ -17,8 +20,8 @@ from tripod_sta.dynamics import (
     vec,
 )
 from tripod_sta.metrics import avg_gate_fidelity, qubit_overlap_operator
-from tripod_sta.qmath import IntegratorConfig
-from tripod_sta.tripod import ideal_gate, qubit_dark_state
+from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig, magnus_su2, max_abs
+from tripod_sta.tripod import frame_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -81,6 +84,85 @@ class TestPropagateUnitary:
         target = ideal_gate(p)
         o_q = qubit_overlap_operator(target, res.final_operator)
         assert 1.0 - avg_gate_fidelity(o_q, 2) < 1e-6
+
+
+class _CosineRamp(PulseShape):
+    """theta = (pi/4)(1 - cos(pi u)) over each half, mirrored like the quintic
+    ramp: theta_dot vanishes at t_gate/2, but theta_ddot is nonzero at the ends."""
+
+    def __call__(self, t):
+        half = 0.5 * self.t_gate
+        second = t > half
+        u = (t - half * second) / half
+        sign = 1.0 - 2.0 * second
+        q = 0.25 * math.pi
+        theta = 0.5 * math.pi * second + sign * q * (1.0 - np.cos(math.pi * u))
+        theta_dot = sign * q * math.pi * np.sin(math.pi * u) / half
+        return theta, theta_dot, sign * q * math.pi**2 * np.cos(math.pi * u) / half**2
+
+
+REFERENCE = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+class TestMagnusPath:
+    """The SU(2) Magnus propagator against the lab-frame DOPRI5 reference."""
+
+    @pytest.mark.parametrize("cycles", [1e-6, 0.7, 2.0, 5.0, 30.0])
+    @pytest.mark.parametrize("amp_scale", [1.0, 1.13])
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_matches_dopri5_reference(self, flavor, amp_scale, cycles):
+        p = params(cycles, flavor, amp_scale=amp_scale)
+        env = make_envelopes(p)
+        res = propagate_unitary(p, env, CFG)
+        assert max_abs(res.final_operator - dopri5_unitary(env, REFERENCE)) <= 1e-9
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_custom_shape_matches_dopri5_reference(self, flavor):
+        p = params(3.0, flavor, amp_scale=1.13)
+        env = make_envelopes(p, _CosineRamp(3.0))
+        res = propagate_unitary(p, env, CFG)
+        assert max_abs(res.final_operator - dopri5_unitary(env, REFERENCE)) <= 1e-9
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_estimate_falls_fourth_order(self, flavor):
+        p = params(5.0, flavor)
+        shape = make_envelopes(p).shape
+
+        def field(t):
+            return frame_field(p, shape, t)
+
+        us = [magnus_su2(field, 0.0, 2.5, n) for n in (64, 128, 256, 512)]
+        estimates = [max_abs(b - a) / 15.0 for a, b in zip(us, us[1:])]
+        assert all(a >= 12.0 * b for a, b in zip(estimates, estimates[1:])), estimates
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_diagnostics_report_the_doubling(self, flavor):
+        p = params(5.0, flavor)
+        res = propagate_unitary(p, make_envelopes(p), CFG)
+        n1, n2 = res.magnus_steps
+        assert res.steps_accepted == n1 + n2
+        # Every discarded mesh has half the steps of the next: N/2 + N/4 + ... + MAGNUS_MIN_STEPS.
+        assert res.steps_rejected == (n1 - MAGNUS_MIN_STEPS) + (n2 - MAGNUS_MIN_STEPS)
+        assert res.error_estimate <= CFG.rel_tol + CFG.abs_tol or res.error_estimate <= ROUNDOFF_ESTIMATE
+
+    def test_tolerance_below_roundoff_stops_at_the_plateau(self):
+        p = params(5.0, Flavor.SATD)
+        cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=ABS_TOL_FLOOR)
+        res = propagate_unitary(p, make_envelopes(p), cfg)
+        assert max(res.magnus_steps) <= 2**16
+        assert res.error_estimate <= 1e-13
+        assert max_abs(res.final_operator - propagate_unitary(p, make_envelopes(p), CFG).final_operator) < 1e-9
+
+    def test_unitarity_breach_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "spin1_image", lambda u: 1.001 * np.eye(4, dtype=complex))
+        p = params(2.0)
+        with pytest.raises(NumericalError, match="unitarity defect"):
+            propagate_unitary(p, make_envelopes(p), CFG)
+
+    def test_params_must_match_envelopes(self):
+        p = params(2.0)
+        with pytest.raises(ValueError, match="disagree"):
+            propagate_unitary(p.with_amp_scale(1.1), make_envelopes(p), CFG)
 
 
 class TestPropagateLindblad:

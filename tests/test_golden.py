@@ -5,6 +5,9 @@ below (the minimal configs of tests/test_cli.py, plus reversed flavors and
 parallel runs).  Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each file, the largest numeric cell change against the
+file it replaces.
 """
 
 from __future__ import annotations
@@ -105,11 +108,40 @@ def test_csv_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def largest_cell_change(old: bytes, new: bytes) -> float | None:
+    """Largest |new - old| over the numeric cells of two CSVs; None when a
+    line count, a cell count or a non-numeric cell differs."""
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    if len(old_lines) != len(new_lines):
+        return None
+    largest = 0.0
+    for old_line, new_line in zip(old_lines, new_lines):
+        old_cells, new_cells = old_line.split(","), new_line.split(",")
+        if len(old_cells) != len(new_cells):
+            return None
+        for a, b in zip(old_cells, new_cells):
+            try:
+                largest = max(largest, abs(float(b) - float(a)))
+            except ValueError:
+                if a != b:
+                    return None
+    return largest
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            (GOLDEN / f"{case}.csv").write_bytes(run_case(case, Path(tmp)))
-            print(f"wrote {GOLDEN / case}.csv")
+            path = GOLDEN / f"{case}.csv"
+            new = run_case(case, Path(tmp))
+            if not path.exists():
+                note = "new file"
+            elif path.read_bytes() == new:
+                note = "unchanged"
+            else:
+                change = largest_cell_change(path.read_bytes(), new)
+                note = "layout changed" if change is None else f"largest cell change {change:.3g}"
+            path.write_bytes(new)
+            print(f"wrote {path} ({note})")

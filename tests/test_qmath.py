@@ -10,9 +10,14 @@ from tripod_sta.qmath import (
     OdeStepUnderflow,
     expm_hermitian_generator,
     gauss_legendre,
+    magnus_su2,
     ode_solve,
+    su2_exponential,
+    su2_ordered_product,
     unitarity_defect,
 )
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def test_expm_zero_generator():
@@ -41,6 +46,40 @@ def test_expm_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         expm_hermitian_generator(m)
+
+
+def test_su2_exponential_matches_series(rng):
+    gs = np.concatenate([rng.normal(scale=4.0, size=(8, 3)), np.zeros((1, 3))])
+    for g, u in zip(gs, su2_exponential(gs)):
+        expected = series_expm(-0.5j * np.einsum("k,kij->ij", g, SIGMA))
+        assert np.max(np.abs(u - expected)) < 1e-13
+        assert unitarity_defect(u) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+def test_su2_ordered_product_matches_loop(rng, n):
+    mats = su2_exponential(rng.normal(scale=2.0, size=(n, 3)))
+    expected = np.eye(2)
+    for m in mats:
+        expected = m @ expected
+    a, b = su2_ordered_product(mats[:, 0, 0], mats[:, 0, 1])
+    assert np.max(np.abs(np.array([[a, b], [-np.conj(b), np.conj(a)]]) - expected)) < 1e-14
+
+
+def test_magnus_su2_is_exact_for_a_constant_field():
+    c = np.array([0.7, -1.2, 2.0])
+    u = magnus_su2(lambda t: tuple(c), 0.5, 2.0, 5)
+    assert np.max(np.abs(u - su2_exponential(1.5 * c))) < 1e-14
+
+
+def test_magnus_su2_blocks_match_one_block(monkeypatch):
+    # A rotating field, so the order of the factors matters.
+    def field(t):
+        return np.cos(3.0 * t), np.sin(3.0 * t), 0.4
+
+    whole = magnus_su2(field, 0.0, 1.0, 96)
+    monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", 10)
+    assert np.max(np.abs(magnus_su2(field, 0.0, 1.0, 96) - whole)) < 1e-14
 
 
 def test_ode_zero_rhs():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA0, params, random_unitary
-from tripod_sta.qmath import expm_hermitian_generator
+from tripod_sta.qmath import expm_hermitian_generator, su2_exponential
 from tripod_sta.controls import (
     DressingAngle,
     Flavor,
@@ -28,6 +28,7 @@ from tripod_sta.tripod import (
     qubit_dark_state,
     satd_bright_half_angle,
     satd_gate,
+    spin1_image,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -145,6 +146,22 @@ class TestSpinOperators:
         assert np.max(np.abs((J_Y @ J_Z - J_Z @ J_Y) - 1j * J_X)) < 1e-14
         for j in (J_X, J_Y, J_Z):
             assert np.max(np.abs(j @ j @ j - j)) < 1e-14  # spin-1 identity
+
+    def test_spin1_image_of_su2_exponential(self, rng):
+        # D1(exp(-i g.sigma/2)) == exp(-i g.J), stacked and one at a time.
+        gs = rng.normal(scale=3.0, size=(20, 3))
+        images = spin1_image(su2_exponential(gs))
+        for g, image in zip(gs, images):
+            expected = expm_hermitian_generator(_spin1(g))
+            assert np.max(np.abs(image - expected)) < 1e-13
+            assert np.array_equal(spin1_image(su2_exponential(g)), image)
+
+    def test_spin1_image_is_multiplicative(self, rng):
+        # Any 2x2 matrices, unitary or not: D1 is the symmetric square.
+        for _ in range(10):
+            a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+            assert np.max(np.abs(spin1_image(a @ b) - spin1_image(a) @ spin1_image(b))) < 1e-12
+        assert np.array_equal(spin1_image(np.eye(2)), np.eye(4))
 
 
 class TestGateDecomposition:
