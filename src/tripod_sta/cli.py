@@ -37,6 +37,7 @@ from .metrics import (
     closed_form_fidelities,
     map_fidelity,
     map_fidelity_uncertainty_avg,
+    nominal_and_uncertainty_avg,
     qubit_overlap_operator,
 )
 from .oracles import magnus_full_gate, oracle_b_map_fidelity
@@ -315,10 +316,10 @@ def _noise_map_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tupl
     floor = cfg.rel_tol
     max_amp = env.max_amplitude / OMEGA0
     cost = env.cost / (0.5 * OMEGA0)
-    eps_nominal = clamp_error(1.0 - map_fidelity(p, env, NoiseModel(spec.noise.gamma_phi), cfg), floor)
+    f_nominal, f_avg = nominal_and_uncertainty_avg(p, spec.noise, spec.uncertainty_nodes, cfg, shape)
+    eps_nominal = clamp_error(1.0 - f_nominal, floor)
     rows = [(tg_cycles, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost)]
     if spec.noise.k > 0.0:
-        f_avg = map_fidelity_uncertainty_avg(p, spec.noise, spec.uncertainty_nodes, cfg, shape)
         rows.append((tg_cycles, flavor, spec.noise.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
     return rows
 

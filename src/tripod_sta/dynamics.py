@@ -7,6 +7,10 @@ the envelope-derivative kink off the interior of a step.
 The closed path (propagate_unitary) solves an exact SU(2) problem with
 fourth-order Magnus steps and step doubling; the Lindblad path and the
 dissipative oracle use the adaptive Dormand-Prince stepper qmath.ode_solve.
+The Lindblad path integrates a whole stack of density matrices (the six
+axial states at every amplitude scale of a noise-map point) in one
+shared-mesh solve, forms each commutator from one matmul rho H, and
+re-Hermitizes the accepted states between steps.
 """
 
 from __future__ import annotations
@@ -33,6 +37,11 @@ ROUNDOFF_ESTIMATE = 1e-12
 # products step doubling reaches (2^20 steps per half-segment, SATD at
 # t_g = 1e-6 cycles and rel_tol 1e-300) measured 7e-13.
 UNITARITY_ROUNDOFF = 1e-10
+# Roundoff that the minimum eigenvalue of a final density matrix may carry
+# below -10*rel_tol.  Measured worst case over both flavors, t_g 0.5-10
+# cycles, three dephasing sets and amplitude scales 0.8-1.2: -0.30*rel_tol at
+# rel_tol 1e-3, -0.15*rel_tol from 1e-6 to 1e-10, -3e-15 at 1e-14.
+POSITIVITY_ROUNDOFF = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -162,24 +171,27 @@ def propagate_unitary(
     )
 
 
-def _check_density(rho: np.ndarray) -> None:
-    if max_abs(rho - rho.conj().T) > 1e-9:
+def _check_density(rhos: np.ndarray) -> None:
+    if max_abs(rhos - np.conj(np.swapaxes(rhos, -1, -2))) > 1e-9:
         raise ValueError("rho0 must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if np.any(np.abs(np.trace(rhos, axis1=-2, axis2=-1).real - 1.0) > 1e-8):
         raise ValueError("rho0 must have unit trace")
-    if float(np.min(np.linalg.eigvalsh(hermitize(rho)))) < -1e-8:
+    if float(np.min(np.linalg.eigvalsh(hermitize(rhos)))) < -1e-8:
         raise ValueError("rho0 must be positive semidefinite")
 
 
 def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel, amp_scales: np.ndarray | None):
     # Member i sees amp_scales[i] * H(t): one Hamiltonian per stage, with the
     # scale folded into the commutator prefactor (a scalar when all are 1).
+    # For Hermitian rho and H, H rho = (rho H)^dag: the whole stack's
+    # commutators come from one (n*4, 4) @ (4, 4) matmul, and the result is
+    # exactly Hermitian.
     coeff = -1.0j if amp_scales is None else -1.0j * amp_scales[:, None, None]
     damping = noise.dephasing_matrix()
 
     def rhs(t, rho):
-        h = hamiltonian(env, t)
-        return coeff * (h @ rho - rho @ h) - damping * rho
+        a = (rho.reshape(-1, 4) @ hamiltonian(env, t)).reshape(rho.shape)
+        return coeff * (np.conj(np.swapaxes(a, -1, -2)) - a) - damping * rho
 
     return rhs
 
@@ -196,19 +208,21 @@ def propagate_lindblad(
     return propagate_lindblad_batch(params, env, noise, np.asarray(rho0)[None], cfg)[0]
 
 
-def _density_result(res: OdeResult) -> PropagationResult:
-    rho = res.y
-    trace_defect = abs(float(np.trace(rho).real) - 1.0)
-    if trace_defect > 1e-6:
-        raise NumericalError(f"trace defect {trace_defect:.3e} exceeds 1e-6; integration unreliable")
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-    return PropagationResult(
-        rho,
-        res.steps_accepted,
-        res.steps_rejected,
-        trace_defect=trace_defect,
-        min_eigenvalue=min_eig,
-    )
+def _density_results(res: OdeResult, rel_tol: float) -> list[PropagationResult]:
+    """One result per density matrix of the stack res.y, with its trace
+    defect and minimum eigenvalue; a trace defect above 1e-6 or an eigenvalue
+    below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError."""
+    trace_defects = np.abs(np.trace(res.y, axis1=-2, axis2=-1).real - 1.0)
+    if np.max(trace_defects) > 1e-6:
+        raise NumericalError(f"trace defect {np.max(trace_defects):.3e} exceeds 1e-6; integration unreliable")
+    min_eigs = np.min(np.linalg.eigvalsh(res.y), axis=-1)
+    bound = 10.0 * rel_tol + POSITIVITY_ROUNDOFF
+    if not np.min(min_eigs) >= -bound:
+        raise NumericalError(f"minimum eigenvalue {np.min(min_eigs):.3e} is below -{bound:.3e}")
+    return [
+        PropagationResult(rho, res.steps_accepted, res.steps_rejected, trace_defect=float(d), min_eigenvalue=float(e))
+        for rho, d, e in zip(res.y, trace_defects, min_eigs)
+    ]
 
 
 def propagate_lindblad_batch(
@@ -226,18 +240,18 @@ def propagate_lindblad_batch(
     amp_scale (default: every scale 1).  The stepper controls the error
     elementwise, so the common mesh is at least as fine as each member
     needs.  States are re-Hermitized after every accepted step; a final
-    trace defect beyond 1e-6 in any member raises NumericalError.
+    trace defect beyond 1e-6 or a minimum eigenvalue below
+    -(10*rel_tol + POSITIVITY_ROUNDOFF) in any member raises NumericalError.
     """
     rho0s = np.asarray(rho0s, dtype=complex)
-    for rho in rho0s:
-        _check_density(rho)
+    _check_density(rho0s)
     if amp_scales is not None:
         amp_scales = np.asarray(amp_scales, dtype=float)
         if amp_scales.shape != (len(rho0s),):
             raise ValueError("amp_scales must hold one scale per density matrix")
     rhs = _lindblad_rhs(env, noise, amp_scales)
     res = _two_segment_solve(rhs, rho0s, params.t_gate, cfg, step_hook=hermitize)
-    return [_density_result(OdeResult(rho, res.steps_accepted, res.steps_rejected)) for rho in res.y]
+    return _density_results(res, cfg.rel_tol)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

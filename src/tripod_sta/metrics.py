@@ -110,6 +110,39 @@ def map_fidelity(
     return float(_axial_fidelities(params, env, noise, cfg)[0])
 
 
+def nominal_and_uncertainty_avg(
+    params: ControlParams,
+    noise: NoiseModel,
+    n_nodes: int = 21,
+    cfg: IntegratorConfig = IntegratorConfig(),
+    shape: PulseShape | None = None,
+) -> tuple[float, float]:
+    """(nominal, averaged) map fidelity: map_fidelity of the nominal pulses
+    and its uniform average over the Rabi amplitude interval
+    [omega0(1-k), omega0(1+k)] by Gauss-Legendre quadrature.
+
+    Node x realizes the envelopes designed at the nominal omega0 scaled by
+    r = 1 + k*x (the target stays nominal).  The nominal map and all nodes
+    share one Lindblad solve: the envelopes are built once at unit amp_scale
+    and each group of six members carries its scale (1, 1 + k*x_1, ...).
+    With k = 0 both values come from one plain map_fidelity solve.
+    """
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be >= 1")
+    if shape is None:
+        shape = make_pulse_shape(params.t_gate)
+    k = noise.k
+    if k == 0.0:
+        f = map_fidelity(params, make_envelopes(params, shape), noise, cfg)
+        return f, f
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nominal = params.with_amp_scale(1.0)
+    scales = np.concatenate(([1.0], 1.0 + k * nodes))
+    fids = _axial_fidelities(nominal, make_envelopes(nominal, shape), noise, cfg, scales)
+    # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
+    return float(fids[0]), float(np.dot(weights, fids[1:])) / 2.0
+
+
 def map_fidelity_uncertainty_avg(
     params: ControlParams,
     noise: NoiseModel,
@@ -118,25 +151,8 @@ def map_fidelity_uncertainty_avg(
     shape: PulseShape | None = None,
 ) -> float:
     """Uniform average of map_fidelity over the Rabi amplitude interval
-    [omega0(1-k), omega0(1+k)] by Gauss-Legendre quadrature.
-
-    Node x realizes the envelopes designed at the nominal omega0 scaled by
-    r = 1 + k*x (the target stays nominal).  All nodes share one Lindblad
-    solve: the envelopes are built once at unit amp_scale and each member
-    of the batch carries its node's scale.
-    """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    if shape is None:
-        shape = make_pulse_shape(params.t_gate)
-    k = noise.k
-    if k == 0.0:
-        return map_fidelity(params, make_envelopes(params, shape), noise, cfg)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nominal = params.with_amp_scale(1.0)
-    fids = _axial_fidelities(nominal, make_envelopes(nominal, shape), noise, cfg, 1.0 + k * nodes)
-    # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
-    return float(np.dot(weights, fids)) / 2.0
+    (the averaged value of nominal_and_uncertainty_avg)."""
+    return nominal_and_uncertainty_avg(params, noise, n_nodes, cfg, shape)[1]
 
 
 def analytic_satd_dephasing_fidelity(

@@ -146,19 +146,23 @@ def magnus_su2(field: Callable[[np.ndarray], tuple], t0: float, t1: float, n: in
     return _su2_matrix(*su2_ordered_product(*np.array(blocks).T))
 
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 19 (1980)); row i of _DP_A weighs stages 0..i-1.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    )
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 # b5 - b4, including the FSAL stage.
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
 def ode_solve(
@@ -174,50 +178,51 @@ def ode_solve(
 
     step_hook, if given, post-processes the state after every accepted step
     (used to re-Hermitize density matrices).  Local error is controlled
-    elementwise against abs_tol + rel_tol*|y|.
+    elementwise against abs_tol + rel_tol*|y|.  The seven stages of a step
+    are the rows of one (7, y.size) array, and every stage combination is one
+    tableau-row product with it.  The last stage of an accepted step is the
+    first of the next (FSAL), with or without step_hook, so a solve costs
+    1 + 6*(accepted + rejected) rhs evaluations.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     y = np.array(y0, dtype=complex)
     if t1 == t0:
         return OdeResult(y, 0, 0)
+    shape = y.shape
+    y = y.ravel()
     span = t1 - t0
     t = t0
-    k1 = rhs(t, y)
+    ks = np.empty((7, y.size), dtype=complex)
+    ks[0] = rhs(t, y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
-    scale = max_abs(k1)
+    scale = max_abs(ks[0])
     h = 0.01 * (max_abs(y) + cfg.abs_tol) / scale if scale > 0.0 else span
     h = min(h, span)
     h = max(h, span * 1e-10)
 
     accepted = rejected = 0
-    ks = [k1, None, None, None, None, None, None]
     while t < t1:
         h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
         for i in range(1, 6):
-            yi = y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
-            ks[i] = rhs(t + _DP_C[i] * h, yi)
-        y5 = y + h * sum(b * ks[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        ks[6] = rhs(t + h, y5)  # FSAL stage
-        err = h * sum(e * ks[j] for j, e in enumerate(_DP_E) if e != 0.0)
+            ks[i] = rhs(t + _DP_C[i] * h, (y + (h * _DP_A[i]) @ ks[:i]).reshape(shape)).ravel()
+        y5 = y + (h * _DP_B5) @ ks[:6]
+        ks[6] = rhs(t + h, y5.reshape(shape)).ravel()  # FSAL stage
+        err = (h * _DP_E) @ ks
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
         ratio = float(np.max(np.abs(err) / tol))
         if ratio <= 1.0:
             t += h
             accepted += 1
-            if step_hook is not None:
-                y = step_hook(y5)
-                ks[0] = rhs(t, y)
-            else:
-                y = y5
-                ks[0] = ks[6]
+            y = y5 if step_hook is None else step_hook(y5.reshape(shape)).ravel()
+            ks[0] = ks[6]
         else:
             rejected += 1
         fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
         h *= fac
-    return OdeResult(y, accepted, rejected)
+    return OdeResult(y.reshape(shape), accepted, rejected)
 
 
 def gauss_legendre(f: Callable[[float], float], a: float, b: float, n_nodes: int) -> float:

@@ -290,6 +290,17 @@ class TestNoiseMapSweep:
         row = next(r for r in rows if r[0] == "2" and r[1] == "satd" and r[2] == "0")
         assert float(row[3]) == pytest.approx(eps, rel=1e-4)
 
+    def test_merged_nominal_matches_standalone_map_fidelity(self, tmp_path):
+        # The k = 0 rows come from the scale-1 members of the uncertainty solve.
+        spec = cli.load_spec(write_config(tmp_path / "c.json", dict(self.CFG, out=str(tmp_path / "o.csv"))))
+        cfg = spec.integrator
+        for flavor in spec.flavors:
+            p = spec.params(2.0, flavor)
+            standalone = 1.0 - map_fidelity(p, make_envelopes(p), NoiseModel(spec.noise.gamma_phi), cfg)
+            nominal_row, averaged_row = cli._noise_map_rows(spec, 2.0, flavor)
+            assert nominal_row[3] == averaged_row[3]
+            assert abs(nominal_row[3] - standalone) < 10.0 * cfg.rel_tol
+
     def test_zero_rate_noise_model_gives_unitary_values(self, tmp_path):
         out = tmp_path / "nm0.csv"
         payload = dict(self.CFG, out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.0})
@@ -443,5 +454,22 @@ def test_unitarity_breach_exits_3(tmp_path, capsys, monkeypatch):
     assert cli.main(["sweep", "gate-error", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert "unitarity defect" in err
+    assert "tg_cycles=2.0, flavor=adiabatic" in err
+    assert not out.exists()
+
+
+def test_positivity_breach_exits_3(tmp_path, capsys, monkeypatch):
+    from tripod_sta import dynamics
+    from tripod_sta.qmath import hermitize
+
+    shift = 5e-9 * np.diag([1.0, -1.0, 0.0, 0.0])
+    monkeypatch.setattr(dynamics, "hermitize", lambda m: hermitize(m) + shift)
+    out = tmp_path / "nm.csv"
+    # Without dephasing the axial states stay pure, so the shift shows at once.
+    payload = dict(MINIMAL_CFGS["sweep noise-map"], out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.2})
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3
+    err = capsys.readouterr().err
+    assert "minimum eigenvalue" in err
     assert "tg_cycles=2.0, flavor=adiabatic" in err
     assert not out.exists()

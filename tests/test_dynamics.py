@@ -19,8 +19,8 @@ from tripod_sta.dynamics import (
     unvec,
     vec,
 )
-from tripod_sta.metrics import avg_gate_fidelity, qubit_overlap_operator
-from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig, magnus_su2, max_abs
+from tripod_sta.metrics import AXIAL_QUBIT_STATES, avg_gate_fidelity, qubit_overlap_operator
+from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig, hermitize, magnus_su2, max_abs
 from tripod_sta.tripod import frame_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -268,6 +268,35 @@ class TestPropagateLindblad:
         with pytest.raises(ValueError, match="amp_scales"):
             propagate_lindblad_batch(p, env, noise, rho0s, CFG, amp_scales=scales[:2])
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_rhs_matches_superoperator_oracle(self, rng, monkeypatch, scaled):
+        # Random Hermitian H (full, not just the tripod pattern) and states.
+        h = random_hermitian(rng, 4, 3.0)
+        monkeypatch.setattr(dynamics, "hamiltonian", lambda env, t: h)
+        n = 5
+        rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(n)]))
+        scales = rng.uniform(0.5, 1.5, n) if scaled else None
+        rates = tuple(rng.uniform(0.0, 2.0, 4))
+        out = dynamics._lindblad_rhs(None, NoiseModel(rates), scales)(0.0, rhos)
+        dissipator = sum(
+            dissipator_superoperator(math.sqrt(g) * np.diag(np.eye(4)[i]).astype(complex))
+            for i, g in enumerate(rates)
+        )
+        for i, rho in enumerate(rhos):
+            s = 1.0 if scales is None else scales[i]
+            ell = hamiltonian_superoperator(s * h) + dissipator
+            assert max_abs(out[i] - unvec(ell @ vec(rho))) < 1e-13
+        assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
+
+    def test_positivity_breach_raises(self, monkeypatch):
+        # A hook that pushes weight from |1> onto |0> on every accepted step
+        # keeps the trace but drives some member's eigenvalue negative.
+        shift = 5e-9 * np.diag([1.0, -1.0, 0.0, 0.0])
+        monkeypatch.setattr(dynamics, "hermitize", lambda m: hermitize(m) + shift)
+        p = params(2.0, Flavor.SATD)
+        with pytest.raises(NumericalError, match="minimum eigenvalue"):
+            propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG)
+
 
 class TestProtocolInvariants:
     def test_unitarity_tracks_tolerance(self):
@@ -332,9 +361,9 @@ class TestSuperoperator:
 def test_trace_defect_guard():
     # A non-trace-preserving "collapse" cannot arise from NoiseModel, so the
     # guard is exercised directly on the result constructor.
-    from tripod_sta.dynamics import _density_result
+    from tripod_sta.dynamics import _density_results
     from tripod_sta.qmath import OdeResult
 
     bad = np.diag([0.6, 0.3, 0.0, 0.0]).astype(complex)
     with pytest.raises(NumericalError, match="trace defect"):
-        _density_result(OdeResult(bad, 1, 0))
+        _density_results(OdeResult(bad[None], 1, 0), CFG.rel_tol)

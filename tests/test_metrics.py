@@ -14,6 +14,7 @@ from tripod_sta.metrics import (
     closed_form_fidelities,
     map_fidelity,
     map_fidelity_uncertainty_avg,
+    nominal_and_uncertainty_avg,
     qubit_overlap_operator,
 )
 from tripod_sta.qmath import IntegratorConfig
@@ -128,6 +129,14 @@ class TestUncertaintyAverage:
                     loop += w * map_fidelity(p_r, make_envelopes(p_r), noise, FAST)
                 batched = map_fidelity_uncertainty_avg(p, noise, 11, FAST)
                 assert abs(batched - 0.5 * loop) < 10.0 * FAST.rel_tol
+
+    def test_nominal_member_matches_map_fidelity(self):
+        noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
+        for flavor in (Flavor.ADIABATIC, Flavor.SATD):
+            p = params(2.0, flavor)
+            nominal, averaged = nominal_and_uncertainty_avg(p, noise, 11, FAST)
+            assert abs(nominal - map_fidelity(p, make_envelopes(p), noise, FAST)) < 10.0 * FAST.rel_tol
+            assert averaged == map_fidelity_uncertainty_avg(p, noise, 11, FAST)
 
     def test_node_count_validated(self):
         with pytest.raises(ValueError):

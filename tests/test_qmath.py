@@ -122,6 +122,20 @@ def test_ode_step_hook_applied():
     assert len(calls) > 0
 
 
+def test_ode_reuses_the_last_stage_through_the_hook():
+    # First stage once, then six per attempted step: the FSAL stage carries
+    # over even when step_hook rewrites the accepted state.
+    evals = []
+
+    def rhs(t, y):
+        evals.append(t)
+        return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
+
+    res = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, IntegratorConfig(1e-8, 1e-10), step_hook=lambda y: 1.0 * y)
+    assert res.steps_rejected > 0
+    assert len(evals) == 1 + 6 * (res.steps_accepted + res.steps_rejected)
+
+
 def test_ode_backwards_time_rejected():
     with pytest.raises(ValueError):
         ode_solve(lambda t, y: y, np.eye(2, dtype=complex), 1.0, 0.0)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -97,6 +98,19 @@ def test_benchmark_entry_points_exist():
         for part in dotted.split("."):
             assert hasattr(obj, part), f"{module}.{dotted}"
             obj = getattr(obj, part)
+
+
+def test_benchmark_reads_arguments_where_they_are():
+    # layer_trace reads ode_solve's rhs/y0 and propagate_lindblad_batch's
+    # rho0s by position; probes call map_fidelity_uncertainty_avg positionally.
+    from tripod_sta import dynamics, metrics, qmath
+
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(qmath.ode_solve)[:2] == ["rhs", "y0"]
+    assert names(dynamics.propagate_lindblad_batch)[3] == "rho0s"
+    assert names(metrics.map_fidelity_uncertainty_avg) == ["params", "noise", "n_nodes", "cfg", "shape"]
 
 
 def _readme_blocks(lang: str) -> list[str]:
