@@ -22,7 +22,7 @@ from .metrics import (
     map_fidelity,
     map_fidelity_uncertainty_avg,
 )
-from .qmath import IntegratorConfig, expm_hermitian_generator, gauss_legendre, ode_solve
+from .qmath import IntegratorConfig, gauss_legendre, ode_solve
 from .tripod import hamiltonian, ideal_gate, satd_gate
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "PulseShape",
     "avg_gate_fidelity",
     "closed_form_fidelities",
-    "expm_hermitian_generator",
     "gauss_legendre",
     "hamiltonian",
     "ideal_gate",

@@ -9,8 +9,8 @@ fourth-order Magnus steps and step doubling; the Lindblad path and the
 dissipative oracle use the adaptive Dormand-Prince stepper qmath.ode_solve.
 The Lindblad path integrates a whole stack of density matrices (the six
 axial states at every amplitude scale of a noise-map point) in one
-shared-mesh solve, forms each commutator from one matmul rho H, and
-re-Hermitizes the accepted states between steps.
+shared-mesh solve and forms each commutator from one matmul rho H, so every
+state it steps through is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .controls import ControlParams, EnvelopeSet
 from .qmath import IntegratorConfig, OdeResult, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
-from .tripod import FrameBasis, frame_field, hamiltonian, spin1_image
+from .tripod import frame_field, hamiltonian, lab_operator
 
 # Magnus step counts per half-segment: doubling starts at the smallest and
 # raises NumericalError past the largest.
@@ -93,10 +93,10 @@ class PropagationResult:
     error_estimate: float | None = None
 
 
-def _two_segment_solve(rhs, y0, t_gate, cfg, step_hook=None) -> OdeResult:
+def _two_segment_solve(rhs, y0, t_gate, cfg) -> OdeResult:
     half = 0.5 * t_gate
-    first = ode_solve(rhs, y0, 0.0, half, cfg, step_hook)
-    second = ode_solve(rhs, first.y, half, t_gate, cfg, step_hook)
+    first = ode_solve(rhs, y0, 0.0, half, cfg)
+    second = ode_solve(rhs, first.y, half, t_gate, cfg)
     return OdeResult(
         second.y,
         first.steps_accepted + second.steps_accepted,
@@ -132,11 +132,10 @@ def propagate_unitary(
 
     On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
     c = tripod.frame_field (|0t> decouples), so the lab operator is
-    S(t_g) D(U2'') S(t_g/2, seg 2)^dag S(t_g/2, seg 1) D(U2') S(0)^dag,
-    with S the FrameBasis frame change, D = tripod.spin1_image and U2', U2''
-    the SU(2) propagators of c(t).sigma/2 over the two halves.  Each U2 is a
-    qmath.magnus_su2 product whose step count doubles until the doubling
-    estimate is at most rel_tol + abs_tol or reaches the roundoff plateau.
+    tripod.lab_operator of U2' and U2'', the SU(2) propagators of
+    c(t).sigma/2 over the two halves.  Each U2 is a qmath.magnus_su2 product
+    whose step count doubles until the doubling estimate is at most
+    rel_tol + abs_tol or reaches the roundoff plateau.
     A unitarity defect above 10*rel_tol + UNITARITY_ROUNDOFF raises
     NumericalError.  params must equal env.params.
     """
@@ -152,11 +151,7 @@ def propagate_unitary(
 
     u1, n1, est1, discarded1 = _magnus_half_segment(field, 0.0, half, tol)
     u2, n2, est2, discarded2 = _magnus_half_segment(field, half, tg, tol)
-    fb = FrameBasis(params, shape)
-    u = (
-        fb.s_ad(tg, segment=2) @ spin1_image(u2) @ fb.s_ad(half, segment=2).conj().T
-        @ fb.s_ad(half, segment=1) @ spin1_image(u1) @ fb.s_ad(0.0, segment=1).conj().T
-    )
+    u = lab_operator(params, shape, u1, u2)
     defect = unitarity_defect(u)
     bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
     if not defect <= bound:
@@ -239,9 +234,10 @@ def propagate_lindblad_batch(
     Member i evolves under amp_scales[i] * H(t), with env built at unit
     amp_scale (default: every scale 1).  The stepper controls the error
     elementwise, so the common mesh is at least as fine as each member
-    needs.  States are re-Hermitized after every accepted step; a final
-    trace defect beyond 1e-6 or a minimum eigenvalue below
-    -(10*rel_tol + POSITIVITY_ROUNDOFF) in any member raises NumericalError.
+    needs.  The initial stack is Hermitized once; the right-hand side is
+    exactly Hermitian, so every later state is too.  A final trace defect
+    beyond 1e-6 or a minimum eigenvalue below -(10*rel_tol +
+    POSITIVITY_ROUNDOFF) in any member raises NumericalError.
     """
     rho0s = np.asarray(rho0s, dtype=complex)
     _check_density(rho0s)
@@ -250,7 +246,7 @@ def propagate_lindblad_batch(
         if amp_scales.shape != (len(rho0s),):
             raise ValueError("amp_scales must hold one scale per density matrix")
     rhs = _lindblad_rhs(env, noise, amp_scales)
-    res = _two_segment_solve(rhs, rho0s, params.t_gate, cfg, step_hook=hermitize)
+    res = _two_segment_solve(rhs, hermitize(rho0s), params.t_gate, cfg)
     return _density_results(res, cfg.rel_tol)
 
 

@@ -117,15 +117,16 @@ def nominal_and_uncertainty_avg(
     cfg: IntegratorConfig = IntegratorConfig(),
     shape: PulseShape | None = None,
 ) -> tuple[float, float]:
-    """(nominal, averaged) map fidelity: map_fidelity of the nominal pulses
-    and its uniform average over the Rabi amplitude interval
-    [omega0(1-k), omega0(1+k)] by Gauss-Legendre quadrature.
+    """(nominal, averaged) map fidelity: map_fidelity of the pulses at
+    params.amp_scale = a and its uniform average over the Rabi amplitude
+    interval [a*omega0(1-k), a*omega0(1+k)] by Gauss-Legendre quadrature.
 
     Node x realizes the envelopes designed at the nominal omega0 scaled by
-    r = 1 + k*x (the target stays nominal).  The nominal map and all nodes
-    share one Lindblad solve: the envelopes are built once at unit amp_scale
-    and each group of six members carries its scale (1, 1 + k*x_1, ...).
-    With k = 0 both values come from one plain map_fidelity solve.
+    r = a*(1 + k*x) (the target stays nominal).  The nominal map and all
+    nodes share one Lindblad solve: the envelopes are built once at unit
+    amp_scale and each group of six members carries its scale
+    (a, a*(1 + k*x_1), ...).  With k = 0 both values come from one plain
+    map_fidelity solve.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
@@ -136,9 +137,9 @@ def nominal_and_uncertainty_avg(
         f = map_fidelity(params, make_envelopes(params, shape), noise, cfg)
         return f, f
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    nominal = params.with_amp_scale(1.0)
-    scales = np.concatenate(([1.0], 1.0 + k * nodes))
-    fids = _axial_fidelities(nominal, make_envelopes(nominal, shape), noise, cfg, scales)
+    unit = params.with_amp_scale(1.0)
+    scales = params.amp_scale * np.concatenate(([1.0], 1.0 + k * nodes))
+    fids = _axial_fidelities(unit, make_envelopes(unit, shape), noise, cfg, scales)
     # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
     return float(fids[0]), float(np.dot(weights, fids[1:])) / 2.0
 

@@ -1,6 +1,6 @@
 """Independent perturbative solvers used to cross-check the direct numerics.
 
-Three oracles: the fourth-order Magnus half-pulse propagator for the plain
+Three oracles: the fourth-order Magnus half-pulse propagators for the plain
 protocol, the first-order dissipative Magnus map for the accelerated protocol
 under excited-state dephasing, and the accumulated-phase verifier for the
 generic single-bright-state dressing.
@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .metrics import AXIAL_QUBIT_STATES, _axial_average
 from .qmath import IntegratorConfig, gauss_legendre, ode_solve, su2_exponential
-from .tripod import FrameBasis, dressed_frame_hamiltonian, ideal_gate, spin1_image
+from .tripod import dressed_frame_hamiltonian, frame_ends, ideal_gate, lab_operator
 
 SQRT2 = math.sqrt(2.0)
 
@@ -63,42 +63,23 @@ def magnus_coefficients(omega0: float, t_gate: float) -> MagnusCoefficients:
     return MagnusCoefficients(delta, omega_x, omega_y)
 
 
-def spin1_exponential(delta: float, omega_x: float, omega_y: float) -> np.ndarray:
-    """exp[-i(delta*Jz + omega_x*Jx + omega_y*Jy)] on the frame triplet, the
-    spin-1 image of the closed-form SU(2) exponential."""
-    return spin1_image(su2_exponential((omega_x, omega_y, delta)))
+def magnus_full_gate(params: ControlParams) -> np.ndarray:
+    """Lab-frame gate from the Magnus closed forms (adiabatic flavor only).
 
-
-def magnus_halfpulse_unitary(params: ControlParams, segment: str) -> np.ndarray:
-    """Lab-frame propagator of one half-pulse from the Magnus closed forms.
-
-    segment is "first" or "second"; the two differ by the sign of the
-    transverse spin components and by the frame phases that carry the
-    geometric phase across the junction.
-    """
+    Each half-pulse's adiabatic-frame propagator is the spin-1 image of
+    exp(-i z.sigma/2) exp(-i g.sigma/2), with z = (0, 0, -w*t_g/4) the
+    zeroth-order bright-state rotation and g = (+-omega_x, +-omega_y, delta)
+    the Magnus generator (+ on the first half, - on the second);
+    tripod.lab_operator takes the pair to the lab frame."""
     if params.flavor is not Flavor.ADIABATIC:
         raise ValueError("the Magnus oracle covers the adiabatic flavor only")
-    if segment not in ("first", "second"):
-        raise ValueError(f"segment must be 'first' or 'second', got {segment!r}")
     w = params.omega0 * params.amp_scale
     tg = params.t_gate
-    coeffs = magnus_coefficients(w, tg)
-    sign = 1.0 if segment == "first" else -1.0
-    u_int = spin1_exponential(coeffs.delta, sign * coeffs.omega_x, sign * coeffs.omega_y)
-    u_zero = spin1_exponential(-0.25 * w * tg, 0.0, 0.0)
-    fb = FrameBasis(params, make_pulse_shape(tg))
-    if segment == "first":
-        s_end = fb.s_ad(0.5 * tg, segment=1)
-        s_start = fb.s_ad(0.0, segment=1)
-    else:
-        s_end = fb.s_ad(tg, segment=2)
-        s_start = fb.s_ad(0.5 * tg, segment=2)
-    return s_end @ u_zero @ u_int @ s_start.conj().T
-
-
-def magnus_full_gate(params: ControlParams) -> np.ndarray:
-    """Composed lab-frame gate U = U_second @ U_first."""
-    return magnus_halfpulse_unitary(params, "second") @ magnus_halfpulse_unitary(params, "first")
+    co = magnus_coefficients(w, tg)
+    zero, plus, minus = su2_exponential(
+        [[0.0, 0.0, -0.25 * w * tg], [co.omega_x, co.omega_y, co.delta], [-co.omega_x, -co.omega_y, co.delta]]
+    )
+    return lab_operator(params, make_pulse_shape(tg), zero @ plus, zero @ minus)
 
 
 def _collapse_vector(params: ControlParams, shape: PulseShape, t: float) -> np.ndarray:
@@ -155,14 +136,10 @@ def dissipative_magnus_superop(
     map1 = segment_map(0.0, 0.5 * tg)
     map2 = segment_map(0.5 * tg, tg)
 
-    fb = FrameBasis(params, shape)
-    junction = fb.s_ad(0.5 * tg, segment=2).conj().T @ fb.s_ad(0.5 * tg, segment=1)
+    s_out, junction, s_in = frame_ends(params, shape)
     total_dr = map2 @ np.kron(junction.conj(), junction) @ map1
-
-    t_in = fb.s_ad(0.0, segment=1)
-    t_out = fb.s_ad(tg, segment=2)
-    into_frame = np.kron(t_in.conj(), t_in).conj().T
-    out_of_frame = np.kron(t_out.conj(), t_out)
+    into_frame = np.kron(s_in.conj(), s_in).conj().T
+    out_of_frame = np.kron(s_out.conj(), s_out)
     return out_of_frame @ total_dr @ into_frame
 
 

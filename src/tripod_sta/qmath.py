@@ -14,10 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-# Tolerance used to accept an input as "Hermitian up to roundoff".
-HERMITIAN_ATOL = 1e-9
-
-
 class OdeStepUnderflow(RuntimeError):
     """Raised when the adaptive stepper stalls; carries the failure time."""
 
@@ -68,20 +64,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     """max-norm of U^dag U - I."""
     u = np.asarray(u)
     return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
-
-
-def expm_hermitian_generator(h: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(-i*s*h) for Hermitian h, via eigendecomposition.
-
-    Unconditionally stable at this matrix size; the result is unitary to
-    roundoff.  Inputs that fail the Hermiticity check raise ValueError.
-    """
-    h = np.asarray(h, dtype=complex)
-    defect = max_abs(h - h.conj().T)
-    if defect > HERMITIAN_ATOL * max(1.0, max_abs(h)):
-        raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh(hermitize(h))
-    return (v * np.exp(-1j * s * w)) @ v.conj().T
 
 
 def _cayley_klein(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,17 +153,14 @@ def ode_solve(
     t0: float,
     t1: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-    step_hook: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OdeResult:
     """Integrate dy/dt = rhs(t, y) from t0 to t1 for a complex array y with
     the adaptive Dormand-Prince 5(4) stepper.
 
-    step_hook, if given, post-processes the state after every accepted step
-    (used to re-Hermitize density matrices).  Local error is controlled
-    elementwise against abs_tol + rel_tol*|y|.  The seven stages of a step
-    are the rows of one (7, y.size) array, and every stage combination is one
-    tableau-row product with it.  The last stage of an accepted step is the
-    first of the next (FSAL), with or without step_hook, so a solve costs
+    Local error is controlled elementwise against abs_tol + rel_tol*|y|.  The
+    seven stages of a step are the rows of one (7, y.size) array, and every
+    stage combination is one tableau-row product with it.  The last stage of
+    an accepted step is the first of the next (FSAL), so a solve costs
     1 + 6*(accepted + rejected) rhs evaluations.
     """
     if t1 < t0:
@@ -216,7 +195,7 @@ def ode_solve(
         if ratio <= 1.0:
             t += h
             accepted += 1
-            y = y5 if step_hook is None else step_hook(y5.reshape(shape)).ravel()
+            y = y5
             ks[0] = ks[6]
         else:
             rejected += 1

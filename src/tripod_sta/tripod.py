@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape
-from .qmath import gauss_legendre, max_abs
+from .qmath import gauss_legendre, max_abs, su2_exponential
 
 SQRT2 = math.sqrt(2.0)
 
-# Pauli matrices, used blockwise on (|0>,|1>) and (|a>,|e>).
+# Pauli matrices, for reading rotation axes out of 2x2 blocks.
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -158,6 +158,25 @@ def frame_field(params: ControlParams, shape: PulseShape, t: float) -> tuple[flo
     return half_gap * kappa, td, -half_gap
 
 
+def frame_ends(params: ControlParams, shape: PulseShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S(t_g, seg 2), S(t_g/2, seg 2)^dag S(t_g/2, seg 1), S(0, seg 1)): the
+    frame change out of the adiabatic frame at the end, the junction that
+    carries the geometric phase across t_g/2, and the frame change at the
+    start, with S the FrameBasis frame change."""
+    fb = FrameBasis(params, shape)
+    tg = params.t_gate
+    return fb.s_ad(tg, 2), fb.s_ad(0.5 * tg, 2).conj().T @ fb.s_ad(0.5 * tg, 1), fb.s_ad(0.0, 1)
+
+
+def lab_operator(params: ControlParams, shape: PulseShape, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Lab-frame 4x4 operator of the protocol whose adiabatic-frame half-segment
+    propagators are spin1_image(first) and spin1_image(second), for 2x2
+    propagators first and second:
+    S(t_g) D(second) S(t_g/2, seg 2)^dag S(t_g/2, seg 1) D(first) S(0)^dag."""
+    s_out, junction, s_in = frame_ends(params, shape)
+    return s_out @ spin1_image(second) @ junction @ spin1_image(first) @ s_in.conj().T
+
+
 def _dressed(c: tuple, nu: DressingAngle, t: float) -> tuple:
     """Spin components of the field c seen in the frame dressed by
     exp(-i*nu*J_X): a rotation about x by nu, less the nu_dot*J_X it costs."""
@@ -181,14 +200,6 @@ class GateDecomposition:
     aux_axis: tuple[float, float, float]
     aux_angle: float
     aux_phase: float
-
-
-def _rotation_block(phase: float, angle: float, axis) -> np.ndarray:
-    n = np.asarray(axis, dtype=float)
-    half = 0.5 * angle
-    m = math.cos(half) * np.eye(2, dtype=complex)
-    m -= 1.0j * math.sin(half) * (n[0] * SIGMA[0] + n[1] * SIGMA[1] + n[2] * SIGMA[2])
-    return complex(math.cos(phase), math.sin(phase)) * m
 
 
 def _decompose_su2(u: np.ndarray) -> tuple[tuple[float, float, float], float, float]:
@@ -227,15 +238,13 @@ def _geometric_gate(params: ControlParams, aux_half_angle: float) -> np.ndarray:
     half angle."""
     g = params.gamma0
     a2 = 2.0 * params.alpha
-    n = (math.sin(a2) * math.cos(params.beta), math.sin(a2) * math.sin(params.beta), math.cos(a2))
+    n = np.array([math.sin(a2) * math.cos(params.beta), math.sin(a2) * math.sin(params.beta), math.cos(a2)])
+    # One stacked call for all three factors, a third of the cost of three calls.
+    qubit, z, x = su2_exponential(np.stack([g * n, (0.0, 0.0, -g), (2.0 * aux_half_angle, 0.0, 0.0)]))
+    phase = complex(math.cos(0.5 * g), math.sin(0.5 * g))
     u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = _rotation_block(-0.5 * g, g, n)
-
-    cg, sg = math.cos(0.5 * g), math.sin(0.5 * g)
-    cx, sx = math.cos(aux_half_angle), math.sin(aux_half_angle)
-    aux = cg * cx * np.eye(2, dtype=complex)
-    aux += 1.0j * (-cg * sx * SIGMA[0] + sg * sx * SIGMA[1] + sg * cx * SIGMA[2])
-    u[2:, 2:] = complex(math.cos(0.5 * g), math.sin(0.5 * g)) * aux
+    u[:2, :2] = phase.conjugate() * qubit
+    u[2:, 2:] = phase * z @ x
     return u
 
 

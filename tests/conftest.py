@@ -47,15 +47,27 @@ def series_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def leak_lindblad_rhs(monkeypatch, leak: np.ndarray) -> None:
+    """Add the constant matrix leak to every Lindblad right-hand side that
+    tripod_sta.dynamics builds, for forcing conservation breaches."""
+    from tripod_sta import dynamics
+
+    lindblad_rhs = dynamics._lindblad_rhs
+
+    def leaky_rhs(*args):
+        rhs = lindblad_rhs(*args)
+        return lambda t, rho: rhs(t, rho) + leak
+
+    monkeypatch.setattr(dynamics, "_lindblad_rhs", leaky_rhs)
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (m + m.conj().T)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    from tripod_sta.qmath import expm_hermitian_generator
-
-    return expm_hermitian_generator(random_hermitian(rng, dim))
+    return series_expm(-1j * random_hermitian(rng, dim))
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, params
+from conftest import OMEGA0, leak_lindblad_rhs, params
 from tripod_sta import cli
 from tripod_sta.controls import Flavor, make_envelopes
 from tripod_sta.dynamics import NoiseModel
@@ -446,9 +446,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_unitarity_breach_exits_3(tmp_path, capsys, monkeypatch):
-    from tripod_sta import dynamics
+    from tripod_sta import tripod
 
-    monkeypatch.setattr(dynamics, "spin1_image", lambda u: 1.001 * np.eye(4, dtype=complex))
+    monkeypatch.setattr(tripod, "spin1_image", lambda u: 1.001 * np.eye(4, dtype=complex))
     out = tmp_path / "ge.csv"
     cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(out)))
     assert cli.main(["sweep", "gate-error", "--config", cfg]) == 3
@@ -459,13 +459,10 @@ def test_unitarity_breach_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_positivity_breach_exits_3(tmp_path, capsys, monkeypatch):
-    from tripod_sta import dynamics
-    from tripod_sta.qmath import hermitize
-
-    shift = 5e-9 * np.diag([1.0, -1.0, 0.0, 0.0])
-    monkeypatch.setattr(dynamics, "hermitize", lambda m: hermitize(m) + shift)
+    # A constant leak from |1> onto |0> keeps the trace but breaks positivity.
+    leak_lindblad_rhs(monkeypatch, 1e-6 * np.diag([1.0, -1.0, 0.0, 0.0]))
     out = tmp_path / "nm.csv"
-    # Without dephasing the axial states stay pure, so the shift shows at once.
+    # Without dephasing the axial states stay pure, so the leak shows at once.
     payload = dict(MINIMAL_CFGS["sweep noise-map"], out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.2})
     cfg = write_config(tmp_path / "c.json", payload)
     assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3

@@ -138,6 +138,14 @@ class TestUncertaintyAverage:
             assert abs(nominal - map_fidelity(p, make_envelopes(p), noise, FAST)) < 10.0 * FAST.rel_tol
             assert averaged == map_fidelity_uncertainty_avg(p, noise, 11, FAST)
 
+    def test_continuous_in_k_at_a_mis_scaled_amplitude(self):
+        # Every member carries params.amp_scale, so k -> 0 meets the k = 0 path.
+        p = params(3.0, Flavor.SATD, amp_scale=1.1)
+        at_zero, near_zero = (
+            nominal_and_uncertainty_avg(p, NoiseModel((0.0, 0.0, 0.0, 0.01), k), 11, FAST) for k in (0.0, 1e-9)
+        )
+        assert np.max(np.abs(np.subtract(at_zero, near_zero))) < 10.0 * FAST.rel_tol
+
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
             map_fidelity_uncertainty_avg(params(2.0), NoiseModel(k=0.1), 0, FAST)

@@ -24,12 +24,10 @@ from tripod_sta.oracles import (
     generic_dressing_phase,
     magnus_coefficients,
     magnus_full_gate,
-    magnus_halfpulse_unitary,
     oracle_b_map_fidelity,
-    spin1_exponential,
 )
 from tripod_sta.qmath import IntegratorConfig, gauss_legendre, unitarity_defect
-from tripod_sta.tripod import J_X, J_Y, J_Z, ideal_gate
+from tripod_sta.tripod import ideal_gate
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 ORACLE_CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
@@ -61,28 +59,14 @@ class TestMagnusCoefficients:
         assert abs(co.omega_y) < 1e-10
 
 
-class TestSpinExponential:
-    def test_matches_series(self):
-        co = magnus_coefficients(OMEGA0, 5.0)
-        gen = co.delta * J_Z + co.omega_x * J_X + co.omega_y * J_Y
-        expected = series_expm(-1j * gen)
-        assert np.max(np.abs(spin1_exponential(co.delta, co.omega_x, co.omega_y) - expected)) < 1e-10
-
-    def test_unitary(self):
-        assert unitarity_defect(spin1_exponential(0.3, -0.2, 0.9)) < 1e-12
-
-
 class TestMagnusOracle:
     def test_rejects_wrong_flavor(self):
         with pytest.raises(ValueError):
-            magnus_halfpulse_unitary(params(2.0, Flavor.SATD), "first")
-        with pytest.raises(ValueError):
-            magnus_halfpulse_unitary(params(2.0), "third")
+            magnus_full_gate(params(2.0, Flavor.SATD))
 
-    def test_halfpulses_are_unitary(self):
-        p = params(4.0)
-        for segment in ("first", "second"):
-            assert unitarity_defect(magnus_halfpulse_unitary(p, segment)) < 1e-10
+    def test_full_gate_is_unitary(self):
+        for cyc in (0.5, 4.0, 30.0):
+            assert unitarity_defect(magnus_full_gate(params(cyc, gamma0=1.3, alpha=0.6, beta=0.8))) < 1e-13
 
     def test_slow_limit_recovers_adiabatic_gate(self):
         # The residual detuning scales as 1/(omega0*tg).
@@ -126,7 +110,6 @@ class TestDissipativeOracle:
         # The analytic amplitudes are the dressed-frame image of |e><e|.
         from tripod_sta.controls import satd_dressing_angle
         from tripod_sta.oracles import _collapse_vector
-        from tripod_sta.qmath import expm_hermitian_generator
         from tripod_sta.tripod import J_X, FrameBasis
 
         p = params(1.5, Flavor.SATD)
@@ -135,7 +118,7 @@ class TestDissipativeOracle:
         fb = FrameBasis(p, shape)
         e_ket = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
         for t in (0.2, 0.7, 1.1):
-            frame = (fb.s_ad(t) @ expm_hermitian_generator(J_X, nu.angle(t))).conj().T @ e_ket
+            frame = (fb.s_ad(t) @ series_expm(-1j * nu.angle(t) * J_X)).conj().T @ e_ket
             assert np.max(np.abs(frame - _collapse_vector(p, shape, t))) < 1e-12
 
     def test_zero_rate_reduces_to_unitary_map(self):

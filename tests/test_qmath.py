@@ -8,7 +8,6 @@ from tripod_sta.qmath import (
     ABS_TOL_FLOOR,
     IntegratorConfig,
     OdeStepUnderflow,
-    expm_hermitian_generator,
     gauss_legendre,
     magnus_su2,
     ode_solve,
@@ -18,34 +17,6 @@ from tripod_sta.qmath import (
 )
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-def test_expm_zero_generator():
-    assert np.allclose(expm_hermitian_generator(np.zeros((3, 3))), np.eye(3))
-
-
-def test_expm_diagonal_pi():
-    h = np.diag([1.0, -1.0]).astype(complex)
-    assert np.allclose(expm_hermitian_generator(h, math.pi), -np.eye(2), atol=1e-14)
-
-
-def test_expm_matches_series(rng):
-    # Eigendecomposition path against the scaled Taylor series, |h| up to 10.
-    for scale in (0.5, 3.0, 10.0):
-        h = random_hermitian(rng, 4, scale)
-        expected = series_expm(-1j * h)
-        assert np.max(np.abs(expm_hermitian_generator(h) - expected)) < 1e-10
-
-
-def test_expm_is_unitary(rng):
-    u = expm_hermitian_generator(random_hermitian(rng, 4, 5.0), 1.7)
-    assert unitarity_defect(u) < 1e-10
-
-
-def test_expm_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        expm_hermitian_generator(m)
 
 
 def test_su2_exponential_matches_series(rng):
@@ -94,7 +65,7 @@ def test_ode_constant_generator_vs_expm(rng):
     y0 = random_unitary(rng, 4)
     span = 2.3
     res = ode_solve(lambda t, y: -1j * (h @ y), y0, 0.0, span)
-    expected = expm_hermitian_generator(h, span) @ y0
+    expected = series_expm(-1j * span * h) @ y0
     assert np.max(np.abs(res.y - expected)) < 1e-9
     assert res.steps_accepted > 0
 
@@ -102,7 +73,7 @@ def test_ode_constant_generator_vs_expm(rng):
 def test_ode_convergence_with_tolerance(rng):
     h = random_hermitian(rng, 4, 2.0)
     y0 = np.eye(4, dtype=complex)
-    expected = expm_hermitian_generator(h, 3.0)
+    expected = series_expm(-3j * h)
     errors = []
     for rel in (1e-5, 1e-7, 1e-9):
         cfg = IntegratorConfig(rel_tol=rel, abs_tol=rel * 1e-2)
@@ -111,27 +82,16 @@ def test_ode_convergence_with_tolerance(rng):
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_ode_step_hook_applied():
-    calls = []
-
-    def hook(y):
-        calls.append(1)
-        return y
-
-    ode_solve(lambda t, y: -1j * y, np.eye(2, dtype=complex), 0.0, 1.0, step_hook=hook)
-    assert len(calls) > 0
-
-
-def test_ode_reuses_the_last_stage_through_the_hook():
+def test_ode_reuses_the_last_stage():
     # First stage once, then six per attempted step: the FSAL stage carries
-    # over even when step_hook rewrites the accepted state.
+    # over from each accepted step, also across rejected ones.
     evals = []
 
     def rhs(t, y):
         evals.append(t)
         return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
 
-    res = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, IntegratorConfig(1e-8, 1e-10), step_hook=lambda y: 1.0 * y)
+    res = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, IntegratorConfig(1e-8, 1e-10))
     assert res.steps_rejected > 0
     assert len(evals) == 1 + 6 * (res.steps_accepted + res.steps_rejected)
 

@@ -113,6 +113,31 @@ def test_benchmark_reads_arguments_where_they_are():
     assert names(metrics.map_fidelity_uncertainty_avg) == ["params", "noise", "n_nodes", "cfg", "shape"]
 
 
+def _probe_calls():
+    """(module, name, positional count, keyword names) of every call
+    perfbench/probes.py makes to a name it imports from tripod_sta."""
+    probes = ast.parse((PERFBENCH / "probes.py").read_text())
+    imported = {
+        alias.name: node.module
+        for node in ast.walk(probes)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("tripod_sta")
+        for alias in node.names
+    }
+    for node in ast.walk(probes):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in imported:
+            yield imported[node.func.id], node.func.id, len(node.args), [kw.arg for kw in node.keywords]
+
+
+def test_benchmark_probe_calls_bind():
+    # Every probe call, e.g. oracle_b_map_fidelity(p, shape, noise, cfg) or
+    # energy_cost(env, p), must still bind to the signature it calls.
+    calls = list(_probe_calls())
+    assert {"oracle_b_map_fidelity", "energy_cost", "make_envelopes"} <= {name for _, name, _, _ in calls}
+    for module, name, n_args, keywords in calls:
+        signature = inspect.signature(getattr(importlib.import_module(module), name))
+        signature.bind(*range(n_args), **dict.fromkeys(keywords))
+
+
 def _readme_blocks(lang: str) -> list[str]:
     return re.findall(rf"```{lang}\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
 
