@@ -165,6 +165,13 @@ def _tg_grid(cfg: dict) -> tuple[float, ...]:
     return tuple(float(x) for x in pts)
 
 
+def _oracle_compare_fields(cfg: dict) -> tuple[float, ...]:
+    # Oracle B and the closed form it is checked against cover excited-state dephasing only.
+    need = "zero but for its last rate (excited-state dephasing only)"
+    _field(cfg, "noise.gamma_phi", [0.0] * 4, _rates, lambda g: not any(g[:3]), need)
+    return _tg_grid(cfg)
+
+
 def _pulse_fields(cfg: dict) -> PulseFields:
     return PulseFields(
         _field(cfg, "samples", 101, _int, lambda n: n >= 2, ">= 2"),
@@ -472,7 +479,7 @@ KINDS = {
     "oracle-compare": Kind(
         ("oracle", "compare"), "tabulate oracles vs numerics",
         "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
-        parse=_tg_grid, tasks=lambda spec: [{"tg_cycles": tg} for tg in spec.fields],
+        parse=_oracle_compare_fields, tasks=lambda spec: [{"tg_cycles": tg} for tg in spec.fields],
         rows=_oracle_compare_rows, sort_cols=1,
     ),
 }

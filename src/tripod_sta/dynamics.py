@@ -5,12 +5,12 @@ where the a-e envelope vanishes and its phase jumps; the split also keeps
 the envelope-derivative kink off the interior of a step.
 
 The closed path (propagate_unitary) solves an exact SU(2) problem with
-fourth-order Magnus steps and step doubling; the Lindblad path and the
-dissipative oracle use the adaptive Dormand-Prince stepper qmath.ode_solve.
-The Lindblad path integrates a whole stack of density matrices (the six
-axial states at every amplitude scale of a noise-map point) in one
-shared-mesh solve and forms each commutator from one matmul rho H, so every
-state it steps through is exactly Hermitian.
+fourth-order Magnus steps and step doubling; the Lindblad path uses the
+adaptive Dormand-Prince stepper qmath.ode_solve.  The Lindblad path
+integrates a whole stack of density matrices (the six axial states at every
+amplitude scale of a noise-map point) in one shared-mesh solve and forms
+each commutator from one matmul rho H, so every state it steps through is
+exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -104,25 +104,29 @@ def _two_segment_solve(rhs, y0, t_gate, cfg) -> OdeResult:
     )
 
 
-def _magnus_half_segment(field, t0: float, t1: float, tol: float) -> tuple[np.ndarray, int, float, int]:
-    """(U2, N, estimate, discarded steps): double N from MAGNUS_MIN_STEPS until
-    |U2(2N) - U2(N)|/15 <= tol, or until the estimate stops shrinking at the
-    roundoff plateau."""
-    n = MAGNUS_MIN_STEPS
-    u = magnus_su2(field, t0, t1, n)
-    discarded, prev_est = 0, math.inf
+def _refine_by_doubling(approx, n: int, n_max: int, tol: float, what: str, divisor: float = 1.0):
+    """(approx(N), N, estimate, discarded N): double N from n until the estimate
+    max|approx(2N) - approx(N)|/divisor is at most tol, or until it stops
+    shrinking at the roundoff plateau; past n_max raise NumericalError."""
+    value, discarded, prev_est = approx(n), 0, math.inf
     while True:
-        if 2 * n > MAGNUS_MAX_STEPS:
-            raise NumericalError(
-                f"Magnus step doubling reached {n} steps on [{t0:g}, {t1:g}] with estimate {prev_est:.3e}"
-            )
-        finer = magnus_su2(field, t0, t1, 2 * n)
+        if 2 * n > n_max:
+            raise NumericalError(f"{what} reached N = {n} with estimate {prev_est:.3e}")
+        finer = approx(2 * n)
         discarded += n
         n *= 2
-        est = max_abs(finer - u) / 15.0
+        est = max_abs(finer - value) / divisor
         if est <= tol or prev_est <= est <= ROUNDOFF_ESTIMATE:
             return finer, n, est, discarded
-        u, prev_est = finer, est
+        value, prev_est = finer, est
+
+
+def _magnus_half_segment(field, t0: float, t1: float, tol: float) -> tuple[np.ndarray, int, float, int]:
+    """(U2, N, |U2(2N) - U2(N)|/15, discarded steps) of the Magnus product on [t0, t1]."""
+    what = f"Magnus step doubling on [{t0:g}, {t1:g}]"
+    return _refine_by_doubling(
+        lambda n: magnus_su2(field, t0, t1, n), MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, what, 15.0
+    )
 
 
 def propagate_unitary(
@@ -248,26 +252,3 @@ def propagate_lindblad_batch(
     rhs = _lindblad_rhs(env, noise, amp_scales)
     res = _two_segment_solve(rhs, hermitize(rho0s), params.t_gate, cfg)
     return _density_results(res, cfg.rel_tol)
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization, vec(A X B) = (B^T kron A) vec(X)."""
-    return np.asarray(rho).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int = 4) -> np.ndarray:
-    return np.asarray(v).reshape((dim, dim), order="F")
-
-
-def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> -i[H, rho] in the column-stacking convention."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return 1.0j * (np.kron(h.T, eye) - np.kron(eye, h))
-
-
-def dissipator_superoperator(l_op: np.ndarray) -> np.ndarray:
-    """Superoperator of the single-collapse dissipator
-    rho -> L rho L^dag - (1/2){L^dag L, rho}."""
-    eye = np.eye(l_op.shape[0], dtype=complex)
-    ldl = l_op.conj().T @ l_op
-    return np.kron(l_op.conj(), l_op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)

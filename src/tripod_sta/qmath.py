@@ -30,9 +30,10 @@ ABS_TOL_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`
-    and of the Magnus step doubling in dynamics.propagate_unitary; abs_tol
-    must be at least ABS_TOL_FLOOR."""
+    """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`,
+    of the Magnus step doubling in dynamics.propagate_unitary and of the node
+    doubling in oracles.dissipative_magnus_map; abs_tol must be at least
+    ABS_TOL_FLOOR."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12

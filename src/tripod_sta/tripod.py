@@ -25,22 +25,6 @@ SIGMA = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-# Spin-1 operators on the (d2, b-, b+) triplet in adiabatic-frame ordering;
-# the |0t> row and column are zero.
-J_X = np.zeros((4, 4), dtype=complex)
-J_X[1, 2] = J_X[1, 3] = 1.0 / SQRT2
-J_X[2, 1] = J_X[3, 1] = 1.0 / SQRT2
-
-J_Y = np.zeros((4, 4), dtype=complex)
-J_Y[1, 2] = 1.0j / SQRT2
-J_Y[1, 3] = -1.0j / SQRT2
-J_Y[2, 1] = -1.0j / SQRT2
-J_Y[3, 1] = 1.0j / SQRT2
-
-J_Z = np.zeros((4, 4), dtype=complex)
-J_Z[2, 2] = 1.0
-J_Z[3, 3] = -1.0
-
 
 def spin1_image(u: np.ndarray) -> np.ndarray:
     """1 (+) D1(u): the spin-1 image of a 2x2 matrix (or a stack (..., 2, 2))
@@ -48,7 +32,8 @@ def spin1_image(u: np.ndarray) -> np.ndarray:
 
     D1 is the symmetric square of u: b- = |m=+1>, d2 = |m=0>, b+ = |m=-1>.
     It is quadratic in the entries and multiplicative, and it maps
-    exp(-i g.sigma/2) to exp(-i g.(J_X, J_Y, J_Z))."""
+    exp(-i g.sigma/2) to exp(-i g.J), with J the spin-1 operators on the
+    triplet in frame ordering."""
     u = np.asarray(u)
     a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
     out = np.zeros(u.shape[:-2] + (4, 4), dtype=complex)
@@ -143,7 +128,7 @@ class FrameBasis:
 
 def frame_field(params: ControlParams, shape: PulseShape, t: float) -> tuple[float, float, float]:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
-    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_X + c_y J_Y + c_z J_Z.
+    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z.
 
     c = (r*omega0*kappa/2, theta_dot, -r*omega0/2) with r = amp_scale and
     kappa = 4*theta_ddot/(omega0^2 + 4*theta_dot^2), the SATD envelope
@@ -179,7 +164,7 @@ def lab_operator(params: ControlParams, shape: PulseShape, first: np.ndarray, se
 
 def _dressed(c: tuple, nu: DressingAngle, t: float) -> tuple:
     """Spin components of the field c seen in the frame dressed by
-    exp(-i*nu*J_X): a rotation about x by nu, less the nu_dot*J_X it costs."""
+    exp(-i*nu*J_x): a rotation about x by nu, less the nu_dot*J_x it costs."""
     n = nu.angle(t)
     sn, cn = math.sin(n), math.cos(n)
     return c[0] - nu.rate(t), c[1] * cn + c[2] * sn, c[2] * cn - c[1] * sn
@@ -297,12 +282,3 @@ def dressed_frame_fields(
         ]
     )
     return b, xi, st * st * cn * cn
-
-
-def dressed_frame_hamiltonian(
-    params: ControlParams, shape: PulseShape, nu: DressingAngle, t: float
-) -> np.ndarray:
-    """S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu - nu_dot*J_X with
-    S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field."""
-    cx, cy, cz = _dressed(frame_field(params, shape, t), nu, t)
-    return cx * J_X + cy * J_Y + cz * J_Z

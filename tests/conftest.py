@@ -7,12 +7,30 @@ import math
 import numpy as np
 import pytest
 
-from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor
+from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, satd_dressing_angle
+from tripod_sta.oracles import _collapse_vector
 from tripod_sta.qmath import IntegratorConfig, ode_solve
-from tripod_sta.tripod import hamiltonian
+from tripod_sta.tripod import _dressed, frame_ends, frame_field, hamiltonian
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
 OMEGA0 = 2.0 * math.pi
+SQRT2 = math.sqrt(2.0)
+
+# Spin-1 operators on the (d2, b-, b+) triplet in adiabatic-frame ordering;
+# the |0t> row and column are zero.
+J_X = np.zeros((4, 4), dtype=complex)
+J_X[1, 2] = J_X[1, 3] = 1.0 / SQRT2
+J_X[2, 1] = J_X[3, 1] = 1.0 / SQRT2
+
+J_Y = np.zeros((4, 4), dtype=complex)
+J_Y[1, 2] = 1.0j / SQRT2
+J_Y[1, 3] = -1.0j / SQRT2
+J_Y[2, 1] = -1.0j / SQRT2
+J_Y[3, 1] = 1.0j / SQRT2
+
+J_Z = np.zeros((4, 4), dtype=complex)
+J_Z[2, 2] = 1.0
+J_Z[3, 3] = -1.0
 
 
 def params(cycles, flavor=Flavor.ADIABATIC, gamma0=math.pi, alpha=math.pi / 4, beta=0.0, amp_scale=1.0):
@@ -29,6 +47,64 @@ def dopri5_unitary(env: EnvelopeSet, cfg: IntegratorConfig) -> np.ndarray:
     half = env.segment_boundary
     first = ode_solve(rhs, np.eye(4, dtype=complex), 0.0, half, cfg)
     return ode_solve(rhs, first.y, half, env.params.t_gate, cfg).y
+
+
+def vec(rho: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization, vec(A X B) = (B^T kron A) vec(X)."""
+    return np.asarray(rho).flatten(order="F")
+
+
+def unvec(v: np.ndarray, dim: int = 4) -> np.ndarray:
+    return np.asarray(v).reshape((dim, dim), order="F")
+
+
+def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> -i[H, rho] in the column-stacking convention."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return 1.0j * (np.kron(h.T, eye) - np.kron(eye, h))
+
+
+def dissipator_superoperator(l_op: np.ndarray) -> np.ndarray:
+    """Superoperator of the single-collapse dissipator
+    rho -> L rho L^dag - (1/2){L^dag L, rho}."""
+    eye = np.eye(l_op.shape[0], dtype=complex)
+    ldl = l_op.conj().T @ l_op
+    return np.kron(l_op.conj(), l_op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
+
+
+def dressed_frame_hamiltonian(params, shape, nu, t: float) -> np.ndarray:
+    """S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu - nu_dot*J_X with
+    S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field."""
+    cx, cy, cz = _dressed(frame_field(params, shape, t), nu, t)
+    return cx * J_X + cy * J_Y + cz * J_Z
+
+
+def dopri5_dissipative_superop(params, shape, noise, cfg: IntegratorConfig) -> np.ndarray:
+    """Reference for the dissipative oracle: the lab-frame 16x16 map of the
+    first-order dissipative Magnus solution, with the dressed-frame
+    propagator superoperator and the interaction-picture dissipator integral
+    integrated together by the adaptive Dormand-Prince stepper."""
+    gamma_e = noise.gamma_phi[3]
+    nu = satd_dressing_angle(params, shape)
+    tg = params.t_gate
+    eye16 = np.eye(16, dtype=complex)
+
+    def segment_map(t0: float, t1: float) -> np.ndarray:
+        def rhs(t, y):
+            prop = y[:, :16]
+            ell0 = hamiltonian_superoperator(dressed_frame_hamiltonian(params, shape, nu, t))
+            c = _collapse_vector(params, shape, t)
+            ell_phi = dissipator_superoperator(math.sqrt(gamma_e) * np.outer(c, c.conj()))
+            return np.concatenate([ell0 @ prop, prop.conj().T @ ell_phi @ prop], axis=1)
+
+        y0 = np.concatenate([eye16, np.zeros((16, 16), dtype=complex)], axis=1)
+        y = ode_solve(rhs, y0, t0, t1, cfg).y
+        return y[:, :16] @ (eye16 + y[:, 16:])
+
+    s_out, junction, s_in = frame_ends(params, shape)
+    total_dr = segment_map(0.5 * tg, tg) @ np.kron(junction.conj(), junction) @ segment_map(0.0, 0.5 * tg)
+    into_frame = np.kron(s_in.conj(), s_in).conj().T
+    return np.kron(s_out.conj(), s_out) @ total_dr @ into_frame
 
 
 def series_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:

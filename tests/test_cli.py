@@ -217,6 +217,8 @@ class TestConfigHandling:
             # Positive gate times below cli.MIN_TG_CYCLES, where the pulse shape and closed forms overflow.
             ("sweep gate-error", "tg_grid.min", 1e-100),
             ("oracle compare", "tg_grid.min", 1e-100),
+            # Oracle B and the closed form cover excited-state dephasing only.
+            ("oracle compare", "noise.gamma_phi", [0.01, 0.0, 0.0, 0.01]),
             ("pulses export", "tg_cycles", 1e-200),
             ("contour", "contour.tg_min", 1e-200),
         ]
@@ -455,6 +457,19 @@ def test_unitarity_breach_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "unitarity defect" in err
     assert "tg_cycles=2.0, flavor=adiabatic" in err
+    assert not out.exists()
+
+
+def test_oracle_node_cap_exits_3(tmp_path, capsys, monkeypatch):
+    from tripod_sta import oracles
+
+    monkeypatch.setattr(oracles, "ORACLE_MAX_NODES", oracles.ORACLE_MIN_NODES)
+    out = tmp_path / "oc.csv"
+    cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["oracle compare"], out=str(out)))
+    assert cli.main(["oracle", "compare", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "oracle node doubling" in err
+    assert "tg_cycles=4.0" in err
     assert not out.exists()
 
 

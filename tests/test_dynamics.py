@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, dopri5_unitary, leak_lindblad_rhs, params, random_hermitian, series_expm
+from conftest import (
+    OMEGA0,
+    dissipator_superoperator,
+    dopri5_unitary,
+    hamiltonian_superoperator,
+    leak_lindblad_rhs,
+    params,
+    random_hermitian,
+    series_expm,
+    unvec,
+    vec,
+)
 from tripod_sta import dynamics, tripod
 from tripod_sta.controls import Flavor, PulseShape, make_envelopes
 from tripod_sta.dynamics import (
@@ -11,13 +22,9 @@ from tripod_sta.dynamics import (
     ROUNDOFF_ESTIMATE,
     NoiseModel,
     NumericalError,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
     propagate_lindblad,
     propagate_lindblad_batch,
     propagate_unitary,
-    unvec,
-    vec,
 )
 from tripod_sta.metrics import AXIAL_QUBIT_STATES, avg_gate_fidelity, qubit_overlap_operator
 from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig, hermitize, magnus_su2, max_abs

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, params, series_expm
+from conftest import J_X, OMEGA0, dopri5_dissipative_superop, params, series_expm, unvec, vec
 from tripod_sta.controls import (
     DressingAngle,
     Flavor,
@@ -11,8 +11,8 @@ from tripod_sta.controls import (
     make_envelopes,
     make_pulse_shape,
 )
-from tripod_sta.dynamics import NoiseModel, propagate_unitary, unvec, vec
-from tripod_sta.metrics import analytic_satd_dephasing_fidelity
+from tripod_sta.dynamics import NoiseModel, propagate_unitary
+from tripod_sta.metrics import AXIAL_QUBIT_STATES, analytic_satd_dephasing_fidelity
 from tripod_sta.oracles import (
     A1,
     A2,
@@ -20,7 +20,7 @@ from tripod_sta.oracles import (
     B2,
     C1,
     C2,
-    dissipative_magnus_superop,
+    dissipative_magnus_map,
     generic_dressing_phase,
     magnus_coefficients,
     magnus_full_gate,
@@ -91,10 +91,14 @@ class TestDissipativeOracle:
     def test_rejects_bad_inputs(self):
         shape = make_pulse_shape(2.0)
         with pytest.raises(ValueError):
-            dissipative_magnus_superop(params(2.0), shape, NoiseModel((0, 0, 0, 1e-3)))
+            dissipative_magnus_map(params(2.0), shape, NoiseModel((0, 0, 0, 1e-3)), AXIAL_QUBIT_STATES)
         with pytest.raises(ValueError):
-            dissipative_magnus_superop(
-                params(2.0, Flavor.SATD), shape, NoiseModel((1e-3, 0, 0, 1e-3))
+            dissipative_magnus_map(
+                params(2.0, Flavor.SATD), shape, NoiseModel((1e-3, 0, 0, 1e-3)), AXIAL_QUBIT_STATES
+            )
+        with pytest.raises(ValueError):
+            dissipative_magnus_map(
+                params(2.0, Flavor.SATD, amp_scale=1.1), shape, NoiseModel((0, 0, 0, 1e-3)), AXIAL_QUBIT_STATES
             )
 
     def test_collapse_amplitudes_normalized(self):
@@ -110,7 +114,7 @@ class TestDissipativeOracle:
         # The analytic amplitudes are the dressed-frame image of |e><e|.
         from tripod_sta.controls import satd_dressing_angle
         from tripod_sta.oracles import _collapse_vector
-        from tripod_sta.tripod import J_X, FrameBasis
+        from tripod_sta.tripod import FrameBasis
 
         p = params(1.5, Flavor.SATD)
         shape = make_pulse_shape(1.5)
@@ -127,7 +131,7 @@ class TestDissipativeOracle:
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 0.25
         rho0[1, 1] = 0.75
-        out = unvec(dissipative_magnus_superop(p, shape, NoiseModel(), ORACLE_CFG) @ vec(rho0))
+        out = dissipative_magnus_map(p, shape, NoiseModel(), rho0[None], ORACLE_CFG)[0]
         u = propagate_unitary(p, make_envelopes(p, shape), CFG).final_operator
         assert np.max(np.abs(out - u @ rho0 @ u.conj().T)) < 1e-8
 
@@ -137,8 +141,19 @@ class TestDissipativeOracle:
         noise = NoiseModel((0.0, 0.0, 0.0, 1e-2))
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[:2, :2] = 0.5
-        out = unvec(dissipative_magnus_superop(p, shape, noise, ORACLE_CFG) @ vec(rho0))
+        out = dissipative_magnus_map(p, shape, noise, rho0[None], ORACLE_CFG)[0]
         assert abs(np.trace(out).real - 1.0) < 1e-4
+
+    def test_matches_dopri5_reference(self):
+        # The dressed-frame quadrature against the superoperator ODE it replaced.
+        noise = NoiseModel((0.0, 0.0, 0.0, 1e-2))
+        for cyc in (2.0, 5.0, 10.0):
+            p = params(cyc, Flavor.SATD)
+            shape = make_pulse_shape(cyc)
+            superop = dopri5_dissipative_superop(p, shape, noise, ORACLE_CFG)
+            expected = np.array([unvec(superop @ vec(rho)) for rho in AXIAL_QUBIT_STATES])
+            got = dissipative_magnus_map(p, shape, noise, AXIAL_QUBIT_STATES, ORACLE_CFG)
+            assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_matches_first_order_analytics(self):
         # Six-state average against the closed-form prediction at a weak rate.

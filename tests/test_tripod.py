@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, params, random_unitary, series_expm
+from conftest import J_X, J_Y, J_Z, OMEGA0, dressed_frame_hamiltonian, params, random_unitary, series_expm
 from tripod_sta.qmath import su2_exponential
 from tripod_sta.controls import (
     DressingAngle,
@@ -14,13 +14,10 @@ from tripod_sta.controls import (
     satd_dressing_angle,
 )
 from tripod_sta.tripod import (
-    J_X,
-    J_Y,
-    J_Z,
     FrameBasis,
+    _dressed,
     decompose_block_unitary,
     dressed_frame_fields,
-    dressed_frame_hamiltonian,
     frame_ends,
     frame_field,
     hamiltonian,
@@ -271,6 +268,25 @@ class TestDressedFrame:
         for t in np.linspace(0.0, tg, 37):
             b, _, _ = dressed_frame_fields(p, shape, nu, float(t))
             assert abs(b[1]) < 1e-12 * OMEGA0
+
+    def test_satd_field_is_diagonal_in_the_dressed_frame(self):
+        # The dissipative oracle's premise: at the nominal amplitude the SATD
+        # field seen in the transitionless dressed frame is (0, 0, -E) with
+        # E = sqrt(omega0^2/4 + theta_dot^2); a mis-scaled amplitude breaks it.
+        for tg in (0.7, 2.0, 5.0):
+            p = params(tg, Flavor.SATD)
+            shape = make_pulse_shape(tg)
+            nu = satd_dressing_angle(p, shape)
+            for t in np.linspace(0.0, tg, 41):
+                t = float(t)
+                e = math.sqrt(0.25 * OMEGA0**2 + shape(t)[1] ** 2)
+                dressed = _dressed(frame_field(p, shape, t), nu, t)
+                assert np.max(np.abs(np.subtract(dressed, (0.0, 0.0, -e)))) < 1e-13
+        p = params(2.0, Flavor.SATD, amp_scale=1.1)
+        shape = make_pulse_shape(2.0)
+        nu = satd_dressing_angle(p, shape)
+        xy = [_dressed(frame_field(p, shape, float(t)), nu, float(t))[:2] for t in np.linspace(0.0, 2.0, 41)]
+        assert np.max(np.abs(xy)) > 1e-3
 
     def test_nonspin_couplings_vanish_at_midpoint(self):
         tg = 2.0
