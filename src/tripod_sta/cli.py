@@ -218,6 +218,11 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     out = overrides.get("out") or cfg.get("out")
     if not out or not isinstance(out, str):
         raise ConfigError("out", "an output path is required (config 'out' or --out)")
+    # Checked here, so a path the CSV cannot be written to fails before the sweep runs.
+    if os.path.isdir(out):
+        raise ConfigError("out", f"{out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError("out", f"the directory of {out!r} does not exist")
 
     alpha = _field(cfg, "alpha", math.pi / 4)
     beta = _field(cfg, "beta", 0.0)
@@ -270,7 +275,8 @@ def _base_comments(spec: SweepSpec) -> list[str]:
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool forks all its workers at the first submit, so start no idle ones.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -216,21 +216,6 @@ def generic_dressing(
     return DressingAngle(mu, mu_dot)
 
 
-def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float], float]:
-    """Smooth test profile gamma_dot(t) = (pi*gamma0/t_gate)*sin(2*pi*t/t_gate).
-
-    Antisymmetric about t_gate/2 and normalized so the phase ramps to gamma0
-    by mid-protocol.
-    """
-    tg = params.t_gate
-    amp = math.pi * params.gamma0 / tg
-
-    def rate(t: float) -> float:
-        return amp * math.sin(2.0 * math.pi * t / tg)
-
-    return rate
-
-
 def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) -> float:
     """Time-averaged operator 2-norm of the control Hamiltonian.
 

@@ -155,7 +155,7 @@ def propagate_unitary(
 
     u1, n1, est1, discarded1 = _magnus_half_segment(field, 0.0, half, tol)
     u2, n2, est2, discarded2 = _magnus_half_segment(field, half, tg, tol)
-    u = lab_operator(params, shape, u1, u2)
+    u = lab_operator(params, u1, u2)
     defect = unitarity_defect(u)
     bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
     if not defect <= bound:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controls import ControlParams, DressingAngle, Flavor, PulseShape, generic_dressing, make_pulse_shape
+from .controls import ControlParams, DressingAngle, Flavor, PulseShape, generic_dressing
 from .dynamics import NoiseModel, _refine_by_doubling
 from .metrics import AXIAL_QUBIT_STATES, _axial_average
 from .qmath import IntegratorConfig, gauss_legendre, su2_exponential
@@ -71,7 +71,7 @@ def magnus_full_gate(params: ControlParams) -> np.ndarray:
     zero, plus, minus = su2_exponential(
         [[0.0, 0.0, -0.25 * w * tg], [co.omega_x, co.omega_y, co.delta], [-co.omega_x, -co.omega_y, co.delta]]
     )
-    return lab_operator(params, make_pulse_shape(tg), zero @ plus, zero @ minus)
+    return lab_operator(params, zero @ plus, zero @ minus)
 
 
 def _collapse_vector(params: ControlParams, shape: PulseShape, t) -> np.ndarray:
@@ -120,7 +120,7 @@ def dissipative_magnus_map(
     if any(g != 0.0 for g in noise.gamma_phi[:3]):
         raise ValueError("the dissipative oracle covers excited-state dephasing only")
     half, tg, gamma_e = 0.5 * params.t_gate, params.t_gate, noise.gamma_phi[3]
-    s_out, junction, s_in = frame_ends(params, shape)
+    s_out, junction, s_in = frame_ends(params)
     rhos = s_in.conj().T @ np.asarray(rho0s, dtype=complex) @ s_in
 
     def final_states(n: int) -> np.ndarray:

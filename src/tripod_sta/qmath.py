@@ -1,5 +1,5 @@
 """Dense complex linear algebra, ODE stepping, SU(2) Magnus stepping, and
-quadrature at 2x2/4x4/16x16 scale.
+quadrature at 2x2/4x4 scale, on single matrices and stacks of them.
 
 Everything here operates on plain numpy arrays of complex128.  All functions
 are pure; nothing keeps internal state, so values can be shared freely between

@@ -1,4 +1,4 @@
-"""Tripod Hamiltonians, analytic frame bases, and closed-form target gates.
+"""Tripod Hamiltonians, the analytic adiabatic frame, and closed-form target gates.
 
 Lab basis ordering is (|0>, |1>, |a>, |e>); the adiabatic-frame ordering is
 (|0t>, |d2>, |b->, |b+>) where |0t> is the decoupled qubit dark state.  All
@@ -9,21 +9,13 @@ gauge is fixed and frame-dependent phases are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape
-from .qmath import gauss_legendre, max_abs, su2_exponential
+from .qmath import gauss_legendre, su2_exponential
 
 SQRT2 = math.sqrt(2.0)
-
-# Pauli matrices, for reading rotation axes out of 2x2 blocks.
-SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 def spin1_image(u: np.ndarray) -> np.ndarray:
@@ -58,14 +50,6 @@ def qubit_dark_state(alpha: float, beta: float) -> np.ndarray:
     return v
 
 
-def qubit_coupled_state(alpha: float, beta: float) -> np.ndarray:
-    """|1t> = cos(a)|0> + e^{i b} sin(a)|1>, the STIRAP-active qubit state."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = math.cos(alpha)
-    v[1] = complex(math.cos(beta), math.sin(beta)) * math.sin(alpha)
-    return v
-
-
 def hamiltonian(env: EnvelopeSet, t: float) -> np.ndarray:
     """(1/2)[O_0e|0><e| + O_1e|1><e| + O_ae|a><e| + H.c.] at time t."""
     o0, o1, oa = env.evaluate(t)
@@ -79,51 +63,28 @@ def hamiltonian(env: EnvelopeSet, t: float) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class FrameBasis:
-    """Instantaneous eigenbasis of the adiabatic flavor and its frame change.
-
-    The phase of the a-e control leg is constant on each half-segment (0,
-    then gamma0); pass segment=1 or 2 to pin the side at t = t_gate/2.
-    """
-
-    params: ControlParams
-    shape: PulseShape
-
-    def segment(self, t: float) -> int:
-        return 1 if t < 0.5 * self.params.t_gate else 2
-
-    def _gamma_phase(self, segment: int) -> complex:
-        if segment == 1:
-            return 1.0 + 0.0j
-        g = self.params.gamma0
-        return complex(math.cos(g), math.sin(g))
-
-    def dark2(self, t: float, segment: int | None = None) -> np.ndarray:
-        seg = self.segment(t) if segment is None else segment
-        th = self.shape(t)[0]
-        ph = self._gamma_phase(seg)
-        v = math.cos(th) * qubit_coupled_state(self.params.alpha, self.params.beta)
-        v[2] -= ph * math.sin(th)
-        return v
-
-    def bright(self, t: float, sign: int, segment: int | None = None) -> np.ndarray:
-        seg = self.segment(t) if segment is None else segment
-        th = self.shape(t)[0]
-        ph = self._gamma_phase(seg)
-        v = sign * math.sin(th) * qubit_coupled_state(self.params.alpha, self.params.beta)
-        v[2] += sign * ph * math.cos(th)
+def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.ndarray:
+    """Frame-change unitary S_ad at mixing angle theta: its columns are the
+    instantaneous eigenbasis (|0t>, |d2>, |b->, |b+>) of the adiabatic flavor,
+    |d2> = cos(theta)|1t> - p sin(theta)|a> and
+    |b-+> = (-+sin(theta)|1t> -+ p cos(theta)|a> + |e>)/sqrt(2), with
+    |1t> = cos(a)|0> + e^{i b} sin(a)|1> the STIRAP-active qubit state.  The
+    a-e leg phase p is 1 on the first half-segment and e^{i gamma0} on the
+    second."""
+    a, b, g = params.alpha, params.beta, params.gamma0
+    ph = complex(math.cos(g), math.sin(g)) if second_half else 1.0 + 0.0j
+    coupled = np.array([math.cos(a), complex(math.cos(b), math.sin(b)) * math.sin(a), 0.0, 0.0])
+    st, ct = math.sin(theta), math.cos(theta)
+    s = np.empty((4, 4), dtype=complex)
+    s[:, 0] = qubit_dark_state(a, b)
+    s[:, 1] = ct * coupled
+    s[2, 1] -= ph * st
+    for col, sign in ((2, -1), (3, 1)):
+        v = sign * st * coupled
+        v[2] += sign * ph * ct
         v[3] += 1.0
-        return v / SQRT2
-
-    def s_ad(self, t: float, segment: int | None = None) -> np.ndarray:
-        """Frame-change unitary: columns are (|0t>, |d2>, |b->, |b+>) at t."""
-        s = np.empty((4, 4), dtype=complex)
-        s[:, 0] = qubit_dark_state(self.params.alpha, self.params.beta)
-        s[:, 1] = self.dark2(t, segment)
-        s[:, 2] = self.bright(t, -1, segment)
-        s[:, 3] = self.bright(t, +1, segment)
-        return s
+        s[:, col] = v / SQRT2
+    return s
 
 
 def frame_field(params: ControlParams, shape: PulseShape, t: float) -> tuple[float, float, float]:
@@ -143,22 +104,26 @@ def frame_field(params: ControlParams, shape: PulseShape, t: float) -> tuple[flo
     return half_gap * kappa, td, -half_gap
 
 
-def frame_ends(params: ControlParams, shape: PulseShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S(t_g, seg 2), S(t_g/2, seg 2)^dag S(t_g/2, seg 1), S(0, seg 1)): the
-    frame change out of the adiabatic frame at the end, the junction that
-    carries the geometric phase across t_g/2, and the frame change at the
-    start, with S the FrameBasis frame change."""
-    fb = FrameBasis(params, shape)
-    tg = params.t_gate
-    return fb.s_ad(tg, 2), fb.s_ad(0.5 * tg, 2).conj().T @ fb.s_ad(0.5 * tg, 1), fb.s_ad(0.0, 1)
+def frame_ends(params: ControlParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S(0, seg 2), S(pi/2, seg 2)^dag S(pi/2, seg 1), S(0, seg 1)) with S the
+    frame_change at a mixing angle: the frame change out of the adiabatic
+    frame at t_g, the junction that carries the geometric phase across t_g/2,
+    and the frame change at the start.  The pulse shape gives theta exactly
+    0, pi/2 and 0 at t = 0, t_g/2 and t_g, so the ends need no shape."""
+    mid = 0.5 * math.pi
+    return (
+        frame_change(params, 0.0, True),
+        frame_change(params, mid, True).conj().T @ frame_change(params, mid, False),
+        frame_change(params, 0.0, False),
+    )
 
 
-def lab_operator(params: ControlParams, shape: PulseShape, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+def lab_operator(params: ControlParams, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Lab-frame 4x4 operator of the protocol whose adiabatic-frame half-segment
     propagators are spin1_image(first) and spin1_image(second), for 2x2
-    propagators first and second:
-    S(t_g) D(second) S(t_g/2, seg 2)^dag S(t_g/2, seg 1) D(first) S(0)^dag."""
-    s_out, junction, s_in = frame_ends(params, shape)
+    propagators first and second: S_out D(second) junction D(first) S_in^dag
+    with (S_out, junction, S_in) = frame_ends(params)."""
+    s_out, junction, s_in = frame_ends(params)
     return s_out @ spin1_image(second) @ junction @ spin1_image(first) @ s_in.conj().T
 
 
@@ -168,53 +133,6 @@ def _dressed(c: tuple, nu: DressingAngle, t: float) -> tuple:
     n = nu.angle(t)
     sn, cn = math.sin(n), math.cos(n)
     return c[0] - nu.rate(t), c[1] * cn + c[2] * sn, c[2] * cn - c[1] * sn
-
-
-@dataclass(frozen=True)
-class GateDecomposition:
-    """A 4x4 block unitary as qubit-block and auxiliary-block rotations.
-
-    Each 2x2 block is phase * (cos(angle/2) I - i sin(angle/2) axis.sigma)
-    with angle in [0, 2*pi] and the global phase taken as arg(det)/2.  Zero
-    rotations return axis (0, 0, 1) by convention.
-    """
-
-    qubit_axis: tuple[float, float, float]
-    qubit_angle: float
-    qubit_phase: float
-    aux_axis: tuple[float, float, float]
-    aux_angle: float
-    aux_phase: float
-
-
-def _decompose_su2(u: np.ndarray) -> tuple[tuple[float, float, float], float, float]:
-    """(axis, angle, global phase) of a 2x2 unitary."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    phase = 0.5 * math.atan2(det.imag, det.real)
-    v = complex(math.cos(-phase), math.sin(-phase)) * u
-    c = 0.5 * (v[0, 0] + v[1, 1]).real
-    s_vec = np.array([(1.0j * 0.5 * np.trace(v @ sig)).real for sig in SIGMA])
-    s_norm = float(np.linalg.norm(s_vec))
-    angle = 2.0 * math.atan2(s_norm, c)
-    if s_norm < 1e-14:
-        axis = (0.0, 0.0, 1.0)
-    else:
-        axis = tuple(float(x) for x in s_vec / s_norm)
-    return axis, angle, phase
-
-
-def decompose_block_unitary(u: np.ndarray, leak_tol: float = 1e-9) -> GateDecomposition:
-    """Split a block-diagonal 4x4 unitary into the two rotations.
-
-    Raises if the off-diagonal (qubit <-> auxiliary) blocks exceed leak_tol.
-    """
-    u = np.asarray(u, dtype=complex)
-    leak = max(max_abs(u[:2, 2:]), max_abs(u[2:, :2]))
-    if leak > leak_tol:
-        raise ValueError(f"operator is not block-diagonal (leakage {leak:.3e})")
-    q_axis, q_angle, q_phase = _decompose_su2(u[:2, :2])
-    a_axis, a_angle, a_phase = _decompose_su2(u[2:, 2:])
-    return GateDecomposition(q_axis, q_angle, q_phase, a_axis, a_angle, a_phase)
 
 
 def _geometric_gate(params: ControlParams, aux_half_angle: float) -> np.ndarray:

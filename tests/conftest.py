@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, satd_dressing_angle
+from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, PulseShape, satd_dressing_angle
 from tripod_sta.oracles import _collapse_vector
-from tripod_sta.qmath import IntegratorConfig, ode_solve
-from tripod_sta.tripod import _dressed, frame_ends, frame_field, hamiltonian
+from tripod_sta.qmath import IntegratorConfig, max_abs, ode_solve
+from tripod_sta.tripod import _dressed, frame_change, frame_ends, frame_field, hamiltonian
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
 OMEGA0 = 2.0 * math.pi
@@ -35,6 +37,83 @@ J_Z[3, 3] = -1.0
 
 def params(cycles, flavor=Flavor.ADIABATIC, gamma0=math.pi, alpha=math.pi / 4, beta=0.0, amp_scale=1.0):
     return ControlParams(OMEGA0, alpha, beta, gamma0, cycles, flavor, amp_scale)
+
+
+def frame_at(params: ControlParams, shape: PulseShape, t: float, segment: int | None = None) -> np.ndarray:
+    """tripod.frame_change at time t on half-segment 1 or 2, by default the
+    one t lies in (segment 2 from t_gate/2 on)."""
+    seg = (1 if t < 0.5 * params.t_gate else 2) if segment is None else segment
+    return frame_change(params, shape(t)[0], seg == 2)
+
+
+# Pauli matrices, for reading rotation axes out of 2x2 blocks.
+SIGMA = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float], float]:
+    """Smooth test profile gamma_dot(t) = (pi*gamma0/t_gate)*sin(2*pi*t/t_gate).
+
+    Antisymmetric about t_gate/2 and normalized so the phase ramps to gamma0
+    by mid-protocol.
+    """
+    tg = params.t_gate
+    amp = math.pi * params.gamma0 / tg
+
+    def rate(t: float) -> float:
+        return amp * math.sin(2.0 * math.pi * t / tg)
+
+    return rate
+
+
+@dataclass(frozen=True)
+class GateDecomposition:
+    """A 4x4 block unitary as qubit-block and auxiliary-block rotations.
+
+    Each 2x2 block is phase * (cos(angle/2) I - i sin(angle/2) axis.sigma)
+    with angle in [0, 2*pi] and the global phase taken as arg(det)/2.  Zero
+    rotations return axis (0, 0, 1) by convention.
+    """
+
+    qubit_axis: tuple[float, float, float]
+    qubit_angle: float
+    qubit_phase: float
+    aux_axis: tuple[float, float, float]
+    aux_angle: float
+    aux_phase: float
+
+
+def _decompose_su2(u: np.ndarray) -> tuple[tuple[float, float, float], float, float]:
+    """(axis, angle, global phase) of a 2x2 unitary."""
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    phase = 0.5 * math.atan2(det.imag, det.real)
+    v = complex(math.cos(-phase), math.sin(-phase)) * u
+    c = 0.5 * (v[0, 0] + v[1, 1]).real
+    s_vec = np.array([(1.0j * 0.5 * np.trace(v @ sig)).real for sig in SIGMA])
+    s_norm = float(np.linalg.norm(s_vec))
+    angle = 2.0 * math.atan2(s_norm, c)
+    if s_norm < 1e-14:
+        axis = (0.0, 0.0, 1.0)
+    else:
+        axis = tuple(float(x) for x in s_vec / s_norm)
+    return axis, angle, phase
+
+
+def decompose_block_unitary(u: np.ndarray, leak_tol: float = 1e-9) -> GateDecomposition:
+    """Split a block-diagonal 4x4 unitary into the two rotations.
+
+    Raises if the off-diagonal (qubit <-> auxiliary) blocks exceed leak_tol.
+    """
+    u = np.asarray(u, dtype=complex)
+    leak = max(max_abs(u[:2, 2:]), max_abs(u[2:, :2]))
+    if leak > leak_tol:
+        raise ValueError(f"operator is not block-diagonal (leakage {leak:.3e})")
+    q_axis, q_angle, q_phase = _decompose_su2(u[:2, :2])
+    a_axis, a_angle, a_phase = _decompose_su2(u[2:, 2:])
+    return GateDecomposition(q_axis, q_angle, q_phase, a_axis, a_angle, a_phase)
 
 
 def dopri5_unitary(env: EnvelopeSet, cfg: IntegratorConfig) -> np.ndarray:
@@ -101,7 +180,7 @@ def dopri5_dissipative_superop(params, shape, noise, cfg: IntegratorConfig) -> n
         y = ode_solve(rhs, y0, t0, t1, cfg).y
         return y[:, :16] @ (eye16 + y[:, 16:])
 
-    s_out, junction, s_in = frame_ends(params, shape)
+    s_out, junction, s_in = frame_ends(params)
     total_dr = segment_map(0.5 * tg, tg) @ np.kron(junction.conj(), junction) @ segment_map(0.0, 0.5 * tg)
     into_frame = np.kron(s_in.conj(), s_in).conj().T
     return np.kron(s_out.conj(), s_out) @ total_dr @ into_frame

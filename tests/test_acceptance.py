@@ -10,11 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, params
+from conftest import OMEGA0, decompose_block_unitary, default_antisymmetric_gamma_rate, params
 from tripod_sta.controls import (
     Flavor,
     amplitude_threshold_time,
-    default_antisymmetric_gamma_rate,
     make_envelopes,
     make_pulse_shape,
     satd_dressing_angle,
@@ -30,7 +29,7 @@ from tripod_sta.metrics import (
 )
 from tripod_sta.oracles import generic_dressing_phase, magnus_full_gate, oracle_b_map_fidelity
 from tripod_sta.qmath import IntegratorConfig
-from tripod_sta.tripod import decompose_block_unitary, dressed_frame_fields, ideal_gate
+from tripod_sta.tripod import dressed_frame_fields, ideal_gate
 
 TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 ACCURATE = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)

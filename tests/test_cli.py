@@ -140,6 +140,20 @@ class TestConfigHandling:
         payload = dict(GATE_ERROR_CFG, jobs=-3)
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
 
+    @pytest.mark.parametrize("via_flag", [False, True])
+    @pytest.mark.parametrize("name", ["missing/o.csv", "out_dir"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch, name, via_flag):
+        # A missing directory, or a directory as the file: both used to run the
+        # whole sweep, then end in a traceback at the write.
+        (tmp_path / "out_dir").mkdir()
+        monkeypatch.setattr(cli, "run", lambda spec: pytest.fail("the sweep ran"))
+        out = str(tmp_path / name)
+        payload = dict(GATE_ERROR_CFG) if via_flag else dict(GATE_ERROR_CFG, out=out)
+        cfg = write_config(tmp_path / "c.json", payload)
+        rc = cli.main(["sweep", "gate-error", "--config", cfg] + (["--out", out] if via_flag else []))
+        assert rc == 2
+        assert "'out'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     def test_bad_jobs_env_is_config_error(self, capsys, tmp_path, monkeypatch, value):
         monkeypatch.setenv("TRIPOD_STA_JOBS", value)
@@ -269,6 +283,29 @@ class TestGateErrorSweep:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # A recording stand-in: a real pool forks every worker at the first submit.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli._run_tasks(abs, [-1, -2], 64) == [1, 2]
+    assert cli._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert sizes == [2, 2]
 
 
 class TestNoiseMapSweep:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, params
+from conftest import OMEGA0, default_antisymmetric_gamma_rate, params
 from tripod_sta.controls import (
     ControlParams,
     DressingAngle,
@@ -12,7 +12,6 @@ from tripod_sta.controls import (
     _bisect_decreasing,
     amplitude_threshold_time,
     cost_threshold_time,
-    default_antisymmetric_gamma_rate,
     energy_cost,
     envelope_rows,
     generic_dressing,
@@ -31,15 +30,16 @@ class TestPulseShape:
         assert shape(1.0)[0] == pytest.approx(math.pi / 4, abs=1e-15)
 
     def test_boundary_values(self):
-        tg = 3.7
-        shape = make_pulse_shape(tg)
-        assert shape(0.0)[0] == 0.0
-        assert shape(0.5 * tg)[0] == pytest.approx(0.5 * math.pi, abs=1e-14)
-        assert shape(tg)[0] == pytest.approx(0.0, abs=1e-14)
-        for t in (0.0, 0.5 * tg, tg):
-            _, td, tdd = shape(t)
-            assert td == pytest.approx(0.0, abs=1e-13)
-            assert tdd == pytest.approx(0.0, abs=1e-13)
+        # Exact: tripod.frame_ends builds the frame changes at these angles.
+        for tg in (1e-6, 0.37, 3.7, 30.0, 1e3):
+            shape = make_pulse_shape(tg)
+            assert shape(0.0)[0] == 0.0
+            assert shape(0.5 * tg)[0] == 0.5 * math.pi
+            assert shape(tg)[0] == 0.0
+            for t in (0.0, 0.5 * tg, tg):
+                _, td, tdd = shape(t)
+                assert td == pytest.approx(0.0, abs=1e-13)
+                assert tdd == pytest.approx(0.0, abs=1e-13)
 
     def test_mirror_symmetry(self):
         tg = 5.0

@@ -100,6 +100,32 @@ def test_benchmark_entry_points_exist():
             obj = getattr(obj, part)
 
 
+# Paper content that only the acceptance criteria call.
+KEEP_UNCALLED = {"dressed_frame_fields", "generic_dressing_phase"}
+
+
+def _names_without_src_caller() -> set[str]:
+    """Top-level public functions and classes of src/ that no other code in
+    src/ names."""
+    defined, named = set(), set()
+    for path in (ROOT / "src" / "tripod_sta").glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and not own.startswith("_"):
+                defined.add(own)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name and name != own:
+                    named.add(name)
+    return defined - named
+
+
+def test_every_public_name_has_a_caller():
+    entry_points = {dotted.partition(".")[0] for _, dotted in _perfbench_entry_points()}
+    orphans = _names_without_src_caller() - set(tripod_sta.__all__) - entry_points - KEEP_UNCALLED
+    assert not orphans, f"only tests use these; move them to tests/conftest.py: {sorted(orphans)}"
+
+
 def test_benchmark_reads_arguments_where_they_are():
     # layer_trace reads ode_solve's rhs/y0 and propagate_lindblad_batch's
     # rho0s by position; probes call map_fidelity_uncertainty_avg positionally.

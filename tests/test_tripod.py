@@ -4,7 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import J_X, J_Y, J_Z, OMEGA0, dressed_frame_hamiltonian, params, random_unitary, series_expm
+from conftest import (
+    J_X,
+    J_Y,
+    J_Z,
+    OMEGA0,
+    decompose_block_unitary,
+    dressed_frame_hamiltonian,
+    frame_at,
+    params,
+    random_unitary,
+    series_expm,
+)
 from tripod_sta.qmath import su2_exponential
 from tripod_sta.controls import (
     DressingAngle,
@@ -14,10 +25,9 @@ from tripod_sta.controls import (
     satd_dressing_angle,
 )
 from tripod_sta.tripod import (
-    FrameBasis,
     _dressed,
-    decompose_block_unitary,
     dressed_frame_fields,
+    frame_change,
     frame_ends,
     frame_field,
     hamiltonian,
@@ -62,32 +72,43 @@ class TestHamiltonian:
 
 class TestFrameBasis:
     def test_orthonormal_and_unitary(self):
-        fb = FrameBasis(params(2.0, gamma0=2.1, alpha=0.5, beta=0.3), make_pulse_shape(2.0))
+        p = params(2.0, gamma0=2.1, alpha=0.5, beta=0.3)
         for t in (0.0, 0.4, 1.0, 1.6, 2.0):
-            s = fb.s_ad(t)
+            s = frame_at(p, make_pulse_shape(2.0), t)
             assert np.max(np.abs(s.conj().T @ s - np.eye(4))) < 1e-12
 
     def test_dark_states_have_no_excited_amplitude(self):
-        fb = FrameBasis(params(2.0), make_pulse_shape(2.0))
         for t in (0.1, 0.9, 1.7):
-            assert abs(fb.dark2(t)[3]) == 0.0
+            assert abs(frame_at(params(2.0), make_pulse_shape(2.0), t)[3, 1]) == 0.0
 
     def test_instantaneous_eigenvectors(self):
         p = params(2.0, gamma0=0.9, alpha=0.7, beta=1.9)
         env = make_envelopes(p)
-        fb = FrameBasis(p, make_pulse_shape(2.0))
         for t in (0.3, 1.4):
             h = hamiltonian(env, t)
-            assert np.max(np.abs(h @ fb.dark2(t))) < 1e-12
-            for sign, energy in ((-1, -0.5 * OMEGA0), (+1, 0.5 * OMEGA0)):
-                b = fb.bright(t, sign)
+            s = frame_at(p, make_pulse_shape(2.0), t)
+            assert np.max(np.abs(h @ s[:, 1])) < 1e-12
+            for col, energy in ((2, -0.5 * OMEGA0), (3, 0.5 * OMEGA0)):
+                b = s[:, col]
                 assert np.max(np.abs(h @ b - energy * b)) < 1e-12
 
     def test_geometric_phase_at_segment_junction(self):
         g0 = 1.3
-        _, jump, _ = frame_ends(params(2.0, gamma0=g0), make_pulse_shape(2.0))
+        _, jump, _ = frame_ends(params(2.0, gamma0=g0))
         expected = np.diag([1.0, np.exp(-1j * g0), 1.0, 1.0])
         assert np.max(np.abs(jump - expected)) < 1e-12
+
+    def test_ends_are_the_frame_changes_at_the_pulse_ends(self):
+        # frame_ends reads no pulse shape: theta is exactly 0, pi/2 and 0 at
+        # t = 0, t_g/2 and t_g, so the ends match the shape's angles bit for bit.
+        for tg, flavor in itertools.product((1e-6, 0.37, 3.7, 30.0, 1e3), (Flavor.ADIABATIC, Flavor.SATD)):
+            p = params(tg, flavor, gamma0=1.9, alpha=0.6, beta=0.8, amp_scale=1.07)
+            shape = make_pulse_shape(tg)
+            s_out, junction, s_in = frame_ends(p)
+            mid = shape(0.5 * tg)[0]
+            assert np.array_equal(s_out, frame_change(p, shape(tg)[0], True))
+            assert np.array_equal(junction, frame_change(p, mid, True).conj().T @ frame_change(p, mid, False))
+            assert np.array_equal(s_in, frame_change(p, shape(0.0)[0], False))
 
 
 def _spin1(c):
@@ -123,13 +144,12 @@ class TestAdiabaticFrameGenerators:
         for flavor, amp_scale in itertools.product((Flavor.ADIABATIC, Flavor.SATD), (1.0, 1.13)):
             p = params(2.0, flavor, gamma0=1.9, alpha=0.6, beta=0.8, amp_scale=amp_scale)
             env = make_envelopes(p)
-            fb = FrameBasis(p, shape)
             for t in (0.07, 0.31, 0.77, 0.99, 1.01, 1.43, 1.88, 1.99):
-                seg = fb.segment(t)
-                s = fb.s_ad(t, seg)
+                seg = 1 if t < 0.5 * p.t_gate else 2
+                s = frame_at(p, shape, t, seg)
                 fd = (
-                    -fb.s_ad(t + 2 * h, seg) + 8 * fb.s_ad(t + h, seg)
-                    - 8 * fb.s_ad(t - h, seg) + fb.s_ad(t - 2 * h, seg)
+                    -frame_at(p, shape, t + 2 * h, seg) + 8 * frame_at(p, shape, t + h, seg)
+                    - 8 * frame_at(p, shape, t - h, seg) + frame_at(p, shape, t - 2 * h, seg)
                 ) / (12 * h)
                 frame = s.conj().T @ hamiltonian(env, t) @ s - 1j * (s.conj().T @ fd)
                 assert np.max(np.abs(frame - _spin1(frame_field(p, shape, t)))) < 1e-9
