@@ -22,6 +22,7 @@ import numpy as np
 
 from .controls import (
     ControlParams,
+    EnvelopeSet,
     Flavor,
     amplitude_threshold_time,
     cost_threshold_time,
@@ -29,7 +30,7 @@ from .controls import (
     make_envelopes,
     make_pulse_shape,
 )
-from .dynamics import NoiseModel, NumericalError, propagate_unitary
+from .dynamics import NoiseModel, NumericalError, propagate_unitary_batch
 from .metrics import (
     analytic_satd_dephasing_fidelity,
     avg_gate_fidelity,
@@ -280,14 +281,22 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
+def _failure(point: dict, exc: Exception) -> NumericalError:
+    """exc as a numerical failure that names the parameters of its point."""
+    desc = ", ".join(f"{name}={value}" for name, value in point.items())
+    return NumericalError(f"at ({desc}): {exc}")
+
+
 def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
-    """Rows of one task; numerical failures name the task's parameters."""
+    """Rows of one task; numerical failures name the task's parameters (a
+    task without any names its failing point itself)."""
     spec, point = task
     try:
         return KINDS[spec.kind].rows(spec, **point)
     except (NumericalError, OdeStepUnderflow) as exc:
-        desc = ", ".join(f"{name}={value}" for name, value in point.items())
-        raise NumericalError(f"at ({desc}): {exc}") from exc
+        if not point:
+            raise
+        raise _failure(point, exc) from exc
 
 
 # --- gate-time error sweep -------------------------------------------------
@@ -296,15 +305,32 @@ def _grid_tasks(spec: SweepSpec) -> list[dict]:
     return [{"tg_cycles": tg, "flavor": flavor} for tg in spec.fields for flavor in spec.flavors]
 
 
-def _gate_error_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tuple]:
-    p = spec.params(tg_cycles, flavor)
-    shape = make_pulse_shape(p.t_gate)
-    env = make_envelopes(p, shape)
-    u = propagate_unitary(p, env, spec.integrator).final_operator
+def _gate_error_sweep(spec: SweepSpec) -> list[tuple]:
+    """Every gate-error row from one batch; a failure names the first failing
+    point in grid order."""
+    points = _grid_tasks(spec)
+    try:
+        return _gate_error_rows(spec, points)
+    except NumericalError as exc:
+        # A failure tied to no member fails them all: the first is point 0.
+        raise _failure(points[exc.member or 0], exc) from exc
+
+
+def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
+    """The gate-error row of each point {tg_cycles, flavor}, their closed-path
+    propagations run as one lockstep batch; a NumericalError carries the index
+    of the failing point as its member."""
+    envs = [make_envelopes(spec.params(**point)) for point in points]
+    results = propagate_unitary_batch(envs, spec.integrator)
+    return [_gate_error_row(spec, env, res.final_operator) for env, res in zip(envs, results)]
+
+
+def _gate_error_row(spec: SweepSpec, env: EnvelopeSet, u: np.ndarray) -> tuple:
+    p, shape = env.params, env.shape
     target = ideal_gate(p)
     eps_full = 1.0 - avg_gate_fidelity(target.conj().T @ u, 4)
     eps_qubit = 1.0 - avg_gate_fidelity(qubit_overlap_operator(target, u), 2)
-    if flavor == "adiabatic":
+    if p.flavor is Flavor.ADIABATIC:
         f_full, f_qubit = closed_form_fidelities(p)
         eps_full_pred = 1.0 - f_full
         eps_qubit_pred = 1.0 - f_qubit
@@ -316,7 +342,7 @@ def _gate_error_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tup
         eps_qubit_pred = 0.0
         eps_oracle = eps_full_pred
     eps = (eps_full, eps_qubit, eps_full_pred, eps_qubit_pred, eps_oracle)
-    return [(tg_cycles, flavor, *(clamp_error(e, spec.integrator.rel_tol) for e in eps))]
+    return (p.t_gate, p.flavor.value, *(clamp_error(e, spec.integrator.rel_tol) for e in eps))
 
 
 # --- noise-map sweep -------------------------------------------------------
@@ -422,7 +448,8 @@ def _pulse_rows(spec: SweepSpec) -> list[tuple]:
 def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
     cfg = spec.integrator
     # The adiabatic gate-error row already holds the numeric and oracle-A errors.
-    [(_, _, eps_num_full, _, _, _, eps_oracle_a)] = _gate_error_rows(spec, tg_cycles, "adiabatic")
+    adiabatic = {"tg_cycles": tg_cycles, "flavor": "adiabatic"}
+    [(_, _, eps_num_full, _, _, _, eps_oracle_a)] = _gate_error_rows(spec, [adiabatic])
 
     p_sa = spec.params(tg_cycles, "satd")
     shape = make_pulse_shape(p_sa.t_gate)
@@ -460,7 +487,7 @@ KINDS = {
     "gate-error": Kind(
         ("sweep", "gate-error"), "unitary gate-error sweep",
         "tg_cycles,flavor,eps_full,eps_qubit,eps_full_pred,eps_qubit_pred,eps_oracleA",
-        parse=_tg_grid, tasks=_grid_tasks, rows=_gate_error_rows, sort_cols=2,
+        parse=_tg_grid, tasks=lambda spec: [{}], rows=_gate_error_sweep, sort_cols=2,
     ),
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",

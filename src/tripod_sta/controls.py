@@ -80,8 +80,14 @@ class PulseShape:
 
     def __call__(self, t: float | np.ndarray) -> tuple:
         """(theta, theta_dot, theta_ddot) at a float or an array of times in
-        [0, t_gate].  Plain arithmetic only, so both inputs take the same lines."""
-        tg = self.t_gate
+        [0, t_gate]."""
+        return self.ramp(self.t_gate, t)
+
+    @staticmethod
+    def ramp(tg, t) -> tuple:
+        """(theta, theta_dot, theta_ddot) of the ramp of duration tg at times t.
+        Plain arithmetic only, so floats and arrays take the same lines, and a
+        (members, 1) column tg evaluates one row of t per member."""
         half = 0.5 * tg
         second = t > half
         u = (t - half * second) / half

@@ -4,10 +4,15 @@ The protocol is always integrated as two half-segments joined at t_gate/2,
 where the a-e envelope vanishes and its phase jumps; the split also keeps
 the envelope-derivative kink off the interior of a step.
 
-The closed path (propagate_unitary) solves an exact SU(2) problem with
-fourth-order Magnus steps and step doubling; the Lindblad path uses the
-adaptive Dormand-Prince stepper qmath.ode_solve.  The Lindblad path
-integrates a whole stack of density matrices (the six axial states at every
+The closed path (propagate_unitary_batch) solves an exact SU(2) problem with
+fourth-order Magnus steps and step doubling, run in lockstep for every
+half-segment of a whole batch of protocols: the members share each step
+count and its vectorized field calls, and each freezes by its own stopping
+rule, so it gets bit for bit what it gets alone (propagate_unitary is the
+batch of one; the CLI's gate-error sweep is one batch and one task).
+
+The Lindblad path uses the adaptive Dormand-Prince stepper qmath.ode_solve.
+It integrates a whole stack of density matrices (the six axial states at every
 amplitude scale of a noise-map point) in one shared-mesh solve and forms
 each commutator from one matmul rho H, so every state it steps through is
 exactly Hermitian.
@@ -45,7 +50,12 @@ POSITIVITY_ROUNDOFF = 1e-10
 
 
 class NumericalError(RuntimeError):
-    """Integration produced a state outside its conservation tolerances."""
+    """Integration produced a state outside its conservation tolerances;
+    member is the index of the failing member of a batch, if known."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -76,11 +86,13 @@ class PropagationResult:
     """Final operator and diagnostics of one propagation.
 
     For the adaptive ODE paths steps_accepted and steps_rejected count
-    Dormand-Prince steps.  For propagate_unitary steps_accepted counts the
-    Magnus steps of the returned product (both half-segments) and
-    steps_rejected those of the coarser meshes the step doubling discarded;
-    magnus_steps gives the final step count per half-segment and
-    error_estimate the larger half-segment estimate |U2(2N) - U2(N)|/15.
+    Dormand-Prince steps.  For the closed path (one member of
+    propagate_unitary_batch) steps_accepted counts the Magnus steps of the
+    returned product (both half-segments) and steps_rejected those of the
+    coarser meshes the step doubling discarded; magnus_steps gives the final
+    step count per half-segment and error_estimate the larger half-segment
+    estimate |U2(2N) - U2(N)|/15.  Each member's values are those it gets
+    alone: the lockstep doubling freezes it by its own rule.
     """
 
     final_operator: np.ndarray
@@ -104,70 +116,89 @@ def _two_segment_solve(rhs, y0, t_gate, cfg) -> OdeResult:
     )
 
 
-def _refine_by_doubling(approx, n: int, n_max: int, tol: float, what: str, divisor: float = 1.0):
-    """(approx(N), N, estimate, discarded N): double N from n until the estimate
-    max|approx(2N) - approx(N)|/divisor is at most tol, or until it stops
-    shrinking at the roundoff plateau; past n_max raise NumericalError."""
-    value, discarded, prev_est = approx(n), 0, math.inf
-    while True:
+def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, divisor: float = 1.0) -> list:
+    """Lockstep doubling of N from n for one member per name: approx(rows, N)
+    stacks the approximations of the members rows at N.  A member is done,
+    and frozen, once its estimate max|approx(2N) - approx(N)|/divisor is at
+    most tol or stops shrinking at the roundoff plateau.  Returns per member
+    (approx(N), N, estimate), or, for a member still refining past n_max, a
+    NumericalError with its name."""
+    rows = np.arange(len(names))
+    value, prev_est = approx(rows, n), np.full(len(names), math.inf)
+    out: list = [None] * len(names)
+    while len(rows):
         if 2 * n > n_max:
-            raise NumericalError(f"{what} reached N = {n} with estimate {prev_est:.3e}")
-        finer = approx(2 * n)
-        discarded += n
+            for j, est in zip(rows, prev_est):
+                out[j] = NumericalError(f"{names[j]} reached N = {n} with estimate {est:.3e}", int(j))
+            break
+        finer = approx(rows, 2 * n)
         n *= 2
-        est = max_abs(finer - value) / divisor
-        if est <= tol or prev_est <= est <= ROUNDOFF_ESTIMATE:
-            return finer, n, est, discarded
-        value, prev_est = finer, est
+        est = np.max(np.abs(finer - value).reshape(len(rows), -1), axis=1) / divisor
+        done = (est <= tol) | ((prev_est <= est) & (est <= ROUNDOFF_ESTIMATE))
+        for k in np.flatnonzero(done):
+            out[rows[k]] = (finer[k], n, float(est[k]))
+        rows, value, prev_est = rows[~done], finer[~done], est[~done]
+    return out
 
 
-def _magnus_half_segment(field, t0: float, t1: float, tol: float) -> tuple[np.ndarray, int, float, int]:
-    """(U2, N, |U2(2N) - U2(N)|/15, discarded steps) of the Magnus product on [t0, t1]."""
-    what = f"Magnus step doubling on [{t0:g}, {t1:g}]"
-    return _refine_by_doubling(
-        lambda n: magnus_su2(field, t0, t1, n), MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, what, 15.0
-    )
+def propagate_unitary_batch(
+    envs: list[EnvelopeSet], cfg: IntegratorConfig = IntegratorConfig()
+) -> list[PropagationResult]:
+    """U(t_gate) of i dU/dt = H(t) U from the identity for each envelope set
+    of envs, H the Hamiltonian of env: one PropagationResult per member.
+
+    On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
+    c = tripod.frame_field (|0t> decouples), so the lab operator is
+    tripod.lab_operator of U2' and U2'', the SU(2) propagators of
+    c(t).sigma/2 over the two halves.  Every half-segment of every member is
+    a qmath.magnus_su2 product, and all of them double their step count in
+    lockstep, sharing the field calls; each freezes once its own doubling
+    estimate is at most rel_tol + abs_tol or reaches the roundoff plateau.
+    A half-segment still refining past MAGNUS_MAX_STEPS, or a unitarity
+    defect above 10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with
+    member set to the first failing member.
+    """
+    # Member 2j is the first half-segment of envs[j], member 2j + 1 the second.
+    tgs = np.array([env.params.t_gate for env in envs])
+    t0 = np.stack([np.zeros_like(tgs), 0.5 * tgs], -1).ravel()
+    t1 = np.stack([0.5 * tgs, tgs], -1).ravel()
+
+    def approx(rows, n):
+        def field(chunk, t):
+            members = [envs[i // 2] for i in rows[chunk]]
+            return frame_field([env.params for env in members], [env.shape for env in members], t)
+
+        return magnus_su2(field, t0[rows], t1[rows], n)
+
+    names = [f"Magnus step doubling on [{a:g}, {b:g}]" for a, b in zip(t0, t1)]
+    tol = cfg.rel_tol + cfg.abs_tol
+    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 15.0)
+    bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
+    results = []
+    for j, env in enumerate(envs):
+        for half in halves[2 * j : 2 * j + 2]:
+            if isinstance(half, NumericalError):
+                half.member = j
+                raise half
+        (u1, n1, est1), (u2, n2, est2) = halves[2 * j : 2 * j + 2]
+        u = lab_operator(env.params, u1, u2)
+        defect = unitarity_defect(u)
+        if not defect <= bound:
+            raise NumericalError(f"unitarity defect {defect:.3e} exceeds {bound:.3e}", j)
+        rejected = n1 + n2 - 2 * MAGNUS_MIN_STEPS
+        estimate = max(est1, est2)
+        results.append(PropagationResult(u, n1 + n2, rejected, defect, magnus_steps=(n1, n2), error_estimate=estimate))
+    return results
 
 
 def propagate_unitary(
     params: ControlParams, env: EnvelopeSet, cfg: IntegratorConfig = IntegratorConfig()
 ) -> PropagationResult:
-    """U(t_gate) of i dU/dt = H(t) U from the identity, H the Hamiltonian of env.
-
-    On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
-    c = tripod.frame_field (|0t> decouples), so the lab operator is
-    tripod.lab_operator of U2' and U2'', the SU(2) propagators of
-    c(t).sigma/2 over the two halves.  Each U2 is a qmath.magnus_su2 product
-    whose step count doubles until the doubling estimate is at most
-    rel_tol + abs_tol or reaches the roundoff plateau.
-    A unitarity defect above 10*rel_tol + UNITARITY_ROUNDOFF raises
-    NumericalError.  params must equal env.params.
-    """
+    """U(t_gate) of i dU/dt = H(t) U from the identity (a batch of one; see
+    propagate_unitary_batch).  params must equal env.params."""
     if params != env.params:
         raise ValueError("params and env.params disagree")
-    shape = env.shape
-    tg = params.t_gate
-    half = 0.5 * tg
-    tol = cfg.rel_tol + cfg.abs_tol
-
-    def field(t):
-        return frame_field(params, shape, t)
-
-    u1, n1, est1, discarded1 = _magnus_half_segment(field, 0.0, half, tol)
-    u2, n2, est2, discarded2 = _magnus_half_segment(field, half, tg, tol)
-    u = lab_operator(params, u1, u2)
-    defect = unitarity_defect(u)
-    bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
-    if not defect <= bound:
-        raise NumericalError(f"unitarity defect {defect:.3e} exceeds {bound:.3e}")
-    return PropagationResult(
-        u,
-        n1 + n2,
-        discarded1 + discarded2,
-        unitarity_defect=defect,
-        magnus_steps=(n1, n2),
-        error_estimate=max(est1, est2),
-    )
+    return propagate_unitary_batch([env], cfg)[0]
 
 
 def _check_density(rhos: np.ndarray) -> None:

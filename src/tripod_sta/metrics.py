@@ -9,7 +9,7 @@ import numpy as np
 
 from .controls import ControlParams, PulseShape, make_envelopes, make_pulse_shape
 from .dynamics import NoiseModel, propagate_lindblad_batch
-from .qmath import IntegratorConfig, gauss_legendre
+from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule
 from .tripod import ideal_gate
 
 # Fourth-order Magnus coefficient of the qubit-projected fidelity formula.
@@ -136,7 +136,7 @@ def nominal_and_uncertainty_avg(
     if k == 0.0:
         f = map_fidelity(params, make_envelopes(params, shape), noise, cfg)
         return f, f
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = gauss_legendre_rule(n_nodes)
     unit = params.with_amp_scale(1.0)
     scales = params.amp_scale * np.concatenate(([1.0], 1.0 + k * nodes))
     fids = _axial_fidelities(unit, make_envelopes(unit, shape), noise, cfg, scales)

@@ -16,9 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .controls import ControlParams, DressingAngle, Flavor, PulseShape, generic_dressing
-from .dynamics import NoiseModel, _refine_by_doubling
+from .dynamics import NoiseModel, NumericalError, _refine_by_doubling
 from .metrics import AXIAL_QUBIT_STATES, _axial_average
-from .qmath import IntegratorConfig, gauss_legendre, su2_exponential
+from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule, su2_exponential
 from .tripod import frame_ends, ideal_gate, lab_operator
 
 SQRT2 = math.sqrt(2.0)
@@ -123,13 +123,16 @@ def dissipative_magnus_map(
     s_out, junction, s_in = frame_ends(params)
     rhos = s_in.conj().T @ np.asarray(rho0s, dtype=complex) @ s_in
 
-    def final_states(n: int) -> np.ndarray:
-        x, w = np.polynomial.legendre.leggauss(n)
+    def final_states(rows, n: int) -> np.ndarray:
+        x, w = gauss_legendre_rule(n)
         mid = junction @ _dressed_half_segment(params, shape, gamma_e, rhos, 0.0, half, x, w) @ junction.conj().T
-        return s_out @ _dressed_half_segment(params, shape, gamma_e, mid, half, tg, x, w) @ s_out.conj().T
+        return (s_out @ _dressed_half_segment(params, shape, gamma_e, mid, half, tg, x, w) @ s_out.conj().T)[None]
 
     tol = cfg.rel_tol + cfg.abs_tol
-    return _refine_by_doubling(final_states, ORACLE_MIN_NODES, ORACLE_MAX_NODES, tol, "oracle node doubling")[0]
+    [result] = _refine_by_doubling(final_states, ["oracle node doubling"], ORACLE_MIN_NODES, ORACLE_MAX_NODES, tol)
+    if isinstance(result, NumericalError):
+        raise result
+    return result[0]
 
 
 def oracle_b_map_fidelity(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,9 +32,10 @@ ABS_TOL_FLOOR = 1e-16
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`,
-    of the Magnus step doubling in dynamics.propagate_unitary and of the node
-    doubling in oracles.dissipative_magnus_map; abs_tol must be at least
-    ABS_TOL_FLOOR."""
+    of the Magnus step doubling in dynamics.propagate_unitary_batch and of the
+    node doubling in oracles.dissipative_magnus_map.  Both lie below 1: every
+    reported gate or map error lies in [0, 1] and is zeroed below rel_tol.
+    abs_tol must be at least ABS_TOL_FLOOR."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -41,6 +43,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.rel_tol, self.abs_tol)):
             raise ValueError("rel_tol and abs_tol must be positive and finite")
+        for name in ("rel_tol", "abs_tol"):
+            if getattr(self, name) >= 1.0:
+                raise ValueError(f"{name} must be < 1")
         if self.abs_tol < ABS_TOL_FLOOR:
             raise ValueError(f"abs_tol must be >= {ABS_TOL_FLOOR:g}")
 
@@ -87,46 +92,66 @@ def su2_exponential(g: np.ndarray) -> np.ndarray:
     return _su2_matrix(*_cayley_klein(g))
 
 
-def su2_ordered_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+def su2_ordered_product(a: np.ndarray, b: np.ndarray) -> tuple:
     """Cayley-Klein pair of U[n-1] ... U[1] U[0] for the SU(2) stack
-    U[k] = [[a[k], b[k]], [-b[k]*, a[k]*]], n >= 1, as a pairwise tree of
-    batched 2x2 products: log2(n) vectorized levels."""
-    while len(a) > 1:
-        if len(a) % 2:
-            a, b = np.append(a, 1.0), np.append(b, 0.0)
-        a1, a0, b1, b0 = a[1::2], a[0::2], b[1::2], b[0::2]
+    U[k] = [[a[..., k], b[..., k]], [-b[..., k]*, a[..., k]*]] along the last
+    axis, n >= 1, as a pairwise tree of batched 2x2 products: log2(n)
+    vectorized levels.  Leading axes are independent products."""
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2:
+            a = np.concatenate([a, np.ones_like(a[..., :1])], -1)
+            b = np.concatenate([b, np.zeros_like(b[..., :1])], -1)
+        a1, a0, b1, b0 = a[..., 1::2], a[..., 0::2], b[..., 1::2], b[..., 0::2]
         a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
-    return a[0], b[0]
+    return a[..., 0], b[..., 0]
 
 
 # Two-point Gauss-Legendre nodes of a step [t, t+h]: t + h/2 -+ h*_GL2_OFFSET.
 _GL2_OFFSET = math.sqrt(3.0) / 6.0
-# Steps per vectorized block of magnus_su2: memory stays bounded at any step count.
+# Member-steps per vectorized field call of magnus_su2, and steps per block of
+# one member: memory stays bounded at any step count and batch size.
 MAGNUS_BLOCK = 4096
 
 
-def magnus_su2(field: Callable[[np.ndarray], tuple], t0: float, t1: float, n: int) -> np.ndarray:
-    """SU(2) propagator of i dU/dt = (c(t).sigma/2) U over [t0, t1] from n
-    uniform fourth-order Magnus steps on two Gauss-Legendre nodes (Blanes,
-    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+def magnus_su2(field: Callable, t0, t1, n: int) -> np.ndarray:
+    """SU(2) propagators of i dU/dt = (c(t).sigma/2) U over [t0[j], t1[j]] for
+    a stack of M members, each from n uniform fourth-order Magnus steps on two
+    Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)): shape (M, 2, 2).
 
-    field(t) maps an array of times to the components (c_x, c_y, c_z), each
-    an array or a scalar.  With c1, c2 at the nodes of a step of length h,
-    the step is exp(-i g.sigma/2) with g = h(c1+c2)/2 + (sqrt(3) h^2/12)
-    (c2 x c1).  Blocks of MAGNUS_BLOCK steps take one field call each.
+    field(rows, t) maps the member indices rows and their times t, shape
+    (len(rows), 2m), to the components (c_x, c_y, c_z), each broadcasting
+    against t.  With c1, c2 at the nodes of a step of length h, the step is
+    exp(-i g.sigma/2) with g = h(c1+c2)/2 + (sqrt(3) h^2/12) (c2 x c1).  Each
+    member multiplies blocks of MAGNUS_BLOCK steps; one field call covers
+    whole blocks of at most MAGNUS_BLOCK member-steps in all, so a member's
+    arithmetic does not depend on the batch it runs in.  Scalar t0 and t1
+    take a field(t) of one member and give one (2, 2) propagator.
     """
+    if np.ndim(t0) == 0:
+        return magnus_su2(lambda rows, t: field(t[0]), np.array([t0]), np.array([t1]), n)[0]
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     h = (t1 - t0) / n
+    per_call = max(1, MAGNUS_BLOCK // n)
     blocks = []
     for start in range(0, n, MAGNUS_BLOCK):
-        mid = t0 + h * (np.arange(start, min(n, start + MAGNUS_BLOCK)) + 0.5)
-        m = len(mid)
-        c = np.empty((2 * m, 3))
-        c[:, 0], c[:, 1], c[:, 2] = field(np.concatenate([mid - _GL2_OFFSET * h, mid + _GL2_OFFSET * h]))
-        c1, c2 = c[:m], c[m:]
-        cross = c2[:, [1, 2, 0]] * c1[:, [2, 0, 1]] - c2[:, [2, 0, 1]] * c1[:, [1, 2, 0]]
-        g = 0.5 * h * (c1 + c2) + (math.sqrt(3.0) / 12.0) * h * h * cross
-        blocks.append(su2_ordered_product(*_cayley_klein(g)))
-    return _su2_matrix(*su2_ordered_product(*np.array(blocks).T))
+        steps = np.arange(start, min(n, start + MAGNUS_BLOCK)) + 0.5
+        m = len(steps)
+        pairs = []
+        for first in range(0, len(h), per_call):
+            rows = np.arange(first, min(len(h), first + per_call))
+            hr = h[rows, None]
+            mid = t0[rows, None] + hr * steps
+            t = np.concatenate([mid - _GL2_OFFSET * hr, mid + _GL2_OFFSET * hr], axis=1)
+            # Stacked once the field call returns: c never coexists with its temporaries.
+            c = np.stack([np.broadcast_to(x, t.shape) for x in field(rows, t)], -1)
+            c1, c2 = c[:, :m], c[:, m:]
+            cross = c2[..., [1, 2, 0]] * c1[..., [2, 0, 1]] - c2[..., [2, 0, 1]] * c1[..., [1, 2, 0]]
+            hr = hr[..., None]
+            g = 0.5 * hr * (c1 + c2) + (math.sqrt(3.0) / 12.0) * hr * hr * cross
+            pairs.append(su2_ordered_product(*_cayley_klein(g)))
+        blocks.append([np.concatenate(part) for part in zip(*pairs)])
+    return _su2_matrix(*su2_ordered_product(*np.moveaxis(np.array(blocks), 0, -1)))
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
@@ -213,7 +238,16 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float, n_nodes: int
         raise ValueError("b must be >= a")
     if b == a:
         return 0.0
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = gauss_legendre_rule(n_nodes)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return float(half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w)))
+
+
+@lru_cache(maxsize=32)
+def gauss_legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-node Gauss-Legendre rule on
+    [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w

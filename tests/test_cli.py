@@ -136,6 +136,11 @@ class TestConfigHandling:
     def test_zero_tol_override_is_config_error(self, capsys, tmp_path):
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", GATE_ERROR_CFG, "integrator", ["--tol", "0"])
 
+    @pytest.mark.parametrize("tol", ["1", "2"])
+    def test_tol_override_of_one_or_more_is_config_error(self, capsys, tmp_path, tol):
+        extra = ["--tol", tol]
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", GATE_ERROR_CFG, "'integrator.rel_tol'", extra)
+
     def test_negative_jobs_is_config_error(self, capsys, tmp_path):
         payload = dict(GATE_ERROR_CFG, jobs=-3)
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
@@ -237,7 +242,9 @@ class TestConfigHandling:
             ("contour", "contour.tg_min", 1e-200),
         ]
         # An abs_tol below the floor cannot be met; it used to exit 3 or nearly hang.
-        + [(kind, "integrator.abs_tol", 0.9 * ABS_TOL_FLOOR) for kind in sorted(MINIMAL_CFGS)],
+        + [(kind, "integrator.abs_tol", 0.9 * ABS_TOL_FLOOR) for kind in sorted(MINIMAL_CFGS)]
+        # Every error lies in [0, 1], so a tolerance of 1 or more zeroed them all.
+        + [(kind, f"integrator.{tol}", 1.0) for kind in sorted(MINIMAL_CFGS) for tol in ("rel_tol", "abs_tol")],
     )
     def test_bad_field_is_config_error(self, capsys, tmp_path, kind, field, value):
         """One bad value per field, for every kind that reads the field."""
@@ -473,7 +480,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("trace defect 1.0 exceeds 1e-6")
 
-    monkeypatch.setattr(cli, "propagate_unitary", boom)
+    monkeypatch.setattr(cli, "propagate_unitary_batch", boom)
     out = tmp_path / "ge.csv"
     cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(out)))
     rc = cli.main(["sweep", "gate-error", "--config", cfg])
@@ -494,6 +501,44 @@ def test_unitarity_breach_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "unitarity defect" in err
     assert "tg_cycles=2.0, flavor=adiabatic" in err
+    assert not out.exists()
+
+
+# A grid whose later points (30 cycles) need more Magnus steps than its first.
+WIDE_GATE_ERROR_CFG = dict(GATE_ERROR_CFG, tg_grid={"scale": "linear", "min": 2.0, "max": 30.0, "count": 2})
+
+
+def test_step_cap_of_later_members_names_the_first_of_them(tmp_path, capsys, monkeypatch):
+    from tripod_sta import dynamics
+
+    # 2 cycles meets rel_tol 1e-8 at N = 128 per half-segment, 30 cycles needs 256.
+    monkeypatch.setattr(dynamics, "MAGNUS_MAX_STEPS", 128)
+    out = tmp_path / "ge.csv"
+    cfg = write_config(tmp_path / "c.json", dict(WIDE_GATE_ERROR_CFG, out=str(out)))
+    assert cli.main(["sweep", "gate-error", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "reached N = 128" in err
+    assert "tg_cycles=30.0, flavor=adiabatic" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "broken, named",
+    [
+        (lambda p: p.t_gate == 30.0 and p.flavor is Flavor.SATD, "tg_cycles=30.0, flavor=satd"),
+        (lambda p: p.flavor is Flavor.SATD, "tg_cycles=2.0, flavor=satd"),
+    ],
+    ids=["last member", "two later members"],
+)
+def test_unitarity_breach_of_later_members_names_the_first_of_them(tmp_path, capsys, monkeypatch, broken, named):
+    from tripod_sta import dynamics
+
+    real = dynamics.lab_operator
+    monkeypatch.setattr(dynamics, "lab_operator", lambda p, u1, u2: (1.001 if broken(p) else 1.0) * real(p, u1, u2))
+    out = tmp_path / "ge.csv"
+    cfg = write_config(tmp_path / "c.json", dict(WIDE_GATE_ERROR_CFG, out=str(out)))
+    assert cli.main(["sweep", "gate-error", "--config", cfg]) == 3
+    assert f"at ({named}): unitarity defect" in capsys.readouterr().err
     assert not out.exists()
 
 

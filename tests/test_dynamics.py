@@ -25,9 +25,10 @@ from tripod_sta.dynamics import (
     propagate_lindblad,
     propagate_lindblad_batch,
     propagate_unitary,
+    propagate_unitary_batch,
 )
 from tripod_sta.metrics import AXIAL_QUBIT_STATES, avg_gate_fidelity, qubit_overlap_operator
-from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig, hermitize, magnus_su2, max_abs
+from tripod_sta.qmath import ABS_TOL_FLOOR, MAGNUS_BLOCK, IntegratorConfig, hermitize, magnus_su2, max_abs
 from tripod_sta.tripod import frame_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -170,6 +171,50 @@ class TestMagnusPath:
         p = params(2.0)
         with pytest.raises(ValueError, match="disagree"):
             propagate_unitary(p.with_amp_scale(1.1), make_envelopes(p), CFG)
+
+
+def _mixed_batch(plateau: bool) -> list:
+    """Both flavors at four gate times and two amplitude scales, with one
+    custom-shape member in the middle.  t_g = 1e-6 cycles is left out at the
+    plateau tolerance, where it alone takes 2^20 steps per half-segment."""
+    times = (0.7, 2.0, 30.0) if plateau else (1e-6, 0.7, 2.0, 30.0)
+    envs = [make_envelopes(params(tg, flavor, amp_scale=r)) for flavor in Flavor for tg in times for r in (1.0, 1.13)]
+    envs.insert(5, make_envelopes(params(3.0, Flavor.SATD, amp_scale=1.13), _CosineRamp(3.0)))
+    return envs
+
+
+class TestUnitaryBatch:
+    """propagate_unitary_batch doubles every member in lockstep; each member
+    must get exactly what it gets alone."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-300])
+    def test_batch_equals_one_member_calls(self, rel_tol):
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=max(1e-2 * rel_tol, ABS_TOL_FLOOR))
+        envs = _mixed_batch(plateau=rel_tol < 1e-200)
+        batch = propagate_unitary_batch(envs, cfg)
+        assert len(batch) == len(envs)
+        assert len({res.magnus_steps for res in batch}) > 2  # members freeze at different N
+        for env, res in zip(envs, batch):
+            alone = propagate_unitary(env.params, env, cfg)
+            for name in (
+                "final_operator", "magnus_steps", "steps_accepted", "steps_rejected", "error_estimate",
+                "unitarity_defect",
+            ):
+                assert np.array_equal(getattr(res, name), getattr(alone, name)), (env.params, name)
+
+    def test_field_calls_hold_at_most_a_block_of_member_steps(self, monkeypatch):
+        sizes = []
+        real = dynamics.frame_field
+
+        def recording(params, shape, t):
+            sizes.append((len(params), t.size // 2))
+            return real(params, shape, t)
+
+        monkeypatch.setattr(dynamics, "frame_field", recording)
+        envs = _mixed_batch(plateau=False)
+        propagate_unitary_batch(envs, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
+        assert max(steps for _, steps in sizes) <= MAGNUS_BLOCK
+        assert max(members for members, _ in sizes) > 1  # members do share calls
 
 
 class TestPropagateLindblad:

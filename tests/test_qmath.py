@@ -9,6 +9,7 @@ from tripod_sta.qmath import (
     IntegratorConfig,
     OdeStepUnderflow,
     gauss_legendre,
+    gauss_legendre_rule,
     magnus_su2,
     ode_solve,
     su2_exponential,
@@ -51,6 +52,30 @@ def test_magnus_su2_blocks_match_one_block(monkeypatch):
     whole = magnus_su2(field, 0.0, 1.0, 96)
     monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", 10)
     assert np.max(np.abs(magnus_su2(field, 0.0, 1.0, 96) - whole)) < 1e-14
+
+
+@pytest.mark.parametrize("n, block", [(4, 10), (96, 10), (96, 4096)])
+def test_magnus_su2_stack_matches_one_member_calls(monkeypatch, n, block):
+    # Three members with their own spans; block 10 packs two 4-step members
+    # per field call, and splits 96 steps into ten blocks per member.
+    def field(rows, t):
+        w = np.array([1.0, 3.0, -2.0])[rows, None]
+        return np.cos(w * t), np.sin(w * t), 0.4
+
+    monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", block)
+    t0, t1 = np.array([0.0, 0.5, -1.0]), np.array([1.0, 0.75, 2.0])
+    stack = magnus_su2(field, t0, t1, n)
+    for j in range(3):
+        alone = magnus_su2(lambda t: field(np.array([j]), t), t0[j], t1[j], n)
+        assert np.array_equal(stack[j], alone)
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = gauss_legendre_rule(7)
+    assert gauss_legendre_rule(7)[0] is x
+    assert np.array_equal((x, w), np.polynomial.legendre.leggauss(7))
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_ode_zero_rhs():
@@ -119,6 +144,12 @@ def test_integrator_config_validation():
         IntegratorConfig(rel_tol=math.nan)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=math.inf)
+    # Every reported error lies in [0, 1]: a tolerance of 1 would zero them all.
+    for tol in (1.0, 2.0):
+        with pytest.raises(ValueError, match="rel_tol must be < 1"):
+            IntegratorConfig(rel_tol=tol)
+        with pytest.raises(ValueError, match="abs_tol must be < 1"):
+            IntegratorConfig(abs_tol=tol)
     with pytest.raises(ValueError, match="abs_tol must be >= 1e-16"):
         IntegratorConfig(abs_tol=0.5 * ABS_TOL_FLOOR)
     assert IntegratorConfig(abs_tol=ABS_TOL_FLOOR).abs_tol == ABS_TOL_FLOOR
