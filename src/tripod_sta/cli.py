@@ -16,6 +16,7 @@ import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -306,9 +307,18 @@ def _grid_tasks(spec: SweepSpec) -> list[dict]:
 
 
 def _gate_error_sweep(spec: SweepSpec) -> list[tuple]:
-    """Every gate-error row from one batch; a failure names the first failing
-    point in grid order."""
+    """Every gate-error row: the grid is split into at most spec.jobs
+    contiguous chunks, each one lockstep batch on its own worker, and a
+    failure names the first failing point in grid order."""
     points = _grid_tasks(spec)
+    k = min(spec.jobs, len(points))
+    chunks = [points[len(points) * i // k : len(points) * (i + 1) // k] for i in range(k)]
+    return [row for rows in _run_tasks(partial(_gate_error_batch, spec), chunks, spec.jobs) for row in rows]
+
+
+def _gate_error_batch(spec: SweepSpec, points: list[dict]) -> list[tuple]:
+    """The gate-error rows of one chunk of points; a failure names the first
+    failing point of the chunk."""
     try:
         return _gate_error_rows(spec, points)
     except NumericalError as exc:

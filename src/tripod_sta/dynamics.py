@@ -9,7 +9,7 @@ fourth-order Magnus steps and step doubling, run in lockstep for every
 half-segment of a whole batch of protocols: the members share each step
 count and its vectorized field calls, and each freezes by its own stopping
 rule, so it gets bit for bit what it gets alone (propagate_unitary is the
-batch of one; the CLI's gate-error sweep is one batch and one task).
+batch of one; the CLI's gate-error sweep is one batch per worker).
 
 The Lindblad path uses the adaptive Dormand-Prince stepper qmath.ode_solve.
 It integrates a whole stack of density matrices (the six axial states at every

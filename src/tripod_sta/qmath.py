@@ -113,7 +113,7 @@ _GL2_OFFSET = math.sqrt(3.0) / 6.0
 MAGNUS_BLOCK = 4096
 
 
-def magnus_su2(field: Callable, t0, t1, n: int) -> np.ndarray:
+def magnus_su2(field: Callable, t0: np.ndarray, t1: np.ndarray, n: int) -> np.ndarray:
     """SU(2) propagators of i dU/dt = (c(t).sigma/2) U over [t0[j], t1[j]] for
     a stack of M members, each from n uniform fourth-order Magnus steps on two
     Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
@@ -125,11 +125,8 @@ def magnus_su2(field: Callable, t0, t1, n: int) -> np.ndarray:
     exp(-i g.sigma/2) with g = h(c1+c2)/2 + (sqrt(3) h^2/12) (c2 x c1).  Each
     member multiplies blocks of MAGNUS_BLOCK steps; one field call covers
     whole blocks of at most MAGNUS_BLOCK member-steps in all, so a member's
-    arithmetic does not depend on the batch it runs in.  Scalar t0 and t1
-    take a field(t) of one member and give one (2, 2) propagator.
+    arithmetic does not depend on the batch it runs in.
     """
-    if np.ndim(t0) == 0:
-        return magnus_su2(lambda rows, t: field(t[0]), np.array([t0]), np.array([t1]), n)[0]
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     h = (t1 - t0) / n
     per_call = max(1, MAGNUS_BLOCK // n)

@@ -87,7 +87,7 @@ def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.n
     return s
 
 
-def frame_field(params: ControlParams | list[ControlParams], shape: PulseShape | list[PulseShape], t) -> tuple:
+def frame_field(params: list[ControlParams], shape: list[PulseShape], t: np.ndarray) -> tuple:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
     S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z.
 
@@ -97,21 +97,18 @@ def frame_field(params: ControlParams | list[ControlParams], shape: PulseShape |
     flavor).  |0t> decouples, and the step phase of the a-e leg enters no
     term inside a half-segment: the segmented frame change carries its jump.
 
-    A chunk of members takes sequences params and shape and times t of shape
-    (members, n), row j at member j, in one call: plain PulseShape members
-    share one PulseShape.ramp through a (members, 1) t_gate column, and a
-    member with any other shape evaluates its own row.
+    One call takes a chunk of members: protocol params[j] with pulse shape
+    shape[j] at the times t[j], t of shape (members, n), and each component
+    broadcasts against t.  Plain PulseShape members share one PulseShape.ramp
+    through a (members, 1) t_gate column, and a member with any other shape
+    evaluates its own row.
     """
-    if isinstance(params, ControlParams):
-        w, r, satd = params.omega0, params.amp_scale, params.flavor is Flavor.SATD
-        _, td, tdd = shape(t)
-    else:
-        rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, s.t_gate) for p, s in zip(params, shape)]
-        w, r, satd, tg = np.array(rows).T[..., None]
-        _, td, tdd = PulseShape.ramp(tg, t)
-        for j, s in enumerate(shape):
-            if type(s).__call__ is not PulseShape.__call__:
-                _, td[j], tdd[j] = s(t[j])
+    rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, s.t_gate) for p, s in zip(params, shape)]
+    w, r, satd, tg = np.array(rows).T[..., None]
+    _, td, tdd = PulseShape.ramp(tg, t)
+    for j, s in enumerate(shape):
+        if type(s).__call__ is not PulseShape.__call__:
+            _, td[j], tdd[j] = s(t[j])
     half_gap = 0.5 * r * w
     kappa = np.where(satd, 4.0 * tdd / (w * w + 4.0 * td * td), 0.0)
     return half_gap * kappa, td, -half_gap

@@ -46,6 +46,11 @@ def frame_at(params: ControlParams, shape: PulseShape, t: float, segment: int | 
     return frame_change(params, shape(t)[0], seg == 2)
 
 
+def frame_field_at(params: ControlParams, shape: PulseShape, t: float) -> tuple[float, float, float]:
+    """tripod.frame_field of one protocol at one time t."""
+    return tuple(float(c[0, 0]) for c in frame_field([params], [shape], np.array([[float(t)]])))
+
+
 # Pauli matrices, for reading rotation axes out of 2x2 blocks.
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -154,7 +159,7 @@ def dissipator_superoperator(l_op: np.ndarray) -> np.ndarray:
 def dressed_frame_hamiltonian(params, shape, nu, t: float) -> np.ndarray:
     """S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu - nu_dot*J_X with
     S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field."""
-    cx, cy, cz = _dressed(frame_field(params, shape, t), nu, t)
+    cx, cy, cz = _dressed(frame_field_at(params, shape, t), nu, t)
     return cx * J_X + cy * J_Y + cz * J_Z
 
 

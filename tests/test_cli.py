@@ -522,6 +522,7 @@ def test_step_cap_of_later_members_names_the_first_of_them(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize(
     "broken, named",
     [
@@ -530,14 +531,35 @@ def test_step_cap_of_later_members_names_the_first_of_them(tmp_path, capsys, mon
     ],
     ids=["last member", "two later members"],
 )
-def test_unitarity_breach_of_later_members_names_the_first_of_them(tmp_path, capsys, monkeypatch, broken, named):
+def test_unitarity_breach_of_later_members_names_the_first_of_them(tmp_path, capsys, monkeypatch, broken, named, jobs):
     from tripod_sta import dynamics
 
+    # --jobs 2 splits the four points into two contiguous chunks; the
+    # stand-in pool runs them in this process, where the patch holds.
+    chunks = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            chunks.extend([(p["tg_cycles"], p["flavor"]) for p in chunk] for chunk in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     real = dynamics.lab_operator
     monkeypatch.setattr(dynamics, "lab_operator", lambda p, u1, u2: (1.001 if broken(p) else 1.0) * real(p, u1, u2))
     out = tmp_path / "ge.csv"
     cfg = write_config(tmp_path / "c.json", dict(WIDE_GATE_ERROR_CFG, out=str(out)))
-    assert cli.main(["sweep", "gate-error", "--config", cfg]) == 3
+    assert cli.main(["sweep", "gate-error", "--config", cfg, "--jobs", jobs]) == 3
+    split = [[(2.0, "adiabatic"), (2.0, "satd")], [(30.0, "adiabatic"), (30.0, "satd")]]
+    assert chunks == ([] if jobs == "1" else split)
     assert f"at ({named}): unitarity defect" in capsys.readouterr().err
     assert not out.exists()
 

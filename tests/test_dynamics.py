@@ -136,10 +136,10 @@ class TestMagnusPath:
         p = params(5.0, flavor)
         shape = make_envelopes(p).shape
 
-        def field(t):
-            return frame_field(p, shape, t)
+        def field(rows, t):
+            return frame_field([p], [shape], t)
 
-        us = [magnus_su2(field, 0.0, 2.5, n) for n in (64, 128, 256, 512)]
+        us = [magnus_su2(field, np.array([0.0]), np.array([2.5]), n)[0] for n in (64, 128, 256, 512)]
         estimates = [max_abs(b - a) / 15.0 for a, b in zip(us, us[1:])]
         assert all(a >= 12.0 * b for a, b in zip(estimates, estimates[1:])), estimates
 

@@ -40,18 +40,19 @@ def test_su2_ordered_product_matches_loop(rng, n):
 
 def test_magnus_su2_is_exact_for_a_constant_field():
     c = np.array([0.7, -1.2, 2.0])
-    u = magnus_su2(lambda t: tuple(c), 0.5, 2.0, 5)
+    [u] = magnus_su2(lambda rows, t: tuple(c), np.array([0.5]), np.array([2.0]), 5)
     assert np.max(np.abs(u - su2_exponential(1.5 * c))) < 1e-14
 
 
 def test_magnus_su2_blocks_match_one_block(monkeypatch):
     # A rotating field, so the order of the factors matters.
-    def field(t):
+    def field(rows, t):
         return np.cos(3.0 * t), np.sin(3.0 * t), 0.4
 
-    whole = magnus_su2(field, 0.0, 1.0, 96)
+    t0, t1 = np.array([0.0]), np.array([1.0])
+    whole = magnus_su2(field, t0, t1, 96)
     monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", 10)
-    assert np.max(np.abs(magnus_su2(field, 0.0, 1.0, 96) - whole)) < 1e-14
+    assert np.max(np.abs(magnus_su2(field, t0, t1, 96) - whole)) < 1e-14
 
 
 @pytest.mark.parametrize("n, block", [(4, 10), (96, 10), (96, 4096)])
@@ -66,8 +67,8 @@ def test_magnus_su2_stack_matches_one_member_calls(monkeypatch, n, block):
     t0, t1 = np.array([0.0, 0.5, -1.0]), np.array([1.0, 0.75, 2.0])
     stack = magnus_su2(field, t0, t1, n)
     for j in range(3):
-        alone = magnus_su2(lambda t: field(np.array([j]), t), t0[j], t1[j], n)
-        assert np.array_equal(stack[j], alone)
+        alone = magnus_su2(lambda rows, t: field(rows + j, t), t0[j : j + 1], t1[j : j + 1], n)
+        assert np.array_equal(stack[j : j + 1], alone)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
