@@ -33,6 +33,7 @@ from .controls import (
 )
 from .dynamics import NoiseModel, NumericalError, propagate_unitary_batch
 from .metrics import (
+    MAX_UNCERTAINTY_NODES,
     analytic_satd_dephasing_fidelity,
     avg_gate_fidelity,
     clamp_error,
@@ -245,7 +246,8 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     integrator = _library("integrator.abs_tol", IntegratorConfig, rel_tol, abs_tol)
 
     fields = KINDS[cfg_kind].parse(cfg)
-    nodes = _field(cfg, "uncertainty_nodes", 21, _int, lambda n: n >= 1, ">= 1")
+    in_range = f"in [1, {MAX_UNCERTAINTY_NODES}]"
+    nodes = _field(cfg, "uncertainty_nodes", 21, _int, lambda n: 1 <= n <= MAX_UNCERTAINTY_NODES, in_range)
 
     jobs_field, jobs = "jobs", overrides.get("jobs")
     if jobs is None:

@@ -106,10 +106,11 @@ def make_pulse_shape(t_gate: float) -> PulseShape:
 class EnvelopeSet:
     """The three complex control envelopes of one protocol run.
 
-    evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae).  The relative phase of
-    the a-e leg jumps by gamma0 at t_gate/2; that leg's amplitude vanishes
-    there, so the two half-segments join continuously.  For SATD that also
-    needs the dressing to vanish there: theta_dot = 0 at t_gate/2.
+    evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae) at a float or an array
+    of times.  The relative phase of the a-e leg jumps by gamma0 at t_gate/2;
+    that leg's amplitude vanishes there, so the two half-segments join
+    continuously.  For SATD that also needs the dressing to vanish there:
+    theta_dot = 0 at t_gate/2.
     """
 
     def __init__(self, params: ControlParams, shape: PulseShape):
@@ -141,14 +142,13 @@ class EnvelopeSet:
         corr = 4.0 * tdd / (p.omega0 * p.omega0 + 4.0 * td * td)
         return s + c * corr, c - s * corr
 
-    def evaluate(self, t: float) -> tuple[complex, complex, complex]:
+    def evaluate(self, t: float | np.ndarray) -> tuple:
         p = self.params
         fs, fc = self.profile(t)
         scale = p.amp_scale * p.omega0
         w0, w1 = self._qubit_weights
-        oa = scale * fc
-        if t >= self.segment_boundary:
-            oa *= self._phase_jump
+        # jump ** bool: the jump on the second half only, numpy-free on a float.
+        oa = scale * fc * self._phase_jump ** (t >= self.segment_boundary)
         return scale * w0 * fs, scale * w1 * fs, oa
 
     @cached_property
@@ -172,31 +172,32 @@ def make_envelopes(params: ControlParams, shape: PulseShape | None = None) -> En
     return EnvelopeSet(params, make_pulse_shape(params.t_gate) if shape is None else shape)
 
 
+TimeFunction = Callable[[float | np.ndarray], float | np.ndarray]
+
+
 @dataclass(frozen=True)
 class DressingAngle:
     """A dressing angle evaluator together with its time derivative."""
 
-    angle: Callable[[float], float]
-    rate: Callable[[float], float]
+    angle: TimeFunction
+    rate: TimeFunction
 
 
 def satd_dressing_angle(params: ControlParams, shape: PulseShape) -> DressingAngle:
     """nu(t) = arctan(2*theta_dot/omega0), the transitionless spin dressing."""
     w = params.omega0
 
-    def nu(t: float) -> float:
-        return math.atan2(2.0 * shape(t)[1], w)
+    def nu(t):
+        return np.arctan2(2.0 * shape(t)[1], w)
 
-    def nu_dot(t: float) -> float:
+    def nu_dot(t):
         _, td, tdd = shape(t)
         return 2.0 * w * tdd / (w * w + 4.0 * td * td)
 
     return DressingAngle(nu, nu_dot)
 
 
-def generic_dressing(
-    params: ControlParams, shape: PulseShape, gamma_dot: Callable[[float], float]
-) -> DressingAngle:
+def generic_dressing(params: ControlParams, shape: PulseShape, gamma_dot: TimeFunction) -> DressingAngle:
     """Single-bright-state dressing angle mu for the phase rate gamma_dot.
 
     mu solves mu_dot = sin(2*theta)*gamma_dot/sqrt(2) with mu(0) = 0, by the
@@ -206,18 +207,17 @@ def generic_dressing(
     tg = params.t_gate
     ts = np.linspace(0.0, tg, 16001)
     theta, _, _ = shape(ts)
-    gd = np.array([gamma_dot(t) for t in ts])
-    mu_rate = np.sin(2.0 * theta) * gd / SQRT2
+    mu_rate = np.sin(2.0 * theta) * gamma_dot(ts) / SQRT2
     dt = ts[1] - ts[0]
     mu_table = np.concatenate(([0.0], np.cumsum(0.5 * (mu_rate[1:] + mu_rate[:-1]) * dt)))
     if float(np.max(np.abs(mu_table))) >= 0.5 * math.pi - 1e-9:
         raise GenericDressingSingular("generic dressing singular: |mu| reached pi/2")
 
-    def mu(t: float) -> float:
-        return float(np.interp(t, ts, mu_table))
+    def mu(t):
+        return np.interp(t, ts, mu_table)
 
-    def mu_dot(t: float) -> float:
-        return math.sin(2.0 * shape(t)[0]) * gamma_dot(t) / SQRT2
+    def mu_dot(t):
+        return np.sin(2.0 * shape(t)[0]) * gamma_dot(t) / SQRT2
 
     return DressingAngle(mu, mu_dot)
 
@@ -228,14 +228,16 @@ def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) 
     Composite Simpson over n_samples points.  The tripod Hamiltonian has the
     spectrum {0, 0, +-|Omega|/2} with |Omega|^2 = |O_0e|^2 + |O_1e|^2 + |O_ae|^2,
     so the norm at each sample is 0.5*amp_scale*omega0*sqrt(fs^2 + fc^2) in
-    terms of the profile factors.
+    terms of the profile factors.  params must equal env.params.
     """
+    if params != env.params:
+        raise ValueError("params and env.params disagree")
     if n_samples < 3 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and >= 3")
     tg = params.t_gate
     ts = np.linspace(0.0, tg, n_samples)
     fs, fc = env.profile(ts)
-    vals = 0.5 * env.params.amp_scale * env.params.omega0 * np.sqrt(fs * fs + fc * fc)
+    vals = 0.5 * params.amp_scale * params.omega0 * np.sqrt(fs * fs + fc * fc)
     h = tg / (n_samples - 1)
     weights = np.ones(n_samples)
     weights[1:-1:2] = 4.0
@@ -304,8 +306,6 @@ def envelope_rows(env: EnvelopeSet, n_samples: int) -> list[tuple[float, ...]]:
     """(t, Re/Im of the three envelopes) rows at uniform sampling."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    rows = []
-    for t in np.linspace(0.0, env.params.t_gate, n_samples):
-        o0, o1, oa = env.evaluate(float(t))
-        rows.append((float(t), o0.real, o0.imag, o1.real, o1.imag, oa.real, oa.imag))
-    return rows
+    ts = np.linspace(0.0, env.params.t_gate, n_samples)
+    o0, o1, oa = env.evaluate(ts)
+    return list(zip(*(x.tolist() for x in (ts, o0.real, o0.imag, o1.real, o1.imag, oa.real, oa.imag))))

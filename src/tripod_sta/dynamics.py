@@ -210,13 +210,12 @@ def _check_density(rhos: np.ndarray) -> None:
         raise ValueError("rho0 must be positive semidefinite")
 
 
-def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel, amp_scales: np.ndarray | None):
+def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel, amp_scales: np.ndarray):
     # Member i sees amp_scales[i] * H(t): one Hamiltonian per stage, with the
-    # scale folded into the commutator prefactor (a scalar when all are 1).
-    # For Hermitian rho and H, H rho = (rho H)^dag: the whole stack's
-    # commutators come from one (n*4, 4) @ (4, 4) matmul, and the result is
-    # exactly Hermitian.
-    coeff = -1.0j if amp_scales is None else -1.0j * amp_scales[:, None, None]
+    # scale folded into the commutator prefactor.  For Hermitian rho and H,
+    # H rho = (rho H)^dag: the whole stack's commutators come from one
+    # (n*4, 4) @ (4, 4) matmul, and the result is exactly Hermitian.
+    coeff = -1.0j * amp_scales[:, None, None]
     damping = noise.dephasing_matrix()
 
     def rhs(t, rho):
@@ -266,20 +265,21 @@ def propagate_lindblad_batch(
     """Evolve a stack of density matrices (n, 4, 4) through one shared
     adaptive solve with per-level pure dephasing.
 
-    Member i evolves under amp_scales[i] * H(t), with env built at unit
-    amp_scale (default: every scale 1).  The stepper controls the error
-    elementwise, so the common mesh is at least as fine as each member
-    needs.  The initial stack is Hermitized once; the right-hand side is
-    exactly Hermitian, so every later state is too.  A final trace defect
-    beyond 1e-6 or a minimum eigenvalue below -(10*rel_tol +
-    POSITIVITY_ROUNDOFF) in any member raises NumericalError.
+    Member i evolves under amp_scales[i] * H(t), H the Hamiltonian of env
+    (default: every scale 1); params must equal env.params.  The stepper
+    controls the error elementwise, so the common mesh is at least as fine
+    as each member needs.  The initial stack is Hermitized once; the
+    right-hand side is exactly Hermitian, so every later state is too.  A
+    final trace defect beyond 1e-6 or a minimum eigenvalue below
+    -(10*rel_tol + POSITIVITY_ROUNDOFF) in any member raises NumericalError.
     """
+    if params != env.params:
+        raise ValueError("params and env.params disagree")
     rho0s = np.asarray(rho0s, dtype=complex)
     _check_density(rho0s)
-    if amp_scales is not None:
-        amp_scales = np.asarray(amp_scales, dtype=float)
-        if amp_scales.shape != (len(rho0s),):
-            raise ValueError("amp_scales must hold one scale per density matrix")
+    amp_scales = np.ones(len(rho0s)) if amp_scales is None else np.asarray(amp_scales, dtype=float)
+    if amp_scales.shape != (len(rho0s),):
+        raise ValueError("amp_scales must hold one scale per density matrix")
     rhs = _lindblad_rhs(env, noise, amp_scales)
     res = _two_segment_solve(rhs, hermitize(rho0s), params.t_gate, cfg)
     return _density_results(res, cfg.rel_tol)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .controls import ControlParams, DressingAngle, Flavor, PulseShape, generic_dressing
+from .controls import ControlParams, DressingAngle, Flavor, PulseShape, TimeFunction, generic_dressing
 from .dynamics import NoiseModel, NumericalError, _refine_by_doubling
 from .metrics import AXIAL_QUBIT_STATES, _axial_average
 from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule, su2_exponential
@@ -147,7 +146,7 @@ def oracle_b_map_fidelity(
 def generic_dressing_phase(
     params: ControlParams,
     shape: PulseShape,
-    gamma_dot: Callable[[float], float],
+    gamma_dot: TimeFunction,
     mu: DressingAngle | None = None,
     n_nodes: int = 201,
 ) -> float:
@@ -159,14 +158,12 @@ def generic_dressing_phase(
     if mu is None:
         mu = generic_dressing(params, shape, gamma_dot)
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
         m = mu.angle(t)
         th, td, _ = shape(t)
-        sec2 = 1.0 / math.cos(m) ** 2
-        bracket = gamma_dot(t) * (
-            3.0 + math.cos(2.0 * m) - math.cos(2.0 * th) * (1.0 + 3.0 * math.cos(2.0 * m))
-        )
-        bracket += 4.0 * SQRT2 * math.sin(2.0 * m) * td
+        sec2 = 1.0 / np.cos(m) ** 2
+        bracket = gamma_dot(t) * (3.0 + np.cos(2.0 * m) - np.cos(2.0 * th) * (1.0 + 3.0 * np.cos(2.0 * m)))
+        bracket += 4.0 * SQRT2 * np.sin(2.0 * m) * td
         return 0.125 * sec2 * bracket
 
     return gauss_legendre(integrand, 0.0, params.t_gate, n_nodes)

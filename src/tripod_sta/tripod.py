@@ -137,11 +137,11 @@ def lab_operator(params: ControlParams, first: np.ndarray, second: np.ndarray) -
     return s_out @ spin1_image(second) @ junction @ spin1_image(first) @ s_in.conj().T
 
 
-def _dressed(c: tuple, nu: DressingAngle, t: float) -> tuple:
+def _dressed(c: tuple, nu: DressingAngle, t: float | np.ndarray) -> tuple:
     """Spin components of the field c seen in the frame dressed by
     exp(-i*nu*J_x): a rotation about x by nu, less the nu_dot*J_x it costs."""
     n = nu.angle(t)
-    sn, cn = math.sin(n), math.cos(n)
+    sn, cn = np.sin(n), np.cos(n)
     return c[0] - nu.rate(t), c[1] * cn + c[2] * sn, c[2] * cn - c[1] * sn
 
 
@@ -179,34 +179,30 @@ def satd_gate(params: ControlParams, shape: PulseShape, n_nodes: int = 64) -> np
 
 def satd_bright_half_angle(params: ControlParams, shape: PulseShape, n_nodes: int = 64) -> float:
     w = params.omega0 * params.amp_scale
-
-    def integrand(t: float) -> float:
-        td = shape(t)[1]
-        return math.sqrt(w * w + 4.0 * td * td)
-
-    return gauss_legendre(integrand, 0.0, 0.5 * params.t_gate, n_nodes)
+    return gauss_legendre(lambda t: np.sqrt(w * w + 4.0 * shape(t)[1] ** 2), 0.0, 0.5 * params.t_gate, n_nodes)
 
 
 def dressed_frame_fields(
-    params: ControlParams, shape: PulseShape, nu: DressingAngle, t: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+    params: ControlParams, shape: PulseShape, nu: DressingAngle, t: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Effective field B, the five non-spin couplings Xi, and the geometric
-    phase rate sin^2(theta)*cos^2(nu), all at the nominal omega0.
+    phase rate sin^2(theta)*cos^2(nu), all at the nominal omega0, at a float
+    or an array of times: B has shape (3,) + t.shape and Xi (5,) + t.shape.
 
     B is the nu-dressed frame_field of the adiabatic flavor at amp_scale 1."""
     th, td, _ = shape(t)
-    b = np.array(_dressed((0.0, td, -0.5 * params.omega0), nu, t))
+    b = np.array(np.broadcast_arrays(*_dressed((0.0, td, -0.5 * params.omega0), nu, t)))
     n = nu.angle(t)
-    sn, cn = math.sin(n), math.cos(n)
-    st, ct = math.sin(th), math.cos(th)
-    s2t = math.sin(2.0 * th)
+    sn, cn = np.sin(n), np.cos(n)
+    st, ct = np.sin(th), np.cos(th)
+    s2t = np.sin(2.0 * th)
     xi = np.array(
         [
             ct * ct + st * st * sn * sn,
             -ct * ct + st * st * sn * sn,
             s2t * sn,
             s2t * cn / SQRT2,
-            -st * st * math.sin(2.0 * n) / SQRT2,
+            -st * st * np.sin(2.0 * n) / SQRT2,
         ]
     )
     return b, xi, st * st * cn * cn

@@ -69,7 +69,7 @@ def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float],
     amp = math.pi * params.gamma0 / tg
 
     def rate(t: float) -> float:
-        return amp * math.sin(2.0 * math.pi * t / tg)
+        return amp * np.sin(2.0 * math.pi * t / tg)
 
     return rate
 

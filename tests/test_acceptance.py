@@ -174,7 +174,7 @@ def test_criterion_04_generic_dressing_no_go():
     shape = make_pulse_shape(tg)
     profiles = {
         "sin(2pi t/tg)": default_antisymmetric_gamma_rate(p),
-        "sin(4pi t/tg)": lambda t: 1.5 * math.sin(4.0 * math.pi * t / tg),
+        "sin(4pi t/tg)": lambda t: 1.5 * np.sin(4.0 * math.pi * t / tg),
         "antisym cubic": lambda t: 2.0 * (t / tg) * (1.0 - t / tg) * (1.0 - 2.0 * t / tg),
     }
     phases = {name: abs(generic_dressing_phase(p, shape, rate)) for name, rate in profiles.items()}
@@ -190,9 +190,7 @@ def test_criterion_05_dressed_frame_structure():
     p = params(tg, Flavor.SATD)
     shape = make_pulse_shape(tg)
     nu = satd_dressing_angle(p, shape)
-    worst_by = max(
-        abs(dressed_frame_fields(p, shape, nu, float(t))[0][1]) for t in np.linspace(0.0, tg, 1001)
-    )
+    worst_by = float(np.max(np.abs(dressed_frame_fields(p, shape, nu, np.linspace(0.0, tg, 1001))[0][1])))
     _, xi_mid, _ = dressed_frame_fields(p, shape, nu, 0.5 * tg)
     worst_xi = float(np.max(np.abs(xi_mid)))
     ok = worst_by <= 1e-12 * OMEGA0 and worst_xi <= 1e-12

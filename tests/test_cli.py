@@ -8,7 +8,7 @@ from conftest import OMEGA0, leak_lindblad_rhs, params
 from tripod_sta import cli
 from tripod_sta.controls import Flavor, make_envelopes
 from tripod_sta.dynamics import NoiseModel
-from tripod_sta.metrics import map_fidelity
+from tripod_sta.metrics import MAX_UNCERTAINTY_NODES, map_fidelity
 from tripod_sta.qmath import ABS_TOL_FLOOR, IntegratorConfig
 
 
@@ -229,6 +229,8 @@ class TestConfigHandling:
                 ("integrator.rel_tol", -1e-8),
                 ("integrator.abs_tol", 0.0),
                 ("uncertainty_nodes", 0),
+                # Past MAX_UNCERTAINTY_NODES; 10^6 nodes used to end in a numpy memory error.
+                ("uncertainty_nodes", MAX_UNCERTAINTY_NODES + 1),
             )
         ]
         + [

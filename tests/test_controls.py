@@ -19,6 +19,7 @@ from tripod_sta.controls import (
     make_pulse_shape,
     satd_dressing_angle,
 )
+from tripod_sta.tripod import dressed_frame_fields
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,20 +62,37 @@ class TestPulseShape:
         assert ts[int(np.argmax(rates))] == pytest.approx(0.25 * tg, abs=2e-4 * tg)
 
     def test_grid_matches_scalar(self):
-        # One code path: an array call equals the float calls element by element.
+        # One code path: an array call equals the float calls element by
+        # element, bit for bit, at the segment boundary t_g/2 and at t_g too.
         tg = 1.8
         shape = make_pulse_shape(tg)
         ts = np.linspace(0.0, tg, 17)
+        assert 0.5 * tg in ts and ts[-1] == tg
         grid = shape(ts)
         for i, t in enumerate(ts):
             assert tuple(a[i] for a in grid) == shape(float(t))
+
+        def bits(*values):
+            return np.asarray(values, dtype=complex).tobytes()
+
         for flavor in Flavor:
-            env = make_envelopes(params(tg, flavor), shape)
+            p = params(tg, flavor)
+            env = make_envelopes(p, shape)
             fs, fc = env.profile(ts)
             for i, t in enumerate(ts):
                 s, c = env.profile(float(t))
                 assert fs[i] == pytest.approx(s, abs=1e-14)
                 assert fc[i] == pytest.approx(c, abs=1e-14)
+            envelopes = env.evaluate(ts)
+            for i, t in enumerate(ts):
+                assert bits(*(o[i] for o in envelopes)) == bits(*env.evaluate(float(t)))
+            for nu in (satd_dressing_angle(p, shape), generic_dressing(p, shape, default_antisymmetric_gamma_rate(p))):
+                angle, rate = nu.angle(ts), nu.rate(ts)
+                b, xi, phase_rate = dressed_frame_fields(p, shape, nu, ts)
+                for i, t in enumerate(ts):
+                    assert bits(angle[i], rate[i]) == bits(nu.angle(float(t)), nu.rate(float(t)))
+                    b_t, xi_t, phase_rate_t = dressed_frame_fields(p, shape, nu, float(t))
+                    assert bits(*b[:, i], *xi[:, i], phase_rate[i]) == bits(*b_t, *xi_t, phase_rate_t)
 
 
 class TestControlParams:
@@ -250,7 +268,7 @@ class TestGenericDressing:
         shape = make_pulse_shape(tg)
         profiles = [
             default_antisymmetric_gamma_rate(p),
-            lambda t: math.sin(4.0 * math.pi * t / tg),
+            lambda t: np.sin(4.0 * math.pi * t / tg),
             lambda t: (t / tg) * (1.0 - t / tg) * (1.0 - 2.0 * t / tg),
         ]
         for rate in profiles:
@@ -272,7 +290,7 @@ class TestGenericDressing:
         p = params(tg)
         shape = make_pulse_shape(tg)
         with pytest.raises(GenericDressingSingular):
-            generic_dressing(p, shape, lambda t: 40.0 * math.sin(2.0 * math.pi * t / tg))
+            generic_dressing(p, shape, lambda t: 40.0 * np.sin(2.0 * math.pi * t / tg))
 
 
 class TestEnergyCost:
@@ -326,6 +344,15 @@ class TestEnergyCost:
             energy_cost(env, p, 100)
         with pytest.raises(ValueError):
             energy_cost(env, p, 1)
+
+    def test_rejects_params_of_other_envelopes(self):
+        # Envelopes at 2 cycles costed over a 3-cycle gate used to give 3.649
+        # where the matching pair gives 3.249.
+        p2, p3 = params(2.0, Flavor.SATD), params(3.0, Flavor.SATD)
+        with pytest.raises(ValueError, match="params and env.params disagree"):
+            energy_cost(make_envelopes(p2), p3)
+        with pytest.raises(ValueError, match="params and env.params disagree"):
+            energy_cost(make_envelopes(p2), p2.with_amp_scale(1.1))
 
 
 def test_envelope_rows_layout():

@@ -35,9 +35,11 @@ CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
 
 class _StubEnv:
-    """Constant envelopes, for closed-form comparisons."""
+    """Constant envelopes standing in for those of params, for closed-form
+    comparisons."""
 
-    def __init__(self, values, boundary=math.inf):
+    def __init__(self, params, values, boundary=math.inf):
+        self.params = params
         self.values = values
         self.segment_boundary = boundary
 
@@ -252,7 +254,7 @@ class TestPropagateLindblad:
         # H = 0 with dephasing on |e| only: the a-e coherence decays at G/2.
         gamma = 0.35
         p = params(2.0)
-        env = _StubEnv((0.0, 0.0, 0.0), boundary=1.0)
+        env = _StubEnv(p, (0.0, 0.0, 0.0), boundary=1.0)
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[2, 2] = rho0[3, 3] = 0.5
         rho0[2, 3] = rho0[3, 2] = 0.5
@@ -298,6 +300,14 @@ class TestPropagateLindblad:
         assert (single.steps_accepted, single.steps_rejected) == (batched.steps_accepted, batched.steps_rejected)
         assert (single.trace_defect, single.min_eigenvalue) == (batched.trace_defect, batched.min_eigenvalue)
 
+    def test_rejects_envelopes_of_other_params(self):
+        # Like propagate_unitary: a solve over params' gate time with the
+        # envelopes of another gate silently mixed the two.
+        p2, p3 = params(2.0, Flavor.SATD), params(3.0, Flavor.SATD)
+        for p in (p3, p2.with_amp_scale(1.1)):
+            with pytest.raises(ValueError, match="params and env.params disagree"):
+                propagate_lindblad_batch(p, make_envelopes(p2), NoiseModel(), AXIAL_QUBIT_STATES, CFG)
+
     def test_amp_scaled_members_match_scaled_envelopes(self):
         p = params(2.0, Flavor.SATD)
         env = make_envelopes(p)
@@ -342,7 +352,7 @@ class TestPropagateLindblad:
         monkeypatch.setattr(dynamics, "hamiltonian", lambda env, t: h)
         n = 5
         rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(n)]))
-        scales = rng.uniform(0.5, 1.5, n) if scaled else None
+        scales = rng.uniform(0.5, 1.5, n) if scaled else np.ones(n)
         rates = tuple(rng.uniform(0.0, 2.0, 4))
         out = dynamics._lindblad_rhs(None, NoiseModel(rates), scales)(0.0, rhos)
         dissipator = sum(
@@ -350,8 +360,7 @@ class TestPropagateLindblad:
             for i, g in enumerate(rates)
         )
         for i, rho in enumerate(rhos):
-            s = 1.0 if scales is None else scales[i]
-            ell = hamiltonian_superoperator(s * h) + dissipator
+            ell = hamiltonian_superoperator(scales[i] * h) + dissipator
             assert max_abs(out[i] - unvec(ell @ vec(rho))) < 1e-13
         assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
 
@@ -404,7 +413,7 @@ class TestSuperoperator:
         # Constant generator: expm(ell*t) against the direct integrator.
         p = params(0.8)
         values = (0.3 * OMEGA0, 0.2j * OMEGA0, 0.5 * OMEGA0)
-        env = _StubEnv(values, boundary=0.4)
+        env = _StubEnv(p, values, boundary=0.4)
         from tripod_sta.tripod import hamiltonian
 
         h = hamiltonian(env, 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import params
+from tripod_sta import metrics
 from tripod_sta.controls import Flavor, make_envelopes, make_pulse_shape
 from tripod_sta.dynamics import NoiseModel
 from tripod_sta.metrics import (
@@ -82,6 +83,13 @@ class TestMapFidelity:
         assert errs[0] > 5.0 * errs[1]
         assert errs[1] > 10.0 * errs[2]
 
+    def test_rejects_envelopes_of_other_params(self):
+        # Envelopes at 2 cycles integrated over a 3-cycle gate used to give
+        # 0.3336 where the matching pair gives 0.9984.
+        p2, p3 = params(2.0, Flavor.SATD), params(3.0, Flavor.SATD)
+        with pytest.raises(ValueError, match="params and env.params disagree"):
+            map_fidelity(p3, make_envelopes(p2), NoiseModel(), FAST)
+
     def test_dephasing_lifts_special_time_dips(self):
         # At a refocusing dip the noiseless map error nearly vanishes, but
         # excited-state dephasing keeps the gate imperfect.
@@ -147,8 +155,30 @@ class TestUncertaintyAverage:
         assert np.max(np.abs(np.subtract(at_zero, near_zero))) < 10.0 * FAST.rel_tol
 
     def test_node_count_validated(self):
-        with pytest.raises(ValueError):
-            map_fidelity_uncertainty_avg(params(2.0), NoiseModel(k=0.1), 0, FAST)
+        for n_nodes in (0, metrics.MAX_UNCERTAINTY_NODES + 1):
+            with pytest.raises(ValueError):
+                map_fidelity_uncertainty_avg(params(2.0), NoiseModel(k=0.1), n_nodes, FAST)
+            with pytest.raises(ValueError):
+                nominal_and_uncertainty_avg(params(2.0), NoiseModel(), n_nodes, FAST)
+
+    def test_solves_only_the_members_it_uses(self, monkeypatch):
+        # The average alone solves the six axial states per node; the
+        # nominal map adds one group of six, and at k = 0 it is the only one.
+        solved = []
+        batch = metrics.propagate_lindblad_batch
+
+        def counting_batch(params, env, noise, rho0s, *args):
+            solved.append(len(rho0s))
+            return batch(params, env, noise, rho0s, *args)
+
+        monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
+        p = params(2.0, Flavor.SATD)
+        for k, n_nodes, expected in ((0.2, 5, [30, 36]), (0.0, 5, [6, 6])):
+            solved.clear()
+            noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k)
+            map_fidelity_uncertainty_avg(p, noise, n_nodes, FAST)
+            nominal_and_uncertainty_avg(p, noise, n_nodes, FAST)
+            assert solved == expected
 
 
 class TestAnalyticSatdDephasing:

@@ -185,7 +185,7 @@ class TestGenericDressingPhase:
         shape = make_pulse_shape(tg)
         profiles = [
             default_antisymmetric_gamma_rate(p),
-            lambda t: math.sin(4.0 * math.pi * t / tg),
+            lambda t: np.sin(4.0 * math.pi * t / tg),
             lambda t: (t / tg) * (1.0 - t / tg) * (1.0 - 2.0 * t / tg),
         ]
         for rate in profiles:
@@ -196,8 +196,8 @@ class TestGenericDressingPhase:
         tg = 3.0
         p = params(tg)
         shape = make_pulse_shape(tg)
-        rate = lambda t: math.exp(-((t - 0.5 * tg) ** 2) / 0.1)
+        rate = lambda t: np.exp(-((t - 0.5 * tg) ** 2) / 0.1)
         zero_mu = DressingAngle(lambda t: 0.0, lambda t: 0.0)
         got = generic_dressing_phase(p, shape, rate, mu=zero_mu)
-        expected = gauss_legendre(lambda t: math.sin(shape(t)[0]) ** 2 * rate(t), 0.0, tg, 201)
+        expected = gauss_legendre(lambda t: np.sin(shape(t)[0]) ** 2 * rate(t), 0.0, tg, 201)
         assert got == pytest.approx(expected, abs=1e-10)

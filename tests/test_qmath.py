@@ -166,7 +166,7 @@ def test_gauss_legendre_cubic_two_nodes():
 
 
 def test_gauss_legendre_sine():
-    assert gauss_legendre(math.sin, 0.0, math.pi, 21) == pytest.approx(2.0, abs=1e-12)
+    assert gauss_legendre(np.sin, 0.0, math.pi, 21) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_gauss_legendre_polynomial_exactness(rng):
@@ -177,6 +177,18 @@ def test_gauss_legendre_polynomial_exactness(rng):
         exact = poly.integ()(2.0) - poly.integ()(-0.5)
         got = gauss_legendre(poly, -0.5, 2.0, n)
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_gauss_legendre_calls_the_integrand_once_on_all_nodes():
+    calls = []
+
+    def f(t):
+        calls.append(np.array(t))
+        return t * t
+
+    assert gauss_legendre(f, 0.0, 3.0, 7) == pytest.approx(9.0, rel=1e-14)
+    [nodes] = calls
+    assert np.array_equal(nodes, 1.5 + 1.5 * gauss_legendre_rule(7)[0])
 
 
 def test_gauss_legendre_validation():
