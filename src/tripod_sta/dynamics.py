@@ -13,21 +13,24 @@ batch of one; the CLI's gate-error sweep is one batch per worker).
 
 The Lindblad path uses the adaptive Dormand-Prince stepper qmath.ode_solve.
 It integrates a whole stack of density matrices (the six axial states at every
-amplitude scale of a noise-map point) in one shared-mesh solve and forms
-each commutator from one matmul rho H, so every state it steps through is
-exactly Hermitian.
+amplitude scale of a noise-map point) in one shared-mesh solve, each stored as
+its packed upper triangle.  The right-hand side of the whole stack is one real
+matmul of the packed float view with a 20x20 commutator generator, a linear
+combination of a cached basis weighted by the envelope values, so the
+diagonal stays exactly real and every unpacked state is exactly Hermitian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .controls import ControlParams, EnvelopeSet
 from .qmath import IntegratorConfig, OdeResult, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
-from .tripod import frame_field, hamiltonian, lab_operator
+from .tripod import frame_field, lab_operator
 
 # Magnus step counts per half-segment: doubling starts at the smallest and
 # raises NumericalError past the largest.
@@ -210,17 +213,69 @@ def _check_density(rhos: np.ndarray) -> None:
         raise ValueError("rho0 must be positive semidefinite")
 
 
-def _lindblad_rhs(env: EnvelopeSet, noise: NoiseModel, amp_scales: np.ndarray):
-    # Member i sees amp_scales[i] * H(t): one Hamiltonian per stage, with the
-    # scale folded into the commutator prefactor.  For Hermitian rho and H,
-    # H rho = (rho H)^dag: the whole stack's commutators come from one
-    # (n*4, 4) @ (4, 4) matmul, and the result is exactly Hermitian.
-    coeff = -1.0j * amp_scales[:, None, None]
-    damping = noise.dephasing_matrix()
+# Packed layout of a Hermitian 4x4 matrix: its upper triangle (the 4 diagonal
+# and 6 off-diagonal entries) in np.triu_indices order, shape (..., 10).  Each
+# off-diagonal entry is stored once; its mirror has the same modulus, so the
+# stepper's elementwise error norm is that of the full matrix.
+_UPPER = np.triu_indices(4)
+# Float-view indices of the imaginary parts of the packed diagonal.
+_IMAG_DIAG = 2 * np.flatnonzero(_UPPER[0] == _UPPER[1]) + 1
 
-    def rhs(t, rho):
-        a = (rho.reshape(-1, 4) @ hamiltonian(env, t)).reshape(rho.shape)
-        return coeff * (np.conj(np.swapaxes(a, -1, -2)) - a) - damping * rho
+
+def _pack(rhos: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(rhos[..., _UPPER[0], _UPPER[1]])
+
+
+def _unpack(u: np.ndarray) -> np.ndarray:
+    """Hermitian 4x4 stack of a packed stack with a real diagonal."""
+    rhos = np.empty(u.shape[:-1] + (4, 4), dtype=complex)
+    rhos[..., _UPPER[1], _UPPER[0]] = np.conj(u)
+    rhos[..., _UPPER[0], _UPPER[1]] = u
+    return rhos
+
+
+def _packed_generator(h: np.ndarray) -> np.ndarray:
+    """Real (20, 20) matrix G of rho -> upper(-i[h, rho]) for a Hermitian h,
+    acting as r @ G on the float view r of a packed stack.  The rows and
+    columns of the imaginary parts of the diagonal are zero."""
+    rhos = _unpack(np.eye(20).view(complex))
+    g = _pack(-1.0j * (h @ rhos - rhos @ h)).view(float)
+    g[_IMAG_DIAG] = 0.0
+    g[:, _IMAG_DIAG] = 0.0
+    return g
+
+
+@cache
+def _tripod_generator_basis() -> np.ndarray:
+    """Read-only (6, 400) flattened _packed_generator of the Hermitian basis
+    of the tripod Hamiltonian, ordered like the float view x of
+    tripod.hamiltonian's (O_0e, O_1e, O_ae): H(t) has generator x @ basis.
+    Built on first use."""
+    basis = []
+    for j in range(3):
+        for unit in (1.0, 1.0j):
+            h = np.zeros((4, 4), dtype=complex)
+            h[j, 3] = 0.5 * unit
+            h[3, j] = np.conj(h[j, 3])
+            basis.append(_packed_generator(h).ravel())
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
+
+
+def _lindblad_rhs(generator, noise: NoiseModel, amp_scales: np.ndarray):
+    # Member i sees amp_scales[i] * H(t), generator(t) the packed generator
+    # of H(t): one (n, 20) @ (20, 20) real matmul per stage for the whole
+    # stack, with the scale and the dephasing applied elementwise.
+    scales = amp_scales[:, None]
+    damping = np.repeat(-noise.dephasing_matrix()[_UPPER], 2)
+
+    def rhs(t, u):
+        r = u.view(float)
+        out = r @ generator(t)
+        out *= scales
+        out += damping * r
+        return out.view(complex)
 
     return rhs
 
@@ -262,24 +317,34 @@ def propagate_lindblad_batch(
     cfg: IntegratorConfig = IntegratorConfig(),
     amp_scales: np.ndarray | None = None,
 ) -> list[PropagationResult]:
-    """Evolve a stack of density matrices (n, 4, 4) through one shared
-    adaptive solve with per-level pure dephasing.
+    """Evolve a stack of density matrices (n, 4, 4), n >= 1, through one
+    shared adaptive solve with per-level pure dephasing.
 
     Member i evolves under amp_scales[i] * H(t), H the Hamiltonian of env
-    (default: every scale 1); params must equal env.params.  The stepper
-    controls the error elementwise, so the common mesh is at least as fine
-    as each member needs.  The initial stack is Hermitized once; the
-    right-hand side is exactly Hermitian, so every later state is too.  A
-    final trace defect beyond 1e-6 or a minimum eigenvalue below
+    (default: every scale 1; each scale finite and positive); params must
+    equal env.params.  The stepper controls the error elementwise, so the
+    common mesh is at least as fine as each member needs.  The initial stack
+    is Hermitized once and integrated as its packed upper triangle, whose
+    diagonal stays exactly real, so every final state is exactly Hermitian.
+    A final trace defect beyond 1e-6 or a minimum eigenvalue below
     -(10*rel_tol + POSITIVITY_ROUNDOFF) in any member raises NumericalError.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
     rho0s = np.asarray(rho0s, dtype=complex)
+    if not len(rho0s):
+        raise ValueError("rho0s must hold at least one density matrix")
     _check_density(rho0s)
     amp_scales = np.ones(len(rho0s)) if amp_scales is None else np.asarray(amp_scales, dtype=float)
     if amp_scales.shape != (len(rho0s),):
         raise ValueError("amp_scales must hold one scale per density matrix")
-    rhs = _lindblad_rhs(env, noise, amp_scales)
-    res = _two_segment_solve(rhs, hermitize(rho0s), params.t_gate, cfg)
-    return _density_results(res, cfg.rel_tol)
+    if not np.all(np.isfinite(amp_scales) & (amp_scales > 0.0)):
+        raise ValueError("amp_scales must be finite and positive")
+    basis = _tripod_generator_basis()
+
+    def generator(t):
+        return (np.array(env.evaluate(t), dtype=complex).view(float) @ basis).reshape(20, 20)
+
+    rhs = _lindblad_rhs(generator, noise, amp_scales)
+    res = _two_segment_solve(rhs, _pack(hermitize(rho0s)), params.t_gate, cfg)
+    return _density_results(OdeResult(_unpack(res.y), res.steps_accepted, res.steps_rejected), cfg.rel_tol)

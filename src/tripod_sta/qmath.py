@@ -182,9 +182,9 @@ def ode_solve(
 
     Local error is controlled elementwise against abs_tol + rel_tol*|y|.  The
     seven stages of a step are the rows of one (7, y.size) array, and every
-    stage combination is one tableau-row product with it.  The last stage of
-    an accepted step is the first of the next (FSAL), so a solve costs
-    1 + 6*(accepted + rejected) rhs evaluations.
+    stage combination is one real tableau-row product with its float view.
+    The last stage of an accepted step is the first of the next (FSAL), so a
+    solve costs 1 + 6*(accepted + rejected) rhs evaluations.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -196,6 +196,7 @@ def ode_solve(
     span = t1 - t0
     t = t0
     ks = np.empty((7, y.size), dtype=complex)
+    kf = ks.view(float)
     ks[0] = rhs(t, y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
     scale = max_abs(ks[0])
@@ -204,21 +205,25 @@ def ode_solve(
     h = max(h, span * 1e-10)
 
     accepted = rejected = 0
+    abs_y = np.abs(y)
     while t < t1:
         h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
+        yf = y.view(float)
         for i in range(1, 6):
-            ks[i] = rhs(t + _DP_C[i] * h, (y + (h * _DP_A[i]) @ ks[:i]).reshape(shape)).ravel()
-        y5 = y + (h * _DP_B5) @ ks[:6]
+            stage = (yf + (h * _DP_A[i]) @ kf[:i]).view(complex)
+            ks[i] = rhs(t + _DP_C[i] * h, stage.reshape(shape)).ravel()
+        y5 = (yf + (h * _DP_B5) @ kf[:6]).view(complex)
         ks[6] = rhs(t + h, y5.reshape(shape)).ravel()  # FSAL stage
-        err = (h * _DP_E) @ ks
-        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err = ((h * _DP_E) @ kf).view(complex)
+        abs_y5 = np.abs(y5)
+        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y5)
         ratio = float(np.max(np.abs(err) / tol))
         if ratio <= 1.0:
             t += h
             accepted += 1
-            y = y5
+            y, abs_y = y5, abs_y5
             ks[0] = ks[6]
         else:
             rejected += 1

@@ -207,16 +207,34 @@ def series_expm(a: np.ndarray, terms: int = 30) -> np.ndarray:
     return out
 
 
+def lindblad_rhs_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray):
+    """Reference Lindblad right-hand side on the full (n, 4, 4) stack: member
+    i sees amp_scales[i] * H(t).  One Hamiltonian per stage, with the scale
+    folded into the commutator prefactor.  For Hermitian rho and H,
+    H rho = (rho H)^dag: the whole stack's commutators come from one
+    (n*4, 4) @ (4, 4) matmul, and the result is exactly Hermitian."""
+    coeff = -1.0j * amp_scales[:, None, None]
+    damping = noise.dephasing_matrix()
+
+    def rhs(t, rho):
+        a = (rho.reshape(-1, 4) @ hamiltonian(env, t)).reshape(rho.shape)
+        return coeff * (np.conj(np.swapaxes(a, -1, -2)) - a) - damping * rho
+
+    return rhs
+
+
 def leak_lindblad_rhs(monkeypatch, leak: np.ndarray) -> None:
-    """Add the constant matrix leak to every Lindblad right-hand side that
-    tripod_sta.dynamics builds, for forcing conservation breaches."""
+    """Add the constant Hermitian matrix leak, in the packed layout, to every
+    Lindblad right-hand side that tripod_sta.dynamics builds, for forcing
+    conservation breaches."""
     from tripod_sta import dynamics
 
     lindblad_rhs = dynamics._lindblad_rhs
+    packed = dynamics._pack(np.asarray(leak, dtype=complex))
 
     def leaky_rhs(*args):
         rhs = lindblad_rhs(*args)
-        return lambda t, rho: rhs(t, rho) + leak
+        return lambda t, u: rhs(t, u) + packed
 
     monkeypatch.setattr(dynamics, "_lindblad_rhs", leaky_rhs)
 

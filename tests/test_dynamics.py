@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from conftest import (
     dopri5_unitary,
     hamiltonian_superoperator,
     leak_lindblad_rhs,
+    lindblad_rhs_reference,
     params,
     random_hermitian,
     series_expm,
@@ -28,7 +33,7 @@ from tripod_sta.dynamics import (
     propagate_unitary_batch,
 )
 from tripod_sta.metrics import AXIAL_QUBIT_STATES, avg_gate_fidelity, qubit_overlap_operator
-from tripod_sta.qmath import ABS_TOL_FLOOR, MAGNUS_BLOCK, IntegratorConfig, hermitize, magnus_su2, max_abs
+from tripod_sta.qmath import ABS_TOL_FLOOR, MAGNUS_BLOCK, IntegratorConfig, hermitize, magnus_su2, max_abs, ode_solve
 from tripod_sta.tripod import frame_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -346,15 +351,17 @@ class TestPropagateLindblad:
         assert np.array_equal(y, np.conj(np.swapaxes(y, -1, -2)))
 
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_rhs_matches_superoperator_oracle(self, rng, monkeypatch, scaled):
+    def test_rhs_matches_superoperator_oracle(self, rng, scaled):
         # Random Hermitian H (full, not just the tripod pattern) and states.
         h = random_hermitian(rng, 4, 3.0)
-        monkeypatch.setattr(dynamics, "hamiltonian", lambda env, t: h)
+        generator = dynamics._packed_generator(h)
         n = 5
         rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(n)]))
         scales = rng.uniform(0.5, 1.5, n) if scaled else np.ones(n)
         rates = tuple(rng.uniform(0.0, 2.0, 4))
-        out = dynamics._lindblad_rhs(None, NoiseModel(rates), scales)(0.0, rhos)
+        packed = dynamics._lindblad_rhs(lambda t: generator, NoiseModel(rates), scales)(0.0, dynamics._pack(rhos))
+        assert np.all(packed[:, dynamics._UPPER[0] == dynamics._UPPER[1]].imag == 0.0)
+        out = dynamics._unpack(packed)
         dissipator = sum(
             dissipator_superoperator(math.sqrt(g) * np.diag(np.eye(4)[i]).astype(complex))
             for i, g in enumerate(rates)
@@ -363,6 +370,42 @@ class TestPropagateLindblad:
             ell = hamiltonian_superoperator(scales[i] * h) + dissipator
             assert max_abs(out[i] - unvec(ell @ vec(rho))) < 1e-13
         assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    @pytest.mark.parametrize("cycles", [0.93, 2.2, 5.0])
+    def test_packed_solve_matches_full_matrix_reference(self, rng, flavor, cycles):
+        # The packed stack stores each off-diagonal entry once, and its mirror
+        # has the same modulus, so the elementwise error norm, and with it
+        # every accepted and rejected step, is that of the full 4x4 stack.
+        p = params(cycles, flavor)
+        env = make_envelopes(p)
+        noise = NoiseModel(tuple(rng.uniform(1e-3, 5e-2, 4)))
+        rho0s = np.concatenate([AXIAL_QUBIT_STATES, AXIAL_QUBIT_STATES])
+        scales = rng.uniform(0.75, 1.25, len(rho0s))
+        rhs = lindblad_rhs_reference(env, noise, scales)
+        for rel_tol in (1e-7, 1e-8, 1e-10):
+            cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol)
+            batch = propagate_lindblad_batch(p, env, noise, rho0s, cfg, amp_scales=scales)
+            first = ode_solve(rhs, hermitize(rho0s), 0.0, 0.5 * p.t_gate, cfg)
+            second = ode_solve(rhs, first.y, 0.5 * p.t_gate, p.t_gate, cfg)
+            steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
+            assert (batch[0].steps_accepted, batch[0].steps_rejected) == steps, rel_tol
+            y = np.stack([res.final_operator for res in batch])
+            assert max_abs(y - second.y) < 1e-13, rel_tol
+
+    def test_rejects_an_empty_stack(self):
+        p = params(2.0)
+        with pytest.raises(ValueError, match="at least one density matrix"):
+            propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), np.zeros((0, 4, 4)), CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_nonfinite_or_nonpositive_scales(self, bad):
+        # NaN and inf scales ended in OdeStepUnderflow at t = 0; a scale of -1
+        # was accepted silently.
+        p = params(2.0, Flavor.SATD)
+        scales = np.array([1.0, bad, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="amp_scales must be finite and positive"):
+            propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, amp_scales=scales)
 
     def test_positivity_breach_raises(self, monkeypatch):
         # A constant leak from |1> onto |0> in the right-hand side keeps the
@@ -431,6 +474,27 @@ class TestSuperoperator:
         h = random_hermitian(rng, 4, 2.0)
         ell0 = hamiltonian_superoperator(h)
         assert np.max(np.abs(ell0 + ell0.conj().T)) < 1e-12
+
+
+def test_import_builds_no_generator_basis():
+    # The basis is built on the first Lindblad solve, so importing the
+    # package costs no set-up time.
+    code = "import tripod_sta.dynamics as d; print(d._tripod_generator_basis.cache_info().currsize)"
+    src = str(Path(dynamics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
+
+
+def test_generator_basis_matches_tripod_hamiltonian(rng):
+    # The generator weighted by the envelope values is that of tripod.hamiltonian.
+    p = params(2.0, Flavor.SATD, beta=0.7)
+    env = make_envelopes(p)
+    basis = dynamics._tripod_generator_basis()
+    for t in rng.uniform(0.0, p.t_gate, 5):
+        x = np.array(env.evaluate(t), dtype=complex).view(float)
+        expected = dynamics._packed_generator(tripod.hamiltonian(env, t))
+        assert max_abs((x @ basis).reshape(20, 20) - expected) < 1e-13
 
 
 def test_trace_defect_guard():
