@@ -90,6 +90,7 @@ CASES = {
     "contour_jobs2": (["contour"], CONTOUR, ["--jobs", "2"]),
     "pulses": (["pulses", "export"], PULSES, []),
     "oracle_compare": (["oracle", "compare"], ORACLE_COMPARE, []),
+    "oracle_compare_jobs2": (["oracle", "compare"], ORACLE_COMPARE, ["--jobs", "2"]),
 }
 
 
