@@ -4,6 +4,11 @@ All physical inputs are dimensionless in units where omega0/(2*pi) = 1: gate
 times are given in cycles (omega0*t_g/2pi) and dephasing rates in units of
 omega0/2pi.  Identical configs produce byte-identical CSV files; parallel and
 serial runs yield the same sorted rows.
+
+Each kind splits its sweep into tasks: one per grid point, or for gate-error
+one contiguous lockstep batch of points per job.  The tasks run on at most
+--jobs worker processes, and a numerical failure names the first failing
+point in grid order.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -53,6 +57,11 @@ OMEGA0 = 2.0 * math.pi
 # physical use, and far above the times where the pulse shape's 1/t_g^2 and
 # the closed-form predictions' 1/(omega0*t_g)^6 leave the float range.
 MIN_TG_CYCLES = 1e-6
+
+# Most points a config grid may ask for (samples, tg_grid.count,
+# contour.coarse_count): each costs at least one CSV row or one propagation,
+# and a grid of 10^13 does not fit in memory.
+MAX_GRID_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -153,8 +162,9 @@ def _library(field: str, make, *args):
         raise ConfigError(field, str(exc)) from exc
 
 
-# ok and need of a gate-time field.
+# ok and need of a gate-time field and of a grid count.
 _GATE_TIME = (lambda x: x >= MIN_TG_CYCLES, f">= {MIN_TG_CYCLES:g} cycles")
+_GRID_COUNT = (lambda n: 2 <= n <= MAX_GRID_POINTS, f"in [2, {MAX_GRID_POINTS}]")
 
 
 def _tg_grid(cfg: dict) -> tuple[float, ...]:
@@ -163,7 +173,7 @@ def _tg_grid(cfg: dict) -> tuple[float, ...]:
     )
     lo = _field(cfg, "tg_grid.min", None, _num, *_GATE_TIME)
     hi = _field(cfg, "tg_grid.max", None, _num, lambda x: x > lo, "> tg_grid.min")
-    count = _field(cfg, "tg_grid.count", None, _int, lambda n: n >= 2, ">= 2")
+    count = _field(cfg, "tg_grid.count", None, _int, *_GRID_COUNT)
     pts = np.geomspace(lo, hi, count) if scale == "log" else np.linspace(lo, hi, count)
     return tuple(float(x) for x in pts)
 
@@ -177,7 +187,7 @@ def _oracle_compare_fields(cfg: dict) -> tuple[float, ...]:
 
 def _pulse_fields(cfg: dict) -> PulseFields:
     return PulseFields(
-        _field(cfg, "samples", 101, _int, lambda n: n >= 2, ">= 2"),
+        _field(cfg, "samples", 101, _int, *_GRID_COUNT),
         _field(cfg, "tg_cycles", 4.0, _num, *_GATE_TIME),
         _field(cfg, "amp_scale", 1.0, _num, lambda x: x > 0.0, "positive"),
     )
@@ -191,7 +201,7 @@ def _contour_fields(cfg: dict) -> ContourFields:
         _field(cfg, "contour.gamma_e", [], *rates),
         tg_min,
         _field(cfg, "contour.tg_max", 30.0, _num, lambda x: x > tg_min, "> contour.tg_min"),
-        _field(cfg, "contour.coarse_count", 60, _int, lambda n: n >= 2, ">= 2"),
+        _field(cfg, "contour.coarse_count", 60, _int, *_GRID_COUNT),
         _field(cfg, "contour.golden_rel_tol", 1e-3, _num, lambda x: x > 0.0, "positive"),
     )
 
@@ -284,22 +294,19 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _failure(point: dict, exc: Exception) -> NumericalError:
-    """exc as a numerical failure that names the parameters of its point."""
-    desc = ", ".join(f"{name}={value}" for name, value in point.items())
-    return NumericalError(f"at ({desc}): {exc}")
-
-
 def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
-    """Rows of one task; numerical failures name the task's parameters (a
-    task without any names its failing point itself)."""
-    spec, point = task
+    """Rows of one task; a numerical failure names the parameters of its
+    point.  A batch task's point is its failing member of `points` (the first,
+    if the failure is tied to none); a task without parameters raises as is."""
+    spec, args = task
     try:
-        return KINDS[spec.kind].rows(spec, **point)
+        return KINDS[spec.kind].rows(spec, **args)
     except (NumericalError, OdeStepUnderflow) as exc:
-        if not point:
+        if not args:
             raise
-        raise _failure(point, exc) from exc
+        point = args["points"][getattr(exc, "member", None) or 0] if "points" in args else args
+        desc = ", ".join(f"{name}={value}" for name, value in point.items())
+        raise NumericalError(f"at ({desc}): {exc}") from exc
 
 
 # --- gate-time error sweep -------------------------------------------------
@@ -308,24 +315,12 @@ def _grid_tasks(spec: SweepSpec) -> list[dict]:
     return [{"tg_cycles": tg, "flavor": flavor} for tg in spec.fields for flavor in spec.flavors]
 
 
-def _gate_error_sweep(spec: SweepSpec) -> list[tuple]:
-    """Every gate-error row: the grid is split into at most spec.jobs
-    contiguous chunks, each one lockstep batch on its own worker, and a
-    failure names the first failing point in grid order."""
+def _gate_error_tasks(spec: SweepSpec) -> list[dict]:
+    """The grid in at most spec.jobs contiguous chunks, each one lockstep
+    batch, so a failure names the first failing point in grid order."""
     points = _grid_tasks(spec)
     k = min(spec.jobs, len(points))
-    chunks = [points[len(points) * i // k : len(points) * (i + 1) // k] for i in range(k)]
-    return [row for rows in _run_tasks(partial(_gate_error_batch, spec), chunks, spec.jobs) for row in rows]
-
-
-def _gate_error_batch(spec: SweepSpec, points: list[dict]) -> list[tuple]:
-    """The gate-error rows of one chunk of points; a failure names the first
-    failing point of the chunk."""
-    try:
-        return _gate_error_rows(spec, points)
-    except NumericalError as exc:
-        # A failure tied to no member fails them all: the first is point 0.
-        raise _failure(points[exc.member or 0], exc) from exc
+    return [{"points": points[len(points) * i // k : len(points) * (i + 1) // k]} for i in range(k)]
 
 
 def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
@@ -361,13 +356,12 @@ def _gate_error_row(spec: SweepSpec, env: EnvelopeSet, u: np.ndarray) -> tuple:
 
 def _noise_map_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tuple]:
     p = spec.params(tg_cycles, flavor)
-    shape = make_pulse_shape(p.t_gate)
-    env = make_envelopes(p, shape)
+    env = make_envelopes(p)
     cfg = spec.integrator
     floor = cfg.rel_tol
     max_amp = env.max_amplitude / OMEGA0
     cost = env.cost / (0.5 * OMEGA0)
-    f_nominal, f_avg = nominal_and_uncertainty_avg(p, spec.noise, spec.uncertainty_nodes, cfg, shape)
+    f_nominal, f_avg = nominal_and_uncertainty_avg(p, spec.noise, spec.uncertainty_nodes, cfg)
     eps_nominal = clamp_error(1.0 - f_nominal, floor)
     rows = [(tg_cycles, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost)]
     if spec.noise.k > 0.0:
@@ -453,8 +447,7 @@ def _contour_rows(
 def _pulse_rows(spec: SweepSpec) -> list[tuple]:
     f = spec.fields
     p = spec.params(f.tg_cycles, spec.flavors[0], f.amp_scale)
-    env = make_envelopes(p, make_pulse_shape(p.t_gate))
-    return envelope_rows(env, f.samples)
+    return envelope_rows(make_envelopes(p), f.samples)
 
 
 def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
@@ -499,7 +492,7 @@ KINDS = {
     "gate-error": Kind(
         ("sweep", "gate-error"), "unitary gate-error sweep",
         "tg_cycles,flavor,eps_full,eps_qubit,eps_full_pred,eps_qubit_pred,eps_oracleA",
-        parse=_tg_grid, tasks=lambda spec: [{}], rows=_gate_error_sweep, sort_cols=2,
+        parse=_tg_grid, tasks=_gate_error_tasks, rows=_gate_error_rows, sort_cols=2,
     ),
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",
@@ -529,13 +522,11 @@ KINDS = {
     ),
 }
 
-HEADERS = {name: kind.header for name, kind in KINDS.items()}
-
 
 def run(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
     """Comment lines and sorted rows of one sweep."""
     kind = KINDS[spec.kind]
-    groups = _run_tasks(_run_task, [(spec, point) for point in kind.tasks(spec)], spec.jobs)
+    groups = _run_tasks(_run_task, [(spec, args) for args in kind.tasks(spec)], spec.jobs)
     rows = sorted((row for group in groups for row in group), key=lambda r: r[: kind.sort_cols])
     return _base_comments(spec) + kind.comments(spec), rows
 
@@ -579,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure (kind={spec.kind}): {exc}", file=sys.stderr)
         return 3
 
-    lines = [f"# {c}" for c in comments] + [HEADERS[spec.kind]]
+    lines = [f"# {c}" for c in comments] + [KINDS[spec.kind].header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -122,7 +122,6 @@ def nominal_and_uncertainty_avg(
     noise: NoiseModel,
     n_nodes: int = 21,
     cfg: IntegratorConfig = IntegratorConfig(),
-    shape: PulseShape | None = None,
 ) -> tuple[float, float]:
     """(nominal, averaged) map fidelity: map_fidelity of the pulses at
     params.amp_scale = a and its uniform average over the Rabi amplitude
@@ -137,7 +136,7 @@ def nominal_and_uncertainty_avg(
     scales, weights = _amplitude_nodes(noise.k, n_nodes)
     # The nominal scale 1 leads the solve, unless k = 0 made it the one node.
     lead = [1.0] if noise.k else []
-    fids = _axial_fidelities(params, make_envelopes(params, shape), noise, cfg, [*lead, *scales])
+    fids = _axial_fidelities(params, make_envelopes(params), noise, cfg, [*lead, *scales])
     # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
     return float(fids[0]), float(np.dot(weights, fids[len(lead) :])) / 2.0
 

@@ -207,10 +207,13 @@ class TestConfigHandling:
                 ("tg_grid.min", -1.0),
                 ("tg_grid.max", 1.0),
                 ("tg_grid.count", 1),
+                ("tg_grid.count", cli.MAX_GRID_POINTS + 1),
             )
         ]
         + [
             ("pulses export", "samples", 1),
+            # Past MAX_GRID_POINTS; 10^13 points used to end in a numpy memory error.
+            ("pulses export", "samples", cli.MAX_GRID_POINTS + 1),
             ("pulses export", "tg_cycles", 0.0),
             ("pulses export", "amp_scale", 0.0),
             ("contour", "contour.gamma_gs", []),
@@ -218,6 +221,7 @@ class TestConfigHandling:
             ("contour", "contour.tg_min", -1.0),
             ("contour", "contour.tg_max", 0.5),
             ("contour", "contour.coarse_count", 1),
+            ("contour", "contour.coarse_count", cli.MAX_GRID_POINTS + 1),
             ("contour", "contour.golden_rel_tol", 0.0),
         ]
         + [
@@ -253,6 +257,19 @@ class TestConfigHandling:
         payload = _with_field(MINIMAL_CFGS[kind], field, value)
         self._assert_config_error(capsys, tmp_path, kind, payload, f"'{field}'")
 
+    @pytest.mark.parametrize(
+        "kind, field, parsed",
+        [(kind, "tg_grid.count", len) for kind in ("sweep gate-error", "sweep noise-map", "oracle compare")]
+        + [
+            ("pulses export", "samples", lambda fields: fields.samples),
+            ("contour", "contour.coarse_count", lambda fields: fields.coarse_count),
+        ],
+    )
+    def test_grid_count_at_the_cap_is_accepted(self, tmp_path, kind, field, parsed):
+        payload = _with_field(MINIMAL_CFGS[kind], field, cli.MAX_GRID_POINTS)
+        spec = cli.load_spec(write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv"))))
+        assert parsed(spec.fields) == cli.MAX_GRID_POINTS
+
 
 class TestGateErrorSweep:
     def test_rows_and_header(self, tmp_path):
@@ -261,7 +278,7 @@ class TestGateErrorSweep:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["sweep", "gate-error", "--config", cfg]) == 0
         header, rows = read_table(out)
-        assert ",".join(header) == cli.HEADERS["gate-error"]
+        assert ",".join(header) == cli.KINDS["gate-error"].header
         assert len(rows) == 4  # 2 gate times x 2 flavors
         for row in rows:
             assert row[1] in ("adiabatic", "satd")
@@ -294,22 +311,49 @@ class TestGateErrorSweep:
         assert outs[0] == outs[1] == outs[2]
 
 
+class InProcessPool:
+    """A ProcessPoolExecutor stand-in that runs the tasks in this process,
+    where monkeypatches hold, and starts no worker."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind", sorted(MINIMAL_CFGS))
+def test_every_kind_dispatches_its_tasks_once(tmp_path, monkeypatch, kind, jobs):
+    # One task path: the kind's tasks all go through a single _run_tasks call,
+    # and no task starts a pool of its own.
+    calls = []
+    run_tasks = cli._run_tasks
+
+    def counting(worker, tasks, jobs):
+        calls.append(len(tasks))
+        return run_tasks(worker, tasks, jobs)
+
+    monkeypatch.setattr(cli, "_run_tasks", counting)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS[kind], out=str(tmp_path / "o.csv")))
+    assert cli.main(kind.split() + ["--config", cfg, "--jobs", jobs]) == 0
+    assert len(calls) == 1
+
+
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
     # A recording stand-in: a real pool forks every worker at the first submit.
     sizes = []
 
-    class RecordingPool:
+    class RecordingPool(InProcessPool):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert cli._run_tasks(abs, [-1, -2], 64) == [1, 2]
@@ -328,7 +372,7 @@ class TestNoiseMapSweep:
         assert "satd_max_amp_threshold_cycles=" in text
         assert "satd_cost_2x_threshold_cycles=" in text
         header, rows = read_table(out)
-        assert ",".join(header) == cli.HEADERS["noise-map"]
+        assert ",".join(header) == cli.KINDS["noise-map"].header
         assert len(rows) == 8  # 2 tg x 2 flavors x {0, 0.2}
         # the k = 0 row of each point reduces to the plain map fidelity
         p = params(2.0, Flavor.SATD)
@@ -383,7 +427,7 @@ class TestContour:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["contour", "--config", cfg]) == 0
         header, rows = read_table(out)
-        assert ",".join(header) == cli.HEADERS["contour"]
+        assert ",".join(header) == cli.KINDS["contour"].header
         by_flavor = {r[2]: r for r in rows}
         assert by_flavor["satd"][5] == "0"  # infeasible: window below threshold
         assert by_flavor["satd"][3] == "nan"
@@ -449,7 +493,7 @@ class TestPulsesExport:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["pulses", "export", "--config", cfg]) == 0
         header, rows = read_table(out)
-        assert ",".join(header) == cli.HEADERS["pulses"]
+        assert ",".join(header) == cli.KINDS["pulses"].header
         assert len(rows) == 7
         first = [float(v) for v in rows[0]]
         assert first[1:5] == [0.0, 0.0, 0.0, 0.0]
@@ -469,7 +513,7 @@ class TestOracleCompare:
         cfg = write_config(tmp_path / "c.json", payload)
         assert cli.main(["oracle", "compare", "--config", cfg]) == 0
         header, rows = read_table(out)
-        assert ",".join(header) == cli.HEADERS["oracle-compare"]
+        assert ",".join(header) == cli.KINDS["oracle-compare"].header
         for row in rows:
             eps_map_num, eps_eq48, eps_b = float(row[3]), float(row[4]), float(row[5])
             assert abs(eps_map_num - eps_eq48) / eps_eq48 < 0.1
@@ -540,21 +584,12 @@ def test_unitarity_breach_of_later_members_names_the_first_of_them(tmp_path, cap
     # stand-in pool runs them in this process, where the patch holds.
     chunks = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
+    class RecordingPool(InProcessPool):
         def map(self, fn, tasks):
-            chunks.extend([(p["tg_cycles"], p["flavor"]) for p in chunk] for chunk in tasks)
+            chunks.extend([(p["tg_cycles"], p["flavor"]) for p in task["points"]] for _, task in tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     real = dynamics.lab_operator
     monkeypatch.setattr(dynamics, "lab_operator", lambda p, u1, u2: (1.001 if broken(p) else 1.0) * real(p, u1, u2))
     out = tmp_path / "ge.csv"
