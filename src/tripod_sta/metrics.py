@@ -129,16 +129,18 @@ def nominal_and_uncertainty_avg(
 
     Node x realizes the envelopes at params scaled by 1 + k*x (the target
     stays nominal).  The nominal map and all nodes share one Lindblad solve,
-    each group of six members with its scale (1, 1 + k*x_1, ...) relative to
-    the envelopes built at params.  At k = 0 the only node is the nominal
-    map, so the solve holds that one group.
+    each group of six members with its scale relative to the envelopes built
+    at params.  Each distinct scale is solved once: the nominal map is the
+    node at scale 1 if there is one (the middle node x = 0 of an odd rule,
+    or the one node at k = 0), and otherwise leads the solve as its own group.
     """
     scales, weights = _amplitude_nodes(noise.k, n_nodes)
-    # The nominal scale 1 leads the solve, unless k = 0 made it the one node.
-    lead = [1.0] if noise.k else []
+    at_one = np.flatnonzero(scales == 1.0)
+    lead = [] if len(at_one) else [1.0]
     fids = _axial_fidelities(params, make_envelopes(params), noise, cfg, [*lead, *scales])
+    nominal = fids[at_one[0]] if len(at_one) else fids[0]
     # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
-    return float(fids[0]), float(np.dot(weights, fids[len(lead) :])) / 2.0
+    return float(nominal), float(np.dot(weights, fids[len(lead) :])) / 2.0
 
 
 def map_fidelity_uncertainty_avg(

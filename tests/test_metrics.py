@@ -162,8 +162,9 @@ class TestUncertaintyAverage:
                 nominal_and_uncertainty_avg(params(2.0), NoiseModel(), n_nodes, FAST)
 
     def test_solves_only_the_members_it_uses(self, monkeypatch):
-        # The average alone solves the six axial states per node; the
-        # nominal map adds one group of six, and at k = 0 it is the only one.
+        # The average alone solves the six axial states per node.  The
+        # nominal map is the middle node x = 0 of an odd rule, and at k = 0
+        # the only one, so it adds no group of its own.
         solved = []
         batch = metrics.propagate_lindblad_batch
 
@@ -173,7 +174,7 @@ class TestUncertaintyAverage:
 
         monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
         p = params(2.0, Flavor.SATD)
-        for k, n_nodes, expected in ((0.2, 5, [30, 36]), (0.0, 5, [6, 6])):
+        for k, n_nodes, expected in ((0.2, 5, [30, 30]), (0.2, 4, [24, 30]), (0.0, 5, [6, 6])):
             solved.clear()
             noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k)
             map_fidelity_uncertainty_avg(p, noise, n_nodes, FAST)
