@@ -5,8 +5,10 @@ times are given in cycles (omega0*t_g/2pi) and dephasing rates in units of
 omega0/2pi.  Identical configs produce byte-identical CSV files; parallel and
 serial runs yield the same sorted rows.
 
-Each kind splits its sweep into tasks: one per grid point, or for gate-error
-one contiguous lockstep batch of points per job.  The tasks run on at most
+Each kind splits its sweep into tasks: one per grid point, for gate-error
+one contiguous lockstep batch of points per job, and for noise-map one
+contiguous chunk of each flavor's grid per Lindblad solve
+(metrics.point_chunks, set by the config alone).  The tasks run on at most
 --jobs worker processes, and a numerical failure names the first failing
 point in grid order.
 """
@@ -19,7 +21,6 @@ import math
 import os
 import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,7 @@ from .metrics import (
     map_fidelity,
     map_fidelity_uncertainty_avg,
     nominal_and_uncertainty_avg,
+    point_chunks,
     qubit_overlap_operator,
 )
 from .oracles import magnus_full_gate, oracle_b_map_fidelity
@@ -289,6 +291,9 @@ def _base_comments(spec: SweepSpec) -> list[str]:
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # Imported here, so a serial run never loads the process pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     # The pool forks all its workers at the first submit, so start no idle ones.
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(worker, tasks))
@@ -311,14 +316,10 @@ def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
 
 # --- gate-time error sweep -------------------------------------------------
 
-def _grid_tasks(spec: SweepSpec) -> list[dict]:
-    return [{"tg_cycles": tg, "flavor": flavor} for tg in spec.fields for flavor in spec.flavors]
-
-
 def _gate_error_tasks(spec: SweepSpec) -> list[dict]:
     """The grid in at most spec.jobs contiguous chunks, each one lockstep
     batch, so a failure names the first failing point in grid order."""
-    points = _grid_tasks(spec)
+    points = [{"tg_cycles": tg, "flavor": flavor} for tg in spec.fields for flavor in spec.flavors]
     k = min(spec.jobs, len(points))
     return [{"points": points[len(points) * i // k : len(points) * (i + 1) // k]} for i in range(k)]
 
@@ -354,18 +355,35 @@ def _gate_error_row(spec: SweepSpec, env: EnvelopeSet, u: np.ndarray) -> tuple:
 
 # --- noise-map sweep -------------------------------------------------------
 
-def _noise_map_rows(spec: SweepSpec, tg_cycles: float, flavor: str) -> list[tuple]:
-    p = spec.params(tg_cycles, flavor)
-    env = make_envelopes(p)
+def _noise_map_tasks(spec: SweepSpec) -> list[dict]:
+    """One task per chunk of point_chunks of each flavor's grid: each is one
+    Lindblad solve, so the batches come from the config alone."""
+    grid = spec.fields
+    chunks = point_chunks(len(grid), spec.noise.k, spec.uncertainty_nodes)
+    return [
+        {"points": [{"tg_cycles": grid[i], "flavor": flavor} for i in chunk]}
+        for flavor in spec.flavors
+        for chunk in chunks
+    ]
+
+
+def _noise_map_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
+    """The noise-map rows of each point {tg_cycles, flavor} of one flavor,
+    its maps solved together; a NumericalError carries the index of the
+    failing point as its member."""
     cfg = spec.integrator
     floor = cfg.rel_tol
-    max_amp = env.max_amplitude / OMEGA0
-    cost = env.cost / (0.5 * OMEGA0)
-    f_nominal, f_avg = nominal_and_uncertainty_avg(p, spec.noise, spec.uncertainty_nodes, cfg)
-    eps_nominal = clamp_error(1.0 - f_nominal, floor)
-    rows = [(tg_cycles, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost)]
-    if spec.noise.k > 0.0:
-        rows.append((tg_cycles, flavor, spec.noise.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
+    ps = [spec.params(**point) for point in points]
+    rows = []
+    for p, (f_nominal, f_avg) in zip(ps, nominal_and_uncertainty_avg(ps, spec.noise, spec.uncertainty_nodes, cfg)):
+        env = make_envelopes(p)
+        max_amp = env.max_amplitude / OMEGA0
+        cost = env.cost / (0.5 * OMEGA0)
+        tg, flavor = p.t_gate, p.flavor.value
+        eps_nominal = clamp_error(1.0 - f_nominal, floor)
+        rows.append((tg, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost))
+        if spec.noise.k > 0.0:
+            rows.append((tg, flavor, spec.noise.k, eps_nominal, clamp_error(1.0 - f_avg, floor), max_amp, cost))
     return rows
 
 
@@ -497,7 +515,7 @@ KINDS = {
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",
         "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
-        parse=_tg_grid, tasks=_grid_tasks, rows=_noise_map_rows, sort_cols=3, comments=_noise_map_comments,
+        parse=_tg_grid, tasks=_noise_map_tasks, rows=_noise_map_rows, sort_cols=3, comments=_noise_map_comments,
     ),
     "contour": Kind(
         ("contour",), "best-error search over rate pairs",

@@ -107,10 +107,12 @@ class EnvelopeSet:
     """The three complex control envelopes of one protocol run.
 
     evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae) at a float or an array
-    of times.  The relative phase of the a-e leg jumps by gamma0 at t_gate/2;
-    that leg's amplitude vanishes there, so the two half-segments join
-    continuously.  For SATD that also needs the dressing to vanish there:
-    theta_dot = 0 at t_gate/2.
+    of times: amp_scale*omega0 times (w0*f_s, w1*f_s, f_c) for the profile
+    factors (f_s, f_c) and the qubit_weights (w0, w1).  The relative phase of
+    the a-e leg jumps by gamma0 at t_gate/2 (the factor phase_jump on the
+    second half); that leg's amplitude vanishes there, so the two
+    half-segments join continuously.  For SATD that also needs the dressing
+    to vanish there: theta_dot = 0 at t_gate/2.
     """
 
     def __init__(self, params: ControlParams, shape: PulseShape):
@@ -121,8 +123,8 @@ class EnvelopeSet:
         self.params = params
         self.shape = shape
         p = params
-        self._qubit_weights = (math.cos(p.alpha), math.sin(p.alpha) * complex(math.cos(p.beta), math.sin(p.beta)))
-        self._phase_jump = complex(math.cos(p.gamma0), math.sin(p.gamma0))
+        self.qubit_weights = (math.cos(p.alpha), math.sin(p.alpha) * complex(math.cos(p.beta), math.sin(p.beta)))
+        self.phase_jump = complex(math.cos(p.gamma0), math.sin(p.gamma0))
 
     @property
     def segment_boundary(self) -> float:
@@ -146,9 +148,9 @@ class EnvelopeSet:
         p = self.params
         fs, fc = self.profile(t)
         scale = p.amp_scale * p.omega0
-        w0, w1 = self._qubit_weights
+        w0, w1 = self.qubit_weights
         # jump ** bool: the jump on the second half only, numpy-free on a float.
-        oa = scale * fc * self._phase_jump ** (t >= self.segment_boundary)
+        oa = scale * fc * self.phase_jump ** (t >= self.segment_boundary)
         return scale * w0 * fs, scale * w1 * fs, oa
 
     @cached_property

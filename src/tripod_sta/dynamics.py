@@ -11,13 +11,16 @@ count and its vectorized field calls, and each freezes by its own stopping
 rule, so it gets bit for bit what it gets alone (propagate_unitary is the
 batch of one; the CLI's gate-error sweep is one batch per worker).
 
-The Lindblad path uses the adaptive Dormand-Prince stepper qmath.ode_solve.
-It integrates a whole stack of density matrices (the six axial states at every
-amplitude scale of a noise-map point) in one shared-mesh solve, each stored as
-its packed upper triangle.  The right-hand side of the whole stack is one real
-matmul of the packed float view with a 20x20 commutator generator, a linear
-combination of a cached basis weighted by the envelope values, so the
-diagonal stays exactly real and every unpacked state is exactly Hermitian.
+The Lindblad path uses the adaptive Dormand-Prince stepper qmath.ode_solve
+in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].  The pulse shape is
+the same function of tau at every gate time, so one solve integrates a whole
+stack of density matrices (the four independent axial inputs at every
+amplitude scale of every gate time of a noise-map chunk) on one shared mesh,
+each member with its own gate time and amplitude scale, each stored as its
+packed upper triangle.  The right-hand side of the whole stack is a real
+matmul of the packed float view with two fixed 20x20 commutator generators
+per half-segment, weighted per member, so the diagonal stays exactly real and
+every unpacked state is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from .controls import ControlParams, EnvelopeSet
+from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape
 from .qmath import IntegratorConfig, OdeResult, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
 from .tripod import frame_field, lab_operator
 
@@ -106,17 +109,6 @@ class PropagationResult:
     min_eigenvalue: float | None = None
     magnus_steps: tuple[int, int] | None = None
     error_estimate: float | None = None
-
-
-def _two_segment_solve(rhs, y0, t_gate, cfg) -> OdeResult:
-    half = 0.5 * t_gate
-    first = ode_solve(rhs, y0, 0.0, half, cfg)
-    second = ode_solve(rhs, first.y, half, t_gate, cfg)
-    return OdeResult(
-        second.y,
-        first.steps_accepted + second.steps_accepted,
-        first.steps_rejected + second.steps_rejected,
-    )
 
 
 def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, divisor: float = 1.0) -> list:
@@ -263,18 +255,22 @@ def _tripod_generator_basis() -> np.ndarray:
     return basis
 
 
-def _lindblad_rhs(generator, noise: NoiseModel, amp_scales: np.ndarray):
-    # Member i sees amp_scales[i] * H(t), generator(t) the packed generator
-    # of H(t): one (n, 20) @ (20, 20) real matmul per stage for the whole
-    # stack, with the scale and the dephasing applied elementwise.
-    scales = amp_scales[:, None]
-    damping = np.repeat(-noise.dephasing_matrix()[_UPPER], 2)
+def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
+    # terms(tau) gives generators G (k, 20, 20) and weights w broadcasting
+    # to (k, n, 20), each row of w[j] one member's weight: member i gets
+    # sum_j w[j, i] * u_i @ G[j] plus its dephasing -t_gates[i] * W on the
+    # packed entries.  One stacked real matmul per stage for the whole stack,
+    # the weights and the dephasing elementwise on whole rows (a weight
+    # column broadcast along the rows costs twice as much).
+    damping = np.repeat(-noise.dephasing_matrix()[_UPPER], 2) * t_gates[:, None]
 
-    def rhs(t, u):
+    def rhs(tau, u):
         r = u.view(float)
-        out = r @ generator(t)
-        out *= scales
-        out += damping * r
+        generators, weights = terms(tau)
+        out = damping * r
+        for product, weight in zip(r @ generators, weights):
+            product *= weight
+            out += product
         return out.view(complex)
 
     return rhs
@@ -292,21 +288,43 @@ def propagate_lindblad(
     return propagate_lindblad_batch(params, env, noise, np.asarray(rho0)[None], cfg)[0]
 
 
-def _density_results(res: OdeResult, rel_tol: float) -> list[PropagationResult]:
-    """One result per density matrix of the stack res.y, with its trace
-    defect and minimum eigenvalue; a trace defect above 1e-6 or an eigenvalue
-    below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError."""
-    trace_defects = np.abs(np.trace(res.y, axis1=-2, axis2=-1).real - 1.0)
-    if np.max(trace_defects) > 1e-6:
-        raise NumericalError(f"trace defect {np.max(trace_defects):.3e} exceeds 1e-6; integration unreliable")
-    min_eigs = np.min(np.linalg.eigvalsh(res.y), axis=-1)
+def density_diagnostics(rhos: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trace defects and minimum eigenvalues of a stack of final density
+    matrices (n, 4, 4).  A trace defect above 1e-6 or an eigenvalue below
+    -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError with member set
+    to the first failing matrix."""
+    trace_defects = np.abs(np.trace(rhos, axis1=-2, axis2=-1).real - 1.0)
+    min_eigs = np.min(np.linalg.eigvalsh(rhos), axis=-1)
     bound = 10.0 * rel_tol + POSITIVITY_ROUNDOFF
-    if not np.min(min_eigs) >= -bound:
-        raise NumericalError(f"minimum eigenvalue {np.min(min_eigs):.3e} is below -{bound:.3e}")
+    bad_trace = trace_defects > 1e-6
+    bad = bad_trace | ~(min_eigs >= -bound)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if bad_trace[i]:
+            raise NumericalError(f"trace defect {trace_defects[i]:.3e} exceeds 1e-6; integration unreliable", i)
+        raise NumericalError(f"minimum eigenvalue {min_eigs[i]:.3e} is below -{bound:.3e}", i)
+    return trace_defects, min_eigs
+
+
+def _density_results(res: OdeResult, rel_tol: float) -> list[PropagationResult]:
+    """One result per density matrix of the stack res.y, with its
+    density_diagnostics."""
+    trace_defects, min_eigs = density_diagnostics(res.y, rel_tol)
     return [
         PropagationResult(rho, res.steps_accepted, res.steps_rejected, trace_defect=float(d), min_eigenvalue=float(e))
         for rho, d, e in zip(res.y, trace_defects, min_eigs)
     ]
+
+
+def _per_member(name: str, values, default: float, n: int) -> np.ndarray:
+    """values as n finite positive floats, one per member (default: all
+    default)."""
+    values = np.full(n, default) if values is None else np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} must hold one value per density matrix")
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise ValueError(f"{name} must be finite and positive")
+    return values
 
 
 def propagate_lindblad_batch(
@@ -316,35 +334,68 @@ def propagate_lindblad_batch(
     rho0s: np.ndarray,
     cfg: IntegratorConfig = IntegratorConfig(),
     amp_scales: np.ndarray | None = None,
+    t_gates: np.ndarray | None = None,
 ) -> list[PropagationResult]:
     """Evolve a stack of density matrices (n, 4, 4), n >= 1, through one
-    shared adaptive solve with per-level pure dephasing.
+    shared adaptive solve in scaled time tau = t/T with per-level pure
+    dephasing.
 
-    Member i evolves under amp_scales[i] * H(t), H the Hamiltonian of env
-    (default: every scale 1; each scale finite and positive); params must
-    equal env.params.  The stepper controls the error elementwise, so the
-    common mesh is at least as fine as each member needs.  The initial stack
-    is Hermitized once and integrated as its packed upper triangle, whose
+    Member i is the protocol of env run for the gate time T = t_gates[i] at
+    r = amp_scales[i] times its amplitude (defaults: env's gate time and
+    every scale 1; each finite and positive): in tau it evolves under
+    T*r*H_T(tau) with damping T*W, H_T the Hamiltonian of env's flavor, axis
+    and amplitude at gate time T.  params must equal env.params, and env's
+    shape must be the plain PulseShape, whose mixing angle depends on t/T
+    alone.  The stepper controls the error elementwise, so the common mesh
+    is at least as fine as each member needs.  The initial stack is
+    Hermitized once and integrated as its packed upper triangle, whose
     diagonal stays exactly real, so every final state is exactly Hermitian.
     A final trace defect beyond 1e-6 or a minimum eigenvalue below
-    -(10*rel_tol + POSITIVITY_ROUNDOFF) in any member raises NumericalError.
+    -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError with member
+    set to the first failing member.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
+    if type(env.shape).__call__ is not PulseShape.__call__:
+        raise ValueError("scaled time needs the plain PulseShape: theta must depend on t/t_gate alone")
     rho0s = np.asarray(rho0s, dtype=complex)
     if not len(rho0s):
         raise ValueError("rho0s must hold at least one density matrix")
     _check_density(rho0s)
-    amp_scales = np.ones(len(rho0s)) if amp_scales is None else np.asarray(amp_scales, dtype=float)
-    if amp_scales.shape != (len(rho0s),):
-        raise ValueError("amp_scales must hold one scale per density matrix")
-    if not np.all(np.isfinite(amp_scales) & (amp_scales > 0.0)):
-        raise ValueError("amp_scales must be finite and positive")
+    amp_scales = _per_member("amp_scales", amp_scales, 1.0, len(rho0s))
+    t_gates = _per_member("t_gates", t_gates, params.t_gate, len(rho0s))
+
+    # H_T(tau) is a*omega0 times the envelope form of EnvelopeSet.evaluate,
+    # with f_s = s + kappa c and f_c = c - kappa s at the mixing angle theta
+    # of the unit gate, s = sin(theta) and c = cos(theta).  Its generator is
+    # a*omega0 (f_s G_s + f_c G_c), G_s of the qubit legs and G_c of the a-e
+    # leg with the phase of the half-segment, so member i's generator is
+    # c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c) with c_i = T r a omega0
+    # and kappa_i = 4 theta''/(omega0^2 T^2 + 4 theta'^2), the derivatives of
+    # the unit gate (kappa = 0 for the adiabatic flavor).
+    p = env.params
     basis = _tripod_generator_basis()
+    g_sin = np.array([*env.qubit_weights, 0.0], dtype=complex).view(float) @ basis
+    satd = p.flavor is Flavor.SATD
+    gap_sq = (p.omega0 * t_gates[:, None]) ** 2
+    weights = np.empty((2 if satd else 1, len(rho0s), 20))
+    weights[0] = (t_gates * amp_scales * p.omega0 * p.amp_scale)[:, None]
 
-    def generator(t):
-        return (np.array(env.evaluate(t), dtype=complex).view(float) @ basis).reshape(20, 20)
+    def half_rhs(phase: complex):
+        gens = np.stack([g_sin, np.array([0.0, 0.0, phase], dtype=complex).view(float) @ basis])
 
-    rhs = _lindblad_rhs(generator, noise, amp_scales)
-    res = _two_segment_solve(rhs, _pack(hermitize(rho0s)), params.t_gate, cfg)
-    return _density_results(OdeResult(_unpack(res.y), res.steps_accepted, res.steps_rejected), cfg.rel_tol)
+        def terms(tau):
+            theta, d1, d2 = PulseShape.ramp(1.0, tau)
+            s, c = math.sin(theta), math.cos(theta)
+            if not satd:
+                return (s * gens[0] + c * gens[1]).reshape(1, 20, 20), weights
+            np.multiply(weights[0], 4.0 * d2 / (gap_sq + 4.0 * d1 * d1), out=weights[1])
+            return (np.array(((s, c), (c, -s))) @ gens).reshape(2, 20, 20), weights
+
+        return _lindblad_rhs(terms, noise, t_gates)
+
+    y = _pack(hermitize(rho0s))
+    first = ode_solve(half_rhs(1.0), y, 0.0, 0.5, cfg)
+    second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
+    steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
+    return _density_results(OdeResult(_unpack(second.y), *steps), cfg.rel_tol)

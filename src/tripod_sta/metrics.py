@@ -4,19 +4,28 @@ closed-form fidelity predictions, and noisy-map fidelities."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from .controls import ControlParams, PulseShape, make_envelopes
-from .dynamics import NoiseModel, propagate_lindblad_batch
+from .dynamics import NoiseModel, NumericalError, density_diagnostics, propagate_lindblad_batch
 from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule
 from .tripod import ideal_gate
 
 # Fourth-order Magnus coefficient of the qubit-projected fidelity formula.
 QUBIT_FIDELITY_COEFF = 14_745_600
-# Most nodes of an amplitude-uncertainty average: each adds six states to the
+# Most nodes of an amplitude-uncertainty average: each adds four states to the
 # solve, and building the rule alone takes 0.5 s at 1024 nodes, 2.6 s at 4096.
 MAX_UNCERTAINTY_NODES = 1024
+# Most states one Lindblad solve of nominal_and_uncertainty_avg holds, unless
+# a single point needs more: its points are solved in contiguous chunks
+# (point_chunks) that depend on the point count, k and the node count alone.
+# A shared mesh is set by the longest gate of its chunk: on a 12-point log
+# grid of 1-300 cycles at 21 nodes (84 states per point), 256 took 4.3-4.8 s,
+# against 5.5-6.0 s at 512 and 7.0 s at 128 (one point per solve).
+MAX_SOLVE_STATES = 256
 
 
 def avg_gate_fidelity(o: np.ndarray, d: int) -> float:
@@ -81,13 +90,45 @@ def _axial_average(target: np.ndarray, finals) -> np.ndarray:
     return np.array([sum(overlaps[i : i + 6]) / 6.0 for i in range(0, len(overlaps), 6)])
 
 
-def _axial_fidelities(params: ControlParams, env, noise: NoiseModel, cfg: IntegratorConfig, scales) -> np.ndarray:
-    """Map fidelity for each amplitude scale of scales, relative to env's,
-    from a single shared-mesh solve of the six axial states per scale."""
-    rho0s = np.tile(AXIAL_QUBIT_STATES, (len(scales), 1, 1))
-    target = ideal_gate(params.with_amp_scale(1.0))[:2, :2]
-    results = propagate_lindblad_batch(params, env, noise, rho0s, cfg, np.repeat(scales, 6))
-    return _axial_average(target, [res.final_operator for res in results])
+# The axial inputs a map solve propagates, as indices into AXIAL_QUBIT_STATES:
+# +x, +y, |0> and |1>.  The map is linear, so the images of the other two
+# follow: E(-x) = E(|0><0|) + E(|1><1|) - E(+x), and the same for -y.
+_SOLVED_AXIAL = [0, 2, 4, 5]
+
+
+@contextmanager
+def _failing_member(group: int, offset: int = 0):
+    """Renumber a NumericalError's member, an index into consecutive groups
+    of group members, to offset plus the index of its group."""
+    try:
+        yield
+    except NumericalError as exc:
+        if exc.member is not None:
+            exc.member = offset + exc.member // group
+        raise
+
+
+def _axial_fidelities(params: ControlParams, env, noise: NoiseModel, cfg: IntegratorConfig, scales, t_gates=None):
+    """Map fidelity of each member group j, env's protocol at the amplitude
+    scale scales[j] relative to env's and the gate time t_gates[j] (default:
+    env's), from a single shared-mesh solve of the four independent axial
+    inputs per group.  The rebuilt -x and -y images get the same trace and
+    positivity checks as the solved states; a NumericalError's member is the
+    index of its group."""
+    inputs = AXIAL_QUBIT_STATES[_SOLVED_AXIAL]
+    groups = len(scales)
+    t_gates = None if t_gates is None else np.repeat(t_gates, len(inputs))
+    with _failing_member(len(inputs)):
+        results = propagate_lindblad_batch(
+            params, env, noise, np.tile(inputs, (groups, 1, 1)), cfg, np.repeat(scales, len(inputs)), t_gates
+        )
+    solved = np.stack([res.final_operator for res in results]).reshape(groups, len(inputs), 4, 4)
+    plus_x, plus_y, zero, one = np.moveaxis(solved, 1, 0)
+    minus_x, minus_y = zero + one - plus_x, zero + one - plus_y
+    with _failing_member(2):
+        density_diagnostics(np.stack([minus_x, minus_y], axis=1).reshape(-1, 4, 4), cfg.rel_tol)
+    finals = np.stack([plus_x, minus_x, plus_y, minus_y, zero, one], axis=1).reshape(-1, 4, 4)
+    return _axial_average(ideal_gate(params.with_amp_scale(1.0))[:2, :2], finals)
 
 
 def _amplitude_nodes(k: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,37 +151,67 @@ def map_fidelity(
 ) -> float:
     """Average fidelity of the realized qubit map against the nominal target.
 
-    Propagates the six axial qubit states through the Lindblad dynamics of
-    env and compares with the ideal gate built at the nominal amplitude (the
-    geometric qubit block does not depend on omega0).
+    Averages over the six axial qubit states, of which the four independent
+    ones are propagated through the Lindblad dynamics of env and the other
+    two follow by linearity, and compares with the ideal gate built at the
+    nominal amplitude (the geometric qubit block does not depend on omega0).
     """
     return float(_axial_fidelities(params, env, noise, cfg, [1.0])[0])
 
 
+def _point_scales(k: float, n_nodes: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(scales, nominal, weights): the distinct amplitude scales one point of
+    nominal_and_uncertainty_avg solves, ending in the n_nodes quadrature
+    scales of weights, and the index of scale 1 among them.  That is the
+    node x = 0 of an odd rule, or the one node at k = 0; otherwise scale 1
+    leads as its own group."""
+    nodes, weights = _amplitude_nodes(k, n_nodes)
+    at_one = np.flatnonzero(nodes == 1.0)
+    if len(at_one):
+        return nodes, int(at_one[0]), weights
+    return np.concatenate(([1.0], nodes)), 0, weights
+
+
+def point_chunks(n_points: int, k: float, n_nodes: int) -> list[range]:
+    """The solves of nominal_and_uncertainty_avg over n_points points:
+    contiguous, nearly equal chunks of range(n_points), each of at most
+    MAX_SOLVE_STATES solved states, or of one point."""
+    per_point = 4 * len(_point_scales(k, n_nodes)[0])
+    count = -(-n_points // max(1, MAX_SOLVE_STATES // per_point))
+    return [range(n_points * i // count, n_points * (i + 1) // count) for i in range(count)]
+
+
 def nominal_and_uncertainty_avg(
-    params: ControlParams,
+    points: list[ControlParams],
     noise: NoiseModel,
     n_nodes: int = 21,
     cfg: IntegratorConfig = IntegratorConfig(),
-) -> tuple[float, float]:
-    """(nominal, averaged) map fidelity: map_fidelity of the pulses at
-    params.amp_scale = a and its uniform average over the Rabi amplitude
-    interval [a*omega0(1-k), a*omega0(1+k)] by Gauss-Legendre quadrature.
+) -> list[tuple[float, float]]:
+    """(nominal, averaged) map fidelity of each protocol of points: the
+    map_fidelity of its pulses at params.amp_scale = a and its uniform
+    average over the Rabi amplitude interval [a*omega0(1-k), a*omega0(1+k)]
+    by Gauss-Legendre quadrature.  The points may differ in t_gate alone.
 
     Node x realizes the envelopes at params scaled by 1 + k*x (the target
-    stays nominal).  The nominal map and all nodes share one Lindblad solve,
-    each group of six members with its scale relative to the envelopes built
-    at params.  Each distinct scale is solved once: the nominal map is the
-    node at scale 1 if there is one (the middle node x = 0 of an odd rule,
-    or the one node at k = 0), and otherwise leads the solve as its own group.
+    stays nominal).  Each chunk of point_chunks is one scaled-time Lindblad
+    solve, holding every distinct scale of each of its points once (the
+    nominal scale 1 is a node of an odd rule).  A NumericalError's member is
+    the index of the failing point.
     """
-    scales, weights = _amplitude_nodes(noise.k, n_nodes)
-    at_one = np.flatnonzero(scales == 1.0)
-    lead = [] if len(at_one) else [1.0]
-    fids = _axial_fidelities(params, make_envelopes(params), noise, cfg, [*lead, *scales])
-    nominal = fids[at_one[0]] if len(at_one) else fids[0]
-    # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
-    return float(nominal), float(np.dot(weights, fids[len(lead) :])) / 2.0
+    scales, nominal, weights = _point_scales(noise.k, n_nodes)
+    first = points[0]
+    if any(replace(p, t_gate=first.t_gate) != first for p in points):
+        raise ValueError("points must differ in t_gate alone")
+    out = []
+    for chunk in point_chunks(len(points), noise.k, n_nodes):
+        lead = points[chunk.start]
+        t_gates = np.repeat([points[i].t_gate for i in chunk], len(scales))
+        with _failing_member(len(scales), chunk.start):
+            fids = _axial_fidelities(lead, make_envelopes(lead), noise, cfg, np.tile(scales, len(chunk)), t_gates)
+        # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
+        for f in fids.reshape(len(chunk), -1):
+            out.append((float(f[nominal]), float(np.dot(weights, f[-len(weights) :])) / 2.0))
+    return out
 
 
 def map_fidelity_uncertainty_avg(

@@ -1,11 +1,16 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import OMEGA0, leak_lindblad_rhs, params
-from tripod_sta import cli
+from tripod_sta import cli, metrics
 from tripod_sta.controls import Flavor, make_envelopes
 from tripod_sta.dynamics import NoiseModel
 from tripod_sta.metrics import MAX_UNCERTAINTY_NODES, map_fidelity
@@ -341,7 +346,7 @@ def test_every_kind_dispatches_its_tasks_once(tmp_path, monkeypatch, kind, jobs)
         return run_tasks(worker, tasks, jobs)
 
     monkeypatch.setattr(cli, "_run_tasks", counting)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS[kind], out=str(tmp_path / "o.csv")))
     assert cli.main(kind.split() + ["--config", cfg, "--jobs", jobs]) == 0
     assert len(calls) == 1
@@ -355,14 +360,38 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert cli._run_tasks(abs, [-1, -2], 64) == [1, 2]
     assert cli._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert sizes == [2, 2]
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # A serial run never needs the process pool, so importing the CLI does
+    # not pay for loading it.
+    code = "import sys, tripod_sta.cli; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 class TestNoiseMapSweep:
     CFG = MINIMAL_CFGS["sweep noise-map"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tasks_are_the_solve_chunks_of_each_flavor(self, tmp_path, monkeypatch, jobs):
+        # Four states per scale at three nodes (12 per point): a cap of 24
+        # makes two points per solve, and --jobs does not move the batches.
+        monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 24)
+        payload = dict(self.CFG, out=str(tmp_path / "o.csv"), tg_grid={"scale": "linear", "min": 2, "max": 6, "count": 5})
+        spec = cli.load_spec(write_config(tmp_path / "c.json", payload), overrides={"jobs": jobs})
+        tasks = [[(point["tg_cycles"], point["flavor"]) for point in task["points"]] for task in cli._noise_map_tasks(spec)]
+        assert tasks == [
+            [(tg, flavor) for tg in chunk]
+            for flavor in ("adiabatic", "satd")
+            for chunk in ([2.0], [3.0, 4.0], [5.0, 6.0])
+        ]
 
     def test_rows_thresholds_and_zero_noise_reduction(self, tmp_path):
         out = tmp_path / "nm.csv"
@@ -389,7 +418,7 @@ class TestNoiseMapSweep:
         for flavor in spec.flavors:
             p = spec.params(2.0, flavor)
             standalone = 1.0 - map_fidelity(p, make_envelopes(p), NoiseModel(spec.noise.gamma_phi), cfg)
-            nominal_row, averaged_row = cli._noise_map_rows(spec, 2.0, flavor)
+            nominal_row, averaged_row = cli._noise_map_rows(spec, [{"tg_cycles": 2.0, "flavor": flavor}])
             assert nominal_row[3] == averaged_row[3]
             assert abs(nominal_row[3] - standalone) < 10.0 * cfg.rel_tol
 
@@ -589,7 +618,7 @@ def test_unitarity_breach_of_later_members_names_the_first_of_them(tmp_path, cap
             chunks.extend([(p["tg_cycles"], p["flavor"]) for p in task["points"]] for _, task in tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     real = dynamics.lab_operator
     monkeypatch.setattr(dynamics, "lab_operator", lambda p, u1, u2: (1.001 if broken(p) else 1.0) * real(p, u1, u2))
     out = tmp_path / "ge.csv"
@@ -625,4 +654,29 @@ def test_positivity_breach_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "minimum eigenvalue" in err
     assert "tg_cycles=2.0, flavor=adiabatic" in err
+    assert not out.exists()
+
+
+def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, monkeypatch):
+    # The leak of test_positivity_breach_exits_3 on the states of the second
+    # point (t_g = 3) of each flavor's one-solve chunk only.
+    from tripod_sta import dynamics
+
+    lindblad_rhs = dynamics._lindblad_rhs
+    leak = dynamics._pack(1e-6 * np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex))
+
+    def leaky_rhs(terms, noise, t_gates):
+        rhs = lindblad_rhs(terms, noise, t_gates)
+        rows = (t_gates == 3.0)[:, None]
+        return lambda tau, u: rhs(tau, u) + rows * leak
+
+    monkeypatch.setattr(dynamics, "_lindblad_rhs", leaky_rhs)
+    out = tmp_path / "nm.csv"
+    payload = dict(MINIMAL_CFGS["sweep noise-map"], out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.2})
+    cfg = write_config(tmp_path / "c.json", payload)
+    spec = cli.load_spec(cfg)
+    assert [len(task["points"]) for task in cli._noise_map_tasks(spec)] == [2, 2]
+    assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3
+    err = capsys.readouterr().err
+    assert "at (tg_cycles=3.0, flavor=adiabatic): minimum eigenvalue" in err
     assert not out.exists()

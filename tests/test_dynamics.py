@@ -52,6 +52,15 @@ class _StubEnv:
         return self.values
 
 
+def _scaled_time_solve(generator, noise, rho0, t_gate):
+    """rho0 through the packed right-hand side of a constant commutator
+    generator over a gate of t_gate, in scaled time tau in [0, 1] as
+    propagate_lindblad_batch runs it."""
+    weight = np.full((1, 1, 1), t_gate)
+    rhs = dynamics._lindblad_rhs(lambda tau: (generator[None], weight), noise, np.array([t_gate]))
+    return dynamics._unpack(ode_solve(rhs, dynamics._pack(rho0)[None], 0.0, 1.0, CFG).y)[0]
+
+
 def _dark_projector(p):
     v = qubit_dark_state(p.alpha, p.beta)
     return np.outer(v, v.conj())
@@ -258,16 +267,15 @@ class TestPropagateLindblad:
     def test_pure_dephasing_closed_form(self):
         # H = 0 with dephasing on |e| only: the a-e coherence decays at G/2.
         gamma = 0.35
-        p = params(2.0)
-        env = _StubEnv(p, (0.0, 0.0, 0.0), boundary=1.0)
+        t_gate = 2.0
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[2, 2] = rho0[3, 3] = 0.5
         rho0[2, 3] = rho0[3, 2] = 0.5
         noise = NoiseModel((0.0, 0.0, 0.0, gamma))
-        res = propagate_lindblad(p, env, noise, rho0, CFG)
-        expected = 0.5 * math.exp(-0.5 * gamma * p.t_gate)
-        assert res.final_operator[2, 3].real == pytest.approx(expected, rel=1e-9)
-        assert res.final_operator[2, 2].real == pytest.approx(0.5, abs=1e-10)
+        final = _scaled_time_solve(np.zeros((20, 20)), noise, rho0, t_gate)
+        expected = 0.5 * math.exp(-0.5 * gamma * t_gate)
+        assert final[2, 3].real == pytest.approx(expected, rel=1e-9)
+        assert final[2, 2].real == pytest.approx(0.5, abs=1e-10)
 
     def test_conservation_diagnostics(self):
         p = params(3.0)
@@ -358,8 +366,11 @@ class TestPropagateLindblad:
         n = 5
         rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(n)]))
         scales = rng.uniform(0.5, 1.5, n) if scaled else np.ones(n)
+        t_gates = rng.uniform(0.5, 2.0, n) if scaled else np.ones(n)
         rates = tuple(rng.uniform(0.0, 2.0, 4))
-        packed = dynamics._lindblad_rhs(lambda t: generator, NoiseModel(rates), scales)(0.0, dynamics._pack(rhos))
+        terms = (generator[None], (t_gates * scales)[None, :, None])
+        rhs = dynamics._lindblad_rhs(lambda tau: terms, NoiseModel(rates), t_gates)
+        packed = rhs(0.0, dynamics._pack(rhos))
         assert np.all(packed[:, dynamics._UPPER[0] == dynamics._UPPER[1]].imag == 0.0)
         out = dynamics._unpack(packed)
         dissipator = sum(
@@ -367,7 +378,7 @@ class TestPropagateLindblad:
             for i, g in enumerate(rates)
         )
         for i, rho in enumerate(rhos):
-            ell = hamiltonian_superoperator(scales[i] * h) + dissipator
+            ell = t_gates[i] * (hamiltonian_superoperator(scales[i] * h) + dissipator)
             assert max_abs(out[i] - unvec(ell @ vec(rho))) < 1e-13
         assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
 
@@ -406,6 +417,43 @@ class TestPropagateLindblad:
         scales = np.array([1.0, bad, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="amp_scales must be finite and positive"):
             propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, amp_scales=scales)
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_scaled_time_members_match_their_per_point_solves(self, rng, flavor):
+        # One scaled-time batch over every (t_g, amp scale) pair against a
+        # real-time full-matrix solve of each pair alone.
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        noise = NoiseModel((0.01, 0.0, 0.02, 0.05))
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        states = np.stack([AXIAL_QUBIT_STATES[0], AXIAL_QUBIT_STATES[3], m @ m.conj().T / np.trace(m @ m.conj().T).real])
+        pairs = [(tg, r) for tg in (0.7, 2.0, 5.0) for r in (0.8, 1.0, 1.2)]
+        t_gates, scales = (np.repeat(column, len(states)) for column in zip(*pairs))
+        p = params(2.0, flavor)
+        rho0s = np.tile(states, (len(pairs), 1, 1))
+        batch = propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, scales, t_gates)
+        finals = np.stack([res.final_operator for res in batch]).reshape(len(pairs), len(states), 4, 4)
+        for (tg, r), got in zip(pairs, finals):
+            rhs = lindblad_rhs_reference(make_envelopes(params(tg, flavor)), noise, np.full(len(states), r))
+            first = ode_solve(rhs, hermitize(states), 0.0, 0.5 * tg, cfg)
+            second = ode_solve(rhs, first.y, 0.5 * tg, tg, cfg)
+            assert max_abs(got - second.y) < 10.0 * cfg.rel_tol, (tg, r)
+
+    def test_rejects_a_shape_that_is_not_a_function_of_scaled_time(self):
+        # A shape overriding PulseShape.__call__ need not depend on t/t_gate
+        # alone, and the scaled-time solve would silently use the quintic ramp.
+        p = params(2.0, Flavor.SATD)
+        env = make_envelopes(p, _CosineRamp(p.t_gate))
+        with pytest.raises(ValueError, match="PulseShape"):
+            propagate_lindblad_batch(p, env, NoiseModel(), AXIAL_QUBIT_STATES, CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_nonfinite_or_nonpositive_gate_times(self, bad):
+        p = params(2.0, Flavor.SATD)
+        t_gates = np.array([2.0, bad, 2.0, 2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="t_gates must be finite and positive"):
+            propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, None, t_gates)
+        with pytest.raises(ValueError, match="t_gates must hold one value per density matrix"):
+            propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, None, t_gates[:2])
 
     def test_positivity_breach_raises(self, monkeypatch):
         # A constant leak from |1> onto |0> in the right-hand side keeps the
@@ -466,9 +514,9 @@ class TestSuperoperator:
         ell = hamiltonian_superoperator(h) + dissipator_superoperator(l_op)
         rho0 = np.diag([0.2, 0.3, 0.4, 0.1]).astype(complex)
         noise = NoiseModel((0.0, 0.0, 0.0, gamma))
-        res = propagate_lindblad(p, env, noise, rho0, CFG)
+        final = _scaled_time_solve(dynamics._packed_generator(h), noise, rho0, p.t_gate)
         expected = unvec(series_expm(ell * p.t_gate, terms=40) @ vec(rho0))
-        assert np.max(np.abs(res.final_operator - expected)) < 1e-8
+        assert np.max(np.abs(final - expected)) < 1e-8
 
     def test_hamiltonian_superoperator_antihermitian(self, rng):
         h = random_hermitian(rng, 4, 2.0)

@@ -6,7 +6,7 @@ import pytest
 from conftest import params
 from tripod_sta import metrics
 from tripod_sta.controls import Flavor, make_envelopes, make_pulse_shape
-from tripod_sta.dynamics import NoiseModel
+from tripod_sta.dynamics import NoiseModel, NumericalError, PropagationResult, propagate_lindblad_batch
 from tripod_sta.metrics import (
     AXIAL_QUBIT_STATES,
     analytic_satd_dephasing_fidelity,
@@ -16,8 +16,10 @@ from tripod_sta.metrics import (
     map_fidelity,
     map_fidelity_uncertainty_avg,
     nominal_and_uncertainty_avg,
+    point_chunks,
     qubit_overlap_operator,
 )
+from tripod_sta.tripod import ideal_gate
 from tripod_sta.qmath import IntegratorConfig
 
 CFG = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
@@ -142,7 +144,7 @@ class TestUncertaintyAverage:
         noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
         for flavor in (Flavor.ADIABATIC, Flavor.SATD):
             p = params(2.0, flavor)
-            nominal, averaged = nominal_and_uncertainty_avg(p, noise, 11, FAST)
+            [(nominal, averaged)] = nominal_and_uncertainty_avg([p], noise, 11, FAST)
             assert abs(nominal - map_fidelity(p, make_envelopes(p), noise, FAST)) < 10.0 * FAST.rel_tol
             assert averaged == map_fidelity_uncertainty_avg(p, noise, 11, FAST)
 
@@ -150,7 +152,7 @@ class TestUncertaintyAverage:
         # Every member carries params.amp_scale, so k -> 0 meets the k = 0 path.
         p = params(3.0, Flavor.SATD, amp_scale=1.1)
         at_zero, near_zero = (
-            nominal_and_uncertainty_avg(p, NoiseModel((0.0, 0.0, 0.0, 0.01), k), 11, FAST) for k in (0.0, 1e-9)
+            nominal_and_uncertainty_avg([p], NoiseModel((0.0, 0.0, 0.0, 0.01), k), 11, FAST)[0] for k in (0.0, 1e-9)
         )
         assert np.max(np.abs(np.subtract(at_zero, near_zero))) < 10.0 * FAST.rel_tol
 
@@ -159,12 +161,12 @@ class TestUncertaintyAverage:
             with pytest.raises(ValueError):
                 map_fidelity_uncertainty_avg(params(2.0), NoiseModel(k=0.1), n_nodes, FAST)
             with pytest.raises(ValueError):
-                nominal_and_uncertainty_avg(params(2.0), NoiseModel(), n_nodes, FAST)
+                nominal_and_uncertainty_avg([params(2.0)], NoiseModel(), n_nodes, FAST)
 
     def test_solves_only_the_members_it_uses(self, monkeypatch):
-        # The average alone solves the six axial states per node.  The
-        # nominal map is the middle node x = 0 of an odd rule, and at k = 0
-        # the only one, so it adds no group of its own.
+        # The average alone solves the four independent axial inputs per
+        # node.  The nominal map is the middle node x = 0 of an odd rule, and
+        # at k = 0 the only one, so it adds no group of its own.
         solved = []
         batch = metrics.propagate_lindblad_batch
 
@@ -174,12 +176,77 @@ class TestUncertaintyAverage:
 
         monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
         p = params(2.0, Flavor.SATD)
-        for k, n_nodes, expected in ((0.2, 5, [30, 30]), (0.2, 4, [24, 30]), (0.0, 5, [6, 6])):
+        for k, n_nodes, expected in ((0.2, 5, [20, 20]), (0.2, 4, [16, 20]), (0.0, 5, [4, 4])):
             solved.clear()
             noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k)
             map_fidelity_uncertainty_avg(p, noise, n_nodes, FAST)
-            nominal_and_uncertainty_avg(p, noise, n_nodes, FAST)
+            nominal_and_uncertainty_avg([p], noise, n_nodes, FAST)
             assert solved == expected
+
+
+class TestFourInputMaps:
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_four_inputs_match_the_six_state_solve(self, flavor):
+        # The -x and -y images rebuilt by linearity against a solve of all
+        # six axial states at every node.
+        noise = NoiseModel((0.0, 0.01, 0.0, 0.02), k=0.2)
+        p = params(2.0, flavor)
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        scales = np.repeat(1.0 + noise.k * nodes, 6)
+        rho0s = np.tile(AXIAL_QUBIT_STATES, (len(nodes), 1, 1))
+        results = propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, FAST, scales)
+        fids = metrics._axial_average(ideal_gate(p)[:2, :2], [res.final_operator for res in results])
+        six_state = float(np.dot(weights, fids)) / 2.0
+        assert abs(map_fidelity_uncertainty_avg(p, noise, 7, FAST) - six_state) < 10.0 * FAST.rel_tol
+
+    def test_rebuilt_images_are_checked(self, monkeypatch):
+        # Solved images that pass the checks, but whose rebuilt -y image of
+        # the second group, |0><0| + |1><1| - |a><a|, has eigenvalue -1.
+        def fake_batch(params, env, noise, rho0s, cfg, amp_scales, t_gates):
+            finals = np.array(rho0s)
+            finals[5] = np.diag([0.0, 0.0, 1.0, 0.0])
+            return [PropagationResult(rho, 1, 0) for rho in finals]
+
+        monkeypatch.setattr(metrics, "propagate_lindblad_batch", fake_batch)
+        p = params(2.0)
+        with pytest.raises(NumericalError, match="minimum eigenvalue") as info:
+            metrics._axial_fidelities(p, make_envelopes(p), NoiseModel(), FAST, [1.0, 1.1, 1.2])
+        assert info.value.member == 1
+
+    def test_points_share_one_solve_and_match_their_own(self, monkeypatch):
+        solved = []
+        batch = metrics.propagate_lindblad_batch
+
+        def counting_batch(params, env, noise, rho0s, *args):
+            solved.append(len(rho0s))
+            return batch(params, env, noise, rho0s, *args)
+
+        monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
+        noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
+        points = [params(tg, Flavor.SATD) for tg in (1.5, 2.0, 3.0)]
+        together = nominal_and_uncertainty_avg(points, noise, 3, FAST)
+        assert solved == [36]
+        for p, pair in zip(points, together):
+            [alone] = nominal_and_uncertainty_avg([p], noise, 3, FAST)
+            assert np.max(np.abs(np.subtract(pair, alone))) < 10.0 * FAST.rel_tol
+
+    def test_points_must_differ_in_gate_time_alone(self):
+        points = [params(2.0), params(3.0, Flavor.SATD)]
+        with pytest.raises(ValueError, match="t_gate alone"):
+            nominal_and_uncertainty_avg(points, NoiseModel(k=0.1), 3, FAST)
+
+    @pytest.mark.parametrize("n_points", [1, 43, 100])
+    @pytest.mark.parametrize("k, n_nodes", [(0.0, 21), (0.2, 11), (0.2, 4), (0.2, 1024)])
+    def test_chunks_are_contiguous_and_capped(self, n_points, k, n_nodes):
+        # Four states per distinct scale: an even rule adds the nominal scale.
+        per_point = 4 * (1 if k == 0.0 else n_nodes + (n_nodes + 1) % 2)
+        chunks = point_chunks(n_points, k, n_nodes)
+        assert [i for chunk in chunks for i in chunk] == list(range(n_points))
+        assert all(len(chunk) * per_point <= metrics.MAX_SOLVE_STATES or len(chunk) == 1 for chunk in chunks)
+        # Nearly equal: as few chunks as the cap allows, their sizes within one.
+        cap = max(1, metrics.MAX_SOLVE_STATES // per_point)
+        assert len(chunks) == -(-n_points // cap)
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
 
 class TestAnalyticSatdDephasing:
