@@ -10,7 +10,8 @@ one contiguous lockstep batch of points per job, and for noise-map one
 contiguous chunk of each flavor's grid per Lindblad solve
 (metrics.point_chunks, set by the config alone).  The tasks run on at most
 --jobs worker processes, and a numerical failure names the first failing
-point in grid order.
+point of the first failing task, in the order the kind lists them (for
+noise-map: flavor by flavor, each in grid order).
 """
 
 from __future__ import annotations

@@ -373,13 +373,12 @@ def propagate_lindblad_batch(
     # c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c) with c_i = T r a omega0
     # and kappa_i = 4 theta''/(omega0^2 T^2 + 4 theta'^2), the derivatives of
     # the unit gate (kappa = 0 for the adiabatic flavor).
-    p = env.params
     basis = _tripod_generator_basis()
     g_sin = np.array([*env.qubit_weights, 0.0], dtype=complex).view(float) @ basis
-    satd = p.flavor is Flavor.SATD
-    gap_sq = (p.omega0 * t_gates[:, None]) ** 2
+    satd = params.flavor is Flavor.SATD
+    gap_sq = (params.omega0 * t_gates[:, None]) ** 2
     weights = np.empty((2 if satd else 1, len(rho0s), 20))
-    weights[0] = (t_gates * amp_scales * p.omega0 * p.amp_scale)[:, None]
+    weights[0] = (t_gates * amp_scales * params.omega0 * params.amp_scale)[:, None]
 
     def half_rhs(phase: complex):
         gens = np.stack([g_sin, np.array([0.0, 0.0, phase], dtype=complex).view(float) @ basis])
@@ -394,8 +393,7 @@ def propagate_lindblad_batch(
 
         return _lindblad_rhs(terms, noise, t_gates)
 
-    y = _pack(hermitize(rho0s))
-    first = ode_solve(half_rhs(1.0), y, 0.0, 0.5, cfg)
+    first = ode_solve(half_rhs(1.0), _pack(hermitize(rho0s)), 0.0, 0.5, cfg)
     second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
     steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
     return _density_results(OdeResult(_unpack(second.y), *steps), cfg.rel_tol)

@@ -384,9 +384,10 @@ class TestNoiseMapSweep:
         # Four states per scale at three nodes (12 per point): a cap of 24
         # makes two points per solve, and --jobs does not move the batches.
         monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 24)
-        payload = dict(self.CFG, out=str(tmp_path / "o.csv"), tg_grid={"scale": "linear", "min": 2, "max": 6, "count": 5})
+        grid = {"scale": "linear", "min": 2, "max": 6, "count": 5}
+        payload = dict(self.CFG, out=str(tmp_path / "o.csv"), tg_grid=grid)
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload), overrides={"jobs": jobs})
-        tasks = [[(point["tg_cycles"], point["flavor"]) for point in task["points"]] for task in cli._noise_map_tasks(spec)]
+        tasks = [[(pt["tg_cycles"], pt["flavor"]) for pt in task["points"]] for task in cli._noise_map_tasks(spec)]
         assert tasks == [
             [(tg, flavor) for tg in chunk]
             for flavor in ("adiabatic", "satd")

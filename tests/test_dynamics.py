@@ -425,7 +425,8 @@ class TestPropagateLindblad:
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
         noise = NoiseModel((0.01, 0.0, 0.02, 0.05))
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        states = np.stack([AXIAL_QUBIT_STATES[0], AXIAL_QUBIT_STATES[3], m @ m.conj().T / np.trace(m @ m.conj().T).real])
+        mixed = m @ m.conj().T / np.trace(m @ m.conj().T).real
+        states = np.stack([AXIAL_QUBIT_STATES[0], AXIAL_QUBIT_STATES[3], mixed])
         pairs = [(tg, r) for tg in (0.7, 2.0, 5.0) for r in (0.8, 1.0, 1.2)]
         t_gates, scales = (np.repeat(column, len(states)) for column in zip(*pairs))
         p = params(2.0, flavor)
