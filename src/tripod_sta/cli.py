@@ -458,7 +458,7 @@ def _contour_rows(
     tg_star, eps_star = _golden_minimize(eps, a, b, c.golden_rel_tol)
     if vals[i] < eps_star:
         tg_star, eps_star = float(grid[i]), vals[i]
-    return [(gamma_gs, gamma_e, flavor, tg_star, eps_star, 1)]
+    return [(gamma_gs, gamma_e, flavor, tg_star, clamp_error(eps_star, cfg.rel_tol), 1)]
 
 
 # --- pulse export and oracle comparison ------------------------------------

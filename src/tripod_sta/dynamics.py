@@ -11,16 +11,16 @@ count and its vectorized field calls, and each freezes by its own stopping
 rule, so it gets bit for bit what it gets alone (propagate_unitary is the
 batch of one; the CLI's gate-error sweep is one batch per worker).
 
-The Lindblad path uses the adaptive Dormand-Prince stepper qmath.ode_solve
-in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].  The pulse shape is
-the same function of tau at every gate time, so one solve integrates a whole
-stack of density matrices (the four independent axial inputs at every
-amplitude scale of every gate time of a noise-map chunk) on one shared mesh,
-each member with its own gate time and amplitude scale, each stored as its
-packed upper triangle.  The right-hand side of the whole stack is a real
-matmul of the packed float view with two fixed 20x20 commutator generators
-per half-segment, weighted per member, so the diagonal stays exactly real and
-every unpacked state is exactly Hermitian.
+The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
+qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
+The pulse shape is the same function of tau at every gate time, so one solve
+integrates a whole stack of density matrices (the four independent axial
+inputs at every amplitude scale of every gate time of a noise-map chunk) on
+one shared mesh, each member with its own gate time and amplitude scale, each
+stored as its packed upper triangle.  The right-hand side of the whole stack
+is a real matmul of the packed float view with two fixed 20x20 commutator
+generators per half-segment, weighted per member, so the diagonal stays
+exactly real and every unpacked state is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ ROUNDOFF_ESTIMATE = 1e-12
 UNITARITY_ROUNDOFF = 1e-10
 # Roundoff that the minimum eigenvalue of a final density matrix may carry
 # below -10*rel_tol.  Measured worst case over both flavors, t_g 0.5-10
-# cycles, three dephasing sets and amplitude scales 0.8-1.2: -0.30*rel_tol at
-# rel_tol 1e-3, -0.15*rel_tol from 1e-6 to 1e-10, -3e-15 at 1e-14.
+# cycles, four dephasing sets (the noiseless one is the worst) and amplitude
+# scales 0.8-1.2: -0.27*rel_tol at rel_tol 1e-3, -0.17 to -0.33*rel_tol from
+# 1e-6 to 1e-10, -3.2e-15 at 1e-14.
 POSITIVITY_ROUNDOFF = 1e-10
 
 
@@ -91,11 +92,11 @@ class NoiseModel:
 class PropagationResult:
     """Final operator and diagnostics of one propagation.
 
-    For the adaptive ODE paths steps_accepted and steps_rejected count
-    Dormand-Prince steps.  For the closed path (one member of
-    propagate_unitary_batch) steps_accepted counts the Magnus steps of the
-    returned product (both half-segments) and steps_rejected those of the
-    coarser meshes the step doubling discarded; magnus_steps gives the final
+    For the Lindblad path steps_accepted and steps_rejected count the
+    Dormand-Prince 8(5,3) steps of qmath.ode_solve.  For the closed path (one
+    member of propagate_unitary_batch) steps_accepted counts the Magnus steps
+    of the returned product (both half-segments) and steps_rejected those of
+    the coarser meshes the step doubling discarded; magnus_steps gives the final
     step count per half-segment and error_estimate the larger half-segment
     estimate |U2(2N) - U2(N)|/15.  Each member's values are those it gets
     alone: the lockstep doubling freezes it by its own rule.

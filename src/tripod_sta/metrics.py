@@ -22,9 +22,10 @@ MAX_UNCERTAINTY_NODES = 1024
 # Most states one Lindblad solve of nominal_and_uncertainty_avg holds, unless
 # a single point needs more: its points are solved in contiguous chunks
 # (point_chunks) that depend on the point count, k and the node count alone.
-# A shared mesh is set by the longest gate of its chunk: on a 12-point log
-# grid of 1-300 cycles at 21 nodes (84 states per point), 256 took 4.3-4.8 s,
-# against 5.5-6.0 s at 512 and 7.0 s at 128 (one point per solve).
+# A shared mesh is set by the longest gate of its chunk: a noise-map of both
+# flavors on a 12-point log grid of 1-300 cycles at 21 nodes (84 states per
+# point) took 5.2-5.3 s CPU at 256, against 6.4 s at 512 and 6.8-7.1 s at 128
+# (one point per solve).
 MAX_SOLVE_STATES = 256
 
 

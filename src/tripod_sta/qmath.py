@@ -31,9 +31,10 @@ ABS_TOL_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances of the adaptive Dormand-Prince 5(4) stepper in :func:`ode_solve`,
-    of the Magnus step doubling in dynamics.propagate_unitary_batch and of the
-    node doubling in oracles.dissipative_magnus_map.  Both lie below 1: every
+    """Tolerances of the adaptive Dormand-Prince 8(5,3) stepper in
+    :func:`ode_solve`, of the Magnus step doubling in
+    dynamics.propagate_unitary_batch and of the node doubling in
+    oracles.dissipative_magnus_map.  Both lie below 1: every
     reported gate or map error lies in [0, 1] and is zeroed below rel_tol.
     abs_tol must be at least ABS_TOL_FLOOR."""
 
@@ -151,23 +152,81 @@ def magnus_su2(field: Callable, t0: np.ndarray, t1: np.ndarray, n: int) -> np.nd
     return _su2_matrix(*su2_ordered_product(*np.moveaxis(np.array(blocks), 0, -1)))
 
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
-# 19 (1980)); row i of _DP_A weighs stages 0..i-1.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# Dormand-Prince 8(5,3) pair, the DOP853 constants (Hairer, Norsett & Wanner,
+# Solving Ordinary Differential Equations I, 2nd ed., Sec. II.10); row i of
+# _DP_A weighs stages 0..i-1.
+_DP_C = (
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+)
 _DP_A = tuple(
     np.array(row)
     for row in (
         (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+        (
+            2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1,
+        ),
+        (
+            3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+            1.25467687566822425016691814123e-1,
+        ),
+        (
+            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+            -1.7578125e-2,
+        ),
+        (
+            3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+            1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+            8.27378916381402288758473766002e-3,
+        ),
+        (
+            6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+            -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+            2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+        ),
+        (
+            4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+            -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+            1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+            -2.03312017085086261358222928593e-2,
+        ),
+        (
+            -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+            1.09143734899672957818500254654, -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+            2.27394870993505042818970056734e1, 2.49360555267965238987089396762, -3.0467644718982195003823669022,
+        ),
+        (
+            2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+            -2.00087205822486249909675718444, -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+            -2.85899827713502369474065508674, -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+            6.43392746015763530355970484046e-1,
+        ),
     )
 )
-_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-# b5 - b4, including the FSAL stage.
-_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+# Eighth-order weights; the new state is also the FSAL stage's argument.
+_DP_B = np.array((
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+))
+# Rows of the fifth-order error estimate (b8 - b5) and the third-order one
+# (b8 - bhh, bhh nonzero on stages 0, 8 and 11).
+_DP_E = np.array((
+    (
+        0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e1,
+        -0.4957589496572501915214079952, 0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+    ),
+    _DP_B - np.array((
+        0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.733846688281611857341361741547, 0.0,
+        0.0, 0.220588235294117647058823529412e-1,
+    )),
+))
 
 
 def ode_solve(
@@ -178,13 +237,17 @@ def ode_solve(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> OdeResult:
     """Integrate dy/dt = rhs(t, y) from t0 to t1 for a complex array y with
-    the adaptive Dormand-Prince 5(4) stepper.
+    the adaptive Dormand-Prince 8(5,3) stepper (DOP853).
 
-    Local error is controlled elementwise against abs_tol + rel_tol*|y|.  The
-    seven stages of a step are the rows of one (7, y.size) array, and every
+    Local error is controlled elementwise against
+    abs_tol + rel_tol*max(|y|, |y_new|): with e5 and e3 the max norms of the
+    fifth- and third-order error estimates scaled by that tolerance, a step
+    is accepted when e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step
+    size scales with that ratio to the power -1/8.  The twelve stages of a
+    step and the FSAL stage are the rows of one (13, y.size) array, and every
     stage combination is one real tableau-row product with its float view.
     The last stage of an accepted step is the first of the next (FSAL), so a
-    solve costs 1 + 6*(accepted + rejected) rhs evaluations.
+    solve costs 1 + 12*(accepted + rejected) rhs evaluations.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -195,7 +258,7 @@ def ode_solve(
     y = y.ravel()
     span = t1 - t0
     t = t0
-    ks = np.empty((7, y.size), dtype=complex)
+    ks = np.empty((13, y.size), dtype=complex)
     kf = ks.view(float)
     ks[0] = rhs(t, y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
@@ -211,23 +274,25 @@ def ode_solve(
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
         yf = y.view(float)
-        for i in range(1, 6):
+        for i in range(1, 12):
             stage = (yf + (h * _DP_A[i]) @ kf[:i]).view(complex)
             ks[i] = rhs(t + _DP_C[i] * h, stage.reshape(shape)).ravel()
-        y5 = (yf + (h * _DP_B5) @ kf[:6]).view(complex)
-        ks[6] = rhs(t + h, y5.reshape(shape)).ravel()  # FSAL stage
-        err = ((h * _DP_E) @ kf).view(complex)
-        abs_y5 = np.abs(y5)
-        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y5)
-        ratio = float(np.max(np.abs(err) / tol))
+        y8 = (yf + (h * _DP_B) @ kf[:12]).view(complex)
+        ks[12] = rhs(t + h, y8.reshape(shape)).ravel()  # FSAL stage
+        errs = ((h * _DP_E) @ kf[:12]).view(complex)
+        abs_y8 = np.abs(y8)
+        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)
+        e5, e3 = np.max(np.abs(errs) / tol, axis=1)
+        # At e3 = 0 the combined estimate is e5 (and 0/0 when both vanish).
+        ratio = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e3 > 0.0 else e5
         if ratio <= 1.0:
             t += h
             accepted += 1
-            y, abs_y = y5, abs_y5
-            ks[0] = ks[6]
+            y, abs_y = y8, abs_y8
+            ks[0] = ks[12]
         else:
             rejected += 1
-        fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+        fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.125))
         h *= fac
     return OdeResult(y.reshape(shape), accepted, rejected)
 

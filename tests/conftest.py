@@ -11,7 +11,7 @@ import pytest
 
 from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, PulseShape, satd_dressing_angle
 from tripod_sta.oracles import _collapse_vector
-from tripod_sta.qmath import IntegratorConfig, max_abs, ode_solve
+from tripod_sta.qmath import IntegratorConfig, OdeResult, OdeStepUnderflow, max_abs
 from tripod_sta.tripod import _dressed, frame_change, frame_ends, frame_field, hamiltonian
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
@@ -121,16 +121,87 @@ def decompose_block_unitary(u: np.ndarray, leak_tol: float = 1e-9) -> GateDecomp
     return GateDecomposition(q_axis, q_angle, q_phase, a_axis, a_angle, a_phase)
 
 
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 19 (1980)); row i of _DP5_A weighs stages 0..i-1.
+_DP5_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP5_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    )
+)
+_DP5_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+# b5 - b4, including the FSAL stage.
+_DP5_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+
+
+def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig) -> OdeResult:
+    """Reference integrator, independent of qmath.ode_solve: the adaptive
+    Dormand-Prince 5(4) stepper with the same elementwise error control
+    against abs_tol + rel_tol*max(|y|, |y_new|) and FSAL reuse, so a solve
+    costs 1 + 6*(accepted + rejected) rhs evaluations."""
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    y = np.array(y0, dtype=complex)
+    if t1 == t0:
+        return OdeResult(y, 0, 0)
+    shape = y.shape
+    y = y.ravel()
+    span = t1 - t0
+    t = t0
+    ks = np.empty((7, y.size), dtype=complex)
+    kf = ks.view(float)
+    ks[0] = rhs(t, y.reshape(shape)).ravel()
+    # Crude but safe first step guess; the controller fixes it quickly.
+    scale = max_abs(ks[0])
+    h = 0.01 * (max_abs(y) + cfg.abs_tol) / scale if scale > 0.0 else span
+    h = min(h, span)
+    h = max(h, span * 1e-10)
+
+    accepted = rejected = 0
+    abs_y = np.abs(y)
+    while t < t1:
+        h = min(h, t1 - t)
+        if h <= max(abs(t), span) * 1e-15:
+            raise OdeStepUnderflow(t)
+        yf = y.view(float)
+        for i in range(1, 6):
+            stage = (yf + (h * _DP5_A[i]) @ kf[:i]).view(complex)
+            ks[i] = rhs(t + _DP5_C[i] * h, stage.reshape(shape)).ravel()
+        y5 = (yf + (h * _DP5_B5) @ kf[:6]).view(complex)
+        ks[6] = rhs(t + h, y5.reshape(shape)).ravel()  # FSAL stage
+        err = ((h * _DP5_E) @ kf).view(complex)
+        abs_y5 = np.abs(y5)
+        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y5)
+        ratio = float(np.max(np.abs(err) / tol))
+        if ratio <= 1.0:
+            t += h
+            accepted += 1
+            y, abs_y = y5, abs_y5
+            ks[0] = ks[6]
+        else:
+            rejected += 1
+        fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+        h *= fac
+    return OdeResult(y.reshape(shape), accepted, rejected)
+
+
 def dopri5_unitary(env: EnvelopeSet, cfg: IntegratorConfig) -> np.ndarray:
     """Reference propagator: the lab-frame 4x4 i dU/dt = H(t) U integrated
-    with the adaptive Dormand-Prince stepper, one solve per half-segment."""
+    with the Dormand-Prince 5(4) reference stepper dopri5_solve, one solve per
+    half-segment."""
 
     def rhs(t, u):
         return -1.0j * (hamiltonian(env, t) @ u)
 
     half = env.segment_boundary
-    first = ode_solve(rhs, np.eye(4, dtype=complex), 0.0, half, cfg)
-    return ode_solve(rhs, first.y, half, env.params.t_gate, cfg).y
+    first = dopri5_solve(rhs, np.eye(4, dtype=complex), 0.0, half, cfg)
+    return dopri5_solve(rhs, first.y, half, env.params.t_gate, cfg).y
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -167,7 +238,7 @@ def dopri5_dissipative_superop(params, shape, noise, cfg: IntegratorConfig) -> n
     """Reference for the dissipative oracle: the lab-frame 16x16 map of the
     first-order dissipative Magnus solution, with the dressed-frame
     propagator superoperator and the interaction-picture dissipator integral
-    integrated together by the adaptive Dormand-Prince stepper."""
+    integrated together by the Dormand-Prince 5(4) reference stepper."""
     gamma_e = noise.gamma_phi[3]
     nu = satd_dressing_angle(params, shape)
     tg = params.t_gate
@@ -182,7 +253,7 @@ def dopri5_dissipative_superop(params, shape, noise, cfg: IntegratorConfig) -> n
             return np.concatenate([ell0 @ prop, prop.conj().T @ ell_phi @ prop], axis=1)
 
         y0 = np.concatenate([eye16, np.zeros((16, 16), dtype=complex)], axis=1)
-        y = ode_solve(rhs, y0, t0, t1, cfg).y
+        y = dopri5_solve(rhs, y0, t0, t1, cfg).y
         return y[:, :16] @ (eye16 + y[:, 16:])
 
     s_out, junction, s_in = frame_ends(params)

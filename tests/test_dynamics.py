@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     OMEGA0,
     dissipator_superoperator,
+    dopri5_solve,
     dopri5_unitary,
     hamiltonian_superoperator,
     leak_lindblad_rhs,
@@ -33,7 +34,16 @@ from tripod_sta.dynamics import (
     propagate_unitary_batch,
 )
 from tripod_sta.metrics import AXIAL_QUBIT_STATES, avg_gate_fidelity, qubit_overlap_operator
-from tripod_sta.qmath import ABS_TOL_FLOOR, MAGNUS_BLOCK, IntegratorConfig, hermitize, magnus_su2, max_abs, ode_solve
+from tripod_sta.qmath import (
+    ABS_TOL_FLOOR,
+    MAGNUS_BLOCK,
+    IntegratorConfig,
+    gauss_legendre_rule,
+    hermitize,
+    magnus_su2,
+    max_abs,
+    ode_solve,
+)
 from tripod_sta.tripod import frame_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -438,6 +448,38 @@ class TestPropagateLindblad:
             first = ode_solve(rhs, hermitize(states), 0.0, 0.5 * tg, cfg)
             second = ode_solve(rhs, first.y, 0.5 * tg, tg, cfg)
             assert max_abs(got - second.y) < 10.0 * cfg.rel_tol, (tg, r)
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    @pytest.mark.parametrize("cycles", [1.9, 4.3, 10.0])
+    def test_stepper_matches_dopri5_reference(self, monkeypatch, flavor, cycles):
+        # The packed scaled-time right-hand sides of one noise-map point (the
+        # four solved axial inputs at 11 amplitude scales, k = 0.2, gamma_e =
+        # 0.01), each half-segment through qmath.ode_solve and through the
+        # independent DOPRI5 reference from the reference's own state.
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        solves = []
+
+        def recording(rhs, y0, t0, t1, cfg):
+            res = ode_solve(rhs, y0, t0, t1, cfg)
+            solves.append((rhs, t0, t1, res))
+            return res
+
+        monkeypatch.setattr(dynamics, "ode_solve", recording)
+        p = params(cycles, flavor)
+        scales = 1.0 + 0.2 * gauss_legendre_rule(11)[0]
+        inputs = AXIAL_QUBIT_STATES[[0, 2, 4, 5]]
+        rho0s = np.tile(inputs, (len(scales), 1, 1))
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.01))
+        propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, np.repeat(scales, len(inputs)))
+        assert len(solves) == 2
+        y, attempts, reference_attempts = dynamics._pack(rho0s), 0, 0
+        for rhs, t0, t1, res in solves:
+            ref = dopri5_solve(rhs, y, t0, t1, cfg)
+            y = ref.y
+            attempts += res.steps_accepted + res.steps_rejected
+            reference_attempts += ref.steps_accepted + ref.steps_rejected
+        assert max_abs(solves[-1][3].y - y) <= 10.0 * cfg.rel_tol
+        assert 2 * attempts <= reference_attempts
 
     def test_rejects_a_shape_that_is_not_a_function_of_scaled_time(self):
         # A shape overriding PulseShape.__call__ need not depend on t/t_gate

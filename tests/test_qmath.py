@@ -109,8 +109,8 @@ def test_ode_convergence_with_tolerance(rng):
 
 
 def test_ode_reuses_the_last_stage():
-    # First stage once, then six per attempted step: the FSAL stage carries
-    # over from each accepted step, also across rejected ones.
+    # First stage once, then twelve per attempted step: the FSAL stage
+    # carries over from each accepted step, also across rejected ones.
     evals = []
 
     def rhs(t, y):
@@ -119,7 +119,7 @@ def test_ode_reuses_the_last_stage():
 
     res = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, IntegratorConfig(1e-8, 1e-10))
     assert res.steps_rejected > 0
-    assert len(evals) == 1 + 6 * (res.steps_accepted + res.steps_rejected)
+    assert len(evals) == 1 + 12 * (res.steps_accepted + res.steps_rejected)
 
 
 def test_ode_backwards_time_rejected():
