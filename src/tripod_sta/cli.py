@@ -5,13 +5,14 @@ times are given in cycles (omega0*t_g/2pi) and dephasing rates in units of
 omega0/2pi.  Identical configs produce byte-identical CSV files; parallel and
 serial runs yield the same sorted rows.
 
-Each kind splits its sweep into tasks: one per grid point, for gate-error
-one contiguous lockstep batch of points per job, and for noise-map one
-contiguous chunk of each flavor's grid per Lindblad solve
-(metrics.point_chunks, set by the config alone).  The tasks run on at most
---jobs worker processes, and a numerical failure names the first failing
-point of the first failing task, in the order the kind lists them (for
-noise-map: flavor by flavor, each in grid order).
+Each kind splits its sweep into tasks: one per grid point or contour rate
+pair and flavor, for gate-error one contiguous lockstep batch of points per
+job, and for noise-map one contiguous chunk of each flavor's grid per
+Lindblad solve (metrics.point_chunks, set by the config alone).  Every
+Lindblad map is solved by metrics.nominal_and_uncertainty_avg.  The tasks
+run on at most --jobs worker processes, and a numerical failure names the
+first failing point of the first failing task, in the order the kind lists
+them (for noise-map: flavor by flavor, each in grid order).
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .metrics import (
     avg_gate_fidelity,
     clamp_error,
     closed_form_fidelities,
-    map_fidelity,
-    map_fidelity_uncertainty_avg,
     nominal_and_uncertainty_avg,
     point_chunks,
     qubit_overlap_operator,
@@ -301,16 +300,17 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
 
 
 def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
-    """Rows of one task; a numerical failure names the parameters of its
-    point.  A batch task's point is its failing member of `points` (the first,
-    if the failure is tied to none); a task without parameters raises as is."""
+    """Rows of one task; a numerical failure names its point: the failure's
+    `point`, else a batch task's failing member of `points` (the first, if the
+    failure is tied to none), else the task's arguments, if it has any."""
     spec, args = task
     try:
         return KINDS[spec.kind].rows(spec, **args)
     except (NumericalError, OdeStepUnderflow) as exc:
         if not args:
             raise
-        point = args["points"][getattr(exc, "member", None) or 0] if "points" in args else args
+        member = getattr(exc, "member", None) or 0
+        point = getattr(exc, "point", None) or (args["points"][member] if "points" in args else args)
         desc = ", ".join(f"{name}={value}" for name, value in point.items())
         raise NumericalError(f"at ({desc}): {exc}") from exc
 
@@ -436,8 +436,10 @@ def _contour_tasks(spec: SweepSpec) -> list[dict]:
 def _contour_rows(
     spec: SweepSpec, gamma_gs: float, gamma_e: float, flavor: str, satd_tg_min: float
 ) -> list[tuple]:
-    """Best (tg, eps) for one rate pair; SATD gate times start at
-    satd_tg_min, the amplitude threshold."""
+    """Best (tg, eps) for one rate pair, SATD gate times from satd_tg_min (the
+    amplitude threshold): one nominal_and_uncertainty_avg call for the coarse
+    grid and one per golden step.  Errors below rel_tol tie: the shortest
+    coarse gate time with one wins, and no golden search runs."""
     c = spec.fields
     lo, hi = c.tg_min, c.tg_max
     if flavor == "satd":
@@ -445,19 +447,27 @@ def _contour_rows(
     if lo >= hi:
         return [(gamma_gs, gamma_e, flavor, math.nan, math.nan, 0)]
     noise = NoiseModel((gamma_gs, gamma_gs, gamma_gs, gamma_e), spec.noise.k)
-    cfg = spec.integrator
+    nodes, cfg = spec.uncertainty_nodes, spec.integrator
 
-    def eps(tg: float) -> float:
-        return 1.0 - map_fidelity_uncertainty_avg(spec.params(tg, flavor), noise, spec.uncertainty_nodes, cfg)
+    def eps(tgs: list[float]) -> list[float]:
+        try:
+            fids = nominal_and_uncertainty_avg([spec.params(tg, flavor) for tg in tgs], noise, nodes, cfg)
+        except (NumericalError, OdeStepUnderflow) as exc:
+            tg = tgs[getattr(exc, "member", None) or 0]
+            exc.point = {"gamma_gs": gamma_gs, "gamma_e": gamma_e, "flavor": flavor, "tg_cycles": tg}
+            raise
+        return [1.0 - f_avg for _, f_avg in fids]
 
-    grid = np.geomspace(lo, hi, c.coarse_count)
-    vals = [eps(float(t)) for t in grid]
+    grid = [float(t) for t in np.geomspace(lo, hi, c.coarse_count)]
+    vals = eps(grid)
+    clamped = [clamp_error(v, cfg.rel_tol) for v in vals]
+    if 0.0 in clamped:
+        return [(gamma_gs, gamma_e, flavor, grid[clamped.index(0.0)], 0.0, 1)]
     i = int(np.argmin(vals))
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(len(grid) - 1, i + 1)])
-    tg_star, eps_star = _golden_minimize(eps, a, b, c.golden_rel_tol)
+    a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+    tg_star, eps_star = _golden_minimize(lambda tg: eps([tg])[0], a, b, c.golden_rel_tol)
     if vals[i] < eps_star:
-        tg_star, eps_star = float(grid[i]), vals[i]
+        tg_star, eps_star = grid[i], vals[i]
     return [(gamma_gs, gamma_e, flavor, tg_star, clamp_error(eps_star, cfg.rel_tol), 1)]
 
 
@@ -478,10 +488,11 @@ def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
     p_sa = spec.params(tg_cycles, "satd")
     shape = make_pulse_shape(p_sa.t_gate)
     noise = NoiseModel(spec.noise.gamma_phi)
-    eps_map_num = 1.0 - map_fidelity(p_sa, make_envelopes(p_sa, shape), noise, cfg)
+    # One node at k = 0: the nominal value is map_fidelity's scale-1 solve.
+    [(f_map, _)] = nominal_and_uncertainty_avg([p_sa], noise, 1, cfg)
     eps_eq48 = 1.0 - analytic_satd_dephasing_fidelity(p_sa, shape, noise)
     eps_oracle_b = 1.0 - oracle_b_map_fidelity(p_sa, shape, noise, cfg)
-    eps = (eps_map_num, eps_eq48, eps_oracle_b)
+    eps = (1.0 - f_map, eps_eq48, eps_oracle_b)
     return [(tg_cycles, eps_num_full, eps_oracle_a, *(clamp_error(e, cfg.rel_tol) for e in eps))]
 
 

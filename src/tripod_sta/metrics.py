@@ -21,7 +21,8 @@ QUBIT_FIDELITY_COEFF = 14_745_600
 MAX_UNCERTAINTY_NODES = 1024
 # Most states one Lindblad solve of nominal_and_uncertainty_avg holds, unless
 # a single point needs more: its points are solved in contiguous chunks
-# (point_chunks) that depend on the point count, k and the node count alone.
+# (point_chunks) that depend on the point count, k and the node count alone,
+# for a noise-map chunk and a contour coarse grid alike.
 # A shared mesh is set by the longest gate of its chunk: a noise-map of both
 # flavors on a 12-point log grid of 1-300 cycles at 21 nodes (84 states per
 # point) took 5.2-5.3 s CPU at 256, against 6.4 s at 512 and 6.8-7.1 s at 128
@@ -132,18 +133,6 @@ def _axial_fidelities(params: ControlParams, env, noise: NoiseModel, cfg: Integr
     return _axial_average(ideal_gate(params.with_amp_scale(1.0))[:2, :2], finals)
 
 
-def _amplitude_nodes(k: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scales 1 + k*x and weights w of the n-node Gauss-Legendre rule on
-    [-1, 1]: the uniform average over the scales [1 - k, 1 + k] is
-    dot(w, f)/2.  At k = 0 that is the one scale 1 with weight 2."""
-    if not 1 <= n_nodes <= MAX_UNCERTAINTY_NODES:
-        raise ValueError(f"n_nodes must lie in [1, {MAX_UNCERTAINTY_NODES}]")
-    if k == 0.0:
-        return np.ones(1), np.full(1, 2.0)
-    nodes, weights = gauss_legendre_rule(n_nodes)
-    return 1.0 + k * nodes, weights
-
-
 def map_fidelity(
     params: ControlParams,
     env,
@@ -162,15 +151,22 @@ def map_fidelity(
 
 def _point_scales(k: float, n_nodes: int) -> tuple[np.ndarray, int, np.ndarray]:
     """(scales, nominal, weights): the distinct amplitude scales one point of
-    nominal_and_uncertainty_avg solves, ending in the n_nodes quadrature
-    scales of weights, and the index of scale 1 among them.  That is the
-    node x = 0 of an odd rule, or the one node at k = 0; otherwise scale 1
-    leads as its own group."""
-    nodes, weights = _amplitude_nodes(k, n_nodes)
-    at_one = np.flatnonzero(nodes == 1.0)
+    nominal_and_uncertainty_avg solves and the index of scale 1 among them.
+    The scales end in the nodes 1 + k*x of the n_nodes Gauss-Legendre rule
+    with weights w on [-1, 1], so the uniform average over the scales
+    [1 - k, 1 + k] is dot(w, f)/2; at k = 0 that is the one scale 1 with
+    weight 2.  Scale 1 is the node x = 0 of an odd rule, or the one node at
+    k = 0; otherwise it leads as its own group."""
+    if not 1 <= n_nodes <= MAX_UNCERTAINTY_NODES:
+        raise ValueError(f"n_nodes must lie in [1, {MAX_UNCERTAINTY_NODES}]")
+    if k == 0.0:
+        return np.ones(1), 0, np.full(1, 2.0)
+    nodes, weights = gauss_legendre_rule(n_nodes)
+    scales = 1.0 + k * nodes
+    at_one = np.flatnonzero(scales == 1.0)
     if len(at_one):
-        return nodes, int(at_one[0]), weights
-    return np.concatenate(([1.0], nodes)), 0, weights
+        return scales, int(at_one[0]), weights
+    return np.concatenate(([1.0], scales)), 0, weights
 
 
 def point_chunks(n_points: int, k: float, n_nodes: int) -> list[range]:
@@ -224,8 +220,8 @@ def map_fidelity_uncertainty_avg(
 ) -> float:
     """Uniform average of map_fidelity over the Rabi amplitude interval (the
     averaged value of nominal_and_uncertainty_avg), solving the nodes alone."""
-    scales, weights = _amplitude_nodes(noise.k, n_nodes)
-    fids = _axial_fidelities(params, make_envelopes(params, shape), noise, cfg, scales)
+    scales, _, weights = _point_scales(noise.k, n_nodes)
+    fids = _axial_fidelities(params, make_envelopes(params, shape), noise, cfg, scales[-len(weights) :])
     return float(np.dot(weights, fids)) / 2.0
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -485,15 +486,69 @@ class TestContour:
             },
         }
         cfg = write_config(tmp_path / "c.json", payload)
-        assert cli.main(["contour", "--config", cfg]) == 0
-        _, rows = read_table(out)
-        assert rows[0][5] == "1"
-        assert rows[0][4] == "0"
+        tg_stars = []
+        for tol in ("1e-8", "1e-9"):
+            assert cli.main(["contour", "--config", cfg, "--tol", tol]) == 0
+            _, rows = read_table(out)
+            assert rows[0][5] == "1"
+            assert rows[0][4] == "0"
+            tg_stars.append(rows[0][3])
+        # Ties below rel_tol go to the shortest grid gate time, at any tolerance.
+        assert tg_stars == ["2", "2"]
 
     def test_golden_rel_tol_below_float_spacing_terminates(self, tmp_path):
         payload = _with_field(MINIMAL_CFGS["contour"], "contour.golden_rel_tol", 1e-100)
         cfg = write_config(tmp_path / "c.json", dict(payload, flavors=["adiabatic"], out=str(tmp_path / "o.csv")))
         assert cli.main(["contour", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_coarse_solves_follow_point_chunks(self, tmp_path, monkeypatch, jobs):
+        # Four states per point at one node: a cap of 8 makes two points per
+        # solve, so the five-point coarse grid is three solves, and every
+        # golden-section step after it is a solve of one point.
+        monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        solves = {"adiabatic": [], "satd": []}
+        batch = metrics.propagate_lindblad_batch
+
+        def recording(params, env, noise, rho0s, cfg, amp_scales, t_gates):
+            solves[params.flavor.value].append(list(dict.fromkeys(t_gates.tolist())))
+            return batch(params, env, noise, rho0s, cfg, amp_scales, t_gates)
+
+        monkeypatch.setattr(metrics, "propagate_lindblad_batch", recording)
+        payload = _with_field(MINIMAL_CFGS["contour"], "contour.coarse_count", 5)
+        cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
+        assert cli.main(["contour", "--config", cfg, "--jobs", jobs]) == 0
+        assert [len(chunk) for chunk in metrics.point_chunks(5, 0.0, 1)] == [1, 2, 2]
+        for flavor, tgs in solves.items():
+            assert [len(s) for s in tgs[:3]] == [1, 2, 2]
+            grid = [t for s in tgs[:3] for t in s]
+            assert grid == [float(t) for t in np.geomspace(grid[0], 3.0, 5)]
+            assert len(tgs) > 3 and all(len(s) == 1 for s in tgs[3:])
+        assert solves["adiabatic"][0] == [2.0]
+
+    def test_coarse_values_match_per_point_averages(self, tmp_path, monkeypatch):
+        # The coarse grid shares one mesh; each value stays within 10 rel_tol
+        # of the point's own uncertainty average.
+        coarse = []
+        solve = cli.nominal_and_uncertainty_avg
+
+        def recording(points, noise, n_nodes, cfg):
+            out = solve(points, noise, n_nodes, cfg)
+            if len(points) > 1:
+                coarse.append((points, noise, [f_avg for _, f_avg in out]))
+            return out
+
+        monkeypatch.setattr(cli, "nominal_and_uncertainty_avg", recording)
+        payload = dict(MINIMAL_CFGS["contour"], noise={"k": 0.05}, uncertainty_nodes=3, out=str(tmp_path / "o.csv"))
+        cfg = write_config(tmp_path / "c.json", payload)
+        spec = cli.load_spec(cfg)
+        assert cli.main(["contour", "--config", cfg]) == 0
+        assert [len(points) for points, _, _ in coarse] == [3, 3]
+        for points, noise, averaged in coarse:
+            for p, f_avg in zip(points, averaged):
+                alone = metrics.map_fidelity_uncertainty_avg(p, noise, 3, spec.integrator)
+                assert abs(f_avg - alone) < 10.0 * spec.integrator.rel_tol
 
 
 def test_golden_minimize_stops_at_adjacent_floats():
@@ -550,6 +605,13 @@ class TestOracleCompare:
             eps_map_num, eps_eq48, eps_b = float(row[3]), float(row[4]), float(row[5])
             assert abs(eps_map_num - eps_eq48) / eps_eq48 < 0.1
             assert abs(eps_b - eps_eq48) / eps_eq48 < 0.1
+
+    def test_map_error_is_the_plain_map_fidelity(self, tmp_path):
+        payload = dict(MINIMAL_CFGS["oracle compare"], out=str(tmp_path / "o.csv"))
+        spec = cli.load_spec(write_config(tmp_path / "c.json", payload))
+        p = spec.params(4.0, "satd")
+        [row] = cli._oracle_compare_rows(spec, 4.0)
+        assert row[3] == 1.0 - map_fidelity(p, make_envelopes(p), NoiseModel(spec.noise.gamma_phi), spec.integrator)
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -682,4 +744,38 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
     assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3
     err = capsys.readouterr().err
     assert "at (tg_cycles=3.0, flavor=adiabatic): minimum eigenvalue" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["coarse", "golden"])
+def test_contour_breach_names_its_gate_time(tmp_path, capsys, monkeypatch, stage):
+    # The leak of test_positivity_breach_exits_3 on the states of the second
+    # coarse point, or on every gate time off the coarse grid (the first
+    # golden-section step), of a noiseless adiabatic contour.
+    from tripod_sta import dynamics
+
+    grid = [float(t) for t in np.geomspace(0.8, 1.2, 4)]
+    lindblad_rhs = dynamics._lindblad_rhs
+    leak = dynamics._pack(1e-6 * np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex))
+
+    def leaky_rhs(terms, noise, t_gates):
+        rhs = lindblad_rhs(terms, noise, t_gates)
+        rows = (t_gates == grid[1] if stage == "coarse" else ~np.isin(t_gates, grid))[:, None]
+        return lambda tau, u: rhs(tau, u) + rows * leak
+
+    monkeypatch.setattr(dynamics, "_lindblad_rhs", leaky_rhs)
+    out = tmp_path / "ct.csv"
+    window = {"gamma_gs": [0.0], "gamma_e": [0.0], "tg_min": 0.8, "tg_max": 1.2, "coarse_count": 4}
+    payload = dict(MINIMAL_CFGS["contour"], out=str(out), flavors=["adiabatic"], contour=window)
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert cli.main(["contour", "--config", cfg, "--tol", "1e-10"]) == 3
+    err = capsys.readouterr().err
+    named = re.search(r"at \(gamma_gs=0\.0, gamma_e=0\.0, flavor=adiabatic, tg_cycles=([^)]*)\): minimum", err)
+    assert named, err
+    tg = float(named.group(1))
+    if stage == "coarse":
+        assert tg == grid[1]
+    else:
+        assert grid[0] < tg < grid[-1] and tg not in grid
+    assert "satd_tg_min" not in err
     assert not out.exists()

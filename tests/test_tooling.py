@@ -75,6 +75,16 @@ def test_package_import_graph_is_acyclic():
         visit(name)
 
 
+def test_cli_solves_lindblad_maps_through_one_entry_point():
+    # Every CLI kind reaches the Lindblad solver through
+    # metrics.nominal_and_uncertainty_avg, and through nothing else.
+    tree = ast.parse((ROOT / "src" / "tripod_sta" / "cli.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "nominal_and_uncertainty_avg" in names
+    assert not names & {"map_fidelity", "map_fidelity_uncertainty_avg", "propagate_lindblad_batch"}
+
+
 def _perfbench_entry_points():
     """(module, name) pairs the benchmark reaches into, read from its source."""
     probes = ast.parse((PERFBENCH / "probes.py").read_text())
