@@ -103,6 +103,12 @@ def make_pulse_shape(t_gate: float) -> PulseShape:
     return PulseShape(t_gate)
 
 
+def _satd_correction(d1, d2, gap_sq):
+    """SATD envelope correction kappa for ramp derivatives d1, d2: gap_sq is
+    omega0^2 in t, or (omega0*t_gate)^2 for the unit-gate ramp in t/t_gate."""
+    return 4.0 * d2 / (gap_sq + 4.0 * d1 * d1)
+
+
 class EnvelopeSet:
     """The three complex control envelopes of one protocol run.
 
@@ -141,7 +147,7 @@ class EnvelopeSet:
         if p.flavor is Flavor.ADIABATIC:
             return s, c
         # Counter-diabatic reshaping, designed at the nominal omega0.
-        corr = 4.0 * tdd / (p.omega0 * p.omega0 + 4.0 * td * td)
+        corr = _satd_correction(td, tdd, p.omega0 * p.omega0)
         return s + c * corr, c - s * corr
 
     def evaluate(self, t: float | np.ndarray) -> tuple:
@@ -236,15 +242,16 @@ def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) 
         raise ValueError("params and env.params disagree")
     if n_samples < 3 or n_samples % 2 == 0:
         raise ValueError("n_samples must be odd and >= 3")
-    tg = params.t_gate
-    ts = np.linspace(0.0, tg, n_samples)
-    fs, fc = env.profile(ts)
-    vals = 0.5 * params.amp_scale * params.omega0 * np.sqrt(fs * fs + fc * fc)
-    h = tg / (n_samples - 1)
-    weights = np.ones(n_samples)
+    fs, fc = env.profile(np.linspace(0.0, params.t_gate, n_samples))
+    return _simpson_mean(0.5 * params.amp_scale * params.omega0 * np.sqrt(fs * fs + fc * fc), params.t_gate)
+
+
+def _simpson_mean(vals: np.ndarray, span: float) -> float:
+    """Composite-Simpson mean of an odd count of uniform samples over span."""
+    weights = np.ones(len(vals))
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(np.dot(weights, vals)) * h / 3.0 / tg
+    return float(np.dot(weights, vals)) * (span / (len(vals) - 1)) / 3.0 / span
 
 
 def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -276,12 +283,17 @@ def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float) -> flo
 def amplitude_threshold_time(params: ControlParams) -> float:
     """Shortest t_gate whose SATD envelopes stay within the nominal omega0.
 
-    Found by bisection on max_amplitude(t_gate) = omega0 at unit amp_scale.
+    Found by bisection on max_amplitude(t_gate) = omega0 at unit amp_scale;
+    each step scans one table of the unit-gate ramp in tau = t/t_gate.
     """
-    base = replace(params, flavor=Flavor.SATD, amp_scale=1.0)
+    w = params.omega0
+    qmax = max(math.cos(params.alpha), math.sin(params.alpha))
+    theta, d1, d2 = PulseShape.ramp(1.0, np.linspace(0.0, 0.5, 4001))
+    s, c = np.sin(theta), np.cos(theta)
 
     def excess(tg: float) -> float:
-        return make_envelopes(replace(base, t_gate=tg)).max_amplitude - params.omega0
+        kappa = _satd_correction(d1, d2, (w * tg) ** 2)
+        return w * max(qmax * float(np.max(np.abs(s + kappa * c))), float(np.max(np.abs(c - kappa * s)))) - w
 
     lo = 0.05 * 2.0 * math.pi / params.omega0
     hi = 4.0 * 2.0 * math.pi / params.omega0
@@ -289,15 +301,17 @@ def amplitude_threshold_time(params: ControlParams) -> float:
 
 
 def cost_threshold_time(params: ControlParams, multiple: float) -> float:
-    """t_gate at which the SATD energy cost is multiple*(omega0/2) (bisection)."""
+    """t_gate at which the SATD energy cost is multiple*(omega0/2), by bisection
+    on energy_cost's 501-point mean over a unit-gate ramp table (fs^2 + fc^2 = 1 + kappa^2)."""
     if multiple <= 1.0:
         raise ValueError("multiple must exceed 1 (the adiabatic cost)")
-    base = replace(params, flavor=Flavor.SATD, amp_scale=1.0)
-    target = multiple * 0.5 * params.omega0
+    w = params.omega0
+    target = multiple * 0.5 * w
+    _, d1, d2 = PulseShape.ramp(1.0, np.linspace(0.0, 1.0, 501))
 
     def excess(tg: float) -> float:
-        p = replace(base, t_gate=tg)
-        return energy_cost(make_envelopes(p), p, 501) - target
+        kappa = _satd_correction(d1, d2, (w * tg) ** 2)
+        return _simpson_mean(0.5 * w * np.sqrt(1.0 + kappa * kappa), 1.0) - target
 
     lo = 0.02 * 2.0 * math.pi / params.omega0
     hi = 2.0 * 2.0 * math.pi / params.omega0

@@ -31,7 +31,7 @@ from functools import cache
 
 import numpy as np
 
-from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape
+from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction
 from .qmath import IntegratorConfig, OdeResult, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
 from .tripod import frame_field, lab_operator
 
@@ -389,7 +389,7 @@ def propagate_lindblad_batch(
             s, c = math.sin(theta), math.cos(theta)
             if not satd:
                 return (s * gens[0] + c * gens[1]).reshape(1, 20, 20), weights
-            np.multiply(weights[0], 4.0 * d2 / (gap_sq + 4.0 * d1 * d1), out=weights[1])
+            np.multiply(weights[0], _satd_correction(d1, d2, gap_sq), out=weights[1])
             return (np.array(((s, c), (c, -s))) @ gens).reshape(2, 20, 20), weights
 
         return _lindblad_rhs(terms, noise, t_gates)

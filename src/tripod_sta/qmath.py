@@ -282,7 +282,8 @@ def ode_solve(
         errs = ((h * _DP_E) @ kf[:12]).view(complex)
         abs_y8 = np.abs(y8)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)
-        e5, e3 = np.max(np.abs(errs) / tol, axis=1)
+        # Floats, so h and every stage time handed to rhs stay numpy-free.
+        e5, e3 = np.max(np.abs(errs) / tol, axis=1).tolist()
         # At e3 = 0 the combined estimate is e5 (and 0/0 when both vanish).
         ratio = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e3 > 0.0 else e5
         if ratio <= 1.0:

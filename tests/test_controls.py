@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA0, default_antisymmetric_gamma_rate, params
+from tripod_sta import controls
 from tripod_sta.controls import (
     ControlParams,
     DressingAngle,
@@ -353,6 +354,76 @@ class TestEnergyCost:
             energy_cost(make_envelopes(p2), p3)
         with pytest.raises(ValueError, match="params and env.params disagree"):
             energy_cost(make_envelopes(p2), p2.with_amp_scale(1.1))
+
+
+class TestThresholdScans:
+    """The threshold searches bisect on scaled-time tables of the unit-gate
+    ramp; EnvelopeSet.max_amplitude and energy_cost are their t-domain
+    definitions."""
+
+    @staticmethod
+    def excess_and_bracket(monkeypatch, search):
+        seen = []
+        monkeypatch.setattr(controls, "_bisect_decreasing", lambda f, lo, hi: seen.append((f, lo, hi)) or 1.0)
+        search()
+        monkeypatch.undo()
+        return seen[0]
+
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 1.2])
+    def test_excess_matches_the_t_domain_definitions(self, monkeypatch, alpha):
+        p = params(1.0, Flavor.SATD, alpha=alpha)
+        f, lo, hi = self.excess_and_bracket(monkeypatch, lambda: amplitude_threshold_time(p))
+        for tg in np.linspace(lo, hi, 20).tolist():
+            peak = make_envelopes(params(tg, Flavor.SATD, alpha=alpha)).max_amplitude
+            assert abs(f(tg) - (peak - OMEGA0)) <= 1e-13 * peak
+        for mult in (2.0, 3.0):
+            f, lo, hi = self.excess_and_bracket(monkeypatch, lambda: cost_threshold_time(p, mult))
+            for tg in np.linspace(lo, hi, 20).tolist():
+                q = params(tg, Flavor.SATD, alpha=alpha)
+                cost = energy_cost(make_envelopes(q), q, 501)
+                assert abs(f(tg) - (cost - mult * 0.5 * OMEGA0)) <= 1e-13 * cost
+
+    @pytest.mark.parametrize(
+        "omega0, multiple, t_domain_hex",
+        [
+            # The thresholds of the t-domain scans the tables replaced.
+            (OMEGA0, None, "0x1.daf35d210f048p+0"),
+            (OMEGA0, 2.0, "0x1.cb248c63c4fcap-1"),
+            (OMEGA0, 3.0, "0x1.34c56a89bedeep-1"),
+            (37.0, None, "0x1.429dd4c2fbb1cp-2"),
+            (37.0, 1.5, "0x1.aea379a4f6432p-3"),
+        ],
+    )
+    def test_thresholds_within_8_ulp_of_the_t_domain_scans(self, omega0, multiple, t_domain_hex):
+        p = ControlParams(omega0, math.pi / 4, 0.0, math.pi, 1.0, Flavor.SATD)
+        t_star = amplitude_threshold_time(p) if multiple is None else cost_threshold_time(p, multiple)
+        reference = float.fromhex(t_domain_hex)
+        assert abs(t_star - reference) <= 8 * math.ulp(reference)
+
+    def test_each_call_builds_one_table_and_caches_nothing(self, monkeypatch):
+        # The bisections never build envelope sets, and a repeat call redoes
+        # the same work as the first.
+        ramps = []
+        ramp = controls.PulseShape.ramp
+
+        def counted(tg, t):
+            ramps.append(np.size(t))
+            return ramp(tg, t)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("threshold searches scan tables, not envelope sets")
+
+        monkeypatch.setattr(controls.PulseShape, "ramp", staticmethod(counted))
+        monkeypatch.setattr(controls, "make_envelopes", forbidden)
+        monkeypatch.setattr(controls, "energy_cost", forbidden)
+        p = params(1.0, Flavor.SATD)
+        for search, size in ((lambda: amplitude_threshold_time(p), 4001), (lambda: cost_threshold_time(p, 2.0), 501)):
+            results = []
+            for _ in range(2):
+                ramps.clear()
+                results.append(search())
+                assert ramps == [size]
+            assert results[0] == results[1]
 
 
 def test_envelope_rows_layout():

@@ -122,6 +122,21 @@ def test_ode_reuses_the_last_stage():
     assert len(evals) == 1 + 12 * (res.steps_accepted + res.steps_rejected)
 
 
+def test_ode_stage_times_are_python_floats():
+    # The step size and every stage time stay Python floats, also after a
+    # rejected step, so the Lindblad rhs does its scalar ramp arithmetic
+    # without numpy scalars.
+    types = set()
+
+    def rhs(t, y):
+        types.add(type(t))
+        return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
+
+    res = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, IntegratorConfig(1e-8, 1e-10))
+    assert res.steps_rejected > 0
+    assert types == {float}
+
+
 def test_ode_backwards_time_rejected():
     with pytest.raises(ValueError):
         ode_solve(lambda t, y: y, np.eye(2, dtype=complex), 1.0, 0.0)
