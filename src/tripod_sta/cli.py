@@ -30,7 +30,6 @@ import numpy as np
 
 from .controls import (
     ControlParams,
-    EnvelopeSet,
     Flavor,
     amplitude_threshold_time,
     cost_threshold_time,
@@ -329,13 +328,12 @@ def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
     """The gate-error row of each point {tg_cycles, flavor}, their closed-path
     propagations run as one lockstep batch; a NumericalError carries the index
     of the failing point as its member."""
-    envs = [make_envelopes(spec.params(**point)) for point in points]
-    results = propagate_unitary_batch(envs, spec.integrator)
-    return [_gate_error_row(spec, env, res.final_operator) for env, res in zip(envs, results)]
+    ps = [spec.params(**point) for point in points]
+    results = propagate_unitary_batch(ps, spec.integrator)
+    return [_gate_error_row(spec, p, res.final_operator) for p, res in zip(ps, results)]
 
 
-def _gate_error_row(spec: SweepSpec, env: EnvelopeSet, u: np.ndarray) -> tuple:
-    p, shape = env.params, env.shape
+def _gate_error_row(spec: SweepSpec, p: ControlParams, u: np.ndarray) -> tuple:
     target = ideal_gate(p)
     eps_full = 1.0 - avg_gate_fidelity(target.conj().T @ u, 4)
     eps_qubit = 1.0 - avg_gate_fidelity(qubit_overlap_operator(target, u), 2)
@@ -346,7 +344,7 @@ def _gate_error_row(spec: SweepSpec, env: EnvelopeSet, u: np.ndarray) -> tuple:
         eps_oracle = 1.0 - avg_gate_fidelity(target.conj().T @ magnus_full_gate(p), 4)
     else:
         # The accelerated protocol's closed-form prediction is its exact gate.
-        predicted = satd_gate(p, shape)
+        predicted = satd_gate(p, make_pulse_shape(p.t_gate))
         eps_full_pred = 1.0 - avg_gate_fidelity(target.conj().T @ predicted, 4)
         eps_qubit_pred = 0.0
         eps_oracle = eps_full_pred

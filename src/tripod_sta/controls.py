@@ -110,22 +110,22 @@ def _satd_correction(d1, d2, gap_sq):
 
 
 class EnvelopeSet:
-    """The three complex control envelopes of one protocol run.
+    """The three complex control envelopes of one protocol run, on the quintic
+    PulseShape: the only shape, checked here and nowhere else.
 
     evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae) at a float or an array
     of times: amp_scale*omega0 times (w0*f_s, w1*f_s, f_c) for the profile
     factors (f_s, f_c) and the qubit_weights (w0, w1).  The relative phase of
     the a-e leg jumps by gamma0 at t_gate/2 (the factor phase_jump on the
-    second half); that leg's amplitude vanishes there, so the two
-    half-segments join continuously.  For SATD that also needs the dressing
-    to vanish there: theta_dot = 0 at t_gate/2.
+    second half); that leg's amplitude and the SATD dressing vanish there, so
+    the two half-segments join continuously.
     """
 
     def __init__(self, params: ControlParams, shape: PulseShape):
+        if type(shape) is not PulseShape:
+            raise ValueError("the pulse shape must be the quintic PulseShape")
         if abs(params.t_gate - shape.t_gate) > 1e-12 * params.t_gate:
             raise ValueError("params.t_gate and shape.t_gate disagree")
-        if params.flavor is Flavor.SATD and abs(shape(0.5 * shape.t_gate)[1]) > 1e-10 / shape.t_gate:
-            raise ValueError("SATD phase-preservation constraint violated: theta_dot != 0 at t_gate/2")
         self.params = params
         self.shape = shape
         p = params

@@ -138,10 +138,10 @@ def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float
 
 
 def propagate_unitary_batch(
-    envs: list[EnvelopeSet], cfg: IntegratorConfig = IntegratorConfig()
+    params: list[ControlParams], cfg: IntegratorConfig = IntegratorConfig()
 ) -> list[PropagationResult]:
-    """U(t_gate) of i dU/dt = H(t) U from the identity for each envelope set
-    of envs, H the Hamiltonian of env: one PropagationResult per member.
+    """U(t_gate) of i dU/dt = H(t) U from the identity for each protocol of
+    params on the quintic ramp: one PropagationResult per member.
 
     On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
     c = tripod.frame_field (|0t> decouples), so the lab operator is
@@ -154,30 +154,26 @@ def propagate_unitary_batch(
     defect above 10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with
     member set to the first failing member.
     """
-    # Member 2j is the first half-segment of envs[j], member 2j + 1 the second.
-    tgs = np.array([env.params.t_gate for env in envs])
+    # Member 2j is the first half-segment of params[j], member 2j + 1 the second.
+    tgs = np.array([p.t_gate for p in params])
     t0 = np.stack([np.zeros_like(tgs), 0.5 * tgs], -1).ravel()
     t1 = np.stack([0.5 * tgs, tgs], -1).ravel()
 
     def approx(rows, n):
-        def field(chunk, t):
-            members = [envs[i // 2] for i in rows[chunk]]
-            return frame_field([env.params for env in members], [env.shape for env in members], t)
-
-        return magnus_su2(field, t0[rows], t1[rows], n)
+        return magnus_su2(lambda chunk, t: frame_field([params[i // 2] for i in rows[chunk]], t), t0[rows], t1[rows], n)
 
     names = [f"Magnus step doubling on [{a:g}, {b:g}]" for a, b in zip(t0, t1)]
     tol = cfg.rel_tol + cfg.abs_tol
     halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 15.0)
     bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
     results = []
-    for j, env in enumerate(envs):
+    for j, p in enumerate(params):
         for half in halves[2 * j : 2 * j + 2]:
             if isinstance(half, NumericalError):
                 half.member = j
                 raise half
         (u1, n1, est1), (u2, n2, est2) = halves[2 * j : 2 * j + 2]
-        u = lab_operator(env.params, u1, u2)
+        u = lab_operator(p, u1, u2)
         defect = unitarity_defect(u)
         if not defect <= bound:
             raise NumericalError(f"unitarity defect {defect:.3e} exceeds {bound:.3e}", j)
@@ -194,7 +190,7 @@ def propagate_unitary(
     propagate_unitary_batch).  params must equal env.params."""
     if params != env.params:
         raise ValueError("params and env.params disagree")
-    return propagate_unitary_batch([env], cfg)[0]
+    return propagate_unitary_batch([params], cfg)[0]
 
 
 def _check_density(rhos: np.ndarray) -> None:
@@ -345,20 +341,17 @@ def propagate_lindblad_batch(
     r = amp_scales[i] times its amplitude (defaults: env's gate time and
     every scale 1; each finite and positive): in tau it evolves under
     T*r*H_T(tau) with damping T*W, H_T the Hamiltonian of env's flavor, axis
-    and amplitude at gate time T.  params must equal env.params, and env's
-    shape must be the plain PulseShape, whose mixing angle depends on t/T
-    alone.  The stepper controls the error elementwise, so the common mesh
-    is at least as fine as each member needs.  The initial stack is
-    Hermitized once and integrated as its packed upper triangle, whose
-    diagonal stays exactly real, so every final state is exactly Hermitian.
-    A final trace defect beyond 1e-6 or a minimum eigenvalue below
-    -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError with member
-    set to the first failing member.
+    and amplitude at gate time T (the quintic ramp is a function of t/T).
+    params must equal env.params.  The stepper controls the error
+    elementwise, so the common mesh is at least as fine as each member needs.
+    The initial stack is Hermitized once and integrated as its packed upper
+    triangle, whose diagonal stays exactly real, so every final state is
+    exactly Hermitian.  A final trace defect beyond 1e-6 or a minimum
+    eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
+    NumericalError with member set to the first failing member.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
-    if type(env.shape).__call__ is not PulseShape.__call__:
-        raise ValueError("scaled time needs the plain PulseShape: theta must depend on t/t_gate alone")
     rho0s = np.asarray(rho0s, dtype=complex)
     if not len(rho0s):
         raise ValueError("rho0s must hold at least one density matrix")

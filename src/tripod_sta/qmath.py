@@ -18,9 +18,22 @@ import numpy as np
 class OdeStepUnderflow(RuntimeError):
     """Raised when the adaptive stepper stalls; carries the failure time."""
 
+    stall = "step size underflow"
+
     def __init__(self, t: float):
-        super().__init__(f"ODE step size underflow at t = {t!r}")
+        super().__init__(f"ODE {self.stall} at t = {t!r}")
         self.t = t
+
+
+class OdeStepLimit(OdeStepUnderflow):
+    """Raised when a solve reaches ODE_MAX_STEPS attempted steps."""
+
+    stall = "step limit (ODE_MAX_STEPS attempted steps) reached"
+
+
+# Attempted steps per ode_solve call.  A noise-map half-segment attempts 63k
+# at 1e5 cycles and 244k at 4e5 (rel_tol 1e-8), so gates from ~5e5 cycles stop.
+ODE_MAX_STEPS = 300_000
 
 
 # Smallest accepted abs_tol.  Near-zero state elements carry roundoff of
@@ -247,7 +260,8 @@ def ode_solve(
     step and the FSAL stage are the rows of one (13, y.size) array, and every
     stage combination is one real tableau-row product with its float view.
     The last stage of an accepted step is the first of the next (FSAL), so a
-    solve costs 1 + 12*(accepted + rejected) rhs evaluations.
+    solve costs 1 + 12*(accepted + rejected) rhs evaluations.  A solve that
+    needs more than ODE_MAX_STEPS attempts raises OdeStepLimit.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -273,6 +287,8 @@ def ode_solve(
         h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
+        if accepted + rejected == ODE_MAX_STEPS:
+            raise OdeStepLimit(t)
         yf = y.view(float)
         for i in range(1, 12):
             stage = (yf + (h * _DP_A[i]) @ kf[:i]).view(complex)

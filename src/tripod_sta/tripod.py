@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape
+from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape, _satd_correction
 from .qmath import gauss_legendre, su2_exponential
 
 SQRT2 = math.sqrt(2.0)
@@ -87,31 +87,23 @@ def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.n
     return s
 
 
-def frame_field(params: list[ControlParams], shape: list[PulseShape], t: np.ndarray) -> tuple:
+def frame_field(params: list[ControlParams], t: np.ndarray) -> tuple:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
-    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z.
+    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z of
+    protocol params[j] at the times t[j], t of shape (members, n); each
+    component broadcasts against t.
 
     c = (r*omega0*kappa/2, theta_dot, -r*omega0/2) with r = amp_scale and
-    kappa = 4*theta_ddot/(omega0^2 + 4*theta_dot^2), the SATD envelope
-    correction designed at the nominal omega0 (kappa = 0 for the adiabatic
-    flavor).  |0t> decouples, and the step phase of the a-e leg enters no
-    term inside a half-segment: the segmented frame change carries its jump.
-
-    One call takes a chunk of members: protocol params[j] with pulse shape
-    shape[j] at the times t[j], t of shape (members, n), and each component
-    broadcasts against t.  Plain PulseShape members share one PulseShape.ramp
-    through a (members, 1) t_gate column, and a member with any other shape
-    evaluates its own row.
+    kappa = controls._satd_correction at the nominal omega0 (0 for the
+    adiabatic flavor), all from one PulseShape.ramp on a (members, 1) t_gate
+    column.  |0t> decouples, and the a-e leg's phase step enters no term
+    inside a half-segment: the segmented frame change carries it.
     """
-    rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, s.t_gate) for p, s in zip(params, shape)]
+    rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params]
     w, r, satd, tg = np.array(rows).T[..., None]
     _, td, tdd = PulseShape.ramp(tg, t)
-    for j, s in enumerate(shape):
-        if type(s).__call__ is not PulseShape.__call__:
-            _, td[j], tdd[j] = s(t[j])
     half_gap = 0.5 * r * w
-    kappa = np.where(satd, 4.0 * tdd / (w * w + 4.0 * td * td), 0.0)
-    return half_gap * kappa, td, -half_gap
+    return half_gap * np.where(satd, _satd_correction(td, tdd, w * w), 0.0), td, -half_gap
 
 
 def frame_ends(params: ControlParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,9 +46,9 @@ def frame_at(params: ControlParams, shape: PulseShape, t: float, segment: int | 
     return frame_change(params, shape(t)[0], seg == 2)
 
 
-def frame_field_at(params: ControlParams, shape: PulseShape, t: float) -> tuple[float, float, float]:
+def frame_field_at(params: ControlParams, t: float) -> tuple[float, float, float]:
     """tripod.frame_field of one protocol at one time t."""
-    return tuple(float(c[0, 0]) for c in frame_field([params], [shape], np.array([[float(t)]])))
+    return tuple(float(c[0, 0]) for c in frame_field([params], np.array([[float(t)]])))
 
 
 # Pauli matrices, for reading rotation axes out of 2x2 blocks.
@@ -227,10 +227,10 @@ def dissipator_superoperator(l_op: np.ndarray) -> np.ndarray:
     return np.kron(l_op.conj(), l_op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
 
 
-def dressed_frame_hamiltonian(params, shape, nu, t: float) -> np.ndarray:
+def dressed_frame_hamiltonian(params, nu, t: float) -> np.ndarray:
     """S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu - nu_dot*J_X with
     S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field."""
-    cx, cy, cz = _dressed(frame_field_at(params, shape, t), nu, t)
+    cx, cy, cz = _dressed(frame_field_at(params, t), nu, t)
     return cx * J_X + cy * J_Y + cz * J_Z
 
 
@@ -247,7 +247,7 @@ def dopri5_dissipative_superop(params, shape, noise, cfg: IntegratorConfig) -> n
     def segment_map(t0: float, t1: float) -> np.ndarray:
         def rhs(t, y):
             prop = y[:, :16]
-            ell0 = hamiltonian_superoperator(dressed_frame_hamiltonian(params, shape, nu, t))
+            ell0 = hamiltonian_superoperator(dressed_frame_hamiltonian(params, nu, t))
             c = _collapse_vector(params, shape, t)
             ell_phi = dissipator_superoperator(math.sqrt(gamma_e) * np.outer(c, c.conj()))
             return np.concatenate([ell0 @ prop, prop.conj().T @ ell_phi @ prop], axis=1)

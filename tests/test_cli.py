@@ -747,6 +747,20 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_ode_step_limit_exits_3_and_names_the_point(tmp_path, capsys, monkeypatch):
+    # A long gate would take minutes to reach the real limit; a tiny one
+    # stops the first solve (adiabatic, t_g = 2 and 3) in its first half.
+    from tripod_sta import qmath
+
+    monkeypatch.setattr(qmath, "ODE_MAX_STEPS", 5)
+    out = tmp_path / "nm.csv"
+    cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["sweep noise-map"], out=str(out)))
+    assert cli.main(["sweep", "noise-map", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "at (tg_cycles=2.0, flavor=adiabatic): ODE step limit (ODE_MAX_STEPS attempted steps) reached" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["coarse", "golden"])
 def test_contour_breach_names_its_gate_time(tmp_path, capsys, monkeypatch, stage):
     # The leak of test_positivity_breach_exits_3 on the states of the second

@@ -10,6 +10,7 @@ from tripod_sta.controls import (
     DressingAngle,
     Flavor,
     GenericDressingSingular,
+    PulseShape,
     _bisect_decreasing,
     amplitude_threshold_time,
     cost_threshold_time,
@@ -118,6 +119,17 @@ class TestControlParams:
         assert make_envelopes(params(2.0, Flavor.ADIABATIC)).params.flavor is Flavor.ADIABATIC
         assert make_envelopes(params(2.0, Flavor.SATD)).params.flavor is Flavor.SATD
 
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_rejects_any_shape_but_the_quintic_ramp(self, flavor):
+        # Every propagation path evaluates the quintic ramp from params alone,
+        # so a subclass that reshapes theta would be silently ignored there.
+        class Linear(PulseShape):
+            def __call__(self, t):
+                return 0.5 * math.pi * t / self.t_gate, 0.5 * math.pi / self.t_gate, 0.0 * t
+
+        with pytest.raises(ValueError, match="quintic PulseShape"):
+            make_envelopes(params(1.0, flavor), Linear(1.0))
+
 
 class TestAdiabaticEnvelopes:
     def test_endpoints(self):
@@ -180,15 +192,6 @@ class TestSatdEnvelopes:
     def test_midpoint_a_leg_vanishes(self):
         env = make_envelopes(params(1.0, Flavor.SATD), make_pulse_shape(1.0))
         assert abs(env.evaluate(0.5)[2]) < 1e-12
-
-    def test_phase_preservation_guard(self):
-        class Broken(type(make_pulse_shape(1.0))):
-            def __call__(self, t):
-                theta, _, theta_ddot = super().__call__(t)
-                return theta, 1.0, theta_ddot
-
-        with pytest.raises(ValueError, match="SATD phase-preservation"):
-            make_envelopes(params(1.0, Flavor.SATD), Broken(1.0))
 
     def test_corrections_designed_at_nominal(self):
         # Mis-calibration must scale the whole set, not re-derive corrections.

@@ -22,7 +22,7 @@ from conftest import (
     vec,
 )
 from tripod_sta import dynamics, tripod
-from tripod_sta.controls import Flavor, PulseShape, make_envelopes
+from tripod_sta.controls import Flavor, make_envelopes
 from tripod_sta.dynamics import (
     MAGNUS_MIN_STEPS,
     ROUNDOFF_ESTIMATE,
@@ -120,21 +120,6 @@ class TestPropagateUnitary:
         assert 1.0 - avg_gate_fidelity(o_q, 2) < 1e-6
 
 
-class _CosineRamp(PulseShape):
-    """theta = (pi/4)(1 - cos(pi u)) over each half, mirrored like the quintic
-    ramp: theta_dot vanishes at t_gate/2, but theta_ddot is nonzero at the ends."""
-
-    def __call__(self, t):
-        half = 0.5 * self.t_gate
-        second = t > half
-        u = (t - half * second) / half
-        sign = 1.0 - 2.0 * second
-        q = 0.25 * math.pi
-        theta = 0.5 * math.pi * second + sign * q * (1.0 - np.cos(math.pi * u))
-        theta_dot = sign * q * math.pi * np.sin(math.pi * u) / half
-        return theta, theta_dot, sign * q * math.pi**2 * np.cos(math.pi * u) / half**2
-
-
 REFERENCE = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
@@ -151,19 +136,11 @@ class TestMagnusPath:
         assert max_abs(res.final_operator - dopri5_unitary(env, REFERENCE)) <= 1e-9
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
-    def test_custom_shape_matches_dopri5_reference(self, flavor):
-        p = params(3.0, flavor, amp_scale=1.13)
-        env = make_envelopes(p, _CosineRamp(3.0))
-        res = propagate_unitary(p, env, CFG)
-        assert max_abs(res.final_operator - dopri5_unitary(env, REFERENCE)) <= 1e-9
-
-    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     def test_estimate_falls_fourth_order(self, flavor):
         p = params(5.0, flavor)
-        shape = make_envelopes(p).shape
 
         def field(rows, t):
-            return frame_field([p], [shape], t)
+            return frame_field([p], t)
 
         us = [magnus_su2(field, np.array([0.0]), np.array([2.5]), n)[0] for n in (64, 128, 256, 512)]
         estimates = [max_abs(b - a) / 15.0 for a, b in zip(us, us[1:])]
@@ -200,13 +177,11 @@ class TestMagnusPath:
 
 
 def _mixed_batch(plateau: bool) -> list:
-    """Both flavors at four gate times and two amplitude scales, with one
-    custom-shape member in the middle.  t_g = 1e-6 cycles is left out at the
-    plateau tolerance, where it alone takes 2^20 steps per half-segment."""
+    """Both flavors at four gate times and two amplitude scales.  t_g = 1e-6
+    cycles is left out at the plateau tolerance, where it alone takes 2^20
+    steps per half-segment."""
     times = (0.7, 2.0, 30.0) if plateau else (1e-6, 0.7, 2.0, 30.0)
-    envs = [make_envelopes(params(tg, flavor, amp_scale=r)) for flavor in Flavor for tg in times for r in (1.0, 1.13)]
-    envs.insert(5, make_envelopes(params(3.0, Flavor.SATD, amp_scale=1.13), _CosineRamp(3.0)))
-    return envs
+    return [params(tg, flavor, amp_scale=r) for flavor in Flavor for tg in times for r in (1.0, 1.13)]
 
 
 class TestUnitaryBatch:
@@ -216,29 +191,28 @@ class TestUnitaryBatch:
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-300])
     def test_batch_equals_one_member_calls(self, rel_tol):
         cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=max(1e-2 * rel_tol, ABS_TOL_FLOOR))
-        envs = _mixed_batch(plateau=rel_tol < 1e-200)
-        batch = propagate_unitary_batch(envs, cfg)
-        assert len(batch) == len(envs)
+        ps = _mixed_batch(plateau=rel_tol < 1e-200)
+        batch = propagate_unitary_batch(ps, cfg)
+        assert len(batch) == len(ps)
         assert len({res.magnus_steps for res in batch}) > 2  # members freeze at different N
-        for env, res in zip(envs, batch):
-            alone = propagate_unitary(env.params, env, cfg)
+        for p, res in zip(ps, batch):
+            alone = propagate_unitary(p, make_envelopes(p), cfg)
             for name in (
                 "final_operator", "magnus_steps", "steps_accepted", "steps_rejected", "error_estimate",
                 "unitarity_defect",
             ):
-                assert np.array_equal(getattr(res, name), getattr(alone, name)), (env.params, name)
+                assert np.array_equal(getattr(res, name), getattr(alone, name)), (p, name)
 
     def test_field_calls_hold_at_most_a_block_of_member_steps(self, monkeypatch):
         sizes = []
         real = dynamics.frame_field
 
-        def recording(params, shape, t):
+        def recording(params, t):
             sizes.append((len(params), t.size // 2))
-            return real(params, shape, t)
+            return real(params, t)
 
         monkeypatch.setattr(dynamics, "frame_field", recording)
-        envs = _mixed_batch(plateau=False)
-        propagate_unitary_batch(envs, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
+        propagate_unitary_batch(_mixed_batch(plateau=False), IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
         assert max(steps for _, steps in sizes) <= MAGNUS_BLOCK
         assert max(members for members, _ in sizes) > 1  # members do share calls
 
@@ -480,14 +454,6 @@ class TestPropagateLindblad:
             reference_attempts += ref.steps_accepted + ref.steps_rejected
         assert max_abs(solves[-1][3].y - y) <= 10.0 * cfg.rel_tol
         assert 2 * attempts <= reference_attempts
-
-    def test_rejects_a_shape_that_is_not_a_function_of_scaled_time(self):
-        # A shape overriding PulseShape.__call__ need not depend on t/t_gate
-        # alone, and the scaled-time solve would silently use the quintic ramp.
-        p = params(2.0, Flavor.SATD)
-        env = make_envelopes(p, _CosineRamp(p.t_gate))
-        with pytest.raises(ValueError, match="PulseShape"):
-            propagate_lindblad_batch(p, env, NoiseModel(), AXIAL_QUBIT_STATES, CFG)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_nonfinite_or_nonpositive_gate_times(self, bad):

@@ -85,6 +85,19 @@ def test_cli_solves_lindblad_maps_through_one_entry_point():
     assert not names & {"map_fidelity", "map_fidelity_uncertainty_avg", "propagate_lindblad_batch"}
 
 
+def test_gate_error_path_builds_no_envelope_set():
+    # The closed path runs on ControlParams alone: the quintic ramp is the
+    # only shape, so no step of gate-error needs an EnvelopeSet.
+    paths = {"cli": {"_gate_error_rows", "_gate_error_row"}, "dynamics": {"propagate_unitary_batch"}}
+    for module, functions in paths.items():
+        tree = ast.parse((ROOT / "src" / "tripod_sta" / f"{module}.py").read_text())
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in functions]
+        assert {node.name for node in defs} == functions
+        names = {node.id for d in defs for node in ast.walk(d) if isinstance(node, ast.Name)}
+        names |= {node.attr for d in defs for node in ast.walk(d) if isinstance(node, ast.Attribute)}
+        assert not names & {"EnvelopeSet", "make_envelopes"}, module
+
+
 def _perfbench_entry_points():
     """(module, name) pairs the benchmark reaches into, read from its source."""
     probes = ast.parse((PERFBENCH / "probes.py").read_text())

@@ -123,7 +123,7 @@ class TestAdiabaticFrameGenerators:
         p = params(2.0)
         shape = make_pulse_shape(2.0)
         t = 0.37
-        c = frame_field_at(p, shape, t)
+        c = frame_field_at(p, t)
         assert c == (0.0, shape(t)[1], -0.5 * OMEGA0)
         verr = _spin1((0.0, c[1], 0.0))
         assert abs(verr[1, 2]) == pytest.approx(abs(c[1]) / SQRT2, rel=1e-12)
@@ -132,7 +132,7 @@ class TestAdiabaticFrameGenerators:
 
     def test_vanishes_where_theta_is_stationary(self):
         for flavor in (Flavor.ADIABATIC, Flavor.SATD):
-            cx, cy, _ = frame_field_at(params(2.0, flavor), make_pulse_shape(2.0), 1.0)
+            cx, cy, _ = frame_field_at(params(2.0, flavor), 1.0)
             assert abs(cx) < 1e-12 and abs(cy) < 1e-12
 
     def test_matches_finite_difference_frame_change(self):
@@ -152,7 +152,7 @@ class TestAdiabaticFrameGenerators:
                     - 8 * frame_at(p, shape, t - h, seg) + frame_at(p, shape, t - 2 * h, seg)
                 ) / (12 * h)
                 frame = s.conj().T @ hamiltonian(env, t) @ s - 1j * (s.conj().T @ fd)
-                assert np.max(np.abs(frame - _spin1(frame_field_at(p, shape, t)))) < 1e-9
+                assert np.max(np.abs(frame - _spin1(frame_field_at(p, t)))) < 1e-9
                 assert np.max(np.abs(frame[0, :])) < 1e-9 and np.max(np.abs(frame[:, 0])) < 1e-9
 
 
@@ -300,12 +300,12 @@ class TestDressedFrame:
             for t in np.linspace(0.0, tg, 41):
                 t = float(t)
                 e = math.sqrt(0.25 * OMEGA0**2 + shape(t)[1] ** 2)
-                dressed = _dressed(frame_field_at(p, shape, t), nu, t)
+                dressed = _dressed(frame_field_at(p, t), nu, t)
                 assert np.max(np.abs(np.subtract(dressed, (0.0, 0.0, -e)))) < 1e-13
         p = params(2.0, Flavor.SATD, amp_scale=1.1)
         shape = make_pulse_shape(2.0)
         nu = satd_dressing_angle(p, shape)
-        xy = [_dressed(frame_field_at(p, shape, float(t)), nu, float(t))[:2] for t in np.linspace(0.0, 2.0, 41)]
+        xy = [_dressed(frame_field_at(p, float(t)), nu, float(t))[:2] for t in np.linspace(0.0, 2.0, 41)]
         assert np.max(np.abs(xy)) > 1e-3
 
     def test_nonspin_couplings_vanish_at_midpoint(self):
@@ -324,7 +324,7 @@ class TestDressedFrame:
         shape = make_pulse_shape(tg)
         nu = satd_dressing_angle(p, shape)
         for t in np.linspace(0.02, tg - 0.02, 23):
-            hdr = dressed_frame_hamiltonian(p, shape, nu, float(t))
+            hdr = dressed_frame_hamiltonian(p, nu, float(t))
             assert abs(hdr[1, 1]) < 1e-12 * OMEGA0
             assert abs(hdr[1, 2]) < 1e-10 * OMEGA0
             assert abs(hdr[1, 3]) < 1e-10 * OMEGA0
@@ -332,11 +332,10 @@ class TestDressedFrame:
     def test_frame_consistency_without_dressing(self):
         # nu == 0 must reproduce the adiabatic-frame field exactly.
         p = params(2.0)
-        shape = make_pulse_shape(2.0)
         zero = DressingAngle(lambda t: 0.0, lambda t: 0.0)
         for t in (0.4, 1.2, 1.9):
-            hdr = dressed_frame_hamiltonian(p, shape, zero, t)
-            assert np.max(np.abs(hdr - _spin1(frame_field_at(p, shape, t)))) < 1e-12
+            hdr = dressed_frame_hamiltonian(p, zero, t)
+            assert np.max(np.abs(hdr - _spin1(frame_field_at(p, t)))) < 1e-12
 
     def test_dressing_matches_rotated_frame(self):
         # The closed-form dressing equals S_nu^dag H_ad S_nu - nu_dot J_X with
@@ -348,6 +347,6 @@ class TestDressedFrame:
             nu = satd_dressing_angle(p, shape)
             for t in np.linspace(0.05, tg - 0.05, 9):
                 s_nu = series_expm(-1j * nu.angle(t) * J_X)
-                h_ad = _spin1(frame_field_at(p, shape, t))
+                h_ad = _spin1(frame_field_at(p, t))
                 expected = s_nu.conj().T @ h_ad @ s_nu - nu.rate(t) * J_X
-                assert np.max(np.abs(dressed_frame_hamiltonian(p, shape, nu, t) - expected)) < 1e-12
+                assert np.max(np.abs(dressed_frame_hamiltonian(p, nu, t) - expected)) < 1e-12
