@@ -257,8 +257,8 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     integrator = _library("integrator.abs_tol", IntegratorConfig, rel_tol, abs_tol)
 
     fields = KINDS[cfg_kind].parse(cfg)
-    in_range = f"in [1, {MAX_UNCERTAINTY_NODES}]"
-    nodes = _field(cfg, "uncertainty_nodes", 21, _int, lambda n: 1 <= n <= MAX_UNCERTAINTY_NODES, in_range)
+    need = f"odd and in [1, {MAX_UNCERTAINTY_NODES}]"
+    nodes = _field(cfg, "uncertainty_nodes", 21, _int, lambda n: 1 <= n <= MAX_UNCERTAINTY_NODES and n % 2, need)
 
     jobs_field, jobs = "jobs", overrides.get("jobs")
     if jobs is None:
@@ -301,7 +301,8 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
 def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
     """Rows of one task; a numerical failure names its point: the failure's
     `point`, else a batch task's failing member of `points` (the first, if the
-    failure is tied to none), else the task's arguments, if it has any."""
+    failure is tied to none), else the task's arguments, if it has any.  A
+    Lindblad step failure is tied to the longest gate of its solve."""
     spec, args = task
     try:
         return KINDS[spec.kind].rows(spec, **args)

@@ -32,7 +32,9 @@ from functools import cache
 import numpy as np
 
 from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction
-from .qmath import IntegratorConfig, OdeResult, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
+from .qmath import (
+    IntegratorConfig, OdeResult, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
+)
 from .tripod import frame_field, lab_operator
 
 # Magnus step counts per half-segment: doubling starts at the smallest and
@@ -348,7 +350,8 @@ def propagate_lindblad_batch(
     triangle, whose diagonal stays exactly real, so every final state is
     exactly Hermitian.  A final trace defect beyond 1e-6 or a minimum
     eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
-    NumericalError with member set to the first failing member.
+    NumericalError with member set to the first failing member; a stalled
+    step (OdeStepUnderflow, OdeStepLimit) gives its time as tau.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
@@ -387,7 +390,10 @@ def propagate_lindblad_batch(
 
         return _lindblad_rhs(terms, noise, t_gates)
 
-    first = ode_solve(half_rhs(1.0), _pack(hermitize(rho0s)), 0.0, 0.5, cfg)
-    second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
+    try:
+        first = ode_solve(half_rhs(1.0), _pack(hermitize(rho0s)), 0.0, 0.5, cfg)
+        second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
+    except OdeStepUnderflow as exc:
+        raise type(exc)(exc.t, "tau") from None
     steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
     return _density_results(OdeResult(_unpack(second.y), *steps), cfg.rel_tol)

@@ -11,14 +11,15 @@ import numpy as np
 
 from .controls import ControlParams, PulseShape, make_envelopes
 from .dynamics import NoiseModel, NumericalError, density_diagnostics, propagate_lindblad_batch
-from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule
+from .qmath import IntegratorConfig, OdeStepUnderflow, gauss_legendre, gauss_legendre_rule
 from .tripod import ideal_gate
 
 # Fourth-order Magnus coefficient of the qubit-projected fidelity formula.
 QUBIT_FIDELITY_COEFF = 14_745_600
-# Most nodes of an amplitude-uncertainty average: each adds four states to the
-# solve, and building the rule alone takes 0.5 s at 1024 nodes, 2.6 s at 4096.
-MAX_UNCERTAINTY_NODES = 1024
+# Most nodes of an amplitude-uncertainty average (an odd count): each adds four
+# states to the solve, and building the rule alone takes 0.1-0.5 s at 1023
+# nodes and 2.6-4.5 s at 4095 on a 2-vCPU host.
+MAX_UNCERTAINTY_NODES = 1023
 # Most states one Lindblad solve of nominal_and_uncertainty_avg holds, unless
 # a single point needs more: its points are solved in contiguous chunks
 # (point_chunks) that depend on the point count, k and the node count alone,
@@ -99,74 +100,34 @@ _SOLVED_AXIAL = [0, 2, 4, 5]
 
 
 @contextmanager
-def _failing_member(group: int, offset: int = 0):
+def _failing_member(group: int, offset: int, mesh: int = 0):
     """Renumber a NumericalError's member, an index into consecutive groups
-    of group members, to offset plus the index of its group."""
+    of group members, to offset plus the index of its group.  A step failure
+    of the shared mesh, tied to no member, gets offset plus mesh."""
     try:
         yield
     except NumericalError as exc:
         if exc.member is not None:
             exc.member = offset + exc.member // group
         raise
+    except OdeStepUnderflow as exc:
+        exc.member = offset + mesh
+        raise
 
 
-def _axial_fidelities(params: ControlParams, env, noise: NoiseModel, cfg: IntegratorConfig, scales, t_gates=None):
-    """Map fidelity of each member group j, env's protocol at the amplitude
-    scale scales[j] relative to env's and the gate time t_gates[j] (default:
-    env's), from a single shared-mesh solve of the four independent axial
-    inputs per group.  The rebuilt -x and -y images get the same trace and
-    positivity checks as the solved states; a NumericalError's member is the
-    index of its group."""
-    inputs = AXIAL_QUBIT_STATES[_SOLVED_AXIAL]
-    groups = len(scales)
-    t_gates = None if t_gates is None else np.repeat(t_gates, len(inputs))
-    with _failing_member(len(inputs)):
-        results = propagate_lindblad_batch(
-            params, env, noise, np.tile(inputs, (groups, 1, 1)), cfg, np.repeat(scales, len(inputs)), t_gates
-        )
-    solved = np.stack([res.final_operator for res in results]).reshape(groups, len(inputs), 4, 4)
-    plus_x, plus_y, zero, one = np.moveaxis(solved, 1, 0)
-    minus_x, minus_y = zero + one - plus_x, zero + one - plus_y
-    with _failing_member(2):
-        density_diagnostics(np.stack([minus_x, minus_y], axis=1).reshape(-1, 4, 4), cfg.rel_tol)
-    finals = np.stack([plus_x, minus_x, plus_y, minus_y, zero, one], axis=1).reshape(-1, 4, 4)
-    return _axial_average(ideal_gate(params.with_amp_scale(1.0))[:2, :2], finals)
-
-
-def map_fidelity(
-    params: ControlParams,
-    env,
-    noise: NoiseModel,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> float:
-    """Average fidelity of the realized qubit map against the nominal target.
-
-    Averages over the six axial qubit states, of which the four independent
-    ones are propagated through the Lindblad dynamics of env and the other
-    two follow by linearity, and compares with the ideal gate built at the
-    nominal amplitude (the geometric qubit block does not depend on omega0).
-    """
-    return float(_axial_fidelities(params, env, noise, cfg, [1.0])[0])
-
-
-def _point_scales(k: float, n_nodes: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """(scales, nominal, weights): the distinct amplitude scales one point of
-    nominal_and_uncertainty_avg solves and the index of scale 1 among them.
-    The scales end in the nodes 1 + k*x of the n_nodes Gauss-Legendre rule
-    with weights w on [-1, 1], so the uniform average over the scales
-    [1 - k, 1 + k] is dot(w, f)/2; at k = 0 that is the one scale 1 with
-    weight 2.  Scale 1 is the node x = 0 of an odd rule, or the one node at
-    k = 0; otherwise it leads as its own group."""
-    if not 1 <= n_nodes <= MAX_UNCERTAINTY_NODES:
-        raise ValueError(f"n_nodes must lie in [1, {MAX_UNCERTAINTY_NODES}]")
+def _point_scales(k: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(scales, weights): the distinct amplitude scales one point of
+    nominal_and_uncertainty_avg solves, the nodes 1 + k*x of the odd n_nodes
+    Gauss-Legendre rule with weights w on [-1, 1], so the uniform average over
+    the scales [1 - k, 1 + k] is dot(w, f)/2; at k = 0 that is the one scale 1
+    with weight 2.  The nominal scale 1 is the middle one: numpy's rule is
+    symmetrized, so its middle node is exactly 0."""
+    if not (1 <= n_nodes <= MAX_UNCERTAINTY_NODES and n_nodes % 2):
+        raise ValueError(f"n_nodes must be odd and lie in [1, {MAX_UNCERTAINTY_NODES}]")
     if k == 0.0:
-        return np.ones(1), 0, np.full(1, 2.0)
+        return np.ones(1), np.full(1, 2.0)
     nodes, weights = gauss_legendre_rule(n_nodes)
-    scales = 1.0 + k * nodes
-    at_one = np.flatnonzero(scales == 1.0)
-    if len(at_one):
-        return scales, int(at_one[0]), weights
-    return np.concatenate(([1.0], scales)), 0, weights
+    return 1.0 + k * nodes, weights
 
 
 def point_chunks(n_points: int, k: float, n_nodes: int) -> list[range]:
@@ -185,30 +146,54 @@ def nominal_and_uncertainty_avg(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> list[tuple[float, float]]:
     """(nominal, averaged) map fidelity of each protocol of points: the
-    map_fidelity of its pulses at params.amp_scale = a and its uniform
-    average over the Rabi amplitude interval [a*omega0(1-k), a*omega0(1+k)]
-    by Gauss-Legendre quadrature.  The points may differ in t_gate alone.
+    six-axial-state average fidelity of its qubit map at params.amp_scale = a
+    against the nominal ideal gate, and its uniform average over the Rabi
+    amplitude interval [a*omega0(1-k), a*omega0(1+k)] by Gauss-Legendre
+    quadrature, node x at the amplitude scale 1 + k*x (the middle node x = 0
+    is the nominal map).  The points may differ in t_gate alone.
 
-    Node x realizes the envelopes at params scaled by 1 + k*x (the target
-    stays nominal).  Each chunk of point_chunks is one scaled-time Lindblad
-    solve, holding every distinct scale of each of its points once (the
-    nominal scale 1 is a node of an odd rule).  A NumericalError's member is
-    the index of the failing point.
+    Each chunk of point_chunks is one scaled-time Lindblad solve of the four
+    independent axial inputs at every scale of its points; the -x and -y
+    images follow by linearity and get the same trace and positivity checks.
+    A NumericalError's member is the index of the failing point; a step
+    failure names the chunk's longest gate, which sets the shared mesh.
     """
-    scales, nominal, weights = _point_scales(noise.k, n_nodes)
+    scales, weights = _point_scales(noise.k, n_nodes)
     first = points[0]
     if any(replace(p, t_gate=first.t_gate) != first for p in points):
         raise ValueError("points must differ in t_gate alone")
+    inputs = AXIAL_QUBIT_STATES[_SOLVED_AXIAL]
+    per_point = len(inputs) * len(scales)
     out = []
     for chunk in point_chunks(len(points), noise.k, n_nodes):
         lead = points[chunk.start]
-        t_gates = np.repeat([points[i].t_gate for i in chunk], len(scales))
-        with _failing_member(len(scales), chunk.start):
-            fids = _axial_fidelities(lead, make_envelopes(lead), noise, cfg, np.tile(scales, len(chunk)), t_gates)
+        t_gates = [points[i].t_gate for i in chunk]
+        rho0s = np.tile(inputs, (len(chunk) * len(scales), 1, 1))
+        amp_scales = np.tile(np.repeat(scales, len(inputs)), len(chunk))
+        with _failing_member(per_point, chunk.start, int(np.argmax(t_gates))):
+            results = propagate_lindblad_batch(
+                lead, make_envelopes(lead), noise, rho0s, cfg, amp_scales, np.repeat(t_gates, per_point)
+            )
+        solved = np.stack([res.final_operator for res in results]).reshape(-1, len(inputs), 4, 4)
+        plus_x, plus_y, zero, one = np.moveaxis(solved, 1, 0)
+        minus_x, minus_y = zero + one - plus_x, zero + one - plus_y
+        with _failing_member(2 * len(scales), chunk.start):
+            density_diagnostics(np.stack([minus_x, minus_y], axis=1).reshape(-1, 4, 4), cfg.rel_tol)
+        finals = np.stack([plus_x, minus_x, plus_y, minus_y, zero, one], axis=1).reshape(-1, 4, 4)
+        fids = _axial_average(ideal_gate(lead.with_amp_scale(1.0))[:2, :2], finals)
         # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
         for f in fids.reshape(len(chunk), -1):
-            out.append((float(f[nominal]), float(np.dot(weights, f[-len(weights) :])) / 2.0))
+            out.append((float(f[len(f) // 2]), float(np.dot(weights, f)) / 2.0))
     return out
+
+
+def map_fidelity(params: ControlParams, env, noise: NoiseModel, cfg: IntegratorConfig = IntegratorConfig()) -> float:
+    """Average fidelity of the realized qubit map against the nominal target:
+    the nominal value of nominal_and_uncertainty_avg, from scale 1 alone.
+    params must equal env.params."""
+    if params != env.params:
+        raise ValueError("params and env.params disagree")
+    return nominal_and_uncertainty_avg([params], noise, 1, cfg)[0][0]
 
 
 def map_fidelity_uncertainty_avg(
@@ -218,21 +203,19 @@ def map_fidelity_uncertainty_avg(
     cfg: IntegratorConfig = IntegratorConfig(),
     shape: PulseShape | None = None,
 ) -> float:
-    """Uniform average of map_fidelity over the Rabi amplitude interval (the
-    averaged value of nominal_and_uncertainty_avg), solving the nodes alone."""
-    scales, _, weights = _point_scales(noise.k, n_nodes)
-    fids = _axial_fidelities(params, make_envelopes(params, shape), noise, cfg, scales[-len(weights) :])
-    return float(np.dot(weights, fids)) / 2.0
+    """Uniform average of map_fidelity over the Rabi amplitude interval: the
+    averaged value of nominal_and_uncertainty_avg.  shape must fit params."""
+    make_envelopes(params, shape)
+    return nominal_and_uncertainty_avg([params], noise, n_nodes, cfg)[0][1]
 
 
 def analytic_satd_dephasing_fidelity(
     params: ControlParams,
     shape: PulseShape,
     noise: NoiseModel,
-    n_nodes: int = 96,
 ) -> float:
     """First-order map-fidelity prediction for the accelerated gate under
-    excited-state dephasing only."""
+    excited-state dephasing only, by 96-node Gauss-Legendre quadrature."""
     rates = noise.gamma_phi
     if any(g != 0.0 for g in rates[:3]):
         raise ValueError("analytic prediction covers excited-state dephasing only")
@@ -248,8 +231,8 @@ def analytic_satd_dephasing_fidelity(
         return td2 / (w2 + 4.0 * td2) ** 2
 
     half = 0.5 * params.t_gate
-    i1 = gauss_legendre(frac, 0.0, half, n_nodes)
-    i2 = gauss_legendre(frac_sq, 0.0, half, n_nodes)
+    i1 = gauss_legendre(frac, 0.0, half, 96)
+    i2 = gauss_legendre(frac_sq, 0.0, half, 96)
     return 1.0 - (4.0 / 3.0) * gamma_e * i1 - (8.0 / 3.0) * gamma_e * w2 * i2
 
 

@@ -148,7 +148,6 @@ def generic_dressing_phase(
     shape: PulseShape,
     gamma_dot: TimeFunction,
     mu: DressingAngle | None = None,
-    n_nodes: int = 201,
 ) -> float:
     """Phase accumulated by the dressed dark state of the generic dressing.
 
@@ -166,4 +165,4 @@ def generic_dressing_phase(
         bracket += 4.0 * SQRT2 * np.sin(2.0 * m) * td
         return 0.125 * sec2 * bracket
 
-    return gauss_legendre(integrand, 0.0, params.t_gate, n_nodes)
+    return gauss_legendre(integrand, 0.0, params.t_gate, 201)

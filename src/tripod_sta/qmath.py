@@ -16,12 +16,13 @@ from typing import Callable
 import numpy as np
 
 class OdeStepUnderflow(RuntimeError):
-    """Raised when the adaptive stepper stalls; carries the failure time."""
+    """Raised when the adaptive stepper stalls; carries the failure time t,
+    which the message names clock (tau on the scaled-time Lindblad path)."""
 
     stall = "step size underflow"
 
-    def __init__(self, t: float):
-        super().__init__(f"ODE {self.stall} at t = {t!r}")
+    def __init__(self, t: float, clock: str = "t"):
+        super().__init__(f"ODE {self.stall} at {clock} = {t!r}")
         self.t = t
 
 

@@ -159,19 +159,19 @@ def ideal_gate(params: ControlParams) -> np.ndarray:
     return _geometric_gate(params, 0.5 * w * params.t_gate)
 
 
-def satd_gate(params: ControlParams, shape: PulseShape, n_nodes: int = 64) -> np.ndarray:
+def satd_gate(params: ControlParams, shape: PulseShape) -> np.ndarray:
     """Closed-form gate for the shortcut-corrected protocol (calibrated amp).
 
     The auxiliary half angle is Phi = int_0^{t_g/2} sqrt(omega0^2 +
-    4*theta_dot^2) dt, evaluated by Gauss-Legendre quadrature.
+    4*theta_dot^2) dt, evaluated by 64-node Gauss-Legendre quadrature.
     """
-    phi = satd_bright_half_angle(params, shape, n_nodes)
+    phi = satd_bright_half_angle(params, shape)
     return _geometric_gate(params, phi)
 
 
-def satd_bright_half_angle(params: ControlParams, shape: PulseShape, n_nodes: int = 64) -> float:
+def satd_bright_half_angle(params: ControlParams, shape: PulseShape) -> float:
     w = params.omega0 * params.amp_scale
-    return gauss_legendre(lambda t: np.sqrt(w * w + 4.0 * shape(t)[1] ** 2), 0.0, 0.5 * params.t_gate, n_nodes)
+    return gauss_legendre(lambda t: np.sqrt(w * w + 4.0 * shape(t)[1] ** 2), 0.0, 0.5 * params.t_gate, 64)
 
 
 def dressed_frame_fields(

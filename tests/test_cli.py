@@ -239,6 +239,8 @@ class TestConfigHandling:
                 ("integrator.rel_tol", -1e-8),
                 ("integrator.abs_tol", 0.0),
                 ("uncertainty_nodes", 0),
+                # Even: the nominal scale 1 would not be a node (also at k = 0).
+                ("uncertainty_nodes", 4),
                 # Past MAX_UNCERTAINTY_NODES; 10^6 nodes used to end in a numpy memory error.
                 ("uncertainty_nodes", MAX_UNCERTAINTY_NODES + 1),
             )
@@ -750,6 +752,8 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
 def test_ode_step_limit_exits_3_and_names_the_point(tmp_path, capsys, monkeypatch):
     # A long gate would take minutes to reach the real limit; a tiny one
     # stops the first solve (adiabatic, t_g = 2 and 3) in its first half.
+    # The failure is tied to no member: it names the longest gate, which
+    # sets the shared mesh.
     from tripod_sta import qmath
 
     monkeypatch.setattr(qmath, "ODE_MAX_STEPS", 5)
@@ -757,7 +761,22 @@ def test_ode_step_limit_exits_3_and_names_the_point(tmp_path, capsys, monkeypatc
     cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["sweep noise-map"], out=str(out)))
     assert cli.main(["sweep", "noise-map", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "at (tg_cycles=2.0, flavor=adiabatic): ODE step limit (ODE_MAX_STEPS attempted steps) reached" in err
+    assert "at (tg_cycles=3.0, flavor=adiabatic): ODE step limit (ODE_MAX_STEPS attempted steps) reached" in err
+    assert not out.exists()
+
+
+def test_contour_step_limit_gives_its_time_as_tau(tmp_path, capsys, monkeypatch):
+    # The Lindblad path steps in scaled time tau = t/t_g; the message says so,
+    # and the coarse solve names its longest gate, tg_max.
+    from tripod_sta import qmath
+
+    monkeypatch.setattr(qmath, "ODE_MAX_STEPS", 5)
+    out = tmp_path / "ct.csv"
+    cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["contour"], out=str(out), flavors=["adiabatic"]))
+    assert cli.main(["contour", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"at \(gamma_gs=0\.0, gamma_e=0\.01, flavor=adiabatic, tg_cycles=3\.0\): ODE step limit", err), err
+    assert "reached at tau = " in err
     assert not out.exists()
 
 

@@ -171,6 +171,12 @@ def test_integrator_config_validation():
     assert IntegratorConfig(abs_tol=ABS_TOL_FLOOR).abs_tol == ABS_TOL_FLOOR
 
 
+@pytest.mark.parametrize("n", [1, 3, 11, 21, 1023])
+def test_gauss_legendre_rule_has_an_exact_zero_in_the_middle(n):
+    # Odd uncertainty rules put the nominal amplitude scale 1 + k*0 there.
+    assert gauss_legendre_rule(n)[0][n // 2] == 0.0
+
+
 def test_gauss_legendre_constant():
     assert gauss_legendre(lambda x: 1.0, 0.0, 1.0, 1) == pytest.approx(1.0, abs=1e-15)
 

@@ -85,6 +85,24 @@ def test_cli_solves_lindblad_maps_through_one_entry_point():
     assert not names & {"map_fidelity", "map_fidelity_uncertainty_avg", "propagate_lindblad_batch"}
 
 
+def test_metrics_solves_every_map_in_one_place():
+    # One Lindblad map path: apart from its import, metrics names the solver
+    # only in nominal_and_uncertainty_avg, and both map fidelities read it.
+    tree = ast.parse((ROOT / "src" / "tripod_sta" / "metrics.py").read_text())
+
+    def named(node):
+        nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+
+    top = [node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    solvers = [getattr(node, "name", node.lineno) for node in top if "propagate_lindblad_batch" in named(node)]
+    assert solvers == ["nominal_and_uncertainty_avg"]
+    defs = {node.name: node for node in top if isinstance(node, ast.FunctionDef)}
+    for name in ("map_fidelity", "map_fidelity_uncertainty_avg"):
+        calls = {n.func.id for n in ast.walk(defs[name]) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "nominal_and_uncertainty_avg" in calls, name
+
+
 def test_gate_error_path_builds_no_envelope_set():
     # The closed path runs on ControlParams alone: the quintic ramp is the
     # only shape, so no step of gate-error needs an EnvelopeSet.
