@@ -49,7 +49,7 @@ from .metrics import (
     qubit_overlap_operator,
 )
 from .oracles import magnus_full_gate, oracle_b_map_fidelity
-from .qmath import ABS_TOL_FLOOR, IntegratorConfig, OdeStepUnderflow
+from .qmath import ABS_TOL_FLOOR, IntegratorConfig
 from .tripod import ideal_gate, satd_gate
 
 OMEGA0 = 2.0 * math.pi
@@ -187,10 +187,12 @@ def _oracle_compare_fields(cfg: dict) -> tuple[float, ...]:
 
 
 def _pulse_fields(cfg: dict) -> PulseFields:
+    # ControlParams's bound: amp_scale*omega0 must stay finite.
+    amp_scale = (lambda x: x > 0.0 and math.isfinite(OMEGA0 * x), "positive, with amp_scale*omega0 finite")
     return PulseFields(
         _field(cfg, "samples", 101, _int, *_GRID_COUNT),
         _field(cfg, "tg_cycles", 4.0, _num, *_GATE_TIME),
-        _field(cfg, "amp_scale", 1.0, _num, lambda x: x > 0.0, "positive"),
+        _field(cfg, "amp_scale", 1.0, _num, *amp_scale),
     )
 
 
@@ -233,6 +235,8 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     if not out or not isinstance(out, str):
         raise ConfigError("out", "an output path is required (config 'out' or --out)")
     # Checked here, so a path the CSV cannot be written to fails before the sweep runs.
+    if "\0" in out:
+        raise ConfigError("out", "must not contain a NUL byte")
     if os.path.isdir(out):
         raise ConfigError("out", f"{out!r} is a directory")
     if not os.path.isdir(os.path.dirname(out) or "."):
@@ -299,17 +303,17 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
 
 
 def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
-    """Rows of one task; a numerical failure names its point: the failure's
+    """Rows of one task; a NumericalError names its point: the failure's
     `point`, else a batch task's failing member of `points` (the first, if the
     failure is tied to none), else the task's arguments, if it has any.  A
-    Lindblad step failure is tied to the longest gate of its solve."""
+    Lindblad solve ties a stalled step to its longest gate."""
     spec, args = task
     try:
         return KINDS[spec.kind].rows(spec, **args)
-    except (NumericalError, OdeStepUnderflow) as exc:
+    except NumericalError as exc:
         if not args:
             raise
-        member = getattr(exc, "member", None) or 0
+        member = exc.member or 0
         point = getattr(exc, "point", None) or (args["points"][member] if "points" in args else args)
         desc = ", ".join(f"{name}={value}" for name, value in point.items())
         raise NumericalError(f"at ({desc}): {exc}") from exc
@@ -451,8 +455,8 @@ def _contour_rows(
     def eps(tgs: list[float]) -> list[float]:
         try:
             fids = nominal_and_uncertainty_avg([spec.params(tg, flavor) for tg in tgs], noise, nodes, cfg)
-        except (NumericalError, OdeStepUnderflow) as exc:
-            tg = tgs[getattr(exc, "member", None) or 0]
+        except NumericalError as exc:
+            tg = tgs[exc.member or 0]
             exc.point = {"gamma_gs": gamma_gs, "gamma_e": gamma_e, "flavor": flavor, "tg_cycles": tg}
             raise
         return [1.0 - f_avg for _, f_avg in fids]
@@ -595,14 +599,20 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         comments, rows = run(spec)
-    except (NumericalError, OdeStepUnderflow) as exc:
+    except NumericalError as exc:
         print(f"numerical failure (kind={spec.kind}): {exc}", file=sys.stderr)
         return 3
 
     lines = [f"# {c}" for c in comments] + [KINDS[spec.kind].header]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        # A path only the write can reject, such as a name too long or a file
+        # system that refuses new files.
+        print(f"config error: field 'out': {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -51,6 +51,8 @@ class ControlParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.omega0 * self.amp_scale):
+            raise ValueError("omega0 * amp_scale must be finite")
         if not 0.0 <= self.alpha <= 0.5 * math.pi:
             raise ValueError("alpha must lie in [0, pi/2]")
         if not 0.0 <= self.beta < 2.0 * math.pi:

@@ -33,7 +33,8 @@ import numpy as np
 
 from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction
 from .qmath import (
-    IntegratorConfig, OdeResult, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect
+    IntegratorConfig, NumericalError, OdeResult, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve,
+    unitarity_defect,
 )
 from .tripod import frame_field, lab_operator
 
@@ -56,15 +57,6 @@ UNITARITY_ROUNDOFF = 1e-10
 # scales 0.8-1.2: -0.27*rel_tol at rel_tol 1e-3, -0.17 to -0.33*rel_tol from
 # 1e-6 to 1e-10, -3.2e-15 at 1e-14.
 POSITIVITY_ROUNDOFF = 1e-10
-
-
-class NumericalError(RuntimeError):
-    """Integration produced a state outside its conservation tolerances;
-    member is the index of the failing member of a batch, if known."""
-
-    def __init__(self, message: str, member: int | None = None):
-        super().__init__(message)
-        self.member = member
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,7 @@ def propagate_unitary_batch(
     params: list[ControlParams], cfg: IntegratorConfig = IntegratorConfig()
 ) -> list[PropagationResult]:
     """U(t_gate) of i dU/dt = H(t) U from the identity for each protocol of
-    params on the quintic ramp: one PropagationResult per member.
+    params (at least one) on the quintic ramp: one PropagationResult per member.
 
     On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
     c = tripod.frame_field (|0t> decouples), so the lab operator is
@@ -156,6 +148,8 @@ def propagate_unitary_batch(
     defect above 10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with
     member set to the first failing member.
     """
+    if not params:
+        raise ValueError("params must hold at least one protocol")
     # Member 2j is the first half-segment of params[j], member 2j + 1 the second.
     tgs = np.array([p.t_gate for p in params])
     t0 = np.stack([np.zeros_like(tgs), 0.5 * tgs], -1).ravel()
@@ -350,8 +344,10 @@ def propagate_lindblad_batch(
     triangle, whose diagonal stays exactly real, so every final state is
     exactly Hermitian.  A final trace defect beyond 1e-6 or a minimum
     eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
-    NumericalError with member set to the first failing member; a stalled
-    step (OdeStepUnderflow, OdeStepLimit) gives its time as tau.
+    NumericalError with member set to the first failing member.  A stalled
+    step (OdeStepUnderflow, OdeStepLimit, both NumericalErrors) gives its
+    time as tau and names the first member of the longest gate, which sets
+    the shared mesh.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
@@ -394,6 +390,6 @@ def propagate_lindblad_batch(
         first = ode_solve(half_rhs(1.0), _pack(hermitize(rho0s)), 0.0, 0.5, cfg)
         second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
     except OdeStepUnderflow as exc:
-        raise type(exc)(exc.t, "tau") from None
+        raise type(exc)(exc.t, "tau", int(np.argmax(t_gates))) from None
     steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
     return _density_results(OdeResult(_unpack(second.y), *steps), cfg.rel_tol)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .controls import ControlParams, PulseShape, make_envelopes
 from .dynamics import NoiseModel, NumericalError, density_diagnostics, propagate_lindblad_batch
-from .qmath import IntegratorConfig, OdeStepUnderflow, gauss_legendre, gauss_legendre_rule
+from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule
 from .tripod import ideal_gate
 
 # Fourth-order Magnus coefficient of the qubit-projected fidelity formula.
@@ -100,18 +100,14 @@ _SOLVED_AXIAL = [0, 2, 4, 5]
 
 
 @contextmanager
-def _failing_member(group: int, offset: int, mesh: int = 0):
+def _failing_member(group: int, offset: int):
     """Renumber a NumericalError's member, an index into consecutive groups
-    of group members, to offset plus the index of its group.  A step failure
-    of the shared mesh, tied to no member, gets offset plus mesh."""
+    of group members, to offset plus the index of its group."""
     try:
         yield
     except NumericalError as exc:
         if exc.member is not None:
             exc.member = offset + exc.member // group
-        raise
-    except OdeStepUnderflow as exc:
-        exc.member = offset + mesh
         raise
 
 
@@ -150,15 +146,18 @@ def nominal_and_uncertainty_avg(
     against the nominal ideal gate, and its uniform average over the Rabi
     amplitude interval [a*omega0(1-k), a*omega0(1+k)] by Gauss-Legendre
     quadrature, node x at the amplitude scale 1 + k*x (the middle node x = 0
-    is the nominal map).  The points may differ in t_gate alone.
+    is the nominal map).  The points, at least one, may differ in t_gate
+    alone.
 
     Each chunk of point_chunks is one scaled-time Lindblad solve of the four
     independent axial inputs at every scale of its points; the -x and -y
     images follow by linearity and get the same trace and positivity checks.
-    A NumericalError's member is the index of the failing point; a step
-    failure names the chunk's longest gate, which sets the shared mesh.
+    A NumericalError's member is the index of the failing point; the solve
+    ties a stalled step to the chunk's longest gate, which sets its mesh.
     """
     scales, weights = _point_scales(noise.k, n_nodes)
+    if not points:
+        raise ValueError("points must hold at least one protocol")
     first = points[0]
     if any(replace(p, t_gate=first.t_gate) != first for p in points):
         raise ValueError("points must differ in t_gate alone")
@@ -170,7 +169,7 @@ def nominal_and_uncertainty_avg(
         t_gates = [points[i].t_gate for i in chunk]
         rho0s = np.tile(inputs, (len(chunk) * len(scales), 1, 1))
         amp_scales = np.tile(np.repeat(scales, len(inputs)), len(chunk))
-        with _failing_member(per_point, chunk.start, int(np.argmax(t_gates))):
+        with _failing_member(per_point, chunk.start):
             results = propagate_lindblad_batch(
                 lead, make_envelopes(lead), noise, rho0s, cfg, amp_scales, np.repeat(t_gates, per_point)
             )

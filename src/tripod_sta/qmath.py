@@ -15,14 +15,23 @@ from typing import Callable
 
 import numpy as np
 
-class OdeStepUnderflow(RuntimeError):
+class NumericalError(RuntimeError):
+    """Integration failed or produced a state outside its conservation
+    tolerances; member is the index of the failing member of a batch, if known."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
+
+
+class OdeStepUnderflow(NumericalError):
     """Raised when the adaptive stepper stalls; carries the failure time t,
     which the message names clock (tau on the scaled-time Lindblad path)."""
 
     stall = "step size underflow"
 
-    def __init__(self, t: float, clock: str = "t"):
-        super().__init__(f"ODE {self.stall} at {clock} = {t!r}")
+    def __init__(self, t: float, clock: str = "t", member: int | None = None):
+        super().__init__(f"ODE {self.stall} at {clock} = {t!r}", member)
         self.t = t
 
 

@@ -152,10 +152,10 @@ class TestConfigHandling:
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
 
     @pytest.mark.parametrize("via_flag", [False, True])
-    @pytest.mark.parametrize("name", ["missing/o.csv", "out_dir"])
+    @pytest.mark.parametrize("name", ["missing/o.csv", "out_dir", "o\0.csv"])
     def test_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch, name, via_flag):
-        # A missing directory, or a directory as the file: both used to run the
-        # whole sweep, then end in a traceback at the write.
+        # A missing directory, a directory as the file, or a NUL byte: each used
+        # to run the whole sweep, then end in a traceback at the write.
         (tmp_path / "out_dir").mkdir()
         monkeypatch.setattr(cli, "run", lambda spec: pytest.fail("the sweep ran"))
         out = str(tmp_path / name)
@@ -164,6 +164,15 @@ class TestConfigHandling:
         rc = cli.main(["sweep", "gate-error", "--config", cfg] + (["--out", out] if via_flag else []))
         assert rc == 2
         assert "'out'" in capsys.readouterr().err
+
+    def test_out_name_too_long_is_config_error(self, capsys, tmp_path):
+        # Only the write can reject the name; it used to end there in a
+        # traceback with exit 1.
+        cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["pulses export"], out=str(tmp_path / ("o" * 300))))
+        assert cli.main(["pulses", "export", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'out': ") and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
     def test_bad_jobs_env_is_config_error(self, capsys, tmp_path, monkeypatch, value):
@@ -222,6 +231,8 @@ class TestConfigHandling:
             ("pulses export", "samples", cli.MAX_GRID_POINTS + 1),
             ("pulses export", "tg_cycles", 0.0),
             ("pulses export", "amp_scale", 0.0),
+            # amp_scale*omega0 overflows; it used to write nan and inf cells.
+            ("pulses export", "amp_scale", 1e308),
             ("contour", "contour.gamma_gs", []),
             ("contour", "contour.gamma_e", [-1.0]),
             ("contour", "contour.tg_min", -1.0),

@@ -107,6 +107,8 @@ class TestControlParams:
             ControlParams(1.0, 0.1, 0.0, 7.0, 1.0)  # gamma0 out of range
         with pytest.raises(ValueError):
             ControlParams(1.0, 0.1, 0.0, 0.1, 1.0, amp_scale=0.0)
+        with pytest.raises(ValueError, match="omega0 \\* amp_scale"):
+            ControlParams(OMEGA0, 0.1, 0.0, 0.1, 1.0, amp_scale=1e308)  # amp_scale*omega0 overflows
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 ControlParams(bad, 0.1, 0.0, 0.1, 1.0)

@@ -203,6 +203,11 @@ class TestUnitaryBatch:
             ):
                 assert np.array_equal(getattr(res, name), getattr(alone, name)), (p, name)
 
+    def test_rejects_an_empty_batch(self):
+        # It used to end in a TypeError from qmath.su2_ordered_product.
+        with pytest.raises(ValueError, match="at least one protocol"):
+            propagate_unitary_batch([], CFG)
+
     def test_field_calls_hold_at_most_a_block_of_member_steps(self, monkeypatch):
         sizes = []
         real = dynamics.frame_field
@@ -463,6 +468,20 @@ class TestPropagateLindblad:
             propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, None, t_gates)
         with pytest.raises(ValueError, match="t_gates must hold one value per density matrix"):
             propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, None, t_gates[:2])
+
+    def test_step_failure_names_the_first_member_of_the_longest_gate(self, monkeypatch):
+        # The longest gate sets the shared mesh, so a stalled step is a
+        # NumericalError of its first member, timed in scaled time.
+        from tripod_sta import qmath
+
+        monkeypatch.setattr(qmath, "ODE_MAX_STEPS", 5)
+        p = params(2.0)
+        rho0s, t_gates = AXIAL_QUBIT_STATES[[0, 2, 4, 5]], np.array([2.0, 3.0, 3.0, 2.5])
+        with pytest.raises(qmath.OdeStepLimit) as info:
+            propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), rho0s, CFG, None, t_gates)
+        assert isinstance(info.value, NumericalError)
+        assert info.value.member == 1
+        assert "tau" in str(info.value)
 
     def test_positivity_breach_raises(self, monkeypatch):
         # A constant leak from |1> onto |0> in the right-hand side keeps the

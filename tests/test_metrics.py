@@ -248,6 +248,11 @@ class TestFourInputMaps:
             [alone] = nominal_and_uncertainty_avg([p], noise, 3, FAST)
             assert np.max(np.abs(np.subtract(pair, alone))) < 10.0 * FAST.rel_tol
 
+    def test_rejects_no_points(self):
+        # It used to end in an IndexError at points[0].
+        with pytest.raises(ValueError, match="at least one protocol"):
+            nominal_and_uncertainty_avg([], NoiseModel(), 1, FAST)
+
     def test_points_must_differ_in_gate_time_alone(self):
         points = [params(2.0), params(3.0, Flavor.SATD)]
         with pytest.raises(ValueError, match="t_gate alone"):

@@ -103,6 +103,17 @@ def test_metrics_solves_every_map_in_one_place():
         assert "nominal_and_uncertainty_avg" in calls, name
 
 
+def test_cli_and_metrics_catch_one_failure_type():
+    # The step errors are NumericalErrors, and the solve ties them to a
+    # member, so neither the CLI nor metrics names them apart.
+    for module in ("cli", "metrics"):
+        tree = ast.parse((ROOT / "src" / "tripod_sta" / f"{module}.py").read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"OdeStepUnderflow", "OdeStepLimit"}, module
+
+
 def test_gate_error_path_builds_no_envelope_set():
     # The closed path runs on ControlParams alone: the quintic ramp is the
     # only shape, so no step of gate-error needs an EnvelopeSet.
