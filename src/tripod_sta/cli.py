@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,6 +33,7 @@ from .controls import (
     Flavor,
     amplitude_threshold_time,
     cost_threshold_time,
+    energy_cost,
     envelope_rows,
     make_envelopes,
     make_pulse_shape,
@@ -68,22 +69,20 @@ MAX_GRID_POINTS = 100_000
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"field {field!r}: {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Parsed, validated sweep configuration.
 
-    `fields` holds the config fields only this spec's kind reads, as parsed
-    by that kind's `Kind.parse`.
+    `base` holds the validated axis and phase (alpha, beta, gamma0) at unit
+    gate time, and `fields` the config fields only this spec's kind reads,
+    as parsed by that kind's `Kind.parse`.
     """
 
     kind: str
     out: str
-    alpha: float
-    beta: float
-    gamma0: float
+    base: ControlParams
     flavors: tuple[str, ...]
     noise: NoiseModel
     uncertainty_nodes: int
@@ -92,7 +91,7 @@ class SweepSpec:
     fields: object
 
     def params(self, tg_cycles: float, flavor: str, amp_scale: float = 1.0) -> ControlParams:
-        return ControlParams(OMEGA0, self.alpha, self.beta, self.gamma0, tg_cycles, Flavor(flavor), amp_scale)
+        return replace(self.base, t_gate=tg_cycles, flavor=Flavor(flavor), amp_scale=amp_scale)
 
 
 PulseFields = namedtuple("PulseFields", "samples tg_cycles amp_scale")
@@ -187,13 +186,20 @@ def _oracle_compare_fields(cfg: dict) -> tuple[float, ...]:
 
 
 def _pulse_fields(cfg: dict) -> PulseFields:
-    # ControlParams's bound: amp_scale*omega0 must stay finite.
-    amp_scale = (lambda x: x > 0.0 and math.isfinite(OMEGA0 * x), "positive, with amp_scale*omega0 finite")
     return PulseFields(
         _field(cfg, "samples", 101, _int, *_GRID_COUNT),
         _field(cfg, "tg_cycles", 4.0, _num, *_GATE_TIME),
-        _field(cfg, "amp_scale", 1.0, _num, *amp_scale),
+        _field(cfg, "amp_scale", 1.0, _num, lambda x: x > 0.0, "positive"),
     )
+
+
+def _check_pulse_peak(spec: SweepSpec) -> None:
+    # The peak envelope must be finite: an overflowing one writes inf and nan
+    # cells, or finite samples that miss the peak.
+    f = spec.fields
+    p = _library("amp_scale", spec.params, f.tg_cycles, spec.flavors[0], f.amp_scale)
+    if not math.isfinite(make_envelopes(p).max_amplitude):
+        raise ConfigError("amp_scale", f"the peak {p.flavor.value} envelope overflows at tg_cycles={f.tg_cycles!r}")
 
 
 def _contour_fields(cfg: dict) -> ContourFields:
@@ -241,11 +247,19 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         raise ConfigError("out", f"{out!r} is a directory")
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError("out", f"the directory of {out!r} does not exist")
+    try:
+        name = os.fsencode(os.path.basename(out))
+    except UnicodeEncodeError as exc:
+        raise ConfigError("out", f"not a file name: {exc}") from exc
+    try:
+        name_max = os.pathconf(os.path.dirname(out) or ".", "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no answer: the write still checks the name
+        name_max = -1
+    if 0 < name_max < len(name):
+        raise ConfigError("out", f"the file name is longer than {name_max} bytes")
 
-    alpha = _field(cfg, "alpha", math.pi / 4)
-    beta = _field(cfg, "beta", 0.0)
-    gamma0 = _field(cfg, "gamma0", math.pi)
-    _library("alpha/beta/gamma0", ControlParams, OMEGA0, alpha, beta, gamma0, 1.0)
+    axis = (_field(cfg, "alpha", math.pi / 4), _field(cfg, "beta", 0.0), _field(cfg, "gamma0", math.pi))
+    base = _library("alpha/beta/gamma0", ControlParams, OMEGA0, *axis, 1.0)
     flavors = _field(cfg, "flavors", ["adiabatic", "satd"], _flavors)
 
     gamma_phi = _field(
@@ -271,7 +285,9 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         jobs_field, jobs = "TRIPOD_STA_JOBS", os.environ.get("TRIPOD_STA_JOBS") or 1
     jobs = _field({jobs_field: jobs}, jobs_field, None, _int, lambda n: n >= 1, ">= 1")
 
-    return SweepSpec(cfg_kind, out, alpha, beta, gamma0, flavors, noise, nodes, integrator, jobs, fields)
+    spec = SweepSpec(cfg_kind, out, base, flavors, noise, nodes, integrator, jobs, fields)
+    KINDS[cfg_kind].check(spec)
+    return spec
 
 
 def _fmt(x) -> str:
@@ -284,7 +300,7 @@ def _fmt(x) -> str:
 
 def _base_comments(spec: SweepSpec) -> list[str]:
     return [
-        f"alpha={_fmt(spec.alpha)} beta={_fmt(spec.beta)} gamma0={_fmt(spec.gamma0)}",
+        f"alpha={_fmt(spec.base.alpha)} beta={_fmt(spec.base.beta)} gamma0={_fmt(spec.base.gamma0)}",
         f"gamma_phi={','.join(_fmt(g) for g in spec.noise.gamma_phi)} k={_fmt(spec.noise.k)}",
         f"rel_tol={_fmt(spec.integrator.rel_tol)} abs_tol={_fmt(spec.integrator.abs_tol)} "
         f"uncertainty_nodes={spec.uncertainty_nodes}",
@@ -382,7 +398,7 @@ def _noise_map_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
     for p, (f_nominal, f_avg) in zip(ps, nominal_and_uncertainty_avg(ps, spec.noise, spec.uncertainty_nodes, cfg)):
         env = make_envelopes(p)
         max_amp = env.max_amplitude / OMEGA0
-        cost = env.cost / (0.5 * OMEGA0)
+        cost = energy_cost(env, p) / (0.5 * OMEGA0)
         tg, flavor = p.t_gate, p.flavor.value
         eps_nominal = clamp_error(1.0 - f_nominal, floor)
         rows.append((tg, flavor, 0.0, eps_nominal, eps_nominal, max_amp, cost))
@@ -505,10 +521,11 @@ def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
 class Kind:
     """Everything the CLI does differently for one output kind.
 
-    parse reads the config fields only this kind uses (SweepSpec.fields);
-    tasks lists each task's keyword arguments for rows, which returns that
-    task's CSV rows; rows are sorted on their first sort_cols columns, and
-    comments gives the `#` lines that follow the shared ones.
+    parse reads the config fields only this kind uses (SweepSpec.fields),
+    and check raises ConfigError on a spec they leave unusable; tasks lists
+    each task's keyword arguments for rows, which returns that task's CSV
+    rows (run sorts whole rows), and comments gives the `#` lines that
+    follow the shared ones.
     """
 
     command: tuple[str, ...]  # subcommand path: one or two words
@@ -517,31 +534,31 @@ class Kind:
     parse: Callable[[dict], object]
     tasks: Callable[[SweepSpec], list[dict]]
     rows: Callable[..., list[tuple]]
-    sort_cols: int
     comments: Callable[[SweepSpec], list[str]] = lambda spec: []
+    check: Callable[[SweepSpec], None] = lambda spec: None
 
 
 KINDS = {
     "gate-error": Kind(
         ("sweep", "gate-error"), "unitary gate-error sweep",
         "tg_cycles,flavor,eps_full,eps_qubit,eps_full_pred,eps_qubit_pred,eps_oracleA",
-        parse=_tg_grid, tasks=_gate_error_tasks, rows=_gate_error_rows, sort_cols=2,
+        parse=_tg_grid, tasks=_gate_error_tasks, rows=_gate_error_rows,
     ),
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",
         "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
-        parse=_tg_grid, tasks=_noise_map_tasks, rows=_noise_map_rows, sort_cols=3, comments=_noise_map_comments,
+        parse=_tg_grid, tasks=_noise_map_tasks, rows=_noise_map_rows, comments=_noise_map_comments,
     ),
     "contour": Kind(
         ("contour",), "best-error search over rate pairs",
         "gamma_gs,gamma_e,flavor,tg_star_cycles,eps_star,feasible",
-        parse=_contour_fields, tasks=_contour_tasks, rows=_contour_rows, sort_cols=3,
+        parse=_contour_fields, tasks=_contour_tasks, rows=_contour_rows,
         comments=lambda spec: [f"tg_window_cycles=[{_fmt(spec.fields.tg_min)},{_fmt(spec.fields.tg_max)}]"],
     ),
     "pulses": Kind(
         ("pulses", "export"), "sample envelopes to CSV",
         "t_cycles,re_omega_0e,im_omega_0e,re_omega_1e,im_omega_1e,re_omega_ae,im_omega_ae",
-        parse=_pulse_fields, tasks=lambda spec: [{}], rows=_pulse_rows, sort_cols=1,
+        parse=_pulse_fields, tasks=lambda spec: [{}], rows=_pulse_rows, check=_check_pulse_peak,
         comments=lambda spec: [
             f"flavor={spec.flavors[0]} tg_cycles={_fmt(spec.fields.tg_cycles)} "
             f"amp_scale={_fmt(spec.fields.amp_scale)}"
@@ -551,7 +568,7 @@ KINDS = {
         ("oracle", "compare"), "tabulate oracles vs numerics",
         "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
         parse=_oracle_compare_fields, tasks=lambda spec: [{"tg_cycles": tg} for tg in spec.fields],
-        rows=_oracle_compare_rows, sort_cols=1,
+        rows=_oracle_compare_rows,
     ),
 }
 
@@ -560,7 +577,7 @@ def run(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
     """Comment lines and sorted rows of one sweep."""
     kind = KINDS[spec.kind]
     groups = _run_tasks(_run_task, [(spec, args) for args in kind.tasks(spec)], spec.jobs)
-    rows = sorted((row for group in groups for row in group), key=lambda r: r[: kind.sort_cols])
+    rows = sorted(row for group in groups for row in group)
     return _base_comments(spec) + kind.comments(spec), rows
 
 
@@ -609,8 +626,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        # A path only the write can reject, such as a name too long or a file
-        # system that refuses new files.
+        # A path only the write can reject, such as a name too long where
+        # pathconf gives no limit, or a file system that refuses new files.
         print(f"config error: field 'out': {exc}", file=sys.stderr)
         return 2
     return 0

@@ -113,7 +113,9 @@ def _satd_correction(d1, d2, gap_sq):
 
 class EnvelopeSet:
     """The three complex control envelopes of one protocol run, on the quintic
-    PulseShape: the only shape, checked here and nowhere else.
+    ramp at params.t_gate.  The shape argument is only checked, here and
+    nowhere else: it must be the quintic PulseShape (the only shape) of that
+    gate time.
 
     evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae) at a float or an array
     of times: amp_scale*omega0 times (w0*f_s, w1*f_s, f_c) for the profile
@@ -129,7 +131,6 @@ class EnvelopeSet:
         if abs(params.t_gate - shape.t_gate) > 1e-12 * params.t_gate:
             raise ValueError("params.t_gate and shape.t_gate disagree")
         self.params = params
-        self.shape = shape
         p = params
         self.qubit_weights = (math.cos(p.alpha), math.sin(p.alpha) * complex(math.cos(p.beta), math.sin(p.beta)))
         self.phase_jump = complex(math.cos(p.gamma0), math.sin(p.gamma0))
@@ -142,7 +143,7 @@ class EnvelopeSet:
         """Dimensionless (sin-leg, cos-leg) factors of the two Raman legs at a
         float or an array of times."""
         p = self.params
-        th, td, tdd = self.shape(t)
+        th, td, tdd = PulseShape.ramp(p.t_gate, t)
         # math.sin on floats: np.sin on a float costs a microsecond per call.
         sin, cos = (np.sin, np.cos) if isinstance(t, np.ndarray) else (math.sin, math.cos)
         s, c = sin(th), cos(th)
@@ -171,10 +172,6 @@ class EnvelopeSet:
         qmax = max(math.cos(p.alpha), math.sin(p.alpha))
         peak = max(float(np.max(np.abs(fs))) * qmax, float(np.max(np.abs(fc))))
         return p.amp_scale * p.omega0 * peak
-
-    @cached_property
-    def cost(self) -> float:
-        return energy_cost(self, self.params)
 
 
 def make_envelopes(params: ControlParams, shape: PulseShape | None = None) -> EnvelopeSet:

@@ -33,8 +33,7 @@ import numpy as np
 
 from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction
 from .qmath import (
-    IntegratorConfig, NumericalError, OdeResult, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve,
-    unitarity_defect,
+    IntegratorConfig, NumericalError, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect,
 )
 from .tripod import frame_field, lab_operator
 
@@ -299,16 +298,6 @@ def density_diagnostics(rhos: np.ndarray, rel_tol: float) -> tuple[np.ndarray, n
     return trace_defects, min_eigs
 
 
-def _density_results(res: OdeResult, rel_tol: float) -> list[PropagationResult]:
-    """One result per density matrix of the stack res.y, with its
-    density_diagnostics."""
-    trace_defects, min_eigs = density_diagnostics(res.y, rel_tol)
-    return [
-        PropagationResult(rho, res.steps_accepted, res.steps_rejected, trace_defect=float(d), min_eigenvalue=float(e))
-        for rho, d, e in zip(res.y, trace_defects, min_eigs)
-    ]
-
-
 def _per_member(name: str, values, default: float, n: int) -> np.ndarray:
     """values as n finite positive floats, one per member (default: all
     default)."""
@@ -391,5 +380,10 @@ def propagate_lindblad_batch(
         second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
     except OdeStepUnderflow as exc:
         raise type(exc)(exc.t, "tau", int(np.argmax(t_gates))) from None
+    rhos = _unpack(second.y)
+    trace_defects, min_eigs = density_diagnostics(rhos, cfg.rel_tol)
     steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
-    return _density_results(OdeResult(_unpack(second.y), *steps), cfg.rel_tol)
+    return [
+        PropagationResult(rho, *steps, trace_defect=float(d), min_eigenvalue=float(e))
+        for rho, d, e in zip(rhos, trace_defects, min_eigs)
+    ]

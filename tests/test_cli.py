@@ -100,6 +100,18 @@ class TestConfigHandling:
         assert rc == 2
         assert "kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ([dict(GATE_ERROR_CFG, out="x.csv")], "'config'"),  # a top-level JSON array
+            (dict(GATE_ERROR_CFG, kind="bogus", out="x.csv"), "'kind'"),
+        ],
+    )
+    def test_array_or_unknown_kind_is_config_error(self, capsys, tmp_path, payload, field):
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["sweep", "gate-error", "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
+
     def test_out_required(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "c.json", GATE_ERROR_CFG)
         rc = cli.main(["sweep", "gate-error", "--config", cfg])
@@ -152,10 +164,11 @@ class TestConfigHandling:
         self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, "jobs")
 
     @pytest.mark.parametrize("via_flag", [False, True])
-    @pytest.mark.parametrize("name", ["missing/o.csv", "out_dir", "o\0.csv"])
+    @pytest.mark.parametrize("name", ["missing/o.csv", "out_dir", "o\0.csv", "\ud800.csv"])
     def test_unwritable_out_is_config_error(self, capsys, tmp_path, monkeypatch, name, via_flag):
-        # A missing directory, a directory as the file, or a NUL byte: each used
-        # to run the whole sweep, then end in a traceback at the write.
+        # A missing directory, a directory as the file, a NUL byte, or a name
+        # the file system cannot encode: each used to run the whole sweep,
+        # then end in a traceback at the write.
         (tmp_path / "out_dir").mkdir()
         monkeypatch.setattr(cli, "run", lambda spec: pytest.fail("the sweep ran"))
         out = str(tmp_path / name)
@@ -165,9 +178,11 @@ class TestConfigHandling:
         assert rc == 2
         assert "'out'" in capsys.readouterr().err
 
-    def test_out_name_too_long_is_config_error(self, capsys, tmp_path):
-        # Only the write can reject the name; it used to end there in a
-        # traceback with exit 1.
+    def test_out_name_too_long_is_config_error(self, capsys, tmp_path, monkeypatch):
+        # Checked against the directory's name limit before the sweep; it used
+        # to end in a traceback at the write with exit 1, and then in exit 2
+        # only after the whole sweep.
+        monkeypatch.setattr(cli, "run", lambda spec: pytest.fail("the sweep ran"))
         cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["pulses export"], out=str(tmp_path / ("o" * 300))))
         assert cli.main(["pulses", "export", "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -269,11 +284,28 @@ class TestConfigHandling:
         # An abs_tol below the floor cannot be met; it used to exit 3 or nearly hang.
         + [(kind, "integrator.abs_tol", 0.9 * ABS_TOL_FLOOR) for kind in sorted(MINIMAL_CFGS)]
         # Every error lies in [0, 1], so a tolerance of 1 or more zeroed them all.
-        + [(kind, f"integrator.{tol}", 1.0) for kind in sorted(MINIMAL_CFGS) for tol in ("rel_tol", "abs_tol")],
+        + [(kind, f"integrator.{tol}", 1.0) for kind in sorted(MINIMAL_CFGS) for tol in ("rel_tol", "abs_tol")]
+        + [(kind, "noise.gamma_phi", "x") for kind in sorted(MINIMAL_CFGS)]
+        + [
+            ("sweep gate-error", "flavors", ["bogus"]),
+            # A field under a parent that is not an object.
+            ("sweep gate-error", "tg_grid", 5),
+        ]
+        # The peak SATD envelope overflows though amp_scale*omega0 is finite:
+        # the first used to write inf and nan cells, the second finite samples
+        # that miss the peak.
+        + [
+            ("pulses export", "amp_scale", {"flavors": ["satd"], "tg_cycles": tg, "amp_scale": scale})
+            for tg, scale in ((0.5, 2.8e307), (1e-5, 1e300))
+        ],
     )
     def test_bad_field_is_config_error(self, capsys, tmp_path, kind, field, value):
-        """One bad value per field, for every kind that reads the field."""
-        payload = _with_field(MINIMAL_CFGS[kind], field, value)
+        """One bad value per field, for every kind that reads the field; a
+        dict value sets several top-level fields, which make field bad."""
+        if isinstance(value, dict):
+            payload = dict(MINIMAL_CFGS[kind], **value)
+        else:
+            payload = _with_field(MINIMAL_CFGS[kind], field, value)
         self._assert_config_error(capsys, tmp_path, kind, payload, f"'{field}'")
 
     @pytest.mark.parametrize(

@@ -103,6 +103,8 @@ class TestControlParams:
             ControlParams(-1.0, 0.1, 0.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             ControlParams(1.0, 2.0, 0.0, 0.1, 1.0)  # alpha out of range
+        with pytest.raises(ValueError, match="beta"):
+            ControlParams(1.0, 0.1, 2.0 * math.pi, 0.1, 1.0)  # beta out of [0, 2*pi)
         with pytest.raises(ValueError):
             ControlParams(1.0, 0.1, 0.0, 7.0, 1.0)  # gamma0 out of range
         with pytest.raises(ValueError):
@@ -174,7 +176,7 @@ class TestAdiabaticEnvelopes:
         p = params(2.0)
         env = make_envelopes(p)
         assert env.max_amplitude == pytest.approx(OMEGA0, rel=1e-9)
-        assert env.cost == pytest.approx(0.5 * OMEGA0, rel=1e-9)
+        assert energy_cost(env, p) == pytest.approx(0.5 * OMEGA0, rel=1e-9)
 
 
 class TestSatdEnvelopes:
@@ -318,14 +320,21 @@ class TestEnergyCost:
 
     def test_cost_thresholds(self):
         p = params(1.0, Flavor.SATD)
-        for mult in (2.0, 3.0):
+        # 1.001 lies at 7.61 cycles, past the initial bracket of 2 cycles.
+        for mult in (1.001, 2.0, 3.0):
             t_star = cost_threshold_time(p, mult)
             p_star = params(t_star, Flavor.SATD)
             c = energy_cost(make_envelopes(p_star), p_star, 501)
             assert c == pytest.approx(mult * 0.5 * OMEGA0, rel=1e-6)
+        assert cost_threshold_time(p, 1.001) == pytest.approx(7.61, abs=0.005)
         t2 = cost_threshold_time(p, 2.0)
         t3 = cost_threshold_time(p, 3.0)
         assert t3 < t2  # higher cost budget admits faster gates
+        with pytest.raises(ValueError, match="must exceed 1"):
+            cost_threshold_time(p, 1.0)
+        # Beyond the cost at the shortest gate time searched.
+        with pytest.raises(ValueError, match="bisection bracket not found"):
+            cost_threshold_time(p, 1e6)
 
     def test_closed_form_matches_spectrum(self):
         # Simpson sum of max |eigvalsh(H(t))|, the definition the closed form replaces.

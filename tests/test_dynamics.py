@@ -575,10 +575,9 @@ def test_generator_basis_matches_tripod_hamiltonian(rng):
 
 def test_trace_defect_guard():
     # A non-trace-preserving "collapse" cannot arise from NoiseModel, so the
-    # guard is exercised directly on the result constructor.
-    from tripod_sta.dynamics import _density_results
-    from tripod_sta.qmath import OdeResult
+    # guard is exercised directly on the diagnostics of the final stack.
+    from tripod_sta.dynamics import density_diagnostics
 
     bad = np.diag([0.6, 0.3, 0.0, 0.0]).astype(complex)
     with pytest.raises(NumericalError, match="trace defect"):
-        _density_results(OdeResult(bad[None], 1, 0), CFG.rel_tol)
+        density_diagnostics(bad[None], CFG.rel_tol)

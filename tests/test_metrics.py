@@ -6,7 +6,9 @@ import pytest
 from conftest import params
 from tripod_sta import metrics
 from tripod_sta.controls import Flavor, amplitude_threshold_time, make_envelopes, make_pulse_shape
-from tripod_sta.dynamics import NoiseModel, NumericalError, PropagationResult, propagate_lindblad_batch
+from tripod_sta.dynamics import (
+    NoiseModel, NumericalError, PropagationResult, propagate_lindblad_batch, propagate_unitary_batch,
+)
 from tripod_sta.metrics import (
     AXIAL_QUBIT_STATES,
     analytic_satd_dephasing_fidelity,
@@ -315,6 +317,27 @@ def test_satd_optimum_is_the_amplitude_threshold_on_criterion_08_sampling():
         noise = NoiseModel((s, s, s, s), k=0.05)
         eps = [1.0 - map_fidelity_uncertainty_avg(params(float(tg), Flavor.SATD), noise, 3, sweep) for tg in grid]
         assert int(np.argmin(eps)) == 0, s
+
+
+def test_criterion_02a_zeros_sit_at_shifted_gate_times():
+    # Criterion 02a samples the qubit error at the refocusing times of the
+    # leading-order theory (4, 6 and 8 cycles).  At finite gate time the
+    # zeros near 6 and 8 cycles have moved to 5.855 and 7.085 cycles, so the
+    # nominal 6 cycles reads the 5.46e-4 the criterion prints.
+    cfg = IntegratorConfig(rel_tol=1e-12)
+
+    def eps_qubit(tgs):
+        ps = [params(float(tg)) for tg in tgs]
+        us = [res.final_operator for res in propagate_unitary_batch(ps, cfg)]
+        return np.array([1.0 - avg_gate_fidelity(qubit_overlap_operator(ideal_gate(p), u), 2) for p, u in zip(ps, us)])
+
+    for lo, hi, zero in ((5.80, 5.90, 5.855), (7.03, 7.13, 7.085)):
+        grid = np.linspace(lo, hi, 101)
+        eps = eps_qubit(grid)
+        i = int(np.argmin(eps))
+        assert eps[i] < 1e-6, (grid[i], eps[i])
+        assert grid[i] == pytest.approx(zero, abs=0.005)
+    assert eps_qubit([6.0])[0] == pytest.approx(5.46e-4, rel=2e-3)
 
 
 def test_qubit_overlap_operator_projects():

@@ -137,6 +137,13 @@ def test_ode_stage_times_are_python_floats():
     assert types == {float}
 
 
+def test_ode_empty_span_returns_y0():
+    y0 = np.array([[1.0, 2.0j]])
+    res = ode_solve(lambda t, y: pytest.fail("rhs called"), y0, 0.5, 0.5)
+    assert np.array_equal(res.y, y0)
+    assert (res.steps_accepted, res.steps_rejected) == (0, 0)
+
+
 def test_ode_backwards_time_rejected():
     with pytest.raises(ValueError):
         ode_solve(lambda t, y: y, np.eye(2, dtype=complex), 1.0, 0.0)
@@ -210,6 +217,10 @@ def test_gauss_legendre_calls_the_integrand_once_on_all_nodes():
     assert gauss_legendre(f, 0.0, 3.0, 7) == pytest.approx(9.0, rel=1e-14)
     [nodes] = calls
     assert np.array_equal(nodes, 1.5 + 1.5 * gauss_legendre_rule(7)[0])
+
+
+def test_gauss_legendre_empty_interval_is_zero():
+    assert gauss_legendre(lambda x: pytest.fail("integrand called"), 1.5, 1.5, 5) == 0.0
 
 
 def test_gauss_legendre_validation():

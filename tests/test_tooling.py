@@ -127,6 +127,37 @@ def test_gate_error_path_builds_no_envelope_set():
         assert not names & {"EnvelopeSet", "make_envelopes"}, module
 
 
+def _attributes_set_on_self(tree: ast.Module):
+    """(class, attribute) of every `self.<attribute> = ...` in a class body."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    yield cls.name, node.attr
+
+
+def _attributes_read(tree: ast.Module):
+    """Every attribute name read as `x.<name>` or `getattr(x, "<name>", ...)`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                yield node.args[1].value
+
+
+def test_every_attribute_set_on_self_is_read():
+    # An attribute that no code reads is held for nobody: a reader that
+    # wants the value already has it, or can work it out.
+    src = [ast.parse(path.read_text()) for path in (ROOT / "src" / "tripod_sta").glob("*.py")]
+    bench = [ast.parse(path.read_text()) for path in PERFBENCH.glob("*.py")]
+    set_on_self = {pair for tree in src for pair in _attributes_set_on_self(tree)}
+    assert ("EnvelopeSet", "qubit_weights") in set_on_self
+    read = {name for tree in src + bench for name in _attributes_read(tree)}
+    unread = sorted(f"{cls}.{attr}" for cls, attr in set_on_self if attr not in read)
+    assert not unread, f"set on self and never read in src/ or perfbench/: {unread}"
+
+
 def _perfbench_entry_points():
     """(module, name) pairs the benchmark reaches into, read from its source."""
     probes = ast.parse((PERFBENCH / "probes.py").read_text())
