@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_corr
 from .qmath import (
     IntegratorConfig, NumericalError, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect,
 )
-from .tripod import frame_field, lab_operator
+from .tripod import _coupling, frame_field, lab_operator
 
 # Magnus step counts per half-segment: doubling starts at the smallest and
 # raises NumericalError past the largest.
@@ -229,24 +228,6 @@ def _packed_generator(h: np.ndarray) -> np.ndarray:
     return g
 
 
-@cache
-def _tripod_generator_basis() -> np.ndarray:
-    """Read-only (6, 400) flattened _packed_generator of the Hermitian basis
-    of the tripod Hamiltonian, ordered like the float view x of
-    tripod.hamiltonian's (O_0e, O_1e, O_ae): H(t) has generator x @ basis.
-    Built on first use."""
-    basis = []
-    for j in range(3):
-        for unit in (1.0, 1.0j):
-            h = np.zeros((4, 4), dtype=complex)
-            h[j, 3] = 0.5 * unit
-            h[3, j] = np.conj(h[j, 3])
-            basis.append(_packed_generator(h).ravel())
-    basis = np.array(basis)
-    basis.flags.writeable = False
-    return basis
-
-
 def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
     # terms(tau) gives generators G (k, 20, 20) and weights w broadcasting
     # to (k, n, 20), each row of w[j] one member's weight: member i gets
@@ -355,15 +336,14 @@ def propagate_lindblad_batch(
     # c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c) with c_i = T r a omega0
     # and kappa_i = 4 theta''/(omega0^2 T^2 + 4 theta'^2), the derivatives of
     # the unit gate (kappa = 0 for the adiabatic flavor).
-    basis = _tripod_generator_basis()
-    g_sin = np.array([*env.qubit_weights, 0.0], dtype=complex).view(float) @ basis
+    g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))
     satd = params.flavor is Flavor.SATD
     gap_sq = (params.omega0 * t_gates[:, None]) ** 2
     weights = np.empty((2 if satd else 1, len(rho0s), 20))
     weights[0] = (t_gates * amp_scales * params.omega0 * params.amp_scale)[:, None]
 
     def half_rhs(phase: complex):
-        gens = np.stack([g_sin, np.array([0.0, 0.0, phase], dtype=complex).view(float) @ basis])
+        gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 400)
 
         def terms(tau):
             theta, d1, d2 = PulseShape.ramp(1.0, tau)

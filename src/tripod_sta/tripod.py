@@ -50,17 +50,19 @@ def qubit_dark_state(alpha: float, beta: float) -> np.ndarray:
     return v
 
 
-def hamiltonian(env: EnvelopeSet, t: float) -> np.ndarray:
-    """(1/2)[O_0e|0><e| + O_1e|1><e| + O_ae|a><e| + H.c.] at time t."""
-    o0, o1, oa = env.evaluate(t)
+def _coupling(rabi) -> np.ndarray:
+    """(1/2)[O_0e|0><e| + O_1e|1><e| + O_ae|a><e| + H.c.] of the Rabi
+    frequencies rabi = (O_0e, O_1e, O_ae)."""
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 3] = 0.5 * o0
-    h[1, 3] = 0.5 * o1
-    h[2, 3] = 0.5 * oa
-    h[3, 0] = np.conj(h[0, 3])
-    h[3, 1] = np.conj(h[1, 3])
-    h[3, 2] = np.conj(h[2, 3])
+    for j, x in enumerate(rabi):
+        h[j, 3] = 0.5 * x
+        h[3, j] = 0.5 * x.conjugate()
     return h
+
+
+def hamiltonian(env: EnvelopeSet, t: float) -> np.ndarray:
+    """The tripod coupling of env's Rabi frequencies at time t."""
+    return _coupling(env.evaluate(t))
 
 
 def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import OMEGA0, leak_lindblad_rhs, params
+from test_golden import CONTOUR_INTERIOR
 from tripod_sta import cli, metrics
 from tripod_sta.controls import Flavor, make_envelopes
 from tripod_sta.dynamics import NoiseModel
@@ -541,25 +542,68 @@ class TestContour:
         # Ties below rel_tol go to the shortest grid gate time, at any tolerance.
         assert tg_stars == ["2", "2"]
 
-    def test_golden_rel_tol_below_float_spacing_terminates(self, tmp_path):
-        payload = _with_field(MINIMAL_CFGS["contour"], "contour.golden_rel_tol", 1e-100)
-        cfg = write_config(tmp_path / "c.json", dict(payload, flavors=["adiabatic"], out=str(tmp_path / "o.csv")))
+    def test_interior_minimum_matches_a_dense_scan(self, tmp_path):
+        # Dephasing on every level puts the adiabatic optimum inside the
+        # window; the refinement reaches the best of a dense scan.
+        out = tmp_path / "o.csv"
+        cfg = write_config(tmp_path / "c.json", dict(CONTOUR_INTERIOR, out=str(out)))
         assert cli.main(["contour", "--config", cfg]) == 0
+        [row] = read_table(out)[1]
+        tg_star, eps_star = float(row[3]), float(row[4])
+        spec = cli.load_spec(cfg)
+        dense = np.linspace(2.0, 10.0, 81)
+        points = [spec.params(tg, "adiabatic") for tg in dense]
+        noise = NoiseModel((0.01, 0.01, 0.01, 0.01))
+        errors = [1.0 - f_avg for _, f_avg in metrics.nominal_and_uncertainty_avg(points, noise, 1, spec.integrator)]
+        j = int(np.argmin(errors))
+        assert 0 < j < len(dense) - 1
+        assert eps_star <= errors[j] + 10.0 * spec.integrator.rel_tol
+        assert dense[j - 1] < tg_star < dense[j + 1]
+
+    def test_golden_rel_tol_below_float_spacing_terminates(self, tmp_path, monkeypatch):
+        # Refinement stops once no unsolved float fits in the bracket, which
+        # a golden_rel_tol below the float spacing of the window never ends;
+        # no solve repeats a gate time, even where linspace's do.
+        calls = []
+        solve = cli.nominal_and_uncertainty_avg
+
+        def counting(points, noise, n_nodes, cfg):
+            calls.append([p.t_gate for p in points])
+            return solve(points, noise, n_nodes, cfg)
+
+        monkeypatch.setattr(cli, "nominal_and_uncertainty_avg", counting)
+        out = tmp_path / "o.csv"
+        payload = _with_field(MINIMAL_CFGS["contour"], "contour.golden_rel_tol", 1e-100)
+        cfg = write_config(tmp_path / "c.json", dict(payload, flavors=["adiabatic"], out=str(out)))
+        assert cli.main(["contour", "--config", cfg]) == 0
+        assert len(calls) <= 30
+        solved = [tg for tgs in calls for tg in tgs]
+        assert len(set(solved)) == len(solved)
+        [row] = read_table(out)[1]
+        assert 2.0 <= float(row[3]) <= 3.0
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_coarse_solves_follow_point_chunks(self, tmp_path, monkeypatch, jobs):
         # Four states per point at one node: a cap of 8 makes two points per
         # solve, so the five-point coarse grid is three solves, and every
-        # golden-section step after it is a solve of one point.
+        # refinement call after it, of at most REFINE_POINTS points, follows
+        # point_chunks too.
         monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        calls = {"adiabatic": [], "satd": []}
         solves = {"adiabatic": [], "satd": []}
+        solve = cli.nominal_and_uncertainty_avg
         batch = metrics.propagate_lindblad_batch
+
+        def recording_call(points, noise, n_nodes, cfg):
+            calls[points[0].flavor.value].append([p.t_gate for p in points])
+            return solve(points, noise, n_nodes, cfg)
 
         def recording(params, env, noise, rho0s, cfg, amp_scales, t_gates):
             solves[params.flavor.value].append(list(dict.fromkeys(t_gates.tolist())))
             return batch(params, env, noise, rho0s, cfg, amp_scales, t_gates)
 
+        monkeypatch.setattr(cli, "nominal_and_uncertainty_avg", recording_call)
         monkeypatch.setattr(metrics, "propagate_lindblad_batch", recording)
         payload = _with_field(MINIMAL_CFGS["contour"], "contour.coarse_count", 5)
         cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
@@ -569,19 +613,21 @@ class TestContour:
             assert [len(s) for s in tgs[:3]] == [1, 2, 2]
             grid = [t for s in tgs[:3] for t in s]
             assert grid == [float(t) for t in np.geomspace(grid[0], 3.0, 5)]
-            assert len(tgs) > 3 and all(len(s) == 1 for s in tgs[3:])
+            refinements = calls[flavor][1:]
+            assert refinements and all(len(c) <= cli.REFINE_POINTS for c in refinements)
+            chunks = [c[r.start : r.stop] for c in calls[flavor] for r in metrics.point_chunks(len(c), 0.0, 1)]
+            assert tgs == chunks
         assert solves["adiabatic"][0] == [2.0]
 
     def test_coarse_values_match_per_point_averages(self, tmp_path, monkeypatch):
-        # The coarse grid shares one mesh; each value stays within 10 rel_tol
-        # of the point's own uncertainty average.
-        coarse = []
+        # The coarse grid, the first call of each task, shares one mesh; each
+        # value stays within 10 rel_tol of the point's own uncertainty average.
+        coarse = {}
         solve = cli.nominal_and_uncertainty_avg
 
         def recording(points, noise, n_nodes, cfg):
             out = solve(points, noise, n_nodes, cfg)
-            if len(points) > 1:
-                coarse.append((points, noise, [f_avg for _, f_avg in out]))
+            coarse.setdefault((noise, points[0].flavor), (points, noise, [f_avg for _, f_avg in out]))
             return out
 
         monkeypatch.setattr(cli, "nominal_and_uncertainty_avg", recording)
@@ -589,26 +635,11 @@ class TestContour:
         cfg = write_config(tmp_path / "c.json", payload)
         spec = cli.load_spec(cfg)
         assert cli.main(["contour", "--config", cfg]) == 0
-        assert [len(points) for points, _, _ in coarse] == [3, 3]
-        for points, noise, averaged in coarse:
+        assert [len(points) for points, _, _ in coarse.values()] == [3, 3]
+        for points, noise, averaged in coarse.values():
             for p, f_avg in zip(points, averaged):
                 alone = metrics.map_fidelity_uncertainty_avg(p, noise, 3, spec.integrator)
                 assert abs(f_avg - alone) < 10.0 * spec.integrator.rel_tol
-
-
-def test_golden_minimize_stops_at_adjacent_floats():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return (x - 1.3) ** 2
-
-    for rel_tol, max_calls in ((1e-3, 17), (1e-15, 75), (1e-100, 80)):
-        calls.clear()
-        x, fx = cli._golden_minimize(f, 1.0, 2.0, rel_tol)
-        assert len(calls) <= max_calls
-        assert fx == f(x)
-    assert abs(x - 1.3) < 1e-15
 
 
 class TestPulsesExport:
@@ -827,7 +858,7 @@ def test_contour_step_limit_gives_its_time_as_tau(tmp_path, capsys, monkeypatch)
 def test_contour_breach_names_its_gate_time(tmp_path, capsys, monkeypatch, stage):
     # The leak of test_positivity_breach_exits_3 on the states of the second
     # coarse point, or on every gate time off the coarse grid (the first
-    # golden-section step), of a noiseless adiabatic contour.
+    # refinement step), of a noiseless adiabatic contour.
     from tripod_sta import dynamics
 
     grid = [float(t) for t in np.geomspace(0.8, 1.2, 4)]

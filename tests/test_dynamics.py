@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,25 +548,22 @@ class TestSuperoperator:
         assert np.max(np.abs(ell0 + ell0.conj().T)) < 1e-12
 
 
-def test_import_builds_no_generator_basis():
-    # The basis is built on the first Lindblad solve, so importing the
-    # package costs no set-up time.
-    code = "import tripod_sta.dynamics as d; print(d._tripod_generator_basis.cache_info().currsize)"
-    src = str(Path(dynamics.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "0"
-
-
 def test_generator_basis_matches_tripod_hamiltonian(rng):
-    # The generator weighted by the envelope values is that of tripod.hamiltonian.
+    # The Lindblad legs' coupling is tripod.hamiltonian's, and the legs
+    # weighted by the envelope form give the Hamiltonian's generator.
     p = params(2.0, Flavor.SATD, beta=0.7)
     env = make_envelopes(p)
-    basis = dynamics._tripod_generator_basis()
+
+    def generator(rabi):
+        return dynamics._packed_generator(tripod._coupling(rabi))
+
     for t in rng.uniform(0.0, p.t_gate, 5):
-        x = np.array(env.evaluate(t), dtype=complex).view(float)
         expected = dynamics._packed_generator(tripod.hamiltonian(env, t))
-        assert max_abs((x @ basis).reshape(20, 20) - expected) < 1e-13
+        assert np.array_equal(generator(env.evaluate(t)), expected)
+        fs, fc = env.profile(t)
+        phase = env.phase_jump if t >= env.segment_boundary else 1.0
+        legs = fs * generator([*env.qubit_weights, 0.0]) + fc * generator([0.0, 0.0, phase])
+        assert max_abs(p.amp_scale * p.omega0 * legs - expected) < 1e-13
 
 
 def test_trace_defect_guard():

@@ -1,8 +1,9 @@
 """Golden-output guard: every CLI kind must keep writing byte-identical CSVs.
 
 The stored files in tests/golden/ were written by the CLI on the configs
-below (the minimal configs of tests/test_cli.py, plus reversed flavors and
-parallel runs).  Regenerate them only for an intended output change:
+below (the minimal configs of tests/test_cli.py, plus reversed flavors,
+parallel runs and a contour whose optimum lies inside its window).
+Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -65,6 +66,22 @@ CONTOUR_SATD = {
         "golden_rel_tol": 0.05,
     },
 }
+# A noisy adiabatic contour whose optimum lies inside its window.
+CONTOUR_INTERIOR = {
+    "kind": "contour",
+    "flavors": ["adiabatic"],
+    "noise": {"k": 0.0},
+    "uncertainty_nodes": 1,
+    "integrator": {"rel_tol": 1e-7, "abs_tol": 1e-9},
+    "contour": {
+        "gamma_gs": [0.01],
+        "gamma_e": [0.01],
+        "tg_min": 2.0,
+        "tg_max": 10.0,
+        "coarse_count": 6,
+        "golden_rel_tol": 1e-3,
+    },
+}
 PULSES = {"kind": "pulses", "flavors": "adiabatic", "tg_cycles": 2.0, "amp_scale": 1.3, "samples": 7}
 ORACLE_COMPARE = {
     "kind": "oracle-compare",
@@ -87,6 +104,7 @@ CASES = {
     "noise_map_jobs2": (["sweep", "noise-map"], NOISE_MAP, ["--jobs", "2"]),
     "contour": (["contour"], CONTOUR, []),
     "contour_satd": (["contour"], CONTOUR_SATD, []),
+    "contour_interior": (["contour"], CONTOUR_INTERIOR, []),
     "contour_jobs2": (["contour"], CONTOUR, ["--jobs", "2"]),
     "pulses": (["pulses", "export"], PULSES, []),
     "oracle_compare": (["oracle", "compare"], ORACLE_COMPARE, []),

@@ -188,13 +188,13 @@ KEEP_UNCALLED = {"dressed_frame_fields", "generic_dressing_phase"}
 
 
 def _names_without_src_caller() -> set[str]:
-    """Top-level public functions and classes of src/ that no other code in
-    src/ names."""
+    """Top-level functions and classes of src/, public and private, that no
+    other code in src/ names."""
     defined, named = set(), set()
     for path in (ROOT / "src" / "tripod_sta").glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and not own.startswith("_"):
+            if own:
                 defined.add(own)
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -205,8 +205,16 @@ def _names_without_src_caller() -> set[str]:
 
 def test_every_public_name_has_a_caller():
     entry_points = {dotted.partition(".")[0] for _, dotted in _perfbench_entry_points()}
-    orphans = _names_without_src_caller() - set(tripod_sta.__all__) - entry_points - KEEP_UNCALLED
+    public = {name for name in _names_without_src_caller() if not name.startswith("_")}
+    orphans = public - set(tripod_sta.__all__) - entry_points - KEEP_UNCALLED
     assert not orphans, f"only tests use these; move them to tests/conftest.py: {sorted(orphans)}"
+
+
+def test_every_private_name_has_a_src_caller():
+    # A private helper serves its own package: one that src/ no longer
+    # calls is left over, however many tests still reach it.
+    orphans = sorted(name for name in _names_without_src_caller() if name.startswith("_"))
+    assert not orphans, f"no code in src/ calls these: {orphans}"
 
 
 def test_benchmark_reads_arguments_where_they_are():
