@@ -108,8 +108,8 @@ def _num(value, field: str) -> float:
         raise ConfigError(field, f"must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"must be a number, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer past the float range
+        raise ConfigError(field, f"must be a finite number, got {value!r}") from None
     if not math.isfinite(x):
         raise ConfigError(field, f"must be finite, got {value!r}")
     return x
@@ -232,6 +232,8 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         raise ConfigError("config", str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer past the digit limit, deep nesting
+        raise ConfigError("config", f"not a usable JSON file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be a JSON object")
 
@@ -351,30 +353,25 @@ def _gate_error_tasks(spec: SweepSpec) -> list[dict]:
 
 def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
     """The gate-error row of each point {tg_cycles, flavor}, their closed-path
-    propagations run as one lockstep batch; a NumericalError carries the index
-    of the failing point as its member."""
+    propagations one lockstep batch and their gates and fidelities stacks; a
+    NumericalError carries the index of the failing point as its member."""
     ps = [spec.params(**point) for point in points]
-    results = propagate_unitary_batch(ps, spec.integrator)
-    return [_gate_error_row(spec, p, res.final_operator) for p, res in zip(ps, results)]
-
-
-def _gate_error_row(spec: SweepSpec, p: ControlParams, u: np.ndarray) -> tuple:
-    target = ideal_gate(p)
-    eps_full = 1.0 - avg_gate_fidelity(target.conj().T @ u, 4)
-    eps_qubit = 1.0 - avg_gate_fidelity(qubit_overlap_operator(target, u), 2)
-    if p.flavor is Flavor.ADIABATIC:
-        f_full, f_qubit = closed_form_fidelities(p)
-        eps_full_pred = 1.0 - f_full
-        eps_qubit_pred = 1.0 - f_qubit
-        eps_oracle = 1.0 - avg_gate_fidelity(target.conj().T @ magnus_full_gate(p), 4)
-    else:
-        # The accelerated protocol's closed-form prediction is its exact gate.
-        predicted = satd_gate(p, make_pulse_shape(p.t_gate))
-        eps_full_pred = 1.0 - avg_gate_fidelity(target.conj().T @ predicted, 4)
-        eps_qubit_pred = 0.0
-        eps_oracle = eps_full_pred
-    eps = (eps_full, eps_qubit, eps_full_pred, eps_qubit_pred, eps_oracle)
-    return (p.t_gate, p.flavor.value, *(clamp_error(e, spec.integrator.rel_tol) for e in eps))
+    us = np.array([res.final_operator for res in propagate_unitary_batch(ps, spec.integrator)])
+    targets = ideal_gate(ps)
+    adiabatic = np.array([p.flavor is Flavor.ADIABATIC for p in ps])
+    # Oracle A's gate at an adiabatic point; an SATD point's closed-form prediction is its exact gate.
+    gates = np.empty_like(us)
+    for mask, build in ((adiabatic, magnus_full_gate), (~adiabatic, satd_gate)):
+        if mask.any():
+            gates[mask] = build([p for p, m in zip(ps, mask) if m])
+    eps_full, eps_gate = 1.0 - avg_gate_fidelity(np.swapaxes(targets.conj(), -1, -2) @ np.stack([us, gates]), 4)
+    eps_qubit = 1.0 - avg_gate_fidelity(qubit_overlap_operator(targets, us), 2)
+    rows = []
+    for p, full, qubit, gate in zip(ps, eps_full, eps_qubit, eps_gate):
+        predicted = [1.0 - f for f in closed_form_fidelities(p)] if p.flavor is Flavor.ADIABATIC else [gate, 0.0]
+        eps = (full, qubit, *predicted, gate)
+        rows.append((p.t_gate, p.flavor.value, *(clamp_error(e, spec.integrator.rel_tol) for e in eps)))
+    return rows
 
 
 # --- noise-map sweep -------------------------------------------------------

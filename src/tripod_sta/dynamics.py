@@ -5,11 +5,12 @@ where the a-e envelope vanishes and its phase jumps; the split also keeps
 the envelope-derivative kink off the interior of a step.
 
 The closed path (propagate_unitary_batch) solves an exact SU(2) problem with
-fourth-order Magnus steps and step doubling, run in lockstep for every
-half-segment of a whole batch of protocols: the members share each step
-count and its vectorized field calls, and each freezes by its own stopping
-rule, so it gets bit for bit what it gets alone (propagate_unitary is the
-batch of one; the CLI's gate-error sweep is one batch per worker).
+fourth-order Magnus steps (for the SATD flavor in the nu-dressed frame, where
+its nominal field is diagonal) and step doubling, run in lockstep for every
+half-segment of a whole batch of protocols: the members share each step count
+and its vectorized field calls, and each freezes by its own stopping rule, so
+it gets bit for bit what it gets alone (propagate_unitary is the batch of
+one; the CLI's gate-error sweep is one batch per worker).
 
 The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
 qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
@@ -87,11 +88,12 @@ class PropagationResult:
     For the Lindblad path steps_accepted and steps_rejected count the
     Dormand-Prince 8(5,3) steps of qmath.ode_solve.  For the closed path (one
     member of propagate_unitary_batch) steps_accepted counts the Magnus steps
-    of the returned product (both half-segments) and steps_rejected those of
-    the coarser meshes the step doubling discarded; magnus_steps gives the final
-    step count per half-segment and error_estimate the larger half-segment
-    estimate |U2(2N) - U2(N)|/15.  Each member's values are those it gets
-    alone: the lockstep doubling freezes it by its own rule.
+    (in the nu-dressed frame for SATD) of the returned product (both halves)
+    and steps_rejected those of the coarser meshes the step doubling
+    discarded; magnus_steps gives the final step count per half-segment and
+    error_estimate the larger half-segment estimate |U2(2N) - U2(N)|/15.
+    Each member's values are those it gets alone: the lockstep doubling
+    freezes it by its own rule.
     """
 
     final_operator: np.ndarray
@@ -104,14 +106,15 @@ class PropagationResult:
     error_estimate: float | None = None
 
 
-def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, divisor: float = 1.0) -> list:
+def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, divisor=1.0, floors=0.0) -> list:
     """Lockstep doubling of N from n for one member per name: approx(rows, N)
     stacks the approximations of the members rows at N.  A member is done,
-    and frozen, once its estimate max|approx(2N) - approx(N)|/divisor is at
-    most tol or stops shrinking at the roundoff plateau.  Returns per member
-    (approx(N), N, estimate), or, for a member still refining past n_max, a
-    NumericalError with its name."""
+    and frozen, once N reaches its floor and max|approx(2N) - approx(N)|/divisor
+    is at most tol or stops shrinking at the roundoff plateau.  Returns per
+    member (approx(N), N, estimate), or, for a member still refining past
+    n_max, a NumericalError with its name."""
     rows = np.arange(len(names))
+    floors = np.broadcast_to(floors, rows.shape)
     value, prev_est = approx(rows, n), np.full(len(names), math.inf)
     out: list = [None] * len(names)
     while len(rows):
@@ -122,7 +125,7 @@ def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float
         finer = approx(rows, 2 * n)
         n *= 2
         est = np.max(np.abs(finer - value).reshape(len(rows), -1), axis=1) / divisor
-        done = (est <= tol) | ((prev_est <= est) & (est <= ROUNDOFF_ESTIMATE))
+        done = ((est <= tol) | ((prev_est <= est) & (est <= ROUNDOFF_ESTIMATE))) & (floors[rows] <= n)
         for k in np.flatnonzero(done):
             out[rows[k]] = (finer[k], n, float(est[k]))
         rows, value, prev_est = rows[~done], finer[~done], est[~done]
@@ -136,15 +139,19 @@ def propagate_unitary_batch(
     params (at least one) on the quintic ramp: one PropagationResult per member.
 
     On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
-    c = tripod.frame_field (|0t> decouples), so the lab operator is
-    tripod.lab_operator of U2' and U2'', the SU(2) propagators of
-    c(t).sigma/2 over the two halves.  Every half-segment of every member is
-    a qmath.magnus_su2 product, and all of them double their step count in
-    lockstep, sharing the field calls; each freezes once its own doubling
-    estimate is at most rel_tol + abs_tol or reaches the roundoff plateau.
-    A half-segment still refining past MAGNUS_MAX_STEPS, or a unitarity
-    defect above 10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with
-    member set to the first failing member.
+    c = tripod.frame_field (|0t> decouples); an SATD member steps in the
+    nu-dressed frame (dressed frame_field), where its nominal field is the
+    diagonal (0, 0, -E).  nu is 0 at the segment ends, so one
+    tripod.lab_operator call takes the U2' and U2'' of every member, the SU(2)
+    propagators of c(t).sigma/2 over the two halves, to the lab frame.  Every
+    half-segment is a qmath.magnus_su2 product, and all of them double their
+    step count in lockstep, sharing the field calls; each freezes once its
+    own doubling estimate is at most rel_tol + abs_tol or plateaus at
+    roundoff, an SATD member at 2/u* steps or more: nu turns by pi/4 within
+    u* = sqrt(omega0*t_g/(60 pi)) of the segment ends, unseen on a coarser
+    mesh.  A half-segment still refining past MAGNUS_MAX_STEPS, or a
+    unitarity defect above 10*rel_tol + UNITARITY_ROUNDOFF, raises
+    NumericalError with member set to the first failing member.
     """
     if not params:
         raise ValueError("params must hold at least one protocol")
@@ -154,26 +161,27 @@ def propagate_unitary_batch(
     t1 = np.stack([0.5 * tgs, tgs], -1).ravel()
 
     def approx(rows, n):
-        return magnus_su2(lambda chunk, t: frame_field([params[i // 2] for i in rows[chunk]], t), t0[rows], t1[rows], n)
+        return magnus_su2(lambda c, t: frame_field([params[i // 2] for i in rows[c]], t, True), t0[rows], t1[rows], n)
 
     names = [f"Magnus step doubling on [{a:g}, {b:g}]" for a, b in zip(t0, t1)]
     tol = cfg.rel_tol + cfg.abs_tol
-    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 15.0)
+    floors = [2.0 * math.sqrt(60.0 * math.pi / (p.omega0 * p.t_gate)) if p.flavor is Flavor.SATD else 0 for p in params]
+    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 15.0, np.repeat(floors, 2))
+    # The members before the first whose doubling failed, if any, reach the lab frame.
+    failed = next((j for j, half in enumerate(halves) if isinstance(half, NumericalError)), 2 * len(params))
+    first, second = (np.array([h[0] for h in halves[k : 2 * (failed // 2) : 2]]).reshape(-1, 2, 2) for k in (0, 1))
+    us = lab_operator(params[: failed // 2], first, second)
     bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
     results = []
-    for j, p in enumerate(params):
-        for half in halves[2 * j : 2 * j + 2]:
-            if isinstance(half, NumericalError):
-                half.member = j
-                raise half
-        (u1, n1, est1), (u2, n2, est2) = halves[2 * j : 2 * j + 2]
-        u = lab_operator(p, u1, u2)
-        defect = unitarity_defect(u)
+    for j, (u, defect) in enumerate(zip(us, unitarity_defect(us).tolist())):
         if not defect <= bound:
             raise NumericalError(f"unitarity defect {defect:.3e} exceeds {bound:.3e}", j)
-        rejected = n1 + n2 - 2 * MAGNUS_MIN_STEPS
-        estimate = max(est1, est2)
-        results.append(PropagationResult(u, n1 + n2, rejected, defect, magnus_steps=(n1, n2), error_estimate=estimate))
+        (_, n1, est1), (_, n2, est2) = halves[2 * j : 2 * j + 2]
+        steps = (n1 + n2, n1 + n2 - 2 * MAGNUS_MIN_STEPS)
+        results.append(PropagationResult(u, *steps, defect, magnus_steps=(n1, n2), error_estimate=max(est1, est2)))
+    if failed < len(halves):
+        halves[failed].member = failed // 2
+        raise halves[failed]
     return results
 
 

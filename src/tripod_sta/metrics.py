@@ -31,22 +31,24 @@ MAX_UNCERTAINTY_NODES = 1023
 MAX_SOLVE_STATES = 256
 
 
-def avg_gate_fidelity(o: np.ndarray, d: int) -> float:
-    """State-averaged fidelity (Tr[O O^dag] + |Tr O|^2) / (d(d+1)).
+def avg_gate_fidelity(o: np.ndarray, d: int):
+    """State-averaged fidelity (Tr[O O^dag] + |Tr O|^2) / (d(d+1)) per matrix O.
 
     O is the overlap operator target^dag @ realized; it need not be unitary
     (projected blocks lose norm to leakage).
     """
     o = np.asarray(o, dtype=complex)
-    if o.shape != (d, d):
+    if o.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {o.shape} does not match d={d}")
-    hs_norm_sq = float(np.sum(np.abs(o) ** 2))
-    return (hs_norm_sq + abs(np.trace(o)) ** 2) / (d * (d + 1))
+    # |Tr O|^2 by scalar abs and power: numpy's array forms round differently.
+    trace_sq = np.reshape([abs(tr) ** 2 for tr in np.trace(o, axis1=-2, axis2=-1).ravel()], o.shape[:-2])
+    fids = (np.sum(np.abs(o) ** 2, axis=(-2, -1)) + trace_sq) / (d * (d + 1))
+    return float(fids) if o.ndim == 2 else fids
 
 
 def qubit_overlap_operator(target: np.ndarray, realized: np.ndarray) -> np.ndarray:
-    """P_q target^dag P_q realized P_q restricted to the qubit block."""
-    return target[:2, :2].conj().T @ realized[:2, :2]
+    """P_q target^dag P_q realized P_q restricted to the qubit block, per pair."""
+    return np.swapaxes(target[..., :2, :2].conj(), -1, -2) @ realized[..., :2, :2]
 
 
 def closed_form_fidelities(params: ControlParams) -> tuple[float, float]:

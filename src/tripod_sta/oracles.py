@@ -10,7 +10,7 @@ accumulated-phase verifier for the generic single-bright-state dressing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,13 +36,8 @@ C1 = -1920.0 * math.pi
 C2 = -1920.0 * math.pi * (336.0 + 5.0 * math.pi**2) / 7.0
 
 
-@dataclass(frozen=True)
-class MagnusCoefficients:
-    """Half-pulse interaction-picture generator in spin components."""
-
-    delta: float
-    omega_x: float
-    omega_y: float
+# Half-pulse interaction-picture generator in spin components.
+MagnusCoefficients = namedtuple("MagnusCoefficients", "delta omega_x omega_y")
 
 
 def magnus_coefficients(omega0: float, t_gate: float) -> MagnusCoefficients:
@@ -54,22 +49,24 @@ def magnus_coefficients(omega0: float, t_gate: float) -> MagnusCoefficients:
     return MagnusCoefficients(delta, omega_x, omega_y)
 
 
-def magnus_full_gate(params: ControlParams) -> np.ndarray:
+def magnus_full_gate(params) -> np.ndarray:
     """Lab-frame gate from the Magnus closed forms (adiabatic flavor only).
 
     Each half-pulse's adiabatic-frame propagator is the spin-1 image of
     exp(-i z.sigma/2) exp(-i g.sigma/2), with z = (0, 0, -w*t_g/4) the
     zeroth-order bright-state rotation and g = (+-omega_x, +-omega_y, delta)
     the Magnus generator (+ on the first half, - on the second);
-    tripod.lab_operator takes the pair to the lab frame."""
-    if params.flavor is not Flavor.ADIABATIC:
+    tripod.lab_operator takes the pair to the lab frame (a list of protocols:
+    their stack)."""
+    if isinstance(params, ControlParams):
+        return magnus_full_gate([params])[0]
+    if any(p.flavor is not Flavor.ADIABATIC for p in params):
         raise ValueError("the Magnus oracle covers the adiabatic flavor only")
-    w = params.omega0 * params.amp_scale
-    tg = params.t_gate
-    co = magnus_coefficients(w, tg)
-    zero, plus, minus = su2_exponential(
-        [[0.0, 0.0, -0.25 * w * tg], [co.omega_x, co.omega_y, co.delta], [-co.omega_x, -co.omega_y, co.delta]]
-    )
+    rows = []
+    for w, tg in [(p.omega0 * p.amp_scale, p.t_gate) for p in params]:
+        delta, x, y = magnus_coefficients(w, tg)
+        rows.append([[0.0, 0.0, -0.25 * w * tg], [x, y, delta], [-x, -y, delta]])
+    zero, plus, minus = np.moveaxis(su2_exponential(rows), 1, 0)
     return lab_operator(params, zero @ plus, zero @ minus)
 
 

@@ -90,10 +90,11 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """max-norm of U^dag U - I."""
+def unitarity_defect(u: np.ndarray):
+    """max-norm of U^dag U - I, or the array of those of a stack (n, d, d)."""
     u = np.asarray(u)
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    defects = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    return float(defects) if u.ndim == 2 else defects
 
 
 def _cayley_klein(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape, _satd_correction
-from .qmath import gauss_legendre, su2_exponential
+from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape, _satd_correction, make_envelopes
+from .qmath import gauss_legendre_rule, su2_exponential
 
 SQRT2 = math.sqrt(2.0)
 
@@ -89,7 +89,7 @@ def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.n
     return s
 
 
-def frame_field(params: list[ControlParams], t: np.ndarray) -> tuple:
+def frame_field(params: list[ControlParams], t: np.ndarray, dressed: bool = False) -> tuple:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
     S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z of
     protocol params[j] at the times t[j], t of shape (members, n); each
@@ -100,12 +100,23 @@ def frame_field(params: list[ControlParams], t: np.ndarray) -> tuple:
     adiabatic flavor), all from one PulseShape.ramp on a (members, 1) t_gate
     column.  |0t> decouples, and the a-e leg's phase step enters no term
     inside a half-segment: the segmented frame change carries it.
+
+    With dressed, an SATD member's field is _dressed by tan(nu) =
+    2*theta_dot/omega0, in closed form: ((r - 1)*omega0*kappa/2,
+    (1 - r)*omega0*theta_dot/R, -(r*omega0^2 + 4*theta_dot^2)/(2R)) with
+    R = sqrt(omega0^2 + 4*theta_dot^2), the diagonal (0, 0, -R/2) at r = 1.
     """
     rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params]
     w, r, satd, tg = np.array(rows).T[..., None]
     _, td, tdd = PulseShape.ramp(tg, t)
     half_gap = 0.5 * r * w
-    return half_gap * np.where(satd, _satd_correction(td, tdd, w * w), 0.0), td, -half_gap
+    kappa = np.where(satd, _satd_correction(td, tdd, w * w), 0.0)
+    c = (half_gap * kappa, td, -half_gap)
+    if not (dressed and satd.any()):
+        return c
+    root = np.sqrt(w * w + 4.0 * td * td)
+    dressed_c = (c[0] - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root))
+    return tuple(np.where(satd, d, a) for d, a in zip(dressed_c, c))
 
 
 def frame_ends(params: ControlParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,13 +133,15 @@ def frame_ends(params: ControlParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def lab_operator(params: ControlParams, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Lab-frame 4x4 operator of the protocol whose adiabatic-frame half-segment
-    propagators are spin1_image(first) and spin1_image(second), for 2x2
-    propagators first and second: S_out D(second) junction D(first) S_in^dag
-    with (S_out, junction, S_in) = frame_ends(params)."""
-    s_out, junction, s_in = frame_ends(params)
-    return s_out @ spin1_image(second) @ junction @ spin1_image(first) @ s_in.conj().T
+def lab_operator(params: list[ControlParams], first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Lab-frame operators (n, 4, 4) S_out D(second) junction D(first) S_in^dag
+    of protocols params whose adiabatic-frame half-segment propagators are
+    the spin1_image D of the 2x2 stacks first and second, with (S_out,
+    junction, S_in) = frame_ends, built once per distinct (alpha, beta, gamma0)."""
+    keys = [(p.alpha, p.beta, p.gamma0) for p in params]
+    ends = {key: frame_ends(p) for key, p in dict(zip(keys, params)).items()}
+    s_out, junction, s_in = np.array([ends[key] for key in keys]).reshape(-1, 3, 4, 4).swapaxes(0, 1)
+    return s_out @ spin1_image(second) @ junction @ spin1_image(first) @ np.swapaxes(s_in.conj(), -1, -2)
 
 
 def _dressed(c: tuple, nu: DressingAngle, t: float | np.ndarray) -> tuple:
@@ -139,41 +152,52 @@ def _dressed(c: tuple, nu: DressingAngle, t: float | np.ndarray) -> tuple:
     return c[0] - nu.rate(t), c[1] * cn + c[2] * sn, c[2] * cn - c[1] * sn
 
 
-def _geometric_gate(params: ControlParams, aux_half_angle: float) -> np.ndarray:
-    """The 4x4 block gate: qubit rotation by gamma0 about the (alpha, beta)
-    axis, auxiliary rotation parametrized by the accumulated bright-state
-    half angle."""
-    g = params.gamma0
-    a2 = 2.0 * params.alpha
-    n = np.array([math.sin(a2) * math.cos(params.beta), math.sin(a2) * math.sin(params.beta), math.cos(a2)])
-    # One stacked call for all three factors, a third of the cost of three calls.
-    qubit, z, x = su2_exponential(np.stack([g * n, (0.0, 0.0, -g), (2.0 * aux_half_angle, 0.0, 0.0)]))
+def _geometric_gate(params: list[ControlParams], aux_half_angles) -> np.ndarray:
+    """Block gates (n, 4, 4) of protocols that share (alpha, beta, gamma0): qubit
+    rotation by gamma0 about the (alpha, beta) axis, auxiliary rotation
+    parametrized by each accumulated bright-state half angle."""
+    if len({(p.alpha, p.beta, p.gamma0) for p in params}) > 1:
+        raise ValueError("the protocols must share alpha, beta and gamma0")
+    p = params[0]
+    g, a2 = p.gamma0, 2.0 * p.alpha
+    n = np.array([math.sin(a2) * math.cos(p.beta), math.sin(a2) * math.sin(p.beta), math.cos(a2)])
+    x_axes = np.outer(2.0 * np.asarray(aux_half_angles), (1.0, 0.0, 0.0))
+    # One stacked call for the qubit and z factors and every x factor.
+    factors = su2_exponential(np.concatenate([[g * n, (0.0, 0.0, -g)], x_axes]))
     phase = complex(math.cos(0.5 * g), math.sin(0.5 * g))
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = phase.conjugate() * qubit
-    u[2:, 2:] = phase * z @ x
+    u = np.zeros((len(params), 4, 4), dtype=complex)
+    u[:, :2, :2] = phase.conjugate() * factors[0]
+    u[:, 2:, 2:] = phase * factors[1] @ factors[2:]
     return u
 
 
-def ideal_gate(params: ControlParams) -> np.ndarray:
-    """Target gate in the adiabatic limit: auxiliary half angle omega0*t_g/2."""
-    w = params.omega0 * params.amp_scale
-    return _geometric_gate(params, 0.5 * w * params.t_gate)
+def ideal_gate(params) -> np.ndarray:
+    """Target gate in the adiabatic limit: auxiliary half angle omega0*t_g/2
+    (a list of protocols: their stack)."""
+    if isinstance(params, ControlParams):
+        return ideal_gate([params])[0]
+    return _geometric_gate(params, [0.5 * (p.omega0 * p.amp_scale) * p.t_gate for p in params])
 
 
-def satd_gate(params: ControlParams, shape: PulseShape) -> np.ndarray:
-    """Closed-form gate for the shortcut-corrected protocol (calibrated amp).
+def satd_gate(params, shape: PulseShape | None = None) -> np.ndarray:
+    """Closed-form gate for the shortcut-corrected protocol (calibrated amp) at
+    its satd_bright_half_angle; shape, if given, must be the quintic ramp of
+    params.t_gate (a list of protocols: their stack)."""
+    if isinstance(params, ControlParams):
+        make_envelopes(params, shape)  # checks the shape
+        return satd_gate([params])[0]
+    return _geometric_gate(params, satd_bright_half_angle(params))
 
-    The auxiliary half angle is Phi = int_0^{t_g/2} sqrt(omega0^2 +
-    4*theta_dot^2) dt, evaluated by 64-node Gauss-Legendre quadrature.
-    """
-    phi = satd_bright_half_angle(params, shape)
-    return _geometric_gate(params, phi)
 
-
-def satd_bright_half_angle(params: ControlParams, shape: PulseShape) -> float:
-    w = params.omega0 * params.amp_scale
-    return gauss_legendre(lambda t: np.sqrt(w * w + 4.0 * shape(t)[1] ** 2), 0.0, 0.5 * params.t_gate, 64)
+def satd_bright_half_angle(params: list[ControlParams]) -> np.ndarray:
+    """Phi = int_0^{t_g/2} sqrt(omega0^2 + 4*theta_dot^2) dt of each protocol
+    by 64-node Gauss-Legendre quadrature (half-length and midpoint t_g/4),
+    summed left to right as qmath.gauss_legendre sums."""
+    x, weights = gauss_legendre_rule(64)
+    w, tg = np.array([(p.omega0 * p.amp_scale, p.t_gate) for p in params]).T[..., None]
+    quarter = 0.25 * tg
+    td = PulseShape.ramp(tg, quarter + quarter * x)[1]
+    return quarter[:, 0] * np.cumsum(weights * np.sqrt(w * w + 4.0 * td**2), axis=-1)[:, -1]
 
 
 def dressed_frame_fields(

@@ -85,7 +85,7 @@ class TestConfigHandling:
         cfg.write_text('{"kind": "gate-error",\n  "tg_grid": }')
         rc = cli.main(["sweep", "gate-error", "--config", str(cfg)])
         assert rc == 2
-        assert "line 2" in capsys.readouterr().err
+        assert "line 2 column 14" in capsys.readouterr().err
 
     def test_field_error_names_field(self, capsys, tmp_path):
         payload = dict(GATE_ERROR_CFG, out="x.csv", tg_grid={"min": 4.0, "max": 2.0, "count": 5})
@@ -131,6 +131,26 @@ class TestConfigHandling:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    def _assert_file_error(self, capsys, tmp_path, member: bytes, field):
+        # GATE_ERROR_CFG with one more raw JSON member: exit 2, naming field, and no CSV.
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(json.dumps(GATE_ERROR_CFG)[:-1].encode() + b", " + member + b"}")
+        assert cli.main(["sweep", "gate-error", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"field {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_integer_alpha_beyond_the_float_range_is_config_error(self, capsys, tmp_path):
+        self._assert_file_error(capsys, tmp_path, b'"alpha": 1' + b"0" * 400, "alpha")
+
+    def test_integer_past_the_digit_limit_is_config_error(self, capsys, tmp_path):
+        self._assert_file_error(capsys, tmp_path, b'"jobs": 1' + b"0" * 4400, "config")
+
+    def test_deep_nesting_is_config_error(self, capsys, tmp_path):
+        self._assert_file_error(capsys, tmp_path, b'"x": ' + b"[" * 200_000 + b"]" * 200_000, "config")
+
+    def test_bytes_that_are_not_utf8_are_a_config_error(self, capsys, tmp_path):
+        self._assert_file_error(capsys, tmp_path, b'"x": "\xff"', "config")
 
     def test_nan_dephasing_rate_is_config_error(self, capsys, tmp_path):
         payload = dict(TestNoiseMapSweep.CFG, noise={"gamma_phi": [0.0, 0.0, 0.0, math.nan], "k": 0.2})
@@ -361,6 +381,17 @@ class TestGateErrorSweep:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_parallel_equals_serial_where_the_step_floor_holds(self, tmp_path):
+        # SATD gates below about 2 cycles take at least 2/u* Magnus steps per half.
+        payload = dict(GATE_ERROR_CFG, tg_grid={"scale": "log", "min": 1e-3, "max": 30.0, "count": 5})
+        cfg = write_config(tmp_path / "c.json", payload)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert cli.main(["sweep", "gate-error", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class InProcessPool:
@@ -760,8 +791,13 @@ def test_unitarity_breach_of_later_members_names_the_first_of_them(tmp_path, cap
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # The batch reaches the lab frame in one stacked lab_operator call.
     real = dynamics.lab_operator
-    monkeypatch.setattr(dynamics, "lab_operator", lambda p, u1, u2: (1.001 if broken(p) else 1.0) * real(p, u1, u2))
+
+    def scaled(ps, u1, u2):
+        return np.array([1.001 if broken(p) else 1.0 for p in ps])[:, None, None] * real(ps, u1, u2)
+
+    monkeypatch.setattr(dynamics, "lab_operator", scaled)
     out = tmp_path / "ge.csv"
     cfg = write_config(tmp_path / "c.json", dict(WIDE_GATE_ERROR_CFG, out=str(out)))
     assert cli.main(["sweep", "gate-error", "--config", cfg, "--jobs", jobs]) == 3

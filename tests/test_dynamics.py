@@ -160,6 +160,23 @@ class TestMagnusPath:
         assert res.error_estimate <= 1e-13
         assert max_abs(res.final_operator - propagate_unitary(p, make_envelopes(p), CFG).final_operator) < 1e-9
 
+    @pytest.mark.parametrize("amp_scale", [0.87, 1.0, 1.13])
+    @pytest.mark.parametrize("cycles", [1e-5, 1e-4, 1e-2])
+    def test_short_satd_gates_meet_a_tight_run(self, cycles, amp_scale):
+        # SATD steps in the nu-dressed frame, at no fewer than 2/u* steps per
+        # half, u* = sqrt(omega0*t_g/(60*pi)) = sqrt(cycles/30), where nu turns.
+        p = params(cycles, Flavor.SATD, amp_scale=amp_scale)
+        res, tight = (propagate_unitary_batch([p], cfg)[0] for cfg in (CFG, IntegratorConfig(1e-14, 1e-16)))
+        assert min(res.magnus_steps) >= 2.0 * math.sqrt(30.0 / cycles)
+        assert max_abs(res.final_operator - tight.final_operator) <= 1e-9
+
+    @pytest.mark.parametrize("cycles", [2.0, 3.7, 5.0, 11.0, 30.0])
+    def test_nominal_satd_takes_at_most_64_steps_per_half(self, cycles):
+        # Its dressed field is the diagonal (0, 0, -E): only the quadrature of E is left.
+        p = params(cycles, Flavor.SATD)
+        res = propagate_unitary(p, make_envelopes(p), CFG)
+        assert max(res.magnus_steps) <= 64
+
     def test_unitarity_breach_raises(self, monkeypatch):
         monkeypatch.setattr(tripod, "spin1_image", lambda u: 1.001 * np.eye(4, dtype=complex))
         p = params(2.0)
@@ -173,11 +190,13 @@ class TestMagnusPath:
 
 
 def _mixed_batch(plateau: bool) -> list:
-    """Both flavors at four gate times and two amplitude scales.  t_g = 1e-6
+    """Both flavors at four gate times and two amplitude scales, and SATD at
+    two short gates whose step floor lies above MAGNUS_MIN_STEPS.  t_g = 1e-6
     cycles is left out at the plateau tolerance, where it alone takes 2^20
     steps per half-segment."""
     times = (0.7, 2.0, 30.0) if plateau else (1e-6, 0.7, 2.0, 30.0)
-    return [params(tg, flavor, amp_scale=r) for flavor in Flavor for tg in times for r in (1.0, 1.13)]
+    short = [params(tg, Flavor.SATD, amp_scale=r) for tg in (1e-3, 1e-2) for r in (1.0, 1.13)]
+    return [params(tg, flavor, amp_scale=r) for flavor in Flavor for tg in times for r in (1.0, 1.13)] + short
 
 
 class TestUnitaryBatch:
@@ -208,9 +227,9 @@ class TestUnitaryBatch:
         sizes = []
         real = dynamics.frame_field
 
-        def recording(params, t):
+        def recording(params, t, *dressed):
             sizes.append((len(params), t.size // 2))
-            return real(params, t)
+            return real(params, t, *dressed)
 
         monkeypatch.setattr(dynamics, "frame_field", recording)
         propagate_unitary_batch(_mixed_batch(plateau=False), IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))

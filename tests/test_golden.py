@@ -7,8 +7,8 @@ Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints, for each file, the largest numeric cell change against the
-file it replaces.
+which rewrites only the files whose bytes change and prints, for each, the
+largest numeric cell change against the file it replaces and where it lies.
 """
 
 from __future__ import annotations
@@ -127,40 +127,49 @@ def test_csv_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
-def largest_cell_change(old: bytes, new: bytes) -> float | None:
-    """Largest |new - old| over the numeric cells of two CSVs; None when a
+def largest_cell_change(old: bytes, new: bytes) -> tuple[float, str] | None:
+    """Largest |new - old| over the numeric cells of two CSVs, with the row
+    and column of a cell where it occurs (the first, at a tie); None when a
     line count, a cell count or a non-numeric cell differs."""
     old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
     if len(old_lines) != len(new_lines):
         return None
-    largest = 0.0
-    for old_line, new_line in zip(old_lines, new_lines):
+    header = next((line.split(",") for line in new_lines if not line.startswith("#")), [])
+    largest, where = 0.0, "no cell"
+    for row, (old_line, new_line) in enumerate(zip(old_lines, new_lines)):
         old_cells, new_cells = old_line.split(","), new_line.split(",")
         if len(old_cells) != len(new_cells):
             return None
-        for a, b in zip(old_cells, new_cells):
+        for col, (a, b) in enumerate(zip(old_cells, new_cells)):
             try:
-                largest = max(largest, abs(float(b) - float(a)))
+                change = abs(float(b) - float(a))
             except ValueError:
                 if a != b:
                     return None
-    return largest
+                continue
+            if change > largest:
+                name = header[col] if len(header) == len(new_cells) else f"cell {col}"
+                largest, where = change, f"line {row + 1}, {name}"
+    return largest, where
 
 
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    unchanged = []
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             path = GOLDEN / f"{case}.csv"
             new = run_case(case, Path(tmp))
+            if path.exists() and path.read_bytes() == new:
+                unchanged.append(path.name)
+                continue
             if not path.exists():
                 note = "new file"
-            elif path.read_bytes() == new:
-                note = "unchanged"
             else:
                 change = largest_cell_change(path.read_bytes(), new)
-                note = "layout changed" if change is None else f"largest cell change {change:.3g}"
+                note = "layout changed" if change is None else "largest cell change {:.3g} at {}".format(*change)
             path.write_bytes(new)
-            print(f"wrote {path} ({note})")
+            print(f"rewrote {path} ({note})")
+    print(f"unchanged: {', '.join(unchanged) or 'none'}")

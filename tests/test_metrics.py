@@ -45,6 +45,14 @@ class TestAvgGateFidelity:
         with pytest.raises(ValueError):
             avg_gate_fidelity(np.eye(4), 2)
 
+    def test_stack_equals_one_point_calls(self, rng):
+        for d in (2, 4):
+            os = rng.normal(size=(2, 5, d, d)) + 1j * rng.normal(size=(2, 5, d, d))
+            fids = avg_gate_fidelity(os, d)
+            assert fids.shape == (2, 5)
+            for o, f in zip(os.reshape(-1, d, d), fids.ravel()):
+                assert f == avg_gate_fidelity(o, d)
+
 
 class TestClosedForms:
     def test_full_space_value(self):

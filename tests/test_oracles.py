@@ -77,6 +77,13 @@ class TestMagnusOracle:
         for cyc in (0.5, 4.0, 30.0):
             assert unitarity_defect(magnus_full_gate(params(cyc, gamma0=1.3, alpha=0.6, beta=0.8))) < 1e-13
 
+    def test_stack_equals_one_point_calls(self):
+        ps = [params(c, gamma0=1.3, alpha=0.6, beta=0.8, amp_scale=r) for c in (0.5, 4.0, 30.0) for r in (0.9, 1.0)]
+        for p, gate in zip(ps, magnus_full_gate(ps)):
+            assert np.array_equal(gate, magnus_full_gate(p))
+        with pytest.raises(ValueError):
+            magnus_full_gate([ps[0], params(2.0, Flavor.SATD)])
+
     def test_slow_limit_recovers_adiabatic_gate(self):
         # The residual detuning scales as 1/(omega0*tg).
         devs = []

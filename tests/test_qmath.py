@@ -28,6 +28,11 @@ def test_su2_exponential_matches_series(rng):
         assert unitarity_defect(u) < 1e-15
 
 
+def test_unitarity_defect_of_a_stack_is_that_of_each_matrix(rng):
+    us = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    assert unitarity_defect(us).tolist() == [unitarity_defect(u) for u in us]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
 def test_su2_ordered_product_matches_loop(rng, n):
     mats = su2_exponential(rng.normal(scale=2.0, size=(n, 3)))

@@ -117,7 +117,7 @@ def test_cli_and_metrics_catch_one_failure_type():
 def test_gate_error_path_builds_no_envelope_set():
     # The closed path runs on ControlParams alone: the quintic ramp is the
     # only shape, so no step of gate-error needs an EnvelopeSet.
-    paths = {"cli": {"_gate_error_rows", "_gate_error_row"}, "dynamics": {"propagate_unitary_batch"}}
+    paths = {"cli": {"_gate_error_rows"}, "dynamics": {"propagate_unitary_batch"}}
     for module, functions in paths.items():
         tree = ast.parse((ROOT / "src" / "tripod_sta" / f"{module}.py").read_text())
         defs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in functions]

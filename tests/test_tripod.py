@@ -17,7 +17,7 @@ from conftest import (
     random_unitary,
     series_expm,
 )
-from tripod_sta.qmath import su2_exponential
+from tripod_sta.qmath import gauss_legendre, su2_exponential
 from tripod_sta.controls import (
     DressingAngle,
     Flavor,
@@ -30,8 +30,10 @@ from tripod_sta.tripod import (
     dressed_frame_fields,
     frame_change,
     frame_ends,
+    frame_field,
     hamiltonian,
     ideal_gate,
+    lab_operator,
     qubit_dark_state,
     satd_bright_half_angle,
     satd_gate,
@@ -232,7 +234,7 @@ class TestTargetGates:
         tg = 4.0  # omega0*tg = 8*pi
         p = params(tg, Flavor.SATD)
         shape = make_pulse_shape(tg)
-        phi = satd_bright_half_angle(p, shape)
+        [phi] = satd_bright_half_angle([p])
         ts = np.linspace(0.0, 0.5 * tg, 1_000_001)
         _, td, _ = shape(ts)
         vals = np.sqrt(OMEGA0**2 + 4.0 * td**2)
@@ -257,6 +259,43 @@ class TestTargetGates:
             devs.append(np.max(np.abs(satd_gate(p, shape) - ideal_gate(p))))
         assert devs[1] < devs[0] / 5.0
         assert devs[1] < 1e-2
+
+
+# Protocols of one (alpha, beta, gamma0) at gate times from 1e-3 to 30 cycles
+# and three amplitude scales, as a gate-error batch holds them.
+_STACK = [
+    params(tg, Flavor.SATD, gamma0=1.9, alpha=0.6, beta=0.8, amp_scale=r)
+    for tg in (1e-3, 0.7, 5.0, 30.0)
+    for r in (0.87, 1.0, 1.13)
+]
+
+
+class TestStackedForms:
+    """Each stacked form equals its one-point call bit for bit."""
+
+    def test_targets(self):
+        for p, target in zip(_STACK, ideal_gate(_STACK)):
+            assert np.array_equal(target, ideal_gate(p))
+
+    def test_satd_gates(self):
+        for p, gate in zip(_STACK, satd_gate(_STACK)):
+            assert np.array_equal(gate, satd_gate(p, make_pulse_shape(p.t_gate)))
+        for p, phi in zip(_STACK, satd_bright_half_angle(_STACK)):
+            # The one-point quadrature it replaces, on the same nodes in the same order.
+            w, shape = OMEGA0 * p.amp_scale, make_pulse_shape(p.t_gate)
+            assert phi == gauss_legendre(lambda t: np.sqrt(w * w + 4.0 * shape(t)[1] ** 2), 0.0, 0.5 * p.t_gate, 64)
+
+    def test_lab_operators(self, rng):
+        mixed = _STACK + [params(2.0, alpha=0.3, beta=2.0, gamma0=-1.0)]  # two frame-end triples
+        first, second = (su2_exponential(rng.normal(size=(len(mixed), 3))) for _ in range(2))
+        for p, u1, u2, u in zip(mixed, first, second, lab_operator(mixed, first, second)):
+            assert np.array_equal(u, lab_operator([p], u1[None], u2[None])[0])
+            s_out, junction, s_in = frame_ends(p)
+            assert np.array_equal(u, s_out @ spin1_image(u2) @ junction @ spin1_image(u1) @ s_in.conj().T)
+
+    def test_gates_of_a_stack_must_share_axis_and_phase(self):
+        with pytest.raises(ValueError, match="share"):
+            ideal_gate([params(2.0), params(2.0, gamma0=1.0)])
 
 
 class TestDressedFrame:
@@ -307,6 +346,22 @@ class TestDressedFrame:
         nu = satd_dressing_angle(p, shape)
         xy = [_dressed(frame_field_at(p, float(t)), nu, float(t))[:2] for t in np.linspace(0.0, 2.0, 41)]
         assert np.max(np.abs(xy)) > 1e-3
+
+    def test_dressed_frame_field_is_the_dressing_in_closed_form(self):
+        # frame_field with dressed: _dressed by the SATD angle for SATD members,
+        # the adiabatic-frame field, bit for bit, for adiabatic ones.
+        ps = [params(tg, flavor, amp_scale=r) for tg in (0.01, 2.0) for flavor in Flavor for r in (0.87, 1.0, 1.13)]
+        ts = np.array([np.linspace(0.0, p.t_gate, 41) for p in ps])
+        fields = np.array(np.broadcast_arrays(*frame_field(ps, ts, True)))
+        for j, p in enumerate(ps):
+            if p.flavor is Flavor.ADIABATIC:
+                adiabatic = np.array(np.broadcast_arrays(*frame_field([p], ts[j : j + 1])))
+                assert np.array_equal(fields[:, j], adiabatic[:, 0])
+                continue
+            nu = satd_dressing_angle(p, make_pulse_shape(p.t_gate))
+            for k, t in enumerate(ts[j]):
+                expected = _dressed(frame_field_at(p, float(t)), nu, float(t))
+                assert np.max(np.abs(fields[:, j, k] - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
 
     def test_nonspin_couplings_vanish_at_midpoint(self):
         tg = 2.0
