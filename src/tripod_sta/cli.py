@@ -18,6 +18,7 @@ them (for noise-map: flavor by flavor, each in grid order).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -564,6 +565,7 @@ def run(spec: SweepSpec) -> tuple[list[str], list[tuple]]:
 
 # --- entry point -----------------------------------------------------------
 
+@functools.cache  # built once per process; the tree depends on KINDS alone
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tripod-sta", description=__doc__)
     root = parser.add_subparsers(dest="command", required=True)

@@ -24,8 +24,10 @@ MAX_UNCERTAINTY_NODES = 1023
 # a single point needs more: its points are solved in contiguous chunks
 # (point_chunks) that depend on the point count, k and the node count alone,
 # for a noise-map chunk and a contour coarse grid alike.
-# A shared mesh is set by the longest gate of its chunk: a noise-map of both
-# flavors on a 12-point log grid of 1-300 cycles at 21 nodes (84 states per
+# A shared mesh is set by the longest gate of its chunk.  Each accepted step
+# meets the combined error criterion over the whole chunk, which a member's
+# own solve can fail: stacking can coarsen a member's mesh.  A noise-map of
+# both flavors on a 12-point log grid of 1-300 cycles at 21 nodes (84 states per
 # point) took 5.2-5.3 s CPU at 256, against 6.4 s at 512 and 6.8-7.1 s at 128
 # (one point per solve).
 MAX_SOLVE_STATES = 256
@@ -91,8 +93,10 @@ def _axial_average(target: np.ndarray, finals) -> np.ndarray:
     """Mean overlap Tr[target rho target^dag final] over each group of six
     final states, the images of AXIAL_QUBIT_STATES in order."""
     rotated = np.einsum("ij,njk,lk->nil", target, AXIAL_QUBIT_STATES[:, :2, :2], target.conj())
-    overlaps = [float(np.trace(rotated[i % 6] @ final[:2, :2]).real) for i, final in enumerate(finals)]
-    return np.array([sum(overlaps[i : i + 6]) / 6.0 for i in range(0, len(overlaps), 6)])
+    qubit = np.asarray(finals)[:, :2, :2].reshape(-1, 6, 2, 2)
+    overlaps = np.trace(rotated @ qubit, axis1=-2, axis2=-1).real
+    # Summed over the six images left to right, as a scalar sum would.
+    return sum(overlaps.T) / 6.0
 
 
 # The axial inputs a map solve propagates, as indices into AXIAL_QUBIT_STATES:

@@ -178,59 +178,56 @@ def magnus_su2(field: Callable, t0: np.ndarray, t1: np.ndarray, n: int) -> np.nd
 
 # Dormand-Prince 8(5,3) pair, the DOP853 constants (Hairer, Norsett & Wanner,
 # Solving Ordinary Differential Equations I, 2nd ed., Sec. II.10); row i of
-# _DP_A weighs stages 0..i-1.
+# _DP_A weighs stages 0..i-1, and the last node is the FSAL stage's.
 _DP_C = (
     0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1, 0.118350341907227396726757197510,
     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
-    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
 )
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (),
-        (5.26001519587677318785587544488e-2,),
-        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-        (
-            2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-            9.24834003261792003115737966543e-1,
-        ),
-        (
-            3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-            1.25467687566822425016691814123e-1,
-        ),
-        (
-            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
-            -1.7578125e-2,
-        ),
-        (
-            3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-            1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-            8.27378916381402288758473766002e-3,
-        ),
-        (
-            6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-            -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-            2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
-        ),
-        (
-            4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-            -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-            1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-            -2.03312017085086261358222928593e-2,
-        ),
-        (
-            -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-            1.09143734899672957818500254654, -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
-            2.27394870993505042818970056734e1, 2.49360555267965238987089396762, -3.0467644718982195003823669022,
-        ),
-        (
-            2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-            -2.00087205822486249909675718444, -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
-            -2.85899827713502369474065508674, -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-            6.43392746015763530355970484046e-1,
-        ),
-    )
+_DP_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ),
+    (
+        3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ),
+    (
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+        -1.7578125e-2,
+    ),
+    (
+        3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ),
+    (
+        6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ),
+    (
+        4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ),
+    (
+        -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1, 2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ),
+    (
+        2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674, -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ),
 )
 # Eighth-order weights; the new state is also the FSAL stage's argument.
 _DP_B = np.array((
@@ -238,6 +235,9 @@ _DP_B = np.array((
     1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
 ))
+# Row i of the (13, 12) stage tableau weighs stages 0..i-1 into the argument
+# of stage i: the rows of _DP_A, then _DP_B for the FSAL stage, zero-padded.
+_DP_STAGES = np.array([np.pad(row, (0, 12 - len(row))) for row in (*_DP_A, _DP_B)])
 # Rows of the fifth-order error estimate (b8 - b5) and the third-order one
 # (b8 - bhh, bhh nonzero on stages 0, 8 and 11).
 _DP_E = np.array((
@@ -268,11 +268,16 @@ def ode_solve(
     fifth- and third-order error estimates scaled by that tolerance, a step
     is accepted when e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step
     size scales with that ratio to the power -1/8.  The twelve stages of a
-    step and the FSAL stage are the rows of one (13, y.size) array, and every
-    stage combination is one real tableau-row product with its float view.
-    The last stage of an accepted step is the first of the next (FSAL), so a
-    solve costs 1 + 12*(accepted + rejected) rhs evaluations.  A solve that
-    needs more than ODE_MAX_STEPS attempts raises OdeStepLimit.
+    step and the FSAL stage are the rows of one (13, y.size) array.  Each
+    step scales the (13, 12) stage tableau by h once, and each stage argument
+    is one real tableau-row product with the stages' float view, written
+    into a preallocated row and then added to y; the error estimates go to a
+    preallocated buffer too.  Each rhs result is copied into its stage row
+    before the next call, so rhs may return a buffer it reuses; the y it is
+    handed is a row the stepper rewrites, so rhs must not keep it.  The last
+    stage of an accepted step is the first of the next (FSAL), so a solve
+    costs 1 + 12*(accepted + rejected) rhs evaluations.  A solve that needs
+    more than ODE_MAX_STEPS attempts raises OdeStepLimit.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -294,30 +299,34 @@ def ode_solve(
 
     accepted = rejected = 0
     abs_y = np.abs(y)
+    # Buffers of one step: h times the stage tableau, the stage arguments
+    # (row 0 for stages 1-11, row 1, the new state, for the FSAL stage) as
+    # float and rhs-shaped views, and the two error estimates.
+    hs, (rows, errs) = np.empty_like(_DP_STAGES), np.empty((2, 2, y.size), dtype=complex)
+    args, y8, yf = [(row.view(float), row.reshape(shape)) for row in rows], rows[1], y.view(float)
     while t < t1:
         h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
         if accepted + rejected == ODE_MAX_STEPS:
             raise OdeStepLimit(t)
-        yf = y.view(float)
-        for i in range(1, 12):
-            stage = (yf + (h * _DP_A[i]) @ kf[:i]).view(complex)
-            ks[i] = rhs(t + _DP_C[i] * h, stage.reshape(shape)).ravel()
-        y8 = (yf + (h * _DP_B) @ kf[:12]).view(complex)
-        ks[12] = rhs(t + h, y8.reshape(shape)).ravel()  # FSAL stage
-        errs = ((h * _DP_E) @ kf[:12]).view(complex)
+        np.multiply(_DP_STAGES, h, out=hs)
+        for i in range(1, 13):
+            arg, shaped = args[i == 12]
+            np.dot(hs[i, :i], kf[:i], out=arg)
+            arg += yf
+            ks[i] = rhs(t + _DP_C[i] * h, shaped).ravel()
+        np.dot(h * _DP_E, kf[:12], out=errs.view(float))
         abs_y8 = np.abs(y8)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)
         # Floats, so h and every stage time handed to rhs stay numpy-free.
-        e5, e3 = np.max(np.abs(errs) / tol, axis=1).tolist()
+        e5, e3 = (np.abs(errs) / tol).max(axis=1).tolist()
         # At e3 = 0 the combined estimate is e5 (and 0/0 when both vanish).
         ratio = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e3 > 0.0 else e5
         if ratio <= 1.0:
             t += h
             accepted += 1
-            y, abs_y = y8, abs_y8
-            ks[0] = ks[12]
+            y[:], abs_y, ks[0] = y8, abs_y8, ks[12]
         else:
             rejected += 1
         fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.125))

@@ -294,6 +294,16 @@ def lindblad_rhs_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray):
     return rhs
 
 
+def axial_average_reference(target: np.ndarray, finals) -> np.ndarray:
+    """Reference for metrics._axial_average: one 2x2 product and trace per
+    final state, each group of six overlaps summed left to right."""
+    from tripod_sta.metrics import AXIAL_QUBIT_STATES
+
+    rotated = np.einsum("ij,njk,lk->nil", target, AXIAL_QUBIT_STATES[:, :2, :2], target.conj())
+    overlaps = [float(np.trace(rotated[i % 6] @ final[:2, :2]).real) for i, final in enumerate(finals)]
+    return np.array([sum(overlaps[i : i + 6]) / 6.0 for i in range(0, len(overlaps), 6)])
+
+
 def leak_lindblad_rhs(monkeypatch, leak: np.ndarray) -> None:
     """Add the constant Hermitian matrix leak, in the packed layout, to every
     Lindblad right-hand side that tripod_sta.dynamics builds, for forcing

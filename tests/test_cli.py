@@ -80,6 +80,14 @@ class TestConfigHandling:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_two_runs_build_one_parser(self, tmp_path):
+        # The argparse tree depends on KINDS alone, so a process builds it once.
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["sweep", "gate-error", "--config", str(tmp_path / "nope.json")]) == 2
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_json_error_reports_position(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"kind": "gate-error",\n  "tg_grid": }')
@@ -500,6 +508,17 @@ class TestNoiseMapSweep:
             nominal_row, averaged_row = cli._noise_map_rows(spec, [{"tg_cycles": 2.0, "flavor": flavor}])
             assert nominal_row[3] == averaged_row[3]
             assert abs(nominal_row[3] - standalone) < 10.0 * cfg.rel_tol
+
+    def test_parallel_run_equals_serial_byte_for_byte(self, tmp_path, monkeypatch):
+        # Three solves per flavor; each worker's right-hand sides reuse
+        # buffers of their own, so two workers write what one writes.
+        monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 12)
+        grid = {"scale": "log", "min": 1.7, "max": 3.1, "count": 3}
+        cfg = write_config(tmp_path / "c.json", dict(self.CFG, tg_grid=grid))
+        outs = [tmp_path / f"jobs{jobs}.csv" for jobs in ("1", "2")]
+        for out, jobs in zip(outs, ("1", "2")):
+            assert cli.main(["sweep", "noise-map", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_zero_rate_noise_model_gives_unitary_values(self, tmp_path):
         out = tmp_path / "nm0.csv"

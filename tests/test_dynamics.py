@@ -18,7 +18,7 @@ from conftest import (
     vec,
 )
 from tripod_sta import dynamics, tripod
-from tripod_sta.controls import Flavor, make_envelopes
+from tripod_sta.controls import Flavor, PulseShape, _satd_correction, make_envelopes
 from tripod_sta.dynamics import (
     MAGNUS_MIN_STEPS,
     ROUNDOFF_ESTIMATE,
@@ -474,6 +474,40 @@ class TestPropagateLindblad:
             reference_attempts += ref.steps_accepted + ref.steps_rejected
         assert max_abs(solves[-1][3].y - y) <= 10.0 * cfg.rel_tol
         assert 2 * attempts <= reference_attempts
+
+    def test_a_shared_mesh_can_be_coarser_than_a_member_needs_alone(self):
+        # DOP853 takes the fifth- and third-order estimates e5 and e3 as
+        # separate maxima over the stack, and e5^2/sqrt(e5^2 + 0.01 e3^2)
+        # falls as e3 grows.  So an SATD stack (the four solved axial inputs
+        # at 10 cycles, first half-segment) accepts fewer steps stacked with
+        # its kappa = 0 twin than alone; every accepted step meets the
+        # combined criterion over the whole stack.
+        p = params(10.0, Flavor.SATD)
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.01))
+        g_sin = dynamics._packed_generator(tripod._coupling([*make_envelopes(p).qubit_weights, 0.0]))
+        gens = np.stack([g_sin, dynamics._packed_generator(tripod._coupling([0.0, 0.0, 1.0]))])
+
+        def first_half(kappa_on):
+            t_gates = np.full(len(kappa_on), p.t_gate)
+            weights = np.empty((2, len(kappa_on), 20))
+            weights[0] = p.t_gate * p.omega0
+
+            def terms(tau):
+                theta, d1, d2 = PulseShape.ramp(1.0, tau)
+                s, c = math.sin(theta), math.cos(theta)
+                kappa = _satd_correction(d1, d2, (p.omega0 * p.t_gate) ** 2)
+                weights[1] = weights[0] * kappa * kappa_on[:, None]
+                return np.einsum("ij,jkl->ikl", [[s, c], [c, -s]], gens), weights
+
+            rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (len(kappa_on) // 4, 1, 1))
+            return ode_solve(dynamics._lindblad_rhs(terms, noise, t_gates), dynamics._pack(rho0s), 0.0, 0.5, cfg)
+
+        alone = first_half(np.ones(4))
+        shared = first_half(np.repeat([1.0, 0.0], 4))
+        assert shared.steps_accepted < alone.steps_accepted
+        # The SATD members still lie within the tolerance of their lone solve.
+        assert max_abs(shared.y[:4] - alone.y) < 10.0 * cfg.rel_tol
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_nonfinite_or_nonpositive_gate_times(self, bad):

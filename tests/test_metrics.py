@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import params
+from conftest import axial_average_reference, params, random_hermitian, random_unitary
 from tripod_sta import metrics
 from tripod_sta.controls import Flavor, amplitude_threshold_time, make_envelopes, make_pulse_shape
 from tripod_sta.dynamics import (
@@ -215,6 +215,16 @@ class TestFourInputMaps:
         fids = metrics._axial_average(ideal_gate(p)[:2, :2], [res.final_operator for res in results])
         six_state = float(np.dot(weights, fids)) / 2.0
         assert abs(map_fidelity_uncertainty_avg(p, noise, 7, FAST) - six_state) < 10.0 * FAST.rel_tol
+
+    def test_batched_average_equals_the_per_state_loop(self, rng):
+        # Bit for bit, for a stack and for a list of final states.
+        target = random_unitary(rng, 2)
+        finals = np.stack([random_hermitian(rng, 4) for _ in range(6 * 7)])
+        expected = axial_average_reference(target, finals)
+        for given in (finals, list(finals)):
+            got = metrics._axial_average(target, given)
+            assert got.shape == (7,)
+            assert np.array_equal(got, expected)
 
     def test_rebuilt_images_are_checked(self, monkeypatch):
         # Solved images that pass the checks, but whose rebuilt -y image of

@@ -127,6 +127,32 @@ def test_ode_reuses_the_last_stage():
     assert len(evals) == 1 + 12 * (res.steps_accepted + res.steps_rejected)
 
 
+def test_ode_result_does_not_depend_on_a_reused_rhs_buffer(rng):
+    # Each stage is copied out of what rhs returns before the next call, so
+    # an rhs may return the same buffer every time.
+    h = random_hermitian(rng, 4, 2.0)
+    y0 = random_unitary(rng, 4)
+    cfg = IntegratorConfig(1e-9, 1e-11)
+    evals = []
+    buffer = np.empty((4, 4), dtype=complex)
+
+    def fresh(t, y):
+        evals.append(t)
+        return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * (h @ y)
+
+    def reused(t, y):
+        buffer[...] = fresh(t, y)
+        return buffer
+
+    new = ode_solve(fresh, y0, 0.0, 2.0, cfg)
+    assert new.steps_rejected > 0
+    assert len(evals) == 1 + 12 * (new.steps_accepted + new.steps_rejected)
+    same = ode_solve(reused, y0, 0.0, 2.0, cfg)
+    assert (same.steps_accepted, same.steps_rejected) == (new.steps_accepted, new.steps_rejected)
+    assert np.array_equal(same.y, new.y)
+    assert len(evals) == 2 * (1 + 12 * (new.steps_accepted + new.steps_rejected))
+
+
 def test_ode_stage_times_are_python_floats():
     # The step size and every stage time stay Python floats, also after a
     # rejected step, so the Lindblad rhs does its scalar ramp arithmetic
