@@ -56,10 +56,12 @@ from .tripod import ideal_gate, satd_gate
 
 OMEGA0 = 2.0 * math.pi
 
-# Shortest gate time a config may ask for, in cycles.  Far below any
-# physical use, and far above the times where the pulse shape's 1/t_g^2 and
-# the closed-form predictions' 1/(omega0*t_g)^6 leave the float range.
+# Shortest and longest gate times a config may ask for, in cycles, both far
+# outside any physical use: far above the times where the pulse shape's 1/t_g^2
+# and the closed-form predictions' 1/(omega0*t_g)^6 leave the float range, and
+# far below those where the SATD closed form reads rounding (9.5e-8 at 1e12).
 MIN_TG_CYCLES = 1e-6
+MAX_TG_CYCLES = 1e9
 
 # Most points a config grid may ask for (samples, tg_grid.count,
 # contour.coarse_count): each costs at least one CSV row or one propagation,
@@ -168,8 +170,13 @@ def _library(field: str, make, *args):
 
 
 # ok and need of a gate-time field and of a grid count.
-_GATE_TIME = (lambda x: x >= MIN_TG_CYCLES, f">= {MIN_TG_CYCLES:g} cycles")
+_GATE_TIME = (lambda x: MIN_TG_CYCLES <= x <= MAX_TG_CYCLES, f"in [{MIN_TG_CYCLES:g}, {MAX_TG_CYCLES:g}] cycles")
 _GRID_COUNT = (lambda n: 2 <= n <= MAX_GRID_POINTS, f"in [2, {MAX_GRID_POINTS}]")
+
+
+def _gate_time_after(lo: float, field: str) -> tuple:
+    """ok and need of a gate-time field that must exceed lo, the value of field."""
+    return lambda x: lo < x <= MAX_TG_CYCLES, f"in ({field}, {MAX_TG_CYCLES:g}] cycles"
 
 
 def _tg_grid(cfg: dict) -> tuple[float, ...]:
@@ -177,7 +184,7 @@ def _tg_grid(cfg: dict) -> tuple[float, ...]:
         cfg, "tg_grid.scale", "log", lambda v, _: v, lambda v: v in ("log", "linear"), "'log' or 'linear'"
     )
     lo = _field(cfg, "tg_grid.min", None, _num, *_GATE_TIME)
-    hi = _field(cfg, "tg_grid.max", None, _num, lambda x: x > lo, "> tg_grid.min")
+    hi = _field(cfg, "tg_grid.max", None, _num, *_gate_time_after(lo, "tg_grid.min"))
     count = _field(cfg, "tg_grid.count", None, _int, *_GRID_COUNT)
     pts = np.geomspace(lo, hi, count) if scale == "log" else np.linspace(lo, hi, count)
     return tuple(float(x) for x in pts)
@@ -214,7 +221,7 @@ def _contour_fields(cfg: dict) -> ContourFields:
         _field(cfg, "contour.gamma_gs", [], *rates),
         _field(cfg, "contour.gamma_e", [], *rates),
         tg_min,
-        _field(cfg, "contour.tg_max", 30.0, _num, lambda x: x > tg_min, "> contour.tg_min"),
+        _field(cfg, "contour.tg_max", 30.0, _num, *_gate_time_after(tg_min, "contour.tg_min")),
         _field(cfg, "contour.coarse_count", 60, _int, *_GRID_COUNT),
         _field(cfg, "contour.golden_rel_tol", 1e-3, _num, lambda x: x > 0.0, "positive"),
     )

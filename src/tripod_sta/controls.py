@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -111,6 +110,32 @@ def _satd_correction(d1, d2, gap_sq):
     return 4.0 * d2 / (gap_sq + 4.0 * d1 * d1)
 
 
+def _satd_reshape(s, c, kappa) -> tuple:
+    """SATD profile factors (f_s, f_c) from the adiabatic legs (sin, cos) of theta."""
+    return s + kappa * c, c - kappa * s
+
+
+def _unit_ramp_table(end: float, n: int) -> tuple:
+    """(sin theta, cos theta, theta', theta'') of the unit-gate ramp at n uniform tau = t/t_gate in [0, end]."""
+    theta, d1, d2 = PulseShape.ramp(1.0, np.linspace(0.0, end, n))
+    return np.sin(theta), np.cos(theta), d1, d2
+
+
+def _peak(table: tuple, alpha: float, gap_sq: float) -> float:
+    """Largest of max(cos alpha, sin alpha)*|f_s| and |f_c| on a unit-gate table, gap_sq = (omega0*t_gate)^2."""
+    fs, fc = _satd_reshape(table[0], table[1], _satd_correction(table[2], table[3], gap_sq))
+    return max(max(math.cos(alpha), math.sin(alpha)) * float(np.max(np.abs(fs))), float(np.max(np.abs(fc))))
+
+
+def _cost_mean(table: tuple, gap_sq: float, scale: float) -> float:
+    """Composite-Simpson mean of scale*sqrt(f_s^2 + f_c^2) = scale*sqrt(1 + kappa^2) on an odd-sized unit-gate table."""
+    kappa = _satd_correction(table[2], table[3], gap_sq)
+    weights = np.ones(len(kappa))
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(np.dot(weights, scale * np.sqrt(1.0 + kappa * kappa))) * (1.0 / (len(kappa) - 1)) / 3.0
+
+
 class EnvelopeSet:
     """The three complex control envelopes of one protocol run, on the quintic
     ramp at params.t_gate.  The shape argument is only checked, here and
@@ -150,8 +175,7 @@ class EnvelopeSet:
         if p.flavor is Flavor.ADIABATIC:
             return s, c
         # Counter-diabatic reshaping, designed at the nominal omega0.
-        corr = _satd_correction(td, tdd, p.omega0 * p.omega0)
-        return s + c * corr, c - s * corr
+        return _satd_reshape(s, c, _satd_correction(td, tdd, p.omega0 * p.omega0))
 
     def evaluate(self, t: float | np.ndarray) -> tuple:
         p = self.params
@@ -162,16 +186,18 @@ class EnvelopeSet:
         oa = scale * fc * self.phase_jump ** (t >= self.segment_boundary)
         return scale * w0 * fs, scale * w1 * fs, oa
 
-    @cached_property
+    @property
+    def _unit_gap_sq(self) -> float:
+        """(omega0*t_gate)^2 of the unit-gate ramp: infinite, so kappa = 0, when
+        adiabatic or past the float range (a product, where ** would raise)."""
+        wt = self.params.omega0 * self.params.t_gate
+        return wt * wt if self.params.flavor is Flavor.SATD else math.inf
+
+    @property
     def max_amplitude(self) -> float:
-        """Largest single-envelope magnitude over the run (dense scan)."""
+        """Largest single-envelope magnitude, on 4001 points of the first half: magnitudes mirror about t_gate/2."""
         p = self.params
-        # Magnitudes are mirror-symmetric about t_gate/2; scan one half.
-        ts = np.linspace(0.0, 0.5 * p.t_gate, 4001)
-        fs, fc = self.profile(ts)
-        qmax = max(math.cos(p.alpha), math.sin(p.alpha))
-        peak = max(float(np.max(np.abs(fs))) * qmax, float(np.max(np.abs(fc))))
-        return p.amp_scale * p.omega0 * peak
+        return p.amp_scale * p.omega0 * _peak(_unit_ramp_table(0.5, 4001), p.alpha, self._unit_gap_sq)
 
 
 def make_envelopes(params: ControlParams, shape: PulseShape | None = None) -> EnvelopeSet:
@@ -229,28 +255,13 @@ def generic_dressing(params: ControlParams, shape: PulseShape, gamma_dot: TimeFu
     return DressingAngle(mu, mu_dot)
 
 
-def energy_cost(env: EnvelopeSet, params: ControlParams, n_samples: int = 1001) -> float:
-    """Time-averaged operator 2-norm of the control Hamiltonian.
-
-    Composite Simpson over n_samples points.  The tripod Hamiltonian has the
-    spectrum {0, 0, +-|Omega|/2} with |Omega|^2 = |O_0e|^2 + |O_1e|^2 + |O_ae|^2,
-    so the norm at each sample is 0.5*amp_scale*omega0*sqrt(fs^2 + fc^2) in
-    terms of the profile factors.  params must equal env.params.
-    """
+def energy_cost(env: EnvelopeSet, params: ControlParams) -> float:
+    """Time-averaged operator 2-norm of the control Hamiltonian, whose spectrum is
+    {0, 0, +-|Omega|/2}: the mean of |Omega|/2 = 0.5*amp_scale*omega0*sqrt(1 + kappa^2)
+    on 1001 points of the unit-gate ramp.  params must equal env.params."""
     if params != env.params:
         raise ValueError("params and env.params disagree")
-    if n_samples < 3 or n_samples % 2 == 0:
-        raise ValueError("n_samples must be odd and >= 3")
-    fs, fc = env.profile(np.linspace(0.0, params.t_gate, n_samples))
-    return _simpson_mean(0.5 * params.amp_scale * params.omega0 * np.sqrt(fs * fs + fc * fc), params.t_gate)
-
-
-def _simpson_mean(vals: np.ndarray, span: float) -> float:
-    """Composite-Simpson mean of an odd count of uniform samples over span."""
-    weights = np.ones(len(vals))
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.dot(weights, vals)) * (span / (len(vals) - 1)) / 3.0 / span
+    return _cost_mean(_unit_ramp_table(1.0, 1001), env._unit_gap_sq, 0.5 * params.amp_scale * params.omega0)
 
 
 def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -286,13 +297,10 @@ def amplitude_threshold_time(params: ControlParams) -> float:
     each step scans one table of the unit-gate ramp in tau = t/t_gate.
     """
     w = params.omega0
-    qmax = max(math.cos(params.alpha), math.sin(params.alpha))
-    theta, d1, d2 = PulseShape.ramp(1.0, np.linspace(0.0, 0.5, 4001))
-    s, c = np.sin(theta), np.cos(theta)
+    table = _unit_ramp_table(0.5, 4001)
 
     def excess(tg: float) -> float:
-        kappa = _satd_correction(d1, d2, (w * tg) ** 2)
-        return w * max(qmax * float(np.max(np.abs(s + kappa * c))), float(np.max(np.abs(c - kappa * s)))) - w
+        return w * _peak(table, params.alpha, (w * tg) ** 2) - w
 
     lo = 0.05 * 2.0 * math.pi / params.omega0
     hi = 4.0 * 2.0 * math.pi / params.omega0
@@ -301,16 +309,15 @@ def amplitude_threshold_time(params: ControlParams) -> float:
 
 def cost_threshold_time(params: ControlParams, multiple: float) -> float:
     """t_gate at which the SATD energy cost is multiple*(omega0/2), by bisection
-    on energy_cost's 501-point mean over a unit-gate ramp table (fs^2 + fc^2 = 1 + kappa^2)."""
+    on energy_cost's mean taken over a 501-point unit-gate ramp table."""
     if multiple <= 1.0:
         raise ValueError("multiple must exceed 1 (the adiabatic cost)")
     w = params.omega0
     target = multiple * 0.5 * w
-    _, d1, d2 = PulseShape.ramp(1.0, np.linspace(0.0, 1.0, 501))
+    table = _unit_ramp_table(1.0, 501)
 
     def excess(tg: float) -> float:
-        kappa = _satd_correction(d1, d2, (w * tg) ** 2)
-        return _simpson_mean(0.5 * w * np.sqrt(1.0 + kappa * kappa), 1.0) - target
+        return _cost_mean(table, (w * tg) ** 2, 0.5 * w) - target
 
     lo = 0.02 * 2.0 * math.pi / params.omega0
     hi = 2.0 * 2.0 * math.pi / params.omega0

@@ -59,6 +59,28 @@ SIGMA = (
 )
 
 
+def max_amplitude_reference(env: EnvelopeSet) -> float:
+    """EnvelopeSet.max_amplitude in physical time: the largest envelope
+    magnitude over the profile at 4001 points of [0, t_gate/2], as the
+    magnitudes are mirror-symmetric about t_gate/2."""
+    p = env.params
+    fs, fc = env.profile(np.linspace(0.0, 0.5 * p.t_gate, 4001))
+    qmax = max(math.cos(p.alpha), math.sin(p.alpha))
+    return p.amp_scale * p.omega0 * max(float(np.max(np.abs(fs))) * qmax, float(np.max(np.abs(fc))))
+
+
+def energy_cost_reference(env: EnvelopeSet, n: int = 1001) -> float:
+    """controls.energy_cost in physical time: the composite-Simpson mean of
+    0.5*amp_scale*omega0*sqrt(f_s^2 + f_c^2) over n (odd) points of [0, t_gate]."""
+    p = env.params
+    fs, fc = env.profile(np.linspace(0.0, p.t_gate, n))
+    vals = 0.5 * p.amp_scale * p.omega0 * np.sqrt(fs * fs + fc * fc)
+    weights = np.ones(n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(np.dot(weights, vals)) * (p.t_gate / (n - 1)) / 3.0 / p.t_gate
+
+
 def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float], float]:
     """Smooth test profile gamma_dot(t) = (pi*gamma0/t_gate)*sin(2*pi*t/t_gate).
 

@@ -240,6 +240,14 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
         assert cli.main(kind.split() + ["--config", cfg]) == 0
 
+    # The closed path and the pulse export only: a Lindblad gate this long
+    # stops at ODE_MAX_STEPS.
+    @pytest.mark.parametrize("kind, field", [("sweep gate-error", "tg_grid.max"), ("pulses export", "tg_cycles")])
+    def test_gate_error_and_pulses_run_at_the_longest_gate_time(self, tmp_path, kind, field):
+        payload = _with_field(MINIMAL_CFGS[kind], field, cli.MAX_TG_CYCLES)
+        cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
+        assert cli.main(kind.split() + ["--config", cfg]) == 0
+
     def test_gate_error_runs_at_a_tolerance_below_roundoff(self, tmp_path):
         # The Magnus step doubling stops at its roundoff plateau.
         cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(tmp_path / "o.csv")))
@@ -326,7 +334,21 @@ class TestConfigHandling:
         + [
             ("pulses export", "amp_scale", {"flavors": ["satd"], "tg_cycles": tg, "amp_scale": scale})
             for tg, scale in ((0.5, 2.8e307), (1e-5, 1e300))
-        ],
+        ]
+        # Gate times above cli.MAX_TG_CYCLES: at 1e308 cycles gate-error used to
+        # exit 3 after 6.4 s with a NaN estimate.
+        + [
+            (kind, field, value)
+            for kind, fields in (
+                ("sweep gate-error", ("tg_grid.min", "tg_grid.max")),
+                ("sweep noise-map", ("tg_grid.min", "tg_grid.max")),
+                ("oracle compare", ("tg_grid.min", "tg_grid.max")),
+                ("contour", ("contour.tg_min", "contour.tg_max")),
+                ("pulses export", ("tg_cycles",)),
+            )
+            for field in fields
+            for value in (math.nextafter(cli.MAX_TG_CYCLES, math.inf), 1e308)
+        ]
     )
     def test_bad_field_is_config_error(self, capsys, tmp_path, kind, field, value):
         """One bad value per field, for every kind that reads the field; a

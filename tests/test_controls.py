@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, default_antisymmetric_gamma_rate, params
+from conftest import OMEGA0, default_antisymmetric_gamma_rate, energy_cost_reference, max_amplitude_reference, params
 from tripod_sta import controls
 from tripod_sta.controls import (
     ControlParams,
@@ -324,7 +324,7 @@ class TestEnergyCost:
         for mult in (1.001, 2.0, 3.0):
             t_star = cost_threshold_time(p, mult)
             p_star = params(t_star, Flavor.SATD)
-            c = energy_cost(make_envelopes(p_star), p_star, 501)
+            c = energy_cost_reference(make_envelopes(p_star), 501)
             assert c == pytest.approx(mult * 0.5 * OMEGA0, rel=1e-6)
         assert cost_threshold_time(p, 1.001) == pytest.approx(7.61, abs=0.005)
         t2 = cost_threshold_time(p, 2.0)
@@ -337,7 +337,8 @@ class TestEnergyCost:
             cost_threshold_time(p, 1e6)
 
     def test_closed_form_matches_spectrum(self):
-        # Simpson sum of max |eigvalsh(H(t))|, the definition the closed form replaces.
+        # Simpson sum of max |eigvalsh(H(t))|, the definition the closed form
+        # replaces; energy_cost matches this reference in TestThresholdScans.
         from tripod_sta.tripod import hamiltonian
 
         n = 201
@@ -350,15 +351,7 @@ class TestEnergyCost:
                 env = make_envelopes(p)
                 norms = [np.max(np.abs(np.linalg.eigvalsh(hamiltonian(env, t)))) for t in np.linspace(0.0, tg, n)]
                 reference = float(np.dot(weights, norms)) / (3.0 * (n - 1))
-                assert energy_cost(env, p, n) == pytest.approx(reference, rel=1e-14)
-
-    def test_sampling_validation(self):
-        p = params(1.0)
-        env = make_envelopes(p)
-        with pytest.raises(ValueError):
-            energy_cost(env, p, 100)
-        with pytest.raises(ValueError):
-            energy_cost(env, p, 1)
+                assert energy_cost_reference(env, n) == pytest.approx(reference, rel=1e-14)
 
     def test_rejects_params_of_other_envelopes(self):
         # Envelopes at 2 cycles costed over a 3-cycle gate used to give 3.649
@@ -371,9 +364,9 @@ class TestEnergyCost:
 
 
 class TestThresholdScans:
-    """The threshold searches bisect on scaled-time tables of the unit-gate
-    ramp; EnvelopeSet.max_amplitude and energy_cost are their t-domain
-    definitions."""
+    """EnvelopeSet.max_amplitude, energy_cost and the threshold searches
+    read scaled-time tables of the unit-gate ramp; max_amplitude_reference
+    and energy_cost_reference in conftest are their t-domain definitions."""
 
     @staticmethod
     def excess_and_bracket(monkeypatch, search):
@@ -388,13 +381,13 @@ class TestThresholdScans:
         p = params(1.0, Flavor.SATD, alpha=alpha)
         f, lo, hi = self.excess_and_bracket(monkeypatch, lambda: amplitude_threshold_time(p))
         for tg in np.linspace(lo, hi, 20).tolist():
-            peak = make_envelopes(params(tg, Flavor.SATD, alpha=alpha)).max_amplitude
+            peak = max_amplitude_reference(make_envelopes(params(tg, Flavor.SATD, alpha=alpha)))
             assert abs(f(tg) - (peak - OMEGA0)) <= 1e-13 * peak
         for mult in (2.0, 3.0):
             f, lo, hi = self.excess_and_bracket(monkeypatch, lambda: cost_threshold_time(p, mult))
             for tg in np.linspace(lo, hi, 20).tolist():
                 q = params(tg, Flavor.SATD, alpha=alpha)
-                cost = energy_cost(make_envelopes(q), q, 501)
+                cost = energy_cost_reference(make_envelopes(q), 501)
                 assert abs(f(tg) - (cost - mult * 0.5 * OMEGA0)) <= 1e-13 * cost
 
     @pytest.mark.parametrize(
@@ -414,9 +407,21 @@ class TestThresholdScans:
         reference = float.fromhex(t_domain_hex)
         assert abs(t_star - reference) <= 8 * math.ulp(reference)
 
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 1.2])
+    @pytest.mark.parametrize("amp_scale", [0.87, 1.0, 1.13])
+    def test_diagnostics_match_the_t_domain_definitions(self, flavor, alpha, amp_scale):
+        # 1e200 cycles: (omega0*t_gate)^2 leaves the float range, so kappa = 0.
+        for tg in np.geomspace(1e-3, 300.0, 25).tolist() + [1e200]:
+            p = params(tg, flavor, alpha=alpha, beta=0.5, amp_scale=amp_scale)
+            env = make_envelopes(p)
+            assert env.max_amplitude == pytest.approx(max_amplitude_reference(env), rel=1e-13)
+            assert energy_cost(env, p) == pytest.approx(energy_cost_reference(env), rel=1e-13)
+
     def test_each_call_builds_one_table_and_caches_nothing(self, monkeypatch):
-        # The bisections never build envelope sets, and a repeat call redoes
-        # the same work as the first.
+        # No diagnostic evaluates the envelope profile in physical time, the
+        # searches build no envelope sets, and a repeat call redoes the same
+        # work as the first.
         ramps = []
         ramp = controls.PulseShape.ramp
 
@@ -425,17 +430,22 @@ class TestThresholdScans:
             return ramp(tg, t)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("threshold searches scan tables, not envelope sets")
+            raise AssertionError("pulse diagnostics scan unit-gate tables, not envelope sets")
 
+        p = params(1.0, Flavor.SATD)
+        envs = [make_envelopes(params(1.0, flavor)) for flavor in Flavor]
         monkeypatch.setattr(controls.PulseShape, "ramp", staticmethod(counted))
+        monkeypatch.setattr(controls.EnvelopeSet, "profile", forbidden)
         monkeypatch.setattr(controls, "make_envelopes", forbidden)
         monkeypatch.setattr(controls, "energy_cost", forbidden)
-        p = params(1.0, Flavor.SATD)
-        for search, size in ((lambda: amplitude_threshold_time(p), 4001), (lambda: cost_threshold_time(p, 2.0), 501)):
+        calls = [(lambda: amplitude_threshold_time(p), 4001), (lambda: cost_threshold_time(p, 2.0), 501)]
+        for env in envs:
+            calls += [(lambda env=env: env.max_amplitude, 4001), (lambda env=env: energy_cost(env, env.params), 1001)]
+        for call, size in calls:
             results = []
             for _ in range(2):
                 ramps.clear()
-                results.append(search())
+                results.append(call())
                 assert ramps == [size]
             assert results[0] == results[1]
 
