@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -115,10 +116,24 @@ def _satd_reshape(s, c, kappa) -> tuple:
     return s + kappa * c, c - kappa * s
 
 
+@lru_cache(maxsize=8)
 def _unit_ramp_table(end: float, n: int) -> tuple:
-    """(sin theta, cos theta, theta', theta'') of the unit-gate ramp at n uniform tau = t/t_gate in [0, end]."""
+    """Read-only (sin theta, cos theta, theta', theta'') of the unit-gate ramp at n uniform tau in [0, end]."""
     theta, d1, d2 = PulseShape.ramp(1.0, np.linspace(0.0, end, n))
-    return np.sin(theta), np.cos(theta), d1, d2
+    table = np.sin(theta), np.cos(theta), d1, d2
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=8)
+def _simpson_weights(n: int) -> np.ndarray:
+    """Read-only composite-Simpson weights 1, 4, 2, ..., 2, 4, 1 of n (odd) uniform points."""
+    weights = np.ones(n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights.flags.writeable = False
+    return weights
 
 
 def _peak(table: tuple, alpha: float, gap_sq: float) -> float:
@@ -130,10 +145,8 @@ def _peak(table: tuple, alpha: float, gap_sq: float) -> float:
 def _cost_mean(table: tuple, gap_sq: float, scale: float) -> float:
     """Composite-Simpson mean of scale*sqrt(f_s^2 + f_c^2) = scale*sqrt(1 + kappa^2) on an odd-sized unit-gate table."""
     kappa = _satd_correction(table[2], table[3], gap_sq)
-    weights = np.ones(len(kappa))
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.dot(weights, scale * np.sqrt(1.0 + kappa * kappa))) * (1.0 / (len(kappa) - 1)) / 3.0
+    total = float(np.dot(_simpson_weights(len(kappa)), scale * np.sqrt(1.0 + kappa * kappa)))
+    return total * (1.0 / (len(kappa) - 1)) / 3.0
 
 
 class EnvelopeSet:

@@ -18,14 +18,14 @@ The pulse shape is the same function of tau at every gate time, so one solve
 integrates a whole stack of density matrices (the four independent axial
 inputs at every amplitude scale of every gate time of a noise-map chunk) on
 one shared mesh, each member with its own gate time and amplitude scale, each
-stored as its packed upper triangle.  The right-hand side of the whole stack
-is a real matmul of the packed float view with each of two 20x20 commutator
-generators per half-segment, weighted per member, so the diagonal stays
-exactly real and every unpacked state is exactly Hermitian.  Each
-half-segment solve makes its right-hand side's buffers once, so nothing is
-shared between solves or sweep workers.  Every accepted step of the shared
-mesh meets the stepper's combined error criterion over the whole stack, not
-that of each member's own solve.
+stored as its packed upper triangle.  Members of one gate time share one 20x20
+commutator generator per stage, built with controls._satd_reshape, so the
+right-hand side is one batched real matmul of the packed float view, weighted
+per member: the diagonal stays exactly real and every unpacked state is
+exactly Hermitian.  Each half-segment solve makes its right-hand side's
+buffers once, so nothing is shared between solves or sweep workers.  Every
+accepted step of the shared mesh meets the stepper's combined error criterion
+over the whole stack, not that of each member's own solve.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction
+from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction, _satd_reshape
 from .qmath import (
     IntegratorConfig, NumericalError, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect,
 )
@@ -241,24 +241,23 @@ def _packed_generator(h: np.ndarray) -> np.ndarray:
 
 
 def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
-    # terms(tau) gives generators G (k, 20, 20) and weights w broadcasting
-    # to (k, n, 20), each row of w[j] one member's weight: member i gets
-    # sum_j w[j, i] * u_i @ G[j] plus its dephasing -t_gates[i] * W on the
-    # packed entries.  One real matmul per generator for the whole stack,
-    # the weights and the dephasing elementwise on whole rows (a weight
-    # column broadcast along the rows costs twice as much).  Each call
-    # writes into the same two buffers, made once per rhs: ode_solve copies
-    # the returned stack before its next call.
+    # terms(tau) gives one generator G_b (blocks, 20, 20) per block of equal
+    # consecutive rows of the stack and weights w broadcasting to
+    # (blocks, m, 20): member i of block b gets w[b, i] * u_i @ G_b plus its
+    # dephasing -t_gates[i] * W on the packed entries.  One batched real
+    # matmul for the whole stack, the weights and the dephasing elementwise
+    # on whole rows (a weight column broadcast along the rows costs twice as
+    # much).  Each call writes into the same two buffers, made once per rhs:
+    # ode_solve copies the returned stack before its next call.
     damping = np.repeat(-noise.dephasing_matrix()[_UPPER], 2) * t_gates[:, None]
     out, product = np.empty_like(damping), np.empty_like(damping)
 
     def rhs(tau, u):
         r = u.view(float)
         generators, weights = terms(tau)
-        np.multiply(damping, r, out=out)
-        for generator, weight in zip(generators, weights):
-            np.multiply(np.matmul(r, generator, out=product), weight, out=product)
-            np.add(out, product, out=out)
+        blocked = out.reshape(len(generators), -1, 20)
+        np.multiply(np.matmul(r.reshape(blocked.shape), generators, out=blocked), weights, out=blocked)
+        np.add(out, np.multiply(damping, r, out=product), out=out)
         return out.view(complex)
 
     return rhs
@@ -346,33 +345,30 @@ def propagate_lindblad_batch(
     t_gates = _per_member("t_gates", t_gates, params.t_gate, len(rho0s))
 
     # H_T(tau) is a*omega0 times the envelope form of EnvelopeSet.evaluate,
-    # with f_s = s + kappa c and f_c = c - kappa s at the mixing angle theta
-    # of the unit gate, s = sin(theta) and c = cos(theta).  Its generator is
-    # a*omega0 (f_s G_s + f_c G_c), G_s of the qubit legs and G_c of the a-e
-    # leg with the phase of the half-segment, so member i's generator is
-    # c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c) with c_i = T r a omega0
-    # and kappa_i = 4 theta''/(omega0^2 T^2 + 4 theta'^2), the derivatives of
-    # the unit gate (kappa = 0 for the adiabatic flavor).
+    # profile factors (f_s, f_c) = controls._satd_reshape(s, c, kappa_T) at
+    # the unit gate's mixing angle theta, s = sin(theta), c = cos(theta), and
+    # kappa_T = 4 theta''/((omega0 T)^2 + 4 theta'^2) (an infinite gap, so
+    # kappa = 0, for the adiabatic flavor).  Member i's generator is
+    # c_i (f_s G_s + f_c G_c), c_i = T r a omega0, G_s of the qubit legs and
+    # G_c of the a-e leg with the half-segment's phase.  kappa depends on T
+    # alone, so each block of m members of one gate time (m the gcd of the
+    # gate-time runs: one point's scales and inputs in every CLI stack)
+    # shares a generator, made per stage by one (blocks, 2) @ (2, 400) matmul.
+    m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
+    wt = params.omega0 * t_gates[::m]
+    gap_sq = wt * wt if params.flavor is Flavor.SATD else math.inf
+    weights = np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 20).reshape(-1, m, 20)
     g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))
-    satd = params.flavor is Flavor.SATD
-    gap_sq = (params.omega0 * t_gates[:, None]) ** 2
-    weights = np.empty((2 if satd else 1, len(rho0s), 20))
-    weights[0] = coeff = (t_gates * amp_scales * params.omega0 * params.amp_scale)[:, None]
 
     def half_rhs(phase: complex):
         gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 400)
-        mixed = np.empty((2, 20, 20))  # the stage's generators, rewritten by each terms call
-        mix = mixed.reshape(2, 400)
+        factors = np.empty((2, len(wt)))
+        mixed = np.empty((len(wt), 20, 20))  # the stage's generators, rewritten by each terms call
 
         def terms(tau):
             theta, d1, d2 = PulseShape.ramp(1.0, tau)
-            s, c = math.sin(theta), math.cos(theta)
-            if not satd:
-                np.multiply(gens[0], s, out=mix[0])
-                mix[0] += np.multiply(gens[1], c, out=mix[1])
-                return mixed[:1], weights
-            weights[1] = coeff * _satd_correction(d1, d2, gap_sq)  # per member, then along its row
-            np.matmul(np.array(((s, c), (c, -s))), gens, out=mix)
+            factors[0], factors[1] = _satd_reshape(math.sin(theta), math.cos(theta), _satd_correction(d1, d2, gap_sq))
+            np.matmul(factors.T, gens, out=mixed.reshape(len(wt), 400))
             return mixed, weights
 
         return _lindblad_rhs(terms, noise, t_gates)

@@ -281,6 +281,7 @@ def ode_solve(
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
+    t0, t1 = float(t0), float(t1)  # numpy endpoints would make every stage time a numpy scalar
     y = np.array(y0, dtype=complex)
     if t1 == t0:
         return OdeResult(y, 0, 0)

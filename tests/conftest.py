@@ -316,6 +316,35 @@ def lindblad_rhs_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray):
     return rhs
 
 
+def two_generator_stage_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray, t_gates: np.ndarray, phase):
+    """Reference for the packed scaled-time right-hand side of one
+    half-segment of dynamics.propagate_lindblad_batch, in per-member form:
+    member i's generator is c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c),
+    with c_i = T r a omega0 and kappa_i = 4 theta''/((omega0 T)^2 + 4 theta'^2)
+    (no second term for the adiabatic flavor), one real matmul per generator
+    for the whole stack, each product added to the dephasing -T W * rho."""
+    from tripod_sta import dynamics
+    from tripod_sta.controls import _satd_correction
+    from tripod_sta.tripod import _coupling
+
+    p = env.params
+    gens = [dynamics._packed_generator(_coupling(rabi)) for rabi in ([*env.qubit_weights, 0.0], [0.0, 0.0, phase])]
+    coeff = (t_gates * amp_scales * p.omega0 * p.amp_scale)[:, None]
+    gap_sq = (p.omega0 * t_gates[:, None]) ** 2
+    damping = np.repeat(-noise.dephasing_matrix()[dynamics._UPPER], 2) * t_gates[:, None]
+
+    def rhs(tau, u):
+        r = u.view(float)
+        theta, d1, d2 = PulseShape.ramp(1.0, tau)
+        s, c = math.sin(theta), math.cos(theta)
+        out = damping * r + (r @ (gens[0] * s + gens[1] * c)) * coeff
+        if p.flavor is Flavor.SATD:
+            out += (r @ (gens[0] * c - gens[1] * s)) * (coeff * _satd_correction(d1, d2, gap_sq))
+        return out.view(complex)
+
+    return rhs
+
+
 def axial_average_reference(target: np.ndarray, finals) -> np.ndarray:
     """Reference for metrics._axial_average: one 2x2 product and trace per
     final state, each group of six overlaps summed left to right."""

@@ -418,10 +418,12 @@ class TestThresholdScans:
             assert env.max_amplitude == pytest.approx(max_amplitude_reference(env), rel=1e-13)
             assert energy_cost(env, p) == pytest.approx(energy_cost_reference(env), rel=1e-13)
 
-    def test_each_call_builds_one_table_and_caches_nothing(self, monkeypatch):
-        # No diagnostic evaluates the envelope profile in physical time, the
-        # searches build no envelope sets, and a repeat call redoes the same
-        # work as the first.
+    def test_each_table_is_built_once_and_read_only(self, monkeypatch):
+        # No diagnostic evaluates the envelope profile in physical time, and
+        # the searches build no envelope sets.  A call builds its one
+        # unit-gate table unless that table exists already, a repeat call
+        # builds none and returns the same value, and tables and Simpson
+        # weights are read-only.
         ramps = []
         ramp = controls.PulseShape.ramp
 
@@ -442,12 +444,16 @@ class TestThresholdScans:
         for env in envs:
             calls += [(lambda env=env: env.max_amplitude, 4001), (lambda env=env: energy_cost(env, env.params), 1001)]
         for call, size in calls:
+            controls._unit_ramp_table.cache_clear()
             results = []
-            for _ in range(2):
+            for built in ([size], []):
                 ramps.clear()
                 results.append(call())
-                assert ramps == [size]
+                assert ramps == built
             assert results[0] == results[1]
+        for n in (501, 1001):
+            assert not any(column.flags.writeable for column in controls._unit_ramp_table(1.0, n))
+            assert not controls._simpson_weights(n).flags.writeable
 
 
 def test_envelope_rows_layout():

