@@ -6,11 +6,12 @@ the envelope-derivative kink off the interior of a step.
 
 The closed path (propagate_unitary_batch) solves an exact SU(2) problem with
 fourth-order Magnus steps (for the SATD flavor in the nu-dressed frame, where
-its nominal field is diagonal) and step doubling, run in lockstep for every
-half-segment of a whole batch of protocols: the members share each step count
-and its vectorized field calls, and each freezes by its own stopping rule, so
-it gets bit for bit what it gets alone (propagate_unitary is the batch of
-one; the CLI's gate-error sweep is one batch per worker).
+its nominal field is diagonal) and Richardson-extrapolated step doubling,
+run in lockstep for every half-segment of a whole batch of protocols: the
+members share each step count and its vectorized field calls, and each
+freezes by its own stopping rule, so it gets bit for bit what it gets alone
+(propagate_unitary is the batch of one; the CLI's gate-error sweep is one
+batch per worker).
 
 The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
 qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
@@ -92,12 +93,14 @@ class PropagationResult:
     For the Lindblad path steps_accepted and steps_rejected count the
     Dormand-Prince 8(5,3) steps of qmath.ode_solve.  For the closed path (one
     member of propagate_unitary_batch) steps_accepted counts the Magnus steps
-    (in the nu-dressed frame for SATD) of the returned product (both halves)
+    (in the nu-dressed frame for SATD) of the finest product (both halves)
     and steps_rejected those of the coarser meshes the step doubling
     discarded; magnus_steps gives the final step count per half-segment and
-    error_estimate the larger half-segment estimate |U2(2N) - U2(N)|/15.
-    Each member's values are those it gets alone: the lockstep doubling
-    freezes it by its own rule.
+    error_estimate the larger half-segment estimate: |U2(2N) - U2(N)|/15 for
+    a half frozen by the fourth-order rule, the undivided |R(2N) - R(N)| of
+    the Richardson values for one frozen by the Richardson rule.  Each
+    member's values are those it gets alone: the lockstep doubling freezes
+    it by its own rule.
     """
 
     final_operator: np.ndarray
@@ -110,16 +113,25 @@ class PropagationResult:
     error_estimate: float | None = None
 
 
-def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, divisor=1.0, floors=0.0) -> list:
+def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, order=None, floors=0.0) -> list:
     """Lockstep doubling of N from n for one member per name: approx(rows, N)
     stacks the approximations of the members rows at N.  A member is done,
-    and frozen, once N reaches its floor and max|approx(2N) - approx(N)|/divisor
-    is at most tol or stops shrinking at the roundoff plateau.  Returns per
-    member (approx(N), N, estimate), or, for a member still refining past
-    n_max, a NumericalError with its name."""
+    and frozen, once N reaches its floor and one of two rules holds, the
+    first taking precedence:
+    - its estimate max|approx(2N) - approx(N)|/(2^order - 1) (undivided
+      without an order) is at most tol or stops shrinking at the roundoff
+      plateau; it returns approx(2N);
+    - given the order p of a method whose error has only even powers of the
+      step, the Richardson values R(N) = approx(N) + (approx(N) -
+      approx(N/2))/(2^p - 1) meet max|R(2N) - R(N)| <= tol; it returns R(2N),
+      with that undivided difference as its estimate.
+    Returns per member (value, N, estimate), or, for a member still refining
+    past n_max, a NumericalError with its name."""
     rows = np.arange(len(names))
     floors = np.broadcast_to(floors, rows.shape)
+    divisor = 1.0 if order is None else 2.0**order - 1.0
     value, prev_est = approx(rows, n), np.full(len(names), math.inf)
+    extrapolated = None  # R(N) of the refining members, from the second level on
     out: list = [None] * len(names)
     while len(rows):
         if 2 * n > n_max:
@@ -128,10 +140,21 @@ def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float
             break
         finer = approx(rows, 2 * n)
         n *= 2
-        est = np.max(np.abs(finer - value).reshape(len(rows), -1), axis=1) / divisor
-        done = ((est <= tol) | ((prev_est <= est) & (est <= ROUNDOFF_ESTIMATE))) & (floors[rows] <= n)
+        step = finer - value
+        est = np.max(np.abs(step).reshape(len(rows), -1), axis=1) / divisor
+        floor_met = floors[rows] <= n
+        done = ((est <= tol) | ((prev_est <= est) & (est <= ROUNDOFF_ESTIMATE))) & floor_met
         for k in np.flatnonzero(done):
             out[rows[k]] = (finer[k], n, float(est[k]))
+        if order is not None:
+            richer = finer + step / divisor
+            if extrapolated is not None:
+                ext_est = np.max(np.abs(richer - extrapolated).reshape(len(rows), -1), axis=1)
+                converged = (ext_est <= tol) & floor_met & ~done
+                for k in np.flatnonzero(converged):
+                    out[rows[k]] = (richer[k], n, float(ext_est[k]))
+                done |= converged
+            extrapolated = richer[~done]
         rows, value, prev_est = rows[~done], finer[~done], est[~done]
     return out
 
@@ -149,13 +172,19 @@ def propagate_unitary_batch(
     tripod.lab_operator call takes the U2' and U2'' of every member, the SU(2)
     propagators of c(t).sigma/2 over the two halves, to the lab frame.  Every
     half-segment is a qmath.magnus_su2 product, and all of them double their
-    step count in lockstep, sharing the field calls; each freezes once its
-    own doubling estimate is at most rel_tol + abs_tol or plateaus at
-    roundoff, an SATD member at 2/u* steps or more: nu turns by pi/4 within
+    step count in lockstep, sharing the field calls; each freezes by its own
+    rule, an SATD member at 2/u* steps or more: nu turns by pi/4 within
     u* = sqrt(omega0*t_g/(60 pi)) of the segment ends, unseen on a coarser
-    mesh.  A half-segment still refining past MAGNUS_MAX_STEPS, or a
-    unitarity defect above 10*rel_tol + UNITARITY_ROUNDOFF, raises
-    NumericalError with member set to the first failing member.
+    mesh.  The fourth-order rule returns U2(2N) once |U2(2N) - U2(N)|/15 is
+    at most rel_tol + abs_tol or plateaus at roundoff.  The product is
+    symmetric, so its error has only even powers of the step, and
+    R(N) = U2(N) + (U2(N) - U2(N/2))/15 is sixth order: otherwise the
+    Richardson rule returns R(2N) once |R(2N) - R(N)| <= rel_tol + abs_tol
+    (see _refine_by_doubling).  Either estimate is per half-segment, so the
+    full-gate error may exceed rel_tol.  A half-segment still refining past
+    MAGNUS_MAX_STEPS, or a unitarity defect above
+    10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with member set to
+    the first failing member.
     """
     if not params:
         raise ValueError("params must hold at least one protocol")
@@ -165,12 +194,12 @@ def propagate_unitary_batch(
     t1 = np.stack([0.5 * tgs, tgs], -1).ravel()
 
     def approx(rows, n):
-        return magnus_su2(lambda c, t: frame_field([params[i // 2] for i in rows[c]], t, True), t0[rows], t1[rows], n)
+        return magnus_su2(lambda c, t: frame_field([params[i // 2] for i in rows[c]], t), t0[rows], t1[rows], n)
 
     names = [f"Magnus step doubling on [{a:g}, {b:g}]" for a, b in zip(t0, t1)]
     tol = cfg.rel_tol + cfg.abs_tol
     floors = [2.0 * math.sqrt(60.0 * math.pi / (p.omega0 * p.t_gate)) if p.flavor is Flavor.SATD else 0 for p in params]
-    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 15.0, np.repeat(floors, 2))
+    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 4, np.repeat(floors, 2))
     # The members before the first whose doubling failed, if any, reach the lab frame.
     failed = next((j for j, half in enumerate(halves) if isinstance(half, NumericalError)), 2 * len(params))
     first, second = (np.array([h[0] for h in halves[k : 2 * (failed // 2) : 2]]).reshape(-1, 2, 2) for k in (0, 1))

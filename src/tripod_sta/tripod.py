@@ -89,11 +89,11 @@ def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.n
     return s
 
 
-def frame_field(params: list[ControlParams], t: np.ndarray, dressed: bool = False) -> tuple:
+def frame_field(params: list[ControlParams], t: np.ndarray) -> tuple:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
     S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z of
-    protocol params[j] at the times t[j], t of shape (members, n); each
-    component broadcasts against t.
+    protocol params[j] at the times t[j], t of shape (members, n), for an SATD
+    member in the nu-dressed frame; each component broadcasts against t.
 
     c = (r*omega0*kappa/2, theta_dot, -r*omega0/2) with r = amp_scale and
     kappa = controls._satd_correction at the nominal omega0 (0 for the
@@ -101,10 +101,10 @@ def frame_field(params: list[ControlParams], t: np.ndarray, dressed: bool = Fals
     column.  |0t> decouples, and the a-e leg's phase step enters no term
     inside a half-segment: the segmented frame change carries it.
 
-    With dressed, an SATD member's field is _dressed by tan(nu) =
-    2*theta_dot/omega0, in closed form: ((r - 1)*omega0*kappa/2,
-    (1 - r)*omega0*theta_dot/R, -(r*omega0^2 + 4*theta_dot^2)/(2R)) with
-    R = sqrt(omega0^2 + 4*theta_dot^2), the diagonal (0, 0, -R/2) at r = 1.
+    An SATD member's field is that c _dressed by tan(nu) = 2*theta_dot/omega0,
+    in closed form: ((r - 1)*omega0*kappa/2, (1 - r)*omega0*theta_dot/R,
+    -(r*omega0^2 + 4*theta_dot^2)/(2R)) with R = sqrt(omega0^2 +
+    4*theta_dot^2), the diagonal (0, 0, -R/2) at r = 1.
     """
     rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params]
     w, r, satd, tg = np.array(rows).T[..., None]
@@ -112,7 +112,7 @@ def frame_field(params: list[ControlParams], t: np.ndarray, dressed: bool = Fals
     half_gap = 0.5 * r * w
     kappa = np.where(satd, _satd_correction(td, tdd, w * w), 0.0)
     c = (half_gap * kappa, td, -half_gap)
-    if not (dressed and satd.any()):
+    if not satd.any():
         return c
     root = np.sqrt(w * w + 4.0 * td * td)
     dressed_c = (c[0] - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root))

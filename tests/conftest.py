@@ -9,10 +9,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, PulseShape, satd_dressing_angle
+from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction, satd_dressing_angle
+from tripod_sta.dynamics import MAGNUS_MAX_STEPS, MAGNUS_MIN_STEPS, ROUNDOFF_ESTIMATE
 from tripod_sta.oracles import _collapse_vector
-from tripod_sta.qmath import IntegratorConfig, OdeResult, OdeStepUnderflow, max_abs
-from tripod_sta.tripod import _dressed, frame_change, frame_ends, frame_field, hamiltonian
+from tripod_sta.qmath import IntegratorConfig, OdeResult, OdeStepUnderflow, magnus_su2, max_abs
+from tripod_sta.tripod import _dressed, frame_change, frame_ends, frame_field, hamiltonian, lab_operator
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
 OMEGA0 = 2.0 * math.pi
@@ -46,9 +47,48 @@ def frame_at(params: ControlParams, shape: PulseShape, t: float, segment: int | 
     return frame_change(params, shape(t)[0], seg == 2)
 
 
+def undressed_frame_field(params: ControlParams, t):
+    """The adiabatic-frame field (c_x, c_y, c_z) = (r*omega0*kappa/2,
+    theta_dot, -r*omega0/2) of one protocol at the times t, with kappa =
+    controls._satd_correction (0 for the adiabatic flavor): tripod.frame_field
+    before the nu-dressing of an SATD member."""
+    w, r = params.omega0, params.amp_scale
+    _, td, tdd = PulseShape.ramp(params.t_gate, t)
+    kappa = _satd_correction(td, tdd, w * w) if params.flavor is Flavor.SATD else 0.0
+    return 0.5 * r * w * kappa, td, -0.5 * r * w
+
+
 def frame_field_at(params: ControlParams, t: float) -> tuple[float, float, float]:
-    """tripod.frame_field of one protocol at one time t."""
-    return tuple(float(c[0, 0]) for c in frame_field([params], np.array([[float(t)]])))
+    """undressed_frame_field of one protocol at one time t."""
+    return tuple(float(c) for c in undressed_frame_field(params, float(t)))
+
+
+def fourth_order_unitary(params: ControlParams, cfg: IntegratorConfig) -> tuple[np.ndarray, tuple[int, int]]:
+    """Lab-frame U(t_gate) and the step count per half-segment of
+    dynamics.propagate_unitary under the fourth-order doubling rule alone:
+    each half doubles N from MAGNUS_MIN_STEPS and returns U(2N) once
+    max|U(2N) - U(N)|/15 is at most rel_tol + abs_tol or stops shrinking at
+    ROUNDOFF_ESTIMATE, with 2N at or above the SATD floor 2/u*."""
+    tol = cfg.rel_tol + cfg.abs_tol
+    satd = params.flavor is Flavor.SATD
+    floor = 2.0 * math.sqrt(60.0 * math.pi / (params.omega0 * params.t_gate)) if satd else 0.0
+    halves = []
+    for t0, t1 in ((0.0, 0.5 * params.t_gate), (0.5 * params.t_gate, params.t_gate)):
+
+        def at(n: int) -> np.ndarray:
+            return magnus_su2(lambda rows, t: frame_field([params], t), np.array([t0]), np.array([t1]), n)[0]
+
+        n, u, prev = MAGNUS_MIN_STEPS, at(MAGNUS_MIN_STEPS), math.inf
+        while True:
+            assert n < MAGNUS_MAX_STEPS, "the reference doubling did not converge"
+            finer, n = at(2 * n), 2 * n
+            est = max_abs(finer - u) / 15.0
+            if n >= floor and (est <= tol or prev <= est <= ROUNDOFF_ESTIMATE):
+                break
+            u, prev = finer, est
+        halves.append((finer, n))
+    (first, n1), (second, n2) = halves
+    return lab_operator([params], first[None], second[None])[0], (n1, n2)
 
 
 # Pauli matrices, for reading rotation axes out of 2x2 blocks.
@@ -251,7 +291,7 @@ def dissipator_superoperator(l_op: np.ndarray) -> np.ndarray:
 
 def dressed_frame_hamiltonian(params, nu, t: float) -> np.ndarray:
     """S_nu^dag (S_ad^dag H S_ad - i S_ad^dag dS_ad/dt) S_nu - nu_dot*J_X with
-    S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field."""
+    S_nu = exp(-i*nu*J_X), in frame ordering: the nu-dressed frame_field_at."""
     cx, cy, cz = _dressed(frame_field_at(params, t), nu, t)
     return cx * J_X + cy * J_Y + cz * J_Z
 

@@ -8,6 +8,7 @@ from conftest import (
     dissipator_superoperator,
     dopri5_solve,
     dopri5_unitary,
+    fourth_order_unitary,
     hamiltonian_superoperator,
     leak_lindblad_rhs,
     lindblad_rhs_reference,
@@ -132,16 +133,28 @@ class TestMagnusPath:
         res = propagate_unitary(p, env, CFG)
         assert max_abs(res.final_operator - dopri5_unitary(env, REFERENCE)) <= 1e-9
 
-    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
-    def test_estimate_falls_fourth_order(self, flavor):
-        p = params(5.0, flavor)
-
+    @staticmethod
+    def _first_half_products(p, counts):
         def field(rows, t):
             return frame_field([p], t)
 
-        us = [magnus_su2(field, np.array([0.0]), np.array([2.5]), n)[0] for n in (64, 128, 256, 512)]
+        return [magnus_su2(field, np.array([0.0]), np.array([0.5 * p.t_gate]), n)[0] for n in counts]
+
+    # Both fields are non-diagonal: SATD's nu-dressed field is diagonal at amp_scale 1 only.
+    @pytest.mark.parametrize("flavor, amp_scale", [(Flavor.ADIABATIC, 1.0), (Flavor.SATD, 1.13)])
+    def test_estimate_falls_fourth_order(self, flavor, amp_scale):
+        us = self._first_half_products(params(5.0, flavor, amp_scale=amp_scale), (64, 128, 256, 512))
         estimates = [max_abs(b - a) / 15.0 for a, b in zip(us, us[1:])]
         assert all(a >= 12.0 * b for a, b in zip(estimates, estimates[1:])), estimates
+
+    @pytest.mark.parametrize("flavor, amp_scale", [(Flavor.ADIABATIC, 1.0), (Flavor.SATD, 1.13)])
+    def test_richardson_difference_falls_sixth_order(self, flavor, amp_scale):
+        # The GL2 Magnus product is symmetric, so its error has only even
+        # powers of h and R(N) = U(N) + (U(N) - U(N/2))/15 is sixth order.
+        us = self._first_half_products(params(5.0, flavor, amp_scale=amp_scale), (32, 64, 128, 256))
+        richardson = [b + (b - a) / 15.0 for a, b in zip(us, us[1:])]
+        differences = [max_abs(b - a) for a, b in zip(richardson, richardson[1:])]
+        assert differences[0] >= 48.0 * differences[1], differences
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     def test_diagnostics_report_the_doubling(self, flavor):
@@ -178,6 +191,22 @@ class TestMagnusPath:
         res = propagate_unitary(p, make_envelopes(p), CFG)
         assert max(res.magnus_steps) <= 64
 
+    @pytest.mark.parametrize("cycles", [1e-6, 0.3, 2.5, 30.0, 1e3, 1e5])
+    @pytest.mark.parametrize("amp_scale", [0.87, 1.0, 1.13])
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_richardson_rule_never_costs_steps_or_accuracy(self, flavor, amp_scale, cycles):
+        # The Richardson rule only adds a way to freeze: per half-segment N is
+        # at most that of the fourth-order rule alone, and the full-gate error
+        # against a tight run is no larger, up to roundoff.
+        p = params(cycles, flavor, amp_scale=amp_scale)
+        tight = propagate_unitary_batch([p], IntegratorConfig(1e-13, 1e-15))[0].final_operator
+        for rel_tol in (1e-6, 1e-8, 1e-10):
+            cfg = IntegratorConfig(rel_tol, 1e-2 * rel_tol)
+            res = propagate_unitary_batch([p], cfg)[0]
+            u4, n4 = fourth_order_unitary(p, cfg)
+            assert all(n <= m for n, m in zip(res.magnus_steps, n4)), (rel_tol, res.magnus_steps, n4)
+            assert max_abs(res.final_operator - tight) <= max_abs(u4 - tight) + 1e-13, rel_tol
+
     def test_unitarity_breach_raises(self, monkeypatch):
         monkeypatch.setattr(tripod, "spin1_image", lambda u: 1.001 * np.eye(4, dtype=complex))
         p = params(2.0)
@@ -192,7 +221,9 @@ class TestMagnusPath:
 
 def _mixed_batch(plateau: bool) -> list:
     """Both flavors at four gate times and two amplitude scales, and SATD at
-    two short gates whose step floor lies above MAGNUS_MIN_STEPS.  t_g = 1e-6
+    two short gates whose step floor lies above MAGNUS_MIN_STEPS: at rel_tol
+    1e-8 and 1e-10 the fourth-order and the Richardson rule each freeze some
+    members, at the plateau tolerance the roundoff plateau does.  t_g = 1e-6
     cycles is left out at the plateau tolerance, where it alone takes 2^20
     steps per half-segment."""
     times = (0.7, 2.0, 30.0) if plateau else (1e-6, 0.7, 2.0, 30.0)
@@ -211,6 +242,14 @@ class TestUnitaryBatch:
         batch = propagate_unitary_batch(ps, cfg)
         assert len(batch) == len(ps)
         assert len({res.magnus_steps for res in batch}) > 2  # members freeze at different N
+        tol = cfg.rel_tol + cfg.abs_tol
+        if rel_tol < 1e-200:
+            assert any(res.error_estimate > tol for res in batch)  # frozen at the plateau
+        else:
+            # A member frozen by the Richardson rule stops below the fourth-order rule's N.
+            steps = [(res.magnus_steps, fourth_order_unitary(p, cfg)[1]) for p, res in zip(ps, batch)]
+            below = [any(n < m for n, m in zip(*pair)) for pair in steps]
+            assert any(below) and not all(below)
         for p, res in zip(ps, batch):
             alone = propagate_unitary(p, make_envelopes(p), cfg)
             for name in (
@@ -228,9 +267,9 @@ class TestUnitaryBatch:
         sizes = []
         real = dynamics.frame_field
 
-        def recording(params, t, *dressed):
+        def recording(params, t):
             sizes.append((len(params), t.size // 2))
-            return real(params, t, *dressed)
+            return real(params, t)
 
         monkeypatch.setattr(dynamics, "frame_field", recording)
         propagate_unitary_batch(_mixed_batch(plateau=False), IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))

@@ -16,6 +16,7 @@ from conftest import (
     params,
     random_unitary,
     series_expm,
+    undressed_frame_field,
 )
 from tripod_sta.qmath import gauss_legendre, su2_exponential
 from tripod_sta.controls import (
@@ -348,15 +349,15 @@ class TestDressedFrame:
         assert np.max(np.abs(xy)) > 1e-3
 
     def test_dressed_frame_field_is_the_dressing_in_closed_form(self):
-        # frame_field with dressed: _dressed by the SATD angle for SATD members,
-        # the adiabatic-frame field, bit for bit, for adiabatic ones.
+        # frame_field: the undressed field _dressed by the SATD angle for SATD
+        # members, the undressed field, bit for bit, for adiabatic ones.
         ps = [params(tg, flavor, amp_scale=r) for tg in (0.01, 2.0) for flavor in Flavor for r in (0.87, 1.0, 1.13)]
         ts = np.array([np.linspace(0.0, p.t_gate, 41) for p in ps])
-        fields = np.array(np.broadcast_arrays(*frame_field(ps, ts, True)))
+        fields = np.array(np.broadcast_arrays(*frame_field(ps, ts)))
         for j, p in enumerate(ps):
             if p.flavor is Flavor.ADIABATIC:
-                adiabatic = np.array(np.broadcast_arrays(*frame_field([p], ts[j : j + 1])))
-                assert np.array_equal(fields[:, j], adiabatic[:, 0])
+                undressed = np.array(np.broadcast_arrays(*undressed_frame_field(p, ts[j])))
+                assert np.array_equal(fields[:, j], undressed)
                 continue
             nu = satd_dressing_angle(p, make_pulse_shape(p.t_gate))
             for k, t in enumerate(ts[j]):
