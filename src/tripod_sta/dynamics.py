@@ -20,13 +20,14 @@ integrates a whole stack of density matrices (the four independent axial
 inputs at every amplitude scale of every gate time of a noise-map chunk) on
 one shared mesh, each member with its own gate time and amplitude scale, each
 stored as its packed upper triangle.  Members of one gate time share one 20x20
-commutator generator per stage, built with controls._satd_reshape, so the
-right-hand side is one batched real matmul of the packed float view, weighted
-per member: the diagonal stays exactly real and every unpacked state is
-exactly Hermitian.  Each half-segment solve makes its right-hand side's
-buffers once, so nothing is shared between solves or sweep workers.  Every
-accepted step of the shared mesh meets the stepper's combined error criterion
-over the whole stack, not that of each member's own solve.
+commutator generator per stage, built with controls._satd_reshape for all
+twelve stages of a step at once, as soon as the stepper announces their
+times; the right-hand side is one batched real matmul of the packed float
+view, weighted per member: the diagonal stays exactly real and every unpacked
+state is exactly Hermitian.  Each half-segment solve makes its right-hand
+side's buffers once, so nothing is shared between solves or sweep workers.
+Every accepted step of the shared mesh meets the stepper's combined error
+criterion over the whole stack, not that of each member's own solve.
 """
 
 from __future__ import annotations
@@ -382,7 +383,11 @@ def propagate_lindblad_batch(
     # G_c of the a-e leg with the half-segment's phase.  kappa depends on T
     # alone, so each block of m members of one gate time (m the gcd of the
     # gate-time runs: one point's scales and inputs in every CLI stack)
-    # shares a generator, made per stage by one (blocks, 2) @ (2, 400) matmul.
+    # shares a generator.  A half-segment builds those of a step's twelve
+    # stage times in one pass as ode_solve announces them (one ramp per time,
+    # then one stacked matmul of (blocks, 2) @ (2, 400) per time), and
+    # terms(tau) reads the row of tau; a time no step announced (the DOPRI5
+    # reference drives the same rhs) gets its own row from the same build.
     m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
     wt = params.omega0 * t_gates[::m]
     gap_sq = wt * wt if params.flavor is Flavor.SATD else math.inf
@@ -390,21 +395,40 @@ def propagate_lindblad_batch(
     g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))
 
     def half_rhs(phase: complex):
+        """The half-segment's rhs and its ode_solve stage_times hook."""
         gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 400)
-        factors = np.empty((2, len(wt)))
-        mixed = np.empty((len(wt), 20, 20))  # the stage's generators, rewritten by each terms call
+        # The generators of the announced times, then a row for an unannounced one.
+        table = np.empty((13, len(wt), 20, 20))
+        rows: dict = {}
+
+        def build(taus: list, out: np.ndarray) -> None:
+            # The ramp on floats: a dozen scalar calls cost less than one on an array.
+            ramps = [PulseShape.ramp(1.0, tau) for tau in taus]
+            s, c, d1, d2 = np.array([(math.sin(th), math.cos(th), d1, d2) for th, d1, d2 in ramps]).T[..., None]
+            factors = np.empty((len(taus), 2, len(wt)))
+            factors[:, 0], factors[:, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
+            np.matmul(factors.swapaxes(1, 2), gens, out=out.reshape(len(taus), len(wt), 400))
+
+        def announce(taus: np.ndarray) -> None:
+            taus = taus.tolist()
+            build(taus, table[: len(taus)])
+            rows.clear()
+            rows.update(zip(taus, range(len(taus))))
 
         def terms(tau):
-            theta, d1, d2 = PulseShape.ramp(1.0, tau)
-            factors[0], factors[1] = _satd_reshape(math.sin(theta), math.cos(theta), _satd_correction(d1, d2, gap_sq))
-            np.matmul(factors.T, gens, out=mixed.reshape(len(wt), 400))
-            return mixed, weights
+            row = rows.get(tau)
+            if row is None:
+                row = 12
+                build([tau], table[row:])
+            return table[row], weights
 
-        return _lindblad_rhs(terms, noise, t_gates)
+        return _lindblad_rhs(terms, noise, t_gates), announce
 
     try:
-        first = ode_solve(half_rhs(1.0), _pack(hermitize(rho0s)), 0.0, 0.5, cfg)
-        second = ode_solve(half_rhs(env.phase_jump), first.y, 0.5, 1.0, cfg)
+        rhs, announce = half_rhs(1.0)
+        first = ode_solve(rhs, _pack(hermitize(rho0s)), 0.0, 0.5, cfg, stage_times=announce)
+        rhs, announce = half_rhs(env.phase_jump)
+        second = ode_solve(rhs, first.y, 0.5, 1.0, cfg, stage_times=announce)
     except OdeStepUnderflow as exc:
         raise type(exc)(exc.t, "tau", int(np.argmax(t_gates))) from None
     rhos = _unpack(second.y)

@@ -58,7 +58,9 @@ class IntegratorConfig:
     :func:`ode_solve`, of the Magnus step doubling in
     dynamics.propagate_unitary_batch and of the node doubling in
     oracles.dissipative_magnus_map.  Both lie below 1: every
-    reported gate or map error lies in [0, 1] and is zeroed below rel_tol.
+    numerical gate or map error lies in [0, 1] and is zeroed below rel_tol
+    (the leading-order predictions of metrics.closed_form_fidelities are not
+    clamped above).
     abs_tol must be at least ABS_TOL_FLOOR."""
 
     rel_tol: float = 1e-10
@@ -184,6 +186,8 @@ _DP_C = (
     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
 )
+# The nodes of stages 1-12, whose stage times t + c_i*h ode_solve forms as one array.
+_DP_NODES = np.array(_DP_C[1:])
 _DP_A = (
     (),
     (5.26001519587677318785587544488e-2,),
@@ -251,6 +255,8 @@ _DP_E = np.array((
         0.0, 0.220588235294117647058823529412e-1,
     )),
 ))
+# What each step scales by h in one pass: the stage tableau, then the error rows.
+_DP_TABLEAU = np.concatenate([_DP_STAGES, _DP_E])
 
 
 def ode_solve(
@@ -259,6 +265,8 @@ def ode_solve(
     t0: float,
     t1: float,
     cfg: IntegratorConfig = IntegratorConfig(),
+    *,
+    stage_times: Callable[[np.ndarray], None] | None = None,
 ) -> OdeResult:
     """Integrate dy/dt = rhs(t, y) from t0 to t1 for a complex array y with
     the adaptive Dormand-Prince 8(5,3) stepper (DOP853).
@@ -269,15 +277,22 @@ def ode_solve(
     is accepted when e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step
     size scales with that ratio to the power -1/8.  The twelve stages of a
     step and the FSAL stage are the rows of one (13, y.size) array.  Each
-    step scales the (13, 12) stage tableau by h once, and each stage argument
-    is one real tableau-row product with the stages' float view, written
-    into a preallocated row and then added to y; the error estimates go to a
-    preallocated buffer too.  Each rhs result is copied into its stage row
-    before the next call, so rhs may return a buffer it reuses; the y it is
-    handed is a row the stepper rewrites, so rhs must not keep it.  The last
-    stage of an accepted step is the first of the next (FSAL), so a solve
-    costs 1 + 12*(accepted + rejected) rhs evaluations.  A solve that needs
+    step scales the (13, 12) stage tableau and the two error rows by h in
+    one product, and each stage argument is one real tableau-row product
+    with the stages' float view, written into a preallocated row and then
+    added to y; the error estimates go to a preallocated buffer too.  Each
+    rhs result is copied into its stage row before the next call, so rhs may
+    return a buffer it reuses; the y it is handed is a row the stepper
+    rewrites, so rhs must not keep it.  The last stage of an accepted step
+    is the first of the next (FSAL), so a solve costs
+    1 + 12*(accepted + rejected) rhs evaluations.  A solve that needs
     more than ODE_MAX_STEPS attempts raises OdeStepLimit.
+
+    stage_times, if given, is called with the float array [t0] before the
+    first stage and, before the stages of each attempted step, with that
+    step's twelve stage times t + c_i*h, whose Python floats are exactly the
+    times rhs then receives, in order: an rhs can precompute what it needs
+    for a whole step in one vectorized pass.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -291,6 +306,8 @@ def ode_solve(
     t = t0
     ks = np.empty((13, y.size), dtype=complex)
     kf = ks.view(float)
+    if stage_times is not None:
+        stage_times(np.array([t]))
     ks[0] = rhs(t, y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
     scale = max_abs(ks[0])
@@ -300,24 +317,31 @@ def ode_solve(
 
     accepted = rejected = 0
     abs_y = np.abs(y)
-    # Buffers of one step: h times the stage tableau, the stage arguments
+    # Buffers of one step: h times the tableau, the stage arguments
     # (row 0 for stages 1-11, row 1, the new state, for the FSAL stage) as
     # float and rhs-shaped views, and the two error estimates.
-    hs, (rows, errs) = np.empty_like(_DP_STAGES), np.empty((2, 2, y.size), dtype=complex)
+    hs, (rows, errs) = np.empty_like(_DP_TABLEAU), np.empty((2, 2, y.size), dtype=complex)
     args, y8, yf = [(row.view(float), row.reshape(shape)) for row in rows], rows[1], y.view(float)
+    # Per stage i: its row of hs, the stages it weighs, its argument (float
+    # and rhs-shaped views) and its own row of ks, as views made once; then
+    # the same for the error estimates.
+    stages = [(hs[i, :i], kf[:i], *args[i == 12], ks[i]) for i in range(1, 13)]
+    error_weights, error_stages, error_out = hs[13:], kf[:12], errs.view(float)
     while t < t1:
         h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
         if accepted + rejected == ODE_MAX_STEPS:
             raise OdeStepLimit(t)
-        np.multiply(_DP_STAGES, h, out=hs)
-        for i in range(1, 13):
-            arg, shaped = args[i == 12]
-            np.dot(hs[i, :i], kf[:i], out=arg)
+        np.multiply(_DP_TABLEAU, h, out=hs)
+        times = t + _DP_NODES * h
+        if stage_times is not None:
+            stage_times(times)
+        for tau, (weights, earlier, arg, shaped, k) in zip(times.tolist(), stages):
+            np.dot(weights, earlier, out=arg)
             arg += yf
-            ks[i] = rhs(t + _DP_C[i] * h, shaped).ravel()
-        np.dot(h * _DP_E, kf[:12], out=errs.view(float))
+            k[...] = rhs(tau, shaped).ravel()
+        np.dot(error_weights, error_stages, out=error_out)
         abs_y8 = np.abs(y8)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)
         # Floats, so h and every stage time handed to rhs stay numpy-free.

@@ -320,7 +320,7 @@ class TestConfigHandling:
         ]
         # An abs_tol below the floor cannot be met; it used to exit 3 or nearly hang.
         + [(kind, "integrator.abs_tol", 0.9 * ABS_TOL_FLOOR) for kind in sorted(MINIMAL_CFGS)]
-        # Every error lies in [0, 1], so a tolerance of 1 or more zeroed them all.
+        # Every numerical error lies in [0, 1], so a tolerance of 1 or more zeroed them all.
         + [(kind, f"integrator.{tol}", 1.0) for kind in sorted(MINIMAL_CFGS) for tol in ("rel_tol", "abs_tol")]
         + [(kind, "noise.gamma_phi", "x") for kind in sorted(MINIMAL_CFGS)]
         + [

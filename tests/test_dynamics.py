@@ -493,8 +493,8 @@ class TestPropagateLindblad:
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
         solves = []
 
-        def recording(rhs, y0, t0, t1, cfg):
-            res = ode_solve(rhs, y0, t0, t1, cfg)
+        def recording(rhs, y0, t0, t1, cfg, **kw):
+            res = ode_solve(rhs, y0, t0, t1, cfg, **kw)
             solves.append((rhs, t0, t1, res))
             return res
 
@@ -607,6 +607,53 @@ class TestPropagateLindblad:
         assert blocks == [3, 3, len(rho0s), len(rho0s)]
         got = np.stack([res.final_operator for res in interleaved])
         assert max_abs(got - np.stack([res.final_operator for res in runs])[order]) < 1e-13
+
+    @staticmethod
+    def _noise_map_solve(monkeypatch, flavor):
+        """The noise-map stack through propagate_lindblad_batch at 2 cycles:
+        each half-segment's (rhs, stage_times hook, OdeResult)."""
+        solves = []
+
+        def recording(rhs, y0, t0, t1, cfg, **kw):
+            solves.append((rhs, kw["stage_times"], ode_solve(rhs, y0, t0, t1, cfg, **kw)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(dynamics, "ode_solve", recording)
+        rho0s, amp_scales, t_gates = TestPropagateLindblad._noise_map_stack()
+        p = params(2.0, flavor)
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
+        propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
+        assert len(solves) == 2
+        return solves, dynamics._pack(hermitize(rho0s))
+
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_rhs_at_an_unannounced_time_equals_the_announced_value(self, monkeypatch, flavor):
+        # The generators of announced stage times come from the step's table;
+        # a time no step announced (the DOPRI5 reference asks for such times)
+        # gets its own row from the same build, bit for bit.
+        solves, y = self._noise_map_solve(monkeypatch, flavor)
+        for (rhs, announce, _), taus in zip(solves, ([0.05, 0.25, 0.45], [0.55, 0.75, 0.95])):
+            announce(np.array(taus))
+            announced = [rhs(tau, y).copy() for tau in taus]
+            announce(np.array([0.5]))
+            assert all(np.array_equal(rhs(tau, y), value) for tau, value in zip(taus, announced))
+
+    def test_a_solve_builds_generators_once_per_attempted_step(self, monkeypatch):
+        # One build for the first stage and one per attempted step, each
+        # covering that step's twelve stage times; each build reshapes the
+        # profile factors once.
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return _satd_reshape(*args)
+
+        monkeypatch.setattr(dynamics, "_satd_reshape", counting)
+        solves, _ = self._noise_map_solve(monkeypatch, Flavor.SATD)
+        attempts = [res.steps_accepted + res.steps_rejected for _, _, res in solves]
+        assert min(attempts) > 0
+        assert len(builds) == sum(1 + n for n in attempts)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_nonfinite_or_nonpositive_gate_times(self, bad):

@@ -127,6 +127,36 @@ def test_ode_reuses_the_last_stage():
     assert len(evals) == 1 + 12 * (res.steps_accepted + res.steps_rejected)
 
 
+def test_ode_stage_times_announce_each_step_before_its_stages():
+    # The stage_times hook gets [t0] before the first stage and then each
+    # attempted step's stage times, as exactly the floats rhs receives next,
+    # in order; it changes neither the mesh nor the result.
+    log = []
+
+    def rhs(t, y):
+        log.append(t)
+        return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
+
+    def hook(taus):
+        assert taus.dtype == float
+        log.append(taus.copy())
+
+    cfg = IntegratorConfig(1e-8, 1e-10)
+    plain = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, cfg)
+    plain_times = log.copy()
+    log.clear()
+    hinted = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, cfg, stage_times=hook)
+    assert hinted.steps_rejected > 0
+    assert (hinted.steps_accepted, hinted.steps_rejected) == (plain.steps_accepted, plain.steps_rejected)
+    assert np.array_equal(hinted.y, plain.y)
+    announced = [i for i, entry in enumerate(log) if isinstance(entry, np.ndarray)]
+    assert len(announced) == 1 + hinted.steps_accepted + hinted.steps_rejected
+    assert [len(log[i]) for i in announced] == [1] + [12] * (len(announced) - 1)
+    for i in announced:
+        assert log[i + 1 : i + 1 + len(log[i])] == log[i].tolist()
+    assert [t for t in log if not isinstance(t, np.ndarray)] == plain_times
+
+
 def test_ode_result_does_not_depend_on_a_reused_rhs_buffer(rng):
     # Each stage is copied out of what rhs returns before the next call, so
     # an rhs may return the same buffer every time.
@@ -155,10 +185,12 @@ def test_ode_result_does_not_depend_on_a_reused_rhs_buffer(rng):
 
 def test_ode_stage_times_are_python_floats():
     # The step size and every stage time stay Python floats, also after a
-    # rejected step and from numpy endpoints, so the Lindblad rhs does its
-    # scalar ramp arithmetic without numpy scalars (PulseShape.ramp took
-    # 5.5 us per call on a numpy scalar against 1.0 us on a float, timeit on
-    # one x86-64 core), a slowdown no result shows.
+    # rejected step and from numpy endpoints.  The Lindblad rhs looks its
+    # generators up by the float stage time that the stage_times hook
+    # announced, and at a time no step announced it does its scalar ramp
+    # arithmetic on that time: on a numpy scalar PulseShape.ramp took 5.5 us
+    # per call against 1.0 us on a float (timeit on one x86-64 core), a
+    # slowdown no result shows.
     types = set()
 
     def rhs(t, y):
@@ -201,7 +233,7 @@ def test_integrator_config_validation():
         IntegratorConfig(rel_tol=math.nan)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=math.inf)
-    # Every reported error lies in [0, 1]: a tolerance of 1 would zero them all.
+    # Every numerical error lies in [0, 1]: a tolerance of 1 would zero them all.
     for tol in (1.0, 2.0):
         with pytest.raises(ValueError, match="rel_tol must be < 1"):
             IntegratorConfig(rel_tol=tol)
