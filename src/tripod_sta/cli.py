@@ -5,9 +5,9 @@ times are given in cycles (omega0*t_g/2pi) and dephasing rates in units of
 omega0/2pi.  Identical configs produce byte-identical CSV files; parallel and
 serial runs yield the same sorted rows.
 
-Each kind splits its sweep into tasks: one per grid point or contour rate
-pair and flavor, for gate-error one contiguous lockstep batch of points per
-job, and for noise-map one contiguous chunk of each flavor's grid per
+Each kind splits its sweep into tasks: one per contour rate pair and flavor,
+for gate-error one contiguous lockstep batch of points per job, and for
+noise-map and oracle-compare one contiguous chunk of each flavor's grid per
 Lindblad solve (metrics.point_chunks, set by the config alone).  Every
 Lindblad map is solved by metrics.nominal_and_uncertainty_avg.  The tasks
 run on at most --jobs worker processes, and a numerical failure names the
@@ -42,6 +42,7 @@ from .controls import (
 from .dynamics import NoiseModel, NumericalError, propagate_unitary_batch
 from .metrics import (
     MAX_UNCERTAINTY_NODES,
+    _failing_member,
     analytic_satd_dephasing_fidelity,
     avg_gate_fidelity,
     clamp_error,
@@ -334,17 +335,13 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
 
 def _run_task(task: tuple[SweepSpec, dict]) -> list[tuple]:
     """Rows of one task; a NumericalError names its point: the failure's
-    `point`, else a batch task's failing member of `points` (the first, if the
-    failure is tied to none), else the task's arguments, if it has any.  A
-    Lindblad solve ties a stalled step to its longest gate."""
+    `point` (contour), else the task's failing member of `points` (the first,
+    if the failure is tied to none)."""
     spec, args = task
     try:
         return KINDS[spec.kind].rows(spec, **args)
     except NumericalError as exc:
-        if not args:
-            raise
-        member = exc.member or 0
-        point = getattr(exc, "point", None) or (args["points"][member] if "points" in args else args)
+        point = getattr(exc, "point", None) or args["points"][exc.member or 0]
         desc = ", ".join(f"{name}={value}" for name, value in point.items())
         raise NumericalError(f"at ({desc}): {exc}") from exc
 
@@ -384,15 +381,14 @@ def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
 
 # --- noise-map sweep -------------------------------------------------------
 
-def _noise_map_tasks(spec: SweepSpec) -> list[dict]:
-    """One task per chunk of point_chunks of each flavor's grid: each is one
-    Lindblad solve, so the batches come from the config alone."""
+def _chunk_tasks(spec: SweepSpec, flavors: tuple[str, ...], k: float, nodes: int) -> list[dict]:
+    """One task per chunk of point_chunks(len(grid), k, nodes) of each flavor's
+    grid: each is one Lindblad solve, so the batches come from the config alone."""
     grid = spec.fields
-    chunks = point_chunks(len(grid), spec.noise.k, spec.uncertainty_nodes)
     return [
         {"points": [{"tg_cycles": grid[i], "flavor": flavor} for i in chunk]}
-        for flavor in spec.flavors
-        for chunk in chunks
+        for flavor in flavors
+        for chunk in point_chunks(len(grid), k, nodes)
     ]
 
 
@@ -487,21 +483,24 @@ def _pulse_rows(spec: SweepSpec) -> list[tuple]:
     return envelope_rows(make_envelopes(p), f.samples)
 
 
-def _oracle_compare_rows(spec: SweepSpec, tg_cycles: float) -> list[tuple]:
+def _oracle_compare_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
+    """The oracle-compare row of each SATD point {tg_cycles, flavor} of one
+    chunk, its adiabatic twins' closed path one lockstep batch and its maps one
+    solve; a NumericalError carries the failing point's index as its member."""
     cfg = spec.integrator
-    # The adiabatic gate-error row already holds the numeric and oracle-A errors.
-    adiabatic = {"tg_cycles": tg_cycles, "flavor": "adiabatic"}
-    [(_, _, eps_num_full, _, _, _, eps_oracle_a)] = _gate_error_rows(spec, [adiabatic])
-
-    p_sa = spec.params(tg_cycles, "satd")
-    shape = make_pulse_shape(p_sa.t_gate)
+    ps = [spec.params(**point) for point in points]
     noise = NoiseModel(spec.noise.gamma_phi)
-    # One node at k = 0: the nominal value is map_fidelity's scale-1 solve.
-    [(f_map, _)] = nominal_and_uncertainty_avg([p_sa], noise, 1, cfg)
-    eps_eq48 = 1.0 - analytic_satd_dephasing_fidelity(p_sa, shape, noise)
-    eps_oracle_b = 1.0 - oracle_b_map_fidelity(p_sa, shape, noise, cfg)
-    eps = (1.0 - f_map, eps_eq48, eps_oracle_b)
-    return [(tg_cycles, eps_num_full, eps_oracle_a, *(clamp_error(e, cfg.rel_tol) for e in eps))]
+    closed = _gate_error_rows(spec, [dict(point, flavor="adiabatic") for point in points])
+    # One node at k = 0: each nominal value is the point's scale-1 map, on the chunk's shared mesh.
+    maps = nominal_and_uncertainty_avg(ps, noise, 1, cfg)
+    rows = []
+    for member, (p, (_, _, eps_num_full, *_, eps_oracle_a), (f_map, _)) in enumerate(zip(ps, closed, maps)):
+        shape = make_pulse_shape(p.t_gate)
+        with _failing_member(1, member):
+            f_oracle_b = oracle_b_map_fidelity(p, shape, noise, cfg)
+        eps = (1.0 - f_map, 1.0 - analytic_satd_dephasing_fidelity(p, shape, noise), 1.0 - f_oracle_b)
+        rows.append((p.t_gate, eps_num_full, eps_oracle_a, *(clamp_error(e, cfg.rel_tol) for e in eps)))
+    return rows
 
 
 # --- kind registry ---------------------------------------------------------
@@ -536,7 +535,8 @@ KINDS = {
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",
         "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
-        parse=_tg_grid, tasks=_noise_map_tasks, rows=_noise_map_rows, comments=_noise_map_comments,
+        parse=_tg_grid, tasks=lambda spec: _chunk_tasks(spec, spec.flavors, spec.noise.k, spec.uncertainty_nodes),
+        rows=_noise_map_rows, comments=_noise_map_comments,
     ),
     "contour": Kind(
         ("contour",), "best-error search over rate pairs",
@@ -556,7 +556,7 @@ KINDS = {
     "oracle-compare": Kind(
         ("oracle", "compare"), "tabulate oracles vs numerics",
         "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
-        parse=_oracle_compare_fields, tasks=lambda spec: [{"tg_cycles": tg} for tg in spec.fields],
+        parse=_oracle_compare_fields, tasks=lambda spec: _chunk_tasks(spec, ("satd",), 0.0, 1),
         rows=_oracle_compare_rows,
     ),
 }

@@ -383,7 +383,7 @@ def propagate_lindblad_batch(
     # G_c of the a-e leg with the half-segment's phase.  kappa depends on T
     # alone, so each block of m members of one gate time (m the gcd of the
     # gate-time runs: one point's scales and inputs in every CLI stack)
-    # shares a generator.  A half-segment builds those of a step's twelve
+    # shares a generator.  A half-segment builds those of a step's distinct
     # stage times in one pass as ode_solve announces them (one ramp per time,
     # then one stacked matmul of (blocks, 2) @ (2, 400) per time), and
     # terms(tau) reads the row of tau; a time no step announced (the DOPRI5
@@ -410,7 +410,7 @@ def propagate_lindblad_batch(
             np.matmul(factors.swapaxes(1, 2), gens, out=out.reshape(len(taus), len(wt), 400))
 
         def announce(taus: np.ndarray) -> None:
-            taus = taus.tolist()
+            taus = list(dict.fromkeys(taus.tolist()))  # stages 11 and 12 share the node 1
             build(taus, table[: len(taus)])
             rows.clear()
             rows.update(zip(taus, range(len(taus))))

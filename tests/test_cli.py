@@ -488,17 +488,23 @@ class TestNoiseMapSweep:
     CFG = MINIMAL_CFGS["sweep noise-map"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_tasks_are_the_solve_chunks_of_each_flavor(self, tmp_path, monkeypatch, jobs):
-        # Four states per scale at three nodes (12 per point): a cap of 24
-        # makes two points per solve, and --jobs does not move the batches.
-        monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 24)
+    @pytest.mark.parametrize(
+        "kind, cap, flavors",
+        [("sweep noise-map", 24, ("adiabatic", "satd")), ("oracle compare", 8, ("satd",))],
+        ids=["noise-map", "oracle-compare"],
+    )
+    def test_tasks_are_the_solve_chunks_of_each_flavor(self, tmp_path, monkeypatch, kind, cap, flavors, jobs):
+        # Four states per scale: noise-map's three nodes make 12 per point and
+        # oracle-compare's one node 4, so a cap of 24 or 8 makes two points
+        # per solve, and --jobs does not move the batches.
+        monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", cap)
         grid = {"scale": "linear", "min": 2, "max": 6, "count": 5}
-        payload = dict(self.CFG, out=str(tmp_path / "o.csv"), tg_grid=grid)
+        payload = dict(MINIMAL_CFGS[kind], out=str(tmp_path / "o.csv"), tg_grid=grid)
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload), overrides={"jobs": jobs})
-        tasks = [[(pt["tg_cycles"], pt["flavor"]) for pt in task["points"]] for task in cli._noise_map_tasks(spec)]
+        tasks = [[(pt["tg_cycles"], pt["flavor"]) for pt in t["points"]] for t in cli.KINDS[spec.kind].tasks(spec)]
         assert tasks == [
             [(tg, flavor) for tg in chunk]
-            for flavor in ("adiabatic", "satd")
+            for flavor in flavors
             for chunk in ([2.0], [3.0, 4.0], [5.0, 6.0])
         ]
 
@@ -755,11 +761,19 @@ class TestOracleCompare:
             assert abs(eps_b - eps_eq48) / eps_eq48 < 0.1
 
     def test_map_error_is_the_plain_map_fidelity(self, tmp_path):
+        # Both points share one solve, on the mesh of the longer gate: each
+        # map error is that solve's nominal value, and within rel_tol of the
+        # point's own map_fidelity.
         payload = dict(MINIMAL_CFGS["oracle compare"], out=str(tmp_path / "o.csv"))
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload))
-        p = spec.params(4.0, "satd")
-        [row] = cli._oracle_compare_rows(spec, 4.0)
-        assert row[3] == 1.0 - map_fidelity(p, make_envelopes(p), NoiseModel(spec.noise.gamma_phi), spec.integrator)
+        [task] = cli.KINDS["oracle-compare"].tasks(spec)
+        ps = [spec.params(**point) for point in task["points"]]
+        noise, cfg = NoiseModel(spec.noise.gamma_phi), spec.integrator
+        rows = cli._oracle_compare_rows(spec, task["points"])
+        assert len(rows) == 2
+        for p, row, (f_map, _) in zip(ps, rows, metrics.nominal_and_uncertainty_avg(ps, noise, 1, cfg)):
+            assert row[3] == 1.0 - f_map
+            assert abs(row[3] - (1.0 - map_fidelity(p, make_envelopes(p), noise, cfg))) <= cfg.rel_tol
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -861,6 +875,26 @@ def test_oracle_node_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_oracle_b_failure_of_a_later_point_names_that_point(tmp_path, capsys, monkeypatch):
+    # Both points (4 and 5 cycles) are one task; oracle B fails at the second
+    # with the member 0 of its own one-member node doubling.
+    from tripod_sta.dynamics import NumericalError
+
+    oracle_b = cli.oracle_b_map_fidelity
+
+    def failing_at_5(p, shape, noise, cfg):
+        if p.t_gate == 5.0:
+            raise NumericalError("oracle node doubling reached N = 256 with estimate 1e-3", 0)
+        return oracle_b(p, shape, noise, cfg)
+
+    monkeypatch.setattr(cli, "oracle_b_map_fidelity", failing_at_5)
+    out = tmp_path / "oc.csv"
+    cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["oracle compare"], out=str(out)))
+    assert cli.main(["oracle", "compare", "--config", cfg]) == 3
+    assert "at (tg_cycles=5.0, flavor=satd): oracle node doubling" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_positivity_breach_exits_3(tmp_path, capsys, monkeypatch):
     # A constant leak from |1> onto |0> keeps the trace but breaks positivity.
     leak_lindblad_rhs(monkeypatch, 1e-6 * np.diag([1.0, -1.0, 0.0, 0.0]))
@@ -893,7 +927,7 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
     payload = dict(MINIMAL_CFGS["sweep noise-map"], out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.2})
     cfg = write_config(tmp_path / "c.json", payload)
     spec = cli.load_spec(cfg)
-    assert [len(task["points"]) for task in cli._noise_map_tasks(spec)] == [2, 2]
+    assert [len(task["points"]) for task in cli.KINDS["noise-map"].tasks(spec)] == [2, 2]
     assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3
     err = capsys.readouterr().err
     assert "at (tg_cycles=3.0, flavor=adiabatic): minimum eigenvalue" in err

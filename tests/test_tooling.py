@@ -275,3 +275,23 @@ def test_readme_configs_load(tmp_path, monkeypatch):
         path.write_text(block, encoding="utf-8")
         kind = json.loads(block)["kind"]
         assert cli.load_spec(str(path), kind).kind == kind
+
+
+def test_count_lines_splits_every_line_of_src(capsys):
+    # tests/count_lines.py tracks the size of src/: per module its four kinds
+    # add up to the `wc -l` count (the newlines of the file), and its total
+    # row is the sum of the module rows.
+    import count_lines
+
+    src = ROOT / "src" / "tripod_sta"
+    modules = sorted(src.glob("*.py"))
+    for path in modules:
+        assert sum(count_lines.count(path).values()) == path.read_bytes().count(b"\n"), path.name
+    assert count_lines.main([str(src)]) == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "wc", "-l", *count_lines.KINDS]
+    assert [row[0] for row in rows] == [path.name for path in modules]
+    for row, path in zip(rows, modules):
+        counts = count_lines.count(path)
+        assert [int(x) for x in row[1:]] == [sum(counts.values()), *counts.values()], path.name
+    assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in range(1, 6))]
