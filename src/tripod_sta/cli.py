@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -72,6 +72,8 @@ MAX_GRID_POINTS = 100_000
 # Gate times per contour refinement solve.  ROADMAP's contour config A made
 # 36 solves in 1.1-1.4 s at 5, and 51 in 1.5-1.7 s at 3 (2-vCPU host).
 REFINE_POINTS = 5
+
+_UNSET = object()  # the default of a config field that must be left unset
 
 
 class ConfigError(ValueError):
@@ -170,9 +172,10 @@ def _library(field: str, make, *args):
         raise ConfigError(field, str(exc)) from exc
 
 
-# ok and need of a gate-time field and of a grid count.
+# ok and need of a gate-time field, of a grid count and of an uncertainty node count.
 _GATE_TIME = (lambda x: MIN_TG_CYCLES <= x <= MAX_TG_CYCLES, f"in [{MIN_TG_CYCLES:g}, {MAX_TG_CYCLES:g}] cycles")
 _GRID_COUNT = (lambda n: 2 <= n <= MAX_GRID_POINTS, f"in [2, {MAX_GRID_POINTS}]")
+_NODE_COUNT = (lambda n: 1 <= n <= MAX_UNCERTAINTY_NODES and n % 2, f"odd and in [1, {MAX_UNCERTAINTY_NODES}]")
 
 
 def _gate_time_after(lo: float, field: str) -> tuple:
@@ -231,7 +234,8 @@ def _contour_fields(cfg: dict) -> ContourFields:
 def load_spec(path: str, kind: str | None = None, overrides: dict | None = None) -> SweepSpec:
     """Read and validate a JSON config; CLI flag overrides win over the file.
 
-    Only the shared fields and the fields the kind itself reads are checked.
+    Only the shared fields and the fields the kind itself reads are checked;
+    a shared field the kind fixes (Kind.fixed) must be left unset.
     """
     overrides = overrides or {}
     try:
@@ -251,6 +255,9 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         raise ConfigError("kind", f"must be one of {tuple(KINDS)}, got {cfg_kind!r}")
     if kind is not None and cfg_kind != kind:
         raise ConfigError("kind", f"config says {cfg_kind!r} but the subcommand expects {kind!r}")
+    fixed = KINDS[cfg_kind].fixed
+    for path, value in fixed.items():
+        _field(cfg, path, _UNSET, lambda v, _: v, lambda v: v is _UNSET, f"unset ({cfg_kind} runs at {value})")
 
     out = overrides.get("out") or cfg.get("out")
     if not out or not isinstance(out, str):
@@ -275,13 +282,13 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
 
     axis = (_field(cfg, "alpha", math.pi / 4), _field(cfg, "beta", 0.0), _field(cfg, "gamma0", math.pi))
     base = _library("alpha/beta/gamma0", ControlParams, OMEGA0, *axis, 1.0)
-    flavors = _field(cfg, "flavors", ["adiabatic", "satd"], _flavors)
+    flavors = _field(cfg, "flavors", fixed.get("flavors", ["adiabatic", "satd"]), _flavors)
 
     gamma_phi = _field(
         cfg, "noise.gamma_phi", [0.0] * 4, _rates, lambda g: len(g) == 4, "a list of four rates [g0, g1, ga, ge]"
     )
     # gamma_phi is fully checked above, so NoiseModel can only reject k.
-    noise = _library("noise.k", NoiseModel, gamma_phi, _field(cfg, "noise.k", 0.0))
+    noise = _library("noise.k", NoiseModel, gamma_phi, _field(cfg, "noise.k", fixed.get("noise.k", 0.0)))
 
     tol = overrides.get("tol")
     rel_tol = _field(cfg, "integrator.rel_tol", 1e-10) if tol is None else _num(tol, "integrator.rel_tol")
@@ -290,8 +297,7 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     integrator = _library("integrator.abs_tol", IntegratorConfig, rel_tol, abs_tol)
 
     fields = KINDS[cfg_kind].parse(cfg)
-    need = f"odd and in [1, {MAX_UNCERTAINTY_NODES}]"
-    nodes = _field(cfg, "uncertainty_nodes", 21, _int, lambda n: 1 <= n <= MAX_UNCERTAINTY_NODES and n % 2, need)
+    nodes = _field(cfg, "uncertainty_nodes", fixed.get("uncertainty_nodes", 21), _int, *_NODE_COUNT)
 
     jobs_field, jobs = "jobs", overrides.get("jobs")
     if jobs is None:
@@ -381,14 +387,14 @@ def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
 
 # --- noise-map sweep -------------------------------------------------------
 
-def _chunk_tasks(spec: SweepSpec, flavors: tuple[str, ...], k: float, nodes: int) -> list[dict]:
-    """One task per chunk of point_chunks(len(grid), k, nodes) of each flavor's
-    grid: each is one Lindblad solve, so the batches come from the config alone."""
+def _chunk_tasks(spec: SweepSpec) -> list[dict]:
+    """One task per point_chunks chunk of each flavor's grid: each is one
+    Lindblad solve, so the batches come from the config alone."""
     grid = spec.fields
     return [
         {"points": [{"tg_cycles": grid[i], "flavor": flavor} for i in chunk]}
-        for flavor in flavors
-        for chunk in point_chunks(len(grid), k, nodes)
+        for flavor in spec.flavors
+        for chunk in point_chunks(len(grid), spec.noise.k, spec.uncertainty_nodes)
     ]
 
 
@@ -487,12 +493,11 @@ def _oracle_compare_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
     """The oracle-compare row of each SATD point {tg_cycles, flavor} of one
     chunk, its adiabatic twins' closed path one lockstep batch and its maps one
     solve; a NumericalError carries the failing point's index as its member."""
-    cfg = spec.integrator
+    cfg, noise = spec.integrator, spec.noise
     ps = [spec.params(**point) for point in points]
-    noise = NoiseModel(spec.noise.gamma_phi)
     closed = _gate_error_rows(spec, [dict(point, flavor="adiabatic") for point in points])
-    # One node at k = 0: each nominal value is the point's scale-1 map, on the chunk's shared mesh.
-    maps = nominal_and_uncertainty_avg(ps, noise, 1, cfg)
+    # One node at k = 0 (fixed): each nominal value is the point's scale-1 map, on the chunk's shared mesh.
+    maps = nominal_and_uncertainty_avg(ps, noise, spec.uncertainty_nodes, cfg)
     rows = []
     for member, (p, (_, _, eps_num_full, *_, eps_oracle_a), (f_map, _)) in enumerate(zip(ps, closed, maps)):
         shape = make_pulse_shape(p.t_gate)
@@ -524,6 +529,7 @@ class Kind:
     rows: Callable[..., list[tuple]]
     comments: Callable[[SweepSpec], list[str]] = lambda spec: []
     check: Callable[[SweepSpec], None] = lambda spec: None
+    fixed: dict = field(default_factory=dict)  # shared fields it runs at one value: config path -> value
 
 
 KINDS = {
@@ -535,8 +541,7 @@ KINDS = {
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",
         "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
-        parse=_tg_grid, tasks=lambda spec: _chunk_tasks(spec, spec.flavors, spec.noise.k, spec.uncertainty_nodes),
-        rows=_noise_map_rows, comments=_noise_map_comments,
+        parse=_tg_grid, tasks=_chunk_tasks, rows=_noise_map_rows, comments=_noise_map_comments,
     ),
     "contour": Kind(
         ("contour",), "best-error search over rate pairs",
@@ -556,8 +561,8 @@ KINDS = {
     "oracle-compare": Kind(
         ("oracle", "compare"), "tabulate oracles vs numerics",
         "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
-        parse=_oracle_compare_fields, tasks=lambda spec: _chunk_tasks(spec, ("satd",), 0.0, 1),
-        rows=_oracle_compare_rows,
+        parse=_oracle_compare_fields, tasks=_chunk_tasks, rows=_oracle_compare_rows,
+        fixed={"flavors": ["satd"], "noise.k": 0.0, "uncertainty_nodes": 1},
     ),
 }
 

@@ -19,13 +19,12 @@ The pulse shape is the same function of tau at every gate time, so one solve
 integrates a whole stack of density matrices (the four independent axial
 inputs at every amplitude scale of every gate time of a noise-map chunk) on
 one shared mesh, each member with its own gate time and amplitude scale, each
-stored as its packed upper triangle.  Members of one gate time share one 20x20
-commutator generator per stage, built with controls._satd_reshape for all
-twelve stages of a step at once, as soon as the stepper announces their
-times; the right-hand side is one batched real matmul of the packed float
-view, weighted per member: the diagonal stays exactly real and every unpacked
-state is exactly Hermitian.  Each half-segment solve makes its right-hand
-side's buffers once, so nothing is shared between solves or sweep workers.
+packed as 16 real floats.  Members of one gate time share one 16x16 commutator
+generator per stage, built with controls._satd_reshape for all twelve stages
+of a step at once, as soon as the stepper announces their times; the
+right-hand side is one batched real matmul, weighted per member, and every
+unpacked state is exactly Hermitian.  Each half-segment solve makes its own
+right-hand side's buffers, so no two solves or sweep workers share them.
 Every accepted step of the shared mesh meets the stepper's combined error
 criterion over the whole stack, not that of each member's own solve.
 """
@@ -238,57 +237,53 @@ def _check_density(rhos: np.ndarray) -> None:
         raise ValueError("rho0 must be positive semidefinite")
 
 
-# Packed layout of a Hermitian 4x4 matrix: its upper triangle (the 4 diagonal
-# and 6 off-diagonal entries) in np.triu_indices order, shape (..., 10).  Each
-# off-diagonal entry is stored once; its mirror has the same modulus, so the
-# stepper's elementwise error norm is that of the full matrix.
-_UPPER = np.triu_indices(4)
-# Float-view indices of the imaginary parts of the packed diagonal.
-_IMAG_DIAG = 2 * np.flatnonzero(_UPPER[0] == _UPPER[1]) + 1
+# Packed layout of a Hermitian 4x4 matrix: 16 real floats, its 4 diagonal
+# entries, then the real and imaginary parts of its 6 upper off-diagonal ones
+# (np.triu_indices order).  A mirror entry has the same real and imaginary
+# magnitudes, so the stepper's per-float error norm is that of the full
+# matrix's float view.
+_UPPER = np.triu_indices(4, 1)
 
 
 def _pack(rhos: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(rhos[..., _UPPER[0], _UPPER[1]])
+    upper = np.ascontiguousarray(rhos[..., _UPPER[0], _UPPER[1]], dtype=complex).view(float)
+    return np.concatenate([np.diagonal(rhos, 0, -2, -1).real, upper], axis=-1)
 
 
 def _unpack(u: np.ndarray) -> np.ndarray:
-    """Hermitian 4x4 stack of a packed stack with a real diagonal."""
+    """Hermitian 4x4 stack of a packed stack."""
     rhos = np.empty(u.shape[:-1] + (4, 4), dtype=complex)
-    rhos[..., _UPPER[1], _UPPER[0]] = np.conj(u)
-    rhos[..., _UPPER[0], _UPPER[1]] = u
+    upper = np.ascontiguousarray(u[..., 4:]).view(complex)
+    rhos[..., range(4), range(4)] = u[..., :4]
+    rhos[..., _UPPER[1], _UPPER[0]] = np.conj(upper)
+    rhos[..., _UPPER[0], _UPPER[1]] = upper
     return rhos
 
 
 def _packed_generator(h: np.ndarray) -> np.ndarray:
-    """Real (20, 20) matrix G of rho -> upper(-i[h, rho]) for a Hermitian h,
-    acting as r @ G on the float view r of a packed stack.  The rows and
-    columns of the imaginary parts of the diagonal are zero."""
-    rhos = _unpack(np.eye(20).view(complex))
-    g = _pack(-1.0j * (h @ rhos - rhos @ h)).view(float)
-    g[_IMAG_DIAG] = 0.0
-    g[:, _IMAG_DIAG] = 0.0
-    return g
+    """Real (16, 16) matrix G of rho -> -i[h, rho] for a Hermitian h, acting
+    as u @ G on a packed stack u."""
+    rhos = _unpack(np.eye(16))
+    return _pack(-1.0j * (h @ rhos - rhos @ h))
 
 
 def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
-    # terms(tau) gives one generator G_b (blocks, 20, 20) per block of equal
-    # consecutive rows of the stack and weights w broadcasting to
-    # (blocks, m, 20): member i of block b gets w[b, i] * u_i @ G_b plus its
-    # dephasing -t_gates[i] * W on the packed entries.  One batched real
-    # matmul for the whole stack, the weights and the dephasing elementwise
-    # on whole rows (a weight column broadcast along the rows costs twice as
-    # much).  Each call writes into the same two buffers, made once per rhs:
-    # ode_solve copies the returned stack before its next call.
-    damping = np.repeat(-noise.dephasing_matrix()[_UPPER], 2) * t_gates[:, None]
+    # terms(tau) gives one generator G_b (blocks, 16, 16) per block of equal
+    # consecutive rows of the real packed stack u and weights w broadcasting to
+    # (blocks, m, 16): member i of block b gets w[b, i] * u_i @ G_b plus its
+    # dephasing -t_gates[i] * W on each packed float.  One batched matmul, the
+    # weights and the dephasing elementwise on whole rows (a weight column
+    # broadcast along the rows costs twice as much).  Each call writes into the
+    # same two buffers, made once per rhs: ode_solve copies each result away.
+    damping = _pack(-(1.0 + 1.0j) * noise.dephasing_matrix()) * t_gates[:, None]
     out, product = np.empty_like(damping), np.empty_like(damping)
 
     def rhs(tau, u):
-        r = u.view(float)
         generators, weights = terms(tau)
-        blocked = out.reshape(len(generators), -1, 20)
-        np.multiply(np.matmul(r.reshape(blocked.shape), generators, out=blocked), weights, out=blocked)
-        np.add(out, np.multiply(damping, r, out=product), out=out)
-        return out.view(complex)
+        blocked = out.reshape(len(generators), -1, 16)
+        np.multiply(np.matmul(u.reshape(blocked.shape), generators, out=blocked), weights, out=blocked)
+        np.add(out, np.multiply(damping, u, out=product), out=out)
+        return out
 
     return rhs
 
@@ -356,11 +351,10 @@ def propagate_lindblad_batch(
     meets the stepper's combined error criterion over the whole stack, which
     does not make it as fine as each member needs alone: the combined ratio
     falls as the stack's third-order estimate grows.  The initial stack is
-    Hermitized once and integrated as its packed upper triangle, whose
-    diagonal stays exactly real, so every final state is exactly Hermitian.
-    A final trace defect beyond 1e-6 or a minimum eigenvalue below
-    -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError with member
-    set to the first failing member.  A stalled
+    Hermitized once and integrated packed as real floats, so every final
+    state is exactly Hermitian.  A final trace defect beyond 1e-6 or a
+    minimum eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
+    NumericalError with member set to the first failing member.  A stalled
     step (OdeStepUnderflow, OdeStepLimit, both NumericalErrors) gives its
     time as tau and names the first member of the longest gate, which sets
     the shared mesh.
@@ -385,20 +379,20 @@ def propagate_lindblad_batch(
     # gate-time runs: one point's scales and inputs in every CLI stack)
     # shares a generator.  A half-segment builds those of a step's distinct
     # stage times in one pass as ode_solve announces them (one ramp per time,
-    # then one stacked matmul of (blocks, 2) @ (2, 400) per time), and
+    # then one stacked matmul of (blocks, 2) @ (2, 256) per time), and
     # terms(tau) reads the row of tau; a time no step announced (the DOPRI5
     # reference drives the same rhs) gets its own row from the same build.
     m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
     wt = params.omega0 * t_gates[::m]
     gap_sq = wt * wt if params.flavor is Flavor.SATD else math.inf
-    weights = np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 20).reshape(-1, m, 20)
+    weights = np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 16).reshape(-1, m, 16)
     g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))
 
     def half_rhs(phase: complex):
         """The half-segment's rhs and its ode_solve stage_times hook."""
-        gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 400)
+        gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 256)
         # The generators of the announced times, then a row for an unannounced one.
-        table = np.empty((13, len(wt), 20, 20))
+        table = np.empty((13, len(wt), 16, 16))
         rows: dict = {}
 
         def build(taus: list, out: np.ndarray) -> None:
@@ -407,7 +401,7 @@ def propagate_lindblad_batch(
             s, c, d1, d2 = np.array([(math.sin(th), math.cos(th), d1, d2) for th, d1, d2 in ramps]).T[..., None]
             factors = np.empty((len(taus), 2, len(wt)))
             factors[:, 0], factors[:, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
-            np.matmul(factors.swapaxes(1, 2), gens, out=out.reshape(len(taus), len(wt), 400))
+            np.matmul(factors.swapaxes(1, 2), gens, out=out.reshape(len(taus), len(wt), 256))
 
         def announce(taus: np.ndarray) -> None:
             taus = list(dict.fromkeys(taus.tolist()))  # stages 11 and 12 share the node 1

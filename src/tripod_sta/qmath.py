@@ -1,9 +1,9 @@
 """Dense complex linear algebra, ODE stepping, SU(2) Magnus stepping, and
 quadrature at 2x2/4x4 scale, on single matrices and stacks of them.
 
-Everything here operates on plain numpy arrays of complex128.  All functions
-are pure; nothing keeps internal state, so values can be shared freely between
-concurrent sweep workers.
+Everything here operates on plain numpy arrays of complex128 (ode_solve also
+on float64).  All functions are pure; nothing keeps internal state, so values
+can be shared freely between concurrent sweep workers.
 """
 
 from __future__ import annotations
@@ -268,10 +268,12 @@ def ode_solve(
     *,
     stage_times: Callable[[np.ndarray], None] | None = None,
 ) -> OdeResult:
-    """Integrate dy/dt = rhs(t, y) from t0 to t1 for a complex array y with
-    the adaptive Dormand-Prince 8(5,3) stepper (DOP853).
+    """Integrate dy/dt = rhs(t, y) from t0 to t1 with the adaptive
+    Dormand-Prince 8(5,3) stepper (DOP853), in y0's kind: float64 for a real
+    y0 (whose rhs must not return a complex array: ValueError on the first
+    call), complex128 for any other.
 
-    Local error is controlled elementwise against
+    Local error is controlled per entry, real or complex, against
     abs_tol + rel_tol*max(|y|, |y_new|): with e5 and e3 the max norms of the
     fifth- and third-order error estimates scaled by that tolerance, a step
     is accepted when e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step
@@ -284,9 +286,9 @@ def ode_solve(
     rhs result is copied into its stage row before the next call, so rhs may
     return a buffer it reuses; the y it is handed is a row the stepper
     rewrites, so rhs must not keep it.  The last stage of an accepted step
-    is the first of the next (FSAL), so a solve costs
-    1 + 12*(accepted + rejected) rhs evaluations.  A solve that needs
-    more than ODE_MAX_STEPS attempts raises OdeStepLimit.
+    is the first of the next (FSAL), so a solve costs 1 + 12*(accepted +
+    rejected) rhs evaluations.  More than ODE_MAX_STEPS attempts raise
+    OdeStepLimit.
 
     stage_times, if given, is called with the float array [t0] before the
     first stage and, before the stages of each attempted step, with that
@@ -297,36 +299,35 @@ def ode_solve(
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     t0, t1 = float(t0), float(t1)  # numpy endpoints would make every stage time a numpy scalar
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=float if np.isrealobj(y0) else complex)
     if t1 == t0:
         return OdeResult(y, 0, 0)
-    shape = y.shape
-    y = y.ravel()
-    span = t1 - t0
-    t = t0
-    ks = np.empty((13, y.size), dtype=complex)
-    kf = ks.view(float)
+    shape, y = y.shape, y.ravel()
+    span, t = t1 - t0, t0
+    ks = np.empty((13, y.size), dtype=y.dtype)
     if stage_times is not None:
         stage_times(np.array([t]))
-    ks[0] = rhs(t, y.reshape(shape)).ravel()
+    first = rhs(t, y.reshape(shape))
+    if np.iscomplexobj(first) and not np.iscomplexobj(y):
+        raise ValueError("rhs returned a complex array for a real y0")
+    ks[0] = first.ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
     scale = max_abs(ks[0])
     h = 0.01 * (max_abs(y) + cfg.abs_tol) / scale if scale > 0.0 else span
-    h = min(h, span)
-    h = max(h, span * 1e-10)
+    h = max(min(h, span), span * 1e-10)
 
     accepted = rejected = 0
     abs_y = np.abs(y)
     # Buffers of one step: h times the tableau, the stage arguments
     # (row 0 for stages 1-11, row 1, the new state, for the FSAL stage) as
     # float and rhs-shaped views, and the two error estimates.
-    hs, (rows, errs) = np.empty_like(_DP_TABLEAU), np.empty((2, 2, y.size), dtype=complex)
+    hs, (rows, errs) = np.empty_like(_DP_TABLEAU), np.empty((2, 2, y.size), dtype=y.dtype)
     args, y8, yf = [(row.view(float), row.reshape(shape)) for row in rows], rows[1], y.view(float)
     # Per stage i: its row of hs, the stages it weighs, its argument (float
     # and rhs-shaped views) and its own row of ks, as views made once; then
     # the same for the error estimates.
-    stages = [(hs[i, :i], kf[:i], *args[i == 12], ks[i]) for i in range(1, 13)]
-    error_weights, error_stages, error_out = hs[13:], kf[:12], errs.view(float)
+    stages = [(hs[i, :i], ks.view(float)[:i], *args[i == 12], ks[i]) for i in range(1, 13)]
+    error_weights, error_stages, error_out = hs[13:], ks.view(float)[:12], errs.view(float)
     while t < t1:
         h = min(h, t1 - t)
         if h <= max(abs(t), span) * 1e-15:

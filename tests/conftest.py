@@ -206,17 +206,18 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
     """Reference integrator, independent of qmath.ode_solve: the adaptive
     Dormand-Prince 5(4) stepper with the same elementwise error control
     against abs_tol + rel_tol*max(|y|, |y_new|) and FSAL reuse, so a solve
-    costs 1 + 6*(accepted + rejected) rhs evaluations."""
+    costs 1 + 6*(accepted + rejected) rhs evaluations.  Like ode_solve it
+    integrates in y0's kind: float64 for a real y0, complex128 otherwise."""
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=float if np.isrealobj(y0) else complex)
     if t1 == t0:
         return OdeResult(y, 0, 0)
     shape = y.shape
     y = y.ravel()
     span = t1 - t0
     t = t0
-    ks = np.empty((7, y.size), dtype=complex)
+    ks = np.empty((7, y.size), dtype=y.dtype)
     kf = ks.view(float)
     ks[0] = rhs(t, y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
@@ -233,11 +234,11 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
             raise OdeStepUnderflow(t)
         yf = y.view(float)
         for i in range(1, 6):
-            stage = (yf + (h * _DP5_A[i]) @ kf[:i]).view(complex)
+            stage = (yf + (h * _DP5_A[i]) @ kf[:i]).view(y.dtype)
             ks[i] = rhs(t + _DP5_C[i] * h, stage.reshape(shape)).ravel()
-        y5 = (yf + (h * _DP5_B5) @ kf[:6]).view(complex)
+        y5 = (yf + (h * _DP5_B5) @ kf[:6]).view(y.dtype)
         ks[6] = rhs(t + h, y5.reshape(shape)).ravel()  # FSAL stage
-        err = ((h * _DP5_E) @ kf).view(complex)
+        err = ((h * _DP5_E) @ kf).view(y.dtype)
         abs_y5 = np.abs(y5)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y5)
         ratio = float(np.max(np.abs(err) / tol))
@@ -371,16 +372,17 @@ def two_generator_stage_reference(env: EnvelopeSet, noise, amp_scales: np.ndarra
     gens = [dynamics._packed_generator(_coupling(rabi)) for rabi in ([*env.qubit_weights, 0.0], [0.0, 0.0, phase])]
     coeff = (t_gates * amp_scales * p.omega0 * p.amp_scale)[:, None]
     gap_sq = (p.omega0 * t_gates[:, None]) ** 2
-    damping = np.repeat(-noise.dephasing_matrix()[dynamics._UPPER], 2) * t_gates[:, None]
+    # Zero on the 4 diagonal floats, -W_ij on both floats of each upper entry.
+    upper = np.repeat(-noise.dephasing_matrix()[np.triu_indices(4, 1)], 2)
+    damping = np.concatenate([np.zeros(4), upper]) * t_gates[:, None]
 
     def rhs(tau, u):
-        r = u.view(float)
         theta, d1, d2 = PulseShape.ramp(1.0, tau)
         s, c = math.sin(theta), math.cos(theta)
-        out = damping * r + (r @ (gens[0] * s + gens[1] * c)) * coeff
+        out = damping * u + (u @ (gens[0] * s + gens[1] * c)) * coeff
         if p.flavor is Flavor.SATD:
-            out += (r @ (gens[0] * c - gens[1] * s)) * (coeff * _satd_correction(d1, d2, gap_sq))
-        return out.view(complex)
+            out += (u @ (gens[0] * c - gens[1] * s)) * (coeff * _satd_correction(d1, d2, gap_sq))
+        return out
 
     return rhs
 

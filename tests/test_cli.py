@@ -760,6 +760,34 @@ class TestOracleCompare:
             assert abs(eps_map_num - eps_eq48) / eps_eq48 < 0.1
             assert abs(eps_b - eps_eq48) / eps_eq48 < 0.1
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("flavors", ["satd"]),
+            ("flavors", "adiabatic"),
+            ("noise.k", 0.0),
+            ("noise.k", 0.2),
+            ("uncertainty_nodes", 1),
+            ("uncertainty_nodes", 21),
+        ],
+    )
+    def test_fields_it_does_not_read_are_config_errors(self, tmp_path, capsys, path, value):
+        # It solves one SATD node at k = 0, so a config that sets one of these
+        # fields, even to the value it runs at, exits 2 naming the field.
+        out = tmp_path / "o.csv"
+        payload = _with_field(dict(MINIMAL_CFGS["oracle compare"], out=str(out)), path, value)
+        assert cli.main(["oracle", "compare", "--config", write_config(tmp_path / "c.json", payload)]) == 2
+        assert f"field {path!r}: must be unset (oracle-compare runs at " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_names_the_one_node_at_k_zero(self, tmp_path):
+        out = tmp_path / "o.csv"
+        cfg = write_config(tmp_path / "c.json", dict(MINIMAL_CFGS["oracle compare"], out=str(out)))
+        assert cli.main(["oracle", "compare", "--config", cfg]) == 0
+        comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert comments[1].endswith(" k=0")
+        assert comments[2].endswith(" uncertainty_nodes=1")
+
     def test_map_error_is_the_plain_map_fidelity(self, tmp_path):
         # Both points share one solve, on the mesh of the longer gate: each
         # map error is that solve's nominal value, and within rel_tol of the

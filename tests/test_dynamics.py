@@ -316,7 +316,7 @@ class TestPropagateLindblad:
         rho0[2, 2] = rho0[3, 3] = 0.5
         rho0[2, 3] = rho0[3, 2] = 0.5
         noise = NoiseModel((0.0, 0.0, 0.0, gamma))
-        final = _scaled_time_solve(np.zeros((20, 20)), noise, rho0, t_gate)
+        final = _scaled_time_solve(np.zeros((16, 16)), noise, rho0, t_gate)
         expected = 0.5 * math.exp(-0.5 * gamma * t_gate)
         assert final[2, 3].real == pytest.approx(expected, rel=1e-9)
         assert final[2, 2].real == pytest.approx(0.5, abs=1e-10)
@@ -414,9 +414,8 @@ class TestPropagateLindblad:
         rates = tuple(rng.uniform(0.0, 2.0, 4))
         terms = (generator[None], (t_gates * scales)[None, :, None])
         rhs = dynamics._lindblad_rhs(lambda tau: terms, NoiseModel(rates), t_gates)
-        packed = rhs(0.0, dynamics._pack(rhos))
-        assert np.all(packed[:, dynamics._UPPER[0] == dynamics._UPPER[1]].imag == 0.0)
-        out = dynamics._unpack(packed)
+        out = dynamics._unpack(rhs(0.0, dynamics._pack(rhos)))
+        assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
         dissipator = sum(
             dissipator_superoperator(math.sqrt(g) * np.diag(np.eye(4)[i]).astype(complex))
             for i, g in enumerate(rates)
@@ -424,29 +423,54 @@ class TestPropagateLindblad:
         for i, rho in enumerate(rhos):
             ell = t_gates[i] * (hamiltonian_superoperator(scales[i] * h) + dissipator)
             assert max_abs(out[i] - unvec(ell @ vec(rho))) < 1e-13
-        assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
+
+    def test_solves_a_real_packed_stack(self, monkeypatch, rng):
+        # Each member is 16 real floats: 4 diagonal entries and the real and
+        # imaginary parts of the 6 upper off-diagonal ones.  The packing is
+        # lossless for an exactly Hermitian stack.
+        states = []
+
+        def recording(rhs, y0, t0, t1, cfg, **kw):
+            states.append(y0)
+            return ode_solve(rhs, y0, t0, t1, cfg, **kw)
+
+        monkeypatch.setattr(dynamics, "ode_solve", recording)
+        p = params(2.0, Flavor.SATD)
+        batch = propagate_lindblad_batch(p, make_envelopes(p), NoiseModel((0.0, 0.0, 0.0, 0.01)), AXIAL_QUBIT_STATES)
+        assert len(states) == 2
+        assert all(y.dtype == np.float64 and y.shape == (len(AXIAL_QUBIT_STATES), 16) for y in states)
+        assert np.array_equal(dynamics._unpack(states[0]), hermitize(AXIAL_QUBIT_STATES))
+        assert len(batch) == len(AXIAL_QUBIT_STATES)
+        rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(5)]))
+        assert np.array_equal(rhos, np.conj(np.swapaxes(rhos, -1, -2)))
+        assert np.array_equal(dynamics._unpack(dynamics._pack(rhos)), rhos)
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     @pytest.mark.parametrize("cycles", [0.93, 2.2, 5.0])
     def test_packed_solve_matches_full_matrix_reference(self, rng, flavor, cycles):
         # The packed stack stores each off-diagonal entry once, and its mirror
-        # has the same modulus, so the elementwise error norm, and with it
-        # every accepted and rejected step, is that of the full 4x4 stack.
+        # has the same real and imaginary magnitudes, so the per-float error
+        # norm, and with it every accepted and rejected step, is that of the
+        # full 4x4 stack integrated as its float view.
         p = params(cycles, flavor)
         env = make_envelopes(p)
         noise = NoiseModel(tuple(rng.uniform(1e-3, 5e-2, 4)))
         rho0s = np.concatenate([AXIAL_QUBIT_STATES, AXIAL_QUBIT_STATES])
         scales = rng.uniform(0.75, 1.25, len(rho0s))
-        rhs = lindblad_rhs_reference(env, noise, scales)
+        full = lindblad_rhs_reference(env, noise, scales)
+
+        def rhs(t, y):
+            return full(t, y.view(complex)).view(float)
+
         for rel_tol in (1e-7, 1e-8, 1e-10):
             cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol)
             batch = propagate_lindblad_batch(p, env, noise, rho0s, cfg, amp_scales=scales)
-            first = ode_solve(rhs, hermitize(rho0s), 0.0, 0.5 * p.t_gate, cfg)
+            first = ode_solve(rhs, hermitize(rho0s).view(float), 0.0, 0.5 * p.t_gate, cfg)
             second = ode_solve(rhs, first.y, 0.5 * p.t_gate, p.t_gate, cfg)
             steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
             assert (batch[0].steps_accepted, batch[0].steps_rejected) == steps, rel_tol
             y = np.stack([res.final_operator for res in batch])
-            assert max_abs(y - second.y) < 1e-13, rel_tol
+            assert max_abs(y - second.y.view(complex)) < 1e-13, rel_tol
 
     def test_rejects_an_empty_stack(self):
         p = params(2.0)
@@ -527,7 +551,7 @@ class TestPropagateLindblad:
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
         noise = NoiseModel((0.0, 0.0, 0.0, 0.01))
         legs = ([*make_envelopes(p).qubit_weights, 0.0], [0.0, 0.0, 1.0])
-        gens = np.stack([dynamics._packed_generator(tripod._coupling(rabi)) for rabi in legs]).reshape(2, 400)
+        gens = np.stack([dynamics._packed_generator(tripod._coupling(rabi)) for rabi in legs]).reshape(2, 256)
         wt = p.omega0 * p.t_gate
 
         def first_half(gaps):
@@ -536,7 +560,7 @@ class TestPropagateLindblad:
             def terms(tau):
                 theta, d1, d2 = PulseShape.ramp(1.0, tau)
                 factors = _satd_reshape(math.sin(theta), math.cos(theta), _satd_correction(d1, d2, gaps))
-                return (np.stack(factors, -1) @ gens).reshape(-1, 20, 20), wt
+                return (np.stack(factors, -1) @ gens).reshape(-1, 16, 16), wt
 
             rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (len(gaps), 1, 1))
             rhs = dynamics._lindblad_rhs(terms, noise, np.full(len(rho0s), p.t_gate))

@@ -203,6 +203,38 @@ def test_ode_stage_times_are_python_floats():
     assert types == {float}
 
 
+def test_ode_real_state_is_the_real_part_of_the_complex_solve(rng):
+    # A real y0 is integrated as float64; on y0 + 0j the imaginary parts stay
+    # zero, so the complex solve takes the same mesh and the same real parts.
+    a = rng.normal(size=(4, 4))
+    y0 = rng.normal(size=(4, 3))
+
+    def rhs(t, y):
+        return (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * (a @ y)
+
+    cfg = IntegratorConfig(1e-9, 1e-11)
+    real = ode_solve(rhs, y0, 0.0, 2.0, cfg)
+    full = ode_solve(rhs, y0 + 0j, 0.0, 2.0, cfg)
+    assert real.steps_rejected > 0
+    assert (real.steps_accepted, real.steps_rejected) == (full.steps_accepted, full.steps_rejected)
+    assert real.y.dtype == float and full.y.dtype == complex
+    assert np.array_equal(real.y, full.y.real)
+    assert not np.any(full.y.imag)
+
+
+def test_ode_real_state_with_a_complex_rhs_is_rejected():
+    # numpy would drop the imaginary part with a ComplexWarning.
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -1j * y
+
+    with pytest.raises(ValueError, match="complex array for a real y0"):
+        ode_solve(rhs, np.eye(2), 0.0, 1.0)
+    assert calls == [0.0]
+
+
 def test_ode_empty_span_returns_y0():
     y0 = np.array([[1.0, 2.0j]])
     res = ode_solve(lambda t, y: pytest.fail("rhs called"), y0, 0.5, 0.5)
