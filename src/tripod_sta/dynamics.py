@@ -8,10 +8,11 @@ The closed path (propagate_unitary_batch) solves an exact SU(2) problem with
 fourth-order Magnus steps (for the SATD flavor in the nu-dressed frame, where
 its nominal field is diagonal) and Richardson-extrapolated step doubling,
 run in lockstep for every half-segment of a whole batch of protocols: the
-members share each step count and its vectorized field calls, and each
-freezes by its own stopping rule, so it gets bit for bit what it gets alone
-(propagate_unitary is the batch of one; the CLI's gate-error sweep is one
-batch per worker).
+members share each step count and its vectorized field calls (one pulse
+ramp each, on the unit-gate times t/t_gate of the nodes, which all share),
+and each freezes by its own stopping rule, so it gets bit for bit what it
+gets alone (propagate_unitary is the batch of one; the CLI's gate-error sweep
+is one batch per worker).
 
 The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
 qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
@@ -40,7 +41,7 @@ from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_corr
 from .qmath import (
     IntegratorConfig, NumericalError, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect,
 )
-from .tripod import _coupling, frame_field, lab_operator
+from .tripod import _coupling, half_segment_field, lab_operator
 
 # Magnus step counts per half-segment: doubling starts at the smallest and
 # raises NumericalError past the largest.
@@ -166,11 +167,12 @@ def propagate_unitary_batch(
     params (at least one) on the quintic ramp: one PropagationResult per member.
 
     On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
-    c = tripod.frame_field (|0t> decouples); an SATD member steps in the
-    nu-dressed frame (dressed frame_field), where its nominal field is the
-    diagonal (0, 0, -E).  nu is 0 at the segment ends, so one
-    tripod.lab_operator call takes the U2' and U2'' of every member, the SU(2)
-    propagators of c(t).sigma/2 over the two halves, to the lab frame.  Every
+    c = tripod.half_segment_field (|0t> decouples) on the nodes that both
+    halves of every member share; an SATD member steps in the nu-dressed
+    frame, where its nominal field is the diagonal (0, 0, -E).  nu is 0 at the
+    segment ends, so one tripod.lab_operator call takes the U2' and U2'' of
+    every member, the SU(2) propagators of c(t).sigma/2 over the two halves,
+    to the lab frame.  Every
     half-segment is a qmath.magnus_su2 product, and all of them double their
     step count in lockstep, sharing the field calls; each freezes by its own
     rule, an SATD member at 2/u* steps or more: nu turns by pi/4 within
@@ -189,14 +191,12 @@ def propagate_unitary_batch(
     if not params:
         raise ValueError("params must hold at least one protocol")
     # Member 2j is the first half-segment of params[j], member 2j + 1 the second.
-    tgs = np.array([p.t_gate for p in params])
-    t0 = np.stack([np.zeros_like(tgs), 0.5 * tgs], -1).ravel()
-    t1 = np.stack([0.5 * tgs, tgs], -1).ravel()
+    spans = np.repeat([0.5 * p.t_gate for p in params], 2)
 
     def approx(rows, n):
-        return magnus_su2(lambda c, t: frame_field([params[i // 2] for i in rows[c]], t), t0[rows], t1[rows], n)
+        return magnus_su2(lambda c, x: half_segment_field(params, rows[c], x), spans[rows], n)
 
-    names = [f"Magnus step doubling on [{a:g}, {b:g}]" for a, b in zip(t0, t1)]
+    names = [f"Magnus step doubling on [{a:g}, {b:g}]" for s in spans[::2] for a, b in ((0, s), (s, 2 * s))]
     tol = cfg.rel_tol + cfg.abs_tol
     floors = [2.0 * math.sqrt(60.0 * math.pi / (p.omega0 * p.t_gate)) if p.flavor is Flavor.SATD else 0 for p in params]
     halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 4, np.repeat(floors, 2))

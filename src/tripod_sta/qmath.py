@@ -99,15 +99,14 @@ def unitarity_defect(u: np.ndarray):
     return float(defects) if u.ndim == 2 else defects
 
 
-def _cayley_klein(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with exp(-i g.sigma/2) = [[a, b], [-b*, a*]] for a stack of
-    real 3-vectors g (..., 3): a = cos(|g|/2) - i sin(|g|/2) g_z/|g|,
+def _cayley_klein(gx, gy, gz) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with exp(-i g.sigma/2) = [[a, b], [-b*, a*]] for a stack of real
+    3-vectors g given by its components: a = cos(|g|/2) - i sin(|g|/2) g_z/|g|,
     b = -sin(|g|/2) (g_y + i g_x)/|g|."""
-    g = np.asarray(g, dtype=float)
-    angle = np.sqrt(np.sum(g * g, axis=-1))
+    angle = np.sqrt(gx * gx + gy * gy + gz * gz)
     # sin(|g|/2)/|g|, finite at g = 0.
     s = 0.5 * np.sinc(angle / (2.0 * math.pi))
-    return np.cos(0.5 * angle) - 1.0j * s * g[..., 2], -s * (g[..., 1] + 1.0j * g[..., 0])
+    return np.cos(0.5 * angle) - 1.0j * s * gz, -s * (gy + 1.0j * gx)
 
 
 def _su2_matrix(a, b) -> np.ndarray:
@@ -116,7 +115,8 @@ def _su2_matrix(a, b) -> np.ndarray:
 
 def su2_exponential(g: np.ndarray) -> np.ndarray:
     """exp(-i g.sigma/2) for a stack of real 3-vectors g (..., 3), in closed form."""
-    return _su2_matrix(*_cayley_klein(g))
+    g = np.asarray(g, dtype=float)
+    return _su2_matrix(*_cayley_klein(g[..., 0], g[..., 1], g[..., 2]))
 
 
 def su2_ordered_product(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -140,40 +140,40 @@ _GL2_OFFSET = math.sqrt(3.0) / 6.0
 MAGNUS_BLOCK = 4096
 
 
-def magnus_su2(field: Callable, t0: np.ndarray, t1: np.ndarray, n: int) -> np.ndarray:
-    """SU(2) propagators of i dU/dt = (c(t).sigma/2) U over [t0[j], t1[j]] for
-    a stack of M members, each from n uniform fourth-order Magnus steps on two
-    Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-    (2009)): shape (M, 2, 2).
+def magnus_su2(field: Callable, spans: np.ndarray, n: int) -> np.ndarray:
+    """SU(2) propagators of i dU/dt = (c(t).sigma/2) U over intervals of the
+    lengths spans[j] for a stack of M members, each from n uniform
+    fourth-order Magnus steps on two Gauss-Legendre nodes (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470, 151 (2009)): shape (M, 2, 2).
 
-    field(rows, t) maps the member indices rows and their times t, shape
-    (len(rows), 2m), to the components (c_x, c_y, c_z), each broadcasting
-    against t.  With c1, c2 at the nodes of a step of length h, the step is
-    exp(-i g.sigma/2) with g = h(c1+c2)/2 + (sqrt(3) h^2/12) (c2 x c1).  Each
-    member multiplies blocks of MAGNUS_BLOCK steps; one field call covers
+    field(rows, x) maps the member indices rows and the nodes x of m steps as
+    fractions of an interval, shared by every member (the m first nodes, then
+    the second ones), to the components (c_x, c_y, c_z), each broadcasting
+    against (len(rows), 2m).  With c1, c2 at the nodes of a step of length h,
+    the step is exp(-i g.sigma/2), g = h(c1+c2)/2 + (sqrt(3) h^2/12) (c2 x c1).
+    Each member multiplies blocks of MAGNUS_BLOCK steps; one field call covers
     whole blocks of at most MAGNUS_BLOCK member-steps in all, so a member's
     arithmetic does not depend on the batch it runs in.
     """
-    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    h = (t1 - t0) / n
+    h = np.asarray(spans, dtype=float) / n
     per_call = max(1, MAGNUS_BLOCK // n)
     blocks = []
     for start in range(0, n, MAGNUS_BLOCK):
         steps = np.arange(start, min(n, start + MAGNUS_BLOCK)) + 0.5
-        m = len(steps)
+        x = np.concatenate([steps - _GL2_OFFSET, steps + _GL2_OFFSET]) / n
         pairs = []
         for first in range(0, len(h), per_call):
             rows = np.arange(first, min(len(h), first + per_call))
-            hr = h[rows, None]
-            mid = t0[rows, None] + hr * steps
-            t = np.concatenate([mid - _GL2_OFFSET * hr, mid + _GL2_OFFSET * hr], axis=1)
-            # Stacked once the field call returns: c never coexists with its temporaries.
-            c = np.stack([np.broadcast_to(x, t.shape) for x in field(rows, t)], -1)
-            c1, c2 = c[:, :m], c[:, m:]
-            cross = c2[..., [1, 2, 0]] * c1[..., [2, 0, 1]] - c2[..., [2, 0, 1]] * c1[..., [1, 2, 0]]
-            hr = hr[..., None]
-            g = 0.5 * hr * (c1 + c2) + (math.sqrt(3.0) / 12.0) * hr * hr * cross
-            pairs.append(su2_ordered_product(*_cayley_klein(g)))
+            m, hr = len(steps), h[rows, None]
+            c = [np.broadcast_to(v, (len(rows), 2 * m)) for v in field(rows, x)]
+            (x1, y1, z1), (x2, y2, z2) = [v[:, :m] for v in c], [v[:, m:] for v in c]
+            h_mean, h_cross = 0.5 * hr, (math.sqrt(3.0) / 12.0) * hr * hr
+            g = (
+                h_mean * (x1 + x2) + h_cross * (y2 * z1 - z2 * y1),
+                h_mean * (y1 + y2) + h_cross * (z2 * x1 - x2 * z1),
+                h_mean * (z1 + z2) + h_cross * (x2 * y1 - y2 * x1),
+            )
+            pairs.append(su2_ordered_product(*_cayley_klein(*g)))
         blocks.append([np.concatenate(part) for part in zip(*pairs)])
     return _su2_matrix(*su2_ordered_product(*np.moveaxis(np.array(blocks), 0, -1)))
 

@@ -89,34 +89,34 @@ def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.n
     return s
 
 
-def frame_field(params: list[ControlParams], t: np.ndarray) -> tuple:
+def half_segment_field(params: list[ControlParams], members: np.ndarray, x: np.ndarray) -> tuple:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
-    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c_x J_x + c_y J_y + c_z J_z of
-    protocol params[j] at the times t[j], t of shape (members, n), for an SATD
-    member in the nu-dressed frame; each component broadcasts against t.
+    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c.J of each member i, the
+    half-segment i % 2 of protocol params[i // 2], at the fractions x of a
+    half-segment, shared by all: the unit-gate times tau = (i % 2 + x)/2.
+    Each component broadcasts against (len(members), len(x)), all from one
+    PulseShape.ramp(1, tau): theta_dot = theta'/t_gate, theta_ddot = theta''/t_gate^2.
 
     c = (r*omega0*kappa/2, theta_dot, -r*omega0/2) with r = amp_scale and
     kappa = controls._satd_correction at the nominal omega0 (0 for the
-    adiabatic flavor), all from one PulseShape.ramp on a (members, 1) t_gate
-    column.  |0t> decouples, and the a-e leg's phase step enters no term
-    inside a half-segment: the segmented frame change carries it.
-
+    adiabatic flavor, not formed without an SATD member).  |0t> decouples;
+    the segmented frame change carries the a-e leg's phase step.
     An SATD member's field is that c _dressed by tan(nu) = 2*theta_dot/omega0,
     in closed form: ((r - 1)*omega0*kappa/2, (1 - r)*omega0*theta_dot/R,
     -(r*omega0^2 + 4*theta_dot^2)/(2R)) with R = sqrt(omega0^2 +
     4*theta_dot^2), the diagonal (0, 0, -R/2) at r = 1.
     """
     rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params]
-    w, r, satd, tg = np.array(rows).T[..., None]
-    _, td, tdd = PulseShape.ramp(tg, t)
+    w, r, satd, tg = np.array(rows)[members // 2].T[..., None]
+    _, d1, d2 = PulseShape.ramp(1.0, np.stack([0.5 * x, 0.5 + 0.5 * x]))
+    td = d1[members % 2] / tg
     half_gap = 0.5 * r * w
-    kappa = np.where(satd, _satd_correction(td, tdd, w * w), 0.0)
-    c = (half_gap * kappa, td, -half_gap)
     if not satd.any():
-        return c
+        return 0.0, td, -half_gap
+    kappa = _satd_correction(td, d2[members % 2] / (tg * tg), w * w)
     root = np.sqrt(w * w + 4.0 * td * td)
-    dressed_c = (c[0] - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root))
-    return tuple(np.where(satd, d, a) for d, a in zip(dressed_c, c))
+    dressed = half_gap * kappa - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root)
+    return tuple(np.where(satd, d, a) for d, a in zip(dressed, (0.0, td, -half_gap)))
 
 
 def frame_ends(params: ControlParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,7 +207,7 @@ def dressed_frame_fields(
     phase rate sin^2(theta)*cos^2(nu), all at the nominal omega0, at a float
     or an array of times: B has shape (3,) + t.shape and Xi (5,) + t.shape.
 
-    B is the nu-dressed frame_field of the adiabatic flavor at amp_scale 1."""
+    B is the nu-dressed half_segment_field of the adiabatic flavor at amp_scale 1."""
     th, td, _ = shape(t)
     b = np.array(np.broadcast_arrays(*_dressed((0.0, td, -0.5 * params.omega0), nu, t)))
     n = nu.angle(t)

@@ -13,7 +13,7 @@ from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, PulseShape, 
 from tripod_sta.dynamics import MAGNUS_MAX_STEPS, MAGNUS_MIN_STEPS, ROUNDOFF_ESTIMATE
 from tripod_sta.oracles import _collapse_vector
 from tripod_sta.qmath import IntegratorConfig, OdeResult, OdeStepUnderflow, magnus_su2, max_abs
-from tripod_sta.tripod import _dressed, frame_change, frame_ends, frame_field, hamiltonian, lab_operator
+from tripod_sta.tripod import _dressed, frame_change, frame_ends, half_segment_field, hamiltonian, lab_operator
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
 OMEGA0 = 2.0 * math.pi
@@ -47,10 +47,29 @@ def frame_at(params: ControlParams, shape: PulseShape, t: float, segment: int | 
     return frame_change(params, shape(t)[0], seg == 2)
 
 
+def frame_field(params: list[ControlParams], t: np.ndarray) -> tuple:
+    """tripod.half_segment_field at absolute times: the spin-1 components of
+    protocol params[j]'s adiabatic-frame field at the times t[j], t of shape
+    (members, n), for an SATD member in the nu-dressed frame; each component
+    broadcasts against t.  All from one PulseShape.ramp on a (members, 1)
+    t_gate column, with the dressing in closed form."""
+    rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params]
+    w, r, satd, tg = np.array(rows).T[..., None]
+    _, td, tdd = PulseShape.ramp(tg, t)
+    half_gap = 0.5 * r * w
+    kappa = np.where(satd, _satd_correction(td, tdd, w * w), 0.0)
+    c = (half_gap * kappa, td, -half_gap)
+    if not satd.any():
+        return c
+    root = np.sqrt(w * w + 4.0 * td * td)
+    dressed_c = (c[0] - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root))
+    return tuple(np.where(satd, d, a) for d, a in zip(dressed_c, c))
+
+
 def undressed_frame_field(params: ControlParams, t):
     """The adiabatic-frame field (c_x, c_y, c_z) = (r*omega0*kappa/2,
     theta_dot, -r*omega0/2) of one protocol at the times t, with kappa =
-    controls._satd_correction (0 for the adiabatic flavor): tripod.frame_field
+    controls._satd_correction (0 for the adiabatic flavor): frame_field
     before the nu-dressing of an SATD member."""
     w, r = params.omega0, params.amp_scale
     _, td, tdd = PulseShape.ramp(params.t_gate, t)
@@ -72,11 +91,12 @@ def fourth_order_unitary(params: ControlParams, cfg: IntegratorConfig) -> tuple[
     tol = cfg.rel_tol + cfg.abs_tol
     satd = params.flavor is Flavor.SATD
     floor = 2.0 * math.sqrt(60.0 * math.pi / (params.omega0 * params.t_gate)) if satd else 0.0
+    span = np.array([0.5 * params.t_gate])
     halves = []
-    for t0, t1 in ((0.0, 0.5 * params.t_gate), (0.5 * params.t_gate, params.t_gate)):
+    for member in (np.array([0]), np.array([1])):  # the two half-segments of params
 
         def at(n: int) -> np.ndarray:
-            return magnus_su2(lambda rows, t: frame_field([params], t), np.array([t0]), np.array([t1]), n)[0]
+            return magnus_su2(lambda rows, x: half_segment_field([params], member, x), span, n)[0]
 
         n, u, prev = MAGNUS_MIN_STEPS, at(MAGNUS_MIN_STEPS), math.inf
         while True:

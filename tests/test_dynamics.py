@@ -9,6 +9,7 @@ from conftest import (
     dopri5_solve,
     dopri5_unitary,
     fourth_order_unitary,
+    frame_field,
     hamiltonian_superoperator,
     leak_lindblad_rhs,
     lindblad_rhs_reference,
@@ -42,7 +43,7 @@ from tripod_sta.qmath import (
     max_abs,
     ode_solve,
 )
-from tripod_sta.tripod import frame_field, ideal_gate, qubit_dark_state
+from tripod_sta.tripod import half_segment_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -135,10 +136,10 @@ class TestMagnusPath:
 
     @staticmethod
     def _first_half_products(p, counts):
-        def field(rows, t):
-            return frame_field([p], t)
+        def field(rows, x):
+            return half_segment_field([p], np.array([0]), x)
 
-        return [magnus_su2(field, np.array([0.0]), np.array([0.5 * p.t_gate]), n)[0] for n in counts]
+        return [magnus_su2(field, np.array([0.5 * p.t_gate]), n)[0] for n in counts]
 
     # Both fields are non-diagonal: SATD's nu-dressed field is diagonal at amp_scale 1 only.
     @pytest.mark.parametrize("flavor, amp_scale", [(Flavor.ADIABATIC, 1.0), (Flavor.SATD, 1.13)])
@@ -155,6 +156,50 @@ class TestMagnusPath:
         richardson = [b + (b - a) / 15.0 for a, b in zip(us, us[1:])]
         differences = [max_abs(b - a) for a, b in zip(richardson, richardson[1:])]
         assert differences[0] >= 48.0 * differences[1], differences
+
+    def test_field_on_the_shared_unit_gate_nodes_matches_the_absolute_time_reference(self, monkeypatch):
+        # propagate_unitary_batch's field callback for both halves of every
+        # member, on the nodes x = (k + 1/2 -+ sqrt(3)/6)/N of a half shared by
+        # all, against conftest.frame_field at t = (half + x)*t_g/2.  Blocks of
+        # 8 steps make N = 20 three field calls per member, the last a partial
+        # block.  (Near a half's ends kappa's relative error is the rounding
+        # of the ramp variable u over u or 1 - u, in either field: at 1e-6
+        # cycles and N = 8192 they differ by 1.4e-12 of the field's scale.)
+        ps = [params(c, f, amp_scale=r) for c in (1e-6, 2.0, 30.0, 1e5) for f in Flavor for r in (0.87, 1.0, 1.13)]
+
+        class Captured(Exception):
+            pass
+
+        def capture(field, spans, n):
+            raise Captured(field, spans)
+
+        monkeypatch.setattr(dynamics, "magnus_su2", capture)
+        with pytest.raises(Captured) as first_level:
+            propagate_unitary_batch(ps, CFG)
+        field, spans = first_level.value.args  # every member, row j the half j % 2 of ps[j // 2]
+        monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", 8)
+        offset = math.sqrt(3.0) / 6.0
+        for n in (MAGNUS_MIN_STEPS, 20):
+            calls = []
+
+            def recorded(rows, x):
+                calls.append((rows, x, field(rows, x)))
+                return calls[-1][2]
+
+            magnus_su2(recorded, spans, n)
+            k = np.arange(n) + 0.5
+            nodes = np.sort(np.concatenate([k - offset, k + offset]) / n)
+            for j in range(len(spans)):
+                mine = [(x, c) for rows, x, c in calls if rows.tolist() == [j]]
+                assert len(mine) == -(-n // 8)
+                assert np.max(np.abs(np.sort(np.concatenate([x for x, _ in mine])) - nodes)) < 1e-15
+                p, half = ps[j // 2], j % 2
+                for x, c in mine:
+                    ref, got = (
+                        np.array([np.broadcast_to(v, (1, x.size))[0] for v in components])
+                        for components in (frame_field([p], 0.5 * p.t_gate * (half + x[None])), c)
+                    )
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, half, n)
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     def test_diagnostics_report_the_doubling(self, flavor):
@@ -265,13 +310,13 @@ class TestUnitaryBatch:
 
     def test_field_calls_hold_at_most_a_block_of_member_steps(self, monkeypatch):
         sizes = []
-        real = dynamics.frame_field
+        real = dynamics.half_segment_field
 
-        def recording(params, t):
-            sizes.append((len(params), t.size // 2))
-            return real(params, t)
+        def recording(params, members, x):
+            sizes.append((len(members), len(members) * x.size // 2))
+            return real(params, members, x)
 
-        monkeypatch.setattr(dynamics, "frame_field", recording)
+        monkeypatch.setattr(dynamics, "half_segment_field", recording)
         propagate_unitary_batch(_mixed_batch(plateau=False), IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
         assert max(steps for _, steps in sizes) <= MAGNUS_BLOCK
         assert max(members for members, _ in sizes) > 1  # members do share calls

@@ -12,6 +12,7 @@ from conftest import (
     decompose_block_unitary,
     dressed_frame_hamiltonian,
     frame_at,
+    frame_field,
     frame_field_at,
     params,
     random_unitary,
@@ -31,7 +32,6 @@ from tripod_sta.tripod import (
     dressed_frame_fields,
     frame_change,
     frame_ends,
-    frame_field,
     hamiltonian,
     ideal_gate,
     lab_operator,
