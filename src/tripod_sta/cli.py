@@ -7,18 +7,24 @@ serial runs yield the same sorted rows.
 
 Each kind splits its sweep into tasks: one per contour rate pair and flavor,
 for gate-error one contiguous lockstep batch of points per job, and for
-noise-map and oracle-compare one contiguous chunk of each flavor's grid per
-Lindblad solve (metrics.point_chunks, set by the config alone).  Every
-Lindblad map is solved by metrics.nominal_and_uncertainty_avg.  The tasks
-run on at most --jobs worker processes, and a numerical failure names the
-first failing point of the first failing task, in the order the kind lists
-them (for noise-map: flavor by flavor, each in grid order).
+noise-map and oracle-compare at most --jobs contiguous runs of the (chunk,
+flavor) Lindblad solves, chunk by chunk (metrics.point_chunks: the chunks
+come from the config alone).  A task solves the flavors of each of its
+chunks in one lockstep pass, each flavor on its own adaptive mesh, so the
+values do not depend on --jobs.  Every Lindblad map is solved by
+metrics.nominal_and_uncertainty_avg.  The tasks run on at most --jobs
+worker processes, and a numerical failure names the first failing point of
+the first failing task, in the order the kind lists them (for noise-map:
+chunk by chunk, each chunk's flavors in config order and each flavor's
+points in grid order; within one pass, a stalled step names the flavor
+that stalls first).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -388,25 +394,47 @@ def _gate_error_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
 # --- noise-map sweep -------------------------------------------------------
 
 def _chunk_tasks(spec: SweepSpec) -> list[dict]:
-    """One task per point_chunks chunk of each flavor's grid: each is one
-    Lindblad solve, so the batches come from the config alone."""
+    """The (chunk, flavor) solves of the point_chunks of the grid, chunk by
+    chunk and each chunk's flavors in config order, in at most spec.jobs
+    contiguous tasks, so the batches come from the config alone.  A task's
+    passes count the points of each of its chunks, all its flavors of that
+    chunk together: one lockstep pass of metrics.nominal_and_uncertainty_avg."""
     grid = spec.fields
-    return [
-        {"points": [{"tg_cycles": grid[i], "flavor": flavor} for i in chunk]}
+    solves = [
+        (c, [{"tg_cycles": grid[i], "flavor": flavor} for i in chunk])
+        for c, chunk in enumerate(point_chunks(len(grid), spec.noise.k, spec.uncertainty_nodes))
         for flavor in spec.flavors
-        for chunk in point_chunks(len(grid), spec.noise.k, spec.uncertainty_nodes)
     ]
+    k = min(spec.jobs, len(solves))
+    tasks = []
+    for part in (solves[len(solves) * i // k : len(solves) * (i + 1) // k] for i in range(k)):
+        passes = [sum(len(points) for _, points in run) for _, run in itertools.groupby(part, lambda s: s[0])]
+        tasks.append({"points": [point for _, points in part for point in points], "passes": passes})
+    return tasks
 
 
-def _noise_map_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
-    """The noise-map rows of each point {tg_cycles, flavor} of one flavor,
-    its maps solved together; a NumericalError carries the index of the
+def _pass_maps(spec: SweepSpec, ps: list[ControlParams], passes: list[int]) -> list[tuple[float, float]]:
+    """nominal_and_uncertainty_avg of each pass of ps, consecutive runs of
+    the lengths passes; a NumericalError carries the index of the failing
+    point of ps as its member."""
+    maps, start = [], 0
+    for n in passes:
+        with _failing_member(1, range(start, start + n)):
+            points = ps[start : start + n]
+            maps += nominal_and_uncertainty_avg(points, spec.noise, spec.uncertainty_nodes, spec.integrator)
+        start += n
+    return maps
+
+
+def _noise_map_rows(spec: SweepSpec, points: list[dict], passes: list[int]) -> list[tuple]:
+    """The noise-map rows of each point {tg_cycles, flavor}, its maps solved
+    pass by pass (see _pass_maps); a NumericalError carries the index of the
     failing point as its member."""
     cfg = spec.integrator
     floor = cfg.rel_tol
     ps = [spec.params(**point) for point in points]
     rows = []
-    for p, (f_nominal, f_avg) in zip(ps, nominal_and_uncertainty_avg(ps, spec.noise, spec.uncertainty_nodes, cfg)):
+    for p, (f_nominal, f_avg) in zip(ps, _pass_maps(spec, ps, passes)):
         env = make_envelopes(p)
         max_amp = env.max_amplitude / OMEGA0
         cost = energy_cost(env, p) / (0.5 * OMEGA0)
@@ -489,19 +517,20 @@ def _pulse_rows(spec: SweepSpec) -> list[tuple]:
     return envelope_rows(make_envelopes(p), f.samples)
 
 
-def _oracle_compare_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
-    """The oracle-compare row of each SATD point {tg_cycles, flavor} of one
-    chunk, its adiabatic twins' closed path one lockstep batch and its maps one
-    solve; a NumericalError carries the failing point's index as its member."""
+def _oracle_compare_rows(spec: SweepSpec, points: list[dict], passes: list[int]) -> list[tuple]:
+    """The oracle-compare row of each SATD point {tg_cycles, flavor}, its
+    adiabatic twins' closed path one lockstep batch and its maps one solve
+    per pass (see _pass_maps); a NumericalError carries the failing point's
+    index as its member."""
     cfg, noise = spec.integrator, spec.noise
     ps = [spec.params(**point) for point in points]
     closed = _gate_error_rows(spec, [dict(point, flavor="adiabatic") for point in points])
     # One node at k = 0 (fixed): each nominal value is the point's scale-1 map, on the chunk's shared mesh.
-    maps = nominal_and_uncertainty_avg(ps, noise, spec.uncertainty_nodes, cfg)
+    maps = _pass_maps(spec, ps, passes)
     rows = []
     for member, (p, (_, _, eps_num_full, *_, eps_oracle_a), (f_map, _)) in enumerate(zip(ps, closed, maps)):
         shape = make_pulse_shape(p.t_gate)
-        with _failing_member(1, member):
+        with _failing_member(1, [member]):
             f_oracle_b = oracle_b_map_fidelity(p, shape, noise, cfg)
         eps = (1.0 - f_map, 1.0 - analytic_satd_dephasing_fidelity(p, shape, noise), 1.0 - f_oracle_b)
         rows.append((p.t_gate, eps_num_full, eps_oracle_a, *(clamp_error(e, cfg.rel_tol) for e in eps)))

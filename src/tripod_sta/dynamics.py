@@ -268,20 +268,21 @@ def _packed_generator(h: np.ndarray) -> np.ndarray:
 
 
 def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
-    # terms(tau) gives one generator G_b (blocks, 16, 16) per block of equal
-    # consecutive rows of the real packed stack u and weights w broadcasting to
-    # (blocks, m, 16): member i of block b gets w[b, i] * u_i @ G_b plus its
-    # dephasing -t_gates[i] * W on each packed float.  One batched matmul, the
-    # weights and the dephasing elementwise on whole rows (a weight column
-    # broadcast along the rows costs twice as much).  Each call writes into the
-    # same two buffers, made once per rhs: ode_solve copies each result away.
-    damping = _pack(-(1.0 + 1.0j) * noise.dephasing_matrix()) * t_gates[:, None]
+    # The real packed stack u comes in blocks of consecutive members, shaped
+    # (blocks, m, 16), and t_gates holds each member's gate time shaped
+    # (blocks, m).  terms(tau) gives one generator G_b (blocks, 16, 16) per
+    # block and weights w broadcasting to u's shape: member i of block b gets
+    # w[b, i] * u_i @ G_b plus its dephasing -t_gates[b, i] * W on each packed
+    # float.  One batched matmul, the weights and the dephasing elementwise on
+    # whole rows (a weight column broadcast along the rows costs twice as
+    # much).  Each call writes into the same two buffers, made once per rhs in
+    # u's shape: ode_solve copies each result away.
+    damping = _pack(-(1.0 + 1.0j) * noise.dephasing_matrix()) * t_gates[..., None]
     out, product = np.empty_like(damping), np.empty_like(damping)
 
     def rhs(tau, u):
         generators, weights = terms(tau)
-        blocked = out.reshape(len(generators), -1, 16)
-        np.multiply(np.matmul(u.reshape(blocked.shape), generators, out=blocked), weights, out=blocked)
+        np.multiply(np.matmul(u, generators, out=out), weights, out=out)
         np.add(out, np.multiply(damping, u, out=product), out=out)
         return out
 
@@ -337,27 +338,32 @@ def propagate_lindblad_batch(
     cfg: IntegratorConfig = IntegratorConfig(),
     amp_scales: np.ndarray | None = None,
     t_gates: np.ndarray | None = None,
+    flavors: list[Flavor] | None = None,
 ) -> list[PropagationResult]:
-    """Evolve a stack of density matrices (n, 4, 4), n >= 1, through one
-    shared adaptive solve in scaled time tau = t/T with per-level pure
-    dephasing.
+    """Evolve a stack of density matrices (n, 4, 4), n >= 1, under each of
+    flavors (default: params.flavor alone) through one adaptive lockstep
+    solve in scaled time tau = t/T with per-level pure dephasing: one
+    PropagationResult per member and flavor, flavor by flavor.
 
-    Member i is the protocol of env run for the gate time T = t_gates[i] at
-    r = amp_scales[i] times its amplitude (defaults: env's gate time and
-    every scale 1; each finite and positive): in tau it evolves under
-    T*r*H_T(tau) with damping T*W, H_T the Hamiltonian of env's flavor, axis
-    and amplitude at gate time T (the quintic ramp is a function of t/T).
-    params must equal env.params.  Every accepted step of the common mesh
-    meets the stepper's combined error criterion over the whole stack, which
-    does not make it as fine as each member needs alone: the combined ratio
-    falls as the stack's third-order estimate grows.  The initial stack is
-    Hermitized once and integrated packed as real floats, so every final
-    state is exactly Hermitian.  A final trace defect beyond 1e-6 or a
-    minimum eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
-    NumericalError with member set to the first failing member.  A stalled
-    step (OdeStepUnderflow, OdeStepLimit, both NumericalErrors) gives its
-    time as tau and names the first member of the longest gate, which sets
-    the shared mesh.
+    Member i of flavor f is the protocol of env at flavor f run for the gate
+    time T = t_gates[i] at r = amp_scales[i] times its amplitude (defaults:
+    env's gate time and every scale 1; each finite and positive): in tau it
+    evolves under T*r*H_T(tau) with damping T*W, H_T the Hamiltonian of
+    flavor f and env's axis and amplitude at gate time T (the quintic ramp
+    is a function of t/T).  params must equal env.params.  Each flavor's
+    stack is one group of qmath.ode_solve, on its own adaptive mesh: it gets
+    bit for bit the solve of a call with that flavor alone.  Within a
+    flavor, every accepted step of the common mesh meets the stepper's
+    combined error criterion over the whole stack, which does not make it
+    as fine as each member needs alone: the combined ratio falls as the
+    stack's third-order estimate grows.  The initial stack is Hermitized
+    once and integrated packed as real floats, so every final state is
+    exactly Hermitian.  A final trace defect beyond 1e-6 or a minimum
+    eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
+    NumericalError with member set to the index of the first failing result.
+    A stalled step (OdeStepUnderflow, OdeStepLimit, both NumericalErrors)
+    gives its time as tau and names the result of the first member of the
+    longest gate in the stalled flavor, which sets that flavor's mesh.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
@@ -367,6 +373,10 @@ def propagate_lindblad_batch(
     _check_density(rho0s)
     amp_scales = _per_member("amp_scales", amp_scales, 1.0, len(rho0s))
     t_gates = _per_member("t_gates", t_gates, params.t_gate, len(rho0s))
+    flavors = [params.flavor] if flavors is None else list(flavors)
+    if not flavors:
+        raise ValueError("flavors must hold at least one flavor")
+    groups = len(flavors)
 
     # H_T(tau) is a*omega0 times the envelope form of EnvelopeSet.evaluate,
     # profile factors (f_s, f_c) = controls._satd_reshape(s, c, kappa_T) at
@@ -375,60 +385,67 @@ def propagate_lindblad_batch(
     # kappa = 0, for the adiabatic flavor).  Member i's generator is
     # c_i (f_s G_s + f_c G_c), c_i = T r a omega0, G_s of the qubit legs and
     # G_c of the a-e leg with the half-segment's phase.  kappa depends on T
-    # alone, so each block of m members of one gate time (m the gcd of the
-    # gate-time runs: one point's scales and inputs in every CLI stack)
-    # shares a generator.  A half-segment builds those of a step's distinct
-    # stage times in one pass as ode_solve announces them (one ramp per time,
-    # then one stacked matmul of (blocks, 2) @ (2, 256) per time), and
+    # and the flavor alone, so each block of m members of one gate time (m
+    # the gcd of the gate-time runs: one point's scales and inputs in every
+    # CLI stack) shares a generator in each flavor, and the solve's stack is
+    # (flavors x blocks, m, 16).  A half-segment builds the generators of a
+    # step's distinct stage times, one time per flavor, in one pass as
+    # ode_solve announces them (one ramp per time and flavor, then one
+    # stacked matmul of (blocks, 2) @ (2, 256) per time and flavor), and
     # terms(tau) reads the row of tau; a time no step announced (the DOPRI5
     # reference drives the same rhs) gets its own row from the same build.
     m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
     wt = params.omega0 * t_gates[::m]
-    gap_sq = wt * wt if params.flavor is Flavor.SATD else math.inf
-    weights = np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 16).reshape(-1, m, 16)
+    gap_sq = np.array([wt * wt if flavor is Flavor.SATD else np.full(len(wt), math.inf) for flavor in flavors])
+    weights = np.tile(np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 16), groups).reshape(-1, m, 16)
+    stacked_t_gates = np.tile(t_gates, groups).reshape(-1, m)
     g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))
 
     def half_rhs(phase: complex):
         """The half-segment's rhs and its ode_solve stage_times hook."""
         gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 256)
         # The generators of the announced times, then a row for an unannounced one.
-        table = np.empty((13, len(wt), 16, 16))
+        table = np.empty((13, len(weights), 16, 16))
         rows: dict = {}
 
-        def build(taus: list, out: np.ndarray) -> None:
-            # The ramp on floats: a dozen scalar calls cost less than one on an array.
-            ramps = [PulseShape.ramp(1.0, tau) for tau in taus]
-            s, c, d1, d2 = np.array([(math.sin(th), math.cos(th), d1, d2) for th, d1, d2 in ramps]).T[..., None]
-            factors = np.empty((len(taus), 2, len(wt)))
-            factors[:, 0], factors[:, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
-            np.matmul(factors.swapaxes(1, 2), gens, out=out.reshape(len(taus), len(wt), 256))
+        def build(keys: list, out: np.ndarray) -> None:
+            # keys hold one time per flavor.  The ramp on floats: its scalar
+            # calls, one per time and flavor, cost less than one on an array.
+            theta, d1, d2 = zip(*[PulseShape.ramp(1.0, tau) for key in keys for tau in key])
+            angles = np.array([list(map(math.sin, theta)), list(map(math.cos, theta)), d1, d2])
+            s, c, d1, d2 = angles.reshape(4, len(keys), groups, 1)
+            factors = np.empty((len(keys), groups, 2, len(wt)))
+            factors[:, :, 0], factors[:, :, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
+            np.matmul(factors.reshape(-1, 2, len(wt)).swapaxes(1, 2), gens, out=out.reshape(-1, len(wt), 256))
 
         def announce(taus: np.ndarray) -> None:
-            taus = list(dict.fromkeys(taus.tolist()))  # stages 11 and 12 share the node 1
-            build(taus, table[: len(taus)])
+            # One key per stage, as rhs gets it; stages 11 and 12 share the node 1.
+            keys = list(dict.fromkeys(map(tuple, taus.reshape(groups, -1).T.tolist())))
+            build(keys, table[: len(keys)])
             rows.clear()
-            rows.update(zip(taus, range(len(taus))))
+            rows.update((key if groups > 1 else key[0], i) for i, key in enumerate(keys))
 
         def terms(tau):
             row = rows.get(tau)
             if row is None:
                 row = 12
-                build([tau], table[row:])
+                build([tau if groups > 1 else (tau,)], table[row:])
             return table[row], weights
 
-        return _lindblad_rhs(terms, noise, t_gates), announce
+        return _lindblad_rhs(terms, noise, stacked_t_gates), announce
 
+    y0 = np.tile(_pack(hermitize(rho0s)), (groups, 1)).reshape(weights.shape)
     try:
         rhs, announce = half_rhs(1.0)
-        first = ode_solve(rhs, _pack(hermitize(rho0s)), 0.0, 0.5, cfg, stage_times=announce)
+        first = ode_solve(rhs, y0, 0.0, 0.5, cfg, stage_times=announce, groups=groups)
         rhs, announce = half_rhs(env.phase_jump)
-        second = ode_solve(rhs, first.y, 0.5, 1.0, cfg, stage_times=announce)
+        second = ode_solve(rhs, first.y, 0.5, 1.0, cfg, stage_times=announce, groups=groups)
     except OdeStepUnderflow as exc:
-        raise type(exc)(exc.t, "tau", int(np.argmax(t_gates))) from None
-    rhos = _unpack(second.y)
+        raise type(exc)(exc.t, "tau", exc.member * len(rho0s) + int(np.argmax(t_gates))) from None
+    rhos = _unpack(second.y).reshape(-1, 4, 4)
     trace_defects, min_eigs = density_diagnostics(rhos, cfg.rel_tol)
-    steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
+    steps = [(a1 + a2, r1 + r2) for (a1, r1), (a2, r2) in zip(first.group_steps, second.group_steps)]
     return [
-        PropagationResult(rho, *steps, trace_defect=float(d), min_eigenvalue=float(e))
-        for rho, d, e in zip(rhos, trace_defects, min_eigs)
+        PropagationResult(rho, *steps[i // len(rho0s)], trace_defect=float(d), min_eigenvalue=float(e))
+        for i, (rho, d, e) in enumerate(zip(rhos, trace_defects, min_eigs))
     ]

@@ -106,14 +106,14 @@ _SOLVED_AXIAL = [0, 2, 4, 5]
 
 
 @contextmanager
-def _failing_member(group: int, offset: int):
+def _failing_member(group: int, points):
     """Renumber a NumericalError's member, an index into consecutive groups
-    of group members, to offset plus the index of its group."""
+    of group members, to the entry of points at the index of its group."""
     try:
         yield
     except NumericalError as exc:
         if exc.member is not None:
-            exc.member = offset + exc.member // group
+            exc.member = points[exc.member // group]
         raise
 
 
@@ -152,43 +152,58 @@ def nominal_and_uncertainty_avg(
     against the nominal ideal gate, and its uniform average over the Rabi
     amplitude interval [a*omega0(1-k), a*omega0(1+k)] by Gauss-Legendre
     quadrature, node x at the amplitude scale 1 + k*x (the middle node x = 0
-    is the nominal map).  The points, at least one, may differ in t_gate
-    alone.
+    is the nominal map).  The points, at least one, may differ in t_gate and
+    flavor alone.
 
-    Each chunk of point_chunks is one scaled-time Lindblad solve of the four
-    independent axial inputs at every scale of its points; the -x and -y
-    images follow by linearity and get the same trace and positivity checks.
-    A NumericalError's member is the index of the failing point; the solve
-    ties a stalled step to the chunk's longest gate, which sets its mesh.
+    The points of each flavor are solved in the chunks of point_chunks over
+    that flavor's points, in order, each one scaled-time Lindblad solve of
+    the four independent axial inputs at every scale of its points; the -x
+    and -y images follow by linearity and get the same trace and positivity
+    checks.  Chunks of equal gate times (chunk i of each flavor, when the
+    flavors share one grid) are one lockstep pass of
+    dynamics.propagate_lindblad_batch, each flavor on its own adaptive mesh,
+    so every value is bit for bit that of its flavor's points alone.  A
+    NumericalError's member is the index of the failing point; the solve
+    ties a stalled step to the longest gate of its chunk, which sets its mesh.
     """
     scales, weights = _point_scales(noise.k, n_nodes)
     if not points:
         raise ValueError("points must hold at least one protocol")
     first = points[0]
-    if any(replace(p, t_gate=first.t_gate) != first for p in points):
-        raise ValueError("points must differ in t_gate alone")
+    if any(replace(p, t_gate=first.t_gate, flavor=first.flavor) != first for p in points):
+        raise ValueError("points must differ in t_gate and flavor alone")
     inputs = AXIAL_QUBIT_STATES[_SOLVED_AXIAL]
     per_point = len(inputs) * len(scales)
-    out = []
-    for chunk in point_chunks(len(points), noise.k, n_nodes):
-        lead = points[chunk.start]
-        t_gates = [points[i].t_gate for i in chunk]
-        rho0s = np.tile(inputs, (len(chunk) * len(scales), 1, 1))
-        amp_scales = np.tile(np.repeat(scales, len(inputs)), len(chunk))
-        with _failing_member(per_point, chunk.start):
+    by_flavor: dict = {}
+    for i, p in enumerate(points):
+        by_flavor.setdefault(p.flavor, []).append(i)
+    # Gate times of a pass -> the point indices of each of its chunks.
+    passes: dict = {}
+    for members in by_flavor.values():
+        for chunk in point_chunks(len(members), noise.k, n_nodes):
+            ids = [members[j] for j in chunk]
+            passes.setdefault(tuple(points[i].t_gate for i in ids), []).append(ids)
+    out: list = [None] * len(points)
+    for t_gates, chunks in passes.items():
+        lead = points[chunks[0][0]]
+        order = [i for ids in chunks for i in ids]  # the index in points of each solved point, flavor by flavor
+        rho0s = np.tile(inputs, (len(t_gates) * len(scales), 1, 1))
+        amp_scales = np.tile(np.repeat(scales, len(inputs)), len(t_gates))
+        flavors = [points[ids[0]].flavor for ids in chunks]
+        with _failing_member(per_point, order):
             results = propagate_lindblad_batch(
-                lead, make_envelopes(lead), noise, rho0s, cfg, amp_scales, np.repeat(t_gates, per_point)
+                lead, make_envelopes(lead), noise, rho0s, cfg, amp_scales, np.repeat(t_gates, per_point), flavors
             )
         solved = np.stack([res.final_operator for res in results]).reshape(-1, len(inputs), 4, 4)
         plus_x, plus_y, zero, one = np.moveaxis(solved, 1, 0)
         minus_x, minus_y = zero + one - plus_x, zero + one - plus_y
-        with _failing_member(2 * len(scales), chunk.start):
+        with _failing_member(2 * len(scales), order):
             density_diagnostics(np.stack([minus_x, minus_y], axis=1).reshape(-1, 4, 4), cfg.rel_tol)
         finals = np.stack([plus_x, minus_x, plus_y, minus_y, zero, one], axis=1).reshape(-1, 4, 4)
         fids = _axial_average(ideal_gate(lead.with_amp_scale(1.0))[:2, :2], finals)
         # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
-        for f in fids.reshape(len(chunk), -1):
-            out.append((float(f[len(f) // 2]), float(np.dot(weights, f)) / 2.0))
+        for i, f in zip(order, fids.reshape(len(order), -1)):
+            out[i] = (float(f[len(f) // 2]), float(np.dot(weights, f)) / 2.0)
     return out
 
 

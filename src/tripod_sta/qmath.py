@@ -78,9 +78,13 @@ class IntegratorConfig:
 
 @dataclass
 class OdeResult:
+    """Final state and step counts of one ode_solve call, summed over its
+    groups; group_steps holds each group's (accepted, rejected) pair."""
+
     y: np.ndarray
     steps_accepted: int
     steps_rejected: int
+    group_steps: tuple = ()
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -260,13 +264,14 @@ _DP_TABLEAU = np.concatenate([_DP_STAGES, _DP_E])
 
 
 def ode_solve(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable,
     y0: np.ndarray,
     t0: float,
     t1: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     *,
     stage_times: Callable[[np.ndarray], None] | None = None,
+    groups: int = 1,
 ) -> OdeResult:
     """Integrate dy/dt = rhs(t, y) from t0 to t1 with the adaptive
     Dormand-Prince 8(5,3) stepper (DOP853), in y0's kind: float64 for a real
@@ -282,13 +287,24 @@ def ode_solve(
     step scales the (13, 12) stage tableau and the two error rows by h in
     one product, and each stage argument is one real tableau-row product
     with the stages' float view, written into a preallocated row and then
-    added to y; the error estimates go to a preallocated buffer too.  Each
-    rhs result is copied into its stage row before the next call, so rhs may
-    return a buffer it reuses; the y it is handed is a row the stepper
-    rewrites, so rhs must not keep it.  The last stage of an accepted step
-    is the first of the next (FSAL), so a solve costs 1 + 12*(accepted +
-    rejected) rhs evaluations.  More than ODE_MAX_STEPS attempts raise
-    OdeStepLimit.
+    added to y; the error estimates go to a preallocated buffer too.  rhs
+    gets each stage argument in y0's shape, and each rhs result is copied
+    into its stage row before the next call, so rhs may return a buffer it
+    reuses; the y it is handed is a row the stepper rewrites, so rhs must
+    not keep it.  The last stage of an accepted step is the first of the
+    next (FSAL), so a solve costs 1 + 12*(accepted + rejected) rhs
+    evaluations.  More than ODE_MAX_STEPS attempts raise OdeStepLimit.
+
+    groups > 1 integrates that many independent systems in lockstep: y0's
+    first axis holds them as equal consecutive parts, and each group has its
+    own t, step size, error norm, accept/reject decision and step count, so
+    it gets bit for bit its own solve.  The groups share every stage's numpy
+    calls (one batched product per stage argument, one rhs call); a group
+    that finishes first rides along with h = 0, and its state no longer
+    changes.  rhs then gets the tuple of the groups' stage times, and the
+    stage_times arrays below gain a leading group axis.  steps_accepted and
+    steps_rejected sum over the groups, group_steps gives each group's pair,
+    and a stalled group raises with member set to its index.
 
     stage_times, if given, is called with the float array [t0] before the
     first stage and, before the stages of each attempted step, with that
@@ -300,64 +316,89 @@ def ode_solve(
         raise ValueError("t1 must be >= t0")
     t0, t1 = float(t0), float(t1)  # numpy endpoints would make every stage time a numpy scalar
     y = np.array(y0, dtype=float if np.isrealobj(y0) else complex)
+    if groups < 1 or (groups > 1 and (y.ndim == 0 or len(y) % groups)):
+        raise ValueError("groups must be >= 1 and split y0's first axis into equal parts")
     if t1 == t0:
-        return OdeResult(y, 0, 0)
-    shape, y = y.shape, y.ravel()
-    span, t = t1 - t0, t0
-    ks = np.empty((13, y.size), dtype=y.dtype)
-    if stage_times is not None:
-        stage_times(np.array([t]))
-    first = rhs(t, y.reshape(shape))
+        return OdeResult(y, 0, 0, ((0, 0),) * groups)
+    shape, y = y.shape, y.reshape(groups, -1)
+    span, size = t1 - t0, y.shape[1]
+
+    def times_seen(times: np.ndarray):
+        """Per stage, what rhs gets of the (groups, n) stage times."""
+        return times[0].tolist() if groups == 1 else list(zip(*times.tolist()))
+
+    def announce(times: np.ndarray) -> None:
+        if stage_times is not None:
+            stage_times(times[0] if groups == 1 else times)
+
+    ks = np.empty((13, groups, size), dtype=y.dtype)
+    # Each stage row in y0's shape, the shape rhs takes and returns.
+    k_shaped = [k.reshape(shape) for k in ks]
+    start = np.full((groups, 1), t0)
+    announce(start)
+    first = rhs(times_seen(start)[0], y.reshape(shape))
     if np.iscomplexobj(first) and not np.iscomplexobj(y):
         raise ValueError("rhs returned a complex array for a real y0")
-    ks[0] = first.ravel()
+    k_shaped[0][...] = first
     # Crude but safe first step guess; the controller fixes it quickly.
-    scale = max_abs(ks[0])
-    h = 0.01 * (max_abs(y) + cfg.abs_tol) / scale if scale > 0.0 else span
-    h = max(min(h, span), span * 1e-10)
+    h = []
+    for k0, yg in zip(ks[0], y):
+        scale = max_abs(k0)
+        guess = 0.01 * (max_abs(yg) + cfg.abs_tol) / scale if scale > 0.0 else span
+        h.append(max(min(guess, span), span * 1e-10))
 
-    accepted = rejected = 0
+    t, accepted, rejected = [t0] * groups, [0] * groups, [0] * groups
     abs_y = np.abs(y)
-    # Buffers of one step: h times the tableau, the stage arguments
-    # (row 0 for stages 1-11, row 1, the new state, for the FSAL stage) as
-    # float and rhs-shaped views, and the two error estimates.
-    hs, (rows, errs) = np.empty_like(_DP_TABLEAU), np.empty((2, 2, y.size), dtype=y.dtype)
-    args, y8, yf = [(row.view(float), row.reshape(shape)) for row in rows], rows[1], y.view(float)
-    # Per stage i: its row of hs, the stages it weighs, its argument (float
-    # and rhs-shaped views) and its own row of ks, as views made once; then
-    # the same for the error estimates.
-    stages = [(hs[i, :i], ks.view(float)[:i], *args[i == 12], ks[i]) for i in range(1, 13)]
-    error_weights, error_stages, error_out = hs[13:], ks.view(float)[:12], errs.view(float)
-    while t < t1:
-        h = min(h, t1 - t)
-        if h <= max(abs(t), span) * 1e-15:
-            raise OdeStepUnderflow(t)
-        if accepted + rejected == ODE_MAX_STEPS:
-            raise OdeStepLimit(t)
-        np.multiply(_DP_TABLEAU, h, out=hs)
-        times = t + _DP_NODES * h
-        if stage_times is not None:
-            stage_times(times)
-        for tau, (weights, earlier, arg, shaped, k) in zip(times.tolist(), stages):
-            np.dot(weights, earlier, out=arg)
+    # Buffers of one step: h times the tableau per group, the stage
+    # arguments (row 0 for stages 1-11, row 1, the new state, for the FSAL
+    # stage) as float (groups, 1, n) and rhs-shaped views, and the two error
+    # estimates per group.
+    hs = np.empty((groups, *_DP_TABLEAU.shape))
+    rows, errs = np.empty((2, groups, size), dtype=y.dtype), np.empty((groups, 2, size), dtype=y.dtype)
+    float_rows = rows.view(float).reshape(2, groups, 1, -1)
+    args, y8, yf = [(float_rows[j], rows[j].reshape(shape)) for j in (0, 1)], rows[1], y.view(float)[:, None]
+    # Per stage i: its rows of hs, the stages it weighs (groups, i, n), its
+    # argument (float and rhs-shaped views) and its own rhs-shaped row of ks,
+    # as views made once; then the same for the error estimates.
+    k_float = ks.view(float).swapaxes(0, 1)
+    stages = [(hs[:, i : i + 1, :i], k_float[:, :i], *args[i == 12], k_shaped[i]) for i in range(1, 13)]
+    error_weights, error_stages, error_out = hs[:, 13:], k_float[:, :12], errs.view(float)
+    while True:
+        live = [g for g in range(groups) if t[g] < t1]
+        if not live:
+            break
+        for g in live:
+            h[g] = min(h[g], t1 - t[g])
+            if h[g] <= max(abs(t[g]), span) * 1e-15:
+                raise OdeStepUnderflow(t[g], member=g)
+            if accepted[g] + rejected[g] == ODE_MAX_STEPS:
+                raise OdeStepLimit(t[g], member=g)
+        step = np.array([h[g] if t[g] < t1 else 0.0 for g in range(groups)])[:, None]
+        np.multiply(_DP_TABLEAU, step[:, :, None], out=hs)
+        times = np.array(t)[:, None] + _DP_NODES * step
+        announce(times)
+        for tau, (weights, earlier, arg, shaped, k) in zip(times_seen(times), stages):
+            np.matmul(weights, earlier, out=arg)
             arg += yf
-            k[...] = rhs(tau, shaped).ravel()
-        np.dot(error_weights, error_stages, out=error_out)
+            k[...] = rhs(tau, shaped)
+        np.matmul(error_weights, error_stages, out=error_out)
         abs_y8 = np.abs(y8)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)
         # Floats, so h and every stage time handed to rhs stay numpy-free.
-        e5, e3 = (np.abs(errs) / tol).max(axis=1).tolist()
-        # At e3 = 0 the combined estimate is e5 (and 0/0 when both vanish).
-        ratio = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e3 > 0.0 else e5
-        if ratio <= 1.0:
-            t += h
-            accepted += 1
-            y[:], abs_y, ks[0] = y8, abs_y8, ks[12]
-        else:
-            rejected += 1
-        fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.125))
-        h *= fac
-    return OdeResult(y.reshape(shape), accepted, rejected)
+        norms = (np.abs(errs) / tol[:, None]).max(axis=2).tolist()
+        for g in live:
+            e5, e3 = norms[g]
+            # At e3 = 0 the combined estimate is e5 (and 0/0 when both vanish).
+            ratio = e5 * e5 / math.sqrt(e5 * e5 + 0.01 * e3 * e3) if e3 > 0.0 else e5
+            if ratio <= 1.0:
+                t[g] += h[g]
+                accepted[g] += 1
+                y[g], abs_y[g], ks[0, g] = y8[g], abs_y8[g], ks[12, g]
+            else:
+                rejected[g] += 1
+            fac = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.125))
+            h[g] *= fac
+    return OdeResult(y.reshape(shape), sum(accepted), sum(rejected), tuple(zip(accepted, rejected)))
 
 
 def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n_nodes: int) -> float:

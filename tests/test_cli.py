@@ -487,7 +487,7 @@ def test_import_leaves_the_process_pool_unloaded():
 class TestNoiseMapSweep:
     CFG = MINIMAL_CFGS["sweep noise-map"]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 6])
     @pytest.mark.parametrize(
         "kind, cap, flavors",
         [("sweep noise-map", 24, ("adiabatic", "satd")), ("oracle compare", 8, ("satd",))],
@@ -496,17 +496,48 @@ class TestNoiseMapSweep:
     def test_tasks_are_the_solve_chunks_of_each_flavor(self, tmp_path, monkeypatch, kind, cap, flavors, jobs):
         # Four states per scale: noise-map's three nodes make 12 per point and
         # oracle-compare's one node 4, so a cap of 24 or 8 makes two points
-        # per solve, and --jobs does not move the batches.
+        # per solve, and --jobs does not move the batches.  The (chunk,
+        # flavor) solves, chunk by chunk, split into at most --jobs
+        # contiguous tasks; a task's passes count the points of each of its
+        # chunks, all its flavors of that chunk in one lockstep pass.
         monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", cap)
         grid = {"scale": "linear", "min": 2, "max": 6, "count": 5}
         payload = dict(MINIMAL_CFGS[kind], out=str(tmp_path / "o.csv"), tg_grid=grid)
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload), overrides={"jobs": jobs})
-        tasks = [[(pt["tg_cycles"], pt["flavor"]) for pt in t["points"]] for t in cli.KINDS[spec.kind].tasks(spec)]
-        assert tasks == [
-            [(tg, flavor) for tg in chunk]
-            for flavor in flavors
-            for chunk in ([2.0], [3.0, 4.0], [5.0, 6.0])
+        tasks = [
+            ([(pt["tg_cycles"], pt["flavor"]) for pt in t["points"]], t["passes"])
+            for t in cli.KINDS[spec.kind].tasks(spec)
         ]
+        passes = {
+            ("sweep noise-map", 1): [[2, 4, 4]],
+            ("sweep noise-map", 2): [[2, 2], [2, 4]],
+            ("sweep noise-map", 6): [[1], [1], [2], [2], [2], [2]],
+            ("oracle compare", 1): [[1, 2, 2]],
+            ("oracle compare", 2): [[1], [2, 2]],
+            ("oracle compare", 6): [[1], [2], [2]],
+        }[kind, jobs]
+        solves = [[(tg, flavor) for tg in chunk] for chunk in ([2.0], [3.0, 4.0], [5.0, 6.0]) for flavor in flavors]
+        k = len(passes)
+        parts = [solves[len(solves) * i // k : len(solves) * (i + 1) // k] for i in range(k)]
+        assert tasks == [([pt for solve in part for pt in solve], counts) for part, counts in zip(parts, passes)]
+
+    def test_both_flavors_of_a_chunk_share_its_two_solves(self, tmp_path, monkeypatch):
+        # Three chunks of the grid (as in the test above), each one lockstep
+        # pass of both flavors: one ode_solve per half-segment and chunk.
+        from tripod_sta import dynamics
+
+        solve, groups = dynamics.ode_solve, []
+
+        def counting(*args, **kwargs):
+            groups.append(kwargs["groups"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 24)
+        monkeypatch.setattr(dynamics, "ode_solve", counting)
+        grid = {"scale": "linear", "min": 2, "max": 6, "count": 5}
+        cfg = write_config(tmp_path / "c.json", dict(self.CFG, out=str(tmp_path / "o.csv"), tg_grid=grid))
+        assert cli.main(["sweep", "noise-map", "--config", cfg, "--jobs", "1"]) == 0
+        assert groups == [2] * 6
 
     def test_rows_thresholds_and_zero_noise_reduction(self, tmp_path):
         out = tmp_path / "nm.csv"
@@ -533,7 +564,7 @@ class TestNoiseMapSweep:
         for flavor in spec.flavors:
             p = spec.params(2.0, flavor)
             standalone = 1.0 - map_fidelity(p, make_envelopes(p), NoiseModel(spec.noise.gamma_phi), cfg)
-            nominal_row, averaged_row = cli._noise_map_rows(spec, [{"tg_cycles": 2.0, "flavor": flavor}])
+            nominal_row, averaged_row = cli._noise_map_rows(spec, [{"tg_cycles": 2.0, "flavor": flavor}], [1])
             assert nominal_row[3] == averaged_row[3]
             assert abs(nominal_row[3] - standalone) < 10.0 * cfg.rel_tol
 
@@ -677,9 +708,9 @@ class TestContour:
             calls[points[0].flavor.value].append([p.t_gate for p in points])
             return solve(points, noise, n_nodes, cfg)
 
-        def recording(params, env, noise, rho0s, cfg, amp_scales, t_gates):
+        def recording(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors):
             solves[params.flavor.value].append(list(dict.fromkeys(t_gates.tolist())))
-            return batch(params, env, noise, rho0s, cfg, amp_scales, t_gates)
+            return batch(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors)
 
         monkeypatch.setattr(cli, "nominal_and_uncertainty_avg", recording_call)
         monkeypatch.setattr(metrics, "propagate_lindblad_batch", recording)
@@ -797,7 +828,7 @@ class TestOracleCompare:
         [task] = cli.KINDS["oracle-compare"].tasks(spec)
         ps = [spec.params(**point) for point in task["points"]]
         noise, cfg = NoiseModel(spec.noise.gamma_phi), spec.integrator
-        rows = cli._oracle_compare_rows(spec, task["points"])
+        rows = cli._oracle_compare_rows(spec, **task)
         assert len(rows) == 2
         for p, row, (f_map, _) in zip(ps, rows, metrics.nominal_and_uncertainty_avg(ps, noise, 1, cfg)):
             assert row[3] == 1.0 - f_map
@@ -937,9 +968,13 @@ def test_positivity_breach_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("leaking, named", [("both", "adiabatic"), ("satd", "satd")])
+def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, monkeypatch, leaking, named):
     # The leak of test_positivity_breach_exits_3 on the states of the second
-    # point (t_g = 3) of each flavor's one-solve chunk only.
+    # point (t_g = 3) of both flavors, or of the SATD flavor alone, in the
+    # one lockstep pass of the one-chunk grid.  The stack holds the
+    # adiabatic blocks, then the SATD ones; the first failing state names
+    # its point.
     from tripod_sta import dynamics
 
     lindblad_rhs = dynamics._lindblad_rhs
@@ -947,7 +982,10 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
 
     def leaky_rhs(terms, noise, t_gates):
         rhs = lindblad_rhs(terms, noise, t_gates)
-        rows = (t_gates == 3.0)[:, None]
+        rows = t_gates == 3.0
+        if leaking == "satd":
+            rows[: len(rows) // 2] = False
+        rows = rows[..., None]
         return lambda tau, u: rhs(tau, u) + rows * leak
 
     monkeypatch.setattr(dynamics, "_lindblad_rhs", leaky_rhs)
@@ -955,18 +993,19 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
     payload = dict(MINIMAL_CFGS["sweep noise-map"], out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.2})
     cfg = write_config(tmp_path / "c.json", payload)
     spec = cli.load_spec(cfg)
-    assert [len(task["points"]) for task in cli.KINDS["noise-map"].tasks(spec)] == [2, 2]
+    assert [task["passes"] for task in cli.KINDS["noise-map"].tasks(spec)] == [[4]]
     assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3
     err = capsys.readouterr().err
-    assert "at (tg_cycles=3.0, flavor=adiabatic): minimum eigenvalue" in err
+    assert f"at (tg_cycles=3.0, flavor={named}): minimum eigenvalue" in err
     assert not out.exists()
 
 
 def test_ode_step_limit_exits_3_and_names_the_point(tmp_path, capsys, monkeypatch):
     # A long gate would take minutes to reach the real limit; a tiny one
-    # stops the first solve (adiabatic, t_g = 2 and 3) in its first half.
-    # The failure is tied to no member: it names the longest gate, which
-    # sets the shared mesh.
+    # stops the first pass (both flavors of t_g = 2 and 3) in its first
+    # half, where both groups reach it at the same attempt and the first,
+    # adiabatic, raises.  The failure is tied to no member: it names the
+    # longest gate, which sets the group's mesh.
     from tripod_sta import qmath
 
     monkeypatch.setattr(qmath, "ODE_MAX_STEPS", 5)
@@ -1006,7 +1045,7 @@ def test_contour_breach_names_its_gate_time(tmp_path, capsys, monkeypatch, stage
 
     def leaky_rhs(terms, noise, t_gates):
         rhs = lindblad_rhs(terms, noise, t_gates)
-        rows = (t_gates == grid[1] if stage == "coarse" else ~np.isin(t_gates, grid))[:, None]
+        rows = (t_gates == grid[1] if stage == "coarse" else ~np.isin(t_gates, grid))[..., None]
         return lambda tau, u: rhs(tau, u) + rows * leak
 
     monkeypatch.setattr(dynamics, "_lindblad_rhs", leaky_rhs)

@@ -66,8 +66,8 @@ def _scaled_time_solve(generator, noise, rho0, t_gate):
     generator over a gate of t_gate, in scaled time tau in [0, 1] as
     propagate_lindblad_batch runs it."""
     weight = np.full((1, 1, 1), t_gate)
-    rhs = dynamics._lindblad_rhs(lambda tau: (generator[None], weight), noise, np.array([t_gate]))
-    return dynamics._unpack(ode_solve(rhs, dynamics._pack(rho0)[None], 0.0, 1.0, CFG).y)[0]
+    rhs = dynamics._lindblad_rhs(lambda tau: (generator[None], weight), noise, np.array([[t_gate]]))
+    return dynamics._unpack(ode_solve(rhs, dynamics._pack(rho0)[None, None], 0.0, 1.0, CFG).y)[0, 0]
 
 
 def _dark_projector(p):
@@ -458,8 +458,8 @@ class TestPropagateLindblad:
         t_gates = rng.uniform(0.5, 2.0, n) if scaled else np.ones(n)
         rates = tuple(rng.uniform(0.0, 2.0, 4))
         terms = (generator[None], (t_gates * scales)[None, :, None])
-        rhs = dynamics._lindblad_rhs(lambda tau: terms, NoiseModel(rates), t_gates)
-        out = dynamics._unpack(rhs(0.0, dynamics._pack(rhos)))
+        rhs = dynamics._lindblad_rhs(lambda tau: terms, NoiseModel(rates), t_gates[None])
+        out = dynamics._unpack(rhs(0.0, dynamics._pack(rhos)[None]))[0]
         assert np.array_equal(out, np.conj(np.swapaxes(out, -1, -2)))
         dissipator = sum(
             dissipator_superoperator(math.sqrt(g) * np.diag(np.eye(4)[i]).astype(complex))
@@ -483,8 +483,9 @@ class TestPropagateLindblad:
         p = params(2.0, Flavor.SATD)
         batch = propagate_lindblad_batch(p, make_envelopes(p), NoiseModel((0.0, 0.0, 0.0, 0.01)), AXIAL_QUBIT_STATES)
         assert len(states) == 2
-        assert all(y.dtype == np.float64 and y.shape == (len(AXIAL_QUBIT_STATES), 16) for y in states)
-        assert np.array_equal(dynamics._unpack(states[0]), hermitize(AXIAL_QUBIT_STATES))
+        # One block of one gate time: the stack comes as (blocks, members per block, 16).
+        assert all(y.dtype == np.float64 and y.shape == (1, len(AXIAL_QUBIT_STATES), 16) for y in states)
+        assert np.array_equal(dynamics._unpack(states[0][0]), hermitize(AXIAL_QUBIT_STATES))
         assert len(batch) == len(AXIAL_QUBIT_STATES)
         rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(5)]))
         assert np.array_equal(rhos, np.conj(np.swapaxes(rhos, -1, -2)))
@@ -607,15 +608,15 @@ class TestPropagateLindblad:
                 factors = _satd_reshape(math.sin(theta), math.cos(theta), _satd_correction(d1, d2, gaps))
                 return (np.stack(factors, -1) @ gens).reshape(-1, 16, 16), wt
 
-            rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (len(gaps), 1, 1))
-            rhs = dynamics._lindblad_rhs(terms, noise, np.full(len(rho0s), p.t_gate))
+            rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (len(gaps), 1, 1)).reshape(len(gaps), 4, 4, 4)
+            rhs = dynamics._lindblad_rhs(terms, noise, np.full((len(gaps), 4), p.t_gate))
             return ode_solve(rhs, dynamics._pack(rho0s), 0.0, 0.5, cfg)
 
         alone = first_half([wt * wt])
         shared = first_half([wt * wt, math.inf])
         assert shared.steps_accepted < alone.steps_accepted
         # The SATD members still lie within the tolerance of their lone solve.
-        assert max_abs(shared.y[:4] - alone.y) < 10.0 * cfg.rel_tol
+        assert max_abs(shared.y[:1] - alone.y) < 10.0 * cfg.rel_tol
 
     @staticmethod
     def _noise_map_stack():
@@ -694,7 +695,8 @@ class TestPropagateLindblad:
         noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
         propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
         assert len(solves) == 2
-        return solves, dynamics._pack(hermitize(rho0s))
+        # The initial stack in the solve's (blocks, members per block, 16) shape.
+        return solves, dynamics._pack(hermitize(rho0s)).reshape(solves[0][2].y.shape)
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     def test_rhs_at_an_unannounced_time_equals_the_announced_value(self, monkeypatch, flavor):
@@ -732,6 +734,29 @@ class TestPropagateLindblad:
             propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, None, t_gates)
         with pytest.raises(ValueError, match="t_gates must hold one value per density matrix"):
             propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG, None, t_gates[:2])
+
+    def test_flavors_of_one_stack_equal_their_own_calls(self):
+        # One lockstep solve of both flavors, SATD first: one result per
+        # member and flavor, flavor by flavor, each group bit for bit the
+        # call with that flavor alone, step counts and diagnostics included.
+        p = params(2.0)
+        env = make_envelopes(p)
+        noise = NoiseModel((0.0, 0.0, 0.01, 0.02), 0.2)
+        rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (2, 1, 1))
+        amp_scales, t_gates = np.tile([0.9, 1.1], 4), np.repeat([2.0, 3.0], 4)
+        flavors = [Flavor.SATD, Flavor.ADIABATIC]
+        both = propagate_lindblad_batch(p, env, noise, rho0s, CFG, amp_scales, t_gates, flavors)
+        assert len(both) == 2 * len(rho0s)
+        for i, flavor in enumerate(flavors):
+            q = params(2.0, flavor)
+            alone = propagate_lindblad_batch(q, make_envelopes(q), noise, rho0s, CFG, amp_scales, t_gates)
+            for got, want in zip(both[i * len(rho0s) : (i + 1) * len(rho0s)], alone):
+                assert np.array_equal(got.final_operator, want.final_operator)
+                assert (got.steps_accepted, got.steps_rejected) == (want.steps_accepted, want.steps_rejected)
+                assert (got.trace_defect, got.min_eigenvalue) == (want.trace_defect, want.min_eigenvalue)
+        assert both[0].steps_accepted != both[-1].steps_accepted
+        with pytest.raises(ValueError, match="at least one flavor"):
+            propagate_lindblad_batch(p, env, noise, rho0s, CFG, amp_scales, t_gates, [])
 
     def test_step_failure_names_the_first_member_of_the_longest_gate(self, monkeypatch):
         # The longest gate sets the shared mesh, so a stalled step is a

@@ -229,7 +229,7 @@ class TestFourInputMaps:
     def test_rebuilt_images_are_checked(self, monkeypatch):
         # Solved images that pass the checks, but whose rebuilt -y image of
         # the second point, |0><0| + |1><1| - |a><a|, has eigenvalue -1.
-        def fake_batch(params, env, noise, rho0s, cfg, amp_scales, t_gates):
+        def fake_batch(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors):
             finals = np.array(rho0s)
             finals[5] = np.diag([0.0, 0.0, 1.0, 0.0])
             return [PropagationResult(rho, 1, 0) for rho in finals]
@@ -250,6 +250,58 @@ class TestFourInputMaps:
         with pytest.raises(qmath.OdeStepLimit, match="at tau = ") as info:
             nominal_and_uncertainty_avg(points, NoiseModel(), 1, FAST)
         assert info.value.member == 1
+
+    def test_step_failure_of_the_satd_group_names_its_longest_gate(self, monkeypatch):
+        # Both flavors of three gate times in one lockstep pass.  Its first
+        # half takes the adiabatic group fewer attempts than the SATD one, so
+        # a step limit between the two stalls the SATD group alone, and the
+        # failure names the longest SATD gate, the fifth point.
+        from tripod_sta import dynamics, qmath
+
+        solve, halves = dynamics.ode_solve, []
+
+        def recording(*args, **kwargs):
+            halves.append(solve(*args, **kwargs))
+            return halves[-1]
+
+        points = [params(tg, flavor) for flavor in (Flavor.ADIABATIC, Flavor.SATD) for tg in (2.0, 3.0, 2.5)]
+        monkeypatch.setattr(dynamics, "ode_solve", recording)
+        nominal_and_uncertainty_avg(points, NoiseModel(), 1, FAST)
+        monkeypatch.setattr(dynamics, "ode_solve", solve)
+        adiabatic, satd = (sum(pair) for pair in halves[0].group_steps)
+        assert adiabatic < satd
+        monkeypatch.setattr(qmath, "ODE_MAX_STEPS", adiabatic)
+        with pytest.raises(qmath.OdeStepLimit, match="at tau = ") as info:
+            nominal_and_uncertainty_avg(points, NoiseModel(), 1, FAST)
+        assert info.value.member == 4
+
+    @pytest.mark.parametrize(
+        "grids",
+        [((1.5, 2.0, 3.0), (1.5, 2.0, 3.0)), ((1.5, 2.0), (2.0, 3.0))],
+        ids=["shared-grid", "own-grids"],
+    )
+    def test_both_flavors_equal_their_own_calls(self, monkeypatch, grids):
+        # Chunks of equal gate times are one lockstep pass of both flavors,
+        # others a pass of one; every value is bit for bit that of its
+        # flavor's points alone, and each point keeps its place in the list.
+        passes = []
+        batch = metrics.propagate_lindblad_batch
+
+        def counting_batch(*args):
+            passes.append([flavor.value for flavor in args[-1]])
+            return batch(*args)
+
+        noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
+        by_flavor = {flavor: [params(tg, flavor) for tg in grid] for flavor, grid in zip(Flavor, grids)}
+        alone = {flavor: nominal_and_uncertainty_avg(ps, noise, 3, FAST) for flavor, ps in by_flavor.items()}
+        monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
+        a, s = by_flavor[Flavor.ADIABATIC], by_flavor[Flavor.SATD]
+        points = [s[0], a[0], a[1], s[1], *a[2:], *s[2:]]
+        together = nominal_and_uncertainty_avg(points, noise, 3, FAST)
+        shared = grids[0] == grids[1]
+        assert passes == ([["satd", "adiabatic"]] if shared else [["satd"], ["adiabatic"]])
+        expected = [alone[p.flavor][by_flavor[p.flavor].index(p)] for p in points]
+        assert together == expected
 
     def test_points_share_one_solve_and_match_their_own(self, monkeypatch):
         solved = []
@@ -273,9 +325,9 @@ class TestFourInputMaps:
         with pytest.raises(ValueError, match="at least one protocol"):
             nominal_and_uncertainty_avg([], NoiseModel(), 1, FAST)
 
-    def test_points_must_differ_in_gate_time_alone(self):
-        points = [params(2.0), params(3.0, Flavor.SATD)]
-        with pytest.raises(ValueError, match="t_gate alone"):
+    def test_points_must_differ_in_gate_time_and_flavor_alone(self):
+        points = [params(2.0), params(3.0, Flavor.SATD, alpha=0.5)]
+        with pytest.raises(ValueError, match="t_gate and flavor alone"):
             nominal_and_uncertainty_avg(points, NoiseModel(k=0.1), 3, FAST)
 
     @pytest.mark.parametrize("n_points", [1, 43, 100])

@@ -7,6 +7,7 @@ from conftest import random_hermitian, random_unitary, series_expm
 from tripod_sta.qmath import (
     ABS_TOL_FLOOR,
     IntegratorConfig,
+    OdeStepLimit,
     OdeStepUnderflow,
     gauss_legendre,
     gauss_legendre_rule,
@@ -258,6 +259,92 @@ def test_ode_underflow_reports_time():
         ode_solve(rhs, np.ones((1, 1), dtype=complex), 0.0, 1.0)
     assert 0.0 <= err.value.t <= 1.0
 
+
+
+def _spike_rhs(h, amplitude, center):
+    """-i (1 + amplitude * a narrow Gaussian at center) h y: the spike makes
+    the controller shrink its steps, and reject some, near center."""
+
+    def rhs(t, y):
+        return -1j * (1.0 + amplitude * math.exp(-(((t - center) / 0.05) ** 2))) * (h @ y)
+
+    return rhs
+
+
+def _grouped(rhs_of_group):
+    """The rhs of a grouped solve of consecutive (1, ...) parts of y, group g
+    under rhs_of_group[g] at its own stage time."""
+
+    def rhs(times, y):
+        assert len(times) == len(rhs_of_group)
+        return np.concatenate([f(t, part) for f, t, part in zip(rhs_of_group, times, np.split(y, len(times)))])
+
+    return rhs
+
+
+def test_ode_groups_are_their_own_solves(rng):
+    # Three systems in lockstep: each gets bit for bit the state and step
+    # counts of its solve alone, though the groups take different meshes,
+    # finish after different numbers of attempts and do not reject together.
+    cfg = IntegratorConfig(1e-8, 1e-10)
+    systems = [
+        _spike_rhs(random_hermitian(rng, 2, 1.0), amplitude, center)
+        for amplitude, center in ((200.0, 1.0), (0.0, 1.0), (50.0, 0.4))
+    ]
+    y0 = np.stack([random_unitary(rng, 2) for _ in systems])
+    steps = []
+    together = ode_solve(_grouped(systems), y0, 0.0, 2.0, cfg, stage_times=lambda t: steps.append(t.copy()), groups=3)
+    alone = [ode_solve(f, y0[g : g + 1], 0.0, 2.0, cfg) for g, f in enumerate(systems)]
+    assert together.y.shape == y0.shape
+    for g, res in enumerate(alone):
+        assert np.array_equal(together.y[g : g + 1], res.y)
+        assert together.group_steps[g] == (res.steps_accepted, res.steps_rejected)
+    assert together.steps_accepted == sum(res.steps_accepted for res in alone)
+    assert together.steps_rejected == sum(res.steps_rejected for res in alone)
+    attempts = [res.steps_accepted + res.steps_rejected for res in alone]
+    assert len(set(attempts)) == 3 and alone[0].steps_rejected > 0
+    # One announcement before the first stage, then one per attempted step
+    # of the longest-running group; a finished group stays at t1.
+    assert len(steps) == 1 + max(attempts)
+    assert all(np.all(times[1] == 2.0) for times in steps[1 + attempts[1] :])
+    # Some attempt rejects one live group's step and accepts another's: an
+    # accepted step's successor starts at or after its last stage time t + h,
+    # a rejected one's retries from t.
+    live = [times[:, 0] < 2.0 for times in steps[1:]]
+    accepted = [then[:, 0] >= now[:, -1] for now, then in zip(steps[1:], steps[2:])]
+    assert any((on & ok).any() and (on & ~ok).any() for on, ok in zip(live, accepted))
+
+
+def test_ode_groups_split_the_first_axis_into_equal_parts():
+    y0 = np.ones((3, 2), dtype=complex)
+    for groups in (0, 2):
+        with pytest.raises(ValueError, match="groups"):
+            ode_solve(lambda t, y: y, y0, 0.0, 1.0, groups=groups)
+
+
+@pytest.mark.parametrize("stalled", [0, 1])
+def test_ode_step_limit_names_the_stalled_group(monkeypatch, rng, stalled):
+    # The other group is done in one step; the spike needs more than five.
+    from tripod_sta import qmath
+
+    monkeypatch.setattr(qmath, "ODE_MAX_STEPS", 5)
+    systems = [lambda t, y: 0.0 * y, lambda t, y: 0.0 * y]
+    systems[stalled] = _spike_rhs(random_hermitian(rng, 2, 1.0), 200.0, 1.0)
+    with pytest.raises(OdeStepLimit) as err:
+        ode_solve(_grouped(systems), np.stack([np.eye(2, dtype=complex)] * 2), 0.0, 2.0, groups=2)
+    assert err.value.member == stalled
+    assert 0.0 < err.value.t < 2.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ode_underflow_names_the_stalled_group():
+    # The rhs of test_ode_underflow_reports_time in the second group only.
+    systems = [lambda t, y: -1j * y, lambda t, y: y / (0.5 - t) ** 2]
+    with pytest.raises(OdeStepUnderflow) as err:
+        ode_solve(_grouped(systems), np.ones((2, 1, 1), dtype=complex), 0.0, 1.0, groups=2)
+    assert not isinstance(err.value, OdeStepLimit)
+    assert err.value.member == 1
+    assert 0.0 <= err.value.t <= 1.0
 
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
