@@ -178,13 +178,13 @@ def nominal_and_uncertainty_avg(
     for i, p in enumerate(points):
         by_flavor.setdefault(p.flavor, []).append(i)
     # Gate times of a pass -> the point indices of each of its chunks.
-    passes: dict = {}
+    by_t_gates: dict = {}
     for members in by_flavor.values():
         for chunk in point_chunks(len(members), noise.k, n_nodes):
             ids = [members[j] for j in chunk]
-            passes.setdefault(tuple(points[i].t_gate for i in ids), []).append(ids)
+            by_t_gates.setdefault(tuple(points[i].t_gate for i in ids), []).append(ids)
     out: list = [None] * len(points)
-    for t_gates, chunks in passes.items():
+    for t_gates, chunks in by_t_gates.items():
         lead = points[chunks[0][0]]
         order = [i for ids in chunks for i in ids]  # the index in points of each solved point, flavor by flavor
         rho0s = np.tile(inputs, (len(t_gates) * len(scales), 1, 1))

@@ -461,7 +461,8 @@ def test_every_kind_dispatches_its_tasks_once(tmp_path, monkeypatch, kind, jobs)
 
 
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    # A recording stand-in: a real pool forks every worker at the first submit.
+    # A recording stand-in: a real pool forks every worker at the first
+    # submit.  Three usable CPUs bound the pool as well as --jobs and the tasks.
     sizes = []
 
     class RecordingPool(InProcessPool):
@@ -469,9 +470,11 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
             sizes.append(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert cli._run_tasks(abs, [-1, -2], 64) == [1, 2]
     assert cli._run_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
-    assert sizes == [2, 2]
+    assert cli._run_tasks(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
+    assert sizes == [2, 2, 3]
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -496,30 +499,18 @@ class TestNoiseMapSweep:
     def test_tasks_are_the_solve_chunks_of_each_flavor(self, tmp_path, monkeypatch, kind, cap, flavors, jobs):
         # Four states per scale: noise-map's three nodes make 12 per point and
         # oracle-compare's one node 4, so a cap of 24 or 8 makes two points
-        # per solve, and --jobs does not move the batches.  The (chunk,
-        # flavor) solves, chunk by chunk, split into at most --jobs
-        # contiguous tasks; a task's passes count the points of each of its
-        # chunks, all its flavors of that chunk in one lockstep pass.
+        # per solve.  Each chunk is one task, whatever --jobs: every flavor's
+        # points of it, flavor by flavor in config order, one lockstep pass.
         monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", cap)
         grid = {"scale": "linear", "min": 2, "max": 6, "count": 5}
         payload = dict(MINIMAL_CFGS[kind], out=str(tmp_path / "o.csv"), tg_grid=grid)
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload), overrides={"jobs": jobs})
-        tasks = [
-            ([(pt["tg_cycles"], pt["flavor"]) for pt in t["points"]], t["passes"])
-            for t in cli.KINDS[spec.kind].tasks(spec)
+        tasks = cli.KINDS[spec.kind].tasks(spec)
+        assert all(task.keys() == {"points"} for task in tasks)
+        chunks = ([2.0], [3.0, 4.0], [5.0, 6.0])
+        assert [[(pt["tg_cycles"], pt["flavor"]) for pt in task["points"]] for task in tasks] == [
+            [(tg, flavor) for flavor in flavors for tg in chunk] for chunk in chunks
         ]
-        passes = {
-            ("sweep noise-map", 1): [[2, 4, 4]],
-            ("sweep noise-map", 2): [[2, 2], [2, 4]],
-            ("sweep noise-map", 6): [[1], [1], [2], [2], [2], [2]],
-            ("oracle compare", 1): [[1, 2, 2]],
-            ("oracle compare", 2): [[1], [2, 2]],
-            ("oracle compare", 6): [[1], [2], [2]],
-        }[kind, jobs]
-        solves = [[(tg, flavor) for tg in chunk] for chunk in ([2.0], [3.0, 4.0], [5.0, 6.0]) for flavor in flavors]
-        k = len(passes)
-        parts = [solves[len(solves) * i // k : len(solves) * (i + 1) // k] for i in range(k)]
-        assert tasks == [([pt for solve in part for pt in solve], counts) for part, counts in zip(parts, passes)]
 
     def test_both_flavors_of_a_chunk_share_its_two_solves(self, tmp_path, monkeypatch):
         # Three chunks of the grid (as in the test above), each one lockstep
@@ -564,9 +555,23 @@ class TestNoiseMapSweep:
         for flavor in spec.flavors:
             p = spec.params(2.0, flavor)
             standalone = 1.0 - map_fidelity(p, make_envelopes(p), NoiseModel(spec.noise.gamma_phi), cfg)
-            nominal_row, averaged_row = cli._noise_map_rows(spec, [{"tg_cycles": 2.0, "flavor": flavor}], [1])
+            nominal_row, averaged_row = cli._noise_map_rows(spec, [{"tg_cycles": 2.0, "flavor": flavor}])
             assert nominal_row[3] == averaged_row[3]
             assert abs(nominal_row[3] - standalone) < 10.0 * cfg.rel_tol
+
+    def test_one_chunk_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        # The minimal grid is one chunk, so one task: --jobs 2 runs it in
+        # this process.
+        sizes = []
+
+        class RecordingPool(InProcessPool):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path / "c.json", dict(self.CFG, out=str(tmp_path / "o.csv")))
+        assert cli.main(["sweep", "noise-map", "--config", cfg, "--jobs", "2"]) == 0
+        assert sizes == []
 
     def test_parallel_run_equals_serial_byte_for_byte(self, tmp_path, monkeypatch):
         # Three solves per flavor; each worker's right-hand sides reuse
@@ -993,7 +998,7 @@ def test_breach_of_a_later_point_of_a_solve_names_that_point(tmp_path, capsys, m
     payload = dict(MINIMAL_CFGS["sweep noise-map"], out=str(out), noise={"gamma_phi": [0, 0, 0, 0], "k": 0.2})
     cfg = write_config(tmp_path / "c.json", payload)
     spec = cli.load_spec(cfg)
-    assert [task["passes"] for task in cli.KINDS["noise-map"].tasks(spec)] == [[4]]
+    assert [len(task["points"]) for task in cli.KINDS["noise-map"].tasks(spec)] == [4]
     assert cli.main(["sweep", "noise-map", "--config", cfg, "--tol", "1e-10"]) == 3
     err = capsys.readouterr().err
     assert f"at (tg_cycles=3.0, flavor={named}): minimum eigenvalue" in err
