@@ -5,17 +5,10 @@ times are given in cycles (omega0*t_g/2pi) and dephasing rates in units of
 omega0/2pi.  Identical configs produce byte-identical CSV files; parallel and
 serial runs yield the same sorted rows.
 
-Each kind splits its sweep into tasks: one per contour rate pair and flavor,
-for gate-error one contiguous lockstep batch of points per job, and for
-noise-map and oracle-compare one per point chunk (metrics.point_chunks: the
-chunks come from the config alone), all flavors of it in one lockstep pass
-of metrics.nominal_and_uncertainty_avg, each flavor on its own adaptive
-mesh.  Every Lindblad map is solved by that function.  The tasks run on at
-most min(--jobs, CPUs) worker processes, and a numerical failure names the
-first failing point of the first failing task, in the order the kind lists
-them (for noise-map: chunk by chunk, each chunk's flavors in config order
-and each flavor's points in grid order; within one pass, a stalled step
-names the flavor that stalls first).
+Each kind splits its sweep into tasks (Kind.tasks), which run on at most
+min(--jobs, CPUs) worker processes; a numerical failure names the first
+failing point of the first failing task, in the order the kind lists them.
+Every Lindblad map is solved by metrics.nominal_and_uncertainty_avg.
 """
 
 from __future__ import annotations
@@ -77,6 +70,8 @@ MAX_GRID_POINTS = 100_000
 REFINE_POINTS = 5
 
 _UNSET = object()  # the default of a config field that must be left unset
+
+SHARED_FIELDS = ("noise.gamma_phi", "noise.k", "integrator.rel_tol", "integrator.abs_tol", "uncertainty_nodes")
 
 
 class ConfigError(ValueError):
@@ -197,11 +192,10 @@ def _tg_grid(cfg: dict) -> tuple[float, ...]:
     return tuple(float(x) for x in pts)
 
 
-def _oracle_compare_fields(cfg: dict) -> tuple[float, ...]:
+def _check_excited_dephasing_only(spec: SweepSpec) -> None:
     # Oracle B and the closed form it is checked against cover excited-state dephasing only.
-    need = "zero but for its last rate (excited-state dephasing only)"
-    _field(cfg, "noise.gamma_phi", [0.0] * 4, _rates, lambda g: not any(g[:3]), need)
-    return _tg_grid(cfg)
+    if any(spec.noise.gamma_phi[:3]):
+        raise ConfigError("noise.gamma_phi", "must be zero but for its last rate (excited-state dephasing only)")
 
 
 def _pulse_fields(cfg: dict) -> PulseFields:
@@ -237,8 +231,8 @@ def _contour_fields(cfg: dict) -> ContourFields:
 def load_spec(path: str, kind: str | None = None, overrides: dict | None = None) -> SweepSpec:
     """Read and validate a JSON config; CLI flag overrides win over the file.
 
-    Only the shared fields and the fields the kind itself reads are checked;
-    a shared field the kind fixes (Kind.fixed) must be left unset.
+    A shared field the kind fixes (Kind.fixed) or does not run at
+    (Kind.runs_at) must be left unset, by the config and by --tol alike.
     """
     overrides = overrides or {}
     try:
@@ -258,9 +252,10 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         raise ConfigError("kind", f"must be one of {tuple(KINDS)}, got {cfg_kind!r}")
     if kind is not None and cfg_kind != kind:
         raise ConfigError("kind", f"config says {cfg_kind!r} but the subcommand expects {kind!r}")
-    fixed = KINDS[cfg_kind].fixed
-    for path, value in fixed.items():
-        _field(cfg, path, _UNSET, lambda v, _: v, lambda v: v is _UNSET, f"unset ({cfg_kind} runs at {value})")
+    fixed, need = KINDS[cfg_kind].fixed, f"unset ({cfg_kind} does not read it)"
+    for path in [*fixed, *(path for path in SHARED_FIELDS if path not in KINDS[cfg_kind].runs_at)]:
+        by_flag = path == "integrator.rel_tol" and overrides.get("tol") is not None  # --tol sets rel_tol
+        _field(cfg, path, _UNSET, lambda v, _: v, lambda v: v is _UNSET and not by_flag, need)
 
     out = overrides.get("out") or cfg.get("out")
     if not out or not isinstance(out, str):
@@ -287,9 +282,7 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     base = _library("alpha/beta/gamma0", ControlParams, OMEGA0, *axis, 1.0)
     flavors = _field(cfg, "flavors", fixed.get("flavors", ["adiabatic", "satd"]), _flavors)
 
-    gamma_phi = _field(
-        cfg, "noise.gamma_phi", [0.0] * 4, _rates, lambda g: len(g) == 4, "a list of four rates [g0, g1, ga, ge]"
-    )
+    gamma_phi = _field(cfg, "noise.gamma_phi", [0.0] * 4, _rates, lambda g: len(g) == 4, "four rates [g0, g1, ga, ge]")
     # gamma_phi is fully checked above, so NoiseModel can only reject k.
     noise = _library("noise.k", NoiseModel, gamma_phi, _field(cfg, "noise.k", fixed.get("noise.k", 0.0)))
 
@@ -315,20 +308,25 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
 
 
 def _fmt(x) -> str:
+    """A CSV cell, or a tuple of them (a row) comma-joined."""
     if isinstance(x, str):
         return x
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.12g}"
 
 
 def _base_comments(spec: SweepSpec) -> list[str]:
-    return [
-        f"alpha={_fmt(spec.base.alpha)} beta={_fmt(spec.base.beta)} gamma0={_fmt(spec.base.gamma0)}",
-        f"gamma_phi={','.join(_fmt(g) for g in spec.noise.gamma_phi)} k={_fmt(spec.noise.k)}",
-        f"rel_tol={_fmt(spec.integrator.rel_tol)} abs_tol={_fmt(spec.integrator.abs_tol)} "
-        f"uncertainty_nodes={spec.uncertainty_nodes}",
+    """The axis line, then the noise and the integrator line with the shared
+    fields spec's kind runs at; a line left empty is dropped."""
+    lines = [f"alpha={_fmt(spec.base.alpha)} beta={_fmt(spec.base.beta)} gamma0={_fmt(spec.base.gamma0)}"] + [
+        " ".join(f"{path.rpartition('.')[2]}={_fmt(functools.reduce(getattr, path.split('.'), spec))}"
+                 for path in group if path in KINDS[spec.kind].runs_at)
+        for group in (SHARED_FIELDS[:2], SHARED_FIELDS[2:])
     ]
+    return [line for line in lines if line]
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
@@ -407,8 +405,7 @@ def _noise_map_rows(spec: SweepSpec, points: list[dict]) -> list[tuple]:
     """The noise-map rows of each point {tg_cycles, flavor} of one chunk, the
     maps of all its flavors one lockstep pass of nominal_and_uncertainty_avg;
     a NumericalError carries the index of the failing point as its member."""
-    cfg = spec.integrator
-    floor = cfg.rel_tol
+    cfg, floor = spec.integrator, spec.integrator.rel_tol
     ps = [spec.params(**point) for point in points]
     maps = nominal_and_uncertainty_avg(ps, spec.noise, spec.uncertainty_nodes, cfg)
     rows = []
@@ -525,7 +522,8 @@ class Kind:
     and check raises ConfigError on a spec they leave unusable; tasks lists
     each task's keyword arguments for rows, which returns that task's CSV
     rows (run sorts whole rows), and comments gives the `#` lines that
-    follow the shared ones.
+    follow the shared ones.  runs_at lists the SHARED_FIELDS those four use
+    and the header prints; fixed holds some of those, or flavors, at a value.
     """
 
     command: tuple[str, ...]  # subcommand path: one or two words
@@ -536,7 +534,8 @@ class Kind:
     rows: Callable[..., list[tuple]]
     comments: Callable[[SweepSpec], list[str]] = lambda spec: []
     check: Callable[[SweepSpec], None] = lambda spec: None
-    fixed: dict = field(default_factory=dict)  # shared fields it runs at one value: config path -> value
+    runs_at: tuple[str, ...] = ()
+    fixed: dict = field(default_factory=dict)  # config path -> value
 
 
 KINDS = {
@@ -544,16 +543,17 @@ KINDS = {
         ("sweep", "gate-error"), "unitary gate-error sweep",
         "tg_cycles,flavor,eps_full,eps_qubit,eps_full_pred,eps_qubit_pred,eps_oracleA",
         parse=_tg_grid, tasks=_gate_error_tasks, rows=_gate_error_rows,
+        runs_at=("integrator.rel_tol", "integrator.abs_tol"),
     ),
     "noise-map": Kind(
         ("sweep", "noise-map"), "dissipative map-fidelity sweep",
         "tg_cycles,flavor,k,eps_map,eps_map_avg,max_amp_over_omega0,cost_over_halfomega0",
-        parse=_tg_grid, tasks=_chunk_tasks, rows=_noise_map_rows, comments=_noise_map_comments,
+        parse=_tg_grid, tasks=_chunk_tasks, rows=_noise_map_rows, comments=_noise_map_comments, runs_at=SHARED_FIELDS,
     ),
     "contour": Kind(
         ("contour",), "best-error search over rate pairs",
         "gamma_gs,gamma_e,flavor,tg_star_cycles,eps_star,feasible",
-        parse=_contour_fields, tasks=_contour_tasks, rows=_contour_rows,
+        parse=_contour_fields, tasks=_contour_tasks, rows=_contour_rows, runs_at=SHARED_FIELDS[1:],  # rates: contour.*
         comments=lambda spec: [f"tg_window_cycles=[{_fmt(spec.fields.tg_min)},{_fmt(spec.fields.tg_max)}]"],
     ),
     "pulses": Kind(
@@ -568,8 +568,8 @@ KINDS = {
     "oracle-compare": Kind(
         ("oracle", "compare"), "tabulate oracles vs numerics",
         "tg_cycles,eps_full_numeric,eps_full_oracle_a,eps_map_numeric,eps_map_eq48,eps_map_oracle_b",
-        parse=_oracle_compare_fields, tasks=_chunk_tasks, rows=_oracle_compare_rows,
-        fixed={"flavors": ["satd"], "noise.k": 0.0, "uncertainty_nodes": 1},
+        parse=_tg_grid, tasks=_chunk_tasks, rows=_oracle_compare_rows, check=_check_excited_dephasing_only,
+        runs_at=SHARED_FIELDS, fixed={"flavors": ["satd"], "noise.k": 0.0, "uncertainty_nodes": 1},
     ),
 }
 
@@ -623,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     lines = [f"# {c}" for c in comments] + [KINDS[spec.kind].header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(_fmt, rows))
     try:
         with open(spec.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

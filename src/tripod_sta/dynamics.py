@@ -392,8 +392,7 @@ def propagate_lindblad_batch(
     # step's distinct stage times, one time per flavor, in one pass as
     # ode_solve announces them (one ramp per time and flavor, then one
     # stacked matmul of (blocks, 2) @ (2, 256) per time and flavor), and
-    # terms(tau) reads the row of tau; a time no step announced (the DOPRI5
-    # reference drives the same rhs) gets its own row from the same build.
+    # terms(tau) reads the row of tau, which must be an announced time.
     m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
     wt = params.omega0 * t_gates[::m]
     gap_sq = np.array([wt * wt if flavor is Flavor.SATD else np.full(len(wt), math.inf) for flavor in flavors])
@@ -404,33 +403,26 @@ def propagate_lindblad_batch(
     def half_rhs(phase: complex):
         """The half-segment's rhs and its ode_solve stage_times hook."""
         gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 256)
-        # The generators of the announced times, then a row for an unannounced one.
-        table = np.empty((13, len(weights), 16, 16))
+        table = np.empty((12, len(weights), 16, 16))  # the generators of the announced times
         rows: dict = {}
 
-        def build(keys: list, out: np.ndarray) -> None:
-            # keys hold one time per flavor.  The ramp on floats: its scalar
+        def announce(taus: np.ndarray) -> None:
+            # One key per stage, as rhs gets it, each with one time per flavor;
+            # stages 11 and 12 share the node 1.  The ramp on floats: its scalar
             # calls, one per time and flavor, cost less than one on an array.
+            keys = list(dict.fromkeys(map(tuple, taus.reshape(groups, -1).T.tolist())))
             theta, d1, d2 = zip(*[PulseShape.ramp(1.0, tau) for key in keys for tau in key])
             angles = np.array([list(map(math.sin, theta)), list(map(math.cos, theta)), d1, d2])
             s, c, d1, d2 = angles.reshape(4, len(keys), groups, 1)
             factors = np.empty((len(keys), groups, 2, len(wt)))
             factors[:, :, 0], factors[:, :, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
-            np.matmul(factors.reshape(-1, 2, len(wt)).swapaxes(1, 2), gens, out=out.reshape(-1, len(wt), 256))
-
-        def announce(taus: np.ndarray) -> None:
-            # One key per stage, as rhs gets it; stages 11 and 12 share the node 1.
-            keys = list(dict.fromkeys(map(tuple, taus.reshape(groups, -1).T.tolist())))
-            build(keys, table[: len(keys)])
+            out = table[: len(keys)].reshape(-1, len(wt), 256)
+            np.matmul(factors.reshape(-1, 2, len(wt)).swapaxes(1, 2), gens, out=out)
             rows.clear()
             rows.update((key if groups > 1 else key[0], i) for i, key in enumerate(keys))
 
         def terms(tau):
-            row = rows.get(tau)
-            if row is None:
-                row = 12
-                build([tau if groups > 1 else (tau,)], table[row:])
-            return table[row], weights
+            return table[rows[tau]], weights
 
         return _lindblad_rhs(terms, noise, stacked_t_gates), announce
 

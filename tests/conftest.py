@@ -222,12 +222,16 @@ _DP5_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP5_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
-def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig) -> OdeResult:
+def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig, stage_times=None) -> OdeResult:
     """Reference integrator, independent of qmath.ode_solve: the adaptive
     Dormand-Prince 5(4) stepper with the same elementwise error control
     against abs_tol + rel_tol*max(|y|, |y_new|) and FSAL reuse, so a solve
     costs 1 + 6*(accepted + rejected) rhs evaluations.  Like ode_solve it
-    integrates in y0's kind: float64 for a real y0, complex128 otherwise."""
+    integrates in y0's kind: float64 for a real y0, complex128 otherwise.
+    stage_times, if given, is called with the float array [t0] before the
+    first rhs call and, before each attempted step, with its six stage
+    times, the exact floats rhs then receives, in order."""
+    announce = stage_times or (lambda times: None)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     y = np.array(y0, dtype=float if np.isrealobj(y0) else complex)
@@ -239,6 +243,7 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
     t = t0
     ks = np.empty((7, y.size), dtype=y.dtype)
     kf = ks.view(float)
+    announce(np.array([t]))
     ks[0] = rhs(t, y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
     scale = max_abs(ks[0])
@@ -253,11 +258,13 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
         if h <= max(abs(t), span) * 1e-15:
             raise OdeStepUnderflow(t)
         yf = y.view(float)
+        times = [t + c * h for c in _DP5_C[1:]] + [t + h]
+        announce(np.array(times))
         for i in range(1, 6):
             stage = (yf + (h * _DP5_A[i]) @ kf[:i]).view(y.dtype)
-            ks[i] = rhs(t + _DP5_C[i] * h, stage.reshape(shape)).ravel()
+            ks[i] = rhs(times[i - 1], stage.reshape(shape)).ravel()
         y5 = (yf + (h * _DP5_B5) @ kf[:6]).view(y.dtype)
-        ks[6] = rhs(t + h, y5.reshape(shape)).ravel()  # FSAL stage
+        ks[6] = rhs(times[5], y5.reshape(shape)).ravel()  # FSAL stage
         err = ((h * _DP5_E) @ kf).view(y.dtype)
         abs_y5 = np.abs(y5)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y5)

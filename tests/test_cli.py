@@ -66,6 +66,33 @@ MINIMAL_CFGS = {
 }
 
 
+# The kind name of each command of MINIMAL_CFGS.
+KIND_OF = {" ".join(kind.command): name for name, kind in cli.KINDS.items()}
+
+# The default of flavors and of each shared field, then one other value.
+SHARED_VALUES = {
+    "flavors": (["adiabatic", "satd"], "adiabatic"),
+    "noise.gamma_phi": ([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+    "noise.k": (0.0, 0.5),
+    "integrator.rel_tol": (1e-10, 0.5),
+    "integrator.abs_tol": (1e-12, 1e-8),
+    "uncertainty_nodes": (21, 7),
+}
+
+
+def _unread_cases():
+    """(command, path, value, extra arguments) of each shared field a kind
+    fixes or does not run at, at the value it runs at (its default if
+    unfixed) and the values of SHARED_VALUES, then --tol on pulses."""
+    for command, name in sorted(KIND_OF.items()):
+        kind = cli.KINDS[name]
+        for path in [*kind.fixed, *(path for path in cli.SHARED_FIELDS if path not in kind.runs_at)]:
+            values = [kind.fixed.get(path, SHARED_VALUES[path][0]), *SHARED_VALUES[path]]
+            for value in [v for i, v in enumerate(values) if v not in values[:i]]:
+                yield pytest.param(command, path, value, [], id=f"{command}-{path}={json.dumps(value)}")
+    yield pytest.param("pulses export", "integrator.rel_tol", None, ["--tol", "1e-8"], id="pulses export---tol")
+
+
 def _with_field(payload, path, value):
     """A copy of payload with the dotted path set to value."""
     head, _, rest = path.partition(".")
@@ -258,7 +285,9 @@ class TestConfigHandling:
         spec = cli.load_spec(write_config(tmp_path / "c.json", payload), "gate-error", {"tol": 1e-15})
         assert (spec.integrator.rel_tol, spec.integrator.abs_tol) == (1e-15, ABS_TOL_FLOOR)
 
-    @pytest.mark.parametrize("kind", sorted(MINIMAL_CFGS))
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in sorted(MINIMAL_CFGS) if "integrator.abs_tol" in cli.KINDS[KIND_OF[kind]].runs_at]
+    )
     def test_every_kind_runs_at_the_abs_tol_floor(self, tmp_path, kind):
         payload = _with_field(MINIMAL_CFGS[kind], "integrator.abs_tol", ABS_TOL_FLOOR)
         cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
@@ -358,6 +387,20 @@ class TestConfigHandling:
         else:
             payload = _with_field(MINIMAL_CFGS[kind], field, value)
         self._assert_config_error(capsys, tmp_path, kind, payload, f"'{field}'")
+
+    @pytest.mark.parametrize("kind, path, value, extra", _unread_cases())
+    def test_fields_a_kind_does_not_read_are_config_errors(self, tmp_path, capsys, kind, path, value, extra):
+        # A shared field the kind fixes (oracle-compare solves one SATD node
+        # at k = 0) or does not run at (gate-error no noise, pulses no solve)
+        # exits 2 naming the field, even set to the value the kind runs at or
+        # to its default; so does --tol where no integrator runs.
+        out = tmp_path / "o.csv"
+        payload = dict(MINIMAL_CFGS[kind], out=str(out))
+        if value is not None:
+            payload = _with_field(payload, path, value)
+        assert cli.main(kind.split() + ["--config", write_config(tmp_path / "c.json", payload), *extra]) == 2
+        assert f"field {path!r}: must be unset ({KIND_OF[kind]} does not read it)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, field, parsed",
@@ -795,26 +838,6 @@ class TestOracleCompare:
             eps_map_num, eps_eq48, eps_b = float(row[3]), float(row[4]), float(row[5])
             assert abs(eps_map_num - eps_eq48) / eps_eq48 < 0.1
             assert abs(eps_b - eps_eq48) / eps_eq48 < 0.1
-
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            ("flavors", ["satd"]),
-            ("flavors", "adiabatic"),
-            ("noise.k", 0.0),
-            ("noise.k", 0.2),
-            ("uncertainty_nodes", 1),
-            ("uncertainty_nodes", 21),
-        ],
-    )
-    def test_fields_it_does_not_read_are_config_errors(self, tmp_path, capsys, path, value):
-        # It solves one SATD node at k = 0, so a config that sets one of these
-        # fields, even to the value it runs at, exits 2 naming the field.
-        out = tmp_path / "o.csv"
-        payload = _with_field(dict(MINIMAL_CFGS["oracle compare"], out=str(out)), path, value)
-        assert cli.main(["oracle", "compare", "--config", write_config(tmp_path / "c.json", payload)]) == 2
-        assert f"field {path!r}: must be unset (oracle-compare runs at " in capsys.readouterr().err
-        assert not out.exists()
 
     def test_header_names_the_one_node_at_k_zero(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -96,8 +96,9 @@ def _read_paths() -> dict[str, tuple[set[str], set[str]]]:
 
 def kind_fields(kind: str) -> list[str]:
     """The config paths kind reads: those of load_spec and of the kind's
-    parse and check functions, with every function they call, plus the
-    objects that enclose them and PLAIN_FIELDS."""
+    parse and check functions, with every function they call, less the
+    shared fields it fixes or does not run at (Kind.fixed, Kind.runs_at),
+    plus the objects that enclose them and PLAIN_FIELDS."""
     table = _read_paths()
     todo = ["load_spec"] + [getattr(f, "__name__", "") for f in (cli.KINDS[kind].parse, cli.KINDS[kind].check)]
     seen, paths = set(), set(PLAIN_FIELDS)
@@ -107,6 +108,7 @@ def kind_fields(kind: str) -> list[str]:
             seen.add(name)
             paths |= table[name][0]
             todo.extend(table[name][1])
+    paths -= set(cli.KINDS[kind].fixed) | set(cli.SHARED_FIELDS) - set(cli.KINDS[kind].runs_at)
     return sorted(paths | {path.rsplit(".", 1)[0] for path in paths if "." in path})
 
 
@@ -205,18 +207,21 @@ def test_file_level_cases_are_config_errors(tmp_path, capsys, small_caps, kind, 
 
 
 def test_fields_come_from_the_field_calls():
-    # A guard on the AST reader: every kind reads the shared fields and its
-    # own, and no other kind's.
-    shared = {"alpha", "beta", "gamma0", "flavors", "noise.gamma_phi", "noise.k", "integrator.rel_tol",
-              "integrator.abs_tol", "uncertainty_nodes", "jobs", "out", "kind"}
+    # A guard on the AST reader: every kind reads the fields all kinds read,
+    # the shared fields it neither fixes nor runs without, and its own
+    # fields, and no other kind's.
+    common = {"alpha", "beta", "gamma0", "flavors", "jobs", "out", "kind"}
+    integrator = {"integrator", "integrator.rel_tol", "integrator.abs_tol"}
     grid = {"tg_grid", "tg_grid.scale", "tg_grid.min", "tg_grid.max", "tg_grid.count"}
+    contour = {"contour", "contour.gamma_gs", "contour.gamma_e", "contour.tg_min", "contour.tg_max",
+               "contour.coarse_count", "contour.golden_rel_tol"}
     own = {
-        "gate-error": grid,
-        "noise-map": grid,
-        "oracle-compare": grid,
-        "contour": {"contour", "contour.gamma_gs", "contour.gamma_e", "contour.tg_min", "contour.tg_max",
-                    "contour.coarse_count", "contour.golden_rel_tol"},
-        "pulses": {"samples", "tg_cycles", "amp_scale"},
+        "gate-error": common | grid | integrator,
+        "noise-map": common | grid | integrator | {"noise", "noise.gamma_phi", "noise.k", "uncertainty_nodes"},
+        # It fixes flavors, noise.k and uncertainty_nodes.
+        "oracle-compare": (common - {"flavors"}) | grid | integrator | {"noise", "noise.gamma_phi"},
+        "contour": common | contour | integrator | {"noise", "noise.k", "uncertainty_nodes"},
+        "pulses": common | {"samples", "tg_cycles", "amp_scale"},
     }
     for kind, fields in own.items():
-        assert set(kind_fields(kind)) == shared | {"noise", "integrator"} | fields, kind
+        assert set(kind_fields(kind)) == fields, kind

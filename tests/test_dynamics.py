@@ -565,7 +565,7 @@ class TestPropagateLindblad:
 
         def recording(rhs, y0, t0, t1, cfg, **kw):
             res = ode_solve(rhs, y0, t0, t1, cfg, **kw)
-            solves.append((rhs, t0, t1, res))
+            solves.append((rhs, kw["stage_times"], t0, t1, res))
             return res
 
         monkeypatch.setattr(dynamics, "ode_solve", recording)
@@ -577,12 +577,12 @@ class TestPropagateLindblad:
         propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, np.repeat(scales, len(inputs)))
         assert len(solves) == 2
         y, attempts, reference_attempts = dynamics._pack(rho0s), 0, 0
-        for rhs, t0, t1, res in solves:
-            ref = dopri5_solve(rhs, y, t0, t1, cfg)
+        for rhs, announce, t0, t1, res in solves:
+            ref = dopri5_solve(rhs, y, t0, t1, cfg, announce)
             y = ref.y
             attempts += res.steps_accepted + res.steps_rejected
             reference_attempts += ref.steps_accepted + ref.steps_rejected
-        assert max_abs(solves[-1][3].y - y) <= 10.0 * cfg.rel_tol
+        assert max_abs(solves[-1][4].y - y) <= 10.0 * cfg.rel_tol
         assert 2 * attempts <= reference_attempts
 
     def test_a_shared_mesh_can_be_coarser_than_a_member_needs_alone(self):
@@ -661,7 +661,7 @@ class TestPropagateLindblad:
         lindblad_rhs = dynamics._lindblad_rhs
 
         def counting(terms, noise, t_gates):
-            blocks.append(len(terms(0.25)[0]))
+            blocks.append(len(t_gates))
             return lindblad_rhs(terms, noise, t_gates)
 
         monkeypatch.setattr(dynamics, "_lindblad_rhs", counting)
@@ -678,51 +678,29 @@ class TestPropagateLindblad:
         got = np.stack([res.final_operator for res in interleaved])
         assert max_abs(got - np.stack([res.final_operator for res in runs])[order]) < 1e-13
 
-    @staticmethod
-    def _noise_map_solve(monkeypatch, flavor):
-        """The noise-map stack through propagate_lindblad_batch at 2 cycles:
-        each half-segment's (rhs, stage_times hook, OdeResult)."""
-        solves = []
-
-        def recording(rhs, y0, t0, t1, cfg, **kw):
-            solves.append((rhs, kw["stage_times"], ode_solve(rhs, y0, t0, t1, cfg, **kw)))
-            return solves[-1][2]
-
-        monkeypatch.setattr(dynamics, "ode_solve", recording)
-        rho0s, amp_scales, t_gates = TestPropagateLindblad._noise_map_stack()
-        p = params(2.0, flavor)
-        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
-        noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
-        propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
-        assert len(solves) == 2
-        # The initial stack in the solve's (blocks, members per block, 16) shape.
-        return solves, dynamics._pack(hermitize(rho0s)).reshape(solves[0][2].y.shape)
-
-    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
-    def test_rhs_at_an_unannounced_time_equals_the_announced_value(self, monkeypatch, flavor):
-        # The generators of announced stage times come from the step's table;
-        # a time no step announced (the DOPRI5 reference asks for such times)
-        # gets its own row from the same build, bit for bit.
-        solves, y = self._noise_map_solve(monkeypatch, flavor)
-        for (rhs, announce, _), taus in zip(solves, ([0.05, 0.25, 0.45], [0.55, 0.75, 0.95])):
-            announce(np.array(taus))
-            announced = [rhs(tau, y).copy() for tau in taus]
-            announce(np.array([0.5]))
-            assert all(np.array_equal(rhs(tau, y), value) for tau, value in zip(taus, announced))
-
     def test_a_solve_builds_generators_once_per_attempted_step(self, monkeypatch):
         # One build for the first stage and one per attempted step, each
         # covering that step's twelve stage times; each build reshapes the
-        # profile factors once.
-        builds = []
+        # profile factors once.  The noise-map stack at 2 cycles.
+        builds, solves = [], []
 
         def counting(*args):
             builds.append(args)
             return _satd_reshape(*args)
 
+        def recording(*args, **kw):
+            solves.append(ode_solve(*args, **kw))
+            return solves[-1]
+
         monkeypatch.setattr(dynamics, "_satd_reshape", counting)
-        solves, _ = self._noise_map_solve(monkeypatch, Flavor.SATD)
-        attempts = [res.steps_accepted + res.steps_rejected for _, _, res in solves]
+        monkeypatch.setattr(dynamics, "ode_solve", recording)
+        rho0s, amp_scales, t_gates = self._noise_map_stack()
+        p = params(2.0, Flavor.SATD)
+        cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+        noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
+        propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
+        assert len(solves) == 2
+        attempts = [res.steps_accepted + res.steps_rejected for res in solves]
         assert min(attempts) > 0
         assert len(builds) == sum(1 + n for n in attempts)
 

@@ -8,7 +8,8 @@ Regenerate them only for an intended output change:
     PYTHONPATH=src python tests/test_golden.py
 
 which rewrites only the files whose bytes change and prints, for each, the
-largest numeric cell change against the file it replaces and where it lies.
+largest numeric cell change against the file it replaces and where it lies,
+and whether its `#` lines changed.
 """
 
 from __future__ import annotations
@@ -128,13 +129,16 @@ def test_csv_matches_golden(name, tmp_path):
 
 
 def largest_cell_change(old: bytes, new: bytes) -> tuple[float, str] | None:
-    """Largest |new - old| over the numeric cells of two CSVs, with the row
-    and column of a cell where it occurs (the first, at a tie); None when a
-    line count, a cell count or a non-numeric cell differs."""
-    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    """Largest |new - old| over the numeric cells of two CSVs, `#` lines
+    left out, with the row (the column header is row 0) and column of a cell
+    where it occurs (the first, at a tie); None when a row count, a cell
+    count or a non-numeric cell differs."""
+    old_lines, new_lines = (
+        [line for line in text.decode().splitlines() if not line.startswith("#")] for text in (old, new)
+    )
     if len(old_lines) != len(new_lines):
         return None
-    header = next((line.split(",") for line in new_lines if not line.startswith("#")), [])
+    header = new_lines[0].split(",") if new_lines else []
     largest, where = 0.0, "no cell"
     for row, (old_line, new_line) in enumerate(zip(old_lines, new_lines)):
         old_cells, new_cells = old_line.split(","), new_line.split(",")
@@ -149,7 +153,7 @@ def largest_cell_change(old: bytes, new: bytes) -> tuple[float, str] | None:
                 continue
             if change > largest:
                 name = header[col] if len(header) == len(new_cells) else f"cell {col}"
-                largest, where = change, f"line {row + 1}, {name}"
+                largest, where = change, f"row {row}, {name}"
     return largest, where
 
 
@@ -168,8 +172,11 @@ if __name__ == "__main__":
             if not path.exists():
                 note = "new file"
             else:
-                change = largest_cell_change(path.read_bytes(), new)
+                old = path.read_bytes()
+                change = largest_cell_change(old, new)
                 note = "layout changed" if change is None else "largest cell change {:.3g} at {}".format(*change)
+                comments = [[line for line in text.splitlines() if line.startswith(b"#")] for text in (old, new)]
+                note += ", # lines changed" if comments[0] != comments[1] else ""
             path.write_bytes(new)
             print(f"rewrote {path} ({note})")
     print(f"unchanged: {', '.join(unchanged) or 'none'}")

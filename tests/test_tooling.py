@@ -295,3 +295,70 @@ def test_count_lines_splits_every_line_of_src(capsys):
         counts = count_lines.count(path)
         assert [int(x) for x in row[1:]] == [sum(counts.values()), *counts.values()], path.name
     assert total == ["total", *(str(sum(int(row[i]) for row in rows)) for i in range(1, 6))]
+
+
+def _kind_functions() -> dict[str, list[ast.AST]]:
+    """Per kind: the tasks, rows, comments and check that KINDS in cli.py
+    gives it, named functions or lambdas, with every cli function they call."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    [kinds] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["KINDS"]
+    ]
+    out = {}
+    for key, call in zip(kinds.keys, kinds.values):
+        todo = [kw.value for kw in call.keywords if kw.arg in ("tasks", "rows", "comments", "check")]
+        seen, nodes = set(), []
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Name):
+                if node.id not in defs or node.id in seen:
+                    continue
+                seen.add(node.id)
+                node = defs[node.id]
+            nodes.append(node)
+            todo.extend(n.func for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name))
+        out[key.value] = nodes
+    return out
+
+
+def _shared_reads(nodes: list[ast.AST]) -> set[str]:
+    """The cli.SHARED_FIELDS that nodes read through `spec`: spec.noise.k or
+    spec.uncertainty_nodes reads that field, and spec.noise or
+    spec.integrator as a whole (or through an attribute that is no shared
+    field) reads each shared field under it."""
+    walked = [n for root in nodes for n in ast.walk(root) if isinstance(n, ast.Attribute)]
+    on_spec = [n for n in walked if isinstance(n.value, ast.Name) and n.value.id == "spec"]
+    fields, inner = set(), set()
+    for n in walked:
+        if any(n.value is m for m in on_spec) and f"{n.value.attr}.{n.attr}" in cli.SHARED_FIELDS:
+            fields.add(f"{n.value.attr}.{n.attr}")
+            inner.add(id(n.value))
+    for n in on_spec:
+        if id(n) not in inner:
+            fields |= {path for path in cli.SHARED_FIELDS if path == n.attr or path.startswith(n.attr + ".")}
+    return fields
+
+
+def test_shared_reads_sees_fields_wholes_and_lambdas():
+    # A guard on the reader: a whole noise model, one field of it, and a
+    # field read in a lambda.
+    reads = _shared_reads([ast.parse("lambda spec: f(spec.noise.k, spec.uncertainty_nodes, spec.fields)")])
+    assert reads == {"noise.k", "uncertainty_nodes"}
+    assert _shared_reads([ast.parse("g(spec.noise, spec.integrator.rel_tol)")]) == {
+        "noise.gamma_phi", "noise.k", "integrator.rel_tol"
+    }
+    assert _shared_reads(_kind_functions()["noise-map"]) == set(cli.SHARED_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(cli.KINDS))
+def test_each_kind_declares_the_shared_fields_it_runs_at(name):
+    # Kind.runs_at must name exactly the shared fields that the kind's tasks,
+    # rows, comments and check read, since load_spec rejects every other
+    # shared field and the CSV header prints only these; the shared fields
+    # it fixes are among them.
+    kind = cli.KINDS[name]
+    assert set(kind.fixed) & set(cli.SHARED_FIELDS) <= set(kind.runs_at) <= set(cli.SHARED_FIELDS)
+    assert _shared_reads(_kind_functions()[name]) == set(kind.runs_at)
