@@ -199,6 +199,7 @@ def _check_excited_dephasing_only(spec: SweepSpec) -> None:
 
 
 def _pulse_fields(cfg: dict) -> PulseFields:
+    _field(cfg, "flavors", ["adiabatic"], _flavors, lambda f: len(f) == 1, "a single flavor")
     return PulseFields(
         _field(cfg, "samples", 101, _int, *_GRID_COUNT),
         _field(cfg, "tg_cycles", 4.0, _num, *_GATE_TIME),

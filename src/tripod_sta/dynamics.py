@@ -270,7 +270,7 @@ def _packed_generator(h: np.ndarray) -> np.ndarray:
 def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
     # The real packed stack u comes in blocks of consecutive members, shaped
     # (blocks, m, 16), and t_gates holds each member's gate time shaped
-    # (blocks, m).  terms(tau) gives one generator G_b (blocks, 16, 16) per
+    # (blocks, m).  terms(taus) gives one generator G_b (blocks, 16, 16) per
     # block and weights w broadcasting to u's shape: member i of block b gets
     # w[b, i] * u_i @ G_b plus its dephasing -t_gates[b, i] * W on each packed
     # float.  One batched matmul, the weights and the dephasing elementwise on
@@ -280,8 +280,8 @@ def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
     damping = _pack(-(1.0 + 1.0j) * noise.dephasing_matrix()) * t_gates[..., None]
     out, product = np.empty_like(damping), np.empty_like(damping)
 
-    def rhs(tau, u):
-        generators, weights = terms(tau)
+    def rhs(taus, u):
+        generators, weights = terms(taus)
         np.multiply(np.matmul(u, generators, out=out), weights, out=out)
         np.add(out, np.multiply(damping, u, out=product), out=out)
         return out
@@ -392,7 +392,7 @@ def propagate_lindblad_batch(
     # step's distinct stage times, one time per flavor, in one pass as
     # ode_solve announces them (one ramp per time and flavor, then one
     # stacked matmul of (blocks, 2) @ (2, 256) per time and flavor), and
-    # terms(tau) reads the row of tau, which must be an announced time.
+    # terms(taus) reads the row of a stage's times, which ode_solve announced.
     m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
     wt = params.omega0 * t_gates[::m]
     gap_sq = np.array([wt * wt if flavor is Flavor.SATD else np.full(len(wt), math.inf) for flavor in flavors])
@@ -410,7 +410,7 @@ def propagate_lindblad_batch(
             # One key per stage, as rhs gets it, each with one time per flavor;
             # stages 11 and 12 share the node 1.  The ramp on floats: its scalar
             # calls, one per time and flavor, cost less than one on an array.
-            keys = list(dict.fromkeys(map(tuple, taus.reshape(groups, -1).T.tolist())))
+            keys = list(dict.fromkeys(zip(*taus.tolist())))
             theta, d1, d2 = zip(*[PulseShape.ramp(1.0, tau) for key in keys for tau in key])
             angles = np.array([list(map(math.sin, theta)), list(map(math.cos, theta)), d1, d2])
             s, c, d1, d2 = angles.reshape(4, len(keys), groups, 1)
@@ -419,10 +419,10 @@ def propagate_lindblad_batch(
             out = table[: len(keys)].reshape(-1, len(wt), 256)
             np.matmul(factors.reshape(-1, 2, len(wt)).swapaxes(1, 2), gens, out=out)
             rows.clear()
-            rows.update((key if groups > 1 else key[0], i) for i, key in enumerate(keys))
+            rows.update((key, i) for i, key in enumerate(keys))
 
-        def terms(tau):
-            return table[rows[tau]], weights
+        def terms(taus):
+            return table[rows[taus]], weights
 
         return _lindblad_rhs(terms, noise, stacked_t_gates), announce
 

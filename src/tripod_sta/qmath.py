@@ -273,44 +273,40 @@ def ode_solve(
     stage_times: Callable[[np.ndarray], None] | None = None,
     groups: int = 1,
 ) -> OdeResult:
-    """Integrate dy/dt = rhs(t, y) from t0 to t1 with the adaptive
+    """Integrate dy/dt = rhs(times, y) from t0 to t1 with the adaptive
     Dormand-Prince 8(5,3) stepper (DOP853), in y0's kind: float64 for a real
     y0 (whose rhs must not return a complex array: ValueError on the first
     call), complex128 for any other.
+
+    y0's first axis holds `groups` independent systems as equal consecutive
+    parts (by default one: y0 whole), integrated in lockstep: each group
+    has its own t, step size, error norm, accept/reject decision and step
+    count, so it gets bit for bit its own solve, while the groups share
+    every stage's numpy calls and rhs call.  A group that finishes first
+    rides along with h = 0, and its state no longer changes.
 
     Local error is controlled per entry, real or complex, against
     abs_tol + rel_tol*max(|y|, |y_new|): with e5 and e3 the max norms of the
     fifth- and third-order error estimates scaled by that tolerance, a step
     is accepted when e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step
-    size scales with that ratio to the power -1/8.  The twelve stages of a
-    step and the FSAL stage are the rows of one (13, y.size) array.  Each
-    step scales the (13, 12) stage tableau and the two error rows by h in
-    one product, and each stage argument is one real tableau-row product
-    with the stages' float view, written into a preallocated row and then
-    added to y; the error estimates go to a preallocated buffer too.  rhs
-    gets each stage argument in y0's shape, and each rhs result is copied
-    into its stage row before the next call, so rhs may return a buffer it
-    reuses; the y it is handed is a row the stepper rewrites, so rhs must
-    not keep it.  The last stage of an accepted step is the first of the
-    next (FSAL), so a solve costs 1 + 12*(accepted + rejected) rhs
-    evaluations.  More than ODE_MAX_STEPS attempts raise OdeStepLimit.
+    size scales with that ratio to the power -1/8.  The last stage of an
+    accepted step is the first of the next (FSAL), so a solve calls rhs
+    1 + 12*n times, n the attempted steps of the group that attempts most.
 
-    groups > 1 integrates that many independent systems in lockstep: y0's
-    first axis holds them as equal consecutive parts, and each group has its
-    own t, step size, error norm, accept/reject decision and step count, so
-    it gets bit for bit its own solve.  The groups share every stage's numpy
-    calls (one batched product per stage argument, one rhs call); a group
-    that finishes first rides along with h = 0, and its state no longer
-    changes.  rhs then gets the tuple of the groups' stage times, and the
-    stage_times arrays below gain a leading group axis.  steps_accepted and
-    steps_rejected sum over the groups, group_steps gives each group's pair,
-    and a stalled group raises with member set to its index.
+    rhs gets a tuple of one Python float per group, its stage time, and the
+    stage argument in y0's shape, a buffer the stepper rewrites, which rhs
+    must not keep; each result is copied away before the next call, so rhs
+    may return a buffer it reuses.  stage_times, if given, is called with a
+    float array of shape (groups, 1) holding t0 before the first stage and,
+    before the stages of each attempted step, of shape (groups, 12) holding
+    each group's stage times t + c_i*h: column i is exactly the tuple rhs
+    then gets at stage i, so an rhs can precompute what it needs for a whole
+    step in one vectorized pass.
 
-    stage_times, if given, is called with the float array [t0] before the
-    first stage and, before the stages of each attempted step, with that
-    step's twelve stage times t + c_i*h, whose Python floats are exactly the
-    times rhs then receives, in order: an rhs can precompute what it needs
-    for a whole step in one vectorized pass.
+    steps_accepted and steps_rejected sum over the groups, and group_steps
+    gives each group's pair.  A group whose step size underflows raises
+    OdeStepUnderflow, and one that reaches ODE_MAX_STEPS attempts
+    OdeStepLimit, each with member set to the group's index.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -322,21 +318,12 @@ def ode_solve(
         return OdeResult(y, 0, 0, ((0, 0),) * groups)
     shape, y = y.shape, y.reshape(groups, -1)
     span, size = t1 - t0, y.shape[1]
-
-    def times_seen(times: np.ndarray):
-        """Per stage, what rhs gets of the (groups, n) stage times."""
-        return times[0].tolist() if groups == 1 else list(zip(*times.tolist()))
-
-    def announce(times: np.ndarray) -> None:
-        if stage_times is not None:
-            stage_times(times[0] if groups == 1 else times)
-
+    announce = stage_times or (lambda times: None)
     ks = np.empty((13, groups, size), dtype=y.dtype)
     # Each stage row in y0's shape, the shape rhs takes and returns.
     k_shaped = [k.reshape(shape) for k in ks]
-    start = np.full((groups, 1), t0)
-    announce(start)
-    first = rhs(times_seen(start)[0], y.reshape(shape))
+    announce(np.full((groups, 1), t0))
+    first = rhs((t0,) * groups, y.reshape(shape))
     if np.iscomplexobj(first) and not np.iscomplexobj(y):
         raise ValueError("rhs returned a complex array for a real y0")
     k_shaped[0][...] = first
@@ -377,10 +364,10 @@ def ode_solve(
         np.multiply(_DP_TABLEAU, step[:, :, None], out=hs)
         times = np.array(t)[:, None] + _DP_NODES * step
         announce(times)
-        for tau, (weights, earlier, arg, shaped, k) in zip(times_seen(times), stages):
+        for ts, (weights, earlier, arg, shaped, k) in zip(zip(*times.tolist()), stages):
             np.matmul(weights, earlier, out=arg)
             arg += yf
-            k[...] = rhs(tau, shaped)
+            k[...] = rhs(ts, shaped)
         np.matmul(error_weights, error_stages, out=error_out)
         abs_y8 = np.abs(y8)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)

@@ -227,10 +227,12 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
     Dormand-Prince 5(4) stepper with the same elementwise error control
     against abs_tol + rel_tol*max(|y|, |y_new|) and FSAL reuse, so a solve
     costs 1 + 6*(accepted + rejected) rhs evaluations.  Like ode_solve it
-    integrates in y0's kind: float64 for a real y0, complex128 otherwise.
-    stage_times, if given, is called with the float array [t0] before the
-    first rhs call and, before each attempted step, with its six stage
-    times, the exact floats rhs then receives, in order."""
+    integrates in y0's kind: float64 for a real y0, complex128 otherwise,
+    and it has ode_solve's calling form at one group: rhs gets the 1-tuple
+    of its stage time, and stage_times, if given, is called with the float
+    array [[t0]] before the first rhs call and, before each attempted step,
+    with the (1, 6) array of its stage times, the exact floats rhs then
+    receives, in order."""
     announce = stage_times or (lambda times: None)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
@@ -243,8 +245,8 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
     t = t0
     ks = np.empty((7, y.size), dtype=y.dtype)
     kf = ks.view(float)
-    announce(np.array([t]))
-    ks[0] = rhs(t, y.reshape(shape)).ravel()
+    announce(np.array([[t]]))
+    ks[0] = rhs((t,), y.reshape(shape)).ravel()
     # Crude but safe first step guess; the controller fixes it quickly.
     scale = max_abs(ks[0])
     h = 0.01 * (max_abs(y) + cfg.abs_tol) / scale if scale > 0.0 else span
@@ -259,12 +261,12 @@ def dopri5_solve(rhs, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfi
             raise OdeStepUnderflow(t)
         yf = y.view(float)
         times = [t + c * h for c in _DP5_C[1:]] + [t + h]
-        announce(np.array(times))
+        announce(np.array([times]))
         for i in range(1, 6):
             stage = (yf + (h * _DP5_A[i]) @ kf[:i]).view(y.dtype)
-            ks[i] = rhs(times[i - 1], stage.reshape(shape)).ravel()
+            ks[i] = rhs((times[i - 1],), stage.reshape(shape)).ravel()
         y5 = (yf + (h * _DP5_B5) @ kf[:6]).view(y.dtype)
-        ks[6] = rhs(times[5], y5.reshape(shape)).ravel()  # FSAL stage
+        ks[6] = rhs((times[5],), y5.reshape(shape)).ravel()  # FSAL stage
         err = ((h * _DP5_E) @ kf).view(y.dtype)
         abs_y5 = np.abs(y5)
         tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y5)
@@ -286,8 +288,8 @@ def dopri5_unitary(env: EnvelopeSet, cfg: IntegratorConfig) -> np.ndarray:
     with the Dormand-Prince 5(4) reference stepper dopri5_solve, one solve per
     half-segment."""
 
-    def rhs(t, u):
-        return -1.0j * (hamiltonian(env, t) @ u)
+    def rhs(times, u):
+        return -1.0j * (hamiltonian(env, times[0]) @ u)
 
     half = env.segment_boundary
     first = dopri5_solve(rhs, np.eye(4, dtype=complex), 0.0, half, cfg)
@@ -335,7 +337,8 @@ def dopri5_dissipative_superop(params, shape, noise, cfg: IntegratorConfig) -> n
     eye16 = np.eye(16, dtype=complex)
 
     def segment_map(t0: float, t1: float) -> np.ndarray:
-        def rhs(t, y):
+        def rhs(times, y):
+            (t,) = times
             prop = y[:, :16]
             ell0 = hamiltonian_superoperator(dressed_frame_hamiltonian(params, nu, t))
             c = _collapse_vector(params, shape, t)
@@ -377,8 +380,8 @@ def lindblad_rhs_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray):
     coeff = -1.0j * amp_scales[:, None, None]
     damping = noise.dephasing_matrix()
 
-    def rhs(t, rho):
-        a = (rho.reshape(-1, 4) @ hamiltonian(env, t)).reshape(rho.shape)
+    def rhs(times, rho):
+        a = (rho.reshape(-1, 4) @ hamiltonian(env, times[0])).reshape(rho.shape)
         return coeff * (np.conj(np.swapaxes(a, -1, -2)) - a) - damping * rho
 
     return rhs
@@ -403,8 +406,8 @@ def two_generator_stage_reference(env: EnvelopeSet, noise, amp_scales: np.ndarra
     upper = np.repeat(-noise.dephasing_matrix()[np.triu_indices(4, 1)], 2)
     damping = np.concatenate([np.zeros(4), upper]) * t_gates[:, None]
 
-    def rhs(tau, u):
-        theta, d1, d2 = PulseShape.ramp(1.0, tau)
+    def rhs(taus, u):
+        theta, d1, d2 = PulseShape.ramp(1.0, taus[0])
         s, c = math.sin(theta), math.cos(theta)
         out = damping * u + (u @ (gens[0] * s + gens[1] * c)) * coeff
         if p.flavor is Flavor.SATD:

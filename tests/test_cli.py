@@ -339,6 +339,8 @@ class TestConfigHandling:
         ]
         + [
             ("sweep gate-error", "flavors", ["satd", "satd"]),
+            # pulses exports one flavor; it used to drop the second silently.
+            ("pulses export", "flavors", ["adiabatic", "satd"]),
             # Positive gate times below cli.MIN_TG_CYCLES, where the pulse shape and closed forms overflow.
             ("sweep gate-error", "tg_grid.min", 1e-100),
             ("oracle compare", "tg_grid.min", 1e-100),
@@ -818,6 +820,15 @@ class TestPulsesExport:
         first = [float(v) for v in rows[0]]
         assert first[1:5] == [0.0, 0.0, 0.0, 0.0]
         assert first[5] == pytest.approx(1.3 * OMEGA0, rel=1e-12)
+
+    def test_unset_flavors_export_adiabatic(self, tmp_path):
+        # Not the shared default pair, which pulses would reject.
+        payload = {key: value for key, value in MINIMAL_CFGS["pulses export"].items() if key != "flavors"}
+        outs = [tmp_path / "unset.csv", tmp_path / "adiabatic.csv"]
+        for out, flavors in zip(outs, ({}, {"flavors": "adiabatic"})):
+            cfg = write_config(tmp_path / "c.json", dict(payload, out=str(out), **flavors))
+            assert cli.main(["pulses", "export", "--config", cfg]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestOracleCompare:

@@ -603,8 +603,8 @@ class TestPropagateLindblad:
         def first_half(gaps):
             gaps = np.array(gaps)
 
-            def terms(tau):
-                theta, d1, d2 = PulseShape.ramp(1.0, tau)
+            def terms(taus):
+                theta, d1, d2 = PulseShape.ramp(1.0, taus[0])
                 factors = _satd_reshape(math.sin(theta), math.cos(theta), _satd_correction(d1, d2, gaps))
                 return (np.stack(factors, -1) @ gens).reshape(-1, 16, 16), wt
 

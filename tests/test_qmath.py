@@ -120,7 +120,8 @@ def test_ode_reuses_the_last_stage():
     # carries over from each accepted step, also across rejected ones.
     evals = []
 
-    def rhs(t, y):
+    def rhs(times, y):
+        (t,) = times
         evals.append(t)
         return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
 
@@ -129,33 +130,40 @@ def test_ode_reuses_the_last_stage():
     assert len(evals) == 1 + 12 * (res.steps_accepted + res.steps_rejected)
 
 
-def test_ode_stage_times_announce_each_step_before_its_stages():
-    # The stage_times hook gets [t0] before the first stage and then each
-    # attempted step's stage times, as exactly the floats rhs receives next,
-    # in order; it changes neither the mesh nor the result.
+@pytest.mark.parametrize("groups", [1, 2])
+def test_ode_stage_times_announce_each_step_before_its_stages(groups):
+    # The stage_times hook gets the (groups, 1) array of t0 before the first
+    # stage and then each attempted step's (groups, 12) stage times; each rhs
+    # call gets the next column as a groups-tuple of exactly those floats, in
+    # order.  The hook changes neither the mesh nor the result.  At groups = 2
+    # both groups are the same system.
     log = []
 
-    def rhs(t, y):
-        log.append(t)
+    def spike(t, y):
         return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
+
+    def rhs(times, y):
+        log.append(times)
+        return np.concatenate([spike(t, part) for t, part in zip(times, np.split(y, groups))])
 
     def hook(taus):
         assert taus.dtype == float
         log.append(taus.copy())
 
     cfg = IntegratorConfig(1e-8, 1e-10)
-    plain = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, cfg)
+    y0 = np.stack([np.eye(2, dtype=complex)] * groups)
+    plain = ode_solve(rhs, y0, 0.0, 2.0, cfg, groups=groups)
     plain_times = log.copy()
     log.clear()
-    hinted = ode_solve(rhs, np.eye(2, dtype=complex), 0.0, 2.0, cfg, stage_times=hook)
+    hinted = ode_solve(rhs, y0, 0.0, 2.0, cfg, stage_times=hook, groups=groups)
     assert hinted.steps_rejected > 0
-    assert (hinted.steps_accepted, hinted.steps_rejected) == (plain.steps_accepted, plain.steps_rejected)
+    assert hinted.group_steps == plain.group_steps == (hinted.group_steps[0],) * groups
     assert np.array_equal(hinted.y, plain.y)
     announced = [i for i, entry in enumerate(log) if isinstance(entry, np.ndarray)]
-    assert len(announced) == 1 + hinted.steps_accepted + hinted.steps_rejected
-    assert [len(log[i]) for i in announced] == [1] + [12] * (len(announced) - 1)
+    assert len(announced) == 1 + sum(hinted.group_steps[0])
+    assert [log[i].shape for i in announced] == [(groups, 1)] + [(groups, 12)] * (len(announced) - 1)
     for i in announced:
-        assert log[i + 1 : i + 1 + len(log[i])] == log[i].tolist()
+        assert log[i + 1 : i + 1 + log[i].shape[1]] == list(zip(*log[i].tolist()))
     assert [t for t in log if not isinstance(t, np.ndarray)] == plain_times
 
 
@@ -168,12 +176,13 @@ def test_ode_result_does_not_depend_on_a_reused_rhs_buffer(rng):
     evals = []
     buffer = np.empty((4, 4), dtype=complex)
 
-    def fresh(t, y):
+    def fresh(times, y):
+        (t,) = times
         evals.append(t)
         return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * (h @ y)
 
-    def reused(t, y):
-        buffer[...] = fresh(t, y)
+    def reused(times, y):
+        buffer[...] = fresh(times, y)
         return buffer
 
     new = ode_solve(fresh, y0, 0.0, 2.0, cfg)
@@ -187,16 +196,16 @@ def test_ode_result_does_not_depend_on_a_reused_rhs_buffer(rng):
 
 def test_ode_stage_times_are_python_floats():
     # The step size and every stage time stay Python floats, also after a
-    # rejected step and from numpy endpoints.  The Lindblad rhs looks its
-    # generators up by the float stage time that the stage_times hook
-    # announced, and at a time no step announced it does its scalar ramp
-    # arithmetic on that time: on a numpy scalar PulseShape.ramp took 5.5 us
-    # per call against 1.0 us on a float (timeit on one x86-64 core), a
-    # slowdown no result shows.
+    # rejected step and from numpy endpoints.  So OdeStepUnderflow.t is a
+    # float, and an rhs that does scalar arithmetic on its time stays
+    # numpy-free: on a numpy scalar PulseShape.ramp took 5.5 us per call
+    # against 1.0 us on a float (timeit on one x86-64 core), a slowdown no
+    # result shows.
     types = set()
 
-    def rhs(t, y):
-        types.add(type(t))
+    def rhs(times, y):
+        (t,) = times
+        types.update(map(type, times))
         return -1j * (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * y
 
     for t0, t1 in ((0.0, 2.0), (np.float64(0.0), np.float64(2.0))):
@@ -211,7 +220,8 @@ def test_ode_real_state_is_the_real_part_of_the_complex_solve(rng):
     a = rng.normal(size=(4, 4))
     y0 = rng.normal(size=(4, 3))
 
-    def rhs(t, y):
+    def rhs(times, y):
+        (t,) = times
         return (1.0 + 200.0 * math.exp(-(((t - 1.0) / 0.05) ** 2))) * (a @ y)
 
     cfg = IntegratorConfig(1e-9, 1e-11)
@@ -228,7 +238,8 @@ def test_ode_real_state_with_a_complex_rhs_is_rejected():
     # numpy would drop the imaginary part with a ComplexWarning.
     calls = []
 
-    def rhs(t, y):
+    def rhs(times, y):
+        (t,) = times
         calls.append(t)
         return -1j * y
 
@@ -252,7 +263,8 @@ def test_ode_backwards_time_rejected():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ode_underflow_reports_time():
     # A rhs whose magnitude explodes forces the controller to shrink h forever.
-    def rhs(t, y):
+    def rhs(times, y):
+        (t,) = times
         return y / (0.5 - t) ** 2
 
     with pytest.raises(OdeStepUnderflow) as err:
@@ -265,7 +277,8 @@ def _spike_rhs(h, amplitude, center):
     """-i (1 + amplitude * a narrow Gaussian at center) h y: the spike makes
     the controller shrink its steps, and reject some, near center."""
 
-    def rhs(t, y):
+    def rhs(times, y):
+        (t,) = times
         return -1j * (1.0 + amplitude * math.exp(-(((t - center) / 0.05) ** 2))) * (h @ y)
 
     return rhs
@@ -273,11 +286,12 @@ def _spike_rhs(h, amplitude, center):
 
 def _grouped(rhs_of_group):
     """The rhs of a grouped solve of consecutive (1, ...) parts of y, group g
-    under rhs_of_group[g] at its own stage time."""
+    under rhs_of_group[g], the rhs of its own one-group solve, at its own
+    stage time."""
 
     def rhs(times, y):
         assert len(times) == len(rhs_of_group)
-        return np.concatenate([f(t, part) for f, t, part in zip(rhs_of_group, times, np.split(y, len(times)))])
+        return np.concatenate([f((t,), part) for f, t, part in zip(rhs_of_group, times, np.split(y, len(times)))])
 
     return rhs
 
@@ -339,7 +353,7 @@ def test_ode_step_limit_names_the_stalled_group(monkeypatch, rng, stalled):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ode_underflow_names_the_stalled_group():
     # The rhs of test_ode_underflow_reports_time in the second group only.
-    systems = [lambda t, y: -1j * y, lambda t, y: y / (0.5 - t) ** 2]
+    systems = [lambda t, y: -1j * y, lambda t, y: y / (0.5 - t[0]) ** 2]
     with pytest.raises(OdeStepUnderflow) as err:
         ode_solve(_grouped(systems), np.ones((2, 1, 1), dtype=complex), 0.0, 1.0, groups=2)
     assert not isinstance(err.value, OdeStepLimit)
