@@ -72,6 +72,12 @@ REFINE_POINTS = 5
 _UNSET = object()  # the default of a config field that must be left unset
 
 SHARED_FIELDS = ("noise.gamma_phi", "noise.k", "integrator.rel_tol", "integrator.abs_tol", "uncertainty_nodes")
+# Every config path some kind reads, and the objects that enclose them: load_spec
+# rejects any other key, and ignores one that only another kind reads.
+CONFIG_KEYS = frozenset([*SHARED_FIELDS, *(
+    "kind out jobs alpha beta gamma0 flavors samples tg_cycles amp_scale noise integrator tg_grid tg_grid.scale "
+    "tg_grid.min tg_grid.max tg_grid.count contour contour.gamma_gs contour.gamma_e contour.tg_min contour.tg_max "
+    "contour.coarse_count contour.golden_rel_tol").split()])
 
 
 class ConfigError(ValueError):
@@ -233,7 +239,8 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
     """Read and validate a JSON config; CLI flag overrides win over the file.
 
     A shared field the kind fixes (Kind.fixed) or does not run at
-    (Kind.runs_at) must be left unset, by the config and by --tol alike.
+    (Kind.runs_at) must be left unset, by the config and by --tol alike, and
+    every key of the config and of its objects must be in CONFIG_KEYS.
     """
     overrides = overrides or {}
     try:
@@ -253,6 +260,10 @@ def load_spec(path: str, kind: str | None = None, overrides: dict | None = None)
         raise ConfigError("kind", f"must be one of {tuple(KINDS)}, got {cfg_kind!r}")
     if kind is not None and cfg_kind != kind:
         raise ConfigError("kind", f"config says {cfg_kind!r} but the subcommand expects {kind!r}")
+    keys = [*cfg, *(f"{key}.{sub}" for key, value in cfg.items() if isinstance(value, dict) for sub in value)]
+    for path in keys:
+        if path not in CONFIG_KEYS:
+            raise ConfigError(path, "no kind reads this field")
     fixed, need = KINDS[cfg_kind].fixed, f"unset ({cfg_kind} does not read it)"
     for path in [*fixed, *(path for path in SHARED_FIELDS if path not in KINDS[cfg_kind].runs_at)]:
         by_flag = path == "integrator.rel_tol" and overrides.get("tol") is not None  # --tol sets rel_tol

@@ -4,15 +4,12 @@ The protocol is always integrated as two half-segments joined at t_gate/2,
 where the a-e envelope vanishes and its phase jumps; the split also keeps
 the envelope-derivative kink off the interior of a step.
 
-The closed path (propagate_unitary_batch) solves an exact SU(2) problem with
-fourth-order Magnus steps (for the SATD flavor in the nu-dressed frame, where
-its nominal field is diagonal) and Richardson-extrapolated step doubling,
-run in lockstep for every half-segment of a whole batch of protocols: the
-members share each step count and its vectorized field calls (one pulse
-ramp each, on the unit-gate times t/t_gate of the nodes, which all share),
-and each freezes by its own stopping rule, so it gets bit for bit what it
-gets alone (propagate_unitary is the batch of one; the CLI's gate-error sweep
-is one batch per worker).
+The closed path (propagate_unitary_batch) solves an exact SU(2) problem by
+Richardson-extrapolated doubling of fourth-order Magnus steps on the first
+half-segment, in lockstep for a batch of protocols that share each step
+count and its field calls, each member bit for bit what it gets alone; the
+ramp's mirror symmetry about t_gate/2 makes the second half's propagator
+the transpose of the first's.
 
 The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
 qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
@@ -41,7 +38,7 @@ from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_corr
 from .qmath import (
     IntegratorConfig, NumericalError, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect,
 )
-from .tripod import _coupling, half_segment_field, lab_operator
+from .tripod import _coupling, field_constants, half_segment_field, lab_operator
 
 # Magnus step counts per half-segment: doubling starts at the smallest and
 # raises NumericalError past the largest.
@@ -93,15 +90,13 @@ class PropagationResult:
 
     For the Lindblad path steps_accepted and steps_rejected count the
     Dormand-Prince 8(5,3) steps of qmath.ode_solve.  For the closed path (one
-    member of propagate_unitary_batch) steps_accepted counts the Magnus steps
-    (in the nu-dressed frame for SATD) of the finest product (both halves)
-    and steps_rejected those of the coarser meshes the step doubling
-    discarded; magnus_steps gives the final step count per half-segment and
-    error_estimate the larger half-segment estimate: |U2(2N) - U2(N)|/15 for
-    a half frozen by the fourth-order rule, the undivided |R(2N) - R(N)| of
-    the Richardson values for one frozen by the Richardson rule.  Each
-    member's values are those it gets alone: the lockstep doubling freezes
-    it by its own rule.
+    member of propagate_unitary_batch) magnus_steps is (N, N), N the final
+    Magnus step count of the first half-segment, whose transpose is the
+    second's propagator by the ramp's mirror symmetry; steps_accepted is 2N
+    and steps_rejected 2(N - MAGNUS_MIN_STEPS), the steps of the coarser
+    meshes the doubling discarded.  error_estimate is the first half's:
+    |U2(2N) - U2(N)|/15 from the fourth-order rule, the undivided
+    |R(2N) - R(N)| of the Richardson values from the Richardson rule.
     """
 
     final_operator: np.ndarray
@@ -166,54 +161,54 @@ def propagate_unitary_batch(
     """U(t_gate) of i dU/dt = H(t) U from the identity for each protocol of
     params (at least one) on the quintic ramp: one PropagationResult per member.
 
-    On each half-segment the adiabatic-frame Hamiltonian is c(t).J with
-    c = tripod.half_segment_field (|0t> decouples) on the nodes that both
-    halves of every member share; an SATD member steps in the nu-dressed
-    frame, where its nominal field is the diagonal (0, 0, -E).  nu is 0 at the
-    segment ends, so one tripod.lab_operator call takes the U2' and U2'' of
-    every member, the SU(2) propagators of c(t).sigma/2 over the two halves,
-    to the lab frame.  Every
-    half-segment is a qmath.magnus_su2 product, and all of them double their
-    step count in lockstep, sharing the field calls; each freezes by its own
-    rule, an SATD member at 2/u* steps or more: nu turns by pi/4 within
-    u* = sqrt(omega0*t_g/(60 pi)) of the segment ends, unseen on a coarser
-    mesh.  The fourth-order rule returns U2(2N) once |U2(2N) - U2(N)|/15 is
-    at most rel_tol + abs_tol or plateaus at roundoff.  The product is
-    symmetric, so its error has only even powers of the step, and
-    R(N) = U2(N) + (U2(N) - U2(N/2))/15 is sixth order: otherwise the
-    Richardson rule returns R(2N) once |R(2N) - R(N)| <= rel_tol + abs_tol
-    (see _refine_by_doubling).  Either estimate is per half-segment, so the
-    full-gate error may exceed rel_tol.  A half-segment still refining past
-    MAGNUS_MAX_STEPS, or a unitarity defect above
-    10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with member set to
-    the first failing member.
+    On each half-segment the adiabatic-frame Hamiltonian is c(t).J (|0t>
+    decouples), in the nu-dressed frame for an SATD member.  Only the first
+    half is integrated: its SU(2) propagator U2' of c(t).sigma/2 is a
+    qmath.magnus_su2 product on c = tripod.half_segment_field.  By the ramp's
+    mirror symmetry the second half's field is P c(1 - x), P = diag(1, -1, 1),
+    and as (Pc).sigma = (c.sigma)^T its propagator is U2'^T; the GL2 product
+    keeps that at every N, as a mirrored step swaps its two nodes and
+    (Pa) x (Pb) = -P(a x b).  nu is 0 at the segment ends, so one
+    tripod.lab_operator call takes U2' and U2'^T of every member to the lab
+    frame.  The first halves double their step count in lockstep, sharing
+    the field calls; each freezes by its own rule, an SATD member at 2/u*
+    steps or more: nu turns by pi/4 within u* = sqrt(omega0*t_g/(60 pi)) of
+    the segment ends, unseen on a coarser mesh.  The fourth-order rule
+    returns U2(2N) once |U2(2N) - U2(N)|/15 is at most rel_tol + abs_tol or
+    plateaus at roundoff.  The product is symmetric, so its error has only
+    even powers of the step, and R(N) = U2(N) + (U2(N) - U2(N/2))/15 is
+    sixth order: otherwise the Richardson rule returns R(2N) once
+    |R(2N) - R(N)| <= rel_tol + abs_tol (see _refine_by_doubling).  Either
+    estimate is per half-segment, so the full-gate error may exceed rel_tol.
+    A first half still refining past MAGNUS_MAX_STEPS, or a unitarity defect
+    above 10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with member
+    set to the index of the first failing protocol.
     """
     if not params:
         raise ValueError("params must hold at least one protocol")
-    # Member 2j is the first half-segment of params[j], member 2j + 1 the second.
-    spans = np.repeat([0.5 * p.t_gate for p in params], 2)
+    constants = field_constants(params)
+    spans = np.array([0.5 * p.t_gate for p in params])
 
     def approx(rows, n):
-        return magnus_su2(lambda c, x: half_segment_field(params, rows[c], x), spans[rows], n)
+        return magnus_su2(lambda c, x: half_segment_field(constants[rows[c]], x), spans[rows], n)
 
-    names = [f"Magnus step doubling on [{a:g}, {b:g}]" for s in spans[::2] for a, b in ((0, s), (s, 2 * s))]
+    names = [f"Magnus step doubling on [0, {s:g}]" for s in spans]
     tol = cfg.rel_tol + cfg.abs_tol
     floors = [2.0 * math.sqrt(60.0 * math.pi / (p.omega0 * p.t_gate)) if p.flavor is Flavor.SATD else 0 for p in params]
-    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 4, np.repeat(floors, 2))
+    halves = _refine_by_doubling(approx, names, MAGNUS_MIN_STEPS, MAGNUS_MAX_STEPS, tol, 4, floors)
     # The members before the first whose doubling failed, if any, reach the lab frame.
-    failed = next((j for j, half in enumerate(halves) if isinstance(half, NumericalError)), 2 * len(params))
-    first, second = (np.array([h[0] for h in halves[k : 2 * (failed // 2) : 2]]).reshape(-1, 2, 2) for k in (0, 1))
-    us = lab_operator(params[: failed // 2], first, second)
+    failed = next((j for j, half in enumerate(halves) if isinstance(half, NumericalError)), len(params))
+    first = np.array([h[0] for h in halves[:failed]]).reshape(-1, 2, 2)
+    us = lab_operator(params[:failed], first, np.swapaxes(first, -1, -2))
     bound = 10.0 * cfg.rel_tol + UNITARITY_ROUNDOFF
     results = []
     for j, (u, defect) in enumerate(zip(us, unitarity_defect(us).tolist())):
         if not defect <= bound:
             raise NumericalError(f"unitarity defect {defect:.3e} exceeds {bound:.3e}", j)
-        (_, n1, est1), (_, n2, est2) = halves[2 * j : 2 * j + 2]
-        steps = (n1 + n2, n1 + n2 - 2 * MAGNUS_MIN_STEPS)
-        results.append(PropagationResult(u, *steps, defect, magnus_steps=(n1, n2), error_estimate=max(est1, est2)))
+        _, n, est = halves[j]
+        steps = (2 * n, 2 * (n - MAGNUS_MIN_STEPS))
+        results.append(PropagationResult(u, *steps, defect, magnus_steps=(n, n), error_estimate=est))
     if failed < len(halves):
-        halves[failed].member = failed // 2
         raise halves[failed]
     return results
 

@@ -70,19 +70,10 @@ def closed_form_fidelities(params: ControlParams) -> tuple[float, float]:
 
 def _axial_qubit_states() -> np.ndarray:
     """The six axial Bloch states of the (|0>, |1>) qubit, embedded in 4x4."""
-    ket0 = np.array([1.0, 0.0], dtype=complex)
-    ket1 = np.array([0.0, 1.0], dtype=complex)
-    kets = [
-        (ket0 + ket1) / math.sqrt(2.0),
-        (ket0 - ket1) / math.sqrt(2.0),
-        (ket0 + 1.0j * ket1) / math.sqrt(2.0),
-        (ket0 - 1.0j * ket1) / math.sqrt(2.0),
-        ket0,
-        ket1,
-    ]
+    s = 1.0 / math.sqrt(2.0)
+    kets = np.array([[s, s], [s, -s], [s, complex(0.0, s)], [s, complex(0.0, -s)], [1.0, 0.0], [0.0, 1.0]])
     out = np.zeros((6, 4, 4), dtype=complex)
-    for i, k in enumerate(kets):
-        out[i, :2, :2] = np.outer(k, k.conj())
+    out[:, :2, :2] = kets[:, :, None] * kets[:, None, :].conj()
     return out
 
 
@@ -242,17 +233,11 @@ def analytic_satd_dephasing_fidelity(
     gamma_e = rates[3]
     w2 = params.omega0 * params.omega0
 
-    def frac(t: np.ndarray) -> np.ndarray:
+    def frac(t: np.ndarray, power: int) -> np.ndarray:
         td2 = shape(t)[1] ** 2
-        return td2 / (w2 + 4.0 * td2)
+        return td2 / (w2 + 4.0 * td2) ** power
 
-    def frac_sq(t: np.ndarray) -> np.ndarray:
-        td2 = shape(t)[1] ** 2
-        return td2 / (w2 + 4.0 * td2) ** 2
-
-    half = 0.5 * params.t_gate
-    i1 = gauss_legendre(frac, 0.0, half, 96)
-    i2 = gauss_legendre(frac_sq, 0.0, half, 96)
+    i1, i2 = (gauss_legendre(lambda t: frac(t, power), 0.0, 0.5 * params.t_gate, 96) for power in (1, 2))
     return 1.0 - (4.0 / 3.0) * gamma_e * i1 - (8.0 / 3.0) * gamma_e * w2 * i2
 
 

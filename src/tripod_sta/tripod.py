@@ -89,13 +89,19 @@ def frame_change(params: ControlParams, theta: float, second_half: bool) -> np.n
     return s
 
 
-def half_segment_field(params: list[ControlParams], members: np.ndarray, x: np.ndarray) -> tuple:
+def field_constants(params: list[ControlParams]) -> np.ndarray:
+    """Rows (omega0, amp_scale, SATD flag, t_gate) of protocols params, as half_segment_field reads them."""
+    return np.array([(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params])
+
+
+def half_segment_field(constants: np.ndarray, x: np.ndarray) -> tuple:
     """Spin-1 components (c_x, c_y, c_z) of the adiabatic-frame Hamiltonian
-    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c.J of each member i, the
-    half-segment i % 2 of protocol params[i // 2], at the fractions x of a
-    half-segment, shared by all: the unit-gate times tau = (i % 2 + x)/2.
-    Each component broadcasts against (len(members), len(x)), all from one
-    PulseShape.ramp(1, tau): theta_dot = theta'/t_gate, theta_ddot = theta''/t_gate^2.
+    S_ad^dag H S_ad - i S_ad^dag dS_ad/dt = c.J of each member, the first
+    half-segment of the protocol whose field_constants row is its row of
+    constants, at the fractions x of a half-segment, shared by all: the
+    unit-gate times tau = x/2.  Each component broadcasts against
+    (len(constants), len(x)), all from one PulseShape.ramp(1, tau):
+    theta_dot = theta'/t_gate, theta_ddot = theta''/t_gate^2.
 
     c = (r*omega0*kappa/2, theta_dot, -r*omega0/2) with r = amp_scale and
     kappa = controls._satd_correction at the nominal omega0 (0 for the
@@ -104,16 +110,18 @@ def half_segment_field(params: list[ControlParams], members: np.ndarray, x: np.n
     An SATD member's field is that c _dressed by tan(nu) = 2*theta_dot/omega0,
     in closed form: ((r - 1)*omega0*kappa/2, (1 - r)*omega0*theta_dot/R,
     -(r*omega0^2 + 4*theta_dot^2)/(2R)) with R = sqrt(omega0^2 +
-    4*theta_dot^2), the diagonal (0, 0, -R/2) at r = 1.
+    4*theta_dot^2), the diagonal (0, 0, -R/2) at r = 1.  The second half
+    needs no field: the ramp's mirror symmetry about t_gate/2 (theta even
+    about tau = 1/2, theta' and nu odd, theta'' and R even) makes its field at
+    x the P c(1 - x) of the first, P = diag(1, -1, 1), in either frame.
     """
-    rows = [(p.omega0, p.amp_scale, p.flavor is Flavor.SATD, p.t_gate) for p in params]
-    w, r, satd, tg = np.array(rows)[members // 2].T[..., None]
-    _, d1, d2 = PulseShape.ramp(1.0, np.stack([0.5 * x, 0.5 + 0.5 * x]))
-    td = d1[members % 2] / tg
+    w, r, satd, tg = constants.T[..., None]
+    _, d1, d2 = PulseShape.ramp(1.0, 0.5 * x)
+    td = d1 / tg
     half_gap = 0.5 * r * w
     if not satd.any():
         return 0.0, td, -half_gap
-    kappa = _satd_correction(td, d2[members % 2] / (tg * tg), w * w)
+    kappa = _satd_correction(td, d2 / (tg * tg), w * w)
     root = np.sqrt(w * w + 4.0 * td * td)
     dressed = half_gap * kappa - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root)
     return tuple(np.where(satd, d, a) for d, a in zip(dressed, (0.0, td, -half_gap)))

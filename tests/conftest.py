@@ -13,7 +13,9 @@ from tripod_sta.controls import ControlParams, EnvelopeSet, Flavor, PulseShape, 
 from tripod_sta.dynamics import MAGNUS_MAX_STEPS, MAGNUS_MIN_STEPS, ROUNDOFF_ESTIMATE
 from tripod_sta.oracles import _collapse_vector
 from tripod_sta.qmath import IntegratorConfig, OdeResult, OdeStepUnderflow, magnus_su2, max_abs
-from tripod_sta.tripod import _dressed, frame_change, frame_ends, half_segment_field, hamiltonian, lab_operator
+from tripod_sta.tripod import (
+    _dressed, field_constants, frame_change, frame_ends, half_segment_field, hamiltonian, lab_operator,
+)
 
 # Units with omega0/(2*pi) = 1: gate times are in cycles, rates in omega0/2pi.
 OMEGA0 = 2.0 * math.pi
@@ -87,16 +89,22 @@ def fourth_order_unitary(params: ControlParams, cfg: IntegratorConfig) -> tuple[
     dynamics.propagate_unitary under the fourth-order doubling rule alone:
     each half doubles N from MAGNUS_MIN_STEPS and returns U(2N) once
     max|U(2N) - U(N)|/15 is at most rel_tol + abs_tol or stops shrinking at
-    ROUNDOFF_ESTIMATE, with 2N at or above the SATD floor 2/u*."""
+    ROUNDOFF_ESTIMATE, with 2N at or above the SATD floor 2/u*.  The first
+    half steps on tripod.half_segment_field; the second is integrated on its
+    own, on frame_field at the absolute times t = t_gate*(1 + x)/2, never
+    through the mirror that dynamics uses."""
     tol = cfg.rel_tol + cfg.abs_tol
     satd = params.flavor is Flavor.SATD
     floor = 2.0 * math.sqrt(60.0 * math.pi / (params.omega0 * params.t_gate)) if satd else 0.0
     span = np.array([0.5 * params.t_gate])
     halves = []
-    for member in (np.array([0]), np.array([1])):  # the two half-segments of params
+    for field in (
+        lambda rows, x: half_segment_field(field_constants([params]), x),
+        lambda rows, x: frame_field([params], span[:, None] * (1.0 + x)),
+    ):
 
         def at(n: int) -> np.ndarray:
-            return magnus_su2(lambda rows, x: half_segment_field([params], member, x), span, n)[0]
+            return magnus_su2(field, span, n)[0]
 
         n, u, prev = MAGNUS_MIN_STEPS, at(MAGNUS_MIN_STEPS), math.inf
         while True:

@@ -129,6 +129,30 @@ class TestConfigHandling:
         assert rc == 2
         assert "tg_grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            ({"tg_gird": {"min": 2.0, "max": 4.0, "count": 2}}, "tg_gird"),
+            ({"integrator": {"reltol": 1e-4}}, "integrator.reltol"),
+            ({"noise": {"gamma_phi": [0.0] * 4, "kappa": 0.1}}, "noise.kappa"),
+            ({"alpha": {"value": 0.3}}, "alpha.value"),
+        ],
+    )
+    def test_a_key_no_kind_reads_is_config_error(self, capsys, tmp_path, extra, field):
+        # A misspelt key used to run silently at the default of the field it meant.
+        out = tmp_path / "ge.csv"
+        cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(out), **extra))
+        assert cli.main(["sweep", "gate-error", "--config", cfg]) == 2
+        assert f"field {field!r}: no kind reads this field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_key_only_another_kind_reads_is_ignored(self, tmp_path):
+        out = tmp_path / "ge.csv"
+        other = {"samples": "many", "amp_scale": -1.0, "contour": {"tg_min": -1.0, "gamma_e": None}}
+        cfg = write_config(tmp_path / "c.json", dict(GATE_ERROR_CFG, out=str(out), **other))
+        assert cli.main(["sweep", "gate-error", "--config", cfg]) == 0
+        assert out.exists()
+
     def test_kind_mismatch(self, capsys, tmp_path):
         payload = dict(GATE_ERROR_CFG, out="x.csv")
         cfg = write_config(tmp_path / "c.json", payload)

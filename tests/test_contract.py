@@ -225,3 +225,9 @@ def test_fields_come_from_the_field_calls():
     }
     for kind, fields in own.items():
         assert set(kind_fields(kind)) == fields, kind
+
+
+def test_config_keys_are_the_fields_some_kind_reads():
+    # load_spec rejects every config key outside cli.CONFIG_KEYS, so that table
+    # must hold exactly the paths that some kind reads, as the AST finds them.
+    assert cli.CONFIG_KEYS == set().union(*(kind_fields(kind) for kind in cli.KINDS))

@@ -43,7 +43,7 @@ from tripod_sta.qmath import (
     max_abs,
     ode_solve,
 )
-from tripod_sta.tripod import half_segment_field, ideal_gate, qubit_dark_state
+from tripod_sta.tripod import field_constants, half_segment_field, ideal_gate, qubit_dark_state
 
 CFG = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -137,7 +137,7 @@ class TestMagnusPath:
     @staticmethod
     def _first_half_products(p, counts):
         def field(rows, x):
-            return half_segment_field([p], np.array([0]), x)
+            return half_segment_field(field_constants([p]), x)
 
         return [magnus_su2(field, np.array([0.5 * p.t_gate]), n)[0] for n in counts]
 
@@ -158,13 +158,13 @@ class TestMagnusPath:
         assert differences[0] >= 48.0 * differences[1], differences
 
     def test_field_on_the_shared_unit_gate_nodes_matches_the_absolute_time_reference(self, monkeypatch):
-        # propagate_unitary_batch's field callback for both halves of every
+        # propagate_unitary_batch's field callback for the first half of every
         # member, on the nodes x = (k + 1/2 -+ sqrt(3)/6)/N of a half shared by
-        # all, against conftest.frame_field at t = (half + x)*t_g/2.  Blocks of
-        # 8 steps make N = 20 three field calls per member, the last a partial
-        # block.  (Near a half's ends kappa's relative error is the rounding
-        # of the ramp variable u over u or 1 - u, in either field: at 1e-6
-        # cycles and N = 8192 they differ by 1.4e-12 of the field's scale.)
+        # all, against conftest.frame_field at t = x*t_g/2.  Blocks of 8 steps
+        # make N = 20 three field calls per member, the last a partial block.
+        # (Near a half's ends kappa's relative error is the rounding of the
+        # ramp variable u over u or 1 - u, in either field: at 1e-6 cycles and
+        # N = 8192 they differ by 7e-13 of the field's scale.)
         ps = [params(c, f, amp_scale=r) for c in (1e-6, 2.0, 30.0, 1e5) for f in Flavor for r in (0.87, 1.0, 1.13)]
 
         class Captured(Exception):
@@ -176,7 +176,8 @@ class TestMagnusPath:
         monkeypatch.setattr(dynamics, "magnus_su2", capture)
         with pytest.raises(Captured) as first_level:
             propagate_unitary_batch(ps, CFG)
-        field, spans = first_level.value.args  # every member, row j the half j % 2 of ps[j // 2]
+        field, spans = first_level.value.args  # every member, row j the first half of ps[j]
+        assert len(spans) == len(ps)
         monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", 8)
         offset = math.sqrt(3.0) / 6.0
         for n in (MAGNUS_MIN_STEPS, 20):
@@ -189,23 +190,41 @@ class TestMagnusPath:
             magnus_su2(recorded, spans, n)
             k = np.arange(n) + 0.5
             nodes = np.sort(np.concatenate([k - offset, k + offset]) / n)
-            for j in range(len(spans)):
+            for j, p in enumerate(ps):
                 mine = [(x, c) for rows, x, c in calls if rows.tolist() == [j]]
                 assert len(mine) == -(-n // 8)
                 assert np.max(np.abs(np.sort(np.concatenate([x for x, _ in mine])) - nodes)) < 1e-15
-                p, half = ps[j // 2], j % 2
                 for x, c in mine:
                     ref, got = (
                         np.array([np.broadcast_to(v, (1, x.size))[0] for v in components])
-                        for components in (frame_field([p], 0.5 * p.t_gate * (half + x[None])), c)
+                        for components in (frame_field([p], 0.5 * p.t_gate * x[None]), c)
                     )
-                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, half, n)
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, n)
+
+    @pytest.mark.parametrize("cycles", [1e-6, 2.0, 30.0, 1e5])
+    @pytest.mark.parametrize("amp_scale", [0.87, 1.0, 1.13])
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_second_half_is_the_transpose_of_the_first(self, flavor, amp_scale, cycles):
+        # The ramp's mirror symmetry about t_g/2 gives U2 = U1^T at every N
+        # for the GL2 Magnus product: U1 on the program's first-half field,
+        # U2 integrated on its own from conftest.frame_field at the absolute
+        # times t = t_g*(1 + x)/2.  Measured worst cases over N = 8-1024:
+        # 1.8e-16 from 2 cycles on, and 1.8e-13 at 1e-6 cycles (SATD at
+        # r != 1, N = 1024), where the reference's ramp variable is rounded
+        # near the segment ends, in the spike of kappa.
+        p = params(cycles, flavor, amp_scale=amp_scale)
+        span = np.array([0.5 * p.t_gate])
+        for n in (MAGNUS_MIN_STEPS, 64, 1024):
+            first = magnus_su2(lambda rows, x: half_segment_field(field_constants([p]), x), span, n)[0]
+            second = magnus_su2(lambda rows, x: frame_field([p], span[:, None] * (1.0 + x)), span, n)[0]
+            assert max_abs(second - first.T) <= (4e-13 if cycles < 1.0 else 1e-15), n
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     def test_diagnostics_report_the_doubling(self, flavor):
         p = params(5.0, flavor)
         res = propagate_unitary(p, make_envelopes(p), CFG)
         n1, n2 = res.magnus_steps
+        assert n1 == n2  # the second half is the first's transpose
         assert res.steps_accepted == n1 + n2
         # Every discarded mesh has half the steps of the next: N/2 + N/4 + ... + MAGNUS_MIN_STEPS.
         assert res.steps_rejected == (n1 - MAGNUS_MIN_STEPS) + (n2 - MAGNUS_MIN_STEPS)
@@ -312,9 +331,9 @@ class TestUnitaryBatch:
         sizes = []
         real = dynamics.half_segment_field
 
-        def recording(params, members, x):
-            sizes.append((len(members), len(members) * x.size // 2))
-            return real(params, members, x)
+        def recording(constants, x):
+            sizes.append((len(constants), len(constants) * x.size // 2))
+            return real(constants, x)
 
         monkeypatch.setattr(dynamics, "half_segment_field", recording)
         propagate_unitary_batch(_mixed_batch(plateau=False), IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
