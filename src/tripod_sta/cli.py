@@ -143,8 +143,10 @@ def _rates(values, field: str) -> tuple[float, ...]:
 
 def _flavors(value, field: str) -> tuple[str, ...]:
     flavors = [value] if isinstance(value, str) else value
-    if not isinstance(flavors, list) or not flavors or any(f not in ("adiabatic", "satd") for f in flavors):
-        raise ConfigError(field, "entries must be 'adiabatic' or 'satd'")
+    if not isinstance(flavors, list) or not flavors:
+        raise ConfigError(field, f"must be a flavor or a non-empty list of flavors, got {value!r}")
+    if any(f not in ("adiabatic", "satd") for f in flavors):
+        raise ConfigError(field, f"entries must be 'adiabatic' or 'satd', got {flavors!r}")
     if len(set(flavors)) < len(flavors):
         raise ConfigError(field, f"entries must not repeat, got {flavors!r}")
     return tuple(flavors)

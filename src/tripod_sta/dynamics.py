@@ -7,9 +7,9 @@ the envelope-derivative kink off the interior of a step.
 The closed path (propagate_unitary_batch) solves an exact SU(2) problem by
 Richardson-extrapolated doubling of fourth-order Magnus steps on the first
 half-segment, in lockstep for a batch of protocols that share each step
-count and its field calls, each member bit for bit what it gets alone; the
-ramp's mirror symmetry about t_gate/2 makes the second half's propagator
-the transpose of the first's.
+count and its field calls (the first four counts one pass), each member bit
+for bit what it gets alone; the ramp's mirror symmetry about t_gate/2 makes
+the second half's propagator the transpose of the first's.
 
 The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
 qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
@@ -44,6 +44,8 @@ from .tripod import _coupling, field_constants, half_segment_field, lab_operator
 # raises NumericalError past the largest.
 MAGNUS_MIN_STEPS = 8
 MAGNUS_MAX_STEPS = 2**21
+# Doubling levels that the first Magnus pass computes at once, from MAGNUS_MIN_STEPS.
+FIRST_PASS_LEVELS = 4
 # Doubling estimates at or below this are roundoff (measured plateau about
 # 1e-15): there, a doubling that fails to shrink the estimate ends the
 # refinement.  Above it a rising estimate is the pre-asymptotic range (SATD at
@@ -111,18 +113,15 @@ class PropagationResult:
 
 def _refine_by_doubling(approx, names: list[str], n: int, n_max: int, tol: float, order=None, floors=0.0) -> list:
     """Lockstep doubling of N from n for one member per name: approx(rows, N)
-    stacks the approximations of the members rows at N.  A member is done,
-    and frozen, once N reaches its floor and one of two rules holds, the
-    first taking precedence:
-    - its estimate max|approx(2N) - approx(N)|/(2^order - 1) (undivided
-      without an order) is at most tol or stops shrinking at the roundoff
-      plateau; it returns approx(2N);
-    - given the order p of a method whose error has only even powers of the
-      step, the Richardson values R(N) = approx(N) + (approx(N) -
-      approx(N/2))/(2^p - 1) meet max|R(2N) - R(N)| <= tol; it returns R(2N),
-      with that undivided difference as its estimate.
-    Returns per member (value, N, estimate), or, for a member still refining
-    past n_max, a NumericalError with its name."""
+    stacks the approximations of the members rows at N.  A member freezes
+    once N reaches its floor and, first, its estimate max|approx(2N) -
+    approx(N)|/(2^order - 1) (undivided without an order) is at most tol or
+    stops shrinking at or below ROUNDOFF_ESTIMATE: it returns approx(2N); or,
+    given the even-power error order of a method, the Richardson values
+    R(N) = approx(N) + (approx(N) - approx(N/2))/(2^order - 1) meet
+    max|R(2N) - R(N)| <= tol: it returns R(2N), with that difference as its
+    estimate.  Returns per member (value, N, estimate), or, for a member
+    still refining past n_max, a NumericalError with its name."""
     rows = np.arange(len(names))
     floors = np.broadcast_to(floors, rows.shape)
     divisor = 1.0 if order is None else 2.0**order - 1.0
@@ -161,25 +160,15 @@ def propagate_unitary_batch(
     """U(t_gate) of i dU/dt = H(t) U from the identity for each protocol of
     params (at least one) on the quintic ramp: one PropagationResult per member.
 
-    On each half-segment the adiabatic-frame Hamiltonian is c(t).J (|0t>
-    decouples), in the nu-dressed frame for an SATD member.  Only the first
-    half is integrated: its SU(2) propagator U2' of c(t).sigma/2 is a
-    qmath.magnus_su2 product on c = tripod.half_segment_field.  By the ramp's
-    mirror symmetry the second half's field is P c(1 - x), P = diag(1, -1, 1),
-    and as (Pc).sigma = (c.sigma)^T its propagator is U2'^T; the GL2 product
-    keeps that at every N, as a mirrored step swaps its two nodes and
-    (Pa) x (Pb) = -P(a x b).  nu is 0 at the segment ends, so one
-    tripod.lab_operator call takes U2' and U2'^T of every member to the lab
-    frame.  The first halves double their step count in lockstep, sharing
-    the field calls; each freezes by its own rule, an SATD member at 2/u*
-    steps or more: nu turns by pi/4 within u* = sqrt(omega0*t_g/(60 pi)) of
-    the segment ends, unseen on a coarser mesh.  The fourth-order rule
-    returns U2(2N) once |U2(2N) - U2(N)|/15 is at most rel_tol + abs_tol or
-    plateaus at roundoff.  The product is symmetric, so its error has only
-    even powers of the step, and R(N) = U2(N) + (U2(N) - U2(N/2))/15 is
-    sixth order: otherwise the Richardson rule returns R(2N) once
-    |R(2N) - R(N)| <= rel_tol + abs_tol (see _refine_by_doubling).  Either
-    estimate is per half-segment, so the full-gate error may exceed rel_tol.
+    A member's first half-segment propagator U2 is the qmath.magnus_su2
+    product on tripod.half_segment_field, and the second half's is U2^T by
+    the ramp's mirror symmetry; tripod.lab_operator takes both to the lab
+    frame.  The first halves refine by _refine_by_doubling at order 4 from
+    MAGNUS_MIN_STEPS in lockstep, at tolerance rel_tol + abs_tol per
+    half-segment: the first FIRST_PASS_LEVELS levels in one pass, each later
+    one in a pass of its own.  An SATD member takes at least 2/u* steps,
+    u* = sqrt(omega0*t_g/(60 pi)), the distance from a segment end within
+    which nu turns by pi/4.  Each member gets bit for bit what it gets alone.
     A first half still refining past MAGNUS_MAX_STEPS, or a unitarity defect
     above 10*rel_tol + UNITARITY_ROUNDOFF, raises NumericalError with member
     set to the index of the first failing protocol.
@@ -189,8 +178,16 @@ def propagate_unitary_batch(
     constants = field_constants(params)
     spans = np.array([0.5 * p.t_gate for p in params])
 
+    first_pass: dict = {}  # every member at N = n, 2n, 4n and 8n, up to MAGNUS_MAX_STEPS
+
     def approx(rows, n):
-        return magnus_su2(lambda c, x: half_segment_field(constants[rows[c]], x), spans[rows], n)
+        def field(c, x):
+            return half_segment_field(constants[rows[c]], x)
+
+        if not first_pass:
+            counts = [n << j for j in range(FIRST_PASS_LEVELS) if j == 0 or n << j <= MAGNUS_MAX_STEPS]
+            first_pass.update(zip(counts, magnus_su2(field, spans[rows], counts)))
+        return first_pass[n][rows] if n in first_pass else magnus_su2(field, spans[rows], n)
 
     names = [f"Magnus step doubling on [0, {s:g}]" for s in spans]
     tol = cfg.rel_tol + cfg.abs_tol

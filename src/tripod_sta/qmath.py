@@ -8,6 +8,7 @@ can be shared freely between concurrent sweep workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,32 +124,46 @@ def su2_exponential(g: np.ndarray) -> np.ndarray:
     return _su2_matrix(*_cayley_klein(g[..., 0], g[..., 1], g[..., 2]))
 
 
-def su2_ordered_product(a: np.ndarray, b: np.ndarray) -> tuple:
+def su2_ordered_product(a: np.ndarray, b: np.ndarray, lengths=None) -> tuple:
     """Cayley-Klein pair of U[n-1] ... U[1] U[0] for the SU(2) stack
     U[k] = [[a[..., k], b[..., k]], [-b[..., k]*, a[..., k]*]] along the last
     axis, n >= 1, as a pairwise tree of batched 2x2 products: log2(n)
-    vectorized levels.  Leading axes are independent products."""
-    while a.shape[-1] > 1:
-        if a.shape[-1] % 2:
-            a = np.concatenate([a, np.ones_like(a[..., :1])], -1)
-            b = np.concatenate([b, np.zeros_like(b[..., :1])], -1)
+    vectorized levels.  Leading axes are independent products.  Given
+    lengths, the last axis holds stacks of those lengths back to back, and
+    one tree returns each one's pair, bit for bit that of its own tree,
+    stacked along a new first axis."""
+    sizes = [a.shape[-1]] if lengths is None else list(lengths)
+    products = []
+    while sizes:
+        if sizes[0] <= 1:
+            products.append((a[..., 0], b[..., 0]))
+            a, b, sizes = a[..., 1:], b[..., 1:], sizes[1:]
+            continue
+        ends = [end for end, size in zip(itertools.accumulate(sizes), sizes) if size % 2]
+        if ends:
+            a, b = np.insert(a, ends, 1.0, -1), np.insert(b, ends, 0.0, -1)
+        sizes = [(size + 1) // 2 for size in sizes]
         a1, a0, b1, b0 = a[..., 1::2], a[..., 0::2], b[..., 1::2], b[..., 0::2]
         a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
-    return a[..., 0], b[..., 0]
+    return products[0] if lengths is None else tuple(np.stack(part) for part in zip(*products))
 
 
 # Two-point Gauss-Legendre nodes of a step [t, t+h]: t + h/2 -+ h*_GL2_OFFSET.
 _GL2_OFFSET = math.sqrt(3.0) / 6.0
 # Member-steps per vectorized field call of magnus_su2, and steps per block of
-# one member: memory stays bounded at any step count and batch size.
+# one member: memory stays bounded at any step count and batch size.  It also
+# keeps every product of a tree below 12288 elements: from 16384 on, numpy
+# 2.4 rounds a complex product of strided row stacks unlike each row alone.
 MAGNUS_BLOCK = 4096
 
 
-def magnus_su2(field: Callable, spans: np.ndarray, n: int) -> np.ndarray:
+def magnus_su2(field: Callable, spans: np.ndarray, n) -> np.ndarray:
     """SU(2) propagators of i dU/dt = (c(t).sigma/2) U over intervals of the
     lengths spans[j] for a stack of M members, each from n uniform
     fourth-order Magnus steps on two Gauss-Legendre nodes (Blanes, Casas,
-    Oteo & Ros, Phys. Rep. 470, 151 (2009)): shape (M, 2, 2).
+    Oteo & Ros, Phys. Rep. 470, 151 (2009)): shape (M, 2, 2).  For a
+    sequence n of step counts: shape (len(n), M, 2, 2), each count's
+    propagators bit for bit those of its own call.
 
     field(rows, x) maps the member indices rows and the nodes x of m steps as
     fractions of an interval, shared by every member (the m first nodes, then
@@ -157,18 +172,28 @@ def magnus_su2(field: Callable, spans: np.ndarray, n: int) -> np.ndarray:
     the step is exp(-i g.sigma/2), g = h(c1+c2)/2 + (sqrt(3) h^2/12) (c2 x c1).
     Each member multiplies blocks of MAGNUS_BLOCK steps; one field call covers
     whole blocks of at most MAGNUS_BLOCK member-steps in all, so a member's
-    arithmetic does not depend on the batch it runs in.
+    arithmetic does not depend on the batch it runs in.  Several counts whose
+    steps fit one block share its field calls and product tree.
     """
-    h = np.asarray(spans, dtype=float) / n
-    per_call = max(1, MAGNUS_BLOCK // n)
+    counts = np.atleast_1d(n)
+    total = int(counts.sum())
+    if np.ndim(n) and total > MAGNUS_BLOCK:
+        return np.array([magnus_su2(field, spans, int(count)) for count in counts])
+    spans = np.asarray(spans, dtype=float)
+    per_call = max(1, MAGNUS_BLOCK // total)
+    # The steps k + 1/2 of every count as fractions of their count: all in one block, or blocks of one count.
+    if np.ndim(n):
+        columns = [(np.concatenate([np.arange(count) + 0.5 for count in counts]), np.repeat(counts, counts))]
+    else:
+        columns = [(np.arange(s, min(n, s + MAGNUS_BLOCK)) + 0.5, n) for s in range(0, n, MAGNUS_BLOCK)]
     blocks = []
-    for start in range(0, n, MAGNUS_BLOCK):
-        steps = np.arange(start, min(n, start + MAGNUS_BLOCK)) + 0.5
-        x = np.concatenate([steps - _GL2_OFFSET, steps + _GL2_OFFSET]) / n
+    for steps, divisor in columns:
+        m = len(steps)
+        x = np.concatenate([(steps - _GL2_OFFSET) / divisor, (steps + _GL2_OFFSET) / divisor])
         pairs = []
-        for first in range(0, len(h), per_call):
-            rows = np.arange(first, min(len(h), first + per_call))
-            m, hr = len(steps), h[rows, None]
+        for first in range(0, len(spans), per_call):
+            rows = np.arange(first, min(len(spans), first + per_call))
+            hr = spans[rows, None] / divisor
             c = [np.broadcast_to(v, (len(rows), 2 * m)) for v in field(rows, x)]
             (x1, y1, z1), (x2, y2, z2) = [v[:, :m] for v in c], [v[:, m:] for v in c]
             h_mean, h_cross = 0.5 * hr, (math.sqrt(3.0) / 12.0) * hr * hr
@@ -177,8 +202,8 @@ def magnus_su2(field: Callable, spans: np.ndarray, n: int) -> np.ndarray:
                 h_mean * (y1 + y2) + h_cross * (z2 * x1 - x2 * z1),
                 h_mean * (z1 + z2) + h_cross * (x2 * y1 - y2 * x1),
             )
-            pairs.append(su2_ordered_product(*_cayley_klein(*g)))
-        blocks.append([np.concatenate(part) for part in zip(*pairs)])
+            pairs.append(su2_ordered_product(*_cayley_klein(*g), counts if np.ndim(n) else None))
+        blocks.append([np.concatenate(part, -1) for part in zip(*pairs)])
     return _su2_matrix(*su2_ordered_product(*np.moveaxis(np.array(blocks), 0, -1)))
 
 

@@ -414,6 +414,19 @@ class TestConfigHandling:
             payload = _with_field(MINIMAL_CFGS[kind], field, value)
         self._assert_config_error(capsys, tmp_path, kind, payload, f"'{field}'")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            # Both used to read "entries must be 'adiabatic' or 'satd'", which names no bad entry.
+            ([], "must be a flavor or a non-empty list of flavors, got []"),
+            (5, "must be a flavor or a non-empty list of flavors, got 5"),
+            (["satd", "bogus"], "entries must be 'adiabatic' or 'satd', got ['satd', 'bogus']"),
+        ],
+    )
+    def test_bad_flavors_message_names_the_fault(self, capsys, tmp_path, value, message):
+        payload = dict(GATE_ERROR_CFG, flavors=value)
+        self._assert_config_error(capsys, tmp_path, "sweep gate-error", payload, f"field 'flavors': {message}")
+
     @pytest.mark.parametrize("kind, path, value, extra", _unread_cases())
     def test_fields_a_kind_does_not_read_are_config_errors(self, tmp_path, capsys, kind, path, value, extra):
         # A shared field the kind fixes (oracle-compare solves one SATD node

@@ -171,13 +171,14 @@ class TestMagnusPath:
             pass
 
         def capture(field, spans, n):
-            raise Captured(field, spans)
+            raise Captured(field, spans, n)
 
         monkeypatch.setattr(dynamics, "magnus_su2", capture)
         with pytest.raises(Captured) as first_level:
             propagate_unitary_batch(ps, CFG)
-        field, spans = first_level.value.args  # every member, row j the first half of ps[j]
+        field, spans, counts = first_level.value.args  # every member, row j the first half of ps[j]
         assert len(spans) == len(ps)
+        assert list(counts) == [MAGNUS_MIN_STEPS << j for j in range(dynamics.FIRST_PASS_LEVELS)]
         monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", 8)
         offset = math.sqrt(3.0) / 6.0
         for n in (MAGNUS_MIN_STEPS, 20):
@@ -295,6 +296,21 @@ def _mixed_batch(plateau: bool) -> list:
     return [params(tg, flavor, amp_scale=r) for flavor in Flavor for tg in times for r in (1.0, 1.13)] + short
 
 
+def _gate_error_grid() -> list:
+    """The 24 protocols of one perfbench gate-error sweep (seed 1): both
+    flavors at 12 log-spaced gate times, in the sweep's batch order."""
+    axis = {"gamma0": 4.384601261360359, "alpha": 0.28418601228185236, "beta": 5.324583204732311}
+    times = np.geomspace(1.9516088489147079, 30.265534546263908, 12).tolist()
+    return [params(tg, flavor, **axis) for tg in times for flavor in Flavor]
+
+
+BATCHES = {
+    "mixed": lambda: _mixed_batch(plateau=False),
+    "one member": lambda: [params(5.0)],
+    "gate-error": _gate_error_grid,
+}
+
+
 class TestUnitaryBatch:
     """propagate_unitary_batch doubles every member in lockstep; each member
     must get exactly what it gets alone."""
@@ -327,7 +343,8 @@ class TestUnitaryBatch:
         with pytest.raises(ValueError, match="at least one protocol"):
             propagate_unitary_batch([], CFG)
 
-    def test_field_calls_hold_at_most_a_block_of_member_steps(self, monkeypatch):
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_field_calls_hold_at_most_a_block_of_member_steps(self, monkeypatch, batch):
         sizes = []
         real = dynamics.half_segment_field
 
@@ -336,9 +353,44 @@ class TestUnitaryBatch:
             return real(constants, x)
 
         monkeypatch.setattr(dynamics, "half_segment_field", recording)
-        propagate_unitary_batch(_mixed_batch(plateau=False), IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
+        ps = BATCHES[batch]()
+        propagate_unitary_batch(ps, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10))
         assert max(steps for _, steps in sizes) <= MAGNUS_BLOCK
-        assert max(members for members, _ in sizes) > 1  # members do share calls
+        # The first pass holds every member, at every level up to 8 * MAGNUS_MIN_STEPS, in one call.
+        assert sizes[0] == (len(ps), len(ps) * MAGNUS_MIN_STEPS * (2 ** dynamics.FIRST_PASS_LEVELS - 1))
+
+    @pytest.mark.parametrize("batch", ["mixed", "gate-error"])
+    def test_first_pass_levels_equal_one_level_calls(self, monkeypatch, batch):
+        ps = BATCHES[batch]()
+        calls = []
+
+        def recording(field, spans, n):
+            calls.append((field, spans, n, magnus_su2(field, spans, n)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(dynamics, "magnus_su2", recording)
+        propagate_unitary_batch(ps, CFG)
+        field, spans, counts, levels = calls[0]
+        assert len(spans) == len(ps)
+        assert list(counts) == [MAGNUS_MIN_STEPS << j for j in range(dynamics.FIRST_PASS_LEVELS)]
+        for n, level in zip(counts, levels):
+            assert np.array_equal(level, magnus_su2(field, spans, n)), n
+        assert all(np.ndim(n) == 0 for _, _, n, _ in calls[1:])  # every later level takes a pass of its own
+
+    def test_no_field_call_passes_the_step_limit(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAGNUS_MAX_STEPS", 32)
+        finest = []
+        real = dynamics.half_segment_field
+
+        def recording(constants, x):
+            # The first node of N steps is (1/2 - sqrt(3)/6)/N.
+            finest.append(round((0.5 - math.sqrt(3.0) / 6.0) / x.min()))
+            return real(constants, x)
+
+        monkeypatch.setattr(dynamics, "half_segment_field", recording)
+        with pytest.raises(NumericalError, match=r"reached N = 32 with estimate"):
+            propagate_unitary_batch(_mixed_batch(plateau=False), CFG)
+        assert max(finest) == 32
 
 
 class TestPropagateLindblad:

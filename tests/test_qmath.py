@@ -6,6 +6,7 @@ import pytest
 from conftest import random_hermitian, random_unitary, series_expm
 from tripod_sta.qmath import (
     ABS_TOL_FLOOR,
+    MAGNUS_BLOCK,
     IntegratorConfig,
     OdeStepLimit,
     OdeStepUnderflow,
@@ -76,6 +77,53 @@ def test_magnus_su2_stack_matches_one_member_calls(monkeypatch, n, block):
     for j in range(3):
         alone = magnus_su2(lambda rows, x: field(rows + j, x), (t1 - t0)[j : j + 1], n)
         assert np.array_equal(stack[j : j + 1], alone)
+
+
+@pytest.mark.parametrize("counts, block", [((8, 16, 32, 64), 4096), ((5, 10, 20), 4096), ((8, 16, 32, 64), 10)])
+def test_magnus_su2_counts_match_one_count_calls(monkeypatch, counts, block):
+    # One block shares the field calls and the tree of every count; past a
+    # block (block 10) each count takes its own blocked call.
+    t0, t1 = np.array([0.0, 0.5, -1.0]), np.array([1.0, 0.75, 2.0])
+
+    def field(rows, x):
+        w = np.array([1.0, 3.0, -2.0])[rows, None]
+        t = t0[rows, None] + (t1 - t0)[rows, None] * x
+        return np.cos(w * t), np.sin(w * t), 0.4
+
+    monkeypatch.setattr("tripod_sta.qmath.MAGNUS_BLOCK", block)
+    levels = magnus_su2(field, t1 - t0, list(counts))
+    assert levels.shape == (len(counts), 3, 2, 2)
+    for n, level in zip(counts, levels):
+        assert np.array_equal(level, magnus_su2(field, t1 - t0, n)), n
+
+
+def _cayley_klein_stack(rng, shape):
+    mats = su2_exponential(rng.normal(scale=2.0, size=shape + (3,)))
+    return np.ascontiguousarray(mats[..., 0, 0]), np.ascontiguousarray(mats[..., 0, 1])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 24, 512])
+def test_su2_ordered_product_of_a_row_stack_is_each_row_alone(rng, rows):
+    # The largest stacks of one Magnus field call, rows x steps <= MAGNUS_BLOCK.
+    # From 16384 elements in one ufunc call numpy 2.4 rounds a complex product
+    # of strided row stacks unlike each row alone: about a third of the 16384
+    # products b1 * b0.conj() of a random stack differed, none of 12288.
+    a, b = _cayley_klein_stack(rng, (rows, MAGNUS_BLOCK // rows))
+    stack = su2_ordered_product(a, b)
+    for j in range(rows):
+        alone = su2_ordered_product(a[j], b[j])
+        assert np.array_equal(stack[0][j], alone[0]) and np.array_equal(stack[1][j], alone[1]), j
+
+
+@pytest.mark.parametrize("lengths", [(8, 16, 32, 64), (5, 1, 12, 3), (7,)])
+def test_su2_ordered_product_of_stacks_back_to_back_is_each_stack_alone(rng, lengths):
+    a, b = _cayley_klein_stack(rng, (3, sum(lengths)))
+    pa, pb = su2_ordered_product(a, b, lengths)
+    assert pa.shape == pb.shape == (len(lengths), 3)
+    ends = np.cumsum(lengths)
+    for k, (start, end) in enumerate(zip(ends - lengths, ends)):
+        alone = su2_ordered_product(a[:, start:end], b[:, start:end])
+        assert np.array_equal(pa[k], alone[0]) and np.array_equal(pb[k], alone[1]), k
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
