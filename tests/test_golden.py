@@ -84,6 +84,7 @@ CONTOUR_INTERIOR = {
     },
 }
 PULSES = {"kind": "pulses", "flavors": "adiabatic", "tg_cycles": 2.0, "amp_scale": 1.3, "samples": 7}
+PULSES_SATD = dict(PULSES, flavors="satd")
 ORACLE_COMPARE = {
     "kind": "oracle-compare",
     "tg_grid": {"scale": "linear", "min": 4.0, "max": 6.0, "count": 2},
@@ -108,6 +109,7 @@ CASES = {
     "contour_interior": (["contour"], CONTOUR_INTERIOR, []),
     "contour_jobs2": (["contour"], CONTOUR, ["--jobs", "2"]),
     "pulses": (["pulses", "export"], PULSES, []),
+    "pulses_satd": (["pulses", "export"], PULSES_SATD, []),
     "oracle_compare": (["oracle", "compare"], ORACLE_COMPARE, []),
     "oracle_compare_jobs2": (["oracle", "compare"], ORACLE_COMPARE, ["--jobs", "2"]),
 }
