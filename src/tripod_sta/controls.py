@@ -111,6 +111,13 @@ def _satd_correction(d1, d2, gap_sq):
     return 4.0 * d2 / (gap_sq + 4.0 * d1 * d1)
 
 
+def _gap_sq(flavor: Flavor, w):
+    """gap_sq of _satd_correction at the gap w (omega0, or omega0*t_gate for the
+    unit-gate ramp), on a float or an array: w^2 for SATD, infinite for the
+    adiabatic flavor, where kappa = 0.  Products, so nothing raises OverflowError."""
+    return w * w if flavor is Flavor.SATD else w * math.inf
+
+
 def _satd_reshape(s, c, kappa) -> tuple:
     """SATD profile factors (f_s, f_c) from the adiabatic legs (sin, cos) of theta."""
     return s + kappa * c, c - kappa * s
@@ -155,12 +162,15 @@ class EnvelopeSet:
     nowhere else: it must be the quintic PulseShape (the only shape) of that
     gate time.
 
-    evaluate(t) returns (Omega_0e, Omega_1e, Omega_ae) at a float or an array
-    of times: amp_scale*omega0 times (w0*f_s, w1*f_s, f_c) for the profile
-    factors (f_s, f_c) and the qubit_weights (w0, w1).  The relative phase of
-    the a-e leg jumps by gamma0 at t_gate/2 (the factor phase_jump on the
-    second half); that leg's amplitude and the SATD dressing vanish there, so
-    the two half-segments join continuously.
+    profile(t) gives the factors (f_s, f_c) = _satd_reshape(sin theta,
+    cos theta, kappa) by one expression for floats, arrays and both flavors:
+    the adiabatic flavor is the infinite gap of _gap_sq, where kappa = +-0 and
+    the factors are sin theta and cos theta bit for bit.  evaluate(t) returns
+    (Omega_0e, Omega_1e, Omega_ae) at a float or an array of times:
+    amp_scale*omega0 times (w0*f_s, w1*f_s, f_c) for the qubit_weights
+    (w0, w1).  The relative phase of the a-e leg jumps by gamma0 at t_gate/2
+    (the factor phase_jump on the second half); that leg's amplitude and the
+    SATD dressing vanish there, so the two half-segments join continuously.
     """
 
     def __init__(self, params: ControlParams, shape: PulseShape):
@@ -173,44 +183,29 @@ class EnvelopeSet:
         self.qubit_weights = (math.cos(p.alpha), math.sin(p.alpha) * complex(math.cos(p.beta), math.sin(p.beta)))
         self.phase_jump = complex(math.cos(p.gamma0), math.sin(p.gamma0))
 
-    @property
-    def segment_boundary(self) -> float:
-        return 0.5 * self.params.t_gate
-
     def profile(self, t: float | np.ndarray) -> tuple:
         """Dimensionless (sin-leg, cos-leg) factors of the two Raman legs at a
         float or an array of times."""
         p = self.params
         th, td, tdd = PulseShape.ramp(p.t_gate, t)
-        # math.sin on floats: np.sin on a float costs a microsecond per call.
-        sin, cos = (np.sin, np.cos) if isinstance(t, np.ndarray) else (math.sin, math.cos)
-        s, c = sin(th), cos(th)
-        if p.flavor is Flavor.ADIABATIC:
-            return s, c
         # Counter-diabatic reshaping, designed at the nominal omega0.
-        return _satd_reshape(s, c, _satd_correction(td, tdd, p.omega0 * p.omega0))
+        return _satd_reshape(np.sin(th), np.cos(th), _satd_correction(td, tdd, _gap_sq(p.flavor, p.omega0)))
 
     def evaluate(self, t: float | np.ndarray) -> tuple:
         p = self.params
         fs, fc = self.profile(t)
         scale = p.amp_scale * p.omega0
         w0, w1 = self.qubit_weights
-        # jump ** bool: the jump on the second half only, numpy-free on a float.
-        oa = scale * fc * self.phase_jump ** (t >= self.segment_boundary)
+        # jump ** bool: the jump on the second half only.
+        oa = scale * fc * self.phase_jump ** (t >= 0.5 * p.t_gate)
         return scale * w0 * fs, scale * w1 * fs, oa
-
-    @property
-    def _unit_gap_sq(self) -> float:
-        """(omega0*t_gate)^2 of the unit-gate ramp: infinite, so kappa = 0, when
-        adiabatic or past the float range (a product, where ** would raise)."""
-        wt = self.params.omega0 * self.params.t_gate
-        return wt * wt if self.params.flavor is Flavor.SATD else math.inf
 
     @property
     def max_amplitude(self) -> float:
         """Largest single-envelope magnitude, on 4001 points of the first half: magnitudes mirror about t_gate/2."""
         p = self.params
-        return p.amp_scale * p.omega0 * _peak(_unit_ramp_table(0.5, 4001), p.alpha, self._unit_gap_sq)
+        gap_sq = _gap_sq(p.flavor, p.omega0 * p.t_gate)
+        return p.amp_scale * p.omega0 * _peak(_unit_ramp_table(0.5, 4001), p.alpha, gap_sq)
 
 
 def make_envelopes(params: ControlParams, shape: PulseShape | None = None) -> EnvelopeSet:
@@ -274,7 +269,8 @@ def energy_cost(env: EnvelopeSet, params: ControlParams) -> float:
     on 1001 points of the unit-gate ramp.  params must equal env.params."""
     if params != env.params:
         raise ValueError("params and env.params disagree")
-    return _cost_mean(_unit_ramp_table(1.0, 1001), env._unit_gap_sq, 0.5 * params.amp_scale * params.omega0)
+    gap_sq = _gap_sq(params.flavor, params.omega0 * params.t_gate)
+    return _cost_mean(_unit_ramp_table(1.0, 1001), gap_sq, 0.5 * params.amp_scale * params.omega0)
 
 
 def _bisect_decreasing(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -313,7 +309,7 @@ def amplitude_threshold_time(params: ControlParams) -> float:
     table = _unit_ramp_table(0.5, 4001)
 
     def excess(tg: float) -> float:
-        return w * _peak(table, params.alpha, (w * tg) ** 2) - w
+        return w * _peak(table, params.alpha, _gap_sq(Flavor.SATD, w * tg)) - w
 
     lo = 0.05 * 2.0 * math.pi / params.omega0
     hi = 4.0 * 2.0 * math.pi / params.omega0
@@ -330,7 +326,7 @@ def cost_threshold_time(params: ControlParams, multiple: float) -> float:
     table = _unit_ramp_table(1.0, 501)
 
     def excess(tg: float) -> float:
-        return _cost_mean(table, (w * tg) ** 2, 0.5 * w) - target
+        return _cost_mean(table, _gap_sq(Flavor.SATD, w * tg), 0.5 * w) - target
 
     lo = 0.02 * 2.0 * math.pi / params.omega0
     hi = 2.0 * 2.0 * math.pi / params.omega0

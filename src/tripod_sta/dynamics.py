@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _satd_correction, _satd_reshape
+from .controls import ControlParams, EnvelopeSet, Flavor, PulseShape, _gap_sq, _satd_correction, _satd_reshape
 from .qmath import (
     IntegratorConfig, NumericalError, OdeStepUnderflow, hermitize, magnus_su2, max_abs, ode_solve, unitarity_defect,
 )
@@ -92,11 +92,11 @@ class PropagationResult:
 
     For the Lindblad path steps_accepted and steps_rejected count the
     Dormand-Prince 8(5,3) steps of qmath.ode_solve.  For the closed path (one
-    member of propagate_unitary_batch) magnus_steps is (N, N), N the final
+    member of propagate_unitary_batch) steps_accepted is 2N, N the final
     Magnus step count of the first half-segment, whose transpose is the
-    second's propagator by the ramp's mirror symmetry; steps_accepted is 2N
-    and steps_rejected 2(N - MAGNUS_MIN_STEPS), the steps of the coarser
-    meshes the doubling discarded.  error_estimate is the first half's:
+    second's propagator by the ramp's mirror symmetry, and steps_rejected
+    2(N - MAGNUS_MIN_STEPS), the steps of the coarser meshes the doubling
+    discarded.  error_estimate is the first half's:
     |U2(2N) - U2(N)|/15 from the fourth-order rule, the undivided
     |R(2N) - R(N)| of the Richardson values from the Richardson rule.
     """
@@ -107,7 +107,6 @@ class PropagationResult:
     unitarity_defect: float | None = None
     trace_defect: float | None = None
     min_eigenvalue: float | None = None
-    magnus_steps: tuple[int, int] | None = None
     error_estimate: float | None = None
 
 
@@ -204,7 +203,7 @@ def propagate_unitary_batch(
             raise NumericalError(f"unitarity defect {defect:.3e} exceeds {bound:.3e}", j)
         _, n, est = halves[j]
         steps = (2 * n, 2 * (n - MAGNUS_MIN_STEPS))
-        results.append(PropagationResult(u, *steps, defect, magnus_steps=(n, n), error_estimate=est))
+        results.append(PropagationResult(u, *steps, defect, error_estimate=est))
     if failed < len(halves):
         raise halves[failed]
     return results
@@ -373,8 +372,8 @@ def propagate_lindblad_batch(
     # H_T(tau) is a*omega0 times the envelope form of EnvelopeSet.evaluate,
     # profile factors (f_s, f_c) = controls._satd_reshape(s, c, kappa_T) at
     # the unit gate's mixing angle theta, s = sin(theta), c = cos(theta), and
-    # kappa_T = 4 theta''/((omega0 T)^2 + 4 theta'^2) (an infinite gap, so
-    # kappa = 0, for the adiabatic flavor).  Member i's generator is
+    # kappa_T = 4 theta''/(g + 4 theta'^2), g = controls._gap_sq(flavor,
+    # omega0 T) (infinite, so kappa = 0, adiabatic).  Member i's generator is
     # c_i (f_s G_s + f_c G_c), c_i = T r a omega0, G_s of the qubit legs and
     # G_c of the a-e leg with the half-segment's phase.  kappa depends on T
     # and the flavor alone, so each block of m members of one gate time (m
@@ -387,7 +386,7 @@ def propagate_lindblad_batch(
     # terms(taus) reads the row of a stage's times, which ode_solve announced.
     m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
     wt = params.omega0 * t_gates[::m]
-    gap_sq = np.array([wt * wt if flavor is Flavor.SATD else np.full(len(wt), math.inf) for flavor in flavors])
+    gap_sq = np.array([_gap_sq(flavor, wt) for flavor in flavors])
     weights = np.tile(np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 16), groups).reshape(-1, m, 16)
     stacked_t_gates = np.tile(t_gates, groups).reshape(-1, m)
     g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))

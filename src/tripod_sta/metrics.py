@@ -44,8 +44,7 @@ def avg_gate_fidelity(o: np.ndarray, d: int):
         raise ValueError(f"operator shape {o.shape} does not match d={d}")
     # |Tr O|^2 by scalar abs and power: numpy's array forms round differently.
     trace_sq = np.reshape([abs(tr) ** 2 for tr in np.trace(o, axis1=-2, axis2=-1).ravel()], o.shape[:-2])
-    fids = (np.sum(np.abs(o) ** 2, axis=(-2, -1)) + trace_sq) / (d * (d + 1))
-    return float(fids) if o.ndim == 2 else fids
+    return (np.sum(np.abs(o) ** 2, axis=(-2, -1)) + trace_sq) / (d * (d + 1))
 
 
 def qubit_overlap_operator(target: np.ndarray, realized: np.ndarray) -> np.ndarray:

@@ -100,8 +100,7 @@ def max_abs(m: np.ndarray) -> float:
 def unitarity_defect(u: np.ndarray):
     """max-norm of U^dag U - I, or the array of those of a stack (n, d, d)."""
     u = np.asarray(u)
-    defects = np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    return float(defects) if u.ndim == 2 else defects
+    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def _cayley_klein(gx, gy, gz) -> tuple[np.ndarray, np.ndarray]:

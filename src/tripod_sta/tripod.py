@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape, _satd_correction, make_envelopes
+from .controls import ControlParams, DressingAngle, EnvelopeSet, Flavor, PulseShape, _gap_sq, _satd_correction
 from .qmath import gauss_legendre_rule, su2_exponential
 
 SQRT2 = math.sqrt(2.0)
@@ -121,7 +121,7 @@ def half_segment_field(constants: np.ndarray, x: np.ndarray) -> tuple:
     half_gap = 0.5 * r * w
     if not satd.any():
         return 0.0, td, -half_gap
-    kappa = _satd_correction(td, d2 / (tg * tg), w * w)
+    kappa = _satd_correction(td, d2 / (tg * tg), _gap_sq(Flavor.SATD, w))
     root = np.sqrt(w * w + 4.0 * td * td)
     dressed = half_gap * kappa - 0.5 * w * kappa, (1.0 - r) * w * td / root, -(r * w * w + 4.0 * td * td) / (2.0 * root)
     return tuple(np.where(satd, d, a) for d, a in zip(dressed, (0.0, td, -half_gap)))
@@ -187,13 +187,9 @@ def ideal_gate(params) -> np.ndarray:
     return _geometric_gate(params, [0.5 * (p.omega0 * p.amp_scale) * p.t_gate for p in params])
 
 
-def satd_gate(params, shape: PulseShape | None = None) -> np.ndarray:
-    """Closed-form gate for the shortcut-corrected protocol (calibrated amp) at
-    its satd_bright_half_angle; shape, if given, must be the quintic ramp of
-    params.t_gate (a list of protocols: their stack)."""
-    if isinstance(params, ControlParams):
-        make_envelopes(params, shape)  # checks the shape
-        return satd_gate([params])[0]
+def satd_gate(params: list[ControlParams]) -> np.ndarray:
+    """Closed-form gates (n, 4, 4) of the shortcut-corrected protocols params
+    (calibrated amp), each at its satd_bright_half_angle."""
     return _geometric_gate(params, satd_bright_half_angle(params))
 
 

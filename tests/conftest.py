@@ -299,7 +299,7 @@ def dopri5_unitary(env: EnvelopeSet, cfg: IntegratorConfig) -> np.ndarray:
     def rhs(times, u):
         return -1.0j * (hamiltonian(env, times[0]) @ u)
 
-    half = env.segment_boundary
+    half = 0.5 * env.params.t_gate
     first = dopri5_solve(rhs, np.eye(4, dtype=complex), 0.0, half, cfg)
     return dopri5_solve(rhs, first.y, half, env.params.t_gate, cfg).y
 

@@ -82,9 +82,11 @@ class TestPulseShape:
             env = make_envelopes(p, shape)
             fs, fc = env.profile(ts)
             for i, t in enumerate(ts):
-                s, c = env.profile(float(t))
-                assert fs[i] == pytest.approx(s, abs=1e-14)
-                assert fc[i] == pytest.approx(c, abs=1e-14)
+                assert bits(fs[i], fc[i]) == bits(*env.profile(float(t)))
+            if flavor is Flavor.ADIABATIC:
+                # The infinite gap gives kappa = +-0: the plain legs, bit for bit.
+                theta = grid[0]
+                assert bits(*env.profile(ts)) == bits(np.sin(theta), np.cos(theta))
             envelopes = env.evaluate(ts)
             for i, t in enumerate(ts):
                 assert bits(*(o[i] for o in envelopes)) == bits(*env.evaluate(float(t)))
@@ -95,6 +97,13 @@ class TestPulseShape:
                     assert bits(angle[i], rate[i]) == bits(nu.angle(float(t)), nu.rate(float(t)))
                     b_t, xi_t, phase_rate_t = dressed_frame_fields(p, shape, nu, float(t))
                     assert bits(*b[:, i], *xi[:, i], phase_rate[i]) == bits(*b_t, *xi_t, phase_rate_t)
+
+
+def test_gap_sq_is_infinite_only_for_the_adiabatic_flavor():
+    # 1e200: a product, where ** would raise OverflowError on a float.
+    for gap in (np.array([0.5, 3.0]), 3.0, 1e200):
+        assert np.array_equal(controls._gap_sq(Flavor.SATD, gap), gap * gap)
+        assert np.all(controls._gap_sq(Flavor.ADIABATIC, gap) == math.inf)
 
 
 class TestControlParams:

@@ -52,10 +52,9 @@ class _StubEnv:
     """Constant envelopes standing in for those of params, for closed-form
     comparisons."""
 
-    def __init__(self, params, values, boundary=math.inf):
+    def __init__(self, params, values):
         self.params = params
         self.values = values
-        self.segment_boundary = boundary
 
     def evaluate(self, t):
         return self.values
@@ -224,8 +223,7 @@ class TestMagnusPath:
     def test_diagnostics_report_the_doubling(self, flavor):
         p = params(5.0, flavor)
         res = propagate_unitary(p, make_envelopes(p), CFG)
-        n1, n2 = res.magnus_steps
-        assert n1 == n2  # the second half is the first's transpose
+        n1 = n2 = res.steps_accepted // 2  # the second half is the first's transpose
         assert res.steps_accepted == n1 + n2
         # Every discarded mesh has half the steps of the next: N/2 + N/4 + ... + MAGNUS_MIN_STEPS.
         assert res.steps_rejected == (n1 - MAGNUS_MIN_STEPS) + (n2 - MAGNUS_MIN_STEPS)
@@ -235,7 +233,7 @@ class TestMagnusPath:
         p = params(5.0, Flavor.SATD)
         cfg = IntegratorConfig(rel_tol=1e-300, abs_tol=ABS_TOL_FLOOR)
         res = propagate_unitary(p, make_envelopes(p), cfg)
-        assert max(res.magnus_steps) <= 2**16
+        assert res.steps_accepted // 2 <= 2**16
         assert res.error_estimate <= 1e-13
         assert max_abs(res.final_operator - propagate_unitary(p, make_envelopes(p), CFG).final_operator) < 1e-9
 
@@ -246,7 +244,7 @@ class TestMagnusPath:
         # half, u* = sqrt(omega0*t_g/(60*pi)) = sqrt(cycles/30), where nu turns.
         p = params(cycles, Flavor.SATD, amp_scale=amp_scale)
         res, tight = (propagate_unitary_batch([p], cfg)[0] for cfg in (CFG, IntegratorConfig(1e-14, 1e-16)))
-        assert min(res.magnus_steps) >= 2.0 * math.sqrt(30.0 / cycles)
+        assert res.steps_accepted // 2 >= 2.0 * math.sqrt(30.0 / cycles)
         assert max_abs(res.final_operator - tight.final_operator) <= 1e-9
 
     @pytest.mark.parametrize("cycles", [2.0, 3.7, 5.0, 11.0, 30.0])
@@ -254,7 +252,7 @@ class TestMagnusPath:
         # Its dressed field is the diagonal (0, 0, -E): only the quadrature of E is left.
         p = params(cycles, Flavor.SATD)
         res = propagate_unitary(p, make_envelopes(p), CFG)
-        assert max(res.magnus_steps) <= 64
+        assert res.steps_accepted // 2 <= 64
 
     @pytest.mark.parametrize("cycles", [1e-6, 0.3, 2.5, 30.0, 1e3, 1e5])
     @pytest.mark.parametrize("amp_scale", [0.87, 1.0, 1.13])
@@ -269,7 +267,7 @@ class TestMagnusPath:
             cfg = IntegratorConfig(rel_tol, 1e-2 * rel_tol)
             res = propagate_unitary_batch([p], cfg)[0]
             u4, n4 = fourth_order_unitary(p, cfg)
-            assert all(n <= m for n, m in zip(res.magnus_steps, n4)), (rel_tol, res.magnus_steps, n4)
+            assert all(res.steps_accepted // 2 <= m for m in n4), (rel_tol, res.steps_accepted, n4)
             assert max_abs(res.final_operator - tight) <= max_abs(u4 - tight) + 1e-13, rel_tol
 
     def test_unitarity_breach_raises(self, monkeypatch):
@@ -321,20 +319,19 @@ class TestUnitaryBatch:
         ps = _mixed_batch(plateau=rel_tol < 1e-200)
         batch = propagate_unitary_batch(ps, cfg)
         assert len(batch) == len(ps)
-        assert len({res.magnus_steps for res in batch}) > 2  # members freeze at different N
+        assert len({res.steps_accepted for res in batch}) > 2  # members freeze at different N
         tol = cfg.rel_tol + cfg.abs_tol
         if rel_tol < 1e-200:
             assert any(res.error_estimate > tol for res in batch)  # frozen at the plateau
         else:
             # A member frozen by the Richardson rule stops below the fourth-order rule's N.
-            steps = [(res.magnus_steps, fourth_order_unitary(p, cfg)[1]) for p, res in zip(ps, batch)]
-            below = [any(n < m for n, m in zip(*pair)) for pair in steps]
+            steps = [(res.steps_accepted // 2, fourth_order_unitary(p, cfg)[1]) for p, res in zip(ps, batch)]
+            below = [any(n < m for m in n4) for n, n4 in steps]
             assert any(below) and not all(below)
         for p, res in zip(ps, batch):
             alone = propagate_unitary(p, make_envelopes(p), cfg)
             for name in (
-                "final_operator", "magnus_steps", "steps_accepted", "steps_rejected", "error_estimate",
-                "unitarity_defect",
+                "final_operator", "steps_accepted", "steps_rejected", "error_estimate", "unitarity_defect",
             ):
                 assert np.array_equal(getattr(res, name), getattr(alone, name)), (p, name)
 
@@ -870,7 +867,7 @@ class TestSuperoperator:
         # Constant generator: expm(ell*t) against the direct integrator.
         p = params(0.8)
         values = (0.3 * OMEGA0, 0.2j * OMEGA0, 0.5 * OMEGA0)
-        env = _StubEnv(p, values, boundary=0.4)
+        env = _StubEnv(p, values)
         from tripod_sta.tripod import hamiltonian
 
         h = hamiltonian(env, 0.0)
@@ -903,7 +900,7 @@ def test_generator_basis_matches_tripod_hamiltonian(rng):
         expected = dynamics._packed_generator(tripod.hamiltonian(env, t))
         assert np.array_equal(generator(env.evaluate(t)), expected)
         fs, fc = env.profile(t)
-        phase = env.phase_jump if t >= env.segment_boundary else 1.0
+        phase = env.phase_jump if t >= 0.5 * p.t_gate else 1.0
         legs = fs * generator([*env.qubit_weights, 0.0]) + fc * generator([0.0, 0.0, phase])
         assert max_abs(p.amp_scale * p.omega0 * legs - expected) < 1e-13
 

@@ -2,7 +2,8 @@
 
 The stored files in tests/golden/ were written by the CLI on the configs
 below (the minimal configs of tests/test_cli.py, plus reversed flavors,
-parallel runs and a contour whose optimum lies inside its window).
+parallel runs, a contour whose optimum lies inside its window and an SATD
+pulse export).
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py

@@ -127,6 +127,34 @@ def test_gate_error_path_builds_no_envelope_set():
         assert not names & {"EnvelopeSet", "make_envelopes"}, module
 
 
+def _shape_forks(tree: ast.AST) -> list[int]:
+    """Lines of every isinstance(..., np.ndarray) and of every .ndim or
+    np.ndim(...) compared with 2: the forms of a float/array or one/many fork."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            if "ndarray" in ast.unparse(node.args[1]):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            ndim = any(
+                getattr(x, "attr", None) == "ndim" or getattr(getattr(x, "func", None), "attr", None) == "ndim"
+                for x in operands
+            )
+            if ndim and any(isinstance(x, ast.Constant) and x.value == 2 for x in operands):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_function_forks_on_array_type_or_matrix_rank():
+    # Floats and arrays, one matrix and a stack, take the same lines: a
+    # function of src/ never branches on isinstance(x, np.ndarray) or x.ndim == 2.
+    for fork in ("isinstance(t, np.ndarray)", "float(d) if u.ndim == 2 else d", "np.ndim(u) != 2"):
+        assert _shape_forks(ast.parse(fork)), fork
+    for path in sorted((ROOT / "src" / "tripod_sta").glob("*.py")):
+        assert not _shape_forks(ast.parse(path.read_text())), path.name
+
+
 def _attributes_set_on_self(tree: ast.Module):
     """(class, attribute) of every `self.<attribute> = ...` in a class body."""
     for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):

@@ -247,7 +247,7 @@ class TestTargetGates:
         g0 = 2.4
         for tg in np.geomspace(4.0 / OMEGA0, 400.0 / OMEGA0, 7):
             p = params(float(tg), Flavor.SATD, gamma0=g0)
-            dec = decompose_block_unitary(satd_gate(p, make_pulse_shape(float(tg))))
+            dec = decompose_block_unitary(satd_gate([p])[0])
             assert dec.qubit_angle == pytest.approx(g0, abs=1e-12)
 
     def test_satd_gate_slow_limit(self):
@@ -256,8 +256,7 @@ class TestTargetGates:
         devs = []
         for tg in (50.0, 500.0):
             p = params(tg, Flavor.SATD)
-            shape = make_pulse_shape(tg)
-            devs.append(np.max(np.abs(satd_gate(p, shape) - ideal_gate(p))))
+            devs.append(np.max(np.abs(satd_gate([p])[0] - ideal_gate(p))))
         assert devs[1] < devs[0] / 5.0
         assert devs[1] < 1e-2
 
@@ -280,7 +279,7 @@ class TestStackedForms:
 
     def test_satd_gates(self):
         for p, gate in zip(_STACK, satd_gate(_STACK)):
-            assert np.array_equal(gate, satd_gate(p, make_pulse_shape(p.t_gate)))
+            assert np.array_equal(gate, satd_gate([p])[0])
         for p, phi in zip(_STACK, satd_bright_half_angle(_STACK)):
             # The one-point quadrature it replaces, on the same nodes in the same order.
             w, shape = OMEGA0 * p.amp_scale, make_pulse_shape(p.t_gate)
