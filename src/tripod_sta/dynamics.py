@@ -1,30 +1,26 @@
 """Time evolution: segmented unitary propagation and Lindblad dephasing.
 
-The protocol is always integrated as two half-segments joined at t_gate/2,
-where the a-e envelope vanishes and its phase jumps; the split also keeps
-the envelope-derivative kink off the interior of a step.
+The protocol has two half-segments joined at t_gate/2, where the a-e
+envelope vanishes, its phase jumps and the envelope derivatives kink.  The
+envelopes are even about t_gate/2, so on the second half H(t) =
+V H(t_gate - t) V^dag, V = diag(1, 1, e^{i gamma0}, 1): both paths integrate
+the first half alone.
 
 The closed path (propagate_unitary_batch) solves an exact SU(2) problem by
-Richardson-extrapolated doubling of fourth-order Magnus steps on the first
-half-segment, in lockstep for a batch of protocols that share each step
-count and its field calls (the first four counts one pass), each member bit
-for bit what it gets alone; the ramp's mirror symmetry about t_gate/2 makes
-the second half's propagator the transpose of the first's.
+Richardson-extrapolated doubling of fourth-order Magnus steps, in lockstep
+for a batch of protocols that share each step count and its field calls (the
+first four counts one pass), each member bit for bit what it gets alone; the
+second half's propagator is the transpose of the first's.
 
-The Lindblad path uses the adaptive Dormand-Prince 8(5,3) stepper
-qmath.ode_solve in scaled time tau = t/t_gate, on [0, 1/2] and [1/2, 1].
-The pulse shape is the same function of tau at every gate time, so one solve
-integrates a whole stack of density matrices (the four independent axial
-inputs at every amplitude scale of every gate time of a noise-map chunk) on
-one shared mesh, each member with its own gate time and amplitude scale, each
-packed as 16 real floats.  Members of one gate time share one 16x16 commutator
-generator per stage, built with controls._satd_reshape for all twelve stages
-of a step at once, as soon as the stepper announces their times; the
-right-hand side is one batched real matmul, weighted per member, and every
-unpacked state is exactly Hermitian.  Each half-segment solve makes its own
-right-hand side's buffers, so no two solves or sweep workers share them.
-Every accepted step of the shared mesh meets the stepper's combined error
-criterion over the whole stack, not that of each member's own solve.
+The Lindblad path steps the adaptive Dormand-Prince 8(5,3) qmath.ode_solve
+in scaled time tau = t/t_gate on [0, 1/2].  The dephasing -W*rho commutes
+with diagonal-unitary conjugation and with complex conjugation, so the
+second half's map is Phi_2 = (M Phi_1 M)^dag (Hilbert-Schmidt adjoint), Phi_1
+the first half's, with the involution M(X) = V Q X^* Q^dag V^dag and
+Q = diag(1, e^{2i beta}, 1, 1) (complex conjugation where the coupling is
+real).  One solve integrates a stack of members, each with its own gate time
+and amplitude scale, packed as 16 real floats, on one shared mesh whose
+steps meet the error criterion over the whole stack, not that of each member.
 """
 
 from __future__ import annotations
@@ -55,11 +51,11 @@ ROUNDOFF_ESTIMATE = 1e-12
 # products step doubling reaches (2^20 steps per half-segment, SATD at
 # t_g = 1e-6 cycles and rel_tol 1e-300) measured 7e-13.
 UNITARITY_ROUNDOFF = 1e-10
-# Roundoff that the minimum eigenvalue of a final density matrix may carry
-# below -10*rel_tol.  Measured worst case over both flavors, t_g 0.5-10
-# cycles, four dephasing sets (the noiseless one is the worst) and amplitude
-# scales 0.8-1.2: -0.27*rel_tol at rel_tol 1e-3, -0.17 to -0.33*rel_tol from
-# 1e-6 to 1e-10, -3.2e-15 at 1e-14.
+# Roundoff that the minimum eigenvalue of a checked density matrix (a half-time
+# image, one rebuilt from them, or a final state) may carry below -10*rel_tol.
+# Measured worst case over both flavors, t_g 0.5-10 cycles, four dephasing sets
+# and amplitude scales 0.8-1.2: -0.009 to -0.048*rel_tol from rel_tol 1e-3 to
+# 1e-12, -1.4e-15 at 1e-14.
 POSITIVITY_ROUNDOFF = 1e-10
 
 
@@ -90,14 +86,14 @@ class NoiseModel:
 class PropagationResult:
     """Final operator and diagnostics of one propagation.
 
-    For the Lindblad path steps_accepted and steps_rejected count the
-    Dormand-Prince 8(5,3) steps of qmath.ode_solve.  For the closed path (one
-    member of propagate_unitary_batch) steps_accepted is 2N, N the final
-    Magnus step count of the first half-segment, whose transpose is the
-    second's propagator by the ramp's mirror symmetry, and steps_rejected
-    2(N - MAGNUS_MIN_STEPS), the steps of the coarser meshes the doubling
-    discarded.  error_estimate is the first half's:
-    |U2(2N) - U2(N)|/15 from the fourth-order rule, the undivided
+    On the Lindblad path steps_accepted and steps_rejected count the DOP853
+    steps of the one first-half-segment solve that all members of a flavor
+    share; the second half is not integrated.  On the closed path (a member
+    of propagate_unitary_batch) steps_accepted is 2N, N the final Magnus
+    step count of the first half-segment (the second's propagator is its
+    transpose), and steps_rejected 2(N - MAGNUS_MIN_STEPS), the steps of the
+    coarser meshes the doubling discarded.  error_estimate is the first
+    half's: |U2(2N) - U2(N)|/15 from the fourth-order rule, the undivided
     |R(2N) - R(N)| of the Richardson values from the Richardson rule.
     """
 
@@ -259,15 +255,12 @@ def _packed_generator(h: np.ndarray) -> np.ndarray:
 
 
 def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
-    # The real packed stack u comes in blocks of consecutive members, shaped
-    # (blocks, m, 16), and t_gates holds each member's gate time shaped
-    # (blocks, m).  terms(taus) gives one generator G_b (blocks, 16, 16) per
-    # block and weights w broadcasting to u's shape: member i of block b gets
-    # w[b, i] * u_i @ G_b plus its dephasing -t_gates[b, i] * W on each packed
-    # float.  One batched matmul, the weights and the dephasing elementwise on
-    # whole rows (a weight column broadcast along the rows costs twice as
-    # much).  Each call writes into the same two buffers, made once per rhs in
-    # u's shape: ode_solve copies each result away.
+    # The packed stack u comes in blocks of members, shaped (blocks, m, 16), like
+    # t_gates (blocks, m).  terms(taus) gives one generator G_b per block and weights
+    # w in u's shape: member i of block b gets w[b, i] * u_i @ G_b plus its dephasing
+    # -t_gates[b, i] * W (a weight column broadcast along the rows costs twice as
+    # much).  Each call writes into the same two buffers, made once per rhs, so no
+    # two solves share them: ode_solve copies each result away.
     damping = _pack(-(1.0 + 1.0j) * noise.dephasing_matrix()) * t_gates[..., None]
     out, product = np.empty_like(damping), np.empty_like(damping)
 
@@ -293,8 +286,8 @@ def propagate_lindblad(
 
 
 def density_diagnostics(rhos: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trace defects and minimum eigenvalues of a stack of final density
-    matrices (n, 4, 4).  A trace defect above 1e-6 or an eigenvalue below
+    """Trace defects and minimum eigenvalues of a stack of density matrices
+    (n, 4, 4).  A trace defect above 1e-6 or an eigenvalue below
     -(10*rel_tol + POSITIVITY_ROUNDOFF) raises NumericalError with member set
     to the first failing matrix."""
     trace_defects = np.abs(np.trace(rhos, axis1=-2, axis2=-1).real - 1.0)
@@ -321,6 +314,60 @@ def _per_member(name: str, values, default: float, n: int) -> np.ndarray:
     return values
 
 
+def _mirror(params: ControlParams, rhos: np.ndarray) -> np.ndarray:
+    """M(rho) = D rho^* D^dag of each matrix, D = V Q = diag(1, e^{2i beta},
+    e^{i gamma0}, 1), of the mirror identity (module docstring): an
+    involution, its own Hilbert-Schmidt adjoint, positive and trace-keeping."""
+    b, g = 2.0 * params.beta, params.gamma0
+    d = np.array([1.0, complex(math.cos(b), math.sin(b)), complex(math.cos(g), math.sin(g)), 1.0])
+    return d[:, None] * np.conj(rhos) * d.conj()
+
+
+def _first_half_images(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors) -> tuple[np.ndarray, tuple]:
+    """(Phi_1(rho0s) (len(flavors), n, 4, 4), group_steps) at tau = 1/2 of the
+    members of propagate_lindblad_batch, taken as valid, one group per flavor.
+    A stalled step names its flavor's first member of the longest gate."""
+    groups = len(flavors)
+    # Member i's generator is T r a omega0 (f_s G_s + f_c G_c), G_s of the
+    # qubit legs and G_c of the a-e leg, (f_s, f_c) = controls._satd_reshape at
+    # kappa_T, which depends on T and the flavor alone: a block of m members
+    # of one gate time (m the gcd of the gate-time runs) shares a generator.
+    m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
+    wt = params.omega0 * t_gates[::m]
+    gap_sq = np.array([_gap_sq(flavor, wt) for flavor in flavors])
+    weights = np.tile(np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 16), groups).reshape(-1, m, 16)
+    legs = ([*env.qubit_weights, 0.0], [0.0, 0.0, 1.0])
+    gens = np.stack([_packed_generator(_coupling(rabi)) for rabi in legs]).reshape(2, 256)
+    table = np.empty((12, len(weights), 16, 16))  # the generators of the announced times
+    rows: dict = {}
+
+    def announce(taus: np.ndarray) -> None:
+        # One key per stage, as rhs gets it, each with one time per flavor;
+        # stages 11 and 12 share the node 1.  The ramp on floats: its scalar
+        # calls, one per time and flavor, cost less than one on an array.
+        keys = list(dict.fromkeys(zip(*taus.tolist())))
+        theta, d1, d2 = zip(*[PulseShape.ramp(1.0, tau) for key in keys for tau in key])
+        angles = np.array([list(map(math.sin, theta)), list(map(math.cos, theta)), d1, d2])
+        s, c, d1, d2 = angles.reshape(4, len(keys), groups, 1)
+        factors = np.empty((len(keys), groups, 2, len(wt)))
+        factors[:, :, 0], factors[:, :, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
+        out = table[: len(keys)].reshape(-1, len(wt), 256)
+        np.matmul(factors.reshape(-1, 2, len(wt)).swapaxes(1, 2), gens, out=out)
+        rows.clear()
+        rows.update((key, i) for i, key in enumerate(keys))
+
+    def terms(taus):
+        return table[rows[taus]], weights
+
+    rhs = _lindblad_rhs(terms, noise, np.tile(t_gates, groups).reshape(-1, m))
+    y0 = np.tile(_pack(hermitize(rho0s)), (groups, 1)).reshape(weights.shape)
+    try:
+        res = ode_solve(rhs, y0, 0.0, 0.5, cfg, stage_times=announce, groups=groups)
+    except OdeStepUnderflow as exc:
+        raise type(exc)(exc.t, "tau", exc.member * len(rho0s) + int(np.argmax(t_gates))) from None
+    return _unpack(res.y).reshape(groups, len(rho0s), 4, 4), res.group_steps
+
+
 def propagate_lindblad_batch(
     params: ControlParams,
     env: EnvelopeSet,
@@ -332,29 +379,24 @@ def propagate_lindblad_batch(
     flavors: list[Flavor] | None = None,
 ) -> list[PropagationResult]:
     """Evolve a stack of density matrices (n, 4, 4), n >= 1, under each of
-    flavors (default: params.flavor alone) through one adaptive lockstep
-    solve in scaled time tau = t/T with per-level pure dephasing: one
-    PropagationResult per member and flavor, flavor by flavor.
+    flavors (default: params.flavor alone) in scaled time tau = t/T with
+    per-level pure dephasing: one PropagationResult per member and flavor,
+    flavor by flavor.  Member i of flavor f evolves under T*r*H_T(tau) with
+    damping T*W, H_T env's Hamiltonian at flavor f and gate time
+    T = t_gates[i], r = amp_scales[i] (defaults: env's gate time and 1; each
+    finite and positive).  params must equal env.params.
 
-    Member i of flavor f is the protocol of env at flavor f run for the gate
-    time T = t_gates[i] at r = amp_scales[i] times its amplitude (defaults:
-    env's gate time and every scale 1; each finite and positive): in tau it
-    evolves under T*r*H_T(tau) with damping T*W, H_T the Hamiltonian of
-    flavor f and env's axis and amplitude at gate time T (the quintic ramp
-    is a function of t/T).  params must equal env.params.  Each flavor's
-    stack is one group of qmath.ode_solve, on its own adaptive mesh: it gets
-    bit for bit the solve of a call with that flavor alone.  Within a
-    flavor, every accepted step of the common mesh meets the stepper's
-    combined error criterion over the whole stack, which does not make it
-    as fine as each member needs alone: the combined ratio falls as the
-    stack's third-order estimate grows.  The initial stack is Hermitized
-    once and integrated packed as real floats, so every final state is
-    exactly Hermitian.  A final trace defect beyond 1e-6 or a minimum
-    eigenvalue below -(10*rel_tol + POSITIVITY_ROUNDOFF) raises
-    NumericalError with member set to the index of the first failing result.
-    A stalled step (OdeStepUnderflow, OdeStepLimit, both NumericalErrors)
-    gives its time as tau and names the result of the first member of the
-    longest gate in the stalled flavor, which sets that flavor's mesh.
+    One solve of the first half-segment takes the 16 packed unit matrices,
+    which span the Hermitian 4x4 matrices, at each distinct (T, r) to Phi_1
+    as a real 16x16 matrix, one group per flavor on its own mesh, so each
+    flavor gets bit for bit a call with it alone.  Each final state is
+    Phi_2(Phi_1(rho0)) of the Hermitized rho0, Phi_2 = (M Phi_1 M)^dag by the
+    mirror identity (module docstring), exactly Hermitian.  A final trace
+    defect beyond 1e-6 or a minimum eigenvalue below -(10*rel_tol +
+    POSITIVITY_ROUNDOFF) raises NumericalError with member set to the first
+    failing result.  A stalled step (OdeStepUnderflow, OdeStepLimit) gives
+    its time as tau and names the result of the first member of the longest
+    gate in its flavor, which sets that flavor's mesh.
     """
     if params != env.params:
         raise ValueError("params and env.params disagree")
@@ -367,67 +409,22 @@ def propagate_lindblad_batch(
     flavors = [params.flavor] if flavors is None else list(flavors)
     if not flavors:
         raise ValueError("flavors must hold at least one flavor")
-    groups = len(flavors)
-
-    # H_T(tau) is a*omega0 times the envelope form of EnvelopeSet.evaluate,
-    # profile factors (f_s, f_c) = controls._satd_reshape(s, c, kappa_T) at
-    # the unit gate's mixing angle theta, s = sin(theta), c = cos(theta), and
-    # kappa_T = 4 theta''/(g + 4 theta'^2), g = controls._gap_sq(flavor,
-    # omega0 T) (infinite, so kappa = 0, adiabatic).  Member i's generator is
-    # c_i (f_s G_s + f_c G_c), c_i = T r a omega0, G_s of the qubit legs and
-    # G_c of the a-e leg with the half-segment's phase.  kappa depends on T
-    # and the flavor alone, so each block of m members of one gate time (m
-    # the gcd of the gate-time runs: one point's scales and inputs in every
-    # CLI stack) shares a generator in each flavor, and the solve's stack is
-    # (flavors x blocks, m, 16).  A half-segment builds the generators of a
-    # step's distinct stage times, one time per flavor, in one pass as
-    # ode_solve announces them (one ramp per time and flavor, then one
-    # stacked matmul of (blocks, 2) @ (2, 256) per time and flavor), and
-    # terms(taus) reads the row of a stage's times, which ode_solve announced.
-    m = math.gcd(len(t_gates), *(np.flatnonzero(np.diff(t_gates)) + 1).tolist())
-    wt = params.omega0 * t_gates[::m]
-    gap_sq = np.array([_gap_sq(flavor, wt) for flavor in flavors])
-    weights = np.tile(np.repeat(t_gates * amp_scales * params.omega0 * params.amp_scale, 16), groups).reshape(-1, m, 16)
-    stacked_t_gates = np.tile(t_gates, groups).reshape(-1, m)
-    g_sin = _packed_generator(_coupling([*env.qubit_weights, 0.0]))
-
-    def half_rhs(phase: complex):
-        """The half-segment's rhs and its ode_solve stage_times hook."""
-        gens = np.stack([g_sin, _packed_generator(_coupling([0.0, 0.0, phase]))]).reshape(2, 256)
-        table = np.empty((12, len(weights), 16, 16))  # the generators of the announced times
-        rows: dict = {}
-
-        def announce(taus: np.ndarray) -> None:
-            # One key per stage, as rhs gets it, each with one time per flavor;
-            # stages 11 and 12 share the node 1.  The ramp on floats: its scalar
-            # calls, one per time and flavor, cost less than one on an array.
-            keys = list(dict.fromkeys(zip(*taus.tolist())))
-            theta, d1, d2 = zip(*[PulseShape.ramp(1.0, tau) for key in keys for tau in key])
-            angles = np.array([list(map(math.sin, theta)), list(map(math.cos, theta)), d1, d2])
-            s, c, d1, d2 = angles.reshape(4, len(keys), groups, 1)
-            factors = np.empty((len(keys), groups, 2, len(wt)))
-            factors[:, :, 0], factors[:, :, 1] = _satd_reshape(s, c, _satd_correction(d1, d2, gap_sq))
-            out = table[: len(keys)].reshape(-1, len(wt), 256)
-            np.matmul(factors.reshape(-1, 2, len(wt)).swapaxes(1, 2), gens, out=out)
-            rows.clear()
-            rows.update((key, i) for i, key in enumerate(keys))
-
-        def terms(taus):
-            return table[rows[taus]], weights
-
-        return _lindblad_rhs(terms, noise, stacked_t_gates), announce
-
-    y0 = np.tile(_pack(hermitize(rho0s)), (groups, 1)).reshape(weights.shape)
+    keys, index = np.unique(np.stack([t_gates, amp_scales], 1), axis=0, return_inverse=True)
+    key_t_gates, key_scales = np.repeat(keys, 16, axis=0).T
+    stack = np.tile(_unpack(np.eye(16)), (len(keys), 1, 1))
     try:
-        rhs, announce = half_rhs(1.0)
-        first = ode_solve(rhs, y0, 0.0, 0.5, cfg, stage_times=announce, groups=groups)
-        rhs, announce = half_rhs(env.phase_jump)
-        second = ode_solve(rhs, first.y, 0.5, 1.0, cfg, stage_times=announce, groups=groups)
+        images, steps = _first_half_images(params, env, noise, stack, cfg, key_scales, key_t_gates, flavors)
     except OdeStepUnderflow as exc:
-        raise type(exc)(exc.t, "tau", exc.member * len(rho0s) + int(np.argmax(t_gates))) from None
-    rhos = _unpack(second.y).reshape(-1, 4, 4)
+        exc.member = exc.member // len(stack) * len(rho0s) + int(np.argmax(t_gates))
+        raise
+    # Packed u maps to u @ first, row j of first being Phi_1 of unit j.  A
+    # packed float weighs 1 (diagonal) or 2 (upper) in a Hilbert-Schmidt product.
+    first, mirror = _pack(images).reshape(len(flavors), len(keys), 16, 16), _pack(_mirror(params, stack[:16]))
+    hs = np.repeat([1.0, 2.0], [4, 12])
+    second = np.swapaxes(mirror @ first @ mirror, -1, -2) * hs[:, None] / hs
+    maps = (first @ second)[:, index.ravel()]
+    rhos = _unpack((_pack(hermitize(rho0s))[:, None] @ maps)[..., 0, :]).reshape(-1, 4, 4)
     trace_defects, min_eigs = density_diagnostics(rhos, cfg.rel_tol)
-    steps = [(a1 + a2, r1 + r2) for (a1, r1), (a2, r2) in zip(first.group_steps, second.group_steps)]
     return [
         PropagationResult(rho, *steps[i // len(rho0s)], trace_defect=float(d), min_eigenvalue=float(e))
         for i, (rho, d, e) in enumerate(zip(rhos, trace_defects, min_eigs))

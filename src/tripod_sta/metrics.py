@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .controls import ControlParams, PulseShape, make_envelopes
-from .dynamics import NoiseModel, NumericalError, density_diagnostics, propagate_lindblad_batch
+from .dynamics import NoiseModel, NumericalError, _first_half_images, _mirror, density_diagnostics
 from .qmath import IntegratorConfig, gauss_legendre, gauss_legendre_rule
 from .tripod import ideal_gate
 
@@ -26,10 +26,7 @@ MAX_UNCERTAINTY_NODES = 1023
 # for a noise-map chunk and a contour coarse grid alike.
 # A shared mesh is set by the longest gate of its chunk.  Each accepted step
 # meets the combined error criterion over the whole chunk, which a member's
-# own solve can fail: stacking can coarsen a member's mesh.  A noise-map of
-# both flavors on a 12-point log grid of 1-300 cycles at 21 nodes (84 states per
-# point) took 5.2-5.3 s CPU at 256, against 6.4 s at 512 and 6.8-7.1 s at 128
-# (one point per solve).
+# own solve can fail: stacking can coarsen a member's mesh.
 MAX_SOLVE_STATES = 256
 
 
@@ -90,8 +87,7 @@ def _axial_average(target: np.ndarray, finals) -> np.ndarray:
 
 
 # The axial inputs a map solve propagates, as indices into AXIAL_QUBIT_STATES:
-# +x, +y, |0> and |1>.  The map is linear, so the images of the other two
-# follow: E(-x) = E(|0><0|) + E(|1><1|) - E(+x), and the same for -y.
+# +x, +y, |0> and |1>.  Their qubit blocks span the Hermitian 2x2 matrices.
 _SOLVED_AXIAL = [0, 2, 4, 5]
 
 
@@ -145,16 +141,18 @@ def nominal_and_uncertainty_avg(
     is the nominal map).  The points, at least one, may differ in t_gate and
     flavor alone.
 
-    The points of each flavor are solved in the chunks of point_chunks over
-    that flavor's points, in order, each one scaled-time Lindblad solve of
-    the four independent axial inputs at every scale of its points; the -x
-    and -y images follow by linearity and get the same trace and positivity
-    checks.  Chunks of equal gate times (chunk i of each flavor, when the
-    flavors share one grid) are one lockstep pass of
-    dynamics.propagate_lindblad_batch, each flavor on its own adaptive mesh,
-    so every value is bit for bit that of its flavor's points alone.  A
-    NumericalError's member is the index of the failing point; the solve
-    ties a stalled step to the longest gate of its chunk, which sets its mesh.
+    Only the first half-segment is solved, for the four inputs +x, +y, |0>
+    and |1> at every scale.  By the mirror identity of dynamics the overlap
+    of axial state rho_k with its rotated target R_k is Tr[R_k Phi_2 Phi_1
+    rho_k] = <M Phi_1(M R_k), Phi_1(rho_k)> (Hilbert-Schmidt, M =
+    dynamics._mirror).  rho_k and M R_k lie in the qubit block, so their
+    images are real combinations of the four solved ones; all twelve per
+    point and scale are density matrices and get the trace and positivity
+    checks.  Each flavor's points are solved in the chunks of point_chunks,
+    in order; chunks of equal gate times are one lockstep solve, each flavor
+    on its own mesh, so every value is bit for bit that of its flavor alone.
+    A NumericalError's member is the index of the failing point; a stalled
+    step names the longest gate of its chunk, which sets its mesh.
     """
     scales, weights = _point_scales(noise.k, n_nodes)
     if not points:
@@ -164,6 +162,13 @@ def nominal_and_uncertainty_avg(
         raise ValueError("points must differ in t_gate and flavor alone")
     inputs = AXIAL_QUBIT_STATES[_SOLVED_AXIAL]
     per_point = len(inputs) * len(scales)
+    # Each axial state, then its paired M R_k (in the qubit block: the ideal gate is block
+    # diagonal), in the solved inputs, exactly for the axial states: [[p0, q], [q*, p1]] =
+    # 2 Re(q) (+x) - 2 Im(q) (+y) + (p0 + d)|0><0| + (p1 + d)|1><1|, d = Im(q) - Re(q).
+    gate = ideal_gate(first.with_amp_scale(1.0))
+    blocks = np.concatenate([AXIAL_QUBIT_STATES, _mirror(first, gate @ AXIAL_QUBIT_STATES @ gate.conj().T)])
+    q, p0, p1 = blocks[:, 0, 1], blocks[:, 0, 0].real, blocks[:, 1, 1].real
+    coeffs = np.stack([2.0 * q.real, -2.0 * q.imag, p0 + q.imag - q.real, p1 + q.imag - q.real], -1)
     by_flavor: dict = {}
     for i, p in enumerate(points):
         by_flavor.setdefault(p.flavor, []).append(i)
@@ -181,16 +186,17 @@ def nominal_and_uncertainty_avg(
         amp_scales = np.tile(np.repeat(scales, len(inputs)), len(t_gates))
         flavors = [points[ids[0]].flavor for ids in chunks]
         with _failing_member(per_point, order):
-            results = propagate_lindblad_batch(
+            solved, _ = _first_half_images(
                 lead, make_envelopes(lead), noise, rho0s, cfg, amp_scales, np.repeat(t_gates, per_point), flavors
             )
-        solved = np.stack([res.final_operator for res in results]).reshape(-1, len(inputs), 4, 4)
-        plus_x, plus_y, zero, one = np.moveaxis(solved, 1, 0)
-        minus_x, minus_y = zero + one - plus_x, zero + one - plus_y
-        with _failing_member(2 * len(scales), order):
-            density_diagnostics(np.stack([minus_x, minus_y], axis=1).reshape(-1, 4, 4), cfg.rel_tol)
-        finals = np.stack([plus_x, minus_x, plus_y, minus_y, zero, one], axis=1).reshape(-1, 4, 4)
-        fids = _axial_average(ideal_gate(lead.with_amp_scale(1.0))[:2, :2], finals)
+        # The twelve images of each (point, scale), summed term by term.
+        solved = np.moveaxis(solved.reshape(-1, len(inputs), 4, 4), 1, 0)
+        images = sum(c[:, None, None] * x[:, None] for c, x in zip(coeffs.T, solved))
+        with _failing_member(len(coeffs) * len(scales), order):
+            density_diagnostics(images.reshape(-1, 4, 4), cfg.rel_tol)
+        overlaps = np.sum(_mirror(first, images[:, 6:]) * images[:, :6].conj(), axis=(-2, -1)).real
+        # Summed over the six states left to right, as a scalar sum would.
+        fids = sum(overlaps.T) / 6.0
         # Weights sum to 2 on [-1, 1]; uniform density cancels the interval width.
         for i, f in zip(order, fids.reshape(len(order), -1)):
             out[i] = (float(f[len(f) // 2]), float(np.dot(weights, f)) / 2.0)

@@ -298,39 +298,36 @@ def ode_solve(
     groups: int = 1,
 ) -> OdeResult:
     """Integrate dy/dt = rhs(times, y) from t0 to t1 with the adaptive
-    Dormand-Prince 8(5,3) stepper (DOP853), in y0's kind: float64 for a real
-    y0 (whose rhs must not return a complex array: ValueError on the first
-    call), complex128 for any other.
+    Dormand-Prince 8(5,3) stepper (DOP853), in float64 for a real y0 (whose
+    rhs must not return a complex array: ValueError on the first call),
+    complex128 for any other.
 
     y0's first axis holds `groups` independent systems as equal consecutive
-    parts (by default one: y0 whole), integrated in lockstep: each group
-    has its own t, step size, error norm, accept/reject decision and step
-    count, so it gets bit for bit its own solve, while the groups share
-    every stage's numpy calls and rhs call.  A group that finishes first
-    rides along with h = 0, and its state no longer changes.
+    parts (default one), integrated in lockstep: each group has its own t,
+    step size, error norm, accept/reject decision and step count, so it gets
+    bit for bit its own solve, while the groups share every stage's numpy
+    calls and rhs call.  A group that finishes first rides along with h = 0.
 
     Local error is controlled per entry, real or complex, against
     abs_tol + rel_tol*max(|y|, |y_new|): with e5 and e3 the max norms of the
-    fifth- and third-order error estimates scaled by that tolerance, a step
-    is accepted when e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step
-    size scales with that ratio to the power -1/8.  The last stage of an
-    accepted step is the first of the next (FSAL), so a solve calls rhs
-    1 + 12*n times, n the attempted steps of the group that attempts most.
+    scaled fifth- and third-order error estimates, a step is accepted when
+    e5^2/sqrt(e5^2 + 0.01*e3^2) <= 1, and the next step size scales with
+    that ratio to the power -1/8.  The last stage of an accepted step is the
+    first of the next (FSAL): rhs is called 1 + 12*n times, n the attempted
+    steps of the group that attempts most.
 
     rhs gets a tuple of one Python float per group, its stage time, and the
-    stage argument in y0's shape, a buffer the stepper rewrites, which rhs
-    must not keep; each result is copied away before the next call, so rhs
-    may return a buffer it reuses.  stage_times, if given, is called with a
-    float array of shape (groups, 1) holding t0 before the first stage and,
-    before the stages of each attempted step, of shape (groups, 12) holding
-    each group's stage times t + c_i*h: column i is exactly the tuple rhs
-    then gets at stage i, so an rhs can precompute what it needs for a whole
-    step in one vectorized pass.
+    stage argument in y0's shape, a buffer it must not keep; each result is
+    copied away before the next call, so rhs may return a buffer it reuses.
+    stage_times, if given, gets a float array (groups, 1) holding t0 before
+    the first stage and (groups, 12) of each group's stage times t + c_i*h
+    before the stages of each attempted step: column i is exactly the tuple
+    rhs then gets at stage i.
 
     steps_accepted and steps_rejected sum over the groups, and group_steps
     gives each group's pair.  A group whose step size underflows raises
-    OdeStepUnderflow, and one that reaches ODE_MAX_STEPS attempts
-    OdeStepLimit, each with member set to the group's index.
+    OdeStepUnderflow, one that reaches ODE_MAX_STEPS attempts OdeStepLimit,
+    each with member set to the group's index.
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")

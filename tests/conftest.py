@@ -397,7 +397,8 @@ def lindblad_rhs_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray):
 
 def two_generator_stage_reference(env: EnvelopeSet, noise, amp_scales: np.ndarray, t_gates: np.ndarray, phase):
     """Reference for the packed scaled-time right-hand side of one
-    half-segment of dynamics.propagate_lindblad_batch, in per-member form:
+    half-segment of the Lindblad path, in per-member form, with the a-e
+    leg's phase of that half (1 on the first, env.phase_jump on the second):
     member i's generator is c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c),
     with c_i = T r a omega0 and kappa_i = 4 theta''/((omega0 T)^2 + 4 theta'^2)
     (no second term for the adiabatic flavor), one real matmul per generator
@@ -423,6 +424,21 @@ def two_generator_stage_reference(env: EnvelopeSet, noise, amp_scales: np.ndarra
         return out
 
     return rhs
+
+
+def lindblad_two_half_reference(env: EnvelopeSet, noise, rho0s, cfg, amp_scales, t_gates) -> np.ndarray:
+    """Final states (n, 4, 4) of the once-Hermitized stack rho0s with both
+    half-segments integrated, the Lindblad solve that the mirror identity of
+    dynamics replaced: one qmath.ode_solve per half in scaled time on the
+    two_generator_stage_reference right-hand side of env's flavor, member i
+    at gate time t_gates[i] and amplitude scale amp_scales[i]."""
+    from tripod_sta import dynamics
+    from tripod_sta.qmath import hermitize, ode_solve
+
+    y = dynamics._pack(hermitize(np.asarray(rho0s, dtype=complex)))
+    for phase, t0, t1 in ((1.0, 0.0, 0.5), (env.phase_jump, 0.5, 1.0)):
+        y = ode_solve(two_generator_stage_reference(env, noise, amp_scales, t_gates, phase), y, t0, t1, cfg).y
+    return dynamics._unpack(y)
 
 
 def axial_average_reference(target: np.ndarray, finals) -> np.ndarray:

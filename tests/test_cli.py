@@ -594,23 +594,24 @@ class TestNoiseMapSweep:
             [(tg, flavor) for flavor in flavors for tg in chunk] for chunk in chunks
         ]
 
-    def test_both_flavors_of_a_chunk_share_its_two_solves(self, tmp_path, monkeypatch):
+    def test_both_flavors_of_a_chunk_share_its_one_solve(self, tmp_path, monkeypatch):
         # Three chunks of the grid (as in the test above), each one lockstep
-        # pass of both flavors: one ode_solve per half-segment and chunk.
+        # pass of both flavors: one ode_solve per chunk, of the first
+        # half-segment alone.
         from tripod_sta import dynamics
 
         solve, groups = dynamics.ode_solve, []
 
-        def counting(*args, **kwargs):
-            groups.append(kwargs["groups"])
-            return solve(*args, **kwargs)
+        def counting(rhs, y0, t0, t1, *args, **kwargs):
+            groups.append((kwargs["groups"], t0, t1))
+            return solve(rhs, y0, t0, t1, *args, **kwargs)
 
         monkeypatch.setattr(metrics, "MAX_SOLVE_STATES", 24)
         monkeypatch.setattr(dynamics, "ode_solve", counting)
         grid = {"scale": "linear", "min": 2, "max": 6, "count": 5}
         cfg = write_config(tmp_path / "c.json", dict(self.CFG, out=str(tmp_path / "o.csv"), tg_grid=grid))
         assert cli.main(["sweep", "noise-map", "--config", cfg, "--jobs", "1"]) == 0
-        assert groups == [2] * 6
+        assert groups == [(2, 0.0, 0.5)] * 3
 
     def test_rows_thresholds_and_zero_noise_reduction(self, tmp_path):
         out = tmp_path / "nm.csv"
@@ -789,7 +790,7 @@ class TestContour:
         calls = {"adiabatic": [], "satd": []}
         solves = {"adiabatic": [], "satd": []}
         solve = cli.nominal_and_uncertainty_avg
-        batch = metrics.propagate_lindblad_batch
+        batch = metrics._first_half_images
 
         def recording_call(points, noise, n_nodes, cfg):
             calls[points[0].flavor.value].append([p.t_gate for p in points])
@@ -800,7 +801,7 @@ class TestContour:
             return batch(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors)
 
         monkeypatch.setattr(cli, "nominal_and_uncertainty_avg", recording_call)
-        monkeypatch.setattr(metrics, "propagate_lindblad_batch", recording)
+        monkeypatch.setattr(metrics, "_first_half_images", recording)
         payload = _with_field(MINIMAL_CFGS["contour"], "contour.coarse_count", 5)
         cfg = write_config(tmp_path / "c.json", dict(payload, out=str(tmp_path / "o.csv")))
         assert cli.main(["contour", "--config", cfg, "--jobs", jobs]) == 0

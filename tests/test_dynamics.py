@@ -13,6 +13,7 @@ from conftest import (
     hamiltonian_superoperator,
     leak_lindblad_rhs,
     lindblad_rhs_reference,
+    lindblad_two_half_reference,
     params,
     random_hermitian,
     series_expm,
@@ -20,7 +21,7 @@ from conftest import (
     unvec,
     vec,
 )
-from tripod_sta import dynamics, tripod
+from tripod_sta import dynamics, metrics, tripod
 from tripod_sta.controls import Flavor, PulseShape, _satd_correction, _satd_reshape, make_envelopes
 from tripod_sta.dynamics import (
     MAGNUS_MIN_STEPS,
@@ -32,7 +33,9 @@ from tripod_sta.dynamics import (
     propagate_unitary,
     propagate_unitary_batch,
 )
-from tripod_sta.metrics import AXIAL_QUBIT_STATES, avg_gate_fidelity, qubit_overlap_operator
+from tripod_sta.metrics import (
+    AXIAL_QUBIT_STATES, avg_gate_fidelity, nominal_and_uncertainty_avg, qubit_overlap_operator,
+)
 from tripod_sta.qmath import (
     ABS_TOL_FLOOR,
     MAGNUS_BLOCK,
@@ -540,21 +543,31 @@ class TestPropagateLindblad:
     def test_solves_a_real_packed_stack(self, monkeypatch, rng):
         # Each member is 16 real floats: 4 diagonal entries and the real and
         # imaginary parts of the 6 upper off-diagonal ones.  The packing is
-        # lossless for an exactly Hermitian stack.
+        # lossless for an exactly Hermitian stack.  The one solve, of the
+        # first half-segment, holds the 16 packed unit matrices of the one
+        # (gate time, scale), whatever the states.
         states = []
 
         def recording(rhs, y0, t0, t1, cfg, **kw):
-            states.append(y0)
+            states.append((y0, t0, t1))
             return ode_solve(rhs, y0, t0, t1, cfg, **kw)
 
         monkeypatch.setattr(dynamics, "ode_solve", recording)
         p = params(2.0, Flavor.SATD)
         batch = propagate_lindblad_batch(p, make_envelopes(p), NoiseModel((0.0, 0.0, 0.0, 0.01)), AXIAL_QUBIT_STATES)
-        assert len(states) == 2
+        [(y, t0, t1)] = states
+        assert (t0, t1) == (0.0, 0.5)
         # One block of one gate time: the stack comes as (blocks, members per block, 16).
-        assert all(y.dtype == np.float64 and y.shape == (1, len(AXIAL_QUBIT_STATES), 16) for y in states)
-        assert np.array_equal(dynamics._unpack(states[0][0]), hermitize(AXIAL_QUBIT_STATES))
+        assert y.dtype == np.float64 and y.shape == (1, 16, 16)
+        assert np.array_equal(y[0], np.eye(16))
         assert len(batch) == len(AXIAL_QUBIT_STATES)
+        # The first-half solve of given states packs them as they are.
+        ones = np.ones(len(AXIAL_QUBIT_STATES))
+        env = make_envelopes(p)
+        dynamics._first_half_images(p, env, NoiseModel(), AXIAL_QUBIT_STATES, CFG, ones, 2.0 * ones, [p.flavor])
+        y = states[-1][0]
+        assert y.dtype == np.float64 and y.shape == (1, len(AXIAL_QUBIT_STATES), 16)
+        assert np.array_equal(dynamics._unpack(y[0]), hermitize(AXIAL_QUBIT_STATES))
         rhos = hermitize(np.stack([random_hermitian(rng, 4) for _ in range(5)]))
         assert np.array_equal(rhos, np.conj(np.swapaxes(rhos, -1, -2)))
         assert np.array_equal(dynamics._unpack(dynamics._pack(rhos)), rhos)
@@ -564,8 +577,9 @@ class TestPropagateLindblad:
     def test_packed_solve_matches_full_matrix_reference(self, rng, flavor, cycles):
         # The packed stack stores each off-diagonal entry once, and its mirror
         # has the same real and imaginary magnitudes, so the per-float error
-        # norm, and with it every accepted and rejected step, is that of the
-        # full 4x4 stack integrated as its float view.
+        # norm, and with it every accepted and rejected step of the first
+        # half-segment, is that of the full 4x4 stack integrated as its float
+        # view.
         p = params(cycles, flavor)
         env = make_envelopes(p)
         noise = NoiseModel(tuple(rng.uniform(1e-3, 5e-2, 4)))
@@ -576,15 +590,13 @@ class TestPropagateLindblad:
         def rhs(t, y):
             return full(t, y.view(complex)).view(float)
 
+        t_gates = np.full(len(rho0s), p.t_gate)
         for rel_tol in (1e-7, 1e-8, 1e-10):
             cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=1e-2 * rel_tol)
-            batch = propagate_lindblad_batch(p, env, noise, rho0s, cfg, amp_scales=scales)
+            [y], [steps] = dynamics._first_half_images(p, env, noise, rho0s, cfg, scales, t_gates, [flavor])
             first = ode_solve(rhs, hermitize(rho0s).view(float), 0.0, 0.5 * p.t_gate, cfg)
-            second = ode_solve(rhs, first.y, 0.5 * p.t_gate, p.t_gate, cfg)
-            steps = (first.steps_accepted + second.steps_accepted, first.steps_rejected + second.steps_rejected)
-            assert (batch[0].steps_accepted, batch[0].steps_rejected) == steps, rel_tol
-            y = np.stack([res.final_operator for res in batch])
-            assert max_abs(y - second.y.view(complex)) < 1e-13, rel_tol
+            assert steps == (first.steps_accepted, first.steps_rejected), rel_tol
+            assert max_abs(y - first.y.view(complex)) < 1e-13, rel_tol
 
     def test_rejects_an_empty_stack(self):
         p = params(2.0)
@@ -624,10 +636,10 @@ class TestPropagateLindblad:
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     @pytest.mark.parametrize("cycles", [1.9, 4.3, 10.0])
     def test_stepper_matches_dopri5_reference(self, monkeypatch, flavor, cycles):
-        # The packed scaled-time right-hand sides of one noise-map point (the
+        # The packed scaled-time right-hand side of one noise-map point (the
         # four solved axial inputs at 11 amplitude scales, k = 0.2, gamma_e =
-        # 0.01), each half-segment through qmath.ode_solve and through the
-        # independent DOPRI5 reference from the reference's own state.
+        # 0.01), its one solve of the first half-segment through qmath.ode_solve
+        # and through the independent DOPRI5 reference.
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
         solves = []
 
@@ -638,20 +650,12 @@ class TestPropagateLindblad:
 
         monkeypatch.setattr(dynamics, "ode_solve", recording)
         p = params(cycles, flavor)
-        scales = 1.0 + 0.2 * gauss_legendre_rule(11)[0]
-        inputs = AXIAL_QUBIT_STATES[[0, 2, 4, 5]]
-        rho0s = np.tile(inputs, (len(scales), 1, 1))
-        noise = NoiseModel((0.0, 0.0, 0.0, 0.01))
-        propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, np.repeat(scales, len(inputs)))
-        assert len(solves) == 2
-        y, attempts, reference_attempts = dynamics._pack(rho0s), 0, 0
-        for rhs, announce, t0, t1, res in solves:
-            ref = dopri5_solve(rhs, y, t0, t1, cfg, announce)
-            y = ref.y
-            attempts += res.steps_accepted + res.steps_rejected
-            reference_attempts += ref.steps_accepted + ref.steps_rejected
-        assert max_abs(solves[-1][4].y - y) <= 10.0 * cfg.rel_tol
-        assert 2 * attempts <= reference_attempts
+        rho0s = np.tile(AXIAL_QUBIT_STATES[[0, 2, 4, 5]], (11, 1, 1))
+        nominal_and_uncertainty_avg([p], NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2), 11, cfg)
+        [(rhs, announce, t0, t1, res)] = solves
+        ref = dopri5_solve(rhs, dynamics._pack(rho0s), t0, t1, cfg, announce)
+        assert max_abs(res.y - ref.y) <= 10.0 * cfg.rel_tol
+        assert 2 * (res.steps_accepted + res.steps_rejected) <= ref.steps_accepted + ref.steps_rejected
 
     def test_a_shared_mesh_can_be_coarser_than_a_member_needs_alone(self):
         # DOP853 takes the fifth- and third-order estimates e5 and e3 as
@@ -700,25 +704,22 @@ class TestPropagateLindblad:
     def test_block_generators_match_the_two_generator_stage(self, flavor):
         # Each gate-time block's one generator f_s G_s + f_c G_c against the
         # per-member stage c_i (s G_s + c G_c) + c_i kappa_i (c G_s - s G_c),
-        # both halves.  At kappa = 0 the two are the same arithmetic, so the
-        # adiabatic states agree bit for bit; SATD regroups the same sum, so
-        # its states move by roundoff on the same mesh.
+        # on the first half-segment.  At kappa = 0 the two are the same
+        # arithmetic, so the adiabatic states agree bit for bit; SATD regroups
+        # the same sum, so its states move by roundoff on the same mesh.
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
         noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
         rho0s, amp_scales, t_gates = self._noise_map_stack()
         p = params(2.0, flavor)
         env = make_envelopes(p)
-        batch = propagate_lindblad_batch(p, env, noise, rho0s, cfg, amp_scales, t_gates)
-        y, steps = dynamics._pack(hermitize(rho0s)), (0, 0)
-        for phase, t0, t1 in ((1.0, 0.0, 0.5), (env.phase_jump, 0.5, 1.0)):
-            res = ode_solve(two_generator_stage_reference(env, noise, amp_scales, t_gates, phase), y, t0, t1, cfg)
-            y, steps = res.y, (steps[0] + res.steps_accepted, steps[1] + res.steps_rejected)
-        assert (batch[0].steps_accepted, batch[0].steps_rejected) == steps
-        got = np.stack([res.final_operator for res in batch])
+        [got], [steps] = dynamics._first_half_images(p, env, noise, rho0s, cfg, amp_scales, t_gates, [flavor])
+        rhs = two_generator_stage_reference(env, noise, amp_scales, t_gates, 1.0)
+        res = ode_solve(rhs, dynamics._pack(hermitize(rho0s)), 0.0, 0.5, cfg)
+        assert steps == (res.steps_accepted, res.steps_rejected)
         if flavor is Flavor.ADIABATIC:
-            assert np.array_equal(got, dynamics._unpack(y))
+            assert np.array_equal(got, dynamics._unpack(res.y))
         else:
-            assert max_abs(got - dynamics._unpack(y)) < 1e-13
+            assert max_abs(got - dynamics._unpack(res.y)) < 1e-13
 
     @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
     def test_interleaved_gate_times_take_one_member_blocks(self, monkeypatch, flavor):
@@ -738,13 +739,13 @@ class TestPropagateLindblad:
         rho0s, amp_scales, t_gates = self._noise_map_stack()
         order = np.arange(len(rho0s)).reshape(3, -1).T.ravel()
         p = params(2.0, flavor)
-        runs = propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
-        interleaved = propagate_lindblad_batch(
-            p, make_envelopes(p), noise, rho0s[order], cfg, amp_scales[order], t_gates[order]
+        env = make_envelopes(p)
+        [runs], _ = dynamics._first_half_images(p, env, noise, rho0s, cfg, amp_scales, t_gates, [flavor])
+        [interleaved], _ = dynamics._first_half_images(
+            p, env, noise, rho0s[order], cfg, amp_scales[order], t_gates[order], [flavor]
         )
-        assert blocks == [3, 3, len(rho0s), len(rho0s)]
-        got = np.stack([res.final_operator for res in interleaved])
-        assert max_abs(got - np.stack([res.final_operator for res in runs])[order]) < 1e-13
+        assert blocks == [3, len(rho0s)]
+        assert max_abs(interleaved - runs[order]) < 1e-13
 
     def test_a_solve_builds_generators_once_per_attempted_step(self, monkeypatch):
         # One build for the first stage and one per attempted step, each
@@ -766,11 +767,11 @@ class TestPropagateLindblad:
         p = params(2.0, Flavor.SATD)
         cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
         noise = NoiseModel((0.0, 0.0, 0.0, 0.01), 0.2)
-        propagate_lindblad_batch(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates)
-        assert len(solves) == 2
-        attempts = [res.steps_accepted + res.steps_rejected for res in solves]
-        assert min(attempts) > 0
-        assert len(builds) == sum(1 + n for n in attempts)
+        dynamics._first_half_images(p, make_envelopes(p), noise, rho0s, cfg, amp_scales, t_gates, [Flavor.SATD])
+        [res] = solves
+        attempts = res.steps_accepted + res.steps_rejected
+        assert attempts > 0
+        assert len(builds) == 1 + attempts
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_nonfinite_or_nonpositive_gate_times(self, bad):
@@ -825,6 +826,45 @@ class TestPropagateLindblad:
         p = params(2.0, Flavor.SATD)
         with pytest.raises(NumericalError, match="minimum eigenvalue"):
             propagate_lindblad_batch(p, make_envelopes(p), NoiseModel(), AXIAL_QUBIT_STATES, CFG)
+
+
+class TestMirrorIdentity:
+    # Only the first half-segment is integrated; the second half's map
+    # follows by the mirror identity of dynamics.  Both entry points against
+    # lindblad_two_half_reference, which integrates both halves: axes and
+    # phases off their defaults, four unequal rates, amplitude scales off 1,
+    # rel_tol 1e-12.  Measured worst over both flavors, t_g 2 and 5.3, these
+    # axes and the default one, and two rate sets: final states 2.3e-13,
+    # fidelities 1.6e-14.
+    CFG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    NOISE = NoiseModel((0.003, 0.001, 0.002, 0.02), 0.13)
+    AXES = [(0.3, 0.7, 1.1), (1.2, 5.0, -0.4)]
+
+    @pytest.mark.parametrize("alpha, beta, gamma0", AXES)
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_final_states_match_the_two_half_reference(self, rng, flavor, alpha, beta, gamma0):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho0s = np.concatenate([AXIAL_QUBIT_STATES, (m @ m.conj().T / np.trace(m @ m.conj().T).real)[None]])
+        scales = np.linspace(0.87, 1.13, len(rho0s))
+        for cycles in (2.0, 5.3):
+            p = params(cycles, flavor, gamma0, alpha, beta)
+            env = make_envelopes(p)
+            batch = propagate_lindblad_batch(p, env, self.NOISE, rho0s, self.CFG, scales)
+            ref = lindblad_two_half_reference(env, self.NOISE, rho0s, self.CFG, scales, np.full(len(rho0s), cycles))
+            assert max_abs(np.stack([res.final_operator for res in batch]) - ref) < 5e-13, cycles
+
+    @pytest.mark.parametrize("alpha, beta, gamma0", AXES)
+    @pytest.mark.parametrize("flavor", [Flavor.ADIABATIC, Flavor.SATD])
+    def test_paired_fidelities_match_the_two_half_reference(self, flavor, alpha, beta, gamma0):
+        points = [params(cycles, flavor, gamma0, alpha, beta) for cycles in (2.0, 5.3)]
+        nodes, weights = gauss_legendre_rule(3)
+        scales = np.repeat(1.0 + self.NOISE.k * nodes, len(AXIAL_QUBIT_STATES))
+        rho0s = np.tile(AXIAL_QUBIT_STATES, (len(nodes), 1, 1))
+        for p, pair in zip(points, nominal_and_uncertainty_avg(points, self.NOISE, len(nodes), self.CFG)):
+            t_gates = np.full(len(rho0s), p.t_gate)
+            finals = lindblad_two_half_reference(make_envelopes(p), self.NOISE, rho0s, self.CFG, scales, t_gates)
+            fids = metrics._axial_average(ideal_gate(p)[:2, :2], finals)
+            assert max(abs(pair[0] - fids[1]), abs(pair[1] - np.dot(weights, fids) / 2.0)) < 5e-14, p.t_gate
 
 
 class TestProtocolInvariants:

@@ -7,7 +7,7 @@ from conftest import axial_average_reference, params, random_hermitian, random_u
 from tripod_sta import metrics
 from tripod_sta.controls import Flavor, amplitude_threshold_time, make_envelopes, make_pulse_shape
 from tripod_sta.dynamics import (
-    NoiseModel, NumericalError, PropagationResult, propagate_lindblad_batch, propagate_unitary_batch,
+    NoiseModel, NumericalError, propagate_lindblad_batch, propagate_unitary_batch,
 )
 from tripod_sta.metrics import (
     AXIAL_QUBIT_STATES,
@@ -184,13 +184,13 @@ class TestUncertaintyAverage:
         # the only one, so it adds no group of its own; map_fidelity solves
         # scale 1 alone at any k.
         solved = []
-        batch = metrics.propagate_lindblad_batch
+        batch = metrics._first_half_images
 
         def counting_batch(params, env, noise, rho0s, *args):
             solved.append(len(rho0s))
             return batch(params, env, noise, rho0s, *args)
 
-        monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
+        monkeypatch.setattr(metrics, "_first_half_images", counting_batch)
         p = params(2.0, Flavor.SATD)
         for k, n_nodes, expected in ((0.2, 5, [20, 20, 4]), (0.0, 5, [4, 4, 4])):
             solved.clear()
@@ -229,12 +229,12 @@ class TestFourInputMaps:
     def test_rebuilt_images_are_checked(self, monkeypatch):
         # Solved images that pass the checks, but whose rebuilt -y image of
         # the second point, |0><0| + |1><1| - |a><a|, has eigenvalue -1.
-        def fake_batch(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors):
-            finals = np.array(rho0s)
-            finals[5] = np.diag([0.0, 0.0, 1.0, 0.0])
-            return [PropagationResult(rho, 1, 0) for rho in finals]
+        def fake_solve(params, env, noise, rho0s, cfg, amp_scales, t_gates, flavors):
+            images = np.array(rho0s)
+            images[5] = np.diag([0.0, 0.0, 1.0, 0.0])
+            return images[None], ((1, 0),)
 
-        monkeypatch.setattr(metrics, "propagate_lindblad_batch", fake_batch)
+        monkeypatch.setattr(metrics, "_first_half_images", fake_solve)
         points = [params(tg) for tg in (2.0, 2.5, 3.0)]
         with pytest.raises(NumericalError, match="minimum eigenvalue") as info:
             nominal_and_uncertainty_avg(points, NoiseModel(), 1, FAST)
@@ -285,7 +285,7 @@ class TestFourInputMaps:
         # others a pass of one; every value is bit for bit that of its
         # flavor's points alone, and each point keeps its place in the list.
         passes = []
-        batch = metrics.propagate_lindblad_batch
+        batch = metrics._first_half_images
 
         def counting_batch(*args):
             passes.append([flavor.value for flavor in args[-1]])
@@ -294,7 +294,7 @@ class TestFourInputMaps:
         noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
         by_flavor = {flavor: [params(tg, flavor) for tg in grid] for flavor, grid in zip(Flavor, grids)}
         alone = {flavor: nominal_and_uncertainty_avg(ps, noise, 3, FAST) for flavor, ps in by_flavor.items()}
-        monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
+        monkeypatch.setattr(metrics, "_first_half_images", counting_batch)
         a, s = by_flavor[Flavor.ADIABATIC], by_flavor[Flavor.SATD]
         points = [s[0], a[0], a[1], s[1], *a[2:], *s[2:]]
         together = nominal_and_uncertainty_avg(points, noise, 3, FAST)
@@ -305,13 +305,13 @@ class TestFourInputMaps:
 
     def test_points_share_one_solve_and_match_their_own(self, monkeypatch):
         solved = []
-        batch = metrics.propagate_lindblad_batch
+        batch = metrics._first_half_images
 
         def counting_batch(params, env, noise, rho0s, *args):
             solved.append(len(rho0s))
             return batch(params, env, noise, rho0s, *args)
 
-        monkeypatch.setattr(metrics, "propagate_lindblad_batch", counting_batch)
+        monkeypatch.setattr(metrics, "_first_half_images", counting_batch)
         noise = NoiseModel((0.0, 0.0, 0.0, 1e-2), k=0.2)
         points = [params(tg, Flavor.SATD) for tg in (1.5, 2.0, 3.0)]
         together = nominal_and_uncertainty_avg(points, noise, 3, FAST)

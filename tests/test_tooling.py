@@ -86,8 +86,9 @@ def test_cli_solves_lindblad_maps_through_one_entry_point():
 
 
 def test_metrics_solves_every_map_in_one_place():
-    # One Lindblad map path: apart from its import, metrics names the solver
-    # only in nominal_and_uncertainty_avg, and both map fidelities read it.
+    # One Lindblad map path: apart from its import, metrics names the
+    # first-half solve only in nominal_and_uncertainty_avg, and both map
+    # fidelities read it.
     tree = ast.parse((ROOT / "src" / "tripod_sta" / "metrics.py").read_text())
 
     def named(node):
@@ -95,7 +96,7 @@ def test_metrics_solves_every_map_in_one_place():
         return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
 
     top = [node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))]
-    solvers = [getattr(node, "name", node.lineno) for node in top if "propagate_lindblad_batch" in named(node)]
+    solvers = [getattr(node, "name", node.lineno) for node in top if "_first_half_images" in named(node)]
     assert solvers == ["nominal_and_uncertainty_avg"]
     defs = {node.name: node for node in top if isinstance(node, ast.FunctionDef)}
     for name in ("map_fidelity", "map_fidelity_uncertainty_avg"):
