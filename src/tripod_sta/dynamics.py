@@ -259,16 +259,19 @@ def _lindblad_rhs(terms, noise: NoiseModel, t_gates: np.ndarray):
     # t_gates (blocks, m).  terms(taus) gives one generator G_b per block and weights
     # w in u's shape: member i of block b gets w[b, i] * u_i @ G_b plus its dephasing
     # -t_gates[b, i] * W (a weight column broadcast along the rows costs twice as
-    # much).  Each call writes into the same two buffers, made once per rhs, so no
-    # two solves share them: ode_solve copies each result away.
+    # much).  The result overwrites u, which rhs returns, so ode_solve copies
+    # nothing; the product goes through one buffer, made once per rhs, so no two
+    # solves share it.  An unblocked stack (blocks * m, 16) is left as it is and
+    # gets a new array in the blocked shape.
     damping = _pack(-(1.0 + 1.0j) * noise.dephasing_matrix()) * t_gates[..., None]
-    out, product = np.empty_like(damping), np.empty_like(damping)
+    out = np.empty_like(damping)
 
     def rhs(taus, u):
         generators, weights = terms(taus)
         np.multiply(np.matmul(u, generators, out=out), weights, out=out)
-        np.add(out, np.multiply(damping, u, out=product), out=out)
-        return out
+        if u.shape != out.shape:
+            return out + damping * u
+        return np.add(out, np.multiply(damping, u, out=u), out=u)
 
     return rhs
 
@@ -344,7 +347,10 @@ def _first_half_images(params, env, noise, rho0s, cfg, amp_scales, t_gates, flav
     def announce(taus: np.ndarray) -> None:
         # One key per stage, as rhs gets it, each with one time per flavor;
         # stages 11 and 12 share the node 1.  The ramp on floats: its scalar
-        # calls, one per time and flavor, cost less than one on an array.
+        # calls, one per time and flavor, cost less than one on an array (a
+        # noise-map step, 11 keys x 2 flavors: 45.5 us per hook against
+        # 48.7 us with the ramp, sine and cosine each on the (keys, flavors)
+        # array, timeit on one x86-64 core).
         keys = list(dict.fromkeys(zip(*taus.tolist())))
         theta, d1, d2 = zip(*[PulseShape.ramp(1.0, tau) for key in keys for tau in key])
         angles = np.array([list(map(math.sin, theta)), list(map(math.cos, theta)), d1, d2])

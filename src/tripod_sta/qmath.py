@@ -299,7 +299,7 @@ def ode_solve(
 ) -> OdeResult:
     """Integrate dy/dt = rhs(times, y) from t0 to t1 with the adaptive
     Dormand-Prince 8(5,3) stepper (DOP853), in float64 for a real y0 (whose
-    rhs must not return a complex array: ValueError on the first call),
+    rhs must not return a complex array: ValueError at the first that does),
     complex128 for any other.
 
     y0's first axis holds `groups` independent systems as equal consecutive
@@ -317,8 +317,11 @@ def ode_solve(
     steps of the group that attempts most.
 
     rhs gets a tuple of one Python float per group, its stage time, and the
-    stage argument in y0's shape, a buffer it must not keep; each result is
-    copied away before the next call, so rhs may return a buffer it reuses.
+    stage argument in y0's shape: that stage's own row of the solve, a buffer
+    it must not keep.  rhs may overwrite the argument with its result and
+    return it, which saves a copy; any other array it returns is copied into
+    the row before the next call, so it may also return a buffer it reuses.
+    The state itself is never handed to rhs.
     stage_times, if given, gets a float array (groups, 1) holding t0 before
     the first stage and (groups, 12) of each group's stage times t + c_i*h
     before the stages of each attempted step: column i is exactly the tuple
@@ -343,11 +346,18 @@ def ode_solve(
     ks = np.empty((13, groups, size), dtype=y.dtype)
     # Each stage row in y0's shape, the shape rhs takes and returns.
     k_shaped = [k.reshape(shape) for k in ks]
+
+    def evaluate(times, k):
+        # rhs writes its result into the stage row k, or returns one to copy there.
+        result = rhs(times, k)
+        if result is not k:
+            if np.iscomplexobj(result) and not np.iscomplexobj(k):
+                raise ValueError("rhs returned a complex array for a real y0")
+            k[...] = result
+
     announce(np.full((groups, 1), t0))
-    first = rhs((t0,) * groups, y.reshape(shape))
-    if np.iscomplexobj(first) and not np.iscomplexobj(y):
-        raise ValueError("rhs returned a complex array for a real y0")
-    k_shaped[0][...] = first
+    ks[0] = y
+    evaluate((t0,) * groups, k_shaped[0])
     # Crude but safe first step guess; the controller fixes it quickly.
     h = []
     for k0, yg in zip(ks[0], y):
@@ -356,20 +366,18 @@ def ode_solve(
         h.append(max(min(guess, span), span * 1e-10))
 
     t, accepted, rejected = [t0] * groups, [0] * groups, [0] * groups
-    abs_y = np.abs(y)
-    # Buffers of one step: h times the tableau per group, the stage
-    # arguments (row 0 for stages 1-11, row 1, the new state, for the FSAL
-    # stage) as float (groups, 1, n) and rhs-shaped views, and the two error
-    # estimates per group.
+    # Buffers of one step: h times the tableau per group, the new state (the
+    # FSAL stage's argument) and its moduli, the tolerance, and the two error
+    # estimates per group, complex and scaled by the tolerance.
     hs = np.empty((groups, *_DP_TABLEAU.shape))
-    rows, errs = np.empty((2, groups, size), dtype=y.dtype), np.empty((groups, 2, size), dtype=y.dtype)
-    float_rows = rows.view(float).reshape(2, groups, 1, -1)
-    args, y8, yf = [(float_rows[j], rows[j].reshape(shape)) for j in (0, 1)], rows[1], y.view(float)[:, None]
-    # Per stage i: its rows of hs, the stages it weighs (groups, i, n), its
-    # argument (float and rhs-shaped views) and its own rhs-shaped row of ks,
-    # as views made once; then the same for the error estimates.
+    y8, errs = np.empty_like(y), np.empty((groups, 2, size), dtype=y.dtype)
+    abs_y, abs_y8, tol, scaled = np.abs(y), np.empty(y.shape), np.empty(y.shape), np.empty(errs.shape)
+    yf = y.view(float)[:, None]
+    # Per stage i: its rows of hs, the stages it weighs (groups, i, n) and its
+    # own row of ks, where its argument is formed, as float (groups, 1, n) and
+    # rhs-shaped views made once; then the same for the error estimates.
     k_float = ks.view(float).swapaxes(0, 1)
-    stages = [(hs[:, i : i + 1, :i], k_float[:, :i], *args[i == 12], k_shaped[i]) for i in range(1, 13)]
+    stages = [(hs[:, i : i + 1, :i], k_float[:, :i], k_float[:, i : i + 1], k_shaped[i]) for i in range(1, 13)]
     error_weights, error_stages, error_out = hs[:, 13:], k_float[:, :12], errs.view(float)
     while True:
         live = [g for g in range(groups) if t[g] < t1]
@@ -385,15 +393,20 @@ def ode_solve(
         np.multiply(_DP_TABLEAU, step[:, :, None], out=hs)
         times = np.array(t)[:, None] + _DP_NODES * step
         announce(times)
-        for ts, (weights, earlier, arg, shaped, k) in zip(zip(*times.tolist()), stages):
+        for ts, (weights, earlier, arg, k) in zip(zip(*times.tolist()), stages):
             np.matmul(weights, earlier, out=arg)
             arg += yf
-            k[...] = rhs(ts, shaped)
+            if k is k_shaped[12]:
+                y8[...] = ks[12]  # the new state, before rhs may overwrite it
+            evaluate(ts, k)
         np.matmul(error_weights, error_stages, out=error_out)
-        abs_y8 = np.abs(y8)
-        tol = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y8)
+        np.abs(y8, out=abs_y8)
+        np.maximum(abs_y, abs_y8, out=tol)
+        tol *= cfg.rel_tol
+        tol += cfg.abs_tol
+        np.divide(np.abs(errs, out=scaled), tol[:, None], out=scaled)
         # Floats, so h and every stage time handed to rhs stay numpy-free.
-        norms = (np.abs(errs) / tol[:, None]).max(axis=2).tolist()
+        norms = scaled.max(axis=2).tolist()
         for g in live:
             e5, e3 = norms[g]
             # At e3 = 0 the combined estimate is e5 (and 0/0 when both vanish).

@@ -149,6 +149,31 @@ def energy_cost_reference(env: EnvelopeSet, n: int = 1001) -> float:
     return float(np.dot(weights, vals)) * (p.t_gate / (n - 1)) / 3.0 / p.t_gate
 
 
+def bisect_decreasing_reference(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Reference for controls._bisect_decreasing, the search it replaced:
+    the root of a decreasing f with f(lo) > 0 >= f(hi), expanding hi if
+    needed, by bisection alone until lo and hi are adjacent floats, where
+    the midpoint no longer moves the bracket."""
+    flo = f(lo)
+    fhi = f(hi)
+    grow = 0
+    while fhi > 0.0 and grow < 20:
+        lo, flo = hi, fhi
+        hi *= 2.0
+        fhi = f(hi)
+        grow += 1
+    if flo <= 0.0 or fhi > 0.0:
+        raise ValueError("bisection bracket not found")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def default_antisymmetric_gamma_rate(params: ControlParams) -> Callable[[float], float]:
     """Smooth test profile gamma_dot(t) = (pi*gamma0/t_gate)*sin(2*pi*t/t_gate).
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, default_antisymmetric_gamma_rate, energy_cost_reference, max_amplitude_reference, params
+from conftest import (
+    OMEGA0,
+    bisect_decreasing_reference,
+    default_antisymmetric_gamma_rate,
+    energy_cost_reference,
+    max_amplitude_reference,
+    params,
+)
 from tripod_sta import controls
 from tripod_sta.controls import (
     ControlParams,
@@ -463,6 +470,61 @@ class TestThresholdScans:
         for n in (501, 1001):
             assert not any(column.flags.writeable for column in controls._unit_ramp_table(1.0, n))
             assert not controls._simpson_weights(n).flags.writeable
+
+
+class TestThresholdSearch:
+    """_bisect_decreasing against bisect_decreasing_reference, the bisection
+    to adjacent floats it replaced: the same float from fewer evaluations."""
+
+    @staticmethod
+    def searches(monkeypatch):
+        """(f, lo, hi) of the amplitude and cost threshold searches over a
+        grid of omega0 with seeded alpha (both ends included) and cost
+        multiples, and of seeded synthetic hockey sticks: smooth and
+        decreasing below a root x0, exactly 0 above it (like the amplitude
+        excess), convex or concave, some past the first bracket."""
+        rng = np.random.default_rng(20261022)
+        seen = []
+        monkeypatch.setattr(controls, "_bisect_decreasing", lambda f, lo, hi: seen.append((f, lo, hi)) or 1.0)
+        for omega0 in (OMEGA0, 1.0, 7.3, 37.0, 1e3, 1e-3):
+            for alpha in [0.0, 0.5 * math.pi] + rng.uniform(0.0, 0.5 * math.pi, 8).tolist():
+                amplitude_threshold_time(ControlParams(omega0, alpha, 0.0, math.pi, 1.0, Flavor.SATD))
+            for multiple in (1.001, 1.05, 1.5, 2.0, 3.0, 10.0):
+                cost_threshold_time(ControlParams(omega0, math.pi / 4, 0.0, math.pi, 1.0, Flavor.SATD), multiple)
+        monkeypatch.undo()
+        for _ in range(110):
+            x0 = 10.0 ** rng.uniform(math.log10(0.11), math.log10(30.0))
+            curvature, scale = rng.uniform(-0.45 / x0, 5.0), 10.0 ** rng.uniform(-6.0, 6.0)
+
+            def hockey_stick(x, x0=x0, curvature=curvature, scale=scale):
+                return scale * (x0 - x) * (1.0 + curvature * (x0 - x)) if x < x0 else 0.0
+
+            seen.append((hockey_stick, 0.1, 4.0))
+        return seen
+
+    def test_same_float_as_bisection_from_at_most_24_evaluations(self, monkeypatch):
+        searches = self.searches(monkeypatch)
+        assert len(searches) >= 200
+        evaluations = []
+        for f, lo, hi in searches:
+            calls = []
+
+            def counted(x, f=f):
+                calls.append(x)
+                return f(x)
+
+            assert controls._bisect_decreasing(counted, lo, hi) == bisect_decreasing_reference(f, lo, hi)
+            evaluations.append(len(calls))
+        assert max(evaluations) <= 24
+        # Bisection alone takes about 56.
+        assert sum(evaluations) / len(evaluations) < 18.0
+
+    def test_thresholds_are_those_of_bisection(self, monkeypatch):
+        # The public searches return the reference's float.
+        p = ControlParams(OMEGA0, 0.7, 0.0, math.pi, 1.0, Flavor.SATD)
+        values = [amplitude_threshold_time(p), cost_threshold_time(p, 2.0), cost_threshold_time(p, 3.0)]
+        monkeypatch.setattr(controls, "_bisect_decreasing", bisect_decreasing_reference)
+        assert values == [amplitude_threshold_time(p), cost_threshold_time(p, 2.0), cost_threshold_time(p, 3.0)]
 
 
 def test_envelope_rows_layout():
